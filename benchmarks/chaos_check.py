@@ -14,9 +14,10 @@ One small sweep, three adversaries at once:
   duplicates and crash-stops from the deterministic fault plane);
 * **storage faults** — a torn trailing write injected into the result
   store between runs;
-* **daemon kill** — a serving daemon subprocess SIGKILLed mid-stream,
-  restarted from its base artifact + delta journal, and diffed against
-  an uninterrupted in-process run;
+* **daemon kill** — the registered E13 kill/replay cell: a serving
+  daemon subprocess SIGKILLed mid-stream, restarted from its base
+  artifact + delta journal, and diffed against an uninterrupted
+  in-process run;
 * **concurrent clients + kill** — four client threads hammer a daemon
   running with journal rotation caps; the daemon is SIGKILLed
   mid-traffic and the base + rotated segments + active journal must
@@ -35,16 +36,18 @@ Asserted afterwards:
 4. the faulted parallel run's ok rows are *diff-clean* against a
    fault-free serial run of the non-faulted (``fault_sweep``) cells —
    worker kills, retries and store healing left no trace in the data;
-5. the SIGKILLed daemon's journal replay reproduces the exact pre-kill
-   artifact state, and the full cross-kill response stream is
-   bit-identical to the uninterrupted session;
+5. the E13 kill/replay cell runs with 0 errored cells: its runner
+   asserts that journal replay reproduces the exact pre-kill artifact
+   state and that the cross-kill response stream is bit-identical to
+   the uninterrupted session;
 6. under four concurrent clients and rotation caps, the kill leaves
    rotated ``.journal.N`` segments behind, every acknowledged write
    epoch is distinct (the writer lock's total order), replaying
    base + segments + active journal reaches at least the highest
    acknowledged epoch, and a restart + graceful shutdown compacts
    segments and journal away;
-7. the observability trace sink shares the store's torn-tail contract:
+7. the observability trace sink shares the store's torn-tail contract
+   (:mod:`repro.jsonlog`):
    a torn trailing span (a tracer killed mid-write) is skipped on read,
    healed before the next append, and ``repro obs report`` still
    renders over the healed file.
@@ -98,74 +101,22 @@ def check(condition: bool, label: str) -> None:
     print(f"ok: {label}")
 
 
-def daemon_kill_replay_probe(workdir: str) -> None:
-    """Phase 5: SIGKILL a serving daemon mid-stream; replay must be exact.
+def daemon_kill_replay_probe() -> None:
+    """Phase 5: the registered E13 kill/replay cell (``serving_daemon``).
 
-    Start ``repro serve --listen`` on a small artifact, stream churn at
-    it in lockstep, SIGKILL it halfway, restart from base + journal,
-    finish the stream with a graceful (compacting) shutdown, and diff
-    everything — recovered state and responses — against an
-    uninterrupted in-process session.
+    Its runner SIGKILLs a ``repro serve`` daemon mid-stream and asserts
+    the pre-kill epoch and coloring after journal replay, cross-kill
+    response bit-identity with an in-process session, and the journal
+    compacted on graceful shutdown; any failed assertion errors the cell.
     """
-    from repro.graphs import generators
-    from repro.serving import ColoringArtifact, ServingSession, build_artifact, journal_path
-    from repro.serving.daemon import connect, spawn_daemon_process
+    import dataclasses
 
-    graph = generators.random_regular_graph(80, 4, seed=5)
-    path = os.path.join(workdir, "chaos-artifact.json")
-    build_artifact(graph).save(path)
-
-    # Deterministic churn: delete/insert each base edge of node 0's row.
-    requests = []
-    for w in graph.neighbors(0):
-        requests.append({"op": "delete", "u": 0, "v": w})
-        requests.append({"op": "node_palette", "v": w})
-        requests.append({"op": "insert", "u": 0, "v": w})
-        requests.append({"op": "color", "u": 0, "v": w})
-    cut = len(requests) // 2
-
-    twin = ServingSession(ColoringArtifact.load(path), rebase_policy=None)
-    expected_prefix = twin.serve_batch(requests[:cut])
-    prefix_epoch = twin.artifact.epoch
-    prefix_colors = dict(twin.artifact.colors)
-    expected_suffix = twin.serve_batch(requests[cut:])
-
-    process, host, port = spawn_daemon_process(path)
-    try:
-        with connect((host, port)) as client:
-            got_prefix = client.request_many(requests[:cut])
-    finally:
-        process.kill()
-        process.wait(timeout=30)
-    recovered = ColoringArtifact.load(path)
-    check(recovered.epoch == prefix_epoch, "journal replay reaches the pre-kill epoch")
+    daemon = get("serving_daemon")
+    cell = next(c for c in daemon.cells if c.quick and "clients" not in c.params)
+    report = run_scenario(dataclasses.replace(daemon, cells=(cell,)), workers=1)
     check(
-        recovered.colors == prefix_colors and recovered.verify(),
-        "journal replay reproduces the exact pre-kill coloring",
-    )
-
-    process, host, port = spawn_daemon_process(path)
-    try:
-        with connect((host, port)) as client:
-            got_suffix = client.request_many(requests[cut:])
-            client.shutdown()
-        process.wait(timeout=30)
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=30)
-    check(
-        got_prefix + got_suffix == expected_prefix + expected_suffix,
-        "cross-kill daemon responses bit-identical to uninterrupted session",
-    )
-    check(
-        not os.path.exists(journal_path(path)),
-        "graceful daemon shutdown compacted the journal",
-    )
-    final = ColoringArtifact.load(path)
-    check(
-        final.epoch == twin.artifact.epoch and final.colors == twin.artifact.colors,
-        "compacted artifact matches the uninterrupted end state",
+        report.executed == 1 and report.errored == 0,
+        "daemon SIGKILL + journal replay cell ran clean (0 errored)",
     )
 
 
@@ -413,7 +364,7 @@ def main() -> int:
         check(not problems, "chaos-run rows diff-clean vs fault-free serial run")
 
         # --- phase 5: daemon SIGKILL + journal replay ------------------
-        daemon_kill_replay_probe(workdir)
+        daemon_kill_replay_probe()
 
         # --- phase 6: concurrent clients + rotation + SIGKILL ----------
         concurrent_clients_kill_probe(workdir)

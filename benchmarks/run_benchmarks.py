@@ -2,39 +2,26 @@
 
 Usage (from the repository root)::
 
-    python benchmarks/run_benchmarks.py           # full sweep + live baseline
+    python benchmarks/run_benchmarks.py           # full sweep
     python benchmarks/run_benchmarks.py --quick   # fast subset
-    python benchmarks/run_benchmarks.py --no-baseline   # skip the seed run
 
-The harness runs the E1 / E6 / E8 scenarios of
-:mod:`benchmarks.perf_scenarios` (seed sizes plus 4–8× larger instances,
-each cell timed best-of-N with generation outside the timer), verifies
-every output, and writes ``BENCH_e2e.json`` containing
+The harness runs the perf scenarios of the :mod:`repro.runtime` registry
+(``e1_sweep`` / ``e1_large`` / ``e1_list`` / ``e6_congest`` /
+``e8_linial`` / ``serving_churn`` / ``serving_daemon``, each cell timed
+best-of-N with generation outside the timer, every output verified by
+its runner) and writes ``BENCH_e2e.json`` containing
 
 * ``after`` — the fresh records ``{scenario, n, delta, wall_seconds,
   rounds, messages}`` for the current working tree,
-* ``before`` — the seed-revision records.  By default these are
-  measured **live, back to back with the ``after`` run**: the harness
-  materializes the seed revision from git history into a temporary
-  worktree and re-runs the identical scenario suite against it, so both
-  sides see the same machine state (a baseline frozen on a differently
-  loaded machine is not comparable).  ``benchmarks/seed_baseline.json``
-  (recorded once at the seed revision) is the fallback when git is
-  unavailable.
+* ``before`` — the seed-revision records, frozen in
+  ``benchmarks/seed_baseline.json``,
 * ``summary`` — per-scenario wall totals and before/after speedups,
 * ``env`` — machine/environment metadata (python and numpy versions,
-  platform, cpu count, the ``REPRO_SCAN_PATH`` / ``REPRO_SEND_PLANE`` /
-  ``REPRO_RECEIVE_PLANE`` knobs) so cross-PR trajectories are comparable.
+  platform, cpu count, the engine knobs) so cross-PR trajectories are
+  comparable.
 
 Later PRs extend the trajectory by re-running this harness and beating
 the recorded ``after`` numbers.
-
-The current tree is measured through the :mod:`repro.runtime` scenario
-registry (``e1_sweep`` / ``e1_large`` / ``e1_list`` / ``e6_congest`` /
-``e8_linial``); the seed-revision subprocess falls back to the legacy
-:mod:`benchmarks.perf_scenarios` cell table, which only uses seed-era
-APIs — ``tests/test_runtime_registry.py`` pins both grids against each
-other so they cannot drift.
 """
 
 from __future__ import annotations
@@ -43,65 +30,43 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
+sys.path.insert(0, os.path.join(REPO, "src"))
 
-# The repro package under test: the seed-revision subprocess points this
-# at its worktree; the default is the current working tree.
-_SRC = os.environ.get("REPRO_BENCH_SRC", os.path.join(REPO, "src"))
-sys.path.insert(0, _SRC)
-sys.path.insert(1, REPO)
-
-from benchmarks.perf_scenarios import run_scenario, scenarios, warmup  # noqa: E402
-
-#: The seed revision (v0 import) — the "before" side of the perf record.
-SEED_REVISION = "8a3bf0c663dc573105b5c316aa23c0d15104a640"
 BASELINE_PATH = os.path.join(HERE, "seed_baseline.json")
 OUTPUT_PATH = os.path.join(HERE, "BENCH_e2e.json")
-SEED_TREE = os.path.join(REPO, ".bench_seed_tree")
 
 
-def measure_legacy(quick: bool, log=print) -> list:
-    """Measure through the legacy :mod:`benchmarks.perf_scenarios` cells.
+def warmup() -> None:
+    """Warm the process (imports, code objects, evaluation caches) with a
+    tiny end-to-end run so the first measured cell is not penalized."""
+    from repro import api
+    from repro.graphs import generators
 
-    Used for the seed-revision subprocess, whose ``repro`` package
-    predates :mod:`repro.runtime` (the module only touches seed-era
-    APIs by design).
-    """
-    warmup()
-    records = []
-    for cell in scenarios():
-        if quick and not cell.quick:
-            continue
-        record = run_scenario(cell)
-        records.append(record)
-        if log:
-            log(
-                f"{record['scenario']:>10}  n={record['n']:>4}  Δ={record['delta']:>2}  "
-                f"{record['wall_seconds']:>8.3f}s  rounds={record['rounds']}"
-            )
-    return records
+    graph = generators.random_regular_graph(32, 6, seed=1)
+    api.color_edges_local(graph)
+    api.color_edges_congest(graph, epsilon=0.5)
 
 
-def measure_runtime(quick: bool, log=print) -> list:
+def measure(quick: bool, log=print) -> list:
     """Measure the current tree through the scenario registry.
 
     Runs the perf scenarios serially (timing cells must not contend for
-    cores) and converts the runtime rows into the legacy
+    cores) and converts the runtime rows into the
     ``{scenario, n, delta, wall_seconds, rounds, messages}`` records so
     the BENCH trajectory stays comparable across PRs.
     """
-    from repro.runtime import get, run_scenario as run_runtime_scenario
+    from repro.runtime import get, run_scenario
     from repro.runtime.scenarios import PERF_SCENARIOS
 
     warmup()
     records = []
     for legacy_name, registry_name in PERF_SCENARIOS:
-        report = run_runtime_scenario(get(registry_name), workers=1, quick=quick)
+        report = run_scenario(get(registry_name), workers=1, quick=quick)
         for row in report.rows:
             result = row["result"]
             record = {
@@ -126,53 +91,6 @@ def measure_runtime(quick: bool, log=print) -> list:
                     f"{record['wall_seconds']:>8.3f}s  rounds={record['rounds']}"
                 )
     return records
-
-
-def measure(quick: bool, log=print) -> list:
-    """Measure the package on ``sys.path``: runtime registry when present
-    (the current tree), legacy cells otherwise (the seed worktree)."""
-    try:
-        import repro.runtime  # noqa: F401
-    except ImportError:
-        return measure_legacy(quick, log=log)
-    return measure_runtime(quick, log=log)
-
-
-def measure_seed_live(quick: bool) -> list:
-    """Measure the seed revision from a temporary git worktree.
-
-    Returns the seed records, or raises on any git/subprocess failure
-    (the caller falls back to the frozen baseline).
-    """
-    if os.path.exists(SEED_TREE):
-        subprocess.run(
-            ["git", "-C", REPO, "worktree", "remove", "--force", SEED_TREE],
-            check=False,
-            capture_output=True,
-        )
-        shutil.rmtree(SEED_TREE, ignore_errors=True)
-    subprocess.run(
-        ["git", "-C", REPO, "worktree", "add", "--detach", SEED_TREE, SEED_REVISION],
-        check=True,
-        capture_output=True,
-    )
-    try:
-        env = dict(os.environ)
-        env["REPRO_BENCH_SRC"] = os.path.join(SEED_TREE, "src")
-        command = [sys.executable, os.path.abspath(__file__), "--emit-records"]
-        if quick:
-            command.append("--quick")
-        completed = subprocess.run(
-            command, check=True, capture_output=True, text=True, env=env, cwd=REPO
-        )
-        return json.loads(completed.stdout)
-    finally:
-        subprocess.run(
-            ["git", "-C", REPO, "worktree", "remove", "--force", SEED_TREE],
-            check=False,
-            capture_output=True,
-        )
-        shutil.rmtree(SEED_TREE, ignore_errors=True)
 
 
 def environment_metadata() -> dict:
@@ -306,17 +224,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="run the fast subset only")
     parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip the live seed measurement (reuse the frozen baseline)",
-    )
-    parser.add_argument(
-        "--emit-records",
-        action="store_true",
-        help="measure and print JSON records to stdout (internal; used for "
-        "the seed-worktree subprocess)",
-    )
-    parser.add_argument(
         "--check-regression",
         type=float,
         metavar="FACTOR",
@@ -327,11 +234,6 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    if args.emit_records:
-        records = measure(quick=args.quick, log=None)
-        json.dump(records, sys.stdout)
-        return 0
-
     committed_after: list = []
     if args.check_regression is not None and os.path.exists(OUTPUT_PATH):
         with open(OUTPUT_PATH, "r", encoding="utf-8") as handle:
@@ -339,41 +241,21 @@ def main() -> int:
 
     records = measure(quick=args.quick)
 
-    before = []
-    baseline_source = "none"
-    if not args.no_baseline:
-        try:
-            print("measuring seed baseline from git worktree ...")
-            before = measure_seed_live(quick=args.quick)
-            baseline_source = f"live-git-worktree@{SEED_REVISION[:12]}"
-            # Sandwich: re-measure the current tree after the seed run and
-            # keep the per-cell minimum, so machine-state drift across the
-            # baseline run cannot masquerade as a regression (or a win).
-            print("re-measuring current tree (sandwich pass) ...")
-            second = {cell_key(r): r for r in measure(quick=args.quick, log=None)}
-            for record in records:
-                other = second.get(cell_key(record))
-                if other and other["wall_seconds"] < record["wall_seconds"]:
-                    record["wall_seconds"] = other["wall_seconds"]
-        except Exception as error:  # pragma: no cover - environment dependent
-            print(f"live baseline failed ({error}); falling back to frozen records")
-    if not before and os.path.exists(BASELINE_PATH):
-        with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
-            before = json.load(handle)["records"]
-        baseline_source = "frozen-seed_baseline.json"
+    with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
+        before = json.load(handle)["records"]
 
     payload = {
         "before": before,
         "after": records,
         "summary": summarize(before, records),
-        "baseline_source": baseline_source,
+        "baseline_source": "frozen-seed_baseline.json",
         "quick": args.quick,
         "env": environment_metadata(),
     }
     with open(OUTPUT_PATH, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {OUTPUT_PATH} (baseline: {baseline_source})")
+    print(f"wrote {OUTPUT_PATH}")
     for name, entry in payload["summary"].items():
         speedup = entry.get("speedup")
         note = f"  speedup ×{speedup}" if speedup else ""

@@ -12,10 +12,6 @@ _SRC = os.path.join(os.path.dirname(__file__), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-# The perf harness may materialize the seed revision into a transient git
-# worktree; never collect tests from it.
-collect_ignore_glob = [".bench_seed_tree*"]
-
 
 def pytest_configure(config):
     config.addinivalue_line(

@@ -26,10 +26,8 @@ internal accounting, deterministically quarantined from outputs.
   The perf_smoke suite budgets disabled instrumentation at <5% of an
   E1 cell.
 * **Durable sink** — traces are append-only JSONL in the
-  ``repro-trace/v1`` format, torn-tail-healed exactly like the result
-  store and the delta journal: an interrupted writer's partial trailing
-  line is truncated on the next append and skipped (with a warning) on
-  read; mid-file corruption is an error.  Each process writes its own
+  ``repro-trace/v1`` format, written through :mod:`repro.jsonlog` like
+  the result store and the delta journal.  Each process writes its own
   ``trace-<pid>.jsonl`` so parallel sweeps never interleave.
 * **Metrics are additive** — the existing ad-hoc totals
   (``cache_stats()``, ``FaultStats``, executor retry/quarantine counts,

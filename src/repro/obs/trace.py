@@ -29,10 +29,9 @@ was called).  A disabled span is one attribute check plus a shared
 no-op context manager — the ``perf_smoke`` suite budgets the disabled
 instrumentation at <5% of an E1 cell.
 
-**Durability.**  The sink reuses the result store's torn-tail-healing
-idiom (:mod:`repro.runtime.store`): an append first truncates a torn
-trailing line left by an interrupted writer, and readers skip a torn
-tail with a warning.  Each process writes its *own* file (the default
+**Durability.**  The sink follows the shared append-only log format of
+:mod:`repro.jsonlog` (torn-tail heal on open, skip on read, mid-file
+corruption is an error).  Each process writes its *own* file (the default
 sink is ``<trace dir>/trace-<pid>.jsonl``; a forked worker inherits the
 environment and resolves a fresh per-pid file), so concurrent sweeps
 never interleave partial lines.
@@ -47,13 +46,12 @@ stripped before any output-bearing object sees them.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import threading
 import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
-logger = logging.getLogger(__name__)
+from repro import jsonlog
 
 #: On-disk trace format tag; bump on breaking layout changes.
 TRACE_FORMAT = "repro-trace/v1"
@@ -161,10 +159,10 @@ class _Span:
 class Tracer:
     """A span sink appending ``repro-trace/v1`` events to one JSONL file.
 
-    The file handle stays open for the tracer's lifetime (one heal +
-    header check at open, then plain appends flushed per event —
-    ``fsync=True`` additionally survives OS death, mirroring the result
-    store's durability knob).
+    The file handle stays open for the tracer's lifetime (one heal at
+    open, then plain appends flushed per event — ``fsync=True``
+    additionally survives OS death, mirroring the result store's
+    durability knob).
     """
 
     enabled = True
@@ -176,56 +174,14 @@ class Tracer:
         self._write_lock = threading.Lock()
 
     # ------------------------------------------------------------------ sink
-    def _heal_torn_tail(self) -> None:
-        """Truncate a torn trailing line before appending after it.
-
-        Same idiom as ``ResultStore._heal_torn_tail``: an interrupted
-        writer leaves a fragment with no newline; new events appended
-        after it would corrupt the middle of the file.
-        """
-        if not os.path.exists(self.path):
-            return
-        size = os.path.getsize(self.path)
-        if size == 0:
-            return
-        with open(self.path, "rb+") as handle:
-            handle.seek(-1, os.SEEK_END)
-            if handle.read(1) == b"\n":
-                return
-            handle.seek(0)
-            content = handle.read()
-            keep = content.rfind(b"\n") + 1
-            handle.truncate(keep)
-        logger.warning(
-            "%s: healed torn trailing span at byte offset %d (%d bytes dropped)",
-            self.path,
-            keep,
-            size - keep,
-        )
-
-    def _open(self):
-        if self._handle is None:
-            directory = os.path.dirname(self.path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            fresh = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
-            self._heal_torn_tail()
-            self._handle = open(self.path, "a", encoding="utf-8")
-            if fresh:
-                self._handle.write(
-                    json.dumps({"format": TRACE_FORMAT, "pid": os.getpid()}) + "\n"
-                )
-                self._handle.flush()
-        return self._handle
-
     def _write(self, event: Dict[str, object]) -> None:
         line = json.dumps(event, sort_keys=True, separators=(",", ":"))
         with self._write_lock:
-            handle = self._open()
-            handle.write(line + "\n")
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+            if self._handle is None:
+                self._handle, _offset = jsonlog.open_append(
+                    self.path, {"format": TRACE_FORMAT, "pid": os.getpid()}, self.fsync
+                )
+            jsonlog.write(self._handle, line + "\n", self.fsync)
 
     # ------------------------------------------------------------------- api
     def span(self, name: str, **attrs) -> _Span:
@@ -390,40 +346,14 @@ def reset() -> None:
 def read_events(path: str) -> List[Dict[str, object]]:
     """All complete span events of one trace file, header validated.
 
-    A torn trailing line is skipped with a warning (the span it carried
-    was mid-write when its process died); a corrupt line anywhere else
-    or a bad header is a :class:`ValueError` — the file was edited, not
-    interrupted.
+    The torn tail and corruption policy is :func:`repro.jsonlog.read`'s;
+    corruption or a bad header raise :class:`ValueError`.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    events: List[Dict[str, object]] = []
-    header_seen = False
-    for lineno, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        torn = lineno == len(lines) - 1 and not line.endswith("\n")
-        try:
-            row = json.loads(stripped)
-        except json.JSONDecodeError:
-            if torn:
-                logger.warning(
-                    "%s: skipping torn trailing span (line %d)", path, lineno + 1
-                )
-                break
-            raise ValueError(
-                f"{path}:{lineno + 1}: corrupt span in the middle of the trace"
-            ) from None
-        if not header_seen:
-            fmt = row.get("format") if isinstance(row, dict) else None
-            if fmt != TRACE_FORMAT:
-                raise ValueError(f"{path}: unsupported trace format {fmt!r}")
-            header_seen = True
-            continue
-        if isinstance(row, dict) and "name" in row:
-            events.append(row)
-    return events
+    return [
+        row
+        for _line, row in jsonlog.read(path, fmt=TRACE_FORMAT, kind="trace", noun="span")
+        if isinstance(row, dict) and "name" in row
+    ]
 
 
 def iter_trace_files(path: str) -> Iterator[str]:

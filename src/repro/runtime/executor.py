@@ -581,10 +581,9 @@ def run_scenario(
 def run_scenario_results(spec: ScenarioSpec, quick: bool = False, **kwargs) -> List[Dict[str, object]]:
     """Convenience: run serially and return just the per-cell ``result`` dicts.
 
-    The thin entry point the migrated ``benchmarks/bench_e*.py`` scripts
-    use — each script is now a spec lookup plus assertions over these
-    results.  Raises if any cell was quarantined: callers of this helper
-    expect every result to exist.
+    The entry point for checks across the cells of one scenario
+    (``tests/test_scenario_claims.py``).  Raises if any cell was
+    quarantined: callers of this helper expect every result to exist.
     """
     report = run_scenario(spec, workers=1, quick=quick, **kwargs)
     if report.errored:

@@ -3,15 +3,13 @@
 Importing this module registers the specs in the global registry
 (:mod:`repro.runtime.registry` does so lazily on first lookup).  The
 cells reproduce the exact parameter grids (including graph seeds) of the
-pre-migration ``benchmarks/bench_e*.py`` scripts and
-``benchmarks/perf_scenarios.py``, so the migrated rows are bit-identical
-to the historical numbers; ``tests/test_runtime_registry.py`` pins the
-perf grids against the legacy module so they cannot drift.
+original E-series benchmark scripts and perf cells, so the rows stay
+comparable with the historical numbers (``benchmarks/seed_baseline.json``).
 
-The quick flags and repeat counts of the perf scenarios (``e1_sweep``,
-``e1_large``, ``e1_list``, ``e6_congest``, ``e8_linial``) mirror the
-legacy harness: ``--quick`` selects the same fast subset, and the
-reported wall time is the best of ``repeats`` timed executions.
+The perf scenarios (``e1_sweep``, ``e1_large``, ``e1_list``,
+``e6_congest``, ``e8_linial``) carry quick flags and repeat counts:
+``--quick`` selects the fast subset, and the reported wall time is the
+best of ``repeats`` timed executions.
 """
 
 from __future__ import annotations

@@ -2,13 +2,14 @@
 
 Each line is one result row (canonical JSON: sorted keys, compact
 separators), keyed by the cell's :func:`repro.runtime.spec.cache_key`.
-Appends are flushed per row (optionally fsynced with ``fsync=True``),
-so an interrupted run leaves at most one truncated trailing line — which
-the store *heals* (truncates away, with a warning naming the byte offset
-and the healed-row count) and a ``--resume`` run simply recomputes.  The
-store never rewrites existing lines while appending: resuming appends
-only the missing cells.  :meth:`ResultStore.compact` is the explicit
-rewrite — it atomically drops superseded duplicate rows.
+The file follows the shared append-only log format of
+:mod:`repro.jsonlog` (flush per row, optional fsync, torn-tail heal on
+append and skip on read, mid-file corruption is an error), so an
+interrupted run loses at most its last row, which a ``--resume`` run
+simply recomputes.  The store never rewrites existing lines while
+appending: resuming appends only the missing cells.
+:meth:`ResultStore.compact` is the explicit rewrite — it atomically
+drops superseded duplicate rows.
 
 Row layout::
 
@@ -32,19 +33,16 @@ row parsing) to decide what is missing, so resuming a 10⁵-row sweep
 stays fast; a stale or missing index is rebuilt from the JSONL file
 transparently.
 """
-
 from __future__ import annotations
 
 import json
-import logging
 import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
+from repro import jsonlog
 from repro.obs import get_registry
 from repro.runtime.spec import canonical_json
-
-logger = logging.getLogger(__name__)
 
 
 def is_error_row(row: Dict[str, object]) -> bool:
@@ -60,6 +58,10 @@ class IndexEntry:
     offset: int
     length: int
     status: str  # "ok" | "error"
+
+
+def _index_line(entry: IndexEntry) -> str:
+    return f"{entry.key} {entry.offset} {entry.length} {entry.status}"
 
 
 class ResultStore:
@@ -80,93 +82,32 @@ class ResultStore:
         return self.path + ".idx"
 
     # ------------------------------------------------------------- appending
-    def _heal_torn_tail(self) -> int:
-        """Truncate a torn trailing line; return the resulting file size.
-
-        A torn tail means an append was interrupted mid-write: that row
-        never completed, its key never entered the index, and leaving
-        the fragment would corrupt the middle of the file once new rows
-        land after it.  The heal is logged with the byte offset so an
-        operator can correlate it with the interrupted run.
-        """
-        if not os.path.exists(self.path):
-            return 0
-        size = os.path.getsize(self.path)
-        if size == 0:
-            return 0
-        with open(self.path, "rb+") as handle:
-            handle.seek(-1, os.SEEK_END)
-            if handle.read(1) == b"\n":
-                return size
-            handle.seek(0)
-            content = handle.read()
-            keep = content.rfind(b"\n") + 1  # 0 when no newline at all
-            handle.truncate(keep)
-        logger.warning(
-            "%s: healed torn trailing row at byte offset %d (%d bytes dropped, 1 partial row)",
-            self.path,
-            keep,
-            size - keep,
-        )
-        get_registry().counter("store.heals").inc()
-        return keep
-
     def append(self, row: Dict[str, object]) -> None:
         """Append one row (canonical JSON), flush, and index it."""
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        offset = self._heal_torn_tail()
-        line = canonical_json(row) + "\n"
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+        line = canonical_json(row)
+        offset = jsonlog.append(
+            self.path, [line], fsync=self.fsync, heal_counter="store.heals"
+        )
         entry = IndexEntry(
             key=str(row.get("key", "")),
             offset=offset,
-            length=len(line.encode("utf-8")),
+            length=len(line.encode("utf-8")) + 1,
             status="error" if is_error_row(row) else "ok",
         )
         with open(self.index_path, "a", encoding="utf-8") as handle:
-            handle.write(f"{entry.key} {entry.offset} {entry.length} {entry.status}\n")
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+            jsonlog.write(handle, _index_line(entry) + "\n", self.fsync)
         get_registry().counter("store.appends").inc()
 
     # --------------------------------------------------------------- reading
     def rows(self) -> List[Dict[str, object]]:
-        """All parseable rows; a truncated trailing line is skipped.
+        """All complete rows; a torn trailing line is skipped.
 
-        A corrupt line anywhere *other* than the end is an error — it
-        means the file was edited or interleaved, not interrupted.
+        A corrupt line anywhere else raises ``ValueError`` — it means
+        the file was edited or interleaved, not interrupted.
         """
         if not os.path.exists(self.path):
             return []
-        rows: List[Dict[str, object]] = []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-        for lineno, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
-                    logger.warning(
-                        "%s: skipping torn trailing row (line %d); "
-                        "--resume will recompute it",
-                        self.path,
-                        lineno + 1,
-                    )
-                    break  # interrupted mid-append; --resume recomputes it
-                raise ValueError(
-                    f"{self.path}:{lineno + 1}: corrupt row in the middle of the store"
-                )
-        return rows
+        return [row for _line, row in jsonlog.read(self.path, kind="store", noun="row")]
 
     def _read_index(self) -> Optional[List[IndexEntry]]:
         """The sidecar index, or ``None`` when missing/stale/unparseable.
@@ -226,11 +167,9 @@ class ResultStore:
                                 )
                             )
                     offset += length
-        tmp = self.index_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for entry in entries:
-                handle.write(f"{entry.key} {entry.offset} {entry.length} {entry.status}\n")
-        os.replace(tmp, self.index_path)
+        jsonlog.rewrite(
+            self.index_path, [_index_line(entry) for entry in entries], fsync=self.fsync
+        )
         return entries
 
     def key_index(self) -> Dict[str, IndexEntry]:
@@ -291,14 +230,9 @@ class ResultStore:
         removed = len(rows) - len(keep)
         if removed == 0 and os.path.exists(self.index_path):
             return 0
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for position in keep:
-                handle.write(canonical_json(rows[position]) + "\n")
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        jsonlog.rewrite(
+            self.path, [canonical_json(rows[position]) for position in keep], fsync=self.fsync
+        )
         self.rebuild_index()
         return removed
 

@@ -228,6 +228,7 @@ def run_bipartite_coloring(ctx: CellContext) -> Dict[str, object]:
     with phases.phase("verify"):
         assert outcome.is_proper, f"improper bipartite coloring at delta={delta}"
         assert outcome.num_colors <= 4 * delta, f"color blowup at delta={delta}"
+        assert outcome.num_colors <= 2 * outcome.bound, f"colors over 2x bound at delta={delta}"
     return {
         "side": side,
         "delta": delta,
@@ -429,6 +430,8 @@ def run_logstar_growth(ctx: CellContext) -> Dict[str, object]:
 
     assert is_proper_vertex_coloring(graph, vertex_colors), f"improper Linial coloring at n={n}"
     assert is_proper_edge_coloring(graph, baseline.colors), f"improper greedy coloring at n={n}"
+    # Δ = 2 on a cycle: the Linial palette is O(Δ²) = O(1), whatever n is.
+    assert linial_colors <= 64, f"Linial palette blowup at n={n}"
     return {
         "n": n,
         "id_space": factor * n,

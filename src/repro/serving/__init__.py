@@ -58,8 +58,8 @@ two:
       delta ``{epoch, op, u, v, colors}`` to ``<artifact>.journal``
       (format tag ``repro-coloring-journal/v1``) instead of rewriting
       the full JSON; ``load()`` replays the journal over the base
-      artifact, healing a torn tail the same way the runtime's result
-      store does; :func:`compact_artifact` folds journal → JSON.
+      artifact (torn tails per :mod:`repro.jsonlog`);
+      :func:`compact_artifact` folds journal → JSON.
     * *Daemon*: ``python -m repro serve --listen`` serves the
       versioned ``repro-serving/v1`` wire protocol
       (:mod:`repro.serving.protocol` is the normative spec) over a

@@ -33,6 +33,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro import jsonlog
 from repro.coloring.greedy import UsedColorMasks
 from repro.graphs.core import Graph
 from repro.graphs.delta import DeltaGraph
@@ -441,14 +442,7 @@ class ColoringArtifact:
 
     def _write_full(self, path: str, fsync: bool = False) -> None:
         """Atomically rewrite the full artifact JSON (journal untouched)."""
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json(), handle, separators=(",", ":"))
-            handle.write("\n")
-            handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        jsonlog.rewrite(path, [json.dumps(self.to_json(), separators=(",", ":"))], fsync)
 
     def _rotate(self, path: str, rotation: RotationPolicy, fsync: bool) -> None:
         """Online compact-and-rotate the active journal (cap was hit).
@@ -475,6 +469,8 @@ class ColoringArtifact:
                     last = segments[-1]
                     next_n = int(last.rsplit(".", 1)[1]) + 1
                 os.replace(active, f"{active}.{next_n}")
+                if fsync:
+                    jsonlog.fsync_dir(active)
                 segments.append(f"{active}.{next_n}")
             self._journal_records = 0
             pruned = 0
@@ -497,8 +493,8 @@ class ColoringArtifact:
         """Persist the artifact at ``path``.
 
         ``journal=False`` (the default) writes the full snapshot: the
-        artifact JSON is rewritten atomically (temp file + rename, the
-        result store's ``compact`` idiom) and a now-superseded
+        artifact JSON is rewritten atomically
+        (:func:`repro.jsonlog.rewrite`) and a now-superseded
         ``<path>.journal`` — rotated segments included — is deleted:
         everything they recorded is baked into the new base.
 

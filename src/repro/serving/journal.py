@@ -20,11 +20,10 @@ analogue of the runtime's JSONL result store (:mod:`repro.runtime.store`):
   re-application idempotent (records at or below the base artifact's
   epoch are skipped).
 
-**Durability contract.**  Appends flush per record (optionally fsync),
-and — reusing the result store's torn-write healing idiom — an append
-first truncates any torn trailing line left by an interrupted writer,
-while reads simply skip a torn tail (with a warning naming the byte
-offset).  A SIGKILLed daemon therefore loses at most the one delta it
+**Durability contract.**  The file follows the shared append-only log
+format of :mod:`repro.jsonlog`: flush per append (optionally fsync),
+torn-tail heal on append and skip on read, mid-file corruption is an
+error.  A SIGKILLed daemon therefore loses at most the one delta it
 was mid-append on, and every delta it *acknowledged* is recoverable:
 ``ColoringArtifact.load`` replays the journal over the base JSON and
 lands bit-identically on the pre-kill state, because every replayed
@@ -55,15 +54,13 @@ compaction deletes segments along with the journal.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro import jsonlog
 from repro.obs import get_registry, tracer
-
-logger = logging.getLogger(__name__)
 
 #: On-disk journal format tag; bump on breaking layout changes.
 JOURNAL_FORMAT = "repro-coloring-journal/v1"
@@ -168,7 +165,7 @@ class JournalError(ValueError):
 class DeltaJournal:
     """An append-only JSONL file of absorbed deltas next to an artifact.
 
-    The file layer only: records in, records out, torn tails healed.
+    The record layer only: records in, records out.
     Interpretation (replay, epoch matching) belongs to
     :meth:`repro.serving.artifact.ColoringArtifact.load`.
     """
@@ -186,108 +183,49 @@ class DeltaJournal:
             os.remove(self.path)
 
     # ------------------------------------------------------------- appending
-    def _heal_torn_tail(self) -> None:
-        """Truncate a torn trailing line before appending after it.
-
-        Same idiom as ``ResultStore._heal_torn_tail``: an interrupted
-        append leaves a fragment with no newline; writing new records
-        after it would corrupt the middle of the file, so the fragment
-        is dropped (the delta it belonged to was never acknowledged).
-        """
-        if not os.path.exists(self.path):
-            return
-        size = os.path.getsize(self.path)
-        if size == 0:
-            return
-        with open(self.path, "rb+") as handle:
-            handle.seek(-1, os.SEEK_END)
-            if handle.read(1) == b"\n":
-                return
-            handle.seek(0)
-            content = handle.read()
-            keep = content.rfind(b"\n") + 1
-            handle.truncate(keep)
-        logger.warning(
-            "%s: healed torn trailing record at byte offset %d (%d bytes dropped)",
-            self.path,
-            keep,
-            size - keep,
-        )
-        get_registry().counter("journal.heals").inc()
-
     def append(self, records: List[Dict[str, object]]) -> None:
         """Append delta records (creating the file, header first, if new)."""
         if not records:
             return
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
         with tracer().span("journal.append", records=len(records)):
-            fresh = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
-            self._heal_torn_tail()
-            with open(self.path, "a", encoding="utf-8") as handle:
-                if fresh:
-                    handle.write(json.dumps({"format": JOURNAL_FORMAT}) + "\n")
-                for record in records:
-                    row = {field: record.get(field) for field in RECORD_FIELDS}
-                    handle.write(json.dumps(row, sort_keys=True, separators=(",", ":")))
-                    handle.write("\n")
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
+            jsonlog.append(
+                self.path,
+                [
+                    json.dumps(
+                        {field: record.get(field) for field in RECORD_FIELDS},
+                        sort_keys=True,
+                        separators=(",", ":"),
+                    )
+                    for record in records
+                ],
+                header={"format": JOURNAL_FORMAT},
+                fsync=self.fsync,
+                heal_counter="journal.heals",
+            )
         get_registry().counter("journal.appends").inc(len(records))
 
     # --------------------------------------------------------------- reading
     def records(self) -> List[Dict[str, object]]:
         """All complete delta records, in file order.
 
-        A torn trailing line is skipped (the interrupted append never
-        acknowledged); a corrupt line anywhere else, a missing or wrong
-        header, or non-increasing epochs raise :class:`JournalError` —
-        those mean the file was edited, not interrupted.
+        The torn tail and corruption policy is :func:`repro.jsonlog.read`'s
+        (raising :class:`JournalError`); a malformed record or a
+        non-increasing epoch raise too — those mean the file was edited,
+        not interrupted.
         """
         if not self.exists():
             return []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
         records: List[Dict[str, object]] = []
-        header_seen = False
         last_epoch = None
-        for lineno, line in enumerate(lines):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            torn = lineno == len(lines) - 1 and not line.endswith("\n")
-            try:
-                row = json.loads(stripped)
-            except json.JSONDecodeError:
-                if torn:
-                    logger.warning(
-                        "%s: skipping torn trailing record (line %d); the "
-                        "delta it carried was never acknowledged",
-                        self.path,
-                        lineno + 1,
-                    )
-                    break
-                raise JournalError(
-                    f"{self.path}:{lineno + 1}: corrupt record in the middle "
-                    "of the journal"
-                ) from None
-            if not header_seen:
-                fmt = row.get("format") if isinstance(row, dict) else None
-                if fmt != JOURNAL_FORMAT:
-                    raise JournalError(
-                        f"{self.path}: unsupported journal format {fmt!r}"
-                    )
-                header_seen = True
-                continue
+        for lineno, row in jsonlog.read(
+            self.path, fmt=JOURNAL_FORMAT, kind="journal", noun="record", error=JournalError
+        ):
             if not isinstance(row, dict) or row.get("op") is None:
-                raise JournalError(f"{self.path}:{lineno + 1}: malformed delta record")
+                raise JournalError(f"{self.path}:{lineno}: malformed delta record")
             epoch = int(row.get("epoch", -1))
             if last_epoch is not None and epoch <= last_epoch:
                 raise JournalError(
-                    f"{self.path}:{lineno + 1}: non-increasing epoch "
-                    f"{epoch} after {last_epoch}"
+                    f"{self.path}:{lineno}: non-increasing epoch {epoch} after {last_epoch}"
                 )
             last_epoch = epoch
             records.append(row)

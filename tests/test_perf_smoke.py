@@ -72,7 +72,8 @@ def test_disabled_tracing_overhead_within_budget():
     (cell lifecycle, phase split, store append); 100k disabled spans —
     three orders of magnitude more than a real cell ever triggers —
     must still fit inside 5% of the E1 smoke budget, so the per-cell
-    overhead with tracing off is noise.
+    overhead with tracing off is noise.  The minimum over repeats is the
+    cost of the loop itself, free of scheduler noise.
     """
     from repro.obs import trace as obs_trace
 
@@ -80,11 +81,14 @@ def test_disabled_tracing_overhead_within_budget():
     trc = obs_trace.tracer()
     if trc.enabled:  # REPRO_TRACE=1 in the environment: budget n/a
         pytest.skip("tracing enabled via environment")
-    start = time.perf_counter()
-    for index in range(100_000):
-        with trc.span("runtime.cell.run", spec="e1_sweep", cell_index=index) as span:
-            span.set(runner="local_coloring")
-    wall = time.perf_counter() - start
+    walls = []
+    for _repeat in range(5):
+        start = time.perf_counter()
+        for index in range(100_000):
+            with trc.span("runtime.cell.run", spec="e1_sweep", cell_index=index) as span:
+                span.set(runner="local_coloring")
+        walls.append(time.perf_counter() - start)
+    wall = min(walls)
     budget = 0.05 * E1_DELTA16_BUDGET_SECONDS
     assert wall < budget, (
         f"100k disabled spans took {wall:.3f}s, over the {budget}s "

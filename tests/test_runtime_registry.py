@@ -1,10 +1,9 @@
 """Registry coverage: every workload is a registered scenario.
 
-Pins the acceptance contract of the runtime migration: all 11
-``benchmarks/bench_e*.py`` workloads are registered scenarios with the
-expected cell counts, the perf suite's registry grids are identical to
-the legacy ``benchmarks.perf_scenarios`` cell table (the seed-worktree
-measurement path), and every registered cell names a known runner.
+Pins the acceptance contract of the runtime migration: all 11 E-series
+workloads are registered scenarios with the expected cell counts, every
+registered cell names a known runner, and the perf harness's regression
+gate matches cells correctly.
 """
 
 from __future__ import annotations
@@ -73,22 +72,7 @@ class TestRegistryCoverage:
 
 
 class TestPerfGridDrift:
-    """The registry's perf grids must equal the legacy perf_scenarios table.
-
-    ``run_benchmarks.py`` measures the current tree through the registry
-    but the seed worktree through :mod:`benchmarks.perf_scenarios`; a
-    drift between the two would silently compare different cells.
-    """
-
-    @pytest.fixture()
-    def legacy_cells(self):
-        repo_root = os.path.join(os.path.dirname(__file__), "..")
-        sys.path.insert(0, os.path.abspath(repo_root))
-        try:
-            from benchmarks.perf_scenarios import scenarios
-        finally:
-            sys.path.pop(0)
-        return scenarios()
+    """The perf harness's regression gate (``check_regressions``)."""
 
     def test_perf_gate_flags_only_real_regressions(self):
         # The CI perf-regression wall: per-scenario matched-cell totals
@@ -150,55 +134,3 @@ class TestPerfGridDrift:
         slow_conc = dict(conc, wall_seconds=2.0)
         problems = check_regressions([kill, conc], [dict(kill), slow_conc], 2.0, log=None)
         assert len(problems) == 1 and problems[0].startswith("E13")
-
-    def test_grids_identical(self, legacy_cells):
-        from repro.runtime.scenarios import PERF_SCENARIOS
-
-        legacy = [
-            (cell.name, cell.n, cell.delta, cell.quick, cell.repeats)
-            for cell in legacy_cells
-        ]
-        # Only scenarios migrated *from* the legacy harness are pinned
-        # against it; registry-native additions (e.g. E12_serving) have
-        # no legacy twin to drift from.
-        legacy_names = {name for name, *_ in legacy}
-        registry = []
-        for legacy_name, registry_name in PERF_SCENARIOS:
-            if legacy_name not in legacy_names:
-                continue
-            spec = get(registry_name)
-            for cell in spec.cells:
-                registry.append(
-                    (
-                        legacy_name,
-                        int(cell.params["n"]),
-                        int(cell.params.get("delta", cell.params.get("degree", 0))),
-                        cell.quick,
-                        cell.repeats,
-                    )
-                )
-        assert sorted(legacy) == sorted(registry)
-
-    def test_registry_seeds_match_legacy_closures(self):
-        """Pin the registry cells' seed params to the values hard-coded in
-        the legacy ``perf_scenarios`` closures (the closures bake their
-        seeds into lambdas, so they cannot be introspected — the literals
-        are mirrored here instead; a registry seed change that would make
-        ``run_benchmarks.py`` compare non-identical workloads against the
-        seed-worktree baseline fails this test)."""
-        for cell in get("e1_sweep").cells:
-            assert cell.params["graph_seed"] == cell.params["delta"]
-        for cell in get("e1_large").cells:
-            assert cell.params["graph_seed"] == cell.params["delta"]
-        for cell in get("e1_list").cells:
-            assert cell.params["graph_seed"] == 3
-            assert cell.params["list_seed"] == 7
-            assert cell.params["slack"] == 1.0
-        e6 = get("e6_congest").cells
-        for cell in e6:
-            assert cell.params["epsilon"] == 0.5
-            expected = 67 if cell.params["n"] == 256 else cell.params["delta"] + 3
-            assert cell.params["graph_seed"] == expected
-        for cell in get("e8_linial").cells:
-            assert cell.params["degree"] == 4
-            assert cell.params["id_space_factor"] == 8
