@@ -246,8 +246,6 @@ def connect_coloring_service(target, **options):
     :class:`~repro.serving.ServingSession` (served in-process) or a
     ``"HOST:PORT"`` daemon address (served over a socket) — the
     returned client answers ``request`` / ``request_many`` either way.
-    Prefer this over constructing ``DaemonClient`` directly, which is
-    deprecated.
     """
     from repro.serving import connect
 

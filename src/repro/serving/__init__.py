@@ -24,11 +24,10 @@ two:
 **Online serve** (:mod:`repro.serving.session`)
     :class:`ServingSession` answers batched requests against one
     artifact: color/schedule/palette lookups and **delta requests**
-    (edge insert/delete, demand-list change).  Read answers flow
-    through a keyed LRU cache whose content keys reuse the runtime's
-    recipe (canonical JSON + truncated sha256,
-    :func:`repro.runtime.spec.canonical_json`) with the artifact epoch
-    folded in — mutation invalidates by construction, not by flushing.
+    (edge insert/delete, demand-list change).  Lookup answers flow
+    through a keyed LRU cache of immutable wire lines, keyed by
+    ``(artifact epoch, parsed request)`` — mutation invalidates by
+    construction, not by flushing.
 
 **Incremental repair** (:mod:`repro.serving.repair`)
     Deltas are absorbed by bounded incremental repair: a min-heap

@@ -164,6 +164,11 @@ class ColoringArtifact:
         return self._epoch_base + self.graph.epoch
 
     @property
+    def journal_records(self) -> int:
+        """Records in the active on-disk journal (what a full save folds)."""
+        return self._journal_records
+
+    @property
     def num_nodes(self) -> int:
         return self.graph.num_nodes
 

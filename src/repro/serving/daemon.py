@@ -37,8 +37,7 @@ segments into a fresh full artifact JSON on the way out.
 the same duck-typed client (``request`` / ``request_many`` /
 ``shutdown`` / context manager) whether the target is an in-process
 artifact (a :class:`SessionClient` over a :class:`ServingSession`) or
-a daemon address (a socket :class:`DaemonClient`).  Constructing
-:class:`DaemonClient` directly still works but is deprecated.
+a daemon address (a socket :class:`DaemonClient`).
 """
 
 from __future__ import annotations
@@ -50,14 +49,13 @@ import signal
 import socket
 import socketserver
 import threading
-import warnings
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.obs import get_registry, snapshot, tracer
 from repro.obs import trace as obs_trace
 from repro.serving import protocol
 from repro.serving.artifact import ColoringArtifact
-from repro.serving.journal import DeltaJournal, RotationPolicy, journal_path
+from repro.serving.journal import RotationPolicy
 from repro.serving.session import ServingSession
 
 logger = logging.getLogger(__name__)
@@ -100,10 +98,11 @@ class _Handler(socketserver.StreamRequestHandler):
                     line = ""
                 if not line:
                     continue
-                response = daemon.handle_line(line)
-                self.wfile.write((protocol.encode_response(response) + "\n").encode("utf-8"))
+                self.wfile.write((daemon.handle_line(line) + "\n").encode("utf-8"))
                 self.wfile.flush()
-                if response.get("op") == "shutdown" and response.get("ok"):
+                # Once a shutdown is requested (by this connection's op,
+                # another's, or a signal), answer nothing more.
+                if daemon._shutdown.is_set():
                     break
         finally:
             daemon._connections_gauge(-1)
@@ -183,8 +182,13 @@ class ColoringDaemon:
         )
 
     # --------------------------------------------------------------- serving
-    def handle_line(self, line: str) -> Dict[str, object]:
-        """Answer one protocol line (shared by the socket handler and tests).
+    def handle_line(self, line: str) -> str:
+        """Answer one protocol line with its response line (no newline).
+
+        Shared by the socket handler (which writes the line as-is) and
+        tests.  A result-cache hit is the session's cached line itself
+        (:meth:`ServingSession.query_line`); every other answer is
+        encoded exactly once.
 
         Wire-level concerns on top of the session protocol (see
         :mod:`repro.serving.protocol`): the optional ``"trace"``
@@ -200,7 +204,7 @@ class ColoringDaemon:
         try:
             request = protocol.decode_request_line(line)
         except protocol.ProtocolError as exc:
-            return exc.response.to_wire()
+            return protocol.encode_response(exc.response)
         trace_ctx = request.get("trace")
         if trace_ctx is not None and isinstance(trace_ctx, Mapping):
             obs_trace.set_context(trace_ctx.get("trace_id"), trace_ctx.get("span_id"))
@@ -210,14 +214,14 @@ class ColoringDaemon:
             if op == "shutdown":
                 self._count_request()
                 self._shutdown.set()
-                return {"ok": True, "op": "shutdown"}
+                return protocol.encode_response({"ok": True, "op": "shutdown"})
             if op == "stats" and request.get("scope") == "daemon":
                 self._count_request()
-                return self.daemon_stats()
+                return protocol.encode_response(self.daemon_stats())
             with tracer().span("daemon.request", op=op):
-                response = self.session.query(request)
+                reply = self.session.query_line(request)
             self._count_request()
-            return response
+            return reply
         finally:
             if trace_ctx is not None:
                 obs_trace.set_context(None, None)
@@ -287,8 +291,7 @@ class ColoringDaemon:
         folded = 0
         if compact:
             with self.session.exclusive():
-                journal = DeltaJournal(journal_path(self.artifact_path))
-                folded = len(journal.records()) if journal.exists() else 0
+                folded = self.session.artifact.journal_records
                 self.session.artifact.save(self.artifact_path, fsync=self.fsync)
         return folded
 
@@ -363,21 +366,10 @@ def run_daemon(
 class DaemonClient:
     """A lockstep socket client for the daemon protocol.
 
-    Obtain one via :func:`connect` — direct construction is deprecated
-    (it still works, with a :class:`DeprecationWarning`) so every
-    caller goes through the one client surface.
+    Obtain one via :func:`connect`, the one client surface.
     """
 
-    def __init__(
-        self, host: str, port: int, timeout: float = 30.0, *, _via_connect: bool = False
-    ) -> None:
-        if not _via_connect:
-            warnings.warn(
-                "constructing DaemonClient directly is deprecated; use "
-                "repro.serving.connect('HOST:PORT')",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._rfile = self._sock.makefile("r", encoding="utf-8")
         self._wfile = self._sock.makefile("w", encoding="utf-8")
@@ -478,7 +470,7 @@ def connect(
         return SessionClient(ServingSession(target, **session_options))
     if isinstance(target, tuple):
         host, port = target
-        return DaemonClient(host, int(port), timeout=timeout, _via_connect=True)
+        return DaemonClient(host, int(port), timeout=timeout)
     if isinstance(target, str):
         if os.path.exists(target):
             artifact = ColoringArtifact.load(target)
@@ -490,7 +482,7 @@ def connect(
                 f"connect target {target!r} is neither an existing artifact "
                 "file nor a HOST:PORT address"
             ) from None
-        return DaemonClient(host, port, timeout=timeout, _via_connect=True)
+        return DaemonClient(host, port, timeout=timeout)
     raise TypeError(f"cannot connect to {type(target).__name__}")
 
 

@@ -111,7 +111,7 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 #: Wire-format tag of this protocol; bump on breaking changes.
 PROTOCOL_FORMAT = "repro-serving/v1"
 
-#: Read ops: concurrent, epoch-snapshotted, result-cache eligible.
+#: Read ops: concurrent, epoch-snapshotted; all but ``stats`` are result-cached.
 READ_OPS = ("color", "node_palette", "schedule", "stats")
 #: Write ops routed to the repair engine (journaled by daemons).
 DELTA_OPS = ("insert", "delete", "set_list")

@@ -24,17 +24,23 @@ writer critical section after each successful delta — the daemon hangs
 its journal-before-ack persistence there, so journal order equals
 epoch order equals ack order.
 
-Read ops are answered through a keyed LRU cache (its own small mutex,
-so concurrent readers share hits).  Keys reuse the runtime's
-content-key recipe (:func:`repro.runtime.spec.canonical_json` +
-truncated sha256, the exact idiom of ``spec.cache_key``) over
-``{"epoch": artifact.epoch, "request": request}`` — folding the epoch
-in means a delta never serves a stale answer: old-epoch entries simply
-stop being addressable and age out of the LRU.  Cached entries are
-isolated by **defensive deep copies** on both put and hit: a caller
-mutating a response it received can never corrupt the answer a later
-identical request sees.  Delta ops are never cached (they are
-mutations) and their *reports* carry path-dependent cost fields, so
+Lookups (``color`` / ``node_palette`` / ``schedule``) are answered
+through a keyed LRU cache (its own small mutex, so concurrent readers
+share hits).  The key is ``(artifact.epoch, parsed)``
+(:func:`result_cache_key`), where ``parsed`` is the frozen, hashable
+:class:`~repro.serving.protocol.QueryRequest` — envelope fields and
+unknown extra fields never split an entry, and folding the epoch in
+means a delta never serves a stale answer: old-epoch entries simply
+stop being addressable and age out of the LRU.  The cached value is
+the answer's **immutable wire line**
+(:func:`~repro.serving.protocol.encode_response`, encoded once, on the
+miss): the daemon writes a hit as-is (:meth:`ServingSession.query_line`)
+and in-process callers get a fresh decode of it
+(:meth:`ServingSession.query`), so no caller can ever reach, let alone
+corrupt, what a later identical request sees.  ``stats`` is never
+cached: it is O(1), and the epoch-preserving ``rebase`` changes its
+``overlay_size`` / ``base_edges``.  Delta ops are never cached (they
+are mutations) and their *reports* carry path-dependent cost fields, so
 :meth:`ServingSession.serve_batch` keeps reports out of the response
 stream's deterministic core (see the ``serving_churn`` runner, which
 digests responses across ``repair_path`` values).
@@ -60,15 +66,15 @@ sweep.
 
 from __future__ import annotations
 
-import copy
-import hashlib
+# Unused here; perfbench/layers.py patches ``session.copy.deepcopy``.
+import copy  # noqa: F401
+import json
 import threading
 from collections import OrderedDict, deque
 from contextlib import contextmanager
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import get_registry, tracer
-from repro.runtime.spec import canonical_json
 from repro.serving import protocol
 from repro.serving.artifact import ColoringArtifact, resolve_rebase_policy
 from repro.serving.protocol import (
@@ -81,8 +87,8 @@ from repro.serving.protocol import (
 )
 from repro.serving.repair import RepairError, resolve_repair_path
 
-#: Read-only ops eligible for the result cache (re-exported from the
-#: protocol module, which is normative).
+#: Read-only ops; all but ``stats`` go through the result cache
+#: (re-exported from the protocol module, which is normative).
 READ_OPS = protocol.READ_OPS
 #: Mutating ops routed to the repair engine.
 DELTA_OPS = protocol.DELTA_OPS
@@ -96,25 +102,24 @@ DEFAULT_REPORTS_CAP = 256
 RADIUS_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024)
 
 
-def result_cache_key(epoch: int, request: Mapping) -> str:
-    """Content key for a read request at an artifact epoch.
+def result_cache_key(epoch: int, request: QueryRequest) -> Tuple[int, QueryRequest]:
+    """Cache key for a parsed lookup at an artifact epoch.
 
-    Same construction as :func:`repro.runtime.spec.cache_key`: canonical
-    JSON (sorted keys, no whitespace drift) hashed with sha256 and
-    truncated — two requests collide exactly when they ask the same
-    question of the same artifact version.
+    The typed request is frozen and hashable, so two requests share a
+    key exactly when they ask the same question of the same artifact
+    version — whatever envelope or unknown fields rode along.
     """
-    payload = canonical_json({"epoch": epoch, "request": dict(request)})
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+    return (epoch, request)
 
 
 class _ReadWriteLock:
     """Writer-preferring readers/writer lock for epoch-snapshot serving.
 
     Any number of readers share the lock; a writer is exclusive.  Once
-    a writer is *waiting*, new readers queue behind it — writers are
-    never starved, and the write queue drains in arrival order under
-    the condition variable, which is what makes write epochs a total
+    a writer is *waiting*, new readers queue behind it, so writers are
+    never starved.  Waiting writers wake in no particular order
+    (``notify_all`` is not FIFO); write epochs form a total order
+    because writers are mutually exclusive, not because of arrival
     order.  The current levels are exported as the
     ``serving.readers_active`` and ``serving.write_queue_depth``
     gauges.
@@ -192,7 +197,7 @@ class ServingSession:
         self.repair_path = resolve_repair_path(repair_path)
         self.radius_limit = radius_limit
         self.rebase_policy = resolve_rebase_policy(rebase_policy)
-        self._cache: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
+        self._cache: "OrderedDict[Tuple[int, QueryRequest], str]" = OrderedDict()
         self._cache_size = cache_size
         self._cache_mutex = threading.Lock()
         self._lock = _ReadWriteLock()
@@ -251,23 +256,19 @@ class ServingSession:
         get_registry().update(stats, prefix="serving.cache.")
         return stats
 
-    def _cache_get(self, key: str) -> Optional[Dict[str, object]]:
+    def _cache_get(self, key: Tuple[int, QueryRequest]) -> Optional[str]:
         with self._cache_mutex:
-            cached = self._cache.get(key)
-            if cached is None:
+            line = self._cache.get(key)
+            if line is None:
                 self._misses += 1
                 return None
             self._hits += 1
             self._cache.move_to_end(key)
-            # Defensive copy: the cached entry is private to the cache, so
-            # a caller mutating its answer cannot corrupt later hits.
-            return copy.deepcopy(cached)
+            return line
 
-    def _cache_put(self, key: str, response: Dict[str, object]) -> None:
-        if self._cache_size == 0:
-            return
+    def _cache_put(self, key: Tuple[int, QueryRequest], line: str) -> None:
         with self._cache_mutex:
-            self._cache[key] = copy.deepcopy(response)
+            self._cache[key] = line
             self._cache.move_to_end(key)
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
@@ -283,31 +284,59 @@ class ServingSession:
     def query(self, request: Mapping) -> Dict[str, object]:
         """Answer one request; never raises on a bad request.
 
-        Every returned dict is the caller's to keep: cached answers are
-        deep-copied on put and on hit, so mutating a response never
-        corrupts the cache.  Reads run under the shared lock (many
-        threads answer concurrently at a stable epoch); writes run
-        under the exclusive lock, in total order.
+        Every returned dict is the caller's to keep: the cache holds
+        only immutable wire lines, so a hit is a fresh decode and a
+        miss returns the dict it just built.  Reads run under the
+        shared lock (many threads answer concurrently at a stable
+        epoch); writes run under the exclusive lock, in total order.
         """
+        response, line = self._dispatch(request)
+        return json.loads(line) if response is None else response
+
+    def query_line(self, request: Mapping) -> str:
+        """Answer one request as its canonical wire line (the daemon's path).
+
+        A cache hit returns the cached line unchanged; anything else is
+        encoded exactly once.
+        """
+        response, line = self._dispatch(request)
+        return protocol.encode_response(response) if line is None else line
+
+    def serve_batch(self, requests: Sequence[Mapping]) -> List[Dict[str, object]]:
+        """Answer a batch in order; deltas take effect for later requests."""
+        return [self.query(request) for request in requests]
+
+    # ------------------------------------------------------------- internals
+    def _dispatch(self, request: Mapping) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
+        """``(response, line)``: a hit has only the cached line, a cached
+        miss both, and every other answer only the dict."""
         try:
             parsed = protocol.parse_request(request)
         except ProtocolError as exc:
-            return exc.response.to_wire()
+            return exc.response.to_wire(), None
         op = parsed.op
-        request = protocol.strip_envelope(request)
         try:
             if isinstance(parsed, (QueryRequest, StatsRequest)):
                 with self._lock.read():
                     with tracer().span("serving.query", op=op) as span:
-                        key = result_cache_key(self.artifact.epoch, request)
-                        cached = self._cache_get(key)
-                        if cached is not None:
+                        if isinstance(parsed, StatsRequest):
+                            # Never cached: the epoch-preserving ``rebase``
+                            # changes overlay_size / base_edges.  A bare
+                            # session answer even when a scope was asked
+                            # for (the daemon intercepts scope="daemon").
+                            return {"ok": True, "op": op, **self.artifact.stats()}, None
+                        key = result_cache_key(self.artifact.epoch, parsed)
+                        line = self._cache_get(key)
+                        if line is not None:
                             span.set(cache_hit=True)
-                            return cached
-                        response = self._answer_read(parsed)
-                        self._cache_put(key, response)
+                            return None, line
                         span.set(cache_hit=False)
-                        return response
+                        response = self._answer_lookup(parsed)
+                        if not self._cache_size:
+                            return response, None
+                        line = protocol.encode_response(response)
+                        self._cache_put(key, line)
+                        return response, line
             if isinstance(parsed, DeltaRequest):
                 with self._lock.write():
                     with tracer().span("serving.delta", op=op) as span:
@@ -317,7 +346,7 @@ class ServingSession:
                             # writer critical section: journal order is
                             # epoch order is ack order.
                             self.write_hook(response)
-                        return response
+                        return response, None
             if isinstance(parsed, RebaseRequest):
                 with self._lock.write():
                     with tracer().span("serving.rebase"):
@@ -327,29 +356,24 @@ class ServingSession:
                         # response must match on twins with different
                         # rebase histories, so folded counts stay in
                         # ``cache_stats``.
-                        return {"ok": True, "op": op, "epoch": self.artifact.epoch}
+                        return {"ok": True, "op": op, "epoch": self.artifact.epoch}, None
             assert isinstance(parsed, ShutdownRequest)
             return protocol.error_response(
                 "wire-only",
                 "op 'shutdown' only exists on a daemon socket",
                 op=op,
-            )
+            ), None
         except RepairError as exc:
-            return {"ok": False, "op": op, "error": str(exc), "code": exc.code}
+            return {"ok": False, "op": op, "error": str(exc), "code": exc.code}, None
         except (ValueError, KeyError, TypeError) as exc:
             return {
                 "ok": False,
                 "op": op,
                 "error": str(exc) or repr(exc),
                 "code": "repair-failed",
-            }
+            }, None
 
-    def serve_batch(self, requests: Sequence[Mapping]) -> List[Dict[str, object]]:
-        """Answer a batch in order; deltas take effect for later requests."""
-        return [self.query(request) for request in requests]
-
-    # ------------------------------------------------------------- internals
-    def _answer_read(self, parsed) -> Dict[str, object]:
+    def _answer_lookup(self, parsed: QueryRequest) -> Dict[str, object]:
         artifact = self.artifact
         op = parsed.op
         if op == "color":
@@ -361,15 +385,11 @@ class ServingSession:
                 "colors": artifact.node_colors(parsed.v),
                 "degree": artifact.graph.degree(parsed.v),
             }
-        if op == "schedule":
-            return {
-                "ok": True,
-                "op": op,
-                "slots": [[c, w] for c, w in artifact.schedule(parsed.v)],
-            }
-        # op == "stats" (a bare session answer even when a scope was
-        # asked for — the daemon intercepts scope="daemon" before us).
-        return {"ok": True, "op": op, **artifact.stats()}
+        return {
+            "ok": True,
+            "op": op,
+            "slots": [[c, w] for c, w in artifact.schedule(parsed.v)],
+        }
 
     def _apply_delta(self, parsed: DeltaRequest, span=None) -> Dict[str, object]:
         artifact = self.artifact

@@ -377,7 +377,7 @@ class TestQuarantine:
         daemon = ColoringDaemon(path)
         carrying = dict(request)
         carrying["trace"] = {"trace_id": "t-1", "span_id": "s-1"}
-        got = daemon.handle_line(json.dumps(carrying))
+        got = json.loads(daemon.handle_line(json.dumps(carrying)))
         assert got == expected
         # context is reset after the request, not leaked into later spans
         assert obs_trace.current_context() == (None, None)
@@ -386,9 +386,9 @@ class TestQuarantine:
         path = str(tmp_path / "artifact.json")
         build_artifact(generators.random_regular_graph(24, 4, seed=7)).save(path)
         daemon = ColoringDaemon(path)
-        session_stats = daemon.handle_line(json.dumps({"op": "stats"}))
-        daemon_stats = daemon.handle_line(
-            json.dumps({"op": "stats", "scope": "daemon"})
+        session_stats = json.loads(daemon.handle_line(json.dumps({"op": "stats"})))
+        daemon_stats = json.loads(
+            daemon.handle_line(json.dumps({"op": "stats", "scope": "daemon"}))
         )
         # bare stats stays the session twin's answer (pinned elsewhere to
         # match the in-process session bit-for-bit)

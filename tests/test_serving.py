@@ -7,6 +7,7 @@ to a from-scratch recompute across the full delta matrix
 under forced radius-limit fallback.
 """
 
+import copy
 import json
 import random
 
@@ -32,6 +33,8 @@ from repro.serving import (
     resolve_repair_path,
     result_cache_key,
 )
+from repro.serving import protocol
+from repro.serving.protocol import PROTOCOL_FORMAT, parse_request
 from repro.serving.repair import choose_color
 
 
@@ -260,7 +263,7 @@ class TestServingSession:
         req = {"op": "node_palette", "v": 3}
         first = session.query(req)
         assert first["ok"] and session.cache_stats()["misses"] == 1
-        hit = session.query(req)  # served from cache (as a defensive copy)
+        hit = session.query(req)  # served from cache (a fresh decode)
         assert hit == first and hit is not first
         assert session.cache_stats()["hits"] == 1
         # a delta bumps the epoch: same request misses, answer may differ
@@ -282,10 +285,71 @@ class TestServingSession:
         assert off.cache_stats()["hits"] == 0
 
     def test_result_cache_key_separates_epoch_and_request(self):
-        req = {"op": "color", "u": 0, "v": 1}
-        assert result_cache_key(0, req) == result_cache_key(0, dict(req))
+        req = parse_request({"op": "color", "u": 0, "v": 1})
+        same = parse_request({"op": "color", "u": "0", "v": 1, "trace": {}, "x": 2})
+        other = parse_request({"op": "node_palette", "v": 1})
+        assert result_cache_key(0, req) == result_cache_key(0, same)
         assert result_cache_key(0, req) != result_cache_key(1, req)
-        assert result_cache_key(0, req) != result_cache_key(0, {"op": "stats"})
+        assert result_cache_key(0, req) != result_cache_key(0, other)
+
+    def test_envelope_and_unknown_fields_share_one_cache_entry(self):
+        session = ServingSession(build_artifact(small_graph()))
+        u, v = sorted(session.artifact.colors)[0]
+        plain = session.query({"op": "color", "u": u, "v": v})
+        dressed = session.query(
+            {
+                "op": "color",
+                "u": u,
+                "v": v,
+                "proto": PROTOCOL_FORMAT,
+                "trace": {"trace_id": "t-1", "span_id": "s-1"},
+                "extra": [1, 2],
+            }
+        )
+        assert dressed == plain
+        stats = session.cache_stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (1, 1, 1)
+
+    def test_cache_hit_neither_encodes_nor_copies(self, monkeypatch):
+        session = ServingSession(build_artifact(small_graph()))
+        req = {"op": "schedule", "v": 5}
+        line = session.query_line(req)  # miss: encoded once, cached
+        assert line == protocol.encode_response(session.query(req))
+        calls = {"encode": 0, "deepcopy": 0}
+        real_encode = protocol.encode_response
+
+        def counting_encode(response):
+            calls["encode"] += 1
+            return real_encode(response)
+
+        def counting_deepcopy(obj, memo=None):
+            calls["deepcopy"] += 1
+            return obj
+
+        monkeypatch.setattr(protocol, "encode_response", counting_encode)
+        monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
+        assert session.query_line(req) is line  # the cached line itself
+        assert session.query(req) == json.loads(line)
+        assert calls == {"encode": 0, "deepcopy": 0}
+        assert session.cache_stats()["hits"] == 3
+        # a miss encodes exactly once
+        session.query_line({"op": "schedule", "v": 6})
+        assert calls == {"encode": 1, "deepcopy": 0}
+
+    def test_stats_after_rebase_is_fresh(self):
+        # Regression: stats was cached by epoch and rebase keeps the
+        # epoch, so a stats after a rebase answered the pre-rebase
+        # overlay_size / base_edges.
+        session = ServingSession(build_artifact(generators.cycle_graph(8)), rebase_policy="off")
+        assert session.query({"op": "insert", "u": 0, "v": 4})["ok"]
+        before = session.query({"op": "stats"})
+        assert (before["overlay_size"], before["base_edges"]) == (1, 8)
+        assert session.query({"op": "rebase"})["ok"]
+        after = session.query({"op": "stats"})
+        assert after["epoch"] == before["epoch"]
+        assert (after["overlay_size"], after["base_edges"]) == (0, 9)
+        assert after == {"ok": True, "op": "stats", **session.artifact.stats()}
+        assert session.cache_stats()["hits"] == 0
 
     def test_bad_requests_answer_instead_of_raising(self):
         session = ServingSession(build_artifact(generators.cycle_graph(6)))

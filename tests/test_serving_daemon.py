@@ -10,12 +10,14 @@ crash-and-replay restart and a graceful compacting shutdown.
 import json
 import os
 import signal
+import socket
 
 import pytest
 
 from repro import cli
 from repro.graphs import generators
 from repro.serving import (
+    DELTA_OPS,
     JOURNAL_FORMAT,
     ColoringArtifact,
     DeltaJournal,
@@ -25,9 +27,9 @@ from repro.serving import (
     compact_artifact,
     journal_path,
 )
+from repro.serving import protocol
 from repro.serving.daemon import (
     ColoringDaemon,
-    DaemonClient,
     connect,
     parse_address,
     spawn_daemon_process,
@@ -220,10 +222,10 @@ class TestColoringDaemon:
         daemon = ColoringDaemon(path)
         host, port = daemon.start()
         try:
-            with DaemonClient(host, port) as client:
+            with connect((host, port)) as client:
                 got = client.request_many(batch)
                 # malformed lines answer instead of wedging the stream
-                assert not daemon.handle_line("{not json")["ok"]
+                assert not json.loads(daemon.handle_line("{not json"))["ok"]
                 ack = client.shutdown()
         finally:
             daemon.stop(compact=True)
@@ -243,7 +245,7 @@ class TestColoringDaemon:
         daemon = ColoringDaemon(path)
         host, port = daemon.start()
         try:
-            with DaemonClient(host, port) as client:
+            with connect((host, port)) as client:
                 got = client.request_many(batch)
         finally:
             daemon.stop(compact=False)  # the crash path, minus the crash
@@ -254,12 +256,62 @@ class TestColoringDaemon:
         assert recovered.colors == twin.artifact.colors
         assert recovered.verify()
 
+    def test_cache_hit_bytes_are_the_canonical_encoding(self, tmp_path):
+        path = saved_artifact(tmp_path)
+        twin = ServingSession(ColoringArtifact.load(path))
+        request = {"op": "node_palette", "v": 3}
+        expected = (protocol.encode_response(twin.query(request)) + "\n").encode("utf-8")
+        assert expected == (json.dumps(twin.query(request), sort_keys=True) + "\n").encode()
+
+        daemon = ColoringDaemon(path, journal=False)
+        host, port = daemon.start()
+        try:
+            with socket.create_connection((host, port), timeout=30) as sock:
+                stream = sock.makefile("rb")
+                sock.sendall((json.dumps(request) + "\n").encode("utf-8"))
+                miss = stream.readline()
+                traced = dict(request, trace={"trace_id": "t-1", "span_id": "s-1"})
+                sock.sendall((json.dumps(traced) + "\n").encode("utf-8"))
+                hit = stream.readline()
+                stream.close()
+            assert daemon.session.cache_stats()["hits"] == 1
+        finally:
+            daemon.stop(compact=False)
+        assert miss == expected
+        assert hit == expected
+
+    def test_stop_folds_the_records_on_disk(self, tmp_path):
+        path = saved_artifact(tmp_path)
+        artifact = ColoringArtifact.load(path)
+        batch = churn_batch(artifact, rounds=3)
+        # A crash leaves journal records behind; a journaled daemon with
+        # rotation appends more; stop() reports what the file holds.
+        crashed = ColoringDaemon(path, journal_max_records=7)
+        host, port = crashed.start()
+        with connect((host, port)) as client:
+            assert all(r["ok"] for r in client.request_many(batch[:11]))
+        assert crashed.stop(compact=False) == 0
+        left = len(DeltaJournal(journal_path(path)).records())
+        assert left > 0
+
+        for journal, more in ((False, batch[11:13]), (True, batch[14:17])):
+            daemon = ColoringDaemon(path, journal=journal, journal_max_records=7)
+            host, port = daemon.start()
+            with connect((host, port)) as client:
+                assert all(r["ok"] for r in client.request_many(more))
+            deltas = sum(r["op"] in DELTA_OPS for r in more)
+            on_disk = len(DeltaJournal(journal_path(path)).records())
+            assert on_disk == left + (deltas if journal else 0)
+            assert daemon.stop(compact=True) == on_disk
+            assert not os.path.exists(journal_path(path))
+            left = 0
+
     def test_no_journal_daemon_is_durable_only_on_compact(self, tmp_path):
         path = saved_artifact(tmp_path)
         daemon = ColoringDaemon(path, journal=False)
         host, port = daemon.start()
         try:
-            with DaemonClient(host, port) as client:
+            with connect((host, port)) as client:
                 iu, iv = absent_pair(daemon.session.artifact.graph)
                 assert client.request({"op": "insert", "u": iu, "v": iv})["ok"]
             assert not os.path.exists(journal_path(path))
@@ -284,7 +336,7 @@ class TestDaemonSubprocess:
 
         process, host, port = spawn_daemon_process(path)
         try:
-            with DaemonClient(host, port) as client:
+            with connect((host, port)) as client:
                 got_prefix = client.request_many(batch[:cut])
         finally:
             process.send_signal(signal.SIGKILL)
@@ -296,7 +348,7 @@ class TestDaemonSubprocess:
 
         process, host, port = spawn_daemon_process(path)
         try:
-            with DaemonClient(host, port) as client:
+            with connect((host, port)) as client:
                 got_suffix = client.request_many(batch[cut:])
                 assert client.shutdown() == {"ok": True, "op": "shutdown"}
             assert process.wait(timeout=30) == 0

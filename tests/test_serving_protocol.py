@@ -6,8 +6,7 @@ Three pinned surfaces:
   :data:`repro.serving.protocol.ERROR_CODES` table are API: these tests
   fail on any rename or shape drift;
 * **client surface** — :func:`repro.serving.connect` returns the same
-  duck-typed client for every target kind, and direct ``DaemonClient``
-  construction warns;
+  duck-typed client for every target kind;
 * **linearizability** — concurrent mixed read/write schedules against
   one :class:`ServingSession` (and against a threaded in-process
   daemon over real sockets) are bit-identical to a serial twin that
@@ -234,25 +233,17 @@ class TestConnectDispatch:
         with pytest.raises(TypeError):
             connect(42)
 
-    def test_direct_daemon_client_construction_warns(self, tmp_path):
+    def test_connect_address_builds_a_daemon_client(self, tmp_path):
         path = str(tmp_path / "artifact.json")
         build_artifact(small_graph()).save(path)
         daemon = ColoringDaemon(path, journal=False)
         host, port = daemon.start()
         try:
-            with pytest.warns(DeprecationWarning, match="repro.serving.connect"):
-                client = DaemonClient(host, port)
-            client.close()
-            # The blessed paths are warning-free.
-            import warnings as _warnings
-
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("error", DeprecationWarning)
-                with connect((host, port)) as client:
-                    assert isinstance(client, DaemonClient)
-                    assert client.request({"op": "stats"})["ok"]
-                with connect(f"{host}:{port}") as client:
-                    assert isinstance(client, DaemonClient)
+            with connect((host, port)) as client:
+                assert isinstance(client, DaemonClient)
+                assert client.request({"op": "stats"})["ok"]
+            with connect(f"{host}:{port}") as client:
+                assert isinstance(client, DaemonClient)
         finally:
             daemon.stop(compact=False)
 
