@@ -37,12 +37,12 @@ class UsedColorMasks:
     own and maintain *one* object across passes: the serving plane's
     :class:`repro.serving.artifact.ColoringArtifact` keeps the masks
     alive across delta repairs, and
-    :func:`greedy_edge_coloring_by_classes` accepts an instance as its
-    ``used_colors`` state (sharing it across greedy passes without
-    rebuilding).  The inconsistency checks in :meth:`assign` /
-    :meth:`unassign` are deliberate: the incremental repair engine leans
-    on them to turn state-corruption bugs into immediate errors instead
-    of silently improper colorings.
+    :func:`repro.core.list_edge_coloring.list_edge_coloring` owns one for
+    the whole solve and hands it to every greedy pass as its
+    ``used_colors`` state (shared, never rebuilt).  The inconsistency
+    checks in :meth:`assign` / :meth:`unassign` are deliberate: the
+    incremental repair engine leans on them to turn state-corruption bugs
+    into immediate errors instead of silently improper colorings.
     """
 
     __slots__ = ("_masks",)
@@ -176,7 +176,8 @@ def greedy_edge_coloring_by_classes(
     edge_set: Optional[Set[int]] = None,
     existing_colors: Optional[Dict[int, int]] = None,
     tracker: Optional[RoundTracker] = None,
-    used_colors: Optional[Sequence[Set[int]]] = None,
+    used_colors: Optional[UsedColorMasks] = None,
+    list_masks: Optional[Dict[int, int]] = None,
 ) -> Dict[int, int]:
     """Greedy list edge coloring scheduled by the classes of ``schedule``.
 
@@ -184,6 +185,10 @@ def greedy_edge_coloring_by_classes(
     ``schedule``) are colored.  ``existing_colors`` are colors of adjacent
     edges colored by earlier stages; they are treated as occupied but are
     not modified.
+
+    The pick is the smallest available color: from ``list_masks``, or from
+    the default palette.  ``lists`` are scanned in list order, which is the
+    same pick on sorted lists.
 
     Args:
         graph: the host graph (edges are referenced by index).
@@ -193,19 +198,21 @@ def greedy_edge_coloring_by_classes(
             ``{0, ..., palette_size - 1}`` with ``palette_size`` defaulting
             to ``2Δ − 1``.
         tracker: one round is charged per non-empty schedule class.
-        used_colors: optional caller-owned per-node used-color state,
-            exactly reflecting ``existing_colors``: either per-node sets
-            indexed by node, or a :class:`UsedColorMasks` instance (the
-            shareable bitmask form the serving plane maintains).  When
-            given, availability reads the state directly and assignments
-            are added **in place** (callers running many greedy passes
-            against one growing coloring share the state instead of
-            rebuilding per pass).  Requires that no target edge is
+        used_colors: optional caller-owned :class:`UsedColorMasks`,
+            exactly reflecting ``existing_colors`` (which is then not
+            read).  Availability reads the masks directly and assignments
+            land in them **in place**, so callers running many greedy
+            passes against one growing coloring share the state instead
+            of rebuilding it per pass.  Requires that no target edge is
             already colored — presence-only state cannot express
             re-coloring over an existing entry.
+        list_masks: optional per-edge color lists as bitmasks (bit ``c``
+            set iff ``c`` is in the list), in place of ``lists``.
 
     Returns the new colors, keyed by edge index.
     """
+    if lists is not None and list_masks is not None:
+        raise ValueError("pass lists or list_masks, not both")
     targets = set(schedule.keys()) if edge_set is None else set(edge_set)
     if palette_size is None:
         palette_size = max(1, 2 * graph.max_degree - 1)
@@ -216,129 +223,70 @@ def greedy_edge_coloring_by_classes(
     for e in sorted(targets):
         by_class.setdefault(schedule[e], []).append(e)
     edge_u, edge_v = graph.endpoint_arrays()
-    # Availability via maintained per-node used-color state: an edge's
-    # blocked colors are exactly those used at its two endpoints, so no
-    # adjacent-edge row is sliced per query.  Three modes:
+    # An edge's blocked colors are exactly those used at its two
+    # endpoints, kept as one bitmask per node (bit ``c`` set iff color
+    # ``c`` is used there).  Three sources for those masks:
     #
-    # * caller-owned ``used_colors`` sets (shared across greedy passes) —
-    #   read and updated in place;
-    # * internal per-node *bitmasks* (one int per node, bit ``c`` set iff
-    #   color ``c`` is used there), built lazily on first touch from the
-    #   node's incidence row; the smallest available palette color is one
-    #   lowest-clear-bit trick instead of a per-candidate set probe;
-    # * the (always exact) per-edge scan over the precomputed line-graph
-    #   rows, when some target edge is already colored — presence-only
-    #   state cannot express re-coloring over an existing entry.
-    use_masks = False
-    use_mask_state = False
+    # * the caller-owned ``used_colors`` state, read and updated in place;
+    # * internal masks, when no target edge is colored yet — zero for
+    #   every node, plus the pre-existing colors at the target endpoints;
+    # * none: when some target edge is already colored, the (always
+    #   exact) per-edge scan over the precomputed line-graph rows.
+    node_masks: Optional[List[int]]
     if used_colors is not None:
         if existing_colors and any(e in existing_colors for e in targets):
             raise ValueError(
                 "used_colors requires that no target edge is already colored"
             )
-        colored: Dict[int, int] = {}  # shared-state mode neither reads nor writes it
-        use_node_sets = True
-        use_mask_state = isinstance(used_colors, UsedColorMasks)
-        used_at = used_colors
+        node_masks = used_colors._masks
     else:
         colored = dict(existing_colors) if existing_colors else {}
-        use_node_sets = False
-        use_masks = not any(e in colored for e in targets)
-        if use_masks:
-            masks: Dict[int, int] = {}
-            # When no colors pre-exist, every color ever assigned went to
-            # a target edge, and choosing that target's color updated both
-            # endpoint masks — an untouched node's mask is simply 0, so
-            # the choice loop reads ``masks.get(node, 0)`` with no build
-            # step at all.  Pre-existing colors need the lazy incidence
-            # scan to load them on first touch.
-            scan_on_build = bool(colored)
-            if scan_on_build:
-                xadj, inc = graph.incidence_csr()
-
-                def used_mask(node: int) -> int:
-                    mask = masks.get(node)
-                    if mask is None:
-                        mask = 0
-                        for f in inc[xadj[node] : xadj[node + 1]]:
-                            color = colored.get(f)
-                            if color is not None:
-                                mask |= 1 << color
-                        masks[node] = mask
-                    return mask
-
-        else:
+        if any(e in colored for e in targets):
+            node_masks = None
             offsets, flat = graph.edge_adjacency_csr()
+        else:
+            node_masks = [0] * graph.num_nodes
+            if colored:
+                xadj, inc = graph.incidence_csr()
+                for node in {edge_u[e] for e in targets} | {edge_v[e] for e in targets}:
+                    mask = 0
+                    for f in inc[xadj[node] : xadj[node + 1]]:
+                        color = colored.get(f)
+                        if color is not None:
+                            mask |= 1 << color
+                    node_masks[node] = mask
     full_mask = (1 << palette_size) - 1
-    if use_masks and not scan_on_build:
-        masks_get = masks.get
     for cls in sorted(by_class):
         members = by_class[cls]
         round_choices: List[Tuple[int, int]] = []
         for e in members:
-            if use_masks:
-                if scan_on_build:
-                    blocked = used_mask(edge_u[e]) | used_mask(edge_v[e])
-                else:
-                    blocked = masks_get(edge_u[e], 0) | masks_get(edge_v[e], 0)
-                if lists is None:
-                    # Smallest palette color whose bit is clear.
-                    available = ~blocked & full_mask
-                    choice = (
-                        (available & -available).bit_length() - 1 if available else None
-                    )
-                else:
-                    choice = next(
-                        (c for c in lists[e] if not (blocked >> c) & 1), None
-                    )
-            elif use_mask_state:
-                blocked = used_at.mask(edge_u[e]) | used_at.mask(edge_v[e])
-                if lists is None:
-                    available = ~blocked & full_mask
-                    choice = (
-                        (available & -available).bit_length() - 1 if available else None
-                    )
-                else:
-                    choice = next(
-                        (c for c in lists[e] if not (blocked >> c) & 1), None
-                    )
-            elif use_node_sets:
-                candidates: Iterable[int] = (
-                    lists[e] if lists is not None else range(palette_size)
-                )
-                used_u = used_at[edge_u[e]]
-                used_v = used_at[edge_v[e]]
-                choice = next(
-                    (c for c in candidates if c not in used_u and c not in used_v), None
-                )
+            if node_masks is not None:
+                blocked = node_masks[edge_u[e]] | node_masks[edge_v[e]]
             else:
-                candidates = lists[e] if lists is not None else range(palette_size)
-                used = {
-                    colored[f]
-                    for f in flat[offsets[e] : offsets[e + 1]]
-                    if f in colored
-                }
-                choice = next((c for c in candidates if c not in used), None)
+                blocked = 0
+                for f in flat[offsets[e] : offsets[e + 1]]:
+                    color = colored.get(f)
+                    if color is not None:
+                        blocked |= 1 << color
+            if lists is None:
+                available = (
+                    list_masks[e] if list_masks is not None else full_mask
+                ) & ~blocked
+                # The lowest set bit is the smallest available color.
+                choice = (available & -available).bit_length() - 1 if available else None
+            else:
+                choice = next((c for c in lists[e] if not (blocked >> c) & 1), None)
             if choice is None:
                 raise ValueError(f"edge {e} has no available color; its list/palette is too small")
             round_choices.append((e, choice))
         for e, c in round_choices:
-            if used_colors is None:
-                # The lazy builds and the scan fallback read ``colored``;
-                # caller-owned sets are the only state the shared mode keeps.
-                colored[e] = c
             result[e] = c
-            if use_masks:
+            if node_masks is not None:
                 bit = 1 << c
-                u = edge_u[e]
-                v = edge_v[e]
-                masks[u] = masks.get(u, 0) | bit
-                masks[v] = masks.get(v, 0) | bit
-            elif use_mask_state:
-                used_at.assign(edge_u[e], edge_v[e], c)
-            elif use_node_sets:
-                used_at[edge_u[e]].add(c)
-                used_at[edge_v[e]].add(c)
+                node_masks[edge_u[e]] |= bit
+                node_masks[edge_v[e]] |= bit
+            else:
+                colored[e] = c
         if tracker is not None:
             tracker.charge(1, "greedy-edge-classes")
     return result

@@ -12,7 +12,10 @@ Three layers, mirroring the paper:
   §3) re-passivates any edge whose list would become smaller than its new
   degree + 1, so the output is a correct list coloring for *every* input
   satisfying the (degree+1) condition, independent of how well the
-  defective splits performed.
+  defective splits performed.  Every list and every recursion window is
+  a color bitmask (bit ``c`` set iff color ``c`` is usable): a split is
+  an OR, a median bit and two ANDs, and a passive edge takes the lowest
+  free bit of its window.
 
 * :func:`partially_color_bipartite` — the Lemma D.3 substitute (DESIGN.md
   §3.3).  It splits the uncolored bipartite graph into
@@ -22,7 +25,9 @@ Three layers, mirroring the paper:
   least ``params.list_slack`` times its uncolored within-part degree.
   Edges that stay uncolored were skipped, and an edge is only skipped
   when its uncolored degree is already small — which is exactly the
-  degree-reduction guarantee Lemma D.3 provides.
+  degree-reduction guarantee Lemma D.3 provides.  Availability is one
+  mask-and against the per-node used-color masks, participation one
+  popcount.
 
 * :func:`list_edge_coloring` — Theorem D.4.  A defective 4-coloring of
   the nodes splits the uncolored graph into bipartite class pairs; each
@@ -31,7 +36,9 @@ Three layers, mirroring the paper:
   the constant-degree leftover is colored greedily.  The (degree+1)
   invariant — every uncolored edge always has more available colors than
   uncolored neighbors — is maintained throughout, so the final greedy
-  step (and hence the whole algorithm) always succeeds.
+  step (and hence the whole algorithm) always succeeds.  One
+  :class:`~repro.coloring.greedy.UsedColorMasks` serves the whole solve:
+  every pass reads availability from it and every color lands in it.
 
 The standard (2Δ−1)-edge coloring of Theorem 1.1 is the special case in
 which every list is ``{0, …, 2Δ−2}``.
@@ -40,9 +47,8 @@ which every list is ``{0, …, 2Δ−2}``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.coloring.defective_vertex import defective_split_coloring
 from repro.coloring.greedy import (
@@ -55,7 +61,6 @@ from repro.core import parameters
 from repro.core.defective_edge_coloring import (
     generalized_defective_two_edge_coloring,
     half_split_lambdas,
-    list_driven_lambdas,
 )
 from repro.core.slack import ListEdgeColoringInstance, uniform_instance
 from repro.distributed.rounds import RoundTracker
@@ -67,11 +72,10 @@ from repro.graphs.core import Graph
 class ColoringBuildState:
     """Solver state worth keeping after the batch solve finishes.
 
-    Historically the pipeline computed per-node availability and palette
-    occupancy on the way to a coloring and threw both away with the call
-    frame.  The serving plane (:mod:`repro.serving`) wants exactly that
-    state to warm-start a lookup artifact without an O(m) rebuild, so
-    the pipeline now packages it on request.
+    The serving plane (:mod:`repro.serving`) wants the solve's per-node
+    availability and palette occupancy to warm-start a lookup artifact
+    without an O(m) rebuild, so the pipeline packages them on request:
+    the masks are the solve's own used-color state.
 
     Attributes:
         masks: per-node used-color bitmasks of the final coloring.
@@ -112,22 +116,25 @@ class ListColoringResult:
 # ---------------------------------------------------------------------------- helpers
 @dataclass
 class _Part:
-    """An edge-disjoint part of the Lemma D.2 recursion with its lists.
+    """An edge-disjoint part of the Lemma D.2 recursion with its color windows.
 
-    ``lists`` maps each edge to a *shared* base list that is never copied
-    down the recursion; ``bounds`` maps the edge to the ``(lo, hi)``
-    window of that list the part is allowed to use.  On the sorted path a
-    level's color-space split only moves a window boundary (one bisect),
-    so the per-level filtered survivor lists of the pre-optimization code
-    never materialize; an edge's window is sliced into a real list at
-    most once, when the edge turns passive and enters a greedy batch.  On
-    the unsorted fallback the filtered copies are rebuilt as before and
-    the window spans the whole copy.
+    ``windows`` maps each edge to the colors of its list the part may
+    still use, as a bitmask (bit ``c`` set iff color ``c`` is usable).
+    A level's color-space split keeps ``window & below`` or
+    ``window & ~below``; when the edge turns passive, its window is its
+    list in the greedy batch.
     """
 
     edges: List[int]
-    lists: Dict[int, List[int]]
-    bounds: Dict[int, Tuple[int, int]]
+    windows: Dict[int, int]
+
+
+def _color_mask(colors: Sequence[int]) -> int:
+    """The bitmask of a color list: bit ``c`` is set iff ``c`` is in ``colors``."""
+    mask = 0
+    for c in colors:
+        mask |= 1 << c
+    return mask
 
 
 def _edge_degrees_within(graph: Graph, edges: Iterable[int]) -> Dict[int, int]:
@@ -160,14 +167,13 @@ def _max_edge_degree_within(graph: Graph, edges: Sequence[int]) -> int:
 def solve_relaxed_instance(
     graph: Graph,
     bipartition: Bipartition,
-    lists: Dict[int, Sequence[int]],
+    lists: Optional[Dict[int, Sequence[int]]],
     edge_set: Optional[Iterable[int]] = None,
-    existing_colors: Optional[Dict[int, int]] = None,
     params: Optional[parameters.PracticalParameters] = None,
     tracker: Optional[RoundTracker] = None,
     scan_path: str = "auto",
-    _lists_sorted: Optional[bool] = None,
-    _used_colors: Optional[List[Set[int]]] = None,
+    list_masks: Optional[Dict[int, int]] = None,
+    used_colors: Optional[UsedColorMasks] = None,
 ) -> Dict[int, int]:
     """Color every edge of a bipartite list instance from its list (Lemma D.2).
 
@@ -178,138 +184,101 @@ def solve_relaxed_instance(
     slack only influences how early edges turn passive and therefore the
     round count.
 
+    Every list and every recursion window is a color bitmask.  A level
+    splits a part's color space at its median color by value: the union
+    is the OR of the windows, λ_e is the share of the window below the
+    median, and a survivor keeps the half its side of the split chose.
+    A passive edge takes the smallest color of its window that is free
+    at both endpoints, so on sorted lists the pick is the first available
+    list color.
+
     Args:
         graph: the host graph.
         bipartition: node sides.
         lists: per-edge available color lists (already excluding the
-            colors of adjacent edges colored before this call).
-        edge_set: instance edges (defaults to the keys of ``lists``).
-        existing_colors: colors of edges outside the instance (only used
-            to seed the greedy passes; the lists must already exclude them).
+            colors of adjacent edges colored before this call); ``None``
+            when ``list_masks`` is given instead.
+        edge_set: instance edges (defaults to the keys of the lists).
         params: practical parameter overrides.
         tracker: optional round tracker.
         scan_path: orientation engine selector, forwarded to
             :func:`repro.core.defective_edge_coloring.
             generalized_defective_two_edge_coloring` for every split.
-        _lists_sorted: internal hint from callers that know every input
-            list is ascending (skips the sortedness detection pass);
-            ``None`` means "detect".
-        _used_colors: internal fast path from
-            :func:`partially_color_bipartite`: caller-owned per-node
-            used-color sets exactly reflecting ``existing_colors``,
-            shared with (and maintained by) the greedy passes so they
-            never rebuild availability state.  Updated in place.
+        list_masks: the lists as per-edge color bitmasks, in place of
+            ``lists``.
+        used_colors: caller-owned per-node used-color masks of the
+            colors outside the instance (the lists must already exclude
+            them); the greedy passes read them and add their colors **in
+            place**.  Defaults to no colors outside the instance.
 
     Returns the colors chosen for the instance edges.
     """
     params = params or parameters.DEFAULT_PARAMETERS
     own = RoundTracker()
-    edges: List[int] = sorted(set(edge_set)) if edge_set is not None else sorted(lists.keys())
+    edges: List[int] = sorted(
+        set(edge_set) if edge_set is not None else (lists if list_masks is None else list_masks)
+    )
+    if list_masks is None:
+        list_masks = {e: _color_mask(lists[e]) for e in edges}
     if not edges:
         return {}
 
     degrees = _edge_degrees_within(graph, edges)
+    color_union = 0
     for e in edges:
-        if len(lists[e]) < degrees[e] + 1:
+        size = list_masks[e].bit_count()
+        if size < degrees[e] + 1:
             raise ValueError(
-                f"edge {e} has {len(lists[e])} available colors but degree {degrees[e]}; "
+                f"edge {e} has {size} available colors but degree {degrees[e]}; "
                 "the (degree+1) condition is violated"
             )
+        color_union |= list_masks[e]
+    max_levels = max(1, math.ceil(math.log2(max(2, color_union.bit_count()))) + 1)
 
-    color_values = {c for e in edges for c in lists[e]}
-    max_levels = max(1, math.ceil(math.log2(max(2, len(color_values)))) + 1)
-
-    # The recursion halves the color space *by value* at every level, so
-    # when the input lists are sorted (they are, for every instance the
-    # pipeline builds — generators emit sorted lists and all downstream
-    # filtering preserves order) a level's split reduces to one bisect
-    # per edge that moves a (lo, hi) window boundary over the *shared*
-    # base list: O(log|L|) per edge, no per-level survivor list is ever
-    # materialized (an edge's window becomes a real slice at most once,
-    # when it turns passive and enters a greedy batch).  One O(total
-    # list mass) pass here detects sortedness; unsorted callers fall
-    # back to the generic per-color filter with full windows.  Callers
-    # that already know (the Lemma D.3 substitute filters sorted
-    # instance lists order-preservingly) pass the hint and skip the pass.
-    lists_sorted = (
-        _lists_sorted
-        if _lists_sorted is not None
-        else all(
-            all(lst[i] <= lst[i + 1] for i in range(len(lst) - 1))
-            for lst in (lists[e] for e in edges)
-        )
-    )
-
-    # Base lists are never mutated in place, so the parts alias the
-    # caller's lists throughout; only the windows change per level.
-    parts: List[_Part] = [
-        _Part(
-            edges=list(edges),
-            lists={e: lists[e] for e in edges},
-            bounds={e: (0, len(lists[e])) for e in edges},
-        )
-    ]
-    #: Passive entries are ``(edge, base_list, lo, hi)`` windows.
-    passive_levels: List[List[Tuple[int, List[int], int, int]]] = []
+    parts: List[_Part] = [_Part(edges=edges, windows=list_masks)]
+    #: Per level, the windows of the edges that turned passive there.
+    passive_levels: List[Dict[int, int]] = []
 
     for _level in range(max_levels):
         if not parts:
             break
         new_parts: List[_Part] = []
-        level_passive: List[Tuple[int, List[int], int, int]] = []
+        level_passive: Dict[int, int] = {}
         # The parts at one level are edge-disjoint and use disjoint color
         # spaces: their defective splits run in parallel, so the level costs
         # the maximum over the parts.
         level_rounds = 0
         for part in parts:
             part_degrees = _edge_degrees_within(graph, part.edges)
-            bounds = part.bounds
+            windows = part.windows
             active: List[int] = []
             for e in part.edges:
                 degree = part_degrees[e]
-                lo, hi = bounds[e]
-                list_size = hi - lo
-                if degree <= params.leaf_degree or list_size < params.passive_slack_threshold * max(1, degree):
-                    level_passive.append((e, part.lists[e], lo, hi))
+                if degree <= params.leaf_degree or windows[e].bit_count() < (
+                    params.passive_slack_threshold * max(1, degree)
+                ):
+                    level_passive[e] = windows[e]
                 else:
                     active.append(e)
             if not active:
                 continue
-            # Split the part's color space in half by value (Section 7).
-            union_colors: Set[int] = set()
+            # Split the part's color space in half by value (Section 7):
+            # the left half is the ``len(union) // 2`` smallest colors.
+            union = 0
             for e in active:
-                lst = part.lists[e]
-                lo, hi = bounds[e]
-                for i in range(lo, hi):
-                    union_colors.add(lst[i])
-            union = sorted(union_colors)
-            if len(union) <= 1:
-                level_passive.extend(
-                    (e, part.lists[e], bounds[e][0], bounds[e][1]) for e in active
-                )
+                union |= windows[e]
+            union_size = union.bit_count()
+            if union_size <= 1:
+                level_passive.update((e, windows[e]) for e in active)
                 continue
-            split_boundary = union[len(union) // 2]
-            # On the sorted path membership in the left half is just a
-            # value comparison against the boundary; the explicit set is
-            # only needed by the unsorted per-color filters.
-            left_colors = None if lists_sorted else set(union[: len(union) // 2])
-            if lists_sorted:
-                # ``left_colors`` is the set of union colors below the
-                # boundary, so within a sorted window |L ∩ left| is the
-                # bisect cut — same integers, same division as
-                # ``list_driven_lambdas`` on the materialized list.
-                lambdas = {}
-                for e in active:
-                    lo, hi = bounds[e]
-                    if hi == lo:
-                        lambdas[e] = 0.5
-                        continue
-                    cut = bisect_left(part.lists[e], split_boundary, lo, hi)
-                    lambdas[e] = (cut - lo) / (hi - lo)
-            else:
-                lambdas = list_driven_lambdas(
-                    {e: part.lists[e] for e in active}, left_colors, active
-                )
+            upper = union
+            for _ in range(union_size // 2):
+                upper &= upper - 1
+            below = (upper & -upper) - 1  # every color below the boundary
+            lambdas = {}
+            for e in active:
+                size = windows[e].bit_count()
+                lambdas[e] = (windows[e] & below).bit_count() / size if size else 0.5
             part_tracker = RoundTracker()
             split = generalized_defective_two_edge_coloring(
                 graph,
@@ -323,84 +292,43 @@ def solve_relaxed_instance(
                 scan_path=scan_path,
             )
             level_rounds = max(level_rounds, part_tracker.total)
-            # ``left_colors`` is a prefix of the sorted union, so membership
-            # is equivalent to being below the first right-half color.
             for side_edges in (split.red_sorted(), split.blue_sorted()):
                 if not side_edges:
                     continue
-                keep_left = split.colors[side_edges[0]] == 0
+                keep = below if split.colors[side_edges[0]] == 0 else ~below
                 side_degrees = _edge_degrees_within(graph, side_edges)
                 survivors: List[int] = []
-                survivor_lists: Dict[int, List[int]] = {}
-                survivor_bounds: Dict[int, Tuple[int, int]] = {}
+                survivor_windows: Dict[int, int] = {}
                 for e in side_edges:
-                    lst = part.lists[e]
-                    lo, hi = bounds[e]
-                    if lists_sorted:
-                        cut = bisect_left(lst, split_boundary, lo, hi)
-                        kept = cut - lo if keep_left else hi - cut
-                        if kept >= side_degrees[e] + 1:
-                            survivors.append(e)
-                            survivor_lists[e] = lst
-                            survivor_bounds[e] = (lo, cut) if keep_left else (cut, hi)
-                        else:
-                            # Correctness net: the split left this edge with
-                            # too few colors; keep it at the parent level.
-                            level_passive.append((e, lst, lo, hi))
+                    kept = windows[e] & keep
+                    if kept.bit_count() >= side_degrees[e] + 1:
+                        survivors.append(e)
+                        survivor_windows[e] = kept
                     else:
-                        # Unsorted fallback: windows are always full here,
-                        # so filtering the base list is filtering the window.
-                        filtered = [c for c in lst if (c in left_colors) == keep_left]
-                        if len(filtered) >= side_degrees[e] + 1:
-                            survivors.append(e)
-                            survivor_lists[e] = filtered
-                            survivor_bounds[e] = (0, len(filtered))
-                        else:
-                            level_passive.append((e, lst, lo, hi))
+                        # Correctness net: the split left this edge with
+                        # too few colors; keep it at the parent level.
+                        level_passive[e] = windows[e]
                 if survivors:
-                    new_parts.append(
-                        _Part(edges=survivors, lists=survivor_lists, bounds=survivor_bounds)
-                    )
+                    new_parts.append(_Part(edges=survivors, windows=survivor_windows))
         own.charge(level_rounds, "list-solver-split-level")
         passive_levels.append(level_passive)
         parts = new_parts
 
     # Any still-active leaves are colored first (deepest batch).
     if parts:
-        leftover: List[Tuple[int, List[int], int, int]] = []
-        for part in parts:
-            leftover.extend(
-                (e, part.lists[e], part.bounds[e][0], part.bounds[e][1])
-                for e in part.edges
-            )
-        passive_levels.append(leftover)
+        passive_levels.append({e: part.windows[e] for part in parts for e in part.edges})
 
-    assigned: Dict[int, int] = dict(existing_colors) if existing_colors else {}
+    used = used_colors if used_colors is not None else UsedColorMasks(graph.num_nodes)
     result: Dict[int, int] = {}
     for batch in reversed(passive_levels):
         if not batch:
             continue
-        batch_edges = [e for e, _lst, _lo, _hi in batch]
-        # The only materialization point: one slice per passive edge
-        # (full windows alias the base list without copying).
-        batch_lists = {
-            e: (lst if lo == 0 and hi == len(lst) else lst[lo:hi])
-            for e, lst, lo, hi in batch
-        }
-        schedule = proper_edge_schedule(
-            graph, batch_edges, tracker=own, scan_path=scan_path
+        schedule = proper_edge_schedule(graph, batch, tracker=own, scan_path=scan_path)
+        result.update(
+            greedy_edge_coloring_by_classes(
+                graph, schedule, tracker=own, used_colors=used, list_masks=batch
+            )
         )
-        new = greedy_edge_coloring_by_classes(
-            graph,
-            schedule,
-            lists=batch_lists,
-            edge_set=set(batch_edges),
-            existing_colors=assigned,
-            tracker=own,
-            used_colors=_used_colors,
-        )
-        assigned.update(new)
-        result.update(new)
 
     if tracker is not None:
         tracker.merge(own)
@@ -417,6 +345,7 @@ def partially_color_bipartite(
     params: Optional[parameters.PracticalParameters] = None,
     tracker: Optional[RoundTracker] = None,
     scan_path: str = "auto",
+    used_colors: Optional[UsedColorMasks] = None,
 ) -> Dict[int, int]:
     """Partially color a bipartite piece so that its uncolored degree drops (Lemma D.3).
 
@@ -429,6 +358,12 @@ def partially_color_bipartite(
     uncolored degree, which is the degree-reduction guarantee.
     ``scan_path`` selects the orientation engine of every defective
     split (``"auto"`` / ``"numpy"`` / ``"python"``).
+
+    An edge's available list is the bitmask ``list & ~(used[u] | used[v])``
+    of its instance list minus the colors used at its endpoints.
+    ``used_colors`` is the caller's :class:`UsedColorMasks` for
+    ``coloring``; the new colors land in it in place.  Without it, masks
+    are built from ``coloring``.
 
     Returns the newly assigned colors (``coloring`` itself is not modified).
     """
@@ -468,66 +403,53 @@ def partially_color_bipartite(
         own.charge(level_rounds, "degree-reduction-split-level")
         parts = [p for p in next_parts if p]
 
-    working = dict(coloring)
-    # Availability via per-node used-color sets, maintained as colors are
-    # assigned: an edge's blocked colors are exactly those used at its
-    # two endpoints, so no adjacency scan per query is needed.
+    used = (
+        used_colors
+        if used_colors is not None
+        else UsedColorMasks.from_edge_coloring(graph, coloring)
+    )
+    node_mask = used.mask
     edge_u, edge_v = graph.endpoint_arrays()
-    used_at: List[Set[int]] = [set() for _ in range(graph.num_nodes)]
-    for colored_edge, color in working.items():
-        used_at[edge_u[colored_edge]].add(color)
-        used_at[edge_v[colored_edge]].add(color)
     lists = instance.lists
     # Participation threshold per uncolored degree, memoized (the same
     # few degree values recur across all parts).
     list_slack = params.list_slack
     threshold_memo: Dict[int, int] = {}
+    # The parts are edge-disjoint and only a part's own solve colors its
+    # edges, so every part is still entirely uncolored when its turn comes.
     for part in parts:
-        uncolored_part = [e for e in part if e not in working]
-        if not uncolored_part:
-            continue
-        part_degrees = _edge_degrees_within(graph, uncolored_part)
-        participant_lists: Dict[int, List[int]] = {}
-        for e in uncolored_part:
-            used_u = used_at[edge_u[e]]
-            used_v = used_at[edge_v[e]]
-            if used_u or used_v:
-                available = [
-                    c for c in lists[e] if c not in used_u and c not in used_v
-                ]
-            else:
-                available = list(lists[e])
+        part_degrees = _edge_degrees_within(graph, part)
+        participants: Dict[int, int] = {}
+        # Equal neighbouring lists (all of them, in a uniform instance)
+        # share one mask build; the comparison runs at C speed.
+        last_list: Sequence[int] = ()
+        last_mask = 0
+        for e in part:
+            if lists[e] != last_list:
+                last_list = lists[e]
+                last_mask = _color_mask(last_list)
+            available = last_mask & ~(node_mask(edge_u[e]) | node_mask(edge_v[e]))
             degree = part_degrees[e]
             threshold = threshold_memo.get(degree)
             if threshold is None:
                 threshold = max(degree + 1, math.ceil(list_slack * degree))
                 threshold_memo[degree] = threshold
-            if len(available) >= threshold:
-                participant_lists[e] = available
-        if not participant_lists:
+            if available.bit_count() >= threshold:
+                participants[e] = available
+        if not participants:
             continue
-        new = solve_relaxed_instance(
-            graph,
-            bipartition,
-            participant_lists,
-            edge_set=list(participant_lists.keys()),
-            existing_colors=working,
-            params=params,
-            tracker=own,
-            scan_path=scan_path,
-            # The participant lists are order-preserving filters of the
-            # instance lists, so the instance's cached answer applies.
-            _lists_sorted=True if instance.lists_are_sorted() else None,
-            # The solver's greedy passes share (and maintain) the same
-            # per-node used-color sets, so the post-call update below is
-            # an idempotent re-add.
-            _used_colors=used_at,
+        newly.update(
+            solve_relaxed_instance(
+                graph,
+                bipartition,
+                None,
+                params=params,
+                tracker=own,
+                scan_path=scan_path,
+                list_masks=participants,
+                used_colors=used,
+            )
         )
-        working.update(new)
-        newly.update(new)
-        for colored_edge, color in new.items():
-            used_at[edge_u[colored_edge]].add(color)
-            used_at[edge_v[colored_edge]].add(color)
 
     if tracker is not None:
         tracker.merge(own)
@@ -569,6 +491,9 @@ def list_edge_coloring(
         raise ValueError("the instance violates the (degree+1)-list condition")
 
     bound = max(1, 2 * graph.max_degree - 1)
+    # One used-color mask per node for the whole solve: every pass reads
+    # availability from it, and every color lands in it.
+    used = UsedColorMasks(graph.num_nodes)
     if graph.num_edges == 0:
         return ListColoringResult(
             colors={},
@@ -578,9 +503,7 @@ def list_edge_coloring(
             rounds=0,
             outer_iterations=0,
             build_state=(
-                ColoringBuildState(masks=UsedColorMasks(graph.num_nodes), palette={})
-                if capture_build_state
-                else None
+                ColoringBuildState(masks=used, palette={}) if capture_build_state else None
             ),
         )
 
@@ -648,13 +571,13 @@ def list_edge_coloring(
                     params=params,
                     tracker=own,
                     scan_path=scan_path,
+                    used_colors=used,
                 )
                 coloring.update(new)
         uncolored = [e for e in uncolored if e not in coloring]
 
     # Final stage: the uncolored graph has small degree; greedy from the
-    # instance lists (the greedy pass filters against its own per-node
-    # used-color sets, so no pre-filtered availability lists are needed).
+    # instance lists against the shared used-color masks.
     if uncolored:
         schedule = proper_edge_schedule(graph, uncolored, tracker=own, scan_path=scan_path)
         new = greedy_edge_coloring_by_classes(
@@ -662,8 +585,8 @@ def list_edge_coloring(
             schedule,
             lists=instance.lists,
             edge_set=set(uncolored),
-            existing_colors=coloring,
             tracker=own,
+            used_colors=used,
         )
         coloring.update(new)
 
@@ -674,10 +597,7 @@ def list_edge_coloring(
         palette: Dict[int, int] = {}
         for c in coloring.values():
             palette[c] = palette.get(c, 0) + 1
-        build_state = ColoringBuildState(
-            masks=UsedColorMasks.from_edge_coloring(graph, coloring),
-            palette=palette,
-        )
+        build_state = ColoringBuildState(masks=used, palette=palette)
     return ListColoringResult(
         colors=coloring,
         num_colors=len(set(coloring.values())),

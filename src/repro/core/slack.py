@@ -11,6 +11,7 @@ the degree / slack / availability accounting that both the solver
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
@@ -27,10 +28,10 @@ class ListEdgeColoringInstance:
         color_space: size ``C`` of the color space; colors are
             ``0 .. C - 1``.
         edge_set: the instance's edges (defaults to the keys of ``lists``).
-        validate: skip the per-list color-range validation when False
-            (constructors that built the lists themselves, e.g.
-            :func:`uniform_instance`, pass lists that are in range by
-            construction).
+        validate: skip the per-list validation (every color in range, no
+            color repeated) when False; constructors that built the lists
+            themselves, e.g. :func:`uniform_instance`, pass lists that are
+            valid by construction.
     """
 
     graph: Graph
@@ -55,30 +56,11 @@ class ListEdgeColoringInstance:
                 for c in lst:
                     if not (0 <= c < space):
                         raise ValueError(f"color {c} of edge {e} outside the color space")
-
-    # ------------------------------------------------------------------ sortedness
-    def lists_are_sorted(self) -> bool:
-        """Whether every list is ascending (computed once, then cached).
-
-        The Lemma D.2 solver splits color spaces by value; on sorted
-        lists that is one bisect per edge instead of a per-color filter.
-        All downstream filtering is order-preserving, so callers that
-        derive their lists from this instance can forward the cached
-        answer instead of re-detecting per call.
-        """
-        cached = getattr(self, "_lists_sorted_cache", None)
-        if cached is None:
-            cached = all(
-                all(lst[i] <= lst[i + 1] for i in range(len(lst) - 1))
-                for lst in self.lists.values()
-            )
-            self._lists_sorted_cache = cached
-        return cached
-
-    def mark_lists_sorted(self) -> None:
-        """Record that every list is ascending (constructors that build
-        the lists sorted call this to skip the detection pass)."""
-        self._lists_sorted_cache = True
+            # A repeated color would count twice towards the (degree+1)
+            # condition while offering only one choice.
+            if len(set(lst)) != len(lst):
+                c = next(c for c, k in Counter(lst).items() if k > 1)
+                raise ValueError(f"the list of edge {e} repeats color {c}")
 
     # ------------------------------------------------------------------ degrees
     def node_degrees(self) -> List[int]:
@@ -172,14 +154,11 @@ def uniform_instance(graph: Graph, num_colors: Optional[int] = None) -> ListEdge
         num_colors = max(1, 2 * graph.max_degree - 1)
     palette = list(range(num_colors))
     lists = {e: list(palette) for e in graph.edges()}
-    # Every list is a fresh copy of the same in-range palette: skip the
-    # per-list range validation, and pre-answer the (ascending by
-    # construction) sortedness query the Lemma D.2 solver asks.
-    instance = ListEdgeColoringInstance(
+    # Every list is a fresh copy of the same in-range, repeat-free
+    # palette: skip the per-list validation.
+    return ListEdgeColoringInstance(
         graph=graph, lists=lists, color_space=num_colors, validate=False
     )
-    instance.mark_lists_sorted()
-    return instance
 
 
 def degree_plus_one_instance(

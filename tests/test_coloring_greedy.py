@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.coloring.greedy import (
+    UsedColorMasks,
     greedy_edge_coloring_by_classes,
     greedy_vertex_coloring_by_classes,
     proper_edge_schedule,
@@ -82,6 +83,49 @@ class TestGreedyEdgeColoring:
         with pytest.raises(ValueError, match="no available color"):
             greedy_edge_coloring_by_classes(graph, schedule, palette_size=2)
 
+    def test_list_masks_pick_the_smallest_available_color(self):
+        # A mask carries no list order: the pick is the smallest available
+        # color, which on sorted lists is the first available list entry.
+        graph = generators.random_regular_graph(20, 4, seed=3)
+        schedule = proper_edge_schedule(graph, list(graph.edges()))
+        lists = {e: [(5 * e + 3 * i) % 13 for i in range(7)] for e in graph.edges()}
+        masks = {e: sum(1 << c for c in lst) for e, lst in lists.items()}
+        from_masks = greedy_edge_coloring_by_classes(graph, schedule, list_masks=masks)
+        from_sorted = greedy_edge_coloring_by_classes(
+            graph, schedule, lists={e: sorted(lst) for e, lst in lists.items()}
+        )
+        assert from_masks == from_sorted
+        assert is_proper_edge_coloring(graph, from_masks)
+        with pytest.raises(ValueError, match="not both"):
+            greedy_edge_coloring_by_classes(
+                graph, schedule, lists=lists, list_masks=masks
+            )
+
+    def test_shared_used_colors_match_existing_colors(self):
+        # Caller-owned masks stand in for ``existing_colors`` and receive
+        # the new colors in place.
+        graph = generators.grid_graph(4, 4)
+        schedule, _num = linial_edge_coloring(graph)
+        all_edges = list(graph.edges())
+        first_half = set(all_edges[: len(all_edges) // 2])
+        second_half = set(all_edges) - first_half
+        colors_a = greedy_edge_coloring_by_classes(graph, schedule, edge_set=first_half)
+        used = UsedColorMasks.from_edge_coloring(graph, colors_a)
+        shared = greedy_edge_coloring_by_classes(
+            graph, schedule, edge_set=second_half, used_colors=used
+        )
+        assert shared == greedy_edge_coloring_by_classes(
+            graph, schedule, edge_set=second_half, existing_colors=colors_a
+        )
+        combined = {**colors_a, **shared}
+        expected = UsedColorMasks.from_edge_coloring(graph, combined)
+        assert all(used.mask(v) == expected.mask(v) for v in graph.nodes())
+        with pytest.raises(ValueError, match="already colored"):
+            greedy_edge_coloring_by_classes(
+                graph, schedule, edge_set=second_half, existing_colors=combined,
+                used_colors=used,
+            )
+
 
 # Pinned outputs of proper_edge_schedule / greedy_edge_coloring_by_classes,
 # recorded before the availability scans moved to maintained per-node
@@ -155,7 +199,7 @@ class TestGreedyScheduleRegression:
 
     def test_recoloring_over_precolored_targets_pinned(self):
         # Target edges that already carry a color must take the exact scan
-        # path (per-node sets cannot express re-coloring an existing entry).
+        # path (per-node masks cannot express re-coloring an existing entry).
         graph = generators.random_regular_graph(12, 4, seed=1)
         schedule = proper_edge_schedule(graph, list(graph.edges()))
         pre = {e: 7 for e in list(graph.edges())[:4]}

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
+from repro.coloring.greedy import UsedColorMasks
 from repro.core import parameters
 from repro.core.list_edge_coloring import (
     list_edge_coloring,
     partially_color_bipartite,
     solve_relaxed_instance,
 )
-from repro.core.slack import ListEdgeColoringInstance, uniform_instance
+from repro.core.slack import (
+    ListEdgeColoringInstance,
+    degree_plus_one_instance,
+    uniform_instance,
+)
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
 from repro.verification.checkers import is_proper_edge_coloring, list_coloring_violations
@@ -68,6 +76,19 @@ class TestListInstances:
         result = list_edge_coloring(graph, instance=instance)
         assert list_coloring_violations(graph, result.colors, instance.lists) == []
 
+    @pytest.mark.parametrize("explicit_lists", [False, True])
+    def test_repeated_color_rejected(self, explicit_lists):
+        # A list like [0, 0] holds one color, not two: counting it twice
+        # would pass the (degree+1) check and fail the solve deep in the
+        # greedy pass.  Validation names the defect up front.
+        graph = generators.path_graph(3)
+        lists = {e: [0, 0] for e in graph.edges()}
+        with pytest.raises(ValueError, match="repeats color 0"):
+            if explicit_lists:
+                degree_plus_one_instance(graph, color_space=2, lists=lists)
+            else:
+                ListEdgeColoringInstance(graph, lists, color_space=2)
+
     def test_violating_instance_rejected(self):
         graph = generators.complete_graph(5)
         bad = ListEdgeColoringInstance(
@@ -118,8 +139,8 @@ class TestSolver:
         assert solve_relaxed_instance(graph, bipartition, {}) == {}
 
     # The exact output of the Lemma D.2 solver on a fixed seeded instance,
-    # recorded before the incremental (bisect-based) side_lists filtering
-    # landed — the rewrite must not shift a single color.
+    # recorded before the incremental side_lists filtering (later bisect
+    # windows, now bitmask windows) landed — no rewrite may shift a color.
     REGRESSION_PIN = {
         0: 3, 1: 4, 2: 0, 3: 2, 4: 1, 5: 3, 6: 2, 7: 3, 8: 1, 9: 0,
         10: 3, 11: 1, 12: 1, 13: 3, 14: 1, 15: 5, 16: 2, 17: 3, 18: 2, 19: 0,
@@ -142,13 +163,77 @@ class TestSolver:
         assert colors == self.REGRESSION_PIN
 
     def test_solver_handles_unsorted_lists(self):
-        # Unsorted lists take the generic (non-bisect) filter path; the
-        # result must still be a valid list coloring from the same lists.
+        # The solver carries lists as color bitmasks, so list order is
+        # invisible to it: reversed lists give the pinned coloring, and a
+        # passive edge still picks its smallest available color.
         graph, bipartition, lists = self.regression_instance()
         reversed_lists = {e: list(reversed(lst)) for e, lst in lists.items()}
         colors = solve_relaxed_instance(graph, bipartition, reversed_lists)
-        assert set(colors.keys()) == set(graph.edges())
         assert list_coloring_violations(graph, colors, reversed_lists) == []
+        assert colors == self.REGRESSION_PIN
+
+    def test_solver_accepts_list_masks(self):
+        graph, bipartition, lists = self.regression_instance()
+        masks = {e: sum(1 << c for c in lst) for e, lst in lists.items()}
+        assert solve_relaxed_instance(graph, bipartition, None, list_masks=masks) == (
+            self.REGRESSION_PIN
+        )
+
+
+def coloring_digest(colors):
+    """sha256 of the coloring as a sorted ``[[edge, color], ...]`` JSON list."""
+    return hashlib.sha256(json.dumps(sorted(colors.items())).encode()).hexdigest()
+
+
+class TestLemmaD3Pinned:
+    """Theorem D.4 runs that reach the Lemma D.3 / D.2 path (Δ > final_degree).
+
+    The determinism goldens stop below ``final_degree``, so they never
+    reach ``partially_color_bipartite``.  These digests, round totals and
+    round breakdowns were recorded with the earlier list-based
+    availability code (bisect windows over the instance lists and
+    per-node used-color sets); the bitmask rewrite must reproduce them.
+    """
+
+    BREAKDOWN = {
+        "defective-local-search": 8,
+        "defective-poly-reduction": 1,
+        "degree-reduction-split-level": 1151,
+        "greedy-edge-classes": 230,
+        "linial": 133,
+        "list-solver-split-level": 0,
+    }
+    PINS = {
+        "uniform": (
+            "acc550e298c33fa95588fdc0d53002b23730d87e4948437a75dda5a2cd0b2ee8",
+            1523,
+            BREAKDOWN,
+        ),
+        "random-lists": (
+            "ebc3cca6ab1b6949df2960f2bdba7641655c76a02ffda3b36eb9f026e686b7dc",
+            1523,
+            BREAKDOWN,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINS))
+    def test_pinned(self, kind):
+        graph = generators.random_regular_graph(96, 16, seed=2)
+        if kind == "uniform":
+            instance = uniform_instance(graph)
+        else:
+            lists, space = generators.list_edge_coloring_lists(graph, slack=1.0, seed=2)
+            instance = ListEdgeColoringInstance(
+                graph, {e: lists[e] for e in graph.edges()}, space
+            )
+        tracker = RoundTracker()
+        result = list_edge_coloring(graph, instance=instance, tracker=tracker)
+        assert list_coloring_violations(graph, result.colors, instance.lists) == []
+        assert set(result.colors) == set(graph.edges())
+        digest, rounds, breakdown = self.PINS[kind]
+        assert coloring_digest(result.colors) == digest
+        assert result.rounds == rounds
+        assert dict(tracker.breakdown) == breakdown
 
 
 class TestDegreeReduction:
@@ -189,6 +274,20 @@ class TestDegreeReduction:
         combined = {**existing, **newly}
         assert is_proper_edge_coloring(graph, combined, edge_set=list(combined.keys()))
         assert all(e not in existing for e in newly)
+
+    def test_shared_used_colors_receive_the_new_colors(self, medium_bipartite):
+        graph, bipartition = medium_bipartite
+        instance = uniform_instance(graph)
+        existing = {0: 0}
+        used = UsedColorMasks.from_edge_coloring(graph, existing)
+        newly = partially_color_bipartite(
+            graph, bipartition, instance, list(graph.edges()), existing, used_colors=used
+        )
+        assert newly == partially_color_bipartite(
+            graph, bipartition, instance, list(graph.edges()), existing
+        )
+        expected = UsedColorMasks.from_edge_coloring(graph, {**existing, **newly})
+        assert all(used.mask(v) == expected.mask(v) for v in graph.nodes())
 
 
 class TestRoundsAndParameters:
