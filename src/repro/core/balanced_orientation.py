@@ -12,25 +12,44 @@ an edge corresponds to flipping its orientation.
 
 The implementation follows the seven numbered steps of Section 5
 verbatim; all parameters (ν, k_φ, δ_φ, α_v(φ)) come from
-:mod:`repro.core.parameters`.  The algorithm operates on an explicit
-``edge_set`` so that the recursive color-space-splitting algorithms can
-run it on subgraphs without re-indexing edges.
+:mod:`repro.core.parameters`.  It operates on explicit edge sets, so the
+recursive splitting algorithms run it on subgraphs without re-indexing
+edges.
+
+**Levels.**  The recursions of Section 6 and of Lemmas D.2 / D.3 cut a
+graph into edge-disjoint parts and split every part of a recursion level
+with its own orientation.  In the distributed model those orientations
+run in parallel, so a level costs the maximum of its parts' rounds; the
+numpy engine simulates exactly that parallel level, one call per level.
 
 Two interchangeable phase-loop engines are provided, selected by the
 ``scan_path`` knob (or the ``REPRO_SCAN_PATH`` environment variable in
-``"auto"`` mode):
+``"auto"`` mode, where the level's total edge count decides):
 
-* the **pure-python reference twin** — a direct transcription of the
-  seven steps with incremental violation tracking; and
-* the **vectorized engine** — proposal, conflict-resolution (per-node
-  ``k_φ`` capping) and accept all run as numpy array ops over the
-  instance's flat endpoint arrays: the proposal direction is one masked
-  comparison, the per-node accept cap is a stable argsort by target node
-  plus a group-rank cut, and the accept step is applied with scatter
-  ops.  Only the (rare) token dropping repair games stay in python.
+* the **pure-python reference twin** (:func:`orient_python`) — a direct
+  transcription of the seven steps with incremental violation tracking,
+  run once per part; and
+* the **segmented numpy engine** (:func:`orient_segments`) — every part
+  of a level in one loop over the concatenated edge arrays, with a part
+  id per edge.  Parts share nodes but not edges, so node state
+  (in-degrees, unoriented degrees, d⁻) is keyed by the (part, node) pair,
+  compacted to dense keys sorted by part, then node
+  (:func:`segment_parts`).  Each part keeps its own Δ̄, phase counter,
+  phase budget, threshold, k_φ, δ_φ and α memo, and the parts advance in
+  lock-step: one iteration runs one phase of every part still going,
+  and a part that finishes or exhausts its budget is masked out (a
+  participation cut no edge reaches) while the others continue.  Per-part
+  scalars are computed in python, so every float equals the
+  reference's.  Proposal, the per-node ``k_φ`` accept cap (a stable
+  argsort by key plus a group-rank cut, which keeps the reference's
+  "smallest edge first" order) and accept run as array ops over all
+  parts.  Only the token dropping repair games run in python,
+  per part, on part-local node ids — a monotone relabelling, so every
+  tie-break is unchanged.
 
-Both engines are required to produce bit-identical orientations,
-in-degrees, phase counts and round charges on every instance; the
+A single instance (:func:`compute_balanced_orientation`) is the one-part
+level.  Both engines are required to produce bit-identical orientations,
+in-degrees, phase counts and round charges for every part; the
 differential test matrix (``tests/test_differential_paths.py``)
 cross-checks them end to end.
 """
@@ -38,10 +57,11 @@ cross-checks them end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core import parameters
-from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np, resolve_use_numpy
+from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np, resolve_use_numpy  # noqa: F401 - re-exported
 from repro.core.token_dropping import ROUNDS_PER_PHASE, _token_dropping_core
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.bipartite import Bipartition
@@ -77,13 +97,6 @@ class BalancedOrientationResult:
     nu: float
     bar_delta: int
     edge_degrees: Dict[int, int] = field(default_factory=dict)
-    #: Internal fast path for the defective 2-coloring wrapper: when the
-    #: numpy engine ran, ``(ids, dirs)`` holds the ascending instance
-    #: edge ids and their final signed directions (+1 = U→V, −1 = V→U)
-    #: as int64/int8 arrays, so the RED/BLUE split needs no per-edge
-    #: dict lookups.  ``None`` on the python engine (same information,
-    #: derivable from ``orientation``).
-    _signed_dirs: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def definition_52_violations(
         self,
@@ -115,77 +128,22 @@ class BalancedOrientationResult:
         return violations
 
 
-def _instance_arrays_np(graph: Graph, bipartition: Bipartition, edges: List[int]):
-    """Vectorized instance arrays, or ``None`` off the numpy fast path.
-
-    Returns ``(ids, eu, ev, ou, ov, deg)`` int64 arrays over the
-    (ascending) instance edges — raw endpoints, oriented endpoints (U
-    side first) and per-node instance degrees.  Pure perf: the same
-    numbers the reference loops in :func:`instance_arrays` produce, via
-    one bincount and masked selects; the bichromatic check reports the
-    same first offender.
-    """
-    if (
-        _np is None
-        or len(edges) < NUMPY_SCAN_THRESHOLD
-        or not hasattr(graph, "endpoint_arrays_np")
-    ):
-        return None
-    np = _np
-    ids = np.fromiter(edges, dtype=np.int64, count=len(edges))
-    eu_all, ev_all = graph.endpoint_arrays_np()
-    eu = eu_all[ids]
-    ev = ev_all[ids]
-    sides_np = np.asarray(bipartition.sides, dtype=np.int8)
-    su = sides_np[eu]
-    sv = sides_np[ev]
-    bad = su == sv
-    if bad.any():
-        # Same first-offender error as the reference loop (edges are
-        # ascending, so the first bad position is the first bad edge).
-        first = int(np.nonzero(bad)[0][0])
-        raise ValueError(
-            f"edge {edges[first]} = ({int(eu[first])}, {int(ev[first])}) is not "
-            f"bichromatic in this bipartition"
-        )
-    swap = su == 1
-    ou = np.where(swap, ev, eu)
-    ov = np.where(swap, eu, ev)
-    deg = np.bincount(np.concatenate((eu, ev)), minlength=graph.num_nodes)
-    return ids, eu, ev, ou, ov, deg
-
-
 def instance_arrays(
     graph: Graph,
     bipartition: Bipartition,
     edges: List[int],
 ) -> Tuple[List[int], Dict[int, int], List[int], List[int]]:
-    """Per-instance degree and orientation arrays, computed in one place.
+    """Per-instance degree and orientation arrays for the reference twin.
 
     Returns ``(static_deg, edge_degrees, o_u, o_v)``: node degrees within
     the instance, edge degrees keyed by edge, and the oriented endpoints
     per edge (U side first) as dense arrays over the host graph's edge
     ids — so hot loops index instead of calling ``orient_edge``.  Raises
-    ``ValueError`` for edges that do not cross the bipartition.  Shared
-    by :func:`compute_balanced_orientation` and the defective 2-coloring
-    wrapper (which hands the result back via its fast path, keeping the
-    two entry points exactly equivalent).
+    ``ValueError`` for edges that do not cross the bipartition.
     """
     n = graph.num_nodes
     edge_u, edge_v = graph.endpoint_arrays()
     sides = bipartition.sides
-
-    pack = _instance_arrays_np(graph, bipartition, edges)
-    if pack is not None:
-        ids, eu, ev, ou, ov, deg = pack
-        np = _np
-        static_deg = deg.tolist()
-        edge_degrees = dict(zip(edges, (deg[eu] + deg[ev] - 2).tolist()))
-        dense_u = np.zeros(graph.num_edges, dtype=np.int64)
-        dense_v = np.zeros(graph.num_edges, dtype=np.int64)
-        dense_u[ids] = ou
-        dense_v[ids] = ov
-        return static_deg, edge_degrees, dense_u.tolist(), dense_v.tolist()
 
     static_deg = [0] * n
     for e in edges:
@@ -210,6 +168,19 @@ def instance_arrays(
                 f"edge {e} = ({a}, {b}) is not bichromatic in this bipartition"
             )
     return static_deg, edge_degrees, o_u, o_v
+
+
+def resolve_nu(nu: Optional[float], epsilon: float) -> float:
+    """The ν a run uses: ``nu``, or ε/8 when ``None``; clamped to (0, 1/8]."""
+    resolved = nu if nu is not None else parameters.nu_from_epsilon(epsilon)
+    return min(parameters.NU_UPPER_BOUND, max(1e-6, resolved))
+
+
+def _phase_budget(max_phases: Optional[int], nu: float, bar_delta: int) -> int:
+    """The phase cap: ``max_phases``, or the analytic O(log Δ̄ / ν) count + 1."""
+    if max_phases is not None:
+        return max_phases
+    return parameters.orientation_phase_count(nu, bar_delta) + 1
 
 
 def _fast_forward_phases(
@@ -532,342 +503,27 @@ def _phase_loop_python(
     return orientation, x, phases_run
 
 
-def _phase_loop_numpy(
+def orient_python(
     graph: Graph,
-    n: int,
     edges: List[int],
+    static_deg: List[int],
+    edge_degrees: Dict[int, int],
     o_u: List[int],
     o_v: List[int],
     eta_arr: List[float],
-    static_deg: List[int],
-    bar_delta: int,
-    resolved_nu: float,
-    phase_budget: int,
-    local_tracker: RoundTracker,
-    precomputed_np=None,
-) -> Tuple[Dict[int, Tuple[int, int]], List[int], int, tuple]:
-    """The vectorized proposal/accept engine.
-
-    State lives in flat arrays aligned with the (ascending) instance edge
-    list: per phase, participation, proposal direction, the per-node
-    ``k_φ`` accept cap (stable argsort by target node + group-rank cut)
-    and the accept step all run as array ops.  The violation flags of
-    step 5 are recomputed from the phase-start in-degrees in one masked
-    comparison — the python twin maintains the same set incrementally.
-    Only the token dropping repair games (step 6, already sparse) run in
-    python.  Every branch mirrors the reference engine exactly, including
-    the fast-forward over proposal-free phases and all round charges.
-    """
-    np = _np
-    num = len(edges)
-    if precomputed_np is not None:
-        # The defective 2-coloring wrapper already built every instance
-        # array — no list→array conversions on this path.
-        ids, eu, ev, ou, ov, eta_np, sd = precomputed_np
-    else:
-        ids = np.fromiter(edges, dtype=np.int64, count=num)
-        edge_u_np, edge_v_np = graph.endpoint_arrays_np()
-        eu = edge_u_np[ids]
-        ev = edge_v_np[ids]
-        ou = np.fromiter((o_u[e] for e in edges), dtype=np.int64, count=num)
-        ov = np.fromiter((o_v[e] for e in edges), dtype=np.int64, count=num)
-        eta_np = np.fromiter((eta_arr[e] for e in edges), dtype=np.float64, count=num)
-        sd = np.asarray(static_deg, dtype=np.int64)
-    dege = sd[eu] + sd[ev] - 2  # static edge degrees within the instance
-
-    x = np.zeros(n, dtype=np.int64)  # in-degrees
-    unor = sd.copy()  # node degrees among unoriented instance edges
-    # Signed direction code: +1 = U→V, −1 = V→U, 0 = unoriented.  The
-    # sign folds the two η comparisons of step 5 into one (multiplying
-    # an inequality by −1 flips it exactly, for ints and IEEE floats
-    # alike), halving the per-phase violation-scan dispatches.
-    sdir = np.zeros(num, dtype=np.int8)
-    unoriented = np.ones(num, dtype=bool)
-    # Signed η, +inf while unoriented: the step-5 scan collapses to one
-    # ``sign·diff > seta`` comparison — unoriented edges compare against
-    # +inf and can never flag, so no mask op is needed.
-    seta = np.full(num, np.inf, dtype=np.float64)
-    seq = np.full(num, -1, dtype=np.int64)  # position in orientation order
-    d_minus = np.full(n, bar_delta, dtype=np.int64)
-    alpha_memo: Dict[int, int] = {}
-    unoriented_count = num
-    seq_counter = 0
-    phases_run = 0
-    proposal_rounds = 0
-    phase = 1
-    while phase <= phase_budget:
-        if not unoriented_count:
-            break
-        phases_run = phase
-        threshold = (1.0 - resolved_nu) ** phase * bar_delta
-
-        # Phase-start snapshot: x is only mutated after every read below.
-        xu = x[ou]
-        xv = x[ov]
-        diff = xv - xu
-        # Step 5 input: previously oriented edges violating their η
-        # constraint under the phase-start in-degrees (U→V edges violate
-        # when diff > η, V→U edges when diff < η — i.e. sign·diff >
-        # sign·η).  Before anything is oriented the scan is vacuous.
-        if seq_counter:
-            viol_mask = sdir * diff > seta
-            has_violated = bool(viol_mask.any())
-        else:
-            viol_mask = None
-            has_violated = False
-
-        # Steps 1 + 2: participation scan + proposal directions.
-        d_now = unor[eu] + unor[ev] - 2
-        part = np.nonzero(unoriented & (d_now > threshold))[0]
-        if not part.size:
-            alive_d = d_now[unoriented]
-            max_unor = int(alive_d.max()) if alive_d.size else 0
-            phase, phases_run, extra = _fast_forward_phases(
-                phase,
-                phase_budget,
-                max_unor,
-                has_violated,
-                resolved_nu,
-                bar_delta,
-                local_tracker,
-            )
-            proposal_rounds += extra
-            continue
-
-        cond = diff[part] <= eta_np[part]
-        ptarget = np.where(cond, ov[part], ou[part])
-
-        # Step 3: per-node accept cap.  A stable argsort by target node
-        # groups each node's proposals while preserving ascending edge
-        # order within the group (the instance edge list is ascending),
-        # so cutting each group at rank k_φ reproduces the reference
-        # "smallest edge indices first" choice — and concatenating the
-        # groups in argsort order reproduces the ascending-node accepted
-        # order the repair game's inputs depend on.
-        k_phi = parameters.k_phase(resolved_nu, bar_delta, phase)
-        order = np.argsort(ptarget, kind="stable")
-        tsort = ptarget[order]
-        newgrp = np.empty(tsort.size, dtype=bool)
-        newgrp[0] = True
-        np.not_equal(tsort[1:], tsort[:-1], out=newgrp[1:])
-        grp = np.cumsum(newgrp) - 1
-        starts = np.nonzero(newgrp)[0]
-        rank = np.arange(tsort.size, dtype=np.int64) - starts[grp]
-        acc_order = order[rank < k_phi]
-        acc = part[acc_order]  # accepted positions, accepted-list order
-        acc_sdir = np.where(cond[acc_order], np.int8(1), np.int8(-1))
-
-        # The repair game needs the phase-start α (a function of d⁻);
-        # decide now — all inputs are phase-start values — and snapshot
-        # d⁻ (and the per-node accept tallies feeding the game's initial
-        # tokens) only when the game can actually run.
-        delta_phi = parameters.delta_phase(resolved_nu, bar_delta, phase)
-        delta_use = min(delta_phi, k_phi)
-        game_phases = max(0, k_phi // delta_use - 1)
-        run_game = False
-        if has_violated and game_phases > 0:
-            capped = np.minimum(np.bincount(grp), k_phi)
-            max_accepted = int(capped.max())
-            group_nodes = tsort[starts]
-            run_game = min(k_phi, max_accepted) >= 2
-        if run_game:
-            d_minus_old = d_minus.copy()
-
-        # Step 4: orient the accepted edges (bincount scatters — exact
-        # integer adds, just cheaper than np.add.at).
-        heads = np.where(acc_sdir == 1, ov[acc], ou[acc])
-        sdir[acc] = acc_sdir
-        unoriented[acc] = False
-        seta[acc] = acc_sdir * eta_np[acc]
-        seq[acc] = np.arange(seq_counter, seq_counter + acc.size, dtype=np.int64)
-        seq_counter += int(acc.size)
-        x += np.bincount(heads, minlength=n)
-        ends = np.concatenate((eu[acc], ev[acc]))
-        unor -= np.bincount(ends, minlength=n)
-        np.minimum.at(d_minus, ends, np.concatenate((dege[acc], dege[acc])))
-        unoriented_count -= int(acc.size)
-        proposal_rounds += 2
-
-        # Steps 5 + 6: the repair game (see the reference engine for the
-        # two cheap no-op checks).
-        if not has_violated:
-            phase += 1
-            continue
-        if not run_game:
-            local_tracker.charge(
-                max(1, ROUNDS_PER_PHASE * game_phases), "orientation-token-dropping"
-            )
-            phase += 1
-            continue
-
-        viol_pos = np.nonzero(viol_mask)[0]
-        viol_sorted = viol_pos[np.argsort(seq[viol_pos])]  # orientation order
-        vdir = sdir[viol_sorted]
-        vtail = np.where(vdir == 1, ou[viol_sorted], ov[viol_sorted])
-        vhead = np.where(vdir == 1, ov[viol_sorted], ou[viol_sorted])
-        # The game arc runs opposite to the orientation: head -> tail.
-        game_tails = vhead.tolist()
-        arc_receivers = vtail.tolist()
-        in_map: Dict[int, List[int]] = {}
-        deg_count: Dict[int, int] = {}
-        for index in range(len(game_tails)):
-            o_head = game_tails[index]
-            o_tail = arc_receivers[index]
-            in_map.setdefault(o_tail, []).append(index)
-            deg_count[o_head] = deg_count.get(o_head, 0) + 1
-            deg_count[o_tail] = deg_count.get(o_tail, 0) + 1
-        initial_tokens = [0] * n
-        for node, count in zip(group_nodes.tolist(), capped.tolist()):
-            initial_tokens[node] = count
-        # Phase-start α, reconstructed per distinct d⁻ value.
-        uniq, inv = np.unique(d_minus_old, return_inverse=True)
-        alpha_uniq = np.empty(uniq.size, dtype=np.int64)
-        for i, degree in enumerate(uniq.tolist()):
-            alpha = alpha_memo.get(degree)
-            if alpha is None:
-                alpha = parameters.alpha_node(resolved_nu, bar_delta, degree)
-                alpha_memo[degree] = alpha
-            alpha_uniq[i] = alpha
-        alpha_old = alpha_uniq[inv].tolist()
-
-        _x, _y, moved_arcs, _arc_moves, game_phases = _token_dropping_core(
-            n=n,
-            tails=game_tails,
-            in_map=in_map,
-            degrees=deg_count,
-            k=k_phi,
-            initial_tokens=initial_tokens,
-            alphas=alpha_old,
-            delta=delta_use,
-        )
-        local_tracker.charge(
-            max(1, ROUNDS_PER_PHASE * game_phases), "orientation-token-dropping"
-        )
-
-        # Step 7: flip every edge over which a token moved.
-        if moved_arcs:
-            moved = np.fromiter(moved_arcs, dtype=np.int64, count=len(moved_arcs))
-            flip_pos = viol_sorted[moved]
-            x -= np.bincount(vhead[moved], minlength=n)
-            x += np.bincount(vtail[moved], minlength=n)
-            sdir[flip_pos] = -sdir[flip_pos]
-            seta[flip_pos] = -seta[flip_pos]
-        phase += 1
-
-    if proposal_rounds:
-        local_tracker.charge(proposal_rounds, "orientation-proposals")
-
-    # Materialize the orientation dict with the reference engine's
-    # insertion order: oriented edges in orientation order, then the
-    # remaining edges (oriented U → V) ascending.
-    orientation: Dict[int, Tuple[int, int]] = {}
-    opos = np.nonzero(seq >= 0)[0]
-    if opos.size:
-        opos = opos[np.argsort(seq[opos])]
-        for e, d, a, b in zip(
-            ids[opos].tolist(), sdir[opos].tolist(), ou[opos].tolist(), ov[opos].tolist()
-        ):
-            orientation[e] = (a, b) if d == 1 else (b, a)
-    if unoriented_count:
-        rem = np.nonzero(unoriented)[0]
-        x += np.bincount(ov[rem], minlength=n)
-        for e, a, b in zip(ids[rem].tolist(), ou[rem].tolist(), ov[rem].tolist()):
-            orientation[e] = (a, b)
-        local_tracker.charge(1, "orientation-final")
-
-    # Final signed directions (unoriented edges were just fixed U→V).
-    signed_dirs = (ids, np.where(sdir == 0, np.int8(1), sdir))
-    return orientation, x.tolist(), phases_run, signed_dirs
-
-
-def compute_balanced_orientation(
-    graph: Graph,
-    bipartition: Bipartition,
-    eta: Dict[int, float],
+    nu: Optional[float],
     epsilon: float,
-    edge_set: Optional[Iterable[int]] = None,
-    nu: Optional[float] = None,
-    tracker: Optional[RoundTracker] = None,
-    max_phases: Optional[int] = None,
-    scan_path: str = "auto",
-    _precomputed: Optional[
-        Tuple[List[int], List[int], Dict[int, int], List[int], List[int], List[float]]
-    ] = None,
-    _precomputed_np=None,
+    max_phases: Optional[int],
+    tracker: RoundTracker,
 ) -> BalancedOrientationResult:
-    """Compute a generalized balanced edge orientation (Theorem 5.6).
+    """Orient one instance with the reference twin (inputs from :func:`instance_arrays`).
 
-    Args:
-        graph: the host graph.
-        bipartition: 2-coloring of the nodes; every edge of the instance
-            must be bichromatic.
-        eta: per-edge thresholds η_e (Definition 5.2), keyed by edge index.
-        epsilon: target slack ε of the orientation; ν defaults to ε/8.
-        edge_set: the instance's edges (defaults to all edges of ``graph``).
-        nu: optional override of the phase parameter ν (clamped to (0, 1/8]).
-        tracker: optional round tracker.
-        max_phases: optional cap on the number of orientation phases
-            (defaults to the analytic O(log Δ̄ / ν) phase count).
-        scan_path: which phase-loop engine to use: ``"auto"`` (the
-            vectorized numpy engine when numpy is available and the
-            instance has at least :data:`NUMPY_SCAN_THRESHOLD` edges —
-            overridable via the ``REPRO_SCAN_PATH`` environment variable
-            — pure python otherwise), ``"numpy"`` (force the vectorized
-            engine; raises ``RuntimeError`` when numpy is unavailable) or
-            ``"python"`` (force the pure-python reference engine).  Both
-            engines are required to produce bit-identical results — the
-            knob exists so tests can cross-check them on the same
-            instance.
-        _precomputed: internal fast path for
-            :func:`repro.core.defective_edge_coloring.
-            generalized_defective_two_edge_coloring`, which has already
-            computed ``(edges, static_deg, edge_degrees, o_u, o_v,
-            eta_arr)`` — ``eta`` is then ignored in favor of the dense
-            ``eta_arr``.
-        _precomputed_np: companion fast path: the same instance data as
-            ready-made numpy arrays ``(ids, eu, ev, ou, ov, eta, deg)``
-            for the vectorized engine (ignored by the python engine).
-
-    Returns a :class:`BalancedOrientationResult` covering every edge of
-    the instance.
+    ``eta_arr`` is η dense over the host graph's edge ids; rounds are
+    charged to ``tracker``.
     """
-    local_tracker = RoundTracker()
     n = graph.num_nodes
-
-    eta_arr: Optional[List[float]] = None
-    if _precomputed is not None:
-        edges, static_deg, edge_degrees, o_u, o_v, eta_arr = _precomputed
-    else:
-        edges = sorted(set(edge_set)) if edge_set is not None else list(graph.edges())
-        static_deg, edge_degrees, o_u, o_v = instance_arrays(graph, bipartition, edges)
-
-    def materialize_lists():
-        """Dense per-edge lists from the array fast path, on demand.
-
-        The defective wrapper skips building them when it expects the
-        vectorized engine to consume its arrays directly; any list
-        consumer (trivial instance, python engine) requests them here.
-        """
-        nonlocal o_u, o_v, eta_arr
-        if o_u is not None:
-            return
-        np = _np
-        ids, _eu, _ev, ou, ov, eta_sel, _deg = _precomputed_np
-        dense_u = np.zeros(graph.num_edges, dtype=np.int64)
-        dense_v = np.zeros(graph.num_edges, dtype=np.int64)
-        dense_u[ids] = ou
-        dense_v[ids] = ov
-        o_u = dense_u.tolist()
-        o_v = dense_v.tolist()
-        dense_eta = np.zeros(graph.num_edges, dtype=np.float64)
-        dense_eta[ids] = eta_sel
-        eta_arr = dense_eta.tolist()
-
     bar_delta = max(edge_degrees.values(), default=0)
-
     if bar_delta <= 0:
-        if o_u is None:
-            materialize_lists()
         # Trivial instance: orient everything U -> V.
         orientation = {}
         x = [0] * n
@@ -883,66 +539,556 @@ def compute_balanced_orientation(
             bar_delta=0,
             edge_degrees=edge_degrees,
         )
-
-    resolved_nu = nu if nu is not None else parameters.nu_from_epsilon(epsilon)
-    resolved_nu = min(parameters.NU_UPPER_BOUND, max(1e-6, resolved_nu))
-    phase_budget = (
-        max_phases
-        if max_phases is not None
-        else parameters.orientation_phase_count(resolved_nu, bar_delta) + 1
+    resolved_nu = resolve_nu(nu, epsilon)
+    before = tracker.total
+    orientation, x, phases_run = _phase_loop_python(
+        graph,
+        n,
+        edges,
+        o_u,
+        o_v,
+        eta_arr,
+        static_deg,
+        edge_degrees,
+        bar_delta,
+        resolved_nu,
+        _phase_budget(max_phases, resolved_nu, bar_delta),
+        tracker,
     )
-
-    # Dense η for O(1) lookups in the phase loops (supplied directly by
-    # the defective-coloring wrapper on the fast path; ``None`` with the
-    # array pack present means "materialize only if a list consumer runs").
-    if eta_arr is None and _precomputed_np is None:
-        eta_arr = [0.0] * graph.num_edges
-        for e in edges:
-            eta_arr[e] = eta[e]
-
-    signed_dirs = None
-    if not _resolve_use_numpy(scan_path, len(edges)) and o_u is None:
-        materialize_lists()
-    if _resolve_use_numpy(scan_path, len(edges)):
-        orientation, x, phases_run, signed_dirs = _phase_loop_numpy(
-            graph,
-            n,
-            edges,
-            o_u,
-            o_v,
-            eta_arr,
-            static_deg,
-            bar_delta,
-            resolved_nu,
-            phase_budget,
-            local_tracker,
-            precomputed_np=_precomputed_np,
-        )
-    else:
-        orientation, x, phases_run = _phase_loop_python(
-            graph,
-            n,
-            edges,
-            o_u,
-            o_v,
-            eta_arr,
-            static_deg,
-            edge_degrees,
-            bar_delta,
-            resolved_nu,
-            phase_budget,
-            local_tracker,
-        )
-
-    if tracker is not None:
-        tracker.merge(local_tracker)
     return BalancedOrientationResult(
         orientation=orientation,
         in_degrees=x,
         phases=phases_run,
-        rounds=local_tracker.total,
+        rounds=tracker.total - before,
         nu=resolved_nu,
         bar_delta=bar_delta,
         edge_degrees=edge_degrees,
-        _signed_dirs=signed_dirs,
     )
+
+
+@dataclass
+class LevelSegments:
+    """The parts of one level as concatenated arrays (the segmented layout).
+
+    Positions run over the parts in order, each part's edges ascending;
+    part ``p`` owns the positions ``edge_start[p]:edge_start[p + 1]``.
+    Node state is keyed by the (part, node) pair, compacted to dense keys
+    sorted by part, then node: part ``p`` owns the keys
+    ``key_start[p]:key_start[p + 1]``, ascending with the node id.
+
+    Attributes:
+        ids / pid: host edge id and part, per position.
+        kou / kov: keys of the U-side and V-side endpoint, per position.
+        key_node: host node per key.
+        deg: node degree within its part, per key.
+        dege: edge degree within its part, per position.
+    """
+
+    ids: object
+    pid: object
+    edge_start: object
+    kou: object
+    kov: object
+    key_node: object
+    key_start: object
+    deg: object
+    dege: object
+
+    @property
+    def num_parts(self) -> int:
+        return len(self.edge_start) - 1
+
+
+def segment_parts(
+    graph: Graph, bipartition: Bipartition, parts: Sequence[Sequence[int]]
+) -> LevelSegments:
+    """Lay the (edge-disjoint, ascending) parts of one level out (numpy only).
+
+    One ``np.unique`` compacts the (part, node) keys and one bincount over
+    them gives every part's node degrees.  Raises ``ValueError`` for a
+    part that is not strictly ascending, and the reference twin's
+    ``ValueError`` for the first position whose edge does not cross the
+    bipartition.
+    """
+    np = _np
+    sizes = [len(part) for part in parts]
+    total = sum(sizes)
+    ids = np.fromiter(chain.from_iterable(parts), dtype=np.int64, count=total)
+    pid = np.repeat(np.arange(len(parts), dtype=np.int64), sizes)
+    edge_start = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=edge_start[1:])
+    unsorted = np.nonzero((ids[1:] <= ids[:-1]) & (pid[1:] == pid[:-1]))[0]
+    if unsorted.size:
+        first = int(unsorted[0]) + 1
+        raise ValueError(
+            f"part {int(pid[first])} is not strictly ascending at edge {int(ids[first])}"
+        )
+    eu_all, ev_all = graph.endpoint_arrays_np()
+    n = graph.num_nodes
+    base = pid * n
+    uniq, inv = np.unique(
+        np.concatenate((base + eu_all[ids], base + ev_all[ids])), return_inverse=True
+    )
+    key_part = uniq // n
+    key_node = uniq - key_part * n
+    ku = inv[:total]
+    kv = inv[total:]
+    key_side = np.asarray(bipartition.sides, dtype=np.int8)[key_node]
+    su = key_side[ku]
+    bad = su == key_side[kv]
+    if bad.any():
+        first = int(np.nonzero(bad)[0][0])
+        raise ValueError(
+            f"edge {int(ids[first])} = ({int(key_node[ku[first]])}, "
+            f"{int(key_node[kv[first]])}) is not bichromatic in this bipartition"
+        )
+    swap = su == 1
+    deg = np.bincount(inv, minlength=uniq.size)
+    return LevelSegments(
+        ids=ids,
+        pid=pid,
+        edge_start=edge_start,
+        kou=np.where(swap, kv, ku),
+        kov=np.where(swap, ku, kv),
+        key_node=key_node,
+        key_start=np.searchsorted(key_part, np.arange(len(parts) + 1)),
+        deg=deg,
+        dege=deg[ku] + deg[kv] - 2,
+    )
+
+
+@dataclass
+class SegmentedRun:
+    """Final state of one :func:`orient_segments` run over a level.
+
+    Attributes:
+        sdir: final signed direction per position (+1 = U→V, −1 = V→U).
+        seq: position in the part's orientation order (−1 for the edges
+            the final step oriented U→V).
+        x: in-degree per key.
+        phases / bar_delta: per part.
+        nu: the ν the run used (0.0 when every part was trivial).
+    """
+
+    sdir: object
+    seq: object
+    x: object
+    phases: List[int]
+    bar_delta: List[int]
+    nu: float
+
+    def classes(
+        self, seg: LevelSegments
+    ) -> List[Tuple[List[int], List[int], List[int], List[int]]]:
+        """Per part, ``(red, blue, red_degrees, blue_degrees)``: the
+        ascending U→V (red) and V→U (blue) edge lists and each edge's
+        degree within its class, read off the in-degrees (a node's
+        in-edges are its blue edges on the U side, its red edges on the
+        V side)."""
+        np = _np
+        num_parts = seg.num_parts
+        x = self.x
+        xu = x[seg.kou]
+        xv = x[seg.kov]
+        red = self.sdir == 1
+        class_deg = np.where(red, seg.deg[seg.kou] - xu + xv, xu + seg.deg[seg.kov] - xv) - 2
+        sides = []
+        for mask in (red, ~red):
+            ends = [0] + np.cumsum(np.bincount(seg.pid[mask], minlength=num_parts)).tolist()
+            flat = seg.ids[mask].tolist()
+            flat_deg = class_deg[mask].tolist()
+            sides.append(
+                (
+                    [flat[ends[p] : ends[p + 1]] for p in range(num_parts)],
+                    [flat_deg[ends[p] : ends[p + 1]] for p in range(num_parts)],
+                )
+            )
+        (red_ids, red_deg), (blue_ids, blue_deg) = sides
+        return list(zip(red_ids, blue_ids, red_deg, blue_deg))
+
+    def result(
+        self, seg: LevelSegments, n: int, part: int, rounds: int
+    ) -> BalancedOrientationResult:
+        """One part's :class:`BalancedOrientationResult`, as the reference builds it."""
+        np = _np
+        lo, hi = int(seg.edge_start[part]), int(seg.edge_start[part + 1])
+        seq = self.seq[lo:hi]
+        # Reference insertion order: oriented edges in orientation order,
+        # then the final U→V edges ascending.
+        done = np.nonzero(seq >= 0)[0]
+        order = lo + np.concatenate((done[np.argsort(seq[done])], np.nonzero(seq < 0)[0]))
+        nodes = seg.key_node
+        orientation: Dict[int, Tuple[int, int]] = {}
+        for e, d, a, b in zip(
+            seg.ids[order].tolist(),
+            self.sdir[order].tolist(),
+            nodes[seg.kou[order]].tolist(),
+            nodes[seg.kov[order]].tolist(),
+        ):
+            orientation[e] = (a, b) if d == 1 else (b, a)
+        klo, khi = int(seg.key_start[part]), int(seg.key_start[part + 1])
+        x = np.zeros(n, dtype=np.int64)
+        x[nodes[klo:khi]] = self.x[klo:khi]
+        bar_delta = self.bar_delta[part]
+        return BalancedOrientationResult(
+            orientation=orientation,
+            in_degrees=x.tolist(),
+            phases=self.phases[part],
+            rounds=rounds,
+            nu=self.nu if bar_delta > 0 else 0.0,
+            bar_delta=bar_delta,
+            edge_degrees=dict(zip(seg.ids[lo:hi].tolist(), seg.dege[lo:hi].tolist())),
+        )
+
+
+def orient_segments(
+    seg: LevelSegments,
+    eta,
+    nu: Optional[float],
+    epsilon: float,
+    max_phases: Optional[int],
+    trackers: Sequence[RoundTracker],
+) -> SegmentedRun:
+    """The segmented numpy engine: every part of a level, in lock-step.
+
+    ``eta`` is η per position (float64); ``trackers[p]`` receives part
+    ``p``'s charges.  Each loop iteration runs one phase of every *live*
+    part (phase within its budget, edges left to orient): participation,
+    proposal directions, the per-node ``k_φ`` accept cap and the accept
+    step are array ops over all positions, and a part that is not live
+    gets a participation cut no edge reaches.  A part without
+    participants fast-forwards and, still within budget, proposes in the
+    same iteration.  Step 5's violation flags are recomputed per
+    iteration from the phase-start in-degrees in one masked comparison
+    (the python twin maintains the same set incrementally).
+    Fast-forwards, repair games and every round charge are per part and
+    mirror the reference branch for branch.
+    """
+    np = _np
+    num_parts = seg.num_parts
+    pid = seg.pid
+    kou = seg.kou
+    kov = seg.kov
+    dege = seg.dege
+    edge_start_np = seg.edge_start
+    edge_start = edge_start_np.tolist()
+    key_start_np = seg.key_start
+    key_start = key_start_np.tolist()
+    num_keys = int(seg.deg.size)
+    key_part = np.repeat(np.arange(num_parts, dtype=np.int64), np.diff(key_start_np))
+
+    bar_np = np.zeros(num_parts, dtype=np.int64)
+    np.maximum.at(bar_np, pid, dege)
+    bar = bar_np.tolist()
+    resolved_nu = resolve_nu(nu, epsilon) if any(b > 0 for b in bar) else 0.0
+    budget = [_phase_budget(max_phases, resolved_nu, b) if b > 0 else 0 for b in bar]
+    decay = 1.0 - resolved_nu
+
+    num = int(pid.size)
+    x = np.zeros(num_keys, dtype=np.int64)  # in-degrees
+    unor = seg.deg.copy()  # node degrees among unoriented part edges
+    # Signed direction code: +1 = U→V, −1 = V→U, 0 = unoriented.  The
+    # sign folds the two η comparisons of step 5 into one (multiplying
+    # an inequality by −1 flips it exactly, for ints and IEEE floats
+    # alike).
+    sdir = np.zeros(num, dtype=np.int8)
+    unoriented = np.ones(num, dtype=bool)
+    # Signed η, +inf while unoriented: the step-5 scan collapses to one
+    # ``sign·diff > seta`` comparison — unoriented edges never flag.
+    seta = np.full(num, np.inf, dtype=np.float64)
+    seq = np.full(num, -1, dtype=np.int64)  # position in orientation order
+    d_minus = bar_np[key_part]
+    alpha_memo: List[Dict[int, int]] = [{} for _ in range(num_parts)]
+    unoriented_count = [edge_start[p + 1] - edge_start[p] for p in range(num_parts)]
+    phase = [1] * num_parts
+    phases_run = [0] * num_parts
+    proposal_rounds = [0] * num_parts
+    seq_counter = 0
+    # Participation (step 1) compares s = unor[u] + unor[v], the edge
+    # degree + 2, against a per-part integer cut: degrees are integers
+    # and thresholds non-negative, so ``d > t`` is ``s > ⌊t⌋ + 2``.  Parts
+    # that are not live get a cut no edge reaches.
+    never = np.iinfo(np.int64).max
+    cut = np.full(num_parts, never, dtype=np.int64)
+
+    def enter_phase(p: int) -> None:
+        phases_run[p] = phase[p]
+        cut[p] = int(decay ** phase[p] * bar[p]) + 2
+
+    live = [p for p in range(num_parts) if bar[p] > 0]
+    while True:
+        # A part leaves for good once its budget or its edges run out.
+        live = [p for p in live if phase[p] <= budget[p] and unoriented_count[p]]
+        if not live:
+            break
+        cut.fill(never)
+        for p in live:
+            enter_phase(p)
+
+        # Phase-start snapshot: x is only mutated after every read below.
+        diff = x[kov] - x[kou]
+        # Step 5 input: previously oriented edges violating their η
+        # constraint under the phase-start in-degrees (U→V edges violate
+        # when diff > η, V→U edges when diff < η — i.e. sign·diff >
+        # sign·η).  Before anything is oriented the scan is vacuous.
+        # Positions are grouped by part, so one searchsorted against the
+        # part offsets splits any ascending position list per part.
+        violated = [0] * (num_parts + 1)
+        if seq_counter:
+            viol_pos = np.flatnonzero(sdir * diff > seta)
+            if viol_pos.size:
+                violated = np.searchsorted(viol_pos, edge_start_np).tolist()
+
+        # Steps 1 + 2: participation scan + proposal directions.
+        s_now = unor[kou] + unor[kov]
+        part = np.flatnonzero(unoriented & (s_now > cut[pid]))
+        proposing = np.searchsorted(part, edge_start_np).tolist()
+        idle = [p for p in live if proposing[p] == proposing[p + 1]]
+        if idle:
+            alive = np.where(unoriented, s_now, 2)
+            for p in idle:
+                cut[p] = never
+                phase[p], phases_run[p], extra = _fast_forward_phases(
+                    phase[p],
+                    budget[p],
+                    int(alive[edge_start[p] : edge_start[p + 1]].max()) - 2,
+                    violated[p] < violated[p + 1],
+                    resolved_nu,
+                    bar[p],
+                    trackers[p],
+                )
+                proposal_rounds[p] += extra
+            # A fast-forward changes no state, so a part it leaves within
+            # budget proposes in this same iteration, at its new phase.
+            rejoin = [p for p in idle if phase[p] <= budget[p]]
+            if rejoin:
+                for p in rejoin:
+                    enter_phase(p)
+                part = np.flatnonzero(unoriented & (s_now > cut[pid]))
+                proposing = np.searchsorted(part, edge_start_np).tolist()
+        busy = [p for p in live if proposing[p] < proposing[p + 1]]
+        if not busy:
+            continue
+
+        cond = diff[part] <= eta[part]
+        ptarget = np.where(cond, kov[part], kou[part])
+
+        # Step 3: per-node accept cap.  A stable argsort by target key
+        # groups each (part, node)'s proposals while preserving ascending
+        # edge order within the group, so cutting each group at its
+        # part's k_φ reproduces the reference "smallest edge indices
+        # first" choice — and the groups come out in ascending (part,
+        # node) order, the accepted order the repair games depend on.
+        k_phi = np.zeros(num_parts, dtype=np.int64)
+        game_phases = {}
+        for p in busy:
+            k_p = parameters.k_phase(resolved_nu, bar[p], phase[p])
+            delta_use = min(parameters.delta_phase(resolved_nu, bar[p], phase[p]), k_p)
+            k_phi[p] = k_p
+            game_phases[p] = (delta_use, max(0, k_p // delta_use - 1))
+        order = np.argsort(ptarget, kind="stable")
+        tsort = ptarget[order]
+        # Rank within a group = position − the group's first position.
+        rank = np.arange(tsort.size, dtype=np.int64) - np.searchsorted(tsort, tsort)
+        keep = rank < k_phi[key_part[tsort]]
+        acc_order = order[keep]
+        acc = part[acc_order]  # accepted positions, accepted-list order
+        heads = tsort[keep]  # ascending keys
+        acc_sdir = np.where(cond[acc_order], np.int8(1), np.int8(-1))
+
+        # The repair game needs the phase-start α (a function of d⁻);
+        # decide now — all inputs are phase-start values — and snapshot
+        # d⁻ (and the per-node accept tallies feeding the game's initial
+        # tokens) only when some part's game can actually run.
+        games = [p for p in busy if violated[p] < violated[p + 1] and game_phases[p][1] > 0]
+        if games:
+            first = np.flatnonzero(rank == 0)
+            group_keys = tsort[first]
+            capped = np.minimum(
+                np.diff(first, append=tsort.size), k_phi[key_part[group_keys]]
+            )
+            groups = np.searchsorted(group_keys, key_start_np).tolist()
+            games = [p for p in games if capped[groups[p] : groups[p + 1]].max() >= 2]
+        if games:
+            d_minus_old = d_minus.copy()
+
+        # Step 4: orient the accepted edges (bincount scatters — exact
+        # integer adds, just cheaper than np.add.at).
+        sdir[acc] = acc_sdir
+        unoriented[acc] = False
+        seta[acc] = acc_sdir * eta[acc]
+        seq[acc] = np.arange(seq_counter, seq_counter + acc.size, dtype=np.int64)
+        seq_counter += int(acc.size)
+        x += np.bincount(heads, minlength=num_keys)
+        ends = np.concatenate((kou[acc], kov[acc]))
+        unor -= np.bincount(ends, minlength=num_keys)
+        np.minimum.at(d_minus, ends, np.concatenate((dege[acc], dege[acc])))
+        accepted = np.searchsorted(heads, key_start_np).tolist()
+
+        for p in busy:
+            unoriented_count[p] -= accepted[p + 1] - accepted[p]
+            proposal_rounds[p] += 2
+            phase[p] += 1
+            # Steps 5 + 6: the repair game (see the reference engine for
+            # the two cheap no-op checks).
+            if violated[p] == violated[p + 1]:
+                continue
+            delta_use, rounds_phases = game_phases[p]
+            if p not in games:
+                trackers[p].charge(
+                    max(1, ROUNDS_PER_PHASE * rounds_phases), "orientation-token-dropping"
+                )
+                continue
+            part_viol = viol_pos[violated[p] : violated[p + 1]]
+            viol_sorted = part_viol[np.argsort(seq[part_viol])]  # orientation order
+            forward = sdir[viol_sorted] == 1
+            end_u = kou[viol_sorted]
+            end_v = kov[viol_sorted]
+            vtail = np.where(forward, end_u, end_v)
+            vhead = np.where(forward, end_v, end_u)
+            # Part-local node ids: the part's keys ascend with the node id.
+            offset = key_start[p]
+            local_n = key_start[p + 1] - offset
+            # The game arc runs opposite to the orientation: head -> tail.
+            # Its inputs are built with array ops: arcs grouped by
+            # receiver (ascending arc index within a group), degrees in
+            # the arc set, initial tokens from the capped accept tallies.
+            arc_tails = vhead - offset
+            arc_receivers = vtail - offset
+            by_receiver = np.argsort(arc_receivers, kind="stable")
+            receivers = arc_receivers[by_receiver]
+            bounds = np.flatnonzero(receivers[1:] != receivers[:-1]) + 1
+            cuts = [0, *bounds.tolist(), int(receivers.size)]
+            arcs = by_receiver.tolist()
+            in_map = {
+                node: arcs[cuts[i] : cuts[i + 1]]
+                for i, node in enumerate(receivers[cuts[:-1]].tolist())
+            }
+            deg_count = np.bincount(
+                np.concatenate((arc_tails, arc_receivers)), minlength=local_n
+            ).tolist()
+            tokens = np.zeros(local_n, dtype=np.int64)
+            tokens[group_keys[groups[p] : groups[p + 1]] - offset] = capped[
+                groups[p] : groups[p + 1]
+            ]
+            # Phase-start α, memoized per d⁻ value.
+            memo = alpha_memo[p]
+            d_old = d_minus_old[offset : offset + local_n].tolist()
+            for degree in set(d_old).difference(memo):
+                memo[degree] = parameters.alpha_node(resolved_nu, bar[p], degree)
+
+            _x, _y, moved_arcs, _arc_moves, played = _token_dropping_core(
+                n=local_n,
+                tails=arc_tails.tolist(),
+                in_map=in_map,
+                degrees=deg_count,
+                k=int(k_phi[p]),
+                initial_tokens=tokens.tolist(),
+                alphas=list(map(memo.__getitem__, d_old)),
+                delta=delta_use,
+            )
+            trackers[p].charge(
+                max(1, ROUNDS_PER_PHASE * played), "orientation-token-dropping"
+            )
+
+            # Step 7: flip every edge over which a token moved.
+            if moved_arcs:
+                moved = np.fromiter(moved_arcs, dtype=np.int64, count=len(moved_arcs))
+                flip_pos = viol_sorted[moved]
+                x -= np.bincount(vhead[moved], minlength=num_keys)
+                x += np.bincount(vtail[moved], minlength=num_keys)
+                sdir[flip_pos] = -sdir[flip_pos]
+                seta[flip_pos] = -seta[flip_pos]
+
+    # Remaining unoriented edges (constant per node): orient from U to V.
+    for p in range(num_parts):
+        if proposal_rounds[p]:
+            trackers[p].charge(proposal_rounds[p], "orientation-proposals")
+        if bar[p] > 0 and unoriented_count[p]:
+            trackers[p].charge(1, "orientation-final")
+    rem = np.nonzero(unoriented)[0]
+    if rem.size:
+        x += np.bincount(kov[rem], minlength=num_keys)
+    sdir[rem] = 1
+    return SegmentedRun(
+        sdir=sdir,
+        seq=seq,
+        x=x,
+        phases=phases_run,
+        bar_delta=bar,
+        nu=resolved_nu,
+    )
+
+
+def compute_balanced_orientation(
+    graph: Graph,
+    bipartition: Bipartition,
+    eta: Dict[int, float],
+    epsilon: float,
+    edge_set: Optional[Iterable[int]] = None,
+    nu: Optional[float] = None,
+    tracker: Optional[RoundTracker] = None,
+    max_phases: Optional[int] = None,
+    scan_path: str = "auto",
+) -> BalancedOrientationResult:
+    """Compute a generalized balanced edge orientation (Theorem 5.6).
+
+    Args:
+        graph: the host graph.
+        bipartition: 2-coloring of the nodes; every edge of the instance
+            must be bichromatic.
+        eta: per-edge thresholds η_e (Definition 5.2), keyed by edge index.
+        epsilon: target slack ε of the orientation; ν defaults to ε/8.
+        edge_set: the instance's edges (defaults to all edges of ``graph``).
+        nu: optional override of the phase parameter ν (clamped to (0, 1/8]).
+        tracker: optional round tracker.
+        max_phases: optional cap on the number of orientation phases
+            (defaults to the analytic O(log Δ̄ / ν) phase count).
+        scan_path: which phase-loop engine to use: ``"auto"`` (the
+            segmented numpy engine, as a one-part level, when numpy is
+            available and the instance has at least
+            :data:`NUMPY_SCAN_THRESHOLD` edges — overridable via the
+            ``REPRO_SCAN_PATH`` environment variable — pure python
+            otherwise), ``"numpy"`` (force the numpy engine; raises
+            ``RuntimeError`` when numpy is unavailable) or ``"python"``
+            (force the pure-python reference engine).  Both engines are
+            required to produce bit-identical results — the knob exists
+            so tests can cross-check them on the same instance.
+
+    Returns a :class:`BalancedOrientationResult` covering every edge of
+    the instance.
+    """
+    local_tracker = RoundTracker()
+    edges = sorted(set(edge_set)) if edge_set is not None else list(graph.edges())
+    if _resolve_use_numpy(scan_path, len(edges)):
+        np = _np
+        seg = segment_parts(graph, bipartition, [edges])
+        # A trivial instance (no edge has a neighbor) never reads η.
+        if seg.dege.any():
+            eta_np = np.fromiter((eta[e] for e in edges), dtype=np.float64, count=len(edges))
+        else:
+            eta_np = np.zeros(len(edges), dtype=np.float64)
+        run = orient_segments(seg, eta_np, nu, epsilon, max_phases, [local_tracker])
+        result = run.result(seg, graph.num_nodes, 0, local_tracker.total)
+    else:
+        static_deg, edge_degrees, o_u, o_v = instance_arrays(graph, bipartition, edges)
+        eta_arr = [0.0] * graph.num_edges
+        if any(edge_degrees.values()):
+            for e in edges:
+                eta_arr[e] = eta[e]
+        result = orient_python(
+            graph,
+            edges,
+            static_deg,
+            edge_degrees,
+            o_u,
+            o_v,
+            eta_arr,
+            nu,
+            epsilon,
+            max_phases,
+            local_tracker,
+        )
+    if tracker is not None:
+        tracker.merge(local_tracker)
+    return result

@@ -3,7 +3,9 @@
 The algorithm splits the edge set recursively with generalized defective
 2-edge colorings (λ_e = 1/2): after ``k`` levels the graph is decomposed
 into ``2^k`` edge-disjoint parts whose maximum edge degree has dropped by
-roughly a factor ``2^k``.  Each part is then properly edge-colored with
+roughly a factor ``2^k``.  The parts of one level split in parallel, in
+one :func:`~repro.core.defective_edge_coloring.defective_split_level`
+call.  Each part is then properly edge-colored with
 ``d_i + 1`` colors by a greedy pass scheduled by a Linial O(d̄²)-edge
 coloring, and the final color of an edge is the pair
 ``(part index, local color)``, exactly as in the proof of Lemma 6.1.
@@ -25,11 +27,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.coloring.greedy import greedy_edge_coloring_by_classes, proper_edge_schedule
 from repro.core import parameters
-from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np
-from repro.core.defective_edge_coloring import (
-    generalized_defective_two_edge_coloring,
-    half_split_lambdas,
-)
+from repro.core.defective_edge_coloring import defective_split_level, degrees_within
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.bipartite import Bipartition
 from repro.graphs.core import Graph
@@ -60,55 +58,6 @@ class BipartiteColoringResult:
     max_leaf_degree: int
     rounds: int
     defect_history: List[int] = field(default_factory=list)
-
-
-def _degrees_within(graph: Graph, edges: Iterable[int]) -> Tuple[List[int], Dict[int, int]]:
-    """Node degrees and edge degrees restricted to ``edges``."""
-    node_deg = [0] * graph.num_nodes
-    edge_list = list(edges)
-    edge_u, edge_v = graph.endpoint_arrays()
-    for e in edge_list:
-        node_deg[edge_u[e]] += 1
-        node_deg[edge_v[e]] += 1
-    edge_deg = {
-        e: node_deg[edge_u[e]] + node_deg[edge_v[e]] - 2 for e in edge_list
-    }
-    return node_deg, edge_deg
-
-
-def _max_edge_degree_within(graph: Graph, edges: List[int]) -> int:
-    """Maximum edge degree within ``edges`` (no per-edge dict).
-
-    The recursion's split and leaf loops only need the maximum; this
-    skips the per-part dict the full helper builds (one bincount and two
-    gathers when the part is large enough for numpy, a plain scan
-    otherwise — same integer either way).
-    """
-    if not edges:
-        return 0
-    if (
-        _np is not None
-        and len(edges) >= NUMPY_SCAN_THRESHOLD
-        and hasattr(graph, "endpoint_arrays_np")
-    ):
-        np = _np
-        ids = np.fromiter(edges, dtype=np.int64, count=len(edges))
-        eu_all, ev_all = graph.endpoint_arrays_np()
-        eu = eu_all[ids]
-        ev = ev_all[ids]
-        deg = np.bincount(np.concatenate((eu, ev)), minlength=graph.num_nodes)
-        return int((deg[eu] + deg[ev] - 2).max())
-    node_deg = [0] * graph.num_nodes
-    edge_u, edge_v = graph.endpoint_arrays()
-    for e in edges:
-        node_deg[edge_u[e]] += 1
-        node_deg[edge_v[e]] += 1
-    best = 0
-    for e in edges:
-        d = node_deg[edge_u[e]] + node_deg[edge_v[e]] - 2
-        if d > best:
-            best = d
-    return best
 
 
 def bipartite_edge_coloring(
@@ -155,58 +104,63 @@ def bipartite_edge_coloring(
             rounds=0,
         )
 
-    node_deg, edge_deg = _degrees_within(graph, edges)
+    node_deg, edge_degrees = degrees_within(graph, edges)
     delta = max(node_deg)
-    bar_delta = max(edge_deg.values())
+    bar_delta = max(edge_degrees)
     if levels is None:
         levels = max(0, math.ceil(math.log2(max(1, bar_delta) / max(1, params.leaf_degree))))
     # Per-split slack: after k levels the degree factor is ((1+χ)/2)^k; keep
     # (1+χ)^k ≤ 1 + ε/2 as in the proof of Lemma 6.1.
     chi = max(0.01, math.log(1.0 + epsilon / 2.0) / max(1, levels)) if levels > 0 else epsilon
 
-    parts: List[List[int]] = [edges]
+    # Every part carries its edge degrees; a split hands its classes'
+    # degrees to the next level.
+    parts: List[Tuple[List[int], List[int]]] = [(edges, edge_degrees)]
     defect_history: List[int] = []
     for _level in range(levels):
-        new_parts: List[List[int]] = []
+        splitting = [
+            index for index, (_, degrees) in enumerate(parts) if max(degrees) > params.leaf_degree
+        ]
         # The parts are edge-disjoint subgraphs: the defective splits of one
-        # level run in parallel in the distributed model, so the level costs
-        # the maximum over the parts, not the sum.
-        level_rounds = 0
-        for part in parts:
-            if not part:
-                continue
-            if _max_edge_degree_within(graph, part) <= params.leaf_degree:
-                new_parts.append(part)
-                continue
-            part_tracker = RoundTracker()
-            split = generalized_defective_two_edge_coloring(
-                graph,
-                bipartition,
-                half_split_lambdas(part),
-                epsilon=chi,
-                edge_set=part,
-                beta=params.beta(bar_delta),
-                nu=params.resolved_nu(),
-                tracker=part_tracker,
-                scan_path=scan_path,
+        # level run in parallel in the distributed model (here: one engine
+        # call), so the level costs the maximum over the parts, not the sum.
+        splits = dict(
+            zip(
+                splitting,
+                defective_split_level(
+                    graph,
+                    bipartition,
+                    [parts[index][0] for index in splitting],
+                    None,
+                    epsilon=chi,
+                    betas=[params.beta(bar_delta)] * len(splitting),
+                    nu=params.resolved_nu(),
+                    scan_path=scan_path,
+                ),
             )
-            level_rounds = max(level_rounds, part_tracker.total)
-            defect_history.append(split.max_defect())
-            new_parts.append(split.red_sorted())
-            new_parts.append(split.blue_sorted())
-        own.charge(level_rounds, "bipartite-split-level")
-        parts = [p for p in new_parts if p]
+        )
+        new_parts: List[Tuple[List[int], List[int]]] = []
+        for index, part in enumerate(parts):
+            split = splits.get(index)
+            if split is None:
+                new_parts.append(part)
+            else:
+                defect_history.append(split.max_defect)
+                new_parts.append((split.red, split.red_degrees))
+                new_parts.append((split.blue, split.blue_degrees))
+        own.charge(
+            max((split.rounds for split in splits.values()), default=0),
+            "bipartite-split-level",
+        )
+        parts = [part for part in new_parts if part[0]]
 
     # Leaf coloring: each part gets its own contiguous range of stride colors.
-    leaf_degrees = [_max_edge_degree_within(graph, part) for part in parts]
-    max_leaf_degree = max(leaf_degrees, default=0)
+    max_leaf_degree = max((max(degrees) for _, degrees in parts), default=0)
     stride = max_leaf_degree + 1
 
     colors: Dict[int, int] = {}
     leaf_rounds = 0
-    for index, part in enumerate(parts):
-        if not part:
-            continue
+    for index, (part, _) in enumerate(parts):
         part_tracker = RoundTracker()
         schedule = proper_edge_schedule(
             graph, part, tracker=part_tracker, scan_path=scan_path

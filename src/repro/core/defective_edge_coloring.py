@@ -10,22 +10,34 @@ generalized balanced edge orientation with thresholds ``η_e`` given by
 Equation (3); edges oriented U→V become red and edges oriented V→U become
 blue.  Corollary 5.7 plugs in the orientation algorithm of Theorem 5.6.
 
-The implementation exposes both the reduction (:func:`eta_from_lambda`)
-and the end-to-end coloring
-(:func:`generalized_defective_two_edge_coloring`), operating on an
-explicit ``edge_set`` so the recursive algorithms of Sections 6 and 7 can
-apply it to subgraphs.
+The implementation exposes the reduction (:func:`eta_from_lambda`), the
+end-to-end coloring of one instance
+(:func:`generalized_defective_two_edge_coloring`) and the level entry
+point of the recursive algorithms of Sections 6 and 7
+(:func:`defective_split_level`): every edge-disjoint part of one
+recursion level is colored in one call, which the numpy engine runs as
+one lock-step orientation over all parts — the parallel level of the
+distributed model.  Both share one body (engine choice, λ validation,
+output charge).  A level also returns each class's edge degrees, read off
+the orientation's in-degrees, so a recursion counts degrees
+(:func:`degrees_within`) only for its root instance.  Everything operates
+on explicit edge sets, so subgraphs need no re-indexing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.balanced_orientation import (
     BalancedOrientationResult,
-    _instance_arrays_np,
-    compute_balanced_orientation,
+    LevelSegments,
+    compute_balanced_orientation,  # noqa: F401 - perfbench/layers.py patches this name here
     instance_arrays,
+    orient_python,
+    orient_segments,
+    segment_parts,
 )
 from repro.core.engine import _np, resolve_use_numpy
 from repro.distributed.rounds import RoundTracker
@@ -166,7 +178,8 @@ def generalized_defective_two_edge_coloring(
     Args:
         graph: the host graph.
         bipartition: 2-coloring of the nodes; all instance edges must cross it.
-        lambdas: per-edge λ_e ∈ [0, 1].
+        lambdas: per-edge λ_e ∈ [0, 1]; a missing or out-of-range λ
+            (NaN included) raises ``ValueError``.
         epsilon: the ε of Definition 5.1.
         edge_set: the instance's edges (defaults to all edges).
         beta: additive slack used in Equation (3); defaults to 0 (the
@@ -174,143 +187,309 @@ def generalized_defective_two_edge_coloring(
             analytic value is ``beta_theoretical(ε, Δ̄)``.
         nu: optional override of the orientation's phase parameter.
         tracker: optional round tracker.
-        scan_path: forwarded to :func:`repro.core.balanced_orientation.
-            compute_balanced_orientation` (``"auto"`` / ``"numpy"`` /
-            ``"python"`` participation scans; both forced paths are
-            bit-identical).
+        scan_path: the orientation engine, as in :func:`repro.core.
+            balanced_orientation.compute_balanced_orientation` (the numpy
+            engine runs the instance as a one-part level; both forced
+            paths are bit-identical).
     """
     edges: List[int] = sorted(set(edge_set)) if edge_set is not None else list(graph.edges())
-    local_tracker = RoundTracker()
-
     resolved_beta = 0.0 if beta is None else float(beta)
-
-    # Degrees and oriented endpoints within the instance, and η_e of
-    # Equation (3) (inlined from :func:`eta_from_lambda` — one call per
-    # edge per split adds up across the recursive decompositions).  On
-    # the numpy fast path every instance array is built once and handed
-    # to the vectorized engine as-is; the float64 expression tree is
-    # identical to the scalar inline, so the η values are IEEE-identical.
-    np = _np
-    pack = _instance_arrays_np(graph, bipartition, edges)
-    precomputed_np = None
-    if pack is not None:
-        ids_np, eu_np, ev_np, ou_np, ov_np, deg_np = pack
-        node_deg = deg_np.tolist()
-        ed_np = deg_np[eu_np] + deg_np[ev_np] - 2
-        edge_degrees = dict(zip(edges, ed_np.tolist()))
-        lam_np = np.fromiter(
-            (lambdas[e] for e in edges), dtype=np.float64, count=len(edges)
-        )
-        eta_vals = (
-            1.0
-            - 2.0 * lam_np
-            - (1.0 - lam_np) * deg_np[ou_np]
-            + lam_np * deg_np[ov_np]
-            + epsilon * (lam_np - 0.5) * ed_np
-            + (2.0 * lam_np - 1.0) * resolved_beta
-        )
-        precomputed_np = (ids_np, eu_np, ev_np, ou_np, ov_np, eta_vals, deg_np)
-        if resolve_use_numpy(scan_path, len(edges)):
-            # The vectorized engine consumes the arrays directly; the
-            # dense per-edge lists would go unread — the orientation
-            # call materializes them on demand if a list consumer
-            # (python engine, trivial instance) runs after all.
-            o_u = o_v = None
-            eta_arr: List[float] = None  # type: ignore[assignment]
-        else:
-            dense_u = np.zeros(graph.num_edges, dtype=np.int64)
-            dense_v = np.zeros(graph.num_edges, dtype=np.int64)
-            dense_u[ids_np] = ou_np
-            dense_v[ids_np] = ov_np
-            o_u = dense_u.tolist()
-            o_v = dense_v.tolist()
-            dense_eta = np.zeros(graph.num_edges, dtype=np.float64)
-            dense_eta[ids_np] = eta_vals
-            eta_arr = dense_eta.tolist()
-    else:
-        node_deg, edge_degrees, o_u, o_v = instance_arrays(graph, bipartition, edges)
-        eta_arr = [0.0] * graph.num_edges
-        for e in edges:
-            lam = lambdas[e]
-            eta_arr[e] = (
-                1.0
-                - 2.0 * lam
-                - (1.0 - lam) * node_deg[o_u[e]]
-                + lam * node_deg[o_v[e]]
-                + epsilon * (lam - 0.5) * edge_degrees[e]
-                + (2.0 * lam - 1.0) * resolved_beta
-            )
-
-    orientation = compute_balanced_orientation(
-        graph,
-        bipartition,
-        {},
-        epsilon=epsilon,
-        edge_set=edges,
-        nu=nu,
-        tracker=local_tracker,
-        scan_path=scan_path,
-        _precomputed=(edges, node_deg, edge_degrees, o_u, o_v, eta_arr),
-        _precomputed_np=precomputed_np,
+    (split,), (orientation,) = _split_level(
+        graph, bipartition, [edges], lambdas, epsilon, [resolved_beta], nu, scan_path, None,
+        keep_orientations=True,
     )
-
-    signed = orientation._signed_dirs
-    red_list = blue_list = None
-    if signed is not None:
-        # Numpy engine: the final signed directions come out as arrays
-        # over the ascending instance edges — U→V (+1) is RED, V→U is
-        # BLUE, no per-edge dict lookups (bit-identical to the loop).
-        # Filtering an ascending array keeps it ascending, so the sorted
-        # class lists the recursive callers consume come for free.
-        ids_o, dirs = signed
-        red_mask = dirs == 1
-        colors = dict(zip(edges, _np.where(red_mask, RED, BLUE).tolist()))
-        red_list = ids_o[red_mask].tolist()
-        blue_list = ids_o[~red_mask].tolist()
-        red_edges = set(red_list)
-        blue_edges = set(blue_list)
-    else:
-        if o_u is None:
-            # The numpy engine was expected but a trivial instance (or an
-            # exotic path) skipped it: rebuild the dense endpoint lists
-            # from the array pack for the reference extraction below.
-            dense_u = np.zeros(graph.num_edges, dtype=np.int64)
-            dense_v = np.zeros(graph.num_edges, dtype=np.int64)
-            dense_u[ids_np] = ou_np
-            dense_v[ids_np] = ov_np
-            o_u = dense_u.tolist()
-            o_v = dense_v.tolist()
-        colors = {}
-        red_edges = set()
-        blue_edges = set()
-        arrows = orientation.orientation
-        for e in edges:
-            if arrows[e] == (o_u[e], o_v[e]):
-                colors[e] = RED
-                red_edges.add(e)
-            else:
-                colors[e] = BLUE
-                blue_edges.add(e)
-
-    local_tracker.charge(1, "defective-2-coloring-output")
     if tracker is not None:
-        tracker.merge(local_tracker)
-
+        for label, rounds in split.breakdown.items():
+            tracker.charge(rounds, label)
+    colors = dict.fromkeys(edges, BLUE)
+    colors.update(dict.fromkeys(split.red, RED))
     result = DefectiveTwoColoringResult(
         colors=colors,
-        red_edges=red_edges,
-        blue_edges=blue_edges,
+        red_edges=set(split.red),
+        blue_edges=set(split.blue),
         orientation=orientation,
         epsilon=epsilon,
         beta=resolved_beta,
-        rounds=local_tracker.total,
+        rounds=split.rounds,
         lambdas=dict(lambdas),
-        edge_degrees=edge_degrees,
+        edge_degrees=orientation.edge_degrees,
         _graph=graph,
     )
-    result._red_sorted = red_list
-    result._blue_sorted = blue_list
+    result._red_sorted = split.red
+    result._blue_sorted = split.blue
     return result
+
+
+@dataclass
+class SplitPart:
+    """One part's outcome in :func:`defective_split_level`.
+
+    Attributes:
+        red / blue: the part's two color classes, ascending.
+        red_degrees / blue_degrees: per edge of ``red`` / ``blue``, its
+            degree within its class — the number of same-colored
+            neighbors (its defect), and the edge degree the next level
+            of a recursion reads.
+        rounds: the rounds the part's split charged.
+        breakdown: those rounds per label.
+    """
+
+    red: List[int]
+    blue: List[int]
+    red_degrees: List[int]
+    blue_degrees: List[int]
+    rounds: int
+    breakdown: Dict[str, int]
+
+    @property
+    def max_defect(self) -> int:
+        """The largest number of same-colored neighbors of an edge of the part."""
+        return max(max(self.red_degrees, default=0), max(self.blue_degrees, default=0))
+
+
+def defective_split_level(
+    graph: Graph,
+    bipartition: Bipartition,
+    parts: Sequence[Sequence[int]],
+    lambdas: Optional[Mapping[int, float]],
+    epsilon: float,
+    betas: Sequence[float],
+    nu: Optional[float] = None,
+    scan_path: str = "auto",
+    max_phases: Optional[int] = None,
+) -> List[SplitPart]:
+    """Defective 2-edge color every part of one recursion level (Corollary 5.7).
+
+    The parts are edge-disjoint, each a strictly ascending edge list;
+    part ``p`` is colored exactly as :func:`generalized_defective_two_edge_coloring`
+    colors it alone with ``beta=betas[p]``.  In the distributed model the
+    parts run in parallel: the numpy engine orients all of them in one
+    lock-step call (:func:`repro.core.balanced_orientation.
+    orient_segments`), the python reference twin one after another.  In
+    ``"auto"`` mode the level's total edge count picks the engine.  The
+    class degrees of every :class:`SplitPart` come from the orientation's
+    in-degrees, so a recursion reads its next level's degrees from here
+    instead of counting them.
+
+    Args:
+        graph / bipartition: the host graph and its node sides; every
+            part edge must cross them.
+        parts: the level's parts; a part that is not strictly ascending
+            raises ``ValueError`` (parts that share an edge are not
+            detected: each is colored on its own).
+        lambdas: λ_e ∈ [0, 1] per part edge, or ``None`` for λ = 1/2
+            everywhere; a missing or out-of-range λ (NaN included) raises
+            ``ValueError`` before any part runs.
+        epsilon: the ε of Definition 5.1, shared by the parts.
+        betas: the additive slack of Equation (3), per part.
+        nu: optional override of the orientation's phase parameter.
+        scan_path: ``"auto"`` / ``"numpy"`` / ``"python"``.
+        max_phases: optional cap on every part's orientation phases.
+
+    Returns one :class:`SplitPart` per part, in order.
+    """
+    return _split_level(
+        graph, bipartition, parts, lambdas, epsilon, betas, nu, scan_path, max_phases
+    )[0]
+
+
+def degrees_within(graph: Graph, edges: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Node degrees and edge degrees (aligned with ``edges``) within ``edges``.
+
+    The recursions count the degrees of their root instance with this;
+    every later level reads them from :class:`SplitPart`.
+    """
+    edge_u, edge_v = graph.endpoint_arrays()
+    node_deg = [0] * graph.num_nodes
+    for e in edges:
+        node_deg[edge_u[e]] += 1
+        node_deg[edge_v[e]] += 1
+    return node_deg, [node_deg[edge_u[e]] + node_deg[edge_v[e]] - 2 for e in edges]
+
+
+def _split_level(
+    graph: Graph,
+    bipartition: Bipartition,
+    parts: Sequence[Sequence[int]],
+    lambdas: Optional[Mapping[int, float]],
+    epsilon: float,
+    betas: Sequence[float],
+    nu: Optional[float],
+    scan_path: str,
+    max_phases: Optional[int],
+    keep_orientations: bool = False,
+) -> Tuple[List[SplitPart], List[BalancedOrientationResult]]:
+    """The body of both entry points: engine choice, λ validation, output charge.
+
+    Returns the parts' splits and, with ``keep_orientations``, each
+    part's :class:`BalancedOrientationResult` (else an empty list).
+    """
+    if not parts:
+        return [], []
+    trackers = [RoundTracker() for _ in parts]
+    orientations: List[BalancedOrientationResult] = []
+    if resolve_use_numpy(scan_path, sum(len(part) for part in parts)):
+        lam = _lambda_array(lambdas, parts)
+        seg = segment_parts(graph, bipartition, parts)
+        run = orient_segments(
+            seg, _eta_np(seg, lam, epsilon, betas), nu, epsilon, max_phases, trackers
+        )
+        classes = run.classes(seg)
+        if keep_orientations:
+            orientations = [
+                run.result(seg, graph.num_nodes, p, trackers[p].total)
+                for p in range(len(parts))
+            ]
+    else:
+        lam = _lambda_values(lambdas, chain.from_iterable(parts))
+        for index, part in enumerate(parts):
+            _check_ascending(index, part)
+        classes = []
+        start = 0
+        for part, beta, part_tracker in zip(parts, betas, trackers):
+            orientation, part_classes = _split_python(
+                graph,
+                bipartition,
+                part,
+                lam[start : start + len(part)],
+                epsilon,
+                beta,
+                nu,
+                max_phases,
+                part_tracker,
+            )
+            start += len(part)
+            classes.append(part_classes)
+            if keep_orientations:
+                orientations.append(orientation)
+    splits = []
+    for (red, blue, red_degrees, blue_degrees), part_tracker in zip(classes, trackers):
+        part_tracker.charge(1, "defective-2-coloring-output")
+        splits.append(
+            SplitPart(
+                red, blue, red_degrees, blue_degrees, part_tracker.total, part_tracker.breakdown
+            )
+        )
+    return splits, orientations
+
+
+def _check_ascending(index: int, part: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless the part's edges are strictly ascending."""
+    for a, b in zip(part, part[1:]):
+        if a >= b:
+            raise ValueError(f"part {index} is not strictly ascending at edge {b}")
+
+
+def _lambda_values(lambdas: Optional[Mapping[int, float]], edges: Iterable[int]) -> List[float]:
+    """λ per edge, validated (the reference twin's check)."""
+    if lambdas is None:
+        return [0.5 for _ in edges]
+    values = []
+    for e in edges:
+        if e not in lambdas:
+            raise ValueError(f"edge {e} has no lambda")
+        lam = lambdas[e]
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"edge {e} has lambda {float(lam)!r}, outside [0, 1]")
+        values.append(lam)
+    return values
+
+
+def _lambda_array(lambdas: Optional[Mapping[int, float]], parts: Sequence[Sequence[int]]):
+    """λ per level position as float64, validated in one vectorized pass."""
+    np = _np
+    edges = list(chain.from_iterable(parts))
+    if lambdas is None:
+        return np.full(len(edges), 0.5)
+    try:
+        lam = np.fromiter((lambdas[e] for e in edges), dtype=np.float64, count=len(edges))
+    except KeyError:
+        missing = next(e for e in edges if e not in lambdas)
+        raise ValueError(f"edge {missing} has no lambda") from None
+    bad = ~((lam >= 0) & (lam <= 1))  # NaN fails both comparisons
+    if bad.any():
+        first = int(np.nonzero(bad)[0][0])
+        raise ValueError(
+            f"edge {edges[first]} has lambda {float(lam[first])!r}, outside [0, 1]"
+        )
+    return lam
+
+
+def _eta_np(seg: LevelSegments, lam, epsilon: float, betas: Sequence[float]):
+    """η_e of Equation (3) per position (the inline of :func:`eta_from_lambda`).
+
+    The float64 expression tree is the scalar one of :func:`_split_python`,
+    so the values are IEEE-identical to the reference twin's.
+    """
+    np = _np
+    beta = np.asarray(betas, dtype=np.float64)[seg.pid]
+    return (
+        1.0
+        - 2.0 * lam
+        - (1.0 - lam) * seg.deg[seg.kou]
+        + lam * seg.deg[seg.kov]
+        + epsilon * (lam - 0.5) * seg.dege
+        + (2.0 * lam - 1.0) * beta
+    )
+
+
+def _split_python(
+    graph: Graph,
+    bipartition: Bipartition,
+    edges: Sequence[int],
+    lam: Sequence[float],
+    epsilon: float,
+    beta: float,
+    nu: Optional[float],
+    max_phases: Optional[int],
+    tracker: RoundTracker,
+) -> Tuple[BalancedOrientationResult, Tuple[List[int], List[int], List[int], List[int]]]:
+    """One part on the reference twin: its orientation and ``(red, blue,
+    red_degrees, blue_degrees)`` (ascending, as :class:`SplitPart`)."""
+    node_deg, edge_degrees, o_u, o_v = instance_arrays(graph, bipartition, edges)
+    # η_e of Equation (3), inlined from :func:`eta_from_lambda` (one call
+    # per edge per split adds up across the recursive decompositions).
+    eta_arr = [0.0] * graph.num_edges
+    for e, lam_e in zip(edges, lam):
+        eta_arr[e] = (
+            1.0
+            - 2.0 * lam_e
+            - (1.0 - lam_e) * node_deg[o_u[e]]
+            + lam_e * node_deg[o_v[e]]
+            + epsilon * (lam_e - 0.5) * edge_degrees[e]
+            + (2.0 * lam_e - 1.0) * beta
+        )
+    orientation = orient_python(
+        graph,
+        edges,
+        node_deg,
+        edge_degrees,
+        o_u,
+        o_v,
+        eta_arr,
+        nu,
+        epsilon,
+        max_phases,
+        tracker,
+    )
+    arrows = orientation.orientation
+    x = orientation.in_degrees
+    red: List[int] = []
+    blue: List[int] = []
+    red_degrees: List[int] = []
+    blue_degrees: List[int] = []
+    for e in edges:
+        u = o_u[e]
+        v = o_v[e]
+        # U→V is RED, V→U is BLUE.  A node's in-edges are its blue edges
+        # on the U side and its red edges on the V side.
+        if arrows[e][0] == u:
+            red.append(e)
+            red_degrees.append(node_deg[u] - x[u] + x[v] - 2)
+        else:
+            blue.append(e)
+            blue_degrees.append(x[u] + node_deg[v] - x[v] - 2)
+    return orientation, (red, blue, red_degrees, blue_degrees)
 
 
 def measure_defects(

@@ -15,14 +15,18 @@ Three layers, mirroring the paper:
   defective splits performed.  Every list and every recursion window is
   a color bitmask (bit ``c`` set iff color ``c`` is usable): a split is
   an OR, a median bit and two ANDs, and a passive edge takes the lowest
-  free bit of its window.
+  free bit of its window.  All parts of one recursion level split in one
+  :func:`~repro.core.defective_edge_coloring.defective_split_level` call:
+  in the distributed model they run in parallel, and the numpy engine
+  orients them in lock-step.
 
 * :func:`partially_color_bipartite` — the Lemma D.3 substitute (DESIGN.md
   §3.3).  It splits the uncolored bipartite graph into
   ``params.list_reduction_parts`` edge-disjoint parts with λ = 1/2
-  defective splits and colors the parts sequentially with the Lemma D.2
-  solver, where an edge participates only while its available list is at
-  least ``params.list_slack`` times its uncolored within-part degree.
+  defective splits (one level-wide call per split level) and colors the
+  parts sequentially with the Lemma D.2 solver, where an edge
+  participates only while its available list is at least
+  ``params.list_slack`` times its uncolored within-part degree.
   Edges that stay uncolored were skipped, and an edge is only skipped
   when its uncolored degree is already small — which is exactly the
   degree-reduction guarantee Lemma D.3 provides.  Availability is one
@@ -59,8 +63,9 @@ from repro.coloring.greedy import (
 from repro.coloring.linial import linial_vertex_coloring
 from repro.core import parameters
 from repro.core.defective_edge_coloring import (
-    generalized_defective_two_edge_coloring,
-    half_split_lambdas,
+    defective_split_level,
+    degrees_within,
+    generalized_defective_two_edge_coloring,  # noqa: F401 - perfbench/layers.py patches it
 )
 from repro.core.slack import ListEdgeColoringInstance, uniform_instance
 from repro.distributed.rounds import RoundTracker
@@ -122,11 +127,13 @@ class _Part:
     still use, as a bitmask (bit ``c`` set iff color ``c`` is usable).
     A level's color-space split keeps ``window & below`` or
     ``window & ~below``; when the edge turns passive, its window is its
-    list in the greedy batch.
+    list in the greedy batch.  ``degrees`` holds each edge's degree
+    within the part, aligned with ``edges``.
     """
 
     edges: List[int]
     windows: Dict[int, int]
+    degrees: List[int]
 
 
 def _color_mask(colors: Sequence[int]) -> int:
@@ -135,32 +142,6 @@ def _color_mask(colors: Sequence[int]) -> int:
     for c in colors:
         mask |= 1 << c
     return mask
-
-
-def _edge_degrees_within(graph: Graph, edges: Iterable[int]) -> Dict[int, int]:
-    """Edge degrees restricted to the given edge set."""
-    edge_list = list(edges)
-    edge_u, edge_v = graph.endpoint_arrays()
-    node_deg = [0] * graph.num_nodes
-    for e in edge_list:
-        node_deg[edge_u[e]] += 1
-        node_deg[edge_v[e]] += 1
-    return {e: node_deg[edge_u[e]] + node_deg[edge_v[e]] - 2 for e in edge_list}
-
-
-def _max_edge_degree_within(graph: Graph, edges: Sequence[int]) -> int:
-    """Maximum edge degree within the given edge set (no per-edge dict)."""
-    edge_u, edge_v = graph.endpoint_arrays()
-    node_deg = [0] * graph.num_nodes
-    for e in edges:
-        node_deg[edge_u[e]] += 1
-        node_deg[edge_v[e]] += 1
-    best = 0
-    for e in edges:
-        d = node_deg[edge_u[e]] + node_deg[edge_v[e]] - 2
-        if d > best:
-            best = d
-    return best
 
 
 # ---------------------------------------------------------------------------- Lemma D.2
@@ -185,7 +166,9 @@ def solve_relaxed_instance(
     round count.
 
     Every list and every recursion window is a color bitmask.  A level
-    splits a part's color space at its median color by value: the union
+    splits every part's color space at its median color by value, all
+    parts in one :func:`~repro.core.defective_edge_coloring.
+    defective_split_level` call: the union
     is the OR of the windows, λ_e is the share of the window below the
     median, and a survivor keeps the half its side of the split chose.
     A passive edge takes the smallest color of its window that is free
@@ -203,7 +186,7 @@ def solve_relaxed_instance(
         tracker: optional round tracker.
         scan_path: orientation engine selector, forwarded to
             :func:`repro.core.defective_edge_coloring.
-            generalized_defective_two_edge_coloring` for every split.
+            defective_split_level` for every split level.
         list_masks: the lists as per-edge color bitmasks, in place of
             ``lists``.
         used_colors: caller-owned per-node used-color masks of the
@@ -223,41 +206,45 @@ def solve_relaxed_instance(
     if not edges:
         return {}
 
-    degrees = _edge_degrees_within(graph, edges)
+    degrees = degrees_within(graph, edges)[1]
     color_union = 0
-    for e in edges:
+    for e, degree in zip(edges, degrees):
         size = list_masks[e].bit_count()
-        if size < degrees[e] + 1:
+        if size < degree + 1:
             raise ValueError(
-                f"edge {e} has {size} available colors but degree {degrees[e]}; "
+                f"edge {e} has {size} available colors but degree {degree}; "
                 "the (degree+1) condition is violated"
             )
         color_union |= list_masks[e]
     max_levels = max(1, math.ceil(math.log2(max(2, color_union.bit_count()))) + 1)
 
-    parts: List[_Part] = [_Part(edges=edges, windows=list_masks)]
+    parts: List[_Part] = [_Part(edges=edges, windows=list_masks, degrees=degrees)]
     #: Per level, the windows of the edges that turned passive there.
     passive_levels: List[Dict[int, int]] = []
 
+    epsilon = max(params.epsilon, 0.5)
     for _level in range(max_levels):
         if not parts:
             break
-        new_parts: List[_Part] = []
-        level_passive: Dict[int, int] = {}
-        # The parts at one level are edge-disjoint and use disjoint color
-        # spaces: their defective splits run in parallel, so the level costs
-        # the maximum over the parts.
-        level_rounds = 0
-        for part in parts:
-            part_degrees = _edge_degrees_within(graph, part.edges)
+        # Per part: the edges that turn passive here, in the order they
+        # join the level's batch; and the active edges of the parts that
+        # split, with their λ, β and median boundary.
+        passive: List[List[Tuple[int, int]]] = []
+        splitting: List[int] = []
+        actives: List[List[int]] = []
+        betas: List[float] = []
+        boundaries: Dict[int, int] = {}
+        lambdas: Dict[int, float] = {}
+        for index, part in enumerate(parts):
             windows = part.windows
+            part_passive: List[Tuple[int, int]] = []
+            passive.append(part_passive)
             active: List[int] = []
-            for e in part.edges:
-                degree = part_degrees[e]
+            for e, degree in zip(part.edges, part.degrees):
                 if degree <= params.leaf_degree or windows[e].bit_count() < (
                     params.passive_slack_threshold * max(1, degree)
                 ):
-                    level_passive[e] = windows[e]
+                    part_passive.append((e, windows[e]))
                 else:
                     active.append(e)
             if not active:
@@ -269,39 +256,51 @@ def solve_relaxed_instance(
                 union |= windows[e]
             union_size = union.bit_count()
             if union_size <= 1:
-                level_passive.update((e, windows[e]) for e in active)
+                part_passive.extend((e, windows[e]) for e in active)
                 continue
             upper = union
             for _ in range(union_size // 2):
                 upper &= upper - 1
             below = (upper & -upper) - 1  # every color below the boundary
-            lambdas = {}
             for e in active:
                 size = windows[e].bit_count()
                 lambdas[e] = (windows[e] & below).bit_count() / size if size else 0.5
-            part_tracker = RoundTracker()
-            split = generalized_defective_two_edge_coloring(
-                graph,
-                bipartition,
-                lambdas,
-                epsilon=max(params.epsilon, 0.5),
-                edge_set=active,
-                beta=params.beta(max(part_degrees.values(), default=0)),
-                nu=params.resolved_nu(),
-                tracker=part_tracker,
-                scan_path=scan_path,
-            )
-            level_rounds = max(level_rounds, part_tracker.total)
-            for side_edges in (split.red_sorted(), split.blue_sorted()):
-                if not side_edges:
-                    continue
-                keep = below if split.colors[side_edges[0]] == 0 else ~below
-                side_degrees = _edge_degrees_within(graph, side_edges)
+            splitting.append(index)
+            actives.append(active)
+            betas.append(params.beta(max(part.degrees)))
+            boundaries[index] = below
+        # The parts of one level are edge-disjoint and use disjoint color
+        # spaces: their defective splits run in parallel — one engine call
+        # for the level — so the level costs the maximum over the parts.
+        splits = defective_split_level(
+            graph,
+            bipartition,
+            actives,
+            lambdas,
+            epsilon=epsilon,
+            betas=betas,
+            nu=params.resolved_nu(),
+            scan_path=scan_path,
+        )
+        # A red edge keeps the colors below the boundary, a blue edge the rest.
+        sides_of: Dict[int, List[Tuple[int, List[int], List[int]]]] = {
+            index: [
+                (boundaries[index], split.red, split.red_degrees),
+                (~boundaries[index], split.blue, split.blue_degrees),
+            ]
+            for index, split in zip(splitting, splits)
+        }
+        new_parts: List[_Part] = []
+        level_passive: Dict[int, int] = {}
+        for index, part in enumerate(parts):
+            level_passive.update(passive[index])
+            windows = part.windows
+            for keep, side_edges, side_degrees in sides_of.get(index, ()):
                 survivors: List[int] = []
                 survivor_windows: Dict[int, int] = {}
-                for e in side_edges:
+                for e, degree in zip(side_edges, side_degrees):
                     kept = windows[e] & keep
-                    if kept.bit_count() >= side_degrees[e] + 1:
+                    if kept.bit_count() >= degree + 1:
                         survivors.append(e)
                         survivor_windows[e] = kept
                     else:
@@ -309,8 +308,10 @@ def solve_relaxed_instance(
                         # too few colors; keep it at the parent level.
                         level_passive[e] = windows[e]
                 if survivors:
-                    new_parts.append(_Part(edges=survivors, windows=survivor_windows))
-        own.charge(level_rounds, "list-solver-split-level")
+                    if len(survivors) < len(side_edges):
+                        side_degrees = degrees_within(graph, survivors)[1]
+                    new_parts.append(_Part(survivors, survivor_windows, side_degrees))
+        own.charge(max((split.rounds for split in splits), default=0), "list-solver-split-level")
         passive_levels.append(level_passive)
         parts = new_parts
 
@@ -349,9 +350,12 @@ def partially_color_bipartite(
 ) -> Dict[int, int]:
     """Partially color a bipartite piece so that its uncolored degree drops (Lemma D.3).
 
-    The uncolored edges are split into ``params.list_reduction_parts``
-    edge-disjoint parts (repeated λ = 1/2 defective splits); the parts are
-    colored sequentially with :func:`solve_relaxed_instance`, where an
+    The uncolored edges of ``edge_set`` (any order; repeats are ignored)
+    are split into ``params.list_reduction_parts`` edge-disjoint parts
+    (repeated λ = 1/2 defective splits, every part of a split level in
+    one :func:`~repro.core.defective_edge_coloring.defective_split_level`
+    call); the parts are then colored sequentially with
+    :func:`solve_relaxed_instance`, where an
     edge participates only if its currently available list is at least
     ``params.list_slack`` times its uncolored within-part degree (and at
     least that degree + 1).  Edges skipped this way already have a small
@@ -369,39 +373,51 @@ def partially_color_bipartite(
     """
     params = params or parameters.DEFAULT_PARAMETERS
     own = RoundTracker()
-    edges = [e for e in edge_set if e not in coloring]
+    edges = sorted({e for e in edge_set if e not in coloring})
     newly: Dict[int, int] = {}
     if not edges:
         return newly
 
     split_levels = max(1, math.ceil(math.log2(max(2, params.list_reduction_parts))))
-    parts: List[List[int]] = [edges]
+    # Every part carries its edge degrees; a split hands its classes'
+    # degrees to the next level.
+    parts: List[Tuple[List[int], List[int]]] = [(edges, degrees_within(graph, edges)[1])]
     for _ in range(split_levels):
-        next_parts: List[List[int]] = []
-        # Parts are edge-disjoint: the splits of one level run in parallel.
-        level_rounds = 0
-        for part in parts:
-            part_max_degree = _max_edge_degree_within(graph, part)
-            if len(part) <= 1 or part_max_degree <= 1:
-                next_parts.append(part)
-                continue
-            part_tracker = RoundTracker()
-            split = generalized_defective_two_edge_coloring(
-                graph,
-                bipartition,
-                half_split_lambdas(part),
-                epsilon=max(params.epsilon, 0.5),
-                edge_set=part,
-                beta=params.beta(part_max_degree),
-                nu=params.resolved_nu(),
-                tracker=part_tracker,
-                scan_path=scan_path,
+        splitting = [
+            index
+            for index, (part, degrees) in enumerate(parts)
+            if len(part) > 1 and max(degrees) > 1
+        ]
+        # Parts are edge-disjoint: the splits of one level run in parallel
+        # (one engine call), and the level costs the max over the parts.
+        splits = dict(
+            zip(
+                splitting,
+                defective_split_level(
+                    graph,
+                    bipartition,
+                    [parts[index][0] for index in splitting],
+                    None,
+                    epsilon=max(params.epsilon, 0.5),
+                    betas=[params.beta(max(parts[index][1])) for index in splitting],
+                    nu=params.resolved_nu(),
+                    scan_path=scan_path,
+                ),
             )
-            level_rounds = max(level_rounds, part_tracker.total)
-            next_parts.append(split.red_sorted())
-            next_parts.append(split.blue_sorted())
-        own.charge(level_rounds, "degree-reduction-split-level")
-        parts = [p for p in next_parts if p]
+        )
+        next_parts: List[Tuple[List[int], List[int]]] = []
+        for index, part in enumerate(parts):
+            split = splits.get(index)
+            if split is None:
+                next_parts.append(part)
+            else:
+                next_parts.append((split.red, split.red_degrees))
+                next_parts.append((split.blue, split.blue_degrees))
+        own.charge(
+            max((split.rounds for split in splits.values()), default=0),
+            "degree-reduction-split-level",
+        )
+        parts = [part for part in next_parts if part[0]]
 
     used = (
         used_colors
@@ -417,19 +433,17 @@ def partially_color_bipartite(
     threshold_memo: Dict[int, int] = {}
     # The parts are edge-disjoint and only a part's own solve colors its
     # edges, so every part is still entirely uncolored when its turn comes.
-    for part in parts:
-        part_degrees = _edge_degrees_within(graph, part)
+    for part, part_degrees in parts:
         participants: Dict[int, int] = {}
         # Equal neighbouring lists (all of them, in a uniform instance)
         # share one mask build; the comparison runs at C speed.
         last_list: Sequence[int] = ()
         last_mask = 0
-        for e in part:
+        for e, degree in zip(part, part_degrees):
             if lists[e] != last_list:
                 last_list = lists[e]
                 last_mask = _color_mask(last_list)
             available = last_mask & ~(node_mask(edge_u[e]) | node_mask(edge_v[e]))
-            degree = part_degrees[e]
             threshold = threshold_memo.get(degree)
             if threshold is None:
                 threshold = max(degree + 1, math.ceil(list_slack * degree))

@@ -20,7 +20,7 @@ them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core import parameters
 from repro.distributed.rounds import RoundTracker
@@ -132,7 +132,7 @@ def _token_dropping_core(
     n: int,
     tails: Sequence[int],
     in_map: Dict[int, List[int]],
-    degrees: Dict[int, int],
+    degrees: Union[Dict[int, int], Sequence[int]],
     k: int,
     initial_tokens: Sequence[int],
     alphas: Sequence[int],
@@ -144,7 +144,8 @@ def _token_dropping_core(
     fast path (which skips the :class:`DirectedGraph` /
     :class:`TokenDroppingGame` object construction per phase).  ``in_map``
     maps head nodes to their in-arc indices; ``degrees`` maps tail nodes
-    to their total degree in the game graph.  Returns ``(x, y,
+    to their total degree in the game graph (a dict, or a list indexed
+    by node).  Returns ``(x, y,
     moved_arcs, arc_moves, num_phases)``.
 
     Only nodes that hold tokens, receive proposals (arc heads) or send

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
+import pytest
+
 from repro.core import parameters
 from repro.core.bipartite_coloring import bipartite_edge_coloring
 from repro.distributed.rounds import RoundTracker
@@ -86,3 +91,31 @@ class TestAgainstAnalyticParameters:
             depth = parameters.lemma61_recursion_depth(0.5, chi)
             assert 0 < chi <= 0.5
             assert depth >= 0
+
+
+class TestSection6Pinned:
+    """A Section 6 run with three split levels and seven leaf parts.
+
+    Digest, rounds, breakdown and defect history were recorded with one
+    defective-split call per part, under both forced engines.
+    """
+
+    DIGEST = "ad6c7cdd2d49d2a1302358d4df3ee17b3ebd14454e94ef1769f87408b72a08bc"
+
+    @pytest.mark.parametrize("scan_path", ["numpy", "python"])
+    def test_pinned(self, scan_path):
+        graph, bipartition = generators.regular_bipartite_graph(64, 24, seed=3)
+        tracker = RoundTracker()
+        result = bipartite_edge_coloring(
+            graph, bipartition, tracker=tracker, scan_path=scan_path
+        )
+        assert is_proper_edge_coloring(graph, result.colors)
+        digest = hashlib.sha256(json.dumps(sorted(result.colors.items())).encode())
+        assert digest.hexdigest() == self.DIGEST
+        assert (result.levels, result.part_count) == (3, 7)
+        assert result.rounds == 325
+        assert dict(tracker.breakdown) == {
+            "bipartite-split-level": 277,
+            "bipartite-leaf-coloring": 48,
+        }
+        assert result.defect_history == [24, 12, 10, 6, 6, 6]

@@ -8,12 +8,14 @@ from repro.core import parameters
 from repro.core.defective_edge_coloring import (
     BLUE,
     RED,
+    defective_split_level,
     eta_from_lambda,
     generalized_defective_two_edge_coloring,
     half_split_lambdas,
     list_driven_lambdas,
     measure_defects,
 )
+from repro.core.engine import _np
 from repro.graphs import generators
 
 
@@ -111,3 +113,103 @@ class TestDefectiveColoring:
         assert defects[0] == 1
         assert defects[1] == 1
         assert defects[2] == 0
+
+
+class TestLambdaValidation:
+    """λ must lie in [0, 1] and exist for every instance edge.
+
+    A NaN λ makes every η NaN: the coloring comes out arbitrary and
+    ``violations()`` cannot flag it, because the Definition 5.1 bound is
+    NaN too.  Both engines reject such inputs up front.
+    """
+
+    ENGINES = [
+        "python",
+        pytest.param(
+            "numpy",
+            marks=pytest.mark.skipif(_np is None, reason="numpy not installed"),
+        ),
+    ]
+
+    @staticmethod
+    def instance():
+        graph, bipartition = generators.regular_bipartite_graph(16, 4, seed=1)
+        return graph, bipartition, half_split_lambdas(graph.edges())
+
+    @pytest.mark.parametrize("scan_path", ENGINES)
+    @pytest.mark.parametrize("bad", [1.7, -0.25, float("nan")])
+    def test_out_of_range_lambda_rejected(self, scan_path, bad):
+        graph, bipartition, lambdas = self.instance()
+        lambdas[5] = bad
+        with pytest.raises(ValueError, match=r"edge 5 has lambda .*outside \[0, 1\]"):
+            generalized_defective_two_edge_coloring(
+                graph, bipartition, lambdas, epsilon=0.5, scan_path=scan_path
+            )
+
+    @pytest.mark.parametrize("scan_path", ENGINES)
+    def test_missing_lambda_rejected(self, scan_path):
+        graph, bipartition, lambdas = self.instance()
+        del lambdas[5]
+        with pytest.raises(ValueError, match="edge 5 has no lambda"):
+            generalized_defective_two_edge_coloring(
+                graph, bipartition, lambdas, epsilon=0.5, scan_path=scan_path
+            )
+
+    @pytest.mark.parametrize("scan_path", ENGINES)
+    def test_bounds_accepted(self, scan_path):
+        graph, bipartition, lambdas = self.instance()
+        lambdas[3] = 0.0
+        lambdas[5] = 1.0
+        result = generalized_defective_two_edge_coloring(
+            graph, bipartition, lambdas, epsilon=0.5, scan_path=scan_path
+        )
+        assert set(result.colors) == set(graph.edges())
+
+    @pytest.mark.parametrize("scan_path", ENGINES)
+    def test_level_rejects_a_bad_lambda_in_any_part(self, scan_path):
+        graph, bipartition, lambdas = self.instance()
+        lambdas[30] = float("nan")
+        parts = [list(range(16)), list(range(16, 32))]
+        with pytest.raises(ValueError, match="edge 30 has lambda nan"):
+            defective_split_level(
+                graph, bipartition, parts, lambdas, epsilon=0.5, betas=[0.0, 0.0],
+                scan_path=scan_path,
+            )
+
+
+class TestSplitLevelParts:
+    """The parts of a level must be strictly ascending; the class degrees
+    a split returns are the measured defects."""
+
+    ENGINES = TestLambdaValidation.ENGINES
+
+    @pytest.mark.parametrize("scan_path", ENGINES)
+    @pytest.mark.parametrize(
+        "second, at",
+        [(list(range(31, 15, -1)), 30), ([16, 17, 17, 18], 17)],
+        ids=["descending", "repeated"],
+    )
+    def test_unsorted_part_rejected(self, scan_path, second, at):
+        graph, bipartition = generators.regular_bipartite_graph(16, 4, seed=1)
+        with pytest.raises(ValueError, match=f"part 1 is not strictly ascending at edge {at}$"):
+            defective_split_level(
+                graph, bipartition, [list(range(16)), second], None, epsilon=0.5,
+                betas=[0.0, 0.0], scan_path=scan_path,
+            )
+
+    @pytest.mark.parametrize("scan_path", ENGINES)
+    def test_class_degrees_are_the_defects(self, scan_path):
+        graph, bipartition = generators.regular_bipartite_graph(40, 12, seed=2)
+        parts = [[e for e in graph.edges() if e % 3 == r] for r in range(3)]
+        for part, split in zip(
+            parts,
+            defective_split_level(
+                graph, bipartition, parts, None, epsilon=0.5, betas=[0.0, 1.0, 2.0],
+                scan_path=scan_path,
+            ),
+        ):
+            colors = {**dict.fromkeys(split.red, RED), **dict.fromkeys(split.blue, BLUE)}
+            defects = measure_defects(graph, colors, part, scan_path="python")
+            assert split.red_degrees == [defects[e] for e in split.red]
+            assert split.blue_degrees == [defects[e] for e in split.blue]
+            assert split.max_defect == max(defects.values())

@@ -236,6 +236,36 @@ class TestLemmaD3Pinned:
         assert dict(tracker.breakdown) == breakdown
 
 
+class TestLemmaD2Pinned:
+    """A Lemma D.2 solve whose color-space split levels run.
+
+    Every :class:`TestLemmaD3Pinned` breakdown charges
+    ``list-solver-split-level`` 0; this one charges 288, so the Lemma D.2
+    split loop is fixed too.  Digest, rounds and breakdown were recorded
+    with one defective-split call per part, under both forced engines.
+    """
+
+    DIGEST = "581a5bf5827afb864d3753793a63fffb55b5ebd04feac8d67ee6151b48f924c7"
+    BREAKDOWN = {
+        "list-solver-split-level": 288,
+        "linial": 3,
+        "greedy-edge-classes": 119,
+    }
+
+    @pytest.mark.parametrize("scan_path", ["numpy", "python"])
+    def test_pinned(self, scan_path):
+        graph, bipartition = generators.regular_bipartite_graph(64, 24, seed=3)
+        lists = {e: range(4 * (2 * 24 - 1)) for e in graph.edges()}
+        tracker = RoundTracker()
+        colors = solve_relaxed_instance(
+            graph, bipartition, lists, tracker=tracker, scan_path=scan_path
+        )
+        assert list_coloring_violations(graph, colors, lists) == []
+        assert coloring_digest(colors) == self.DIGEST
+        assert tracker.total == 410
+        assert dict(tracker.breakdown) == self.BREAKDOWN
+
+
 class TestDegreeReduction:
     def test_partial_coloring_reduces_uncolored_degree(self):
         graph, bipartition = generators.regular_bipartite_graph(48, 10, seed=12)
@@ -274,6 +304,25 @@ class TestDegreeReduction:
         combined = {**existing, **newly}
         assert is_proper_edge_coloring(graph, combined, edge_set=list(combined.keys()))
         assert all(e not in existing for e in newly)
+
+    @pytest.mark.parametrize("scan_path", ["numpy", "python"])
+    def test_edge_set_order_and_repeats_do_not_matter(self, scan_path):
+        graph, bipartition = generators.regular_bipartite_graph(64, 24, seed=3)
+        instance = uniform_instance(graph)
+
+        def run(edge_set):
+            tracker = RoundTracker()
+            newly = partially_color_bipartite(
+                graph, bipartition, instance, edge_set, {}, tracker=tracker,
+                scan_path=scan_path,
+            )
+            return newly, tracker.breakdown
+
+        edges = list(graph.edges())
+        ascending = run(edges)
+        assert ascending[1]["degree-reduction-split-level"] > 0
+        assert run(edges[::-1]) == ascending
+        assert run(edges[::-1] + edges[:50]) == ascending
 
     def test_shared_used_colors_receive_the_new_colors(self, medium_bipartite):
         graph, bipartition = medium_bipartite

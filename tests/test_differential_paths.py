@@ -17,16 +17,22 @@ result stores across the plane knobs.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import api
 from repro.coloring.greedy import proper_edge_schedule
 from repro.coloring.linial import LinialNodeAlgorithm
+from repro.core import parameters
 from repro.core.balanced_orientation import (
     NUMPY_SCAN_THRESHOLD,
     _np,
     compute_balanced_orientation,
 )
+from repro.core.defective_edge_coloring import defective_split_level, degrees_within
+from repro.core.list_edge_coloring import partially_color_bipartite
+from repro.core.slack import uniform_instance
 from repro.distributed.algorithms import NodeAlgorithm
 from repro.distributed.faults import FaultPlan
 from repro.distributed.model import Model
@@ -263,6 +269,105 @@ class TestPipelineScanPathMatrix:
             return api.color_edges_local(graph, instance=instance, scan_path=path)
 
         assert _outcome_fingerprint(run("python")) == _outcome_fingerprint(run("numpy"))
+
+
+@requires_numpy
+class TestSplitLevelMatrix:
+    """defective_split_level: one lock-step numpy call vs the python twin per part.
+
+    The level mixes everything the segmented engine masks per part: parts
+    that share nodes, a dense part (Δ̄ 44, 20+ phases) next to a part of
+    stars (Δ̄ 1, at most 2 phases), a part below the engine threshold,
+    per-edge λ ≠ 1/2, a β per part (``beta_override=None``) and, with a
+    phase cap, edges left for the final U→V step.
+    """
+
+    @staticmethod
+    def level():
+        graph, bipartition = generators.regular_bipartite_graph(64, 24, seed=4)
+        edge_u, edge_v = graph.endpoint_arrays()
+        sides = bipartition.sides
+        dense = [e for e in graph.edges() if e % 4]
+        stars: list = []
+        small: list = []
+        load = [0] * graph.num_nodes
+        for e in graph.edges():
+            if not e % 4:
+                a, b = edge_u[e], edge_v[e]
+                u, v = (a, b) if sides[a] == 0 else (b, a)
+                # U centers with at most two leaves: every edge degree ≤ 1.
+                if load[u] < 2 and load[v] < 1:
+                    load[u] += 1
+                    load[v] += 1
+                    stars.append(e)
+                elif len(small) < 40:
+                    small.append(e)
+        return graph, bipartition, [dense, stars, small]
+
+    @pytest.mark.parametrize("max_phases", [None, 6])
+    def test_level_matches_python_twin_per_part(self, max_phases):
+        graph, bipartition, parts = self.level()
+        assert len(parts[2]) < NUMPY_SCAN_THRESHOLD <= len(parts[0])
+        degrees = [max(degrees_within(graph, part)[1]) for part in parts]
+        assert degrees[0] >= 10 * degrees[1]
+        params = parameters.PracticalParameters(beta_override=None)
+        betas = [params.beta(degree) for degree in degrees]
+        assert len(set(betas)) == len(parts)
+        lambdas = {e: ((e * 7) % 11) / 10.0 for e in graph.edges()}
+        common = dict(epsilon=0.5, nu=params.resolved_nu(), max_phases=max_phases)
+        level = defective_split_level(
+            graph, bipartition, parts, lambdas, betas=betas, scan_path="numpy", **common
+        )
+        alone = [
+            defective_split_level(
+                graph, bipartition, [part], lambdas, betas=[beta], scan_path="python", **common
+            )[0]
+            for part, beta in zip(parts, betas)
+        ]
+        assert level == alone
+        for split, part in zip(level, parts):
+            assert sorted(split.red + split.blue) == part
+            assert split.red == sorted(split.red) and split.blue == sorted(split.blue)
+            # The class degrees read off the in-degrees are the counted ones.
+            assert split.red_degrees == degrees_within(graph, split.red)[1]
+            assert split.blue_degrees == degrees_within(graph, split.blue)[1]
+        # 2 proposal rounds per phase: uncapped, the star part stops after
+        # ≤ 2 phases while the dense part keeps going for 20+.
+        proposals = [split.breakdown["orientation-proposals"] for split in level]
+        if max_phases is None:
+            assert proposals[1] <= 4
+            assert proposals[0] >= 40
+        else:
+            assert proposals[0] == 2 * max_phases
+            assert level[0].breakdown["orientation-final"] == 1
+
+    def test_partial_coloring_calls_engine_once_per_split_level(self, monkeypatch):
+        from repro.core import defective_edge_coloring
+
+        calls = []
+        engine = defective_edge_coloring.orient_segments
+
+        def counting(seg, *args, **kwargs):
+            calls.append(seg.num_parts)
+            return engine(seg, *args, **kwargs)
+
+        monkeypatch.setattr(defective_edge_coloring, "orient_segments", counting)
+        graph, bipartition = generators.regular_bipartite_graph(64, 24, seed=3)
+        tracker = RoundTracker()
+        partially_color_bipartite(
+            graph,
+            bipartition,
+            uniform_instance(graph),
+            list(graph.edges()),
+            {},
+            tracker=tracker,
+            scan_path="numpy",
+        )
+        # Every call is a Lemma D.3 level: no Lemma D.2 level split here.
+        assert tracker.breakdown["list-solver-split-level"] == 0
+        split_levels = math.ceil(math.log2(parameters.DEFAULT_PARAMETERS.list_reduction_parts))
+        assert len(calls) <= split_levels
+        assert calls == [1, 2, 4, 8]
 
 
 class _SelectivePortAlgorithm(NodeAlgorithm):

@@ -72,8 +72,10 @@ def test_disabled_tracing_overhead_within_budget():
     (cell lifecycle, phase split, store append); 100k disabled spans —
     three orders of magnitude more than a real cell ever triggers —
     must still fit inside 5% of the E1 smoke budget, so the per-cell
-    overhead with tracing off is noise.  The minimum over repeats is the
-    cost of the loop itself, free of scheduler noise.
+    overhead with tracing off is noise.  The spans run in short batches
+    and the fastest batch, scaled to 100k spans, is the cost of the loop
+    itself: a transient slow period of the host spoils a few batches,
+    not all of them.
     """
     from repro.obs import trace as obs_trace
 
@@ -81,14 +83,16 @@ def test_disabled_tracing_overhead_within_budget():
     trc = obs_trace.tracer()
     if trc.enabled:  # REPRO_TRACE=1 in the environment: budget n/a
         pytest.skip("tracing enabled via environment")
+    spans = 100_000
+    batch = 5_000
     walls = []
-    for _repeat in range(5):
+    for _repeat in range(100):
         start = time.perf_counter()
-        for index in range(100_000):
+        for index in range(batch):
             with trc.span("runtime.cell.run", spec="e1_sweep", cell_index=index) as span:
                 span.set(runner="local_coloring")
         walls.append(time.perf_counter() - start)
-    wall = min(walls)
+    wall = min(walls) * (spans // batch)
     budget = 0.05 * E1_DELTA16_BUDGET_SECONDS
     assert wall < budget, (
         f"100k disabled spans took {wall:.3f}s, over the {budget}s "
