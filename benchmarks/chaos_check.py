@@ -144,7 +144,7 @@ def concurrent_clients_kill_probe(workdir: str) -> None:
         journal_path,
         segment_paths,
     )
-    from repro.serving.daemon import connect, spawn_daemon_process
+    from repro.serving.daemon import connect, spawned_daemon
 
     clients, kill_after_writes = 4, 30
     graph = generators.random_regular_graph(80, 4, seed=5)
@@ -164,9 +164,7 @@ def concurrent_clients_kill_probe(workdir: str) -> None:
         if len(owners) == clients:
             break
 
-    process, host, port = spawn_daemon_process(
-        path, extra_args=["--journal-max-records", "8"]
-    )
+    rotation = ["--journal-max-records", "8"]
     acks = [[] for _ in owners]
     write_count = threading.Lock()
     total_writes = [0]
@@ -193,9 +191,9 @@ def concurrent_clients_kill_probe(workdir: str) -> None:
         threading.Thread(target=hammer, args=(i, o), daemon=True)
         for i, o in enumerate(owners)
     ]
-    for thread in threads:
-        thread.start()
-    try:
+    with spawned_daemon(path, extra_args=rotation) as (process, host, port):
+        for thread in threads:
+            thread.start()
         while True:
             with write_count:
                 if total_writes[0] >= kill_after_writes:
@@ -203,7 +201,6 @@ def concurrent_clients_kill_probe(workdir: str) -> None:
             if process.poll() is not None:
                 raise RuntimeError("daemon died before the kill point")
             time.sleep(0.005)
-    finally:
         process.kill()
         process.wait(timeout=30)
     for thread in threads:
@@ -244,18 +241,11 @@ def concurrent_clients_kill_probe(workdir: str) -> None:
     )
 
     # Restart + graceful shutdown folds everything back into the JSON.
-    process, host, port = spawn_daemon_process(
-        path, extra_args=["--journal-max-records", "8"]
-    )
-    try:
+    with spawned_daemon(path, extra_args=rotation) as (process, host, port):
         with connect((host, port)) as client:
             ack = client.shutdown()
         check(ack == {"ok": True, "op": "shutdown"}, "restarted daemon acks shutdown")
         process.wait(timeout=30)
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=30)
     check(
         not os.path.exists(journal_path(path)) and segment_paths(path) == [],
         "graceful shutdown compacted journal and rotated segments",

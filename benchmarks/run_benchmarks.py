@@ -117,12 +117,11 @@ def environment_metadata() -> dict:
         ).stdout.strip()
     except Exception:  # pragma: no cover - git-less environments
         git_sha = None
-    # One source of truth for knob resolution: the same resolver the
+    # One source of truth for the knobs: the table-driven resolver the
     # runtime uses for its cache keys.  The metadata block is only
     # written for the current tree, where repro.runtime always exists.
     from repro.runtime.spec import resolve_knobs
 
-    knobs = resolve_knobs()
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -131,10 +130,7 @@ def environment_metadata() -> dict:
         "cpu_count": os.cpu_count(),
         "numpy": numpy_version,
         "git_sha": git_sha,
-        "scan_path": knobs.scan_path,
-        "send_plane": knobs.send_plane,
-        "receive_plane": knobs.receive_plane,
-        "repair_path": knobs.repair_path,
+        **resolve_knobs().as_dict(),
     }
 
 

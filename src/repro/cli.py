@@ -79,6 +79,7 @@ def serve_main(argv: list) -> int:
     * ``--compact --artifact PATH``: fold ``PATH.journal`` into the
       artifact JSON and exit (the offline analogue of graceful shutdown).
     """
+    from repro.knobs import add_flag
     from repro.serving import build_artifact
 
     parser = argparse.ArgumentParser(
@@ -121,9 +122,9 @@ def serve_main(argv: list) -> int:
         action="store_true",
         help="fsync journal appends and artifact saves (survive OS death, not just SIGKILL)",
     )
-    parser.add_argument(
-        "--repair-path",
-        choices=["auto", "incremental", "recompute"],
+    add_flag(
+        parser,
+        "repair_path",
         default="auto",
         help="daemon mode: which repair twin absorbs delta requests",
     )
@@ -202,6 +203,7 @@ def query_main(argv: list) -> int:
     mutate the in-memory artifact; ``--save`` writes the mutated
     artifact back to disk after the batch.
     """
+    from repro.knobs import add_flag
     from repro.serving import ColoringArtifact, ServingSession, protocol
 
     parser = argparse.ArgumentParser(
@@ -219,11 +221,8 @@ def query_main(argv: list) -> int:
         "--requests-file",
         help="file with one JSON request per line (processed after --request)",
     )
-    parser.add_argument(
-        "--repair-path",
-        choices=["auto", "incremental", "recompute"],
-        default="auto",
-        help="which repair twin absorbs delta requests",
+    add_flag(
+        parser, "repair_path", default="auto", help="which repair twin absorbs delta requests"
     )
     parser.add_argument(
         "--radius-limit",

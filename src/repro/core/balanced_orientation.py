@@ -67,11 +67,6 @@ from repro.distributed.rounds import RoundTracker
 from repro.graphs.bipartite import Bipartition
 from repro.graphs.core import Graph
 
-# Engine selection (numpy handle, size threshold, REPRO_SCAN_PATH env
-# override) is shared with the other vectorized/reference twins — see
-# :mod:`repro.core.engine`.
-_resolve_use_numpy = resolve_use_numpy
-
 
 @dataclass
 class BalancedOrientationResult:
@@ -1060,7 +1055,7 @@ def compute_balanced_orientation(
     """
     local_tracker = RoundTracker()
     edges = sorted(set(edge_set)) if edge_set is not None else list(graph.edges())
-    if _resolve_use_numpy(scan_path, len(edges)):
+    if resolve_use_numpy(scan_path, len(edges)):
         np = _np
         seg = segment_parts(graph, bipartition, [edges])
         # A trivial instance (no edge has a neighbor) never reads η.

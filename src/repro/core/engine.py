@@ -11,12 +11,16 @@ engine through :func:`resolve_use_numpy`, driven by one ``scan_path``
 knob with identical semantics everywhere:
 
 * ``"auto"`` — numpy when available and the instance has at least
-  :data:`NUMPY_SCAN_THRESHOLD` elements (overridable process-wide via
-  the ``REPRO_SCAN_PATH`` environment variable, which CI uses to run
-  the whole suite on one forced engine);
+  :data:`NUMPY_SCAN_THRESHOLD` elements, unless the environment forces
+  an engine process-wide (CI runs the whole suite on one forced engine
+  that way);
 * ``"numpy"`` — force the vectorized engine (``RuntimeError`` when
   numpy is unavailable);
 * ``"python"`` — force the reference twin.
+
+The knob and its environment variable are declared once, in the knob
+table :data:`repro.knobs.KNOBS`; this module owns only its values
+(:data:`SCAN_PATHS`) and reads the override through the table.
 
 The differential matrix (``tests/test_differential_paths.py``) pins
 every pair of twins bit-identical.
@@ -24,28 +28,33 @@ every pair of twins bit-identical.
 
 from __future__ import annotations
 
-import os
-
 try:  # numpy accelerates the vectorized engines when present.
     import numpy as _np
 except ImportError:  # pragma: no cover - the pure-python twins are equivalent
     _np = None
+
+#: Recognized values of the ``scan_path`` knob.
+SCAN_PATHS = ("auto", "numpy", "python")
 
 #: Instance size (elements scanned per phase/step) above which the
 #: vectorized engines engage in ``scan_path="auto"`` mode.  Below it,
 #: per-op numpy dispatch overhead makes the pure-python twins faster.
 NUMPY_SCAN_THRESHOLD = 128
 
-#: Environment override for ``scan_path="auto"`` (used by CI to run the
-#: whole suite on one forced engine): ``REPRO_SCAN_PATH=numpy`` /
-#: ``REPRO_SCAN_PATH=python``.  Explicit ``scan_path`` arguments win.
-_ENV_SCAN_PATH = os.environ.get("REPRO_SCAN_PATH", "").strip().lower() or None
+#: The process-wide override of ``scan_path="auto"``: the knob table's
+#: environment value, read once on first use (``None`` when unset).
+_ENV_SCAN_PATH = _UNREAD = object()
 
 
 def resolve_use_numpy(scan_path: str, size: int) -> bool:
     """Whether to run the vectorized engine (see the module docstring)."""
-    if scan_path == "auto" and _ENV_SCAN_PATH in ("numpy", "python"):
-        scan_path = _ENV_SCAN_PATH
+    global _ENV_SCAN_PATH
+    if scan_path == "auto":
+        if _ENV_SCAN_PATH is _UNREAD:
+            from repro.knobs import KNOBS
+
+            _ENV_SCAN_PATH = KNOBS["scan_path"].from_env()
+        scan_path = _ENV_SCAN_PATH or "auto"
     if scan_path == "auto":
         return _np is not None and size >= NUMPY_SCAN_THRESHOLD
     if scan_path == "numpy":
@@ -54,6 +63,4 @@ def resolve_use_numpy(scan_path: str, size: int) -> bool:
         return True
     if scan_path == "python":
         return False
-    raise ValueError(
-        f"unknown scan_path {scan_path!r}: expected 'auto', 'numpy' or 'python'"
-    )
+    raise ValueError(f"unknown scan_path {scan_path!r}: expected one of {SCAN_PATHS}")

@@ -106,6 +106,9 @@ from repro.distributed.metrics import ExecutionMetrics
 from repro.distributed.model import Model
 from repro.graphs.core import Graph
 
+#: Recognized values of the ``send_plane`` and ``receive_plane`` knobs.
+PLANES = ("auto", "batched", "dict")
+
 
 class PortInbox:
     """A read-only, port-keyed view of one node's received messages.
@@ -512,27 +515,15 @@ class SynchronousNetwork:
         call.  Only the slots written this round are cleared afterwards,
         so a round costs O(messages), not O(m).
         """
-        if send_plane == "auto":
-            use_batched = bool(getattr(algorithm, "batched_send", False))
-        elif send_plane == "batched":
-            use_batched = True
-        elif send_plane == "dict":
-            use_batched = False
-        else:
-            raise ValueError(
-                f"unknown send_plane {send_plane!r}: expected 'auto', 'batched' or 'dict'"
-            )
-        if receive_plane == "auto":
-            use_batched_receive = bool(getattr(algorithm, "batched_receive", False))
-        elif receive_plane == "batched":
-            use_batched_receive = True
-        elif receive_plane == "dict":
-            use_batched_receive = False
-        else:
-            raise ValueError(
-                f"unknown receive_plane {receive_plane!r}: expected 'auto', "
-                f"'batched' or 'dict'"
-            )
+        for name, plane in (("send_plane", send_plane), ("receive_plane", receive_plane)):
+            if plane not in PLANES:
+                raise ValueError(f"unknown {name} {plane!r}: expected one of {PLANES}")
+        use_batched = send_plane == "batched" or (
+            send_plane == "auto" and bool(getattr(algorithm, "batched_send", False))
+        )
+        use_batched_receive = receive_plane == "batched" or (
+            receive_plane == "auto" and bool(getattr(algorithm, "batched_receive", False))
+        )
         contexts = self._contexts
         states = [algorithm.initialize(ctx) for ctx in contexts]
         auditor = self._auditor

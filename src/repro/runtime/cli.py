@@ -32,6 +32,7 @@ import dataclasses
 import sys
 from typing import List, Optional
 
+from repro.knobs import KNOBS, add_flag
 from repro.runtime import registry
 from repro.runtime.executor import run_scenario
 from repro.runtime.spec import resolve_knobs
@@ -54,13 +55,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = registry.get(args.scenario)
     store = ResultStore(args.out or default_store_path(spec.name), fsync=args.fsync)
-    knobs = resolve_knobs(
-        scan_path=args.scan_path,
-        send_plane=args.send_plane,
-        receive_plane=args.receive_plane,
-        repair_path=args.repair_path,
-        client_plane=args.client_plane,
-    )
+    knobs = resolve_knobs(**{name: getattr(args, name) for name in KNOBS})
     retry = spec.retry
     if args.timeout is not None:
         retry = dataclasses.replace(retry, timeout_seconds=args.timeout)
@@ -294,17 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--fsync", action="store_true", help="fsync the store after every appended row"
     )
     p_run.add_argument("--out", help="JSONL store path (default: benchmarks/results/scenarios/)")
-    p_run.add_argument("--scan-path", dest="scan_path", help="orientation engine knob")
-    p_run.add_argument("--send-plane", dest="send_plane", help="simulator send plane knob")
-    p_run.add_argument(
-        "--receive-plane", dest="receive_plane", help="simulator receive plane knob"
-    )
-    p_run.add_argument(
-        "--repair-path", dest="repair_path", help="serving delta-repair twin knob"
-    )
-    p_run.add_argument(
-        "--client-plane", dest="client_plane", help="serving daemon client-plane knob"
-    )
+    for name in KNOBS:
+        add_flag(p_run, name)
     p_run.add_argument("--no-progress", action="store_true", help="suppress per-cell lines")
     p_run.set_defaults(func=_cmd_run)
 

@@ -343,7 +343,7 @@ register(
             # Concurrent-clients cell: 4 socket clients with ~2ms think
             # time between requests; the threading daemon must beat the
             # same streams replayed serially by >= 2x (timing-only — the
-            # deterministic core is identical across client planes).
+            # deterministic core does not depend on the interleaving).
             Cell(
                 params={
                     "n": 200,

@@ -16,15 +16,20 @@ identity, so running the same spec with ``workers=1``, ``workers=8`` or
 a ``--resume`` continuation produces bit-identical result rows (the
 ``timing`` field of a row is the only execution-dependent part and is
 excluded from all comparisons and cache keys).
+
+The execution knobs a cache key folds in are declared once, in the
+knob table :data:`repro.knobs.KNOBS`; :class:`Knobs` has one field per
+row and no knob names of its own.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import asdict, dataclass, make_dataclass
+from typing import Mapping, Optional, Tuple
+
+from repro.knobs import KNOBS
 
 
 def canonical_json(value: object) -> str:
@@ -167,75 +172,38 @@ def spec(name, title, runner, cells, version="1", tags=(), retry=None) -> Scenar
 
 
 # ---------------------------------------------------------------------- knobs
-@dataclass(frozen=True)
-class Knobs:
-    """Resolved execution knobs threaded into every runner and cache key.
+def _resolve_fields(self) -> None:
+    for knob in KNOBS.values():
+        object.__setattr__(self, knob.name, knob.resolve(getattr(self, knob.name)))
 
-    ``scan_path`` selects the orientation engine (see
-    :mod:`repro.core.engine`); ``send_plane`` / ``receive_plane`` select
-    the simulator send and receive planes (see
-    :mod:`repro.distributed.network`); ``repair_path`` selects the
-    serving plane's delta-repair twin (see :mod:`repro.serving.repair`);
-    ``client_plane`` selects how the ``serving_daemon`` concurrent
-    cells drive their clients (``concurrent`` threads vs a ``serial``
-    schedule — bit-identical result cores by the linearizability
-    contract).  All default to the environment overrides CI uses
-    (``REPRO_SCAN_PATH`` / ``REPRO_SEND_PLANE`` /
-    ``REPRO_RECEIVE_PLANE`` / ``REPRO_REPAIR_PATH`` /
-    ``REPRO_CLIENT_PLANE``) and fall back to ``"auto"``.  The
-    *resolved* values enter the cache key: a row computed under a
-    forced engine is never reused for another engine, even though the
-    engines are bit-identical by contract — the cache key must not
-    encode that proof obligation.
+
+Knobs = make_dataclass(
+    "Knobs",
+    [(knob.name, Optional[str], knob.default) for knob in KNOBS.values()],
+    namespace={
+        "__doc__": """Resolved execution knobs threaded into every runner and cache key.
+
+        One field per row of :data:`repro.knobs.KNOBS`, resolved at
+        construction.  The *resolved* values enter the cache key, so a
+        row computed under a forced engine is never reused for another
+        engine, even though the engines are bit-identical by contract —
+        the cache key must not encode that proof obligation.
+        """,
+        "__post_init__": _resolve_fields,
+        "as_dict": asdict,
+    },
+    frozen=True,
+)
+Knobs.__module__ = __name__
+
+
+def resolve_knobs(**values: Optional[str]) -> Knobs:
+    """Resolve knobs by name: explicit value > environment > ``auto``.
+
+    ``None`` (an unset CLI flag) and ``"auto"`` both defer to the
+    environment.
     """
-
-    scan_path: str = "auto"
-    send_plane: str = "auto"
-    receive_plane: str = "auto"
-    repair_path: str = "auto"
-    client_plane: str = "auto"
-
-    def as_dict(self) -> Dict[str, str]:
-        return {
-            "scan_path": self.scan_path,
-            "send_plane": self.send_plane,
-            "receive_plane": self.receive_plane,
-            "repair_path": self.repair_path,
-            "client_plane": self.client_plane,
-        }
-
-
-def resolve_knobs(
-    scan_path: Optional[str] = None,
-    send_plane: Optional[str] = None,
-    receive_plane: Optional[str] = None,
-    repair_path: Optional[str] = None,
-    client_plane: Optional[str] = None,
-) -> Knobs:
-    """Resolve knobs: explicit argument > environment override > ``auto``."""
-    if scan_path is None:
-        scan_path = os.environ.get("REPRO_SCAN_PATH", "").strip().lower() or "auto"
-    if send_plane is None:
-        send_plane = os.environ.get("REPRO_SEND_PLANE", "").strip().lower() or "auto"
-    if receive_plane is None:
-        receive_plane = (
-            os.environ.get("REPRO_RECEIVE_PLANE", "").strip().lower() or "auto"
-        )
-    if repair_path is None:
-        repair_path = (
-            os.environ.get("REPRO_REPAIR_PATH", "").strip().lower() or "auto"
-        )
-    if client_plane is None:
-        client_plane = (
-            os.environ.get("REPRO_CLIENT_PLANE", "").strip().lower() or "auto"
-        )
-    return Knobs(
-        scan_path=scan_path,
-        send_plane=send_plane,
-        receive_plane=receive_plane,
-        repair_path=repair_path,
-        client_plane=client_plane,
-    )
+    return Knobs(**values)
 
 
 # ---------------------------------------------------------------------- keys

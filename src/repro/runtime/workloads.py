@@ -1117,8 +1117,8 @@ def _concurrent_client_streams(colors0, n, clients, toggles, reads_per_write, se
     interleaving, and the canonical fixed point makes the final coloring
     interleaving-independent.  Reads query base edges incident to *no*
     owner, so they are valid (``ok``) at every moment of every schedule.
-    A pure function of its arguments: the concurrent and serial client
-    planes replay the exact same streams.  Returns ``(streams,
+    A pure function of its arguments: the concurrent passes and the
+    serial baseline replay the exact same streams.  Returns ``(streams,
     writes_per_pass)``.
     """
     import random
@@ -1177,22 +1177,21 @@ def _run_daemon_concurrent(ctx: CellContext) -> Dict[str, object]:
 
     Spawns one ``repro serve --listen`` subprocess (journal rotation caps
     on) and drives the same disjoint per-client streams at it three
-    times: two *measured* passes scheduled by the resolved
-    ``client_plane`` knob (``concurrent`` = one thread per client,
-    ``serial`` = the same streams back to back on one connection) plus
-    one serial baseline pass.  Both planes execute identical requests in
-    identical pass structure, so the deterministic result core — counts,
-    final epoch, canonical coloring digest — is bit-identical across
-    planes (CI diffs the two stores with ``--ignore-knobs``); only
-    ``timing`` carries the plane, the walls and the speedup.  Response
+    times: two *measured* concurrent passes (one thread per client) plus
+    one serial baseline pass (the same streams back to back on one
+    connection).  The deterministic result core — counts, final epoch,
+    canonical coloring digest — does not depend on the interleaving;
+    only ``timing`` carries the walls and the speedup.  Response
     *digests* are deliberately excluded from the core: read payloads
     observe the interleaving (that is the point of snapshot reads), and
-    the linearizability tests, not this runner, pin their validity.
+    the linearizability tests, not this runner, pin their validity
+    (``TestLinearizability`` in ``tests/test_serving_protocol.py``
+    replays four concurrent socket clients against a serial twin).
 
     Each client's think time (``client_delay_ms``) models a remote
     caller doing work between requests — that is the latency the
     threading daemon overlaps; a serialized daemon cannot, which is what
-    the ``min_speedup`` gate measures on the concurrent plane.
+    the ``min_speedup`` gate measures.
     """
     import hashlib
     import os
@@ -1207,7 +1206,7 @@ def _run_daemon_concurrent(ctx: CellContext) -> Dict[str, object]:
         journal_path,
         resolve_repair_path,
     )
-    from repro.serving.daemon import connect, spawn_daemon_process
+    from repro.serving.daemon import connect, spawned_daemon
 
     phases = _phases("serving_daemon")
     n = int(ctx.params["n"])
@@ -1218,11 +1217,6 @@ def _run_daemon_concurrent(ctx: CellContext) -> Dict[str, object]:
     delay = float(ctx.params.get("client_delay_ms", 2.0)) / 1000.0
     min_speedup = float(ctx.params.get("min_speedup", 0.0))
     journal_max_records = ctx.params.get("journal_max_records")
-    plane = (ctx.knobs.client_plane or "auto").strip().lower()
-    if plane == "auto":
-        plane = "concurrent"
-    if plane not in ("concurrent", "serial"):
-        raise ValueError(f"unknown client_plane {plane!r}")
     resolved = resolve_repair_path(ctx.knobs.repair_path)
 
     with phases.phase("setup"):
@@ -1243,9 +1237,6 @@ def _run_daemon_concurrent(ctx: CellContext) -> Dict[str, object]:
         extra_args = []
         if journal_max_records is not None:
             extra_args = ["--journal-max-records", str(int(journal_max_records))]
-        process, host, port = spawn_daemon_process(
-            path, repair_path=resolved, extra_args=extra_args
-        )
 
         def drive(stream, client, acks):
             for request in stream:
@@ -1276,11 +1267,11 @@ def _run_daemon_concurrent(ctx: CellContext) -> Dict[str, object]:
                     drive(stream, client, acks[index])
             return acks, time.perf_counter() - start
 
-        solve_start = time.perf_counter()
-        try:
-            measured = concurrent_pass if plane == "concurrent" else serial_pass
-            acks_a, wall_a = measured()
-            acks_b, wall_b = measured()
+        daemon = spawned_daemon(path, repair_path=resolved, extra_args=extra_args)
+        with daemon as (process, host, port):
+            solve_start = time.perf_counter()
+            acks_a, wall_a = concurrent_pass()
+            acks_b, wall_b = concurrent_pass()
             measured_wall = min(wall_a, wall_b)
             acks_c, serial_wall = serial_pass()
             passes = (acks_a, acks_b, acks_c)
@@ -1288,10 +1279,6 @@ def _run_daemon_concurrent(ctx: CellContext) -> Dict[str, object]:
                 ack = client.shutdown()
             assert ack == {"ok": True, "op": "shutdown"}, f"bad shutdown ack: {ack}"
             process.wait(timeout=30)
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=30)
         phases.record("solve", time.perf_counter() - solve_start)
         speedup = serial_wall / max(measured_wall, 1e-9)
 
@@ -1321,7 +1308,7 @@ def _run_daemon_concurrent(ctx: CellContext) -> Dict[str, object]:
                 "toggled writes did not restore the canonical base coloring"
             )
             final.verify()
-            if plane == "concurrent" and min_speedup:
+            if min_speedup:
                 assert speedup >= min_speedup, (
                     f"concurrent clients speedup {speedup:.2f}x < {min_speedup}x "
                     f"over the serialized schedule ({clients} clients)"
@@ -1348,7 +1335,6 @@ def _run_daemon_concurrent(ctx: CellContext) -> Dict[str, object]:
             "wall_seconds": round(measured_wall, 4),
             "serial_wall_seconds": round(serial_wall, 4),
             "speedup": round(speedup, 2),
-            "client_plane": plane,
             "phases": phases.as_timing(),
         },
     }
@@ -1378,7 +1364,7 @@ def run_serving_daemon(ctx: CellContext) -> Dict[str, object]:
     Cells carrying a ``clients`` parameter dispatch to the
     concurrent-clients variant (:func:`_run_daemon_concurrent`), which
     measures the threading daemon's speedup over a serialized client
-    schedule under the ``client_plane`` knob.
+    schedule.
     """
     if "clients" in ctx.params:
         return _run_daemon_concurrent(ctx)
@@ -1396,7 +1382,7 @@ def run_serving_daemon(ctx: CellContext) -> Dict[str, object]:
         journal_path,
         resolve_repair_path,
     )
-    from repro.serving.daemon import connect, spawn_daemon_process
+    from repro.serving.daemon import connect, spawned_daemon
 
     phases = _phases("serving_daemon")
     n = int(ctx.params["n"])
@@ -1430,11 +1416,9 @@ def run_serving_daemon(ctx: CellContext) -> Dict[str, object]:
 
         start = time.perf_counter()
         # Phase 1: lockstep until the kill point, then SIGKILL mid-stream.
-        process, host, port = spawn_daemon_process(path, repair_path=resolved)
-        try:
+        with spawned_daemon(path, repair_path=resolved) as (process, host, port):
             with connect((host, port)) as client:
                 got_prefix = client.request_many(requests[:kill_at])
-        finally:
             process.kill()
             process.wait(timeout=30)
 
@@ -1449,17 +1433,12 @@ def run_serving_daemon(ctx: CellContext) -> Dict[str, object]:
         recovered.verify()
 
         # Phase 2: restart from base+journal, finish the stream, shut down.
-        process, host, port = spawn_daemon_process(path, repair_path=resolved)
-        try:
+        with spawned_daemon(path, repair_path=resolved) as (process, host, port):
             with connect((host, port)) as client:
                 got_suffix = client.request_many(requests[kill_at:])
                 ack = client.shutdown()
             assert ack == {"ok": True, "op": "shutdown"}, f"bad shutdown ack: {ack}"
             process.wait(timeout=30)
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=30)
         wall = time.perf_counter() - start
         phases.record("solve", wall)
 

@@ -49,6 +49,7 @@ import signal
 import socket
 import socketserver
 import threading
+from contextlib import contextmanager
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.obs import get_registry, snapshot, tracer
@@ -536,3 +537,20 @@ def spawn_daemon_process(
             break
     process.kill()
     raise RuntimeError(f"daemon failed to start (last output: {line!r})")
+
+
+@contextmanager
+def spawned_daemon(artifact_path: str, **options):
+    """:func:`spawn_daemon_process` as a context yielding ``(process, host, port)``.
+
+    A daemon still running when the block exits is killed and reaped.
+    A deliberate SIGKILL inside the block stays explicit: that kill is
+    the experiment, this one is cleanup.
+    """
+    process, host, port = spawn_daemon_process(artifact_path, **options)
+    try:
+        yield process, host, port
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=30)

@@ -134,6 +134,15 @@ class TestOrientationEngineMatrix:
         # Explicit arguments always win over the environment.
         assert engine.resolve_use_numpy("python", 10**6) is False
 
+    def test_unknown_env_value_is_rejected_not_ignored(self, monkeypatch):
+        from repro.core import engine
+
+        monkeypatch.setenv("REPRO_SCAN_PATH", "nmpy")
+        # Drop the once-per-process cache so the engine rereads the env.
+        monkeypatch.setattr(engine, "_ENV_SCAN_PATH", getattr(engine, "_UNREAD", None))
+        with pytest.raises(ValueError, match="REPRO_SCAN_PATH"):
+            engine.resolve_use_numpy("auto", 10**4)
+
 
 @requires_numpy
 class TestScheduleEngineMatrix:

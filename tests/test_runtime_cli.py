@@ -61,6 +61,16 @@ class TestScenariosRun:
         ) == 0
         assert "1 executed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag", ["--scan-path", "--send-plane", "--receive-plane", "--repair-path"]
+    )
+    def test_run_rejects_unknown_knob_values(self, flag, tmp_path, capsys):
+        argv = ["scenarios", "run", "e8_values", flag, "bogus", "--out", str(tmp_path / "x")]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
 
 class TestScenariosReportAndDiff:
     @pytest.fixture()

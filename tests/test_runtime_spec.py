@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.runtime.spec import (
     Cell,
@@ -68,29 +69,73 @@ class TestCacheKey:
         assert cache_key(s, s.cells[0], Knobs()) == cache_key(s, s.cells[0], Knobs())
 
 
+#: (knob, env variable, allowed values): restated here so the table in
+#: repro.knobs is checked against an independent copy.
+KNOB_ROWS = [
+    ("scan_path", "REPRO_SCAN_PATH", ("auto", "numpy", "python")),
+    ("send_plane", "REPRO_SEND_PLANE", ("auto", "batched", "dict")),
+    ("receive_plane", "REPRO_RECEIVE_PLANE", ("auto", "batched", "dict")),
+    ("repair_path", "REPRO_REPAIR_PATH", ("auto", "incremental", "recompute")),
+]
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    for _name, env, _values in KNOB_ROWS:
+        monkeypatch.delenv(env, raising=False)
+    return monkeypatch
+
+
 class TestKnobs:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCAN_PATH", "NumPy")
-        monkeypatch.setenv("REPRO_SEND_PLANE", "batched")
-        monkeypatch.setenv("REPRO_RECEIVE_PLANE", "Dict")
+    def test_env_override(self, clean_env):
+        clean_env.setenv("REPRO_SCAN_PATH", "NumPy")
+        clean_env.setenv("REPRO_SEND_PLANE", "batched")
+        clean_env.setenv("REPRO_RECEIVE_PLANE", "Dict")
         knobs = resolve_knobs()
         assert knobs.scan_path == "numpy"
         assert knobs.send_plane == "batched"
         assert knobs.receive_plane == "dict"
 
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCAN_PATH", "numpy")
-        monkeypatch.setenv("REPRO_RECEIVE_PLANE", "dict")
+    def test_explicit_beats_env(self, clean_env):
+        clean_env.setenv("REPRO_SCAN_PATH", "numpy")
+        clean_env.setenv("REPRO_RECEIVE_PLANE", "dict")
         assert resolve_knobs(scan_path="python").scan_path == "python"
         assert resolve_knobs(receive_plane="batched").receive_plane == "batched"
 
-    def test_default_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCAN_PATH", raising=False)
-        monkeypatch.delenv("REPRO_SEND_PLANE", raising=False)
-        monkeypatch.delenv("REPRO_RECEIVE_PLANE", raising=False)
-        assert resolve_knobs() == Knobs(
-            scan_path="auto", send_plane="auto", receive_plane="auto"
-        )
+    def test_default_auto(self, clean_env):
+        assert resolve_knobs() == Knobs()
+        assert Knobs().as_dict() == {name: "auto" for name, _env, _values in KNOB_ROWS}
+
+    def test_table_declares_every_knob(self):
+        from repro.knobs import KNOBS
+
+        assert [(k.name, k.env, k.choices) for k in KNOBS.values()] == KNOB_ROWS
+
+    @pytest.mark.parametrize("name,env,values", KNOB_ROWS)
+    def test_explicit_auto_records_the_forced_engine(self, clean_env, name, env, values):
+        # An explicit "auto" under a forced engine must record the engine
+        # that ran, or its cache key collides with an unforced run.
+        clean_env.setenv(env, values[-1])
+        forced = resolve_knobs(**{name: "auto"})
+        assert forced.as_dict()[name] == values[-1]
+        clean_env.delenv(env)
+        s = _spec()
+        unforced = resolve_knobs(**{name: "auto"})
+        assert cache_key(s, s.cells[0], forced) != cache_key(s, s.cells[0], unforced)
+
+    @pytest.mark.parametrize("name,env,values", KNOB_ROWS)
+    @pytest.mark.parametrize("source", ["argument", "env"])
+    def test_unknown_value_is_rejected(self, clean_env, name, env, values, source):
+        if source == "env":
+            clean_env.setenv(env, "bogus")
+            overrides = {}
+        else:
+            overrides = {name: "bogus"}
+        with pytest.raises(ValueError) as info:
+            resolve_knobs(**overrides)
+        message = str(info.value)
+        for part in (name, env, "'bogus'", *values):
+            assert part in message
 
 
 class TestSpecModel:

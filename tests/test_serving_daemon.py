@@ -32,7 +32,7 @@ from repro.serving.daemon import (
     ColoringDaemon,
     connect,
     parse_address,
-    spawn_daemon_process,
+    spawned_daemon,
 )
 
 
@@ -334,11 +334,9 @@ class TestDaemonSubprocess:
         prefix_colors = dict(twin.artifact.colors)
         expected_suffix = twin.serve_batch(batch[cut:])
 
-        process, host, port = spawn_daemon_process(path)
-        try:
+        with spawned_daemon(path) as (process, host, port):
             with connect((host, port)) as client:
                 got_prefix = client.request_many(batch[:cut])
-        finally:
             process.send_signal(signal.SIGKILL)
             process.wait(timeout=30)
         recovered = ColoringArtifact.load(path)
@@ -346,16 +344,11 @@ class TestDaemonSubprocess:
         assert recovered.colors == prefix_colors
         assert recovered.verify()
 
-        process, host, port = spawn_daemon_process(path)
-        try:
+        with spawned_daemon(path) as (process, host, port):
             with connect((host, port)) as client:
                 got_suffix = client.request_many(batch[cut:])
                 assert client.shutdown() == {"ok": True, "op": "shutdown"}
             assert process.wait(timeout=30) == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=30)
         assert got_prefix + got_suffix == expected_prefix + expected_suffix
         assert not os.path.exists(journal_path(path))
         final = ColoringArtifact.load(path)
@@ -501,12 +494,8 @@ class TestJournalRotation:
             daemon.stop(compact=False)
         # The subprocess driver depends on the exact stdout line; it
         # parses "listening on HOST:PORT" with the *resolved* port.
-        process, shost, sport = spawn_daemon_process(path, listen="127.0.0.1:0")
-        try:
+        with spawned_daemon(path, listen="127.0.0.1:0") as (_process, shost, sport):
             assert sport != 0
             with connect((shost, sport)) as client:
                 stats = client.request({"op": "stats", "scope": "daemon"})
             assert stats["ok"] and stats["proto"] == "repro-serving/v1"
-        finally:
-            process.kill()
-            process.wait(timeout=30)
