@@ -238,20 +238,6 @@ def build_coloring_service(
     )
 
 
-def connect_coloring_service(target, **options):
-    """Open the one duck-typed serving client (in-process or socket).
-
-    Thin re-export of :func:`repro.serving.connect`: ``target`` is an
-    artifact path / :class:`~repro.serving.ColoringArtifact` /
-    :class:`~repro.serving.ServingSession` (served in-process) or a
-    ``"HOST:PORT"`` daemon address (served over a socket) — the
-    returned client answers ``request`` / ``request_many`` either way.
-    """
-    from repro.serving import connect
-
-    return connect(target, **options)
-
-
 def color_edges_bipartite(
     graph: Graph,
     bipartition: Optional[Bipartition] = None,

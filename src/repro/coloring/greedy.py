@@ -29,19 +29,16 @@ class UsedColorMasks:
     One integer per node; bit ``c`` is set iff some incident edge uses
     color ``c``.  In a *proper* edge coloring the incident colors of a
     node are pairwise distinct, so presence bits are exact state: an
-    assignment sets one bit at each endpoint and an unassignment clears
-    it — no reference counting is ever needed.
+    assignment sets one bit at each endpoint — no reference counting is
+    ever needed.
 
     This is the availability state the greedy passes used to build
-    internally and discard per call, extracted so long-lived callers can
-    own and maintain *one* object across passes: the serving plane's
-    :class:`repro.serving.artifact.ColoringArtifact` keeps the masks
-    alive across delta repairs, and
+    internally and discard per call, extracted so a caller can own and
+    maintain *one* object across passes:
     :func:`repro.core.list_edge_coloring.list_edge_coloring` owns one for
     the whole solve and hands it to every greedy pass as its
     ``used_colors`` state (shared, never rebuilt).  The inconsistency
-    checks in :meth:`assign` / :meth:`unassign` are deliberate: the
-    incremental repair engine leans on them to turn state-corruption bugs
+    check in :meth:`assign` is deliberate: it turns state-corruption bugs
     into immediate errors instead of silently improper colorings.
     """
 
@@ -59,16 +56,6 @@ class UsedColorMasks:
             state.assign(edge_u[e], edge_v[e], c)
         return state
 
-    @classmethod
-    def from_pair_coloring(
-        cls, num_nodes: int, colors: Dict[Tuple[int, int], int]
-    ) -> "UsedColorMasks":
-        """Masks for an existing proper coloring keyed by endpoint pair."""
-        state = cls(num_nodes)
-        for (u, v), c in colors.items():
-            state.assign(u, v, c)
-        return state
-
     @property
     def num_nodes(self) -> int:
         return len(self._masks)
@@ -76,22 +63,6 @@ class UsedColorMasks:
     def mask(self, v: int) -> int:
         """The used-color bitmask of node ``v``."""
         return self._masks[v]
-
-    def uses(self, v: int, color: int) -> bool:
-        """Whether some edge incident to ``v`` uses ``color``."""
-        return bool((self._masks[v] >> color) & 1)
-
-    def colors_at(self, v: int) -> List[int]:
-        """Sorted colors used at node ``v``."""
-        mask = self._masks[v]
-        out: List[int] = []
-        color = 0
-        while mask:
-            if mask & 1:
-                out.append(color)
-            mask >>= 1
-            color += 1
-        return out
 
     def assign(self, u: int, v: int, color: int) -> None:
         """Record the edge ``{u, v}`` taking ``color`` (both endpoints)."""
@@ -104,29 +75,6 @@ class UsedColorMasks:
             )
         masks[u] |= bit
         masks[v] |= bit
-
-    def unassign(self, u: int, v: int, color: int) -> None:
-        """Clear the edge ``{u, v}``'s ``color`` from both endpoints."""
-        bit = 1 << color
-        masks = self._masks
-        if not (masks[u] & bit and masks[v] & bit):
-            raise ValueError(
-                f"color {color} is not set at both endpoints of ({u}, {v}); "
-                "unassign does not match the maintained state"
-            )
-        masks[u] &= ~bit
-        masks[v] &= ~bit
-
-    @staticmethod
-    def smallest_free(blocked: int) -> int:
-        """The smallest color whose bit is clear in ``blocked`` (the mex)."""
-        # ``blocked + 1`` flips the trailing run of set bits, so the
-        # lowest clear bit of ``blocked`` is the lowest set bit here.
-        return (~blocked & (blocked + 1)).bit_length() - 1
-
-    def smallest_available(self, u: int, v: int) -> int:
-        """The smallest color free at both ``u`` and ``v``."""
-        return self.smallest_free(self._masks[u] | self._masks[v])
 
 
 def greedy_vertex_coloring_by_classes(
@@ -310,30 +258,6 @@ def _linial_rows_python(
         if tracker is not None:
             tracker.charge(1, "linial")
     return colors
-
-
-def _linial_rows_numpy(
-    colors: List[int],
-    rows: List[List[int]],
-    schedule: Sequence[tuple],
-    tracker: Optional[RoundTracker],
-) -> List[int]:
-    """Vectorized twin of :func:`_linial_rows_python` (bit-identical).
-
-    Thin wrapper flattening the python row lists into the CSR arrays
-    :func:`_linial_flat_numpy` consumes (the vectorized setup path of
-    :func:`proper_edge_schedule` builds those arrays directly and skips
-    the row lists entirely).
-    """
-    np = _np
-    num = len(colors)
-    counts = np.fromiter((len(row) for row in rows), dtype=np.int64, count=num)
-    flat = np.fromiter(
-        (j for row in rows for j in row), dtype=np.int64, count=int(counts.sum())
-    )
-    return _linial_flat_numpy(
-        np.array(colors, dtype=np.int64), flat, counts, schedule, tracker
-    )
 
 
 def _linial_flat_numpy(
@@ -552,7 +476,7 @@ def proper_edge_schedule(
         # Vectorized setup + engine: the per-part incident maps and row
         # building collapse to array passes (see _schedule_setup_numpy);
         # ``None`` means a headroom guard tripped — fall through to the
-        # python setup below.
+        # python setup and engine below.
         vectorized = _schedule_setup_numpy(graph, edge_list, tracker)
         if vectorized is not None:
             return vectorized
@@ -594,18 +518,6 @@ def proper_edge_schedule(
         row = [j for j in incident[u] if j != position]
         row.extend(j for j in incident[v] if j != position)
         rows.append(row)
-    use_np = resolve_use_numpy(scan_path, len(edge_list))
-    if use_np:
-        # The vectorized engine works in int64; its largest intermediates
-        # are the initial identifier colors and (d+1)·q² (unreduced
-        # polynomial sum).  Simulatable instances are orders of magnitude
-        # below the bound — this guards the pathological huge-id-space
-        # case back onto arbitrary-precision python ints.
-        if space >= 2**62 or max((d + 1) * q * q for q, d in schedule) >= 2**62:
-            use_np = False
-    if use_np:
-        colors = _linial_rows_numpy(colors, rows, schedule, tracker)
-    else:
-        colors = _linial_rows_python(colors, rows, schedule, tracker)
+    colors = _linial_rows_python(colors, rows, schedule, tracker)
     return {edge_list[position]: colors[position] for position in range(len(edge_list))}
 

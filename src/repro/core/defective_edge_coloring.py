@@ -112,21 +112,6 @@ class DefectiveTwoColoringResult:
         self.edge_degrees = edge_degrees if edge_degrees is not None else {}
         self._defects = defects
         self._measure_graph = _graph
-        self._red_sorted: Optional[List[int]] = None
-        self._blue_sorted: Optional[List[int]] = None
-
-    def red_sorted(self) -> List[int]:
-        """The red class as an ascending list (cached; the recursive
-        splitting callers all consume the classes sorted)."""
-        if self._red_sorted is None:
-            self._red_sorted = sorted(self.red_edges)
-        return self._red_sorted
-
-    def blue_sorted(self) -> List[int]:
-        """The blue class as an ascending list (cached)."""
-        if self._blue_sorted is None:
-            self._blue_sorted = sorted(self.blue_edges)
-        return self._blue_sorted
 
     @property
     def defects(self) -> Dict[int, int]:
@@ -203,7 +188,7 @@ def generalized_defective_two_edge_coloring(
             tracker.charge(rounds, label)
     colors = dict.fromkeys(edges, BLUE)
     colors.update(dict.fromkeys(split.red, RED))
-    result = DefectiveTwoColoringResult(
+    return DefectiveTwoColoringResult(
         colors=colors,
         red_edges=set(split.red),
         blue_edges=set(split.blue),
@@ -215,9 +200,6 @@ def generalized_defective_two_edge_coloring(
         edge_degrees=orientation.edge_degrees,
         _graph=graph,
     )
-    result._red_sorted = split.red
-    result._blue_sorted = split.blue
-    return result
 
 
 @dataclass

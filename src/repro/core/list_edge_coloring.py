@@ -74,24 +74,6 @@ from repro.graphs.core import Graph
 
 
 @dataclass
-class ColoringBuildState:
-    """Solver state worth keeping after the batch solve finishes.
-
-    The serving plane (:mod:`repro.serving`) wants the solve's per-node
-    availability and palette occupancy to warm-start a lookup artifact
-    without an O(m) rebuild, so the pipeline packages them on request:
-    the masks are the solve's own used-color state.
-
-    Attributes:
-        masks: per-node used-color bitmasks of the final coloring.
-        palette: color → multiplicity over all colored edges.
-    """
-
-    masks: UsedColorMasks
-    palette: Dict[int, int]
-
-
-@dataclass
 class ListColoringResult:
     """Outcome of the Theorem D.4 list edge coloring.
 
@@ -104,8 +86,6 @@ class ListColoringResult:
         rounds: communication rounds charged.
         outer_iterations: number of Theorem D.4 outer recursion levels.
         level_degrees: maximum uncolored degree at the start of each level.
-        build_state: extracted solver state (``None`` unless the solve
-            was asked to capture it); see :class:`ColoringBuildState`.
     """
 
     colors: Dict[int, int]
@@ -115,7 +95,6 @@ class ListColoringResult:
     rounds: int
     outer_iterations: int
     level_degrees: List[int] = field(default_factory=list)
-    build_state: Optional[ColoringBuildState] = None
 
 
 # ---------------------------------------------------------------------------- helpers
@@ -477,7 +456,6 @@ def list_edge_coloring(
     params: Optional[parameters.PracticalParameters] = None,
     tracker: Optional[RoundTracker] = None,
     scan_path: str = "auto",
-    capture_build_state: bool = False,
 ) -> ListColoringResult:
     """Solve the (degree+1)-list edge coloring problem (Theorems 1.1 / D.4).
 
@@ -490,10 +468,6 @@ def list_edge_coloring(
         scan_path: orientation engine selector (``"auto"`` / ``"numpy"``
             / ``"python"``), forwarded to every defective split the
             recursion performs; both forced engines are bit-identical.
-        capture_build_state: when true, package the final per-node
-            used-color bitmasks and palette table on the result
-            (:class:`ColoringBuildState`) for the serving plane instead
-            of discarding them.  The coloring itself is unaffected.
 
     Raises ``ValueError`` if the instance violates the (degree+1) condition.
     """
@@ -516,9 +490,6 @@ def list_edge_coloring(
             bound=bound,
             rounds=0,
             outer_iterations=0,
-            build_state=(
-                ColoringBuildState(masks=used, palette={}) if capture_build_state else None
-            ),
         )
 
     vertex_colors, vertex_color_count = linial_vertex_coloring(graph, tracker=own)
@@ -606,12 +577,6 @@ def list_edge_coloring(
 
     if tracker is not None:
         tracker.merge(own)
-    build_state: Optional[ColoringBuildState] = None
-    if capture_build_state:
-        palette: Dict[int, int] = {}
-        for c in coloring.values():
-            palette[c] = palette.get(c, 0) + 1
-        build_state = ColoringBuildState(masks=used, palette=palette)
     return ListColoringResult(
         colors=coloring,
         num_colors=len(set(coloring.values())),
@@ -620,5 +585,4 @@ def list_edge_coloring(
         rounds=own.total,
         outer_iterations=outer,
         level_degrees=level_degrees,
-        build_state=build_state,
     )

@@ -242,8 +242,8 @@ class DeltaGraph:
         always re-read ``graph.base`` (or better, stay on the
         :class:`DeltaGraph` read API, which is rebase-transparent).
         State keyed by endpoint *pairs* (colorings, demand lists,
-        per-epoch mask caches built from pair-keyed colors) survives a
-        rebase untouched; state keyed by base-graph edge *indices* does
+        palette tables built from pair-keyed colors) survives a rebase
+        untouched; state keyed by base-graph edge *indices* does
         not, which is why the serving plane persists nothing by index.
         ``ColoringArtifact`` is audited to this contract and the
         rebase-under-churn twin tests pin it.

@@ -29,10 +29,12 @@ internal accounting, deterministically quarantined from outputs.
   ``repro-trace/v1`` format, written through :mod:`repro.jsonlog` like
   the result store and the delta journal.  Each process writes its own
   ``trace-<pid>.jsonl`` so parallel sweeps never interleave.
-* **Metrics are additive** — the existing ad-hoc totals
-  (``cache_stats()``, ``FaultStats``, executor retry/quarantine counts,
-  journal append/heal counts) keep their APIs; the planes mirror them
-  into the process-wide registry so one snapshot covers everything.
+* **One store per fact** — a metric is counted once, into the
+  instrument that holds it: the runtime, journal and result store count
+  into the process-wide registry, and each serving session into its own
+  registry, which ``cache_stats()`` reads and the daemon's stats answer
+  merges with the process snapshot.  No total is kept aside and
+  mirrored.
 """
 
 from repro.obs.metrics import (

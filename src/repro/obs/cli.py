@@ -35,7 +35,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro obs",
-        description="Observability plane: trace reports and registry snapshots.",
+        description="Observability plane: render trace files into latency reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

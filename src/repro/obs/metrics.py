@@ -1,20 +1,21 @@
 """Metrics registry: counters, gauges, and bounded-bucket histograms.
 
-A :class:`MetricsRegistry` is a process-wide bag of named instruments.
-Instruments are pure python, allocation-light, and always on — the
-planes increment them at coarse points (per cell, per request, per
-journal append), so the cost is a dict lookup and an integer add, far
-below the perf_smoke budgets.  The process-wide default registry is
-reachable via :func:`get_registry`; :func:`snapshot` renders every
-instrument into one JSON-safe dict for the daemon's introspection op
-and ``repro obs report``.
+A :class:`MetricsRegistry` is a bag of named instruments.  Instruments
+are pure python, allocation-light, and always on — the planes increment
+them at coarse points (per cell, per request, per journal append), so
+the cost is an integer add, far below the perf_smoke budgets.  The
+process-wide default registry is reachable via :func:`get_registry`;
+:func:`snapshot` renders every instrument into one JSON-safe dict.
+
+An instrument is the *store* of its fact, never a copy of one kept
+elsewhere: the runtime, journal and store count straight into the
+default registry, and each ``ServingSession`` owns a registry of its
+own (bound once, per instance) that its ``cache_stats()`` only reads.
+The daemon's ``{"op": "stats", "scope": "daemon"}`` answer renders the
+default snapshot plus its session's.
 
 Like spans, metrics are *timing-like* under the twin discipline: they
-never feed cell seeds, cache keys, responses, or ``diff_rows``.  The
-existing ad-hoc totals (``ServingSession.cache_stats()``, ``FaultStats``,
-executor retry/quarantine counts, journal append/heal counts) keep their
-current APIs; the planes mirror them into the registry so one snapshot
-covers all three planes.
+never feed cell seeds, cache keys, responses, or ``diff_rows``.
 """
 
 from __future__ import annotations
@@ -171,12 +172,6 @@ class MetricsRegistry:
         if not isinstance(instrument, Histogram):
             raise TypeError(f"{name} already registered as {instrument.kind}")
         return instrument
-
-    def update(self, values: Dict[str, float], prefix: str = "") -> None:
-        """Mirror an ad-hoc totals dict (``cache_stats``-style) as gauges."""
-        for key, value in values.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                self.gauge(f"{prefix}{key}").set(value)
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Every instrument rendered to a JSON-safe dict, sorted by name."""

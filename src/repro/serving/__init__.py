@@ -12,14 +12,13 @@ two:
     once over a frozen CSR graph and captures everything a server needs
     in a persistent :class:`ColoringArtifact`: the epoch-versioned
     :class:`repro.graphs.DeltaGraph`, the pair-keyed coloring, sparse
-    demand lists, the palette table, and per-node used-color bitmasks
-    (a per-epoch cached :class:`repro.coloring.greedy.UsedColorMasks`).
+    demand lists and the palette table.
     Artifacts serialize to JSON (``save``/``load``) so a build survives
     the process that made it — the ``repro serve`` CLI writes one, any
     number of ``repro query`` invocations read it.
     :func:`artifact_from_coloring` wraps an arbitrary pipeline coloring
-    (e.g. ``ListColoringResult`` with its extracted build state) as a
-    lookup-only artifact.
+    (and :func:`artifact_from_list_coloring` a ``ListColoringResult``)
+    as a lookup-only artifact.
 
 **Online serve** (:mod:`repro.serving.session`)
     :class:`ServingSession` answers batched requests against one
@@ -49,7 +48,7 @@ two:
       ``overlay_size / base_edges``, ``min_overlay`` 8) folds the
       :class:`~repro.graphs.DeltaGraph` overlay into a fresh CSR base
       when it outgrows the base — **epoch-preserving**, so the result
-      cache and per-epoch used-color masks stay valid, and rebasing /
+      cache stays valid, and rebasing /
       never-rebasing sessions are bit-identical twins (an explicit
       ``rebase`` op exists alongside the policy; ``rebase_policy="off"``
       disables it).
@@ -78,7 +77,9 @@ two:
       serialized schedule.
     * *Bounded observability*: ``ServingSession.reports`` is a ring
       buffer (``reports_cap``, default 256); lossless totals live in
-      ``cache_stats()`` — long-lived sessions never grow without bound.
+      the session's own metrics registry (``ServingSession.metrics``),
+      which ``cache_stats()`` reads — long-lived sessions never grow
+      without bound.
 
 Entry points: :func:`repro.api.build_coloring_service`, the ``repro
 serve`` / ``repro query`` CLI commands (including ``serve --listen`` /

@@ -11,12 +11,7 @@ without re-solving:
 * sparse **demand lists** (pair → sorted color tuple) for edges whose
   palette is constrained;
 * the **palette table** (color → multiplicity), maintained incrementally
-  by the repair engine;
-* per-node **used-color bitmasks**, exposed as a per-epoch cached
-  :class:`repro.coloring.greedy.UsedColorMasks` derived from the colors
-  (derived, not primary: mid-repair the coloring is transiently
-  improper, which a bitmask cannot represent — see
-  :mod:`repro.serving.repair`).
+  by the repair engine.
 
 Canonical artifacts (built by :func:`build_artifact`, or loaded from
 JSON) carry the canonical priority-greedy coloring and accept deltas.
@@ -34,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import jsonlog
-from repro.coloring.greedy import UsedColorMasks
 from repro.graphs.core import Graph
 from repro.graphs.delta import DeltaGraph
 from repro.serving.journal import (
@@ -78,10 +72,9 @@ class RebasePolicy:
     Θ(threshold · m) deltas that grew the overlay.
 
     A rebase is epoch-preserving (the edge set is unchanged), so it is
-    invisible to the serving plane's deterministic core: cached answers,
-    per-epoch :class:`UsedColorMasks` and response streams are
-    bit-identical between a rebasing session and a never-rebasing twin
-    (pinned by the rebase twin tests).
+    invisible to the serving plane's deterministic core: cached answers
+    and response streams are bit-identical between a rebasing session
+    and a never-rebasing twin (pinned by the rebase twin tests).
     """
 
     threshold: float = 0.25
@@ -145,8 +138,6 @@ class ColoringArtifact:
         self._palette: Dict[int, int] = {}
         for c in colors.values():
             self._palette[c] = self._palette.get(c, 0) + 1
-        self._masks: Optional[UsedColorMasks] = None
-        self._masks_epoch = -1
         # Delta records pending a journal append: populated only when
         # journal tracking is on (loaded/saved artifacts), drained by
         # ``save``.  In-memory artifacts that are never persisted pay
@@ -216,22 +207,8 @@ class ColoringArtifact:
                 f"edge {key} is not present", code="absent-edge"
             ) from None
 
-    def masks(self) -> UsedColorMasks:
-        """Per-node used-color bitmasks for the current epoch (cached)."""
-        if self._masks is None or self._masks_epoch != self.epoch:
-            self._masks = UsedColorMasks.from_pair_coloring(
-                self.graph.num_nodes, self.colors
-            )
-            self._masks_epoch = self.epoch
-        return self._masks
-
     def node_colors(self, v: int) -> List[int]:
-        """Sorted colors on the edges incident to node ``v``.
-
-        O(degree) direct scan — deliberately *not* via :meth:`masks`,
-        whose per-epoch rebuild is O(m) and would cancel the incremental
-        path's advantage under churn (one rebuild per delta).
-        """
+        """Sorted colors on the edges incident to node ``v`` (O(degree) scan)."""
         if not 0 <= v < self.graph.num_nodes:
             raise RepairError(
                 f"node {v} out of range for {self.graph.num_nodes} nodes",
@@ -290,11 +267,11 @@ class ColoringArtifact:
     def rebase(self) -> int:
         """Fold the graph overlay into a fresh CSR base; return entries folded.
 
-        Epoch-preserving: the edge set, the coloring and every per-epoch
-        cache (result cache entries, :class:`UsedColorMasks`) stay
-        valid — a rebase is maintenance, not a delta, and is therefore
-        never journaled (replay rebuilds its own overlay and may rebase
-        on its own schedule without affecting the replayed state).
+        Epoch-preserving: the edge set, the coloring and every result
+        cache entry stay valid — a rebase is maintenance, not a delta,
+        and is therefore never journaled (replay rebuilds its own
+        overlay and may rebase on its own schedule without affecting the
+        replayed state).
         """
         folded = self.graph.overlay_size
         if folded:
@@ -320,7 +297,7 @@ class ColoringArtifact:
             )
 
     # ------------------------------------------------- repair-engine hooks
-    # Primary state is (colors, palette); masks invalidate via the epoch.
+    # The state is (colors, palette); the epoch versions it.
     def _assign(self, key: Pair, c: int) -> None:
         self.colors[key] = c
         self._palette[c] = self._palette.get(c, 0) + 1
@@ -347,8 +324,6 @@ class ColoringArtifact:
         self._palette = {}
         for c in colors.values():
             self._palette[c] = self._palette.get(c, 0) + 1
-        self._masks = None
-        self._masks_epoch = -1
 
     def _bump_epoch(self) -> int:
         self._epoch_base += 1
@@ -626,7 +601,6 @@ def artifact_from_coloring(
     edge_colors: Sequence[int],
     *,
     builder: str = "pipeline",
-    build_state: Optional[UsedColorMasks] = None,
 ) -> ColoringArtifact:
     """Wrap a pipeline's edge-indexed coloring as a lookup-only artifact.
 
@@ -634,10 +608,6 @@ def artifact_from_coloring(
     the shape every ``core/`` pipeline emits.  The artifact serves reads
     (color/schedule/palette lookups) but refuses deltas: an arbitrary
     pipeline coloring has no canonical fixed point to repair towards.
-    ``build_state`` accepts the pipeline's maintained
-    :class:`UsedColorMasks` (see ``ListColoringResult.build_state``) so
-    the offline phase's masks seed the artifact's cache instead of
-    being recomputed.
     """
     if len(edge_colors) != graph.num_edges:
         raise RepairError(
@@ -648,31 +618,10 @@ def artifact_from_coloring(
         _pair(int(edge_u[e]), int(edge_v[e])): int(edge_colors[e])
         for e in range(graph.num_edges)
     }
-    artifact = ColoringArtifact(
-        DeltaGraph(graph), colors, canonical=False, builder=builder
-    )
-    if build_state is not None:
-        artifact._masks = build_state
-        artifact._masks_epoch = artifact.epoch
-    return artifact
+    return ColoringArtifact(DeltaGraph(graph), colors, canonical=False, builder=builder)
 
 
 def artifact_from_list_coloring(graph: Graph, result) -> ColoringArtifact:
-    """Lookup artifact from a ``ListColoringResult`` (Theorem D.4 solve).
-
-    When the solve captured its :class:`~repro.core.list_edge_coloring.ColoringBuildState`
-    (``capture_build_state=True``), its masks seed the artifact's mask
-    cache and its palette table is adopted wholesale — the offline
-    phase's repair state survives into serving instead of being rebuilt.
-    """
+    """Lookup artifact from a ``ListColoringResult`` (Theorem D.4 solve)."""
     edge_colors = [result.colors[e] for e in graph.edges()]
-    state = getattr(result, "build_state", None)
-    artifact = artifact_from_coloring(
-        graph,
-        edge_colors,
-        builder="list_edge_coloring",
-        build_state=None if state is None else state.masks,
-    )
-    if state is not None:
-        artifact._palette = dict(state.palette)
-    return artifact
+    return artifact_from_coloring(graph, edge_colors, builder="list_edge_coloring")

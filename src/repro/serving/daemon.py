@@ -17,7 +17,9 @@ epoch it produced).  Responses are still lockstep *per connection*:
 one request line, one response line, in order.  Every request runs
 under a per-connection ``daemon.request`` span; the
 ``serving.readers_active`` and ``serving.write_queue_depth`` gauges
-expose the lock's live levels.
+expose the lock's live levels, and the ``daemon.requests`` counter and
+``daemon.connections`` gauge the daemon's own — all in the session's
+metrics registry.
 
 **Durability** — with journaling on (the default), every absorbed
 delta is appended to the artifact's on-disk journal *inside the writer
@@ -52,7 +54,7 @@ import threading
 from contextlib import contextmanager
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.obs import get_registry, snapshot, tracer
+from repro.obs import snapshot, tracer
 from repro.obs import trace as obs_trace
 from repro.serving import protocol
 from repro.serving.artifact import ColoringArtifact
@@ -162,19 +164,17 @@ class ColoringDaemon:
         self._thread: Optional[threading.Thread] = None
         self._shutdown = threading.Event()
         self._served_lock = threading.Lock()
-        self._connections = 0
-        self.requests_served = 0
+        self._requests = self.session.metrics.counter("daemon.requests")
+        self._connections = self.session.metrics.gauge("daemon.connections")
 
     # ------------------------------------------------------------ accounting
     def _count_request(self) -> None:
         with self._served_lock:
-            self.requests_served += 1
-        get_registry().counter("daemon.requests").inc()
+            self._requests.inc()
 
     def _connections_gauge(self, delta: int) -> None:
         with self._served_lock:
-            self._connections += delta
-            get_registry().gauge("daemon.connections").set(self._connections)
+            self._connections.inc(delta)
 
     def _persist_write(self, _response: Mapping) -> None:
         """The session's write hook: journal-before-ack (+ rotation)."""
@@ -230,6 +230,11 @@ class ColoringDaemon:
     def daemon_stats(self) -> Dict[str, object]:
         """The read-only introspection snapshot: registry + session + artifact.
 
+        ``registry`` is built here, from the process-wide snapshot plus
+        the session's own instruments, and ``requests_served`` /
+        ``connections`` / ``cache_stats`` are views over those same
+        instruments — one answer cannot contradict itself.
+
         Deliberately a *daemon-scope* answer (never routed through the
         session or its result cache): the payload is observability, not
         an answer, and it varies with process history — exactly what the
@@ -240,9 +245,9 @@ class ColoringDaemon:
             "op": "stats",
             "scope": "daemon",
             "proto": protocol.PROTOCOL_FORMAT,
-            "requests_served": self.requests_served,
-            "connections": self._connections,
-            "registry": snapshot(),
+            "requests_served": self._requests.value,
+            "connections": int(self._connections.value),
+            "registry": {**snapshot(), **self.session.metrics.snapshot()},
             "cache_stats": self.session.cache_stats(),
             "artifact": self.session.artifact.stats(),
         }
@@ -355,7 +360,7 @@ def run_daemon(
         folded = daemon.stop(compact=True)
     stats = daemon.session.cache_stats()
     summary = (
-        f"shutdown: {daemon.requests_served} requests served, "
+        f"shutdown: {daemon._requests.value} requests served, "
         f"{stats['deltas_applied']} deltas, {folded} journal records compacted"
     )
     logger.info("%s", summary)

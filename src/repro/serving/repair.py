@@ -47,11 +47,9 @@ would have chosen it, not ``color(f)``).
 Mid-worklist the coloring is transiently *improper* — a just-inserted
 or just-recolored edge may share a color with a lower-priority neighbor
 until that neighbor is popped.  This is why the engine computes blocked
-sets by scanning neighbor colors directly instead of consulting the
-artifact's per-node used-color bitmasks: a bitmask cannot represent the
-transient multiplicity.  The artifact therefore treats its
-:class:`~repro.coloring.greedy.UsedColorMasks` as a per-epoch cache
-derived from the colors, not as primary state.
+sets by scanning the higher-priority neighbor colors directly: per-node
+used-color bitmasks cannot represent the transient multiplicity, and
+they would include lower-priority colors too.
 
 When the number of popped edges exceeds ``radius_limit`` the engine
 abandons the worklist and falls back to :func:`full_recompute` on the
@@ -137,8 +135,8 @@ def choose_color(blocked: int, demand: Optional[Tuple[int, ...]]) -> int:
     :class:`RepairError` when the list is exhausted.
     """
     if demand is None:
-        # Lowest clear bit of ``blocked``: identical to
-        # UsedColorMasks.smallest_free, inlined on the hot path.
+        # Lowest clear bit: ``blocked + 1`` flips the trailing run of
+        # set bits, so ``~blocked & (blocked + 1)`` keeps just that bit.
         return (~blocked & (blocked + 1)).bit_length() - 1
     for c in demand:
         if not (blocked >> c) & 1:
@@ -204,27 +202,6 @@ def full_recompute(
         masks[u] = masks.get(u, 0) | bit
         masks[v] = masks.get(v, 0) | bit
     return colors
-
-
-def _blocked_mask(artifact: "ColoringArtifact", key: Pair) -> int:
-    """Colors of the higher-priority edges adjacent to ``key``.
-
-    Scans both endpoint neighborhoods and keeps only edges with a
-    smaller pair — the artifact's per-node masks cannot be used here
-    because they include lower-priority colors too (and may be stale
-    mid-repair, see the module docstring).
-    """
-    graph = artifact.graph
-    colors = artifact.colors
-    blocked = 0
-    for a, b in (key, (key[1], key[0])):
-        for w in graph.neighbors(a):
-            if w == b:
-                continue
-            q = (a, w) if a < w else (w, a)
-            if q < key:
-                blocked |= 1 << colors[q]
-    return blocked
 
 
 def _run_worklist(

@@ -47,10 +47,17 @@ digests responses across ``repair_path`` values).
 
 Long-lived sessions stay bounded: :attr:`ServingSession.reports` is a
 ring buffer of the most recent ``reports_cap`` repair reports (older
-ones age out), while :meth:`cache_stats` carries the lossless totals —
-``deltas_applied``, ``touched``, ``recolored``, ``fallbacks``,
-``rebases``, ``overlay_folded`` — so observability never requires
-unbounded memory.  The ``rebase`` op (and the automatic
+ones age out), while the lossless totals — cache ``hits`` / ``misses``
+/ ``evictions``, ``deltas_applied``, ``touched``, ``recolored``,
+``fallbacks``, ``rebases``, ``overlay_folded`` — are counters in the
+session's own :class:`~repro.obs.MetricsRegistry`
+(:attr:`ServingSession.metrics`, instrument ``serving.cache.<total>``),
+the one store :meth:`cache_stats` reads, so observability never
+requires unbounded memory and never keeps a second copy.  The same
+registry holds the lock gauges, the ``serving.repair_radius``
+histogram and, under a daemon, its request and connection counts.
+
+The ``rebase`` op (and the automatic
 :class:`~repro.serving.artifact.RebasePolicy`) folds the delta overlay
 into a fresh CSR base; it is epoch-preserving, so its response carries
 nothing policy-dependent and rebasing/never-rebasing twins answer
@@ -74,7 +81,7 @@ from collections import OrderedDict, deque
 from contextlib import contextmanager
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs import get_registry, tracer
+from repro.obs import MetricsRegistry, tracer
 from repro.serving import protocol
 from repro.serving.artifact import ColoringArtifact, resolve_rebase_policy
 from repro.serving.protocol import (
@@ -121,43 +128,43 @@ class _ReadWriteLock:
     (``notify_all`` is not FIFO); write epochs form a total order
     because writers are mutually exclusive, not because of arrival
     order.  The current levels are exported as the
-    ``serving.readers_active`` and ``serving.write_queue_depth``
-    gauges.
+    ``serving.readers_active`` and ``serving.write_queue_depth`` gauges
+    of ``registry``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self._cond = threading.Condition()
         self._readers = 0
         self._writer = False
         self._writers_waiting = 0
+        self._readers_gauge = registry.gauge("serving.readers_active")
+        self._queue_gauge = registry.gauge("serving.write_queue_depth")
 
     @contextmanager
     def read(self):
-        registry = get_registry()
         with self._cond:
             while self._writer or self._writers_waiting:
                 self._cond.wait()
             self._readers += 1
-            registry.gauge("serving.readers_active").set(self._readers)
+            self._readers_gauge.set(self._readers)
         try:
             yield
         finally:
             with self._cond:
                 self._readers -= 1
-                registry.gauge("serving.readers_active").set(self._readers)
+                self._readers_gauge.set(self._readers)
                 if not self._readers:
                     self._cond.notify_all()
 
     @contextmanager
     def write(self):
-        registry = get_registry()
         with self._cond:
             self._writers_waiting += 1
-            registry.gauge("serving.write_queue_depth").set(self._writers_waiting)
+            self._queue_gauge.set(self._writers_waiting)
             while self._writer or self._readers:
                 self._cond.wait()
             self._writers_waiting -= 1
-            registry.gauge("serving.write_queue_depth").set(self._writers_waiting)
+            self._queue_gauge.set(self._writers_waiting)
             self._writer = True
         try:
             yield
@@ -174,9 +181,9 @@ class ServingSession:
     docstring): reads share, writes serialize.  ``repair_path`` pins
     which twin absorbs deltas (``auto`` → ``incremental``);
     ``radius_limit`` bounds the incremental worklist before it falls
-    back to recompute.  Cache statistics are exposed via
-    :meth:`cache_stats` and deliberately kept *out* of responses — they
-    are observability, not answers.
+    back to recompute.  Cache statistics live in :attr:`metrics`, are
+    read through :meth:`cache_stats` and are deliberately kept *out* of
+    responses — they are observability, not answers.
     """
 
     def __init__(
@@ -200,69 +207,73 @@ class ServingSession:
         self._cache: "OrderedDict[Tuple[int, QueryRequest], str]" = OrderedDict()
         self._cache_size = cache_size
         self._cache_mutex = threading.Lock()
-        self._lock = _ReadWriteLock()
+        #: The one store of this session's observability totals and
+        #: levels; every instrument is bound once, here.
+        self.metrics = MetricsRegistry()
+        self._lock = _ReadWriteLock(self.metrics)
         #: Called inside the writer critical section after every
         #: successful delta, with the about-to-be-returned response.
         #: The daemon sets this to its journal append so an absorbed
         #: delta is durable *before* its acknowledgment escapes the
         #: lock — journal order equals epoch order equals ack order.
         self.write_hook: Optional[Callable[[Dict[str, object]], None]] = None
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._deltas_applied = 0
-        self._touched_total = 0
-        self._recolored_total = 0
-        self._fallbacks_total = 0
-        self._rebases = 0
-        self._overlay_folded = 0
+        counter = self.metrics.counter
+        # Cache traffic counts under ``_cache_mutex``, delta and rebase
+        # totals under the writer lock.
+        self._hits = counter("serving.cache.hits")
+        self._misses = counter("serving.cache.misses")
+        self._evictions = counter("serving.cache.evictions")
+        self._deltas_applied = counter("serving.cache.deltas_applied")
+        self._touched = counter("serving.cache.touched")
+        self._recolored = counter("serving.cache.recolored")
+        self._fallbacks = counter("serving.cache.fallbacks")
+        self._rebases = counter("serving.cache.rebases")
+        self._overlay_folded = counter("serving.cache.overlay_folded")
+        self._radius = self.metrics.histogram("serving.repair_radius", buckets=RADIUS_BUCKETS)
         #: Ring buffer of the most recent repair reports (observability
-        #: only; lossless totals live in :meth:`cache_stats`).
+        #: only; lossless totals live in :attr:`metrics`).
         self.reports: Deque[Dict[str, object]] = deque(maxlen=reports_cap)
 
     # ----------------------------------------------------------------- cache
     def cache_stats(self) -> Dict[str, int]:
         """Observability counters: cache traffic, delta totals, rebases.
 
-        The delta totals (``deltas_applied`` / ``touched`` /
-        ``recolored`` / ``fallbacks``) are lossless even after the
-        :attr:`reports` ring buffer has aged individual reports out —
-        the bounded-memory observability contract for long-lived
-        sessions.
+        A read-only view: each total is the value of its
+        ``serving.cache.<key>`` counter in :attr:`metrics`.  The delta
+        totals (``deltas_applied`` / ``touched`` / ``recolored`` /
+        ``fallbacks``) are lossless even after the :attr:`reports` ring
+        buffer has aged individual reports out — the bounded-memory
+        observability contract for long-lived sessions.
         """
         with self._cache_mutex:
             stats = {
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
+                "hits": self._hits.value,
+                "misses": self._misses.value,
+                "evictions": self._evictions.value,
                 "size": len(self._cache),
                 "capacity": self._cache_size,
             }
         stats.update(
             {
-                "deltas_applied": self._deltas_applied,
-                "touched": self._touched_total,
-                "recolored": self._recolored_total,
-                "fallbacks": self._fallbacks_total,
-                "rebases": self._rebases,
-                "overlay_folded": self._overlay_folded,
+                "deltas_applied": self._deltas_applied.value,
+                "touched": self._touched.value,
+                "recolored": self._recolored.value,
+                "fallbacks": self._fallbacks.value,
+                "rebases": self._rebases.value,
+                "overlay_folded": self._overlay_folded.value,
                 "reports_retained": len(self.reports),
                 "reports_cap": self.reports.maxlen,
             }
         )
-        # Mirror the totals into the process-wide metrics registry (as
-        # gauges, so one snapshot covers all three planes) without
-        # changing this method's long-standing return shape.
-        get_registry().update(stats, prefix="serving.cache.")
         return stats
 
     def _cache_get(self, key: Tuple[int, QueryRequest]) -> Optional[str]:
         with self._cache_mutex:
             line = self._cache.get(key)
             if line is None:
-                self._misses += 1
+                self._misses.inc()
                 return None
-            self._hits += 1
+            self._hits.inc()
             self._cache.move_to_end(key)
             return line
 
@@ -272,7 +283,7 @@ class ServingSession:
             self._cache.move_to_end(key)
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
-                self._evictions += 1
+                self._evictions.inc()
 
     # ------------------------------------------------------------------ locks
     def exclusive(self):
@@ -350,8 +361,8 @@ class ServingSession:
             if isinstance(parsed, RebaseRequest):
                 with self._lock.write():
                     with tracer().span("serving.rebase"):
-                        self._overlay_folded += self.artifact.rebase()
-                        self._rebases += 1
+                        self._overlay_folded.inc(self.artifact.rebase())
+                        self._rebases.inc()
                         # Epoch-preserving and policy-independent: the
                         # response must match on twins with different
                         # rebase histories, so folded counts stay in
@@ -401,10 +412,11 @@ class ServingSession:
             report = artifact.delete(u, v, **kwargs)
         else:  # set_list
             report = artifact.set_list(u, v, parsed.colors, **kwargs)
-        self._deltas_applied += 1
-        self._touched_total += report.touched
-        self._recolored_total += report.recolored
-        self._fallbacks_total += int(report.fallback)
+        self._deltas_applied.inc()
+        self._touched.inc(report.touched)
+        self._recolored.inc(report.recolored)
+        self._fallbacks.inc(int(report.fallback))
+        self._radius.observe(report.touched)
         self.reports.append(report.as_dict())
         if span is not None:
             span.set(
@@ -413,17 +425,10 @@ class ServingSession:
                 fallback=bool(report.fallback),
                 path=report.path,
             )
-        registry = get_registry()
-        registry.counter("serving.deltas_applied").inc()
-        registry.histogram("serving.repair_radius", buckets=RADIUS_BUCKETS).observe(
-            report.touched
-        )
-        if report.fallback:
-            registry.counter("serving.fallbacks").inc()
         folded = artifact.maybe_rebase(self.rebase_policy)
         if folded:
-            self._rebases += 1
-            self._overlay_folded += folded
+            self._rebases.inc()
+            self._overlay_folded.inc(folded)
         # ``epoch`` is path-independent (one bump per absorbed delta);
         # the cost fields live only in ``session.reports`` and the
         # ``cache_stats`` totals.

@@ -39,6 +39,7 @@ from repro.distributed.model import Model
 from repro.distributed.network import SynchronousNetwork
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
+from repro.graphs.core import Graph
 from repro.graphs.identifiers import id_space_size
 from repro.verification.checkers import is_proper_edge_coloring
 
@@ -164,6 +165,21 @@ class TestScheduleEngineMatrix:
             proper_edge_schedule(graph, list(graph.edges()), tracker=tracker, scan_path=path)
             charges[path] = tracker.breakdown
         assert charges["python"] == charges["numpy"]
+
+    def test_huge_identifier_star_schedules_bit_identical(self):
+        # A center id >= 2**31 trips the vectorized setup's int64 guard,
+        # so the numpy request runs the python setup and engine.
+        leaves = 40
+        graph = Graph(
+            leaves + 1,
+            [(0, leaf) for leaf in range(1, leaves + 1)],
+            node_ids=[2**40, *range(1, leaves + 1)],
+        )
+        edges = list(graph.edges())
+        a = proper_edge_schedule(graph, edges, scan_path="python")
+        b = proper_edge_schedule(graph, edges, scan_path="numpy")
+        assert a == b
+        assert is_proper_edge_coloring(graph, a)
 
 
 @requires_numpy

@@ -22,7 +22,6 @@ from repro.obs import (
     PhaseTimer,
     TRACE_FORMAT,
     Tracer,
-    get_registry,
     load_trace,
     read_events,
 )
@@ -280,18 +279,6 @@ class TestMetrics:
         with pytest.raises(TypeError, match="already registered"):
             registry.histogram("x")
 
-    def test_registry_update_mirrors_numeric_totals_only(self):
-        registry = MetricsRegistry()
-        registry.update(
-            {"hits": 3, "ratio": 0.5, "label": "lru", "flag": True},
-            prefix="serving.cache.",
-        )
-        snap = registry.snapshot()
-        assert snap["serving.cache.hits"]["value"] == 3
-        assert snap["serving.cache.ratio"]["value"] == 0.5
-        assert "serving.cache.label" not in snap
-        assert "serving.cache.flag" not in snap  # bools are not levels
-
     def test_snapshot_is_sorted_and_reset_clears(self):
         registry = MetricsRegistry()
         registry.counter("b.second").inc()
@@ -300,17 +287,17 @@ class TestMetrics:
         registry.reset()
         assert registry.snapshot() == {}
 
-    def test_planes_feed_the_default_registry(self, tmp_path):
+    def test_session_registry_holds_the_serving_totals(self):
         session = ServingSession(
             build_artifact(generators.random_regular_graph(24, 4, seed=7)),
             rebase_policy=None,
         )
-        before = get_registry().counter("serving.deltas_applied").value
+        before = session.metrics.counter("serving.cache.deltas_applied").value
         for response in session.serve_batch(churn_requests(session.artifact, 1)):
             assert response["ok"]
-        stats = session.cache_stats()  # mirrors the totals as gauges
-        snap = get_registry().snapshot()
-        assert snap["serving.deltas_applied"]["value"] > before
+        stats = session.cache_stats()  # a view over session.metrics
+        snap = session.metrics.snapshot()
+        assert snap["serving.cache.deltas_applied"]["value"] > before
         assert snap["serving.repair_radius"]["kind"] == "histogram"
         assert snap["serving.cache.hits"]["value"] == stats["hits"]
 
@@ -399,6 +386,31 @@ class TestQuarantine:
         assert "registry" in daemon_stats
         assert "cache_stats" in daemon_stats
         assert daemon_stats["artifact"]["epoch"] == daemon.session.artifact.epoch
+
+    def test_daemon_stats_report_each_total_once(self, tmp_path):
+        path = str(tmp_path / "artifact.json")
+        graph = generators.random_regular_graph(24, 4, seed=7)
+        build_artifact(graph).save(path)
+        daemon = ColoringDaemon(path, journal=False)
+        u, v = graph.edge_endpoints(0)
+        absent = next(w for w in range(1, 24) if w not in graph.neighbors(0))
+        requests = [{"op": "color", "u": u, "v": v}] * 3 + [
+            {"op": "insert", "u": 0, "v": absent},
+            {"op": "stats", "scope": "daemon"},
+        ]
+        *answers, answer = [json.loads(daemon.handle_line(json.dumps(r))) for r in requests]
+        assert all(a["ok"] for a in answers)
+        stats, registry = answer["cache_stats"], answer["registry"]
+        assert (stats["hits"], stats["misses"], stats["deltas_applied"]) == (2, 1, 1)
+        totals = ("hits", "misses", "evictions", "deltas_applied", "touched",
+                  "recolored", "fallbacks", "rebases", "overlay_folded")
+        for key in totals:
+            # One instrument per total, and it agrees with cache_stats.
+            assert [name for name in registry if name.rsplit(".", 1)[-1] == key] == [
+                f"serving.cache.{key}"
+            ]
+            assert registry[f"serving.cache.{key}"]["value"] == stats[key]
+        assert registry["daemon.requests"]["value"] == answer["requests_served"] == 5
 
 
 # ------------------------------------------------------- differential matrix
