@@ -16,13 +16,29 @@ Iterating the step O(log* m) times reaches O(Δ²) colors.  The same
 machinery, with the *minimum-conflict* point choice instead of a
 conflict-free one, yields the one-round defective color reduction used in
 :mod:`repro.coloring.defective_vertex`.
+
+This module owns both engines of the step, which every caller (vertex
+Linial, the line-graph schedule, the simulator's batched receive and the
+defective reduction) runs over CSR rows, bit-identically:
+
+* the **python twin**: :func:`polynomial_step` or
+  :func:`minimum_conflict_step` per row, and :func:`polynomial_steps`
+  for a whole schedule;
+* the **numpy sweep** :func:`agreement_sweep` over a :func:`sweep_rows`
+  layout, and its two consumers,
+  :func:`conflict_free_step_numpy` and :func:`min_conflict_step_numpy`;
+  :func:`polynomial_steps_numpy` runs a whole schedule.  When the sweep
+  does not apply (no int64 headroom) the callers run the python twin.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.core.engine import _np
+from repro.distributed.rounds import RoundTracker
 
 
 def is_prime(value: int) -> bool:
@@ -214,3 +230,166 @@ def minimum_conflict_step(
     assert best_conflicts is not None
     own = cache[(color, best_x)]
     return best_x * q + own, best_conflicts
+
+
+def polynomial_steps(
+    colors: List[int], offsets: Sequence[int], flat: Sequence[int],
+    schedule: Sequence[Tuple[int, int]], tracker: Optional[RoundTracker] = None,
+) -> List[int]:
+    """Every ``(q, d)`` step of ``schedule`` over CSR rows (the python twin).
+
+    Row ``r`` has color ``colors[r]`` and neighbors
+    ``flat[offsets[r] : offsets[r + 1]]``.  Each step charges one
+    ``linial`` round.
+    """
+    rows = [flat[offsets[r] : offsets[r + 1]] for r in range(len(colors))]
+    for q, d in schedule:
+        cache = shared_eval_cache(q, d)
+        colors = [
+            polynomial_step(color, [colors[j] for j in row], q, d, cache)
+            for color, row in zip(colors, rows)
+        ]
+        if tracker is not None:
+            tracker.charge(1, "linial")
+    return colors
+
+
+def sweep_rows(own: Any, flat: Any, offsets: Any) -> Tuple[Any, ...]:
+    """The row layout an :func:`agreement_sweep` reads, built once per CSR.
+
+    Row ``r`` has color ``values[own[r]]`` and neighbors ``values[j]`` for
+    ``j`` in ``flat[offsets[r] : offsets[r + 1]]`` (int64 arrays).
+    """
+    counts = _np.diff(offsets)
+    nonempty = counts > 0
+    return own, flat, offsets, counts, nonempty, offsets[:-1][nonempty]
+
+
+def agreement_sweep(
+    values: Any, rows: Tuple[Any, ...], q: int, degree: int
+) -> Optional[Iterator[Tuple[Any, Any]]]:
+    """The numpy sweep behind both vectorized steps.
+
+    ``values`` is a table of colors and ``rows`` a :func:`sweep_rows`
+    layout over it.  For ``x = 0, 1, ..., q - 1`` the iterator yields
+    ``(own_value, agree)``: each row's ``f_c(x)`` and how many neighbors
+    agree with it at ``x`` (a same-colored neighbor agrees at every
+    ``x``).  Returns ``None`` when a color does not fit int64 or
+    ``(d + 1)·q²`` leaves no int64 headroom.
+    """
+    np = _np
+    if (degree + 1) * q * q >= 2**62:
+        return None
+    try:
+        table = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return None
+    own, flat, _offsets, counts, nonempty, starts = rows
+    # Base-q digits, decomposed once; a value at ``x`` is then one
+    # multiply-add sweep.  Digits and powers are < q, so the unreduced
+    # sum stays inside int64 and one final ``% q`` matches the modular
+    # chain of :func:`polynomial_value`.
+    digits = []
+    for _ in range(degree + 1):
+        digits.append(table % q)
+        table = table // q
+
+    def points() -> Iterator[Tuple[Any, Any]]:
+        for x in range(q):
+            value = digits[0].copy()
+            power = 1
+            for i in range(1, degree + 1):
+                power = (power * x) % q
+                np.add(value, digits[i] * power, out=value)
+            value %= q
+            own_value = value[own]
+            agree = np.zeros(own.shape[0], dtype=np.int64)
+            agree[nonempty] = np.add.reduceat(
+                value[flat] == np.repeat(own_value, counts), starts, dtype=np.int64
+            )
+            yield own_value, agree
+
+    return points()
+
+
+def conflict_free_step_numpy(values: Any, rows: Tuple[Any, ...], q: int, degree: int) -> Any:
+    """:func:`polynomial_step` for every row of an :func:`agreement_sweep`.
+
+    Each row takes the first ``x`` no neighbor agrees at.  The last few
+    unresolved rows, among them every row with a same-colored neighbor,
+    go to :func:`polynomial_step`, which ignores such neighbors.
+    Returns int64 colors, or ``None`` when the sweep does not apply.
+    """
+    np = _np
+    sweep = agreement_sweep(values, rows, q, degree)
+    if sweep is None:
+        return None
+    own, flat, offsets = rows[:3]
+    num = own.shape[0]
+    result = np.empty(num, dtype=np.int64)
+    unresolved = np.arange(num, dtype=np.int64)
+    for x, (own_value, agree) in enumerate(sweep):
+        conflicted = agree[unresolved] > 0
+        free = unresolved[~conflicted]
+        result[free] = x * q + own_value[free]
+        unresolved = unresolved[conflicted]
+        # Per-row rescans beat full-width sweeps once few rows remain.
+        if not unresolved.size or (unresolved.size * 16 < num and x >= 1):
+            break
+    if unresolved.size:
+        cache = shared_eval_cache(q, degree)
+        table = np.asarray(values, dtype=np.int64)
+        for r in unresolved.tolist():
+            neighbors = table[flat[offsets[r] : offsets[r + 1]]].tolist()
+            result[r] = polynomial_step(int(table[own[r]]), neighbors, q, degree, cache)
+    return result
+
+
+def min_conflict_step_numpy(values: Any, rows: Tuple[Any, ...], q: int, degree: int) -> Any:
+    """The color :func:`minimum_conflict_step` picks, for every row at once.
+
+    Each row takes the first ``x`` with the fewest agreeing neighbors.  A
+    same-colored neighbor adds one at every ``x``, so the first argmin
+    matches the twin, which ignores it.  Returns int64 colors, or
+    ``None`` when the :func:`agreement_sweep` does not apply.
+    """
+    np = _np
+    sweep = agreement_sweep(values, rows, q, degree)
+    if sweep is None:
+        return None
+    num = rows[0].shape[0]
+    best_conflicts = np.full(num, np.iinfo(np.int64).max, dtype=np.int64)
+    best_x = np.zeros(num, dtype=np.int64)
+    best_value = np.zeros(num, dtype=np.int64)
+    for x, (own_value, agree) in enumerate(sweep):
+        better = agree < best_conflicts
+        best_x[better] = x
+        best_value[better] = own_value[better]
+        best_conflicts = np.where(better, agree, best_conflicts)
+        if not best_conflicts.any():
+            break  # zero conflicts everywhere; ties keep the earlier point
+    return best_x * q + best_value
+
+
+def polynomial_steps_numpy(
+    colors: Any, offsets: Sequence[int], flat: Sequence[int],
+    schedule: Sequence[Tuple[int, int]], tracker: Optional[RoundTracker] = None,
+) -> List[int]:
+    """The vectorized twin of :func:`polynomial_steps`.
+
+    From the first step the sweep does not apply to, the rest of the
+    schedule runs on :func:`polynomial_steps`.
+    """
+    np = _np
+    offsets_np = np.asarray(offsets, dtype=np.int64)
+    own = np.arange(offsets_np.shape[0] - 1, dtype=np.int64)
+    rows = sweep_rows(own, np.asarray(flat, dtype=np.int64), offsets_np)
+    for i, (q, d) in enumerate(schedule):
+        reduced = conflict_free_step_numpy(colors, rows, q, d)
+        if reduced is None:
+            colors = np.asarray(colors).tolist()
+            return polynomial_steps(colors, offsets, flat, schedule[i:], tracker)
+        colors = reduced
+        if tracker is not None:
+            tracker.charge(1, "linial")
+    return np.asarray(colors).tolist()

@@ -30,69 +30,16 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.coloring.color_reduction import minimum_conflict_step, next_prime, shared_eval_cache
+from repro.coloring.color_reduction import (
+    min_conflict_step_numpy,
+    minimum_conflict_step,
+    next_prime,
+    shared_eval_cache,
+    sweep_rows,
+)
 from repro.core.engine import _np, resolve_use_numpy
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.core import Graph
-
-
-def _min_conflict_colors_numpy(
-    colors: Sequence[int],
-    xadj: Sequence[int],
-    adj: Sequence[int],
-    q: int,
-    t: int,
-) -> List[int]:
-    """Vectorized twin of the per-node :func:`minimum_conflict_step` loop.
-
-    Per evaluation point ``x``, all nodes' polynomial values come from
-    one base-q digit sweep (exact ``int64`` arithmetic) and the
-    per-node agreeing-neighbor counts from one segmented sum over the
-    CSR adjacency; each node keeps the *first* point minimizing its
-    conflicts, exactly like the reference.  Only neighbors with a
-    *different* input color count (same-colored neighbors share the
-    polynomial and are excluded by the reference too).
-    """
-    np = _np
-    n = len(colors)
-    colors_np = np.asarray(colors, dtype=np.int64)
-    xadj_np = np.asarray(xadj, dtype=np.int64)
-    adj_np = np.asarray(adj, dtype=np.int64)
-    degs = np.diff(xadj_np)
-    nonempty = degs > 0
-    offsets = xadj_np[:-1][nonempty]
-    neighbor_colors = colors_np[adj_np]
-    own_colors_rep = np.repeat(colors_np, degs)
-    relevant = neighbor_colors != own_colors_rep
-    digits = []
-    remaining = colors_np.copy()
-    for _ in range(t + 1):
-        digits.append(remaining % q)
-        remaining //= q
-    big = np.iinfo(np.int64).max
-    best_conf = np.full(n, big, dtype=np.int64)
-    best_x = np.zeros(n, dtype=np.int64)
-    best_val = np.zeros(n, dtype=np.int64)
-    for x in range(q):
-        value = digits[0].copy()
-        power = 1
-        for i in range(1, t + 1):
-            power = (power * x) % q
-            np.add(value, digits[i] * power, out=value)
-        value %= q
-        conf = np.zeros(n, dtype=np.int64)
-        if adj_np.size:
-            eq = (value[adj_np] == np.repeat(value, degs)) & relevant
-            conf[nonempty] = np.add.reduceat(eq.astype(np.int64), offsets)
-        better = conf < best_conf
-        best_x[better] = x
-        best_val[better] = value[better]
-        best_conf = np.where(better, conf, best_conf)
-        if not best_conf.any():
-            # Zero conflicts everywhere: no later point can improve, and
-            # ties keep the earlier point (strict < above) anyway.
-            break
-    return (best_x * q + best_val).tolist()
 
 
 def polynomial_defective_reduction(
@@ -112,8 +59,9 @@ def polynomial_defective_reduction(
     conflicts; with ``q ≥ ceil(Δ·t / max(1, target_defect))`` the result is
     ``target_defect``-defective.
 
-    ``scan_path`` selects the per-node reference loop or its vectorized
-    twin (``"auto"`` / ``"numpy"`` / ``"python"``; both bit-identical).
+    ``scan_path`` selects the per-node :func:`minimum_conflict_step` loop
+    or the numpy sweep's min-conflict consumer (``"auto"`` / ``"numpy"`` /
+    ``"python"``; both bit-identical).
 
     Returns ``(new_colors, new_num_colors, guaranteed_defect)``.
     """
@@ -128,14 +76,17 @@ def polynomial_defective_reduction(
         q = next_prime(q + 1)
         t = max(1, math.ceil(math.log(max(2, num_colors), q)))
     xadj, adj = graph.adjacency_csr()
-    use_np = resolve_use_numpy(scan_path, graph.num_nodes)
-    if use_np and (
-        (t + 1) * q * q >= 2**62 or (colors and max(colors) >= 2**62)
-    ):
-        # int64 headroom guard (mirrors the schedule engine's guard).
-        use_np = False
-    if use_np:
-        new_colors = _min_conflict_colors_numpy(colors, xadj, adj, q, t)
+    reduced = None
+    if resolve_use_numpy(scan_path, graph.num_nodes):
+        np = _np
+        rows = sweep_rows(
+            np.arange(graph.num_nodes, dtype=np.int64),
+            np.asarray(adj, dtype=np.int64),
+            np.asarray(xadj, dtype=np.int64),
+        )
+        reduced = min_conflict_step_numpy(colors, rows, q, t)
+    if reduced is not None:
+        new_colors = reduced.tolist()
     else:
         new_colors = []
         cache = shared_eval_cache(q, t)

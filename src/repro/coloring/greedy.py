@@ -15,9 +15,13 @@ O(Δ² + log* n)-round baseline for (2Δ−1)-edge coloring.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.coloring.color_reduction import polynomial_step, reduction_schedule, shared_eval_cache
+from repro.coloring.color_reduction import (
+    polynomial_steps,
+    polynomial_steps_numpy,
+    reduction_schedule,
+)
 from repro.core.engine import _np, resolve_use_numpy
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.core import Graph
@@ -240,102 +244,6 @@ def greedy_edge_coloring_by_classes(
     return result
 
 
-def _linial_rows_python(
-    colors: List[int],
-    rows: List[List[int]],
-    schedule: Sequence[tuple],
-    tracker: Optional[RoundTracker],
-) -> List[int]:
-    """Reference engine for the line-graph Linial steps (one position per edge)."""
-    for q, d in schedule:
-        cache = shared_eval_cache(q, d)
-        new_colors: List[int] = []
-        for position, row in enumerate(rows):
-            new_colors.append(
-                polynomial_step(colors[position], [colors[j] for j in row], q, d, cache)
-            )
-        colors = new_colors
-        if tracker is not None:
-            tracker.charge(1, "linial")
-    return colors
-
-
-def _linial_flat_numpy(
-    colors_np: "Any",
-    flat: "Any",
-    counts: "Any",
-    schedule: Sequence[tuple],
-    tracker: Optional[RoundTracker],
-) -> List[int]:
-    """Vectorized Linial steps over CSR rows (bit-identical to the reference).
-
-    ``flat`` holds the concatenated per-position neighbor positions,
-    ``counts`` the row lengths.  Per reduction step, the polynomial
-    values of *all* positions at the candidate point ``x`` are evaluated
-    in one base-q digit sweep (exact ``int64`` arithmetic — the same
-    ``%``/``//``/modmul chain as :func:`repro.coloring.color_reduction.
-    polynomial_value`), and the per-position conflict checks collapse to
-    one segmented comparison over the flattened rows.  Every position
-    picks the same smallest conflict-free ``x`` the reference engine
-    picks.
-    """
-    np = _np
-    num = int(colors_np.shape[0])
-    offsets = np.zeros(num + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    nonempty = counts > 0
-    nonempty_offsets = offsets[:-1][nonempty]
-    has_rows = bool(nonempty.any())
-    for q, d in schedule:
-        # Base-q digits, decomposed once per step; a value at ``x`` is
-        # then one multiply-add sweep.  Digits and powers are < q, so the
-        # unreduced sum stays far inside int64 and one final ``% q``
-        # matches the reference's iterative modular chain exactly.
-        digits = []
-        remaining = colors_np.copy()
-        for _ in range(d + 1):
-            digits.append(remaining % q)
-            remaining //= q
-        result = np.empty(num, dtype=np.int64)
-        unresolved = np.arange(num, dtype=np.int64)
-        for x in range(q):
-            # Once only a few stragglers remain, per-position rescans are
-            # cheaper than further full-width sweeps; polynomial_step
-            # picks the same smallest conflict-free point.
-            if unresolved.size * 16 < num and x >= 2:
-                break
-            value = digits[0].copy()
-            power = 1
-            for i in range(1, d + 1):
-                power = (power * x) % q
-                np.add(value, digits[i] * power, out=value)
-            value %= q
-            # Positions whose value collides with a row neighbor's value.
-            conflicted = np.zeros(num, dtype=bool)
-            if has_rows:
-                eq = value[flat] == np.repeat(value, counts)
-                conflicted[nonempty] = np.add.reduceat(eq, nonempty_offsets) > 0
-            free = unresolved[~conflicted[unresolved]]
-            result[free] = x * q + value[free]
-            unresolved = unresolved[conflicted[unresolved]]
-            if not unresolved.size:
-                break
-        if unresolved.size:
-            cache = shared_eval_cache(q, d)
-            colors_list = colors_np.tolist()
-            flat_list = flat.tolist()
-            offsets_list = offsets.tolist()
-            for p in unresolved.tolist():
-                row = flat_list[offsets_list[p] : offsets_list[p + 1]]
-                result[p] = polynomial_step(
-                    colors_list[p], [colors_list[j] for j in row], q, d, cache
-                )
-        colors_np = result
-        if tracker is not None:
-            tracker.charge(1, "linial")
-    return colors_np.tolist()
-
-
 def _schedule_setup_numpy(
     graph: Graph,
     edge_list: List[int],
@@ -352,10 +260,11 @@ def _schedule_setup_numpy(
     position itself.  Row *order* differs from the python construction
     (u-side peers are grouped by discovery side, not by insertion), but
     the engines are order-insensitive — conflicts are existence checks
-    and :func:`polynomial_step` reduces rows to sets — so the schedule
-    is bit-identical.  Returns ``None`` when the int64 headroom guards
-    trip (huge identifier spaces fall back to the python setup and its
-    arbitrary-precision engine).
+    and :func:`repro.coloring.color_reduction.polynomial_step` reduces
+    rows to sets — so the schedule is bit-identical.  Returns ``None``
+    when the identifier colors leave no int64 headroom (huge identifier
+    spaces fall back to the python setup and its arbitrary-precision
+    engine).
     """
     np = _np
     k = len(edge_list)
@@ -383,8 +292,6 @@ def _schedule_setup_numpy(
     schedule = reduction_schedule(space, max(1, degree_bound))
     if not schedule:
         return dict(zip(edge_list, colors_np.tolist()))
-    if max((d + 1) * q * q for q, d in schedule) >= 2**62:
-        return None
     # Incident CSR over the part: positions grouped by endpoint node.
     pos = np.arange(k, dtype=np.int64)
     pos_cat = np.concatenate((pos, pos))
@@ -411,9 +318,10 @@ def _schedule_setup_numpy(
     counts_u = cnt[eu] - 1
     counts_v = cnt[ev] - 1
     counts = counts_u + counts_v
-    flat = np.empty(int(counts.sum()), dtype=np.int64)
-    starts = np.zeros(k, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    flat = np.empty(int(offsets[-1]), dtype=np.int64)
+    starts = offsets[:-1]
 
     def scatter(side_flat, side_counts, side_starts):
         total = int(side_counts.sum())
@@ -429,7 +337,7 @@ def _schedule_setup_numpy(
 
     scatter(flat_u, counts_u, starts)
     scatter(flat_v, counts_v, starts + counts_u)
-    colors = _linial_flat_numpy(colors_np, flat, counts, schedule, tracker)
+    colors = polynomial_steps_numpy(colors_np, offsets, flat, schedule, tracker)
     return dict(zip(edge_list, colors))
 
 
@@ -443,30 +351,17 @@ def proper_edge_schedule(
 
     ``d̄`` is the maximum edge degree *within* ``edge_set``.  The schedule
     is computed by running Linial's algorithm on the line graph of the
-    subgraph induced by ``edge_set`` (O(log* n) charged rounds).
-    ``scan_path`` selects the reduction-step engine exactly like the
+    subgraph induced by ``edge_set`` (O(log* n) charged rounds), without
+    building it: a vectorized or a python setup lays its rows out as
+    CSR, and the color-reduction engines of
+    :mod:`repro.coloring.color_reduction` run the steps over them.
+    ``scan_path`` selects the setup and engine exactly like the
     orientation knob (``"auto"`` / ``"numpy"`` / ``"python"``); both
-    engines produce bit-identical schedules.
+    produce bit-identical schedules.
     """
     edge_list = sorted(set(edge_set))
     if not edge_list:
         return {}
-    if len(edge_list) == 1:
-        # One edge: its line graph is a single node with no neighbors, so
-        # every reduction step picks evaluation point 0 and the new color
-        # is f_c(0) = c mod q.
-        e = edge_list[0]
-        u, v = graph.edge_endpoints(e)
-        a = graph.node_id(u)
-        b = graph.node_id(v)
-        if a > b:
-            a, b = b, a
-        color = a * (max(a, b) + 1) + b
-        for q, _d in reduction_schedule(color + 1, 1):
-            color %= q
-            if tracker is not None:
-                tracker.charge(1, "linial")
-        return {e: color}
     # A reduction step sweeps both endpoint rows of every position, so
     # the per-step element count is ~2m, not m — the measured numpy
     # crossover sits near 64 edges, half the shared threshold.
@@ -475,8 +370,8 @@ def proper_edge_schedule(
     ):
         # Vectorized setup + engine: the per-part incident maps and row
         # building collapse to array passes (see _schedule_setup_numpy);
-        # ``None`` means a headroom guard tripped — fall through to the
-        # python setup and engine below.
+        # ``None`` means the identifier guard tripped — fall through to
+        # the python setup and engine below.
         vectorized = _schedule_setup_numpy(graph, edge_list, tracker)
         if vectorized is not None:
             return vectorized
@@ -511,13 +406,14 @@ def proper_edge_schedule(
     if not schedule:
         # The identifier colors are already minimal: no rows needed.
         return {edge_list[position]: colors[position] for position in range(len(edge_list))}
-    # Merged line-graph rows (each position's adjacent positions),
-    # built once and reused by every reduction step.
-    rows: List[List[int]] = []
+    # Merged line-graph rows (each position's adjacent positions) as
+    # CSR, built once and reused by every reduction step.
+    offsets = [0]
+    flat: List[int] = []
     for position, (u, v) in enumerate(endpoints):
-        row = [j for j in incident[u] if j != position]
-        row.extend(j for j in incident[v] if j != position)
-        rows.append(row)
-    colors = _linial_rows_python(colors, rows, schedule, tracker)
+        flat += [j for j in incident[u] if j != position]
+        flat += [j for j in incident[v] if j != position]
+        offsets.append(len(flat))
+    colors = polynomial_steps(colors, offsets, flat, schedule, tracker)
     return {edge_list[position]: colors[position] for position in range(len(edge_list))}
 

@@ -1,14 +1,17 @@
 """Linial's O(Δ²)-coloring in O(log* n) rounds [41].
 
-Two interchangeable implementations are provided:
+The algorithm appears in two forms, both over the color-reduction
+engines of :mod:`repro.coloring.color_reduction`:
 
-* :func:`linial_vertex_coloring` — the phase-level implementation used by
-  the higher-level algorithms; it charges one round per reduction step to
-  a :class:`repro.distributed.rounds.RoundTracker`.
-* :class:`LinialNodeAlgorithm` — the same algorithm expressed as a
-  message-passing :class:`repro.distributed.algorithms.NodeAlgorithm`;
-  integration tests check that both produce identical colorings and that
-  the simulator's round count equals the charged rounds.
+* :func:`linial_vertex_coloring` — the phase-level form used by the
+  higher-level algorithms: every reduction step runs over the CSR
+  adjacency, on the numpy sweep for large graphs and on the python twin
+  otherwise, and charges one round to a
+  :class:`repro.distributed.rounds.RoundTracker`;
+* :class:`LinialNodeAlgorithm` — the same algorithm as a message-passing
+  :class:`repro.distributed.algorithms.NodeAlgorithm`; integration tests
+  check that both produce identical colorings and that the simulator's
+  round count equals the charged rounds.
 
 :func:`linial_edge_coloring` runs the vertex algorithm on the line graph
 (using O(log n)-bit edge identifiers), giving the O(Δ̄²)-edge coloring
@@ -17,20 +20,22 @@ that Section 6, Section 7 and the greedy baselines start from.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.coloring.color_reduction import polynomial_step, reduction_schedule, shared_eval_cache
+from repro.coloring.color_reduction import (
+    conflict_free_step_numpy,
+    polynomial_step,
+    polynomial_steps,
+    polynomial_steps_numpy,
+    reduction_schedule,
+    shared_eval_cache,
+    sweep_rows,
+)
 from repro.core.engine import _np, resolve_use_numpy
 from repro.distributed.algorithms import NodeAlgorithm, NodeContext
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.core import Graph
-
-
-def _initial_colors(graph: Graph) -> Tuple[List[int], int]:
-    """Initial proper coloring: the unique node identifiers."""
-    ids = graph.node_ids
-    space = (max(ids) + 1) if ids else 1
-    return list(ids), space
 
 
 def linial_vertex_coloring(
@@ -51,27 +56,19 @@ def linial_vertex_coloring(
         ``(colors, num_colors)`` where ``colors[v]`` is the color of node
         ``v`` and every color is in ``[0, num_colors)``.
     """
-    colors, space = _initial_colors(graph)
-    delta = graph.max_degree if degree_bound is None else degree_bound
     if graph.num_nodes == 0:
         return [], 1
+    colors = graph.node_ids
+    space = max(colors) + 1
+    delta = graph.max_degree if degree_bound is None else degree_bound
     schedule = reduction_schedule(space, max(1, delta))
+    if not schedule:
+        return colors, space
     xadj, adj = graph.adjacency_csr()
-    for q, d in schedule:
-        # All nodes run the same (q, d) step, so polynomial evaluations
-        # are shared across the whole graph via one per-step cache.
-        cache = shared_eval_cache(q, d)
-        new_colors = [
-            polynomial_step(
-                colors[v], [colors[w] for w in adj[xadj[v] : xadj[v + 1]]], q, d, cache
-            )
-            for v in graph.nodes()
-        ]
-        colors = new_colors
-        space = q * q
-        if tracker is not None:
-            tracker.charge(1, "linial")
-    return colors, space
+    steps = polynomial_steps_numpy if resolve_use_numpy("auto", len(adj)) else polynomial_steps
+    colors = steps(colors, xadj, adj, schedule, tracker)
+    q, _d = schedule[-1]
+    return colors, q * q
 
 
 def linial_edge_coloring(
@@ -95,91 +92,6 @@ def linial_edge_coloring(
     return {e: colors[e] for e in graph.edges()}, num_colors
 
 
-def _polynomial_steps_slots_numpy(
-    colors: List[int],
-    flat_payloads: "Any",
-    counts: "Any",
-    q: int,
-    d: int,
-) -> Optional[List[int]]:
-    """One reduction step for many nodes over their incoming slot payloads.
-
-    ``flat_payloads`` is the int64 array of the nodes' concatenated inbox
-    rows (neighbor colors in slot order), ``counts`` the per-node row
-    lengths.  Every node's polynomial values at the candidate point ``x``
-    come from one base-q digit sweep (exact ``int64`` arithmetic — the
-    same ``%``/``//``/modmul chain as :func:`repro.coloring.
-    color_reduction.polynomial_value`), the per-node conflict checks from
-    one segmented comparison; same-colored payloads are excluded exactly
-    like the reference (:func:`polynomial_step` ignores ``c == color``).
-    Each node commits the *first* conflict-free point, so the result is
-    bit-identical to the per-node loop.  Returns ``None`` when the int64
-    headroom guard trips (huge identifier spaces fall back to python).
-    """
-    np = _np
-    num = len(colors)
-    if (d + 1) * q * q >= 2**62:
-        return None
-    try:
-        colors_np = np.fromiter(colors, dtype=np.int64, count=num)
-    except OverflowError:  # colors beyond int64: arbitrary-precision path
-        return None
-    offsets = np.zeros(num + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    nonempty = counts > 0
-    nonempty_offsets = offsets[:-1][nonempty]
-    own_rep = np.repeat(colors_np, counts)
-    relevant = flat_payloads != own_rep
-    # Base-q digits of both the nodes' own colors and the payloads,
-    # decomposed once per step; a value at ``x`` is then one
-    # multiply-add sweep (digits and powers < q keep the unreduced sum
-    # far inside int64; one final ``% q`` matches the reference).
-    own_digits = []
-    payload_digits = []
-    remaining_own = colors_np.copy()
-    remaining_payload = flat_payloads.copy()
-    for _ in range(d + 1):
-        own_digits.append(remaining_own % q)
-        remaining_own //= q
-        payload_digits.append(remaining_payload % q)
-        remaining_payload //= q
-    result = np.empty(num, dtype=np.int64)
-    unresolved = np.arange(num, dtype=np.int64)
-    for x in range(q):
-        # Once only a few stragglers remain, per-node rescans are cheaper
-        # than further full-width sweeps; the fallback below commits the
-        # same smallest conflict-free point.
-        if unresolved.size * 16 < num and x >= 2:
-            break
-        own_value = own_digits[0].copy()
-        payload_value = payload_digits[0].copy()
-        power = 1
-        for i in range(1, d + 1):
-            power = (power * x) % q
-            np.add(own_value, own_digits[i] * power, out=own_value)
-            np.add(payload_value, payload_digits[i] * power, out=payload_value)
-        own_value %= q
-        payload_value %= q
-        conflicted = np.zeros(num, dtype=bool)
-        if flat_payloads.size:
-            eq = (payload_value == np.repeat(own_value, counts)) & relevant
-            conflicted[nonempty] = np.add.reduceat(eq, nonempty_offsets) > 0
-        free = unresolved[~conflicted[unresolved]]
-        result[free] = x * q + own_value[free]
-        unresolved = unresolved[conflicted[unresolved]]
-        if not unresolved.size:
-            break
-    if unresolved.size:
-        cache = shared_eval_cache(q, d)
-        payload_list = flat_payloads.tolist()
-        offsets_list = offsets.tolist()
-        for p in unresolved.tolist():
-            result[p] = polynomial_step(
-                colors[p], payload_list[offsets_list[p] : offsets_list[p + 1]], q, d, cache
-            )
-    return result.tolist()
-
-
 class LinialNodeAlgorithm(NodeAlgorithm):
     """Message-passing implementation of Linial's coloring.
 
@@ -198,24 +110,19 @@ class LinialNodeAlgorithm(NodeAlgorithm):
 
     Symmetrically it ships a native batched-receive implementation
     (``batched_receive = True``): all nodes run the same ``(q, d)`` step
-    each round, so the phase-level :meth:`receive_batch` evaluates
-    :func:`polynomial_step` across *all* incoming slots as one exact
-    int64 base-q digit sweep (:func:`_polynomial_steps_slots_numpy`)
-    instead of ``n`` per-node python dispatches.  The per-node
-    :meth:`receive` stays as the bit-identical compatibility twin, and
-    the sweep falls back to it whenever its preconditions do not hold
-    (numpy absent or steered off, non-``int`` payloads, ``None`` slots,
-    int64 overflow, a non-contiguous unfinished set).
+    each round, so the phase-level :meth:`receive_batch` runs one
+    :func:`repro.coloring.color_reduction.conflict_free_step_numpy` over
+    *all* incoming slots — the table is the distinct own colors and
+    payloads — instead of ``n`` per-node python dispatches.  The
+    per-node :meth:`receive` stays as the bit-identical compatibility
+    twin, and the batch falls back to it whenever the sweep's
+    preconditions do not hold (numpy absent or steered off, non-``int``
+    payloads, ``None`` slots, int64 overflow, a non-contiguous unfinished
+    set).
     """
 
     batched_send = True
     batched_receive = True
-
-    def __init__(self) -> None:
-        # Per-step shared evaluation caches, memoized on the algorithm
-        # instance: every node runs the same (q, d) step each round, so
-        # one lookup per receive replaces the lru-cached function call.
-        self._step_caches: Dict[Tuple[int, int], Dict[Tuple[int, int], int]] = {}
 
     def initialize(self, ctx: NodeContext) -> Dict[str, Any]:
         id_space = ctx.globals.get("id_space")
@@ -245,15 +152,11 @@ class LinialNodeAlgorithm(NodeAlgorithm):
     ) -> None:
         if state["step"] >= len(state["schedule"]):
             return
-        step = state["schedule"][state["step"]]
-        q, d = step
+        q, d = state["schedule"][state["step"]]
         # All nodes run the same (q, d) step each round, so polynomial
         # evaluations are shared across the network exactly like in the
         # phase-level implementation (pure memoization; same outputs).
-        cache = self._step_caches.get(step)
-        if cache is None:
-            cache = shared_eval_cache(q, d)
-            self._step_caches[step] = cache
+        cache = shared_eval_cache(q, d)
         state["color"] = polynomial_step(state["color"], inbox.values(), q, d, cache)
         state["step"] += 1
 
@@ -284,27 +187,27 @@ class LinialNodeAlgorithm(NodeAlgorithm):
             lo, _ = inbox.slot_bounds(nodes[0])
             _, hi = inbox.slot_bounds(nodes[-1])
             if uniform and resolve_use_numpy("auto", hi - lo):
+                np = _np
                 q, d = schedule[step_index]
+                num = len(nodes)
                 try:
                     # ``None`` slots (absent messages) and non-int payloads
                     # make fromiter raise; the per-node twin handles them.
-                    flat = _np.fromiter(
-                        inbox.buffer[lo:hi], dtype=_np.int64, count=hi - lo
+                    values = np.fromiter(
+                        chain((states[v]["color"] for v in nodes), inbox.buffer[lo:hi]),
+                        dtype=np.int64,
+                        count=num + hi - lo,
                     )
                 except (TypeError, OverflowError):
-                    flat = None
-                if flat is not None:
-                    counts = _np.fromiter(
-                        (contexts[v].degree for v in nodes),
-                        dtype=_np.int64,
-                        count=len(nodes),
-                    )
-                    new_colors = _polynomial_steps_slots_numpy(
-                        [states[v]["color"] for v in nodes], flat, counts, q, d
-                    )
+                    values = None
+                if values is not None:
+                    table, index = np.unique(values, return_inverse=True)
+                    offsets = np.array([inbox.slot_bounds(v)[0] for v in nodes] + [hi]) - lo
+                    rows = sweep_rows(index[:num], index[num:], offsets)
+                    new_colors = conflict_free_step_numpy(table, rows, q, d)
                     if new_colors is not None:
                         next_step = step_index + 1
-                        for v, color in zip(nodes, new_colors):
+                        for v, color in zip(nodes, new_colors.tolist()):
                             state = states[v]
                             state["color"] = color
                             state["step"] = next_step

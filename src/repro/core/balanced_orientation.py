@@ -61,7 +61,7 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core import parameters
-from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np, resolve_use_numpy  # noqa: F401 - re-exported
+from repro.core.engine import _np, resolve_use_numpy
 from repro.core.token_dropping import ROUNDS_PER_PHASE, _token_dropping_core
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.bipartite import Bipartition
@@ -1042,9 +1042,9 @@ def compute_balanced_orientation(
         scan_path: which phase-loop engine to use: ``"auto"`` (the
             segmented numpy engine, as a one-part level, when numpy is
             available and the instance has at least
-            :data:`NUMPY_SCAN_THRESHOLD` edges — overridable via the
-            ``REPRO_SCAN_PATH`` environment variable — pure python
-            otherwise), ``"numpy"`` (force the numpy engine; raises
+            :data:`repro.core.engine.NUMPY_SCAN_THRESHOLD` edges —
+            overridable via the ``REPRO_SCAN_PATH`` environment variable —
+            pure python otherwise), ``"numpy"`` (force the numpy engine; raises
             ``RuntimeError`` when numpy is unavailable) or ``"python"``
             (force the pure-python reference engine).  Both engines are
             required to produce bit-identical results — the knob exists

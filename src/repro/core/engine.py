@@ -3,12 +3,12 @@
 Several hot paths ship two bit-identical implementations — a vectorized
 numpy engine and a pure-python reference twin: the orientation
 proposal/accept loop (:mod:`repro.core.balanced_orientation`), the
-line-graph Linial schedule and greedy machinery
-(:mod:`repro.coloring.greedy`), the defective min-conflict reduction
-(:mod:`repro.coloring.defective_vertex`) and the defect measurement
-(:mod:`repro.core.defective_edge_coloring`).  They all select their
-engine through :func:`resolve_use_numpy`, driven by one ``scan_path``
-knob with identical semantics everywhere:
+color-reduction step (:mod:`repro.coloring.color_reduction`, run by
+vertex Linial, the line-graph schedule and the defective reduction), the
+local search of :mod:`repro.coloring.defective_vertex` and the defect
+measurement (:mod:`repro.core.defective_edge_coloring`).  They all
+select their engine through :func:`resolve_use_numpy`, driven by one
+``scan_path`` knob with identical semantics everywhere:
 
 * ``"auto"`` — numpy when available and the instance has at least
   :data:`NUMPY_SCAN_THRESHOLD` elements, unless the environment forces

@@ -764,26 +764,10 @@ class DirectedGraph:
         """The arc with the given index."""
         return Arc(self._tails[index], self._heads[index])
 
-    def arc_tail(self, index: int) -> int:
-        """Tail node of the arc with the given index."""
-        return self._tails[index]
-
-    def arc_head(self, index: int) -> int:
-        """Head node of the arc with the given index."""
-        return self._heads[index]
-
     def arc_arrays(self) -> Tuple[List[int], List[int]]:
         """The flat ``(tails, heads)`` arrays (shared, not copied — do not
         mutate)."""
         return self._tails, self._heads
-
-    def out_arcs(self, v: int) -> List[int]:
-        """Indices of arcs leaving ``v``."""
-        return list(self._out.get(v, ()))
-
-    def in_arcs(self, v: int) -> List[int]:
-        """Indices of arcs entering ``v``."""
-        return list(self._in.get(v, ()))
 
     def in_arc_map(self) -> Dict[int, List[int]]:
         """In-arc index lists keyed by head node (shared — do not mutate).

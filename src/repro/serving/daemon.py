@@ -314,7 +314,6 @@ def run_daemon(
     rebase_policy="auto",
     journal_max_bytes: Optional[int] = None,
     journal_max_records: Optional[int] = None,
-    log=None,
 ) -> int:
     """The ``repro serve --listen`` loop: serve until shutdown, then compact.
 
@@ -323,8 +322,7 @@ def run_daemon(
     :func:`spawn_daemon_process` included — parse that exact line, so
     no caller ever has to pre-pick a port and race); everything else
     goes through the module logger like the journal and the store.
-    ``log`` is an optional extra sink for both lines (legacy hook;
-    tests).  Installs SIGTERM/SIGINT handlers that trigger the same
+    Installs SIGTERM/SIGINT handlers that trigger the same
     graceful shutdown as the ``shutdown`` op.  SIGKILL, by definition,
     skips compaction — that is what the journal is for.
     """
@@ -345,8 +343,6 @@ def run_daemon(
     # print regardless of logging configuration.
     print(f"listening on {host}:{port}", flush=True)
     logger.info("listening on %s:%d", host, port)
-    if log:
-        log(f"listening on {host}:{port}")
     previous = {}
     for signum in (signal.SIGTERM, signal.SIGINT):
         previous[signum] = signal.signal(
@@ -364,8 +360,6 @@ def run_daemon(
         f"{stats['deltas_applied']} deltas, {folded} journal records compacted"
     )
     logger.info("%s", summary)
-    if log:
-        log(summary)
     return 0
 
 

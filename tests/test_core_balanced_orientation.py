@@ -5,11 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import parameters
-from repro.core.balanced_orientation import (
-    NUMPY_SCAN_THRESHOLD,
-    _np,
-    compute_balanced_orientation,
-)
+from repro.core.balanced_orientation import compute_balanced_orientation
+from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
 from repro.verification.checkers import orientation_in_degrees

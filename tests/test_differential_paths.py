@@ -1,12 +1,14 @@
 """Differential test matrix: every fast path against its reference twin.
 
-The vectorized engines — the orientation proposal/accept loop, the
-line-graph Linial schedule, the defective min-conflict reduction, the
-local-search round loop, and the simulator's batched send *and* receive
-planes — each ship with a pure-python (or per-node) reference twin.
-This matrix runs a seeded randomized sweep (varying n, Δ,
-bipartite/general topology, both sides of the engine-size threshold and
-of the legacy 384-edge mark) and asserts the twins are
+Each vectorized engine ships with a pure-python (or per-node) reference
+twin: the orientation proposal/accept loop, the local-search round loop,
+the simulator's batched send *and* receive planes, and the one
+color-reduction engine pair of :mod:`repro.coloring.color_reduction`,
+whose callers are vertex Linial, the line-graph schedule, the batched
+Linial receive and the defective min-conflict reduction.  This matrix
+runs a seeded randomized sweep (varying n, Δ, bipartite/general
+topology, both sides of the engine-size threshold and of the legacy
+384-edge mark) and asserts the twins are
 **bit-identical**: same colorings, orientations, round counts and
 CONGEST metrics, down to dict contents and violation lists.  The
 simulator planes are checked over the full send × receive combination
@@ -25,11 +27,8 @@ from repro import api
 from repro.coloring.greedy import proper_edge_schedule
 from repro.coloring.linial import LinialNodeAlgorithm
 from repro.core import parameters
-from repro.core.balanced_orientation import (
-    NUMPY_SCAN_THRESHOLD,
-    _np,
-    compute_balanced_orientation,
-)
+from repro.core.balanced_orientation import compute_balanced_orientation
+from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np
 from repro.core.defective_edge_coloring import defective_split_level, degrees_within
 from repro.core.list_edge_coloring import partially_color_bipartite
 from repro.core.slack import uniform_instance
@@ -166,6 +165,21 @@ class TestScheduleEngineMatrix:
             charges[path] = tracker.breakdown
         assert charges["python"] == charges["numpy"]
 
+    def test_single_edge_schedule_is_its_identifier_reduced_at_zero(self):
+        from repro.coloring.color_reduction import reduction_schedule
+
+        graph = Graph(4, [(0, 1), (1, 2), (2, 3)], node_ids=[900, 17, 5000, 3])
+        for e in graph.edges():
+            a, b = sorted(graph.node_id(v) for v in graph.edge_endpoints(e))
+            expected = a * (b + 1) + b
+            schedule = reduction_schedule(expected + 1, 1)
+            for q, _d in schedule:
+                expected %= q  # a row with no neighbors takes x = 0: f_c(0) = c mod q
+            for path in ("python", "numpy"):
+                tracker = RoundTracker()
+                assert proper_edge_schedule(graph, [e], tracker, path) == {e: expected}
+                assert tracker.breakdown == ({"linial": len(schedule)} if schedule else {})
+
     def test_huge_identifier_star_schedules_bit_identical(self):
         # A center id >= 2**31 trips the vectorized setup's int64 guard,
         # so the numpy request runs the python setup and engine.
@@ -180,6 +194,161 @@ class TestScheduleEngineMatrix:
         b = proper_edge_schedule(graph, edges, scan_path="numpy")
         assert a == b
         assert is_proper_edge_coloring(graph, a)
+
+
+def _force_engine(monkeypatch, path):
+    """Steer every ``scan_path="auto"`` engine choice to ``path``."""
+    from repro.core import engine
+
+    monkeypatch.setattr(engine, "_ENV_SCAN_PATH", path)
+
+
+def _edge_pairs(graph: Graph):
+    return map(graph.edge_endpoints, graph.edges())
+
+
+def _scrambled_id_cycle(n: int, seed: int) -> Graph:
+    import random
+
+    ids = random.Random(seed).sample(range(10**6), n)
+    return Graph(n, [(v, (v + 1) % n) for v in range(n)], node_ids=ids)
+
+
+@requires_numpy
+class TestVertexLinialEngineMatrix:
+    """linial_vertex_coloring under both forced color-reduction engines."""
+
+    @staticmethod
+    def _run(monkeypatch, graph, path):
+        from repro.coloring.linial import linial_vertex_coloring
+
+        _force_engine(monkeypatch, path)
+        tracker = RoundTracker()
+        colors, num_colors = linial_vertex_coloring(graph, tracker=tracker)
+        return colors, num_colors, tracker.breakdown
+
+    def _assert_engines_agree(self, monkeypatch, graph):
+        py = self._run(monkeypatch, graph, "python")
+        np_ = self._run(monkeypatch, graph, "numpy")
+        assert py == np_
+        colors = py[0]
+        assert all(colors[u] != colors[v] for u, v in _edge_pairs(graph))
+        assert all(0 <= c < py[1] for c in colors)
+
+    @pytest.mark.parametrize("kind,n,delta", GRAPH_CELLS)
+    def test_graph_cells_bit_identical(self, monkeypatch, kind, n, delta):
+        self._assert_engines_agree(monkeypatch, _make_graph(kind, n, delta, seed=5 * n + delta))
+
+    def test_scrambled_id_cycle_bit_identical(self, monkeypatch):
+        self._assert_engines_agree(monkeypatch, _scrambled_id_cycle(300, seed=4))
+
+    def test_huge_identifier_star_bit_identical(self, monkeypatch):
+        # A center id beyond int64 cannot enter the numpy sweep, so the
+        # numpy request takes the python fallback for the first step.
+        leaves = 40
+        graph = Graph(
+            leaves + 1,
+            [(0, leaf) for leaf in range(1, leaves + 1)],
+            node_ids=[2**70, *range(1, leaves + 1)],
+        )
+        self._assert_engines_agree(monkeypatch, graph)
+
+
+@requires_numpy
+class TestColorReductionEngineMatrix:
+    """The shared engine pair of repro.coloring.color_reduction, called directly."""
+
+    @pytest.mark.parametrize("kind,n,delta", GRAPH_CELLS[::2])
+    def test_schedule_twins_bit_identical(self, kind, n, delta):
+        from repro.coloring.color_reduction import (
+            polynomial_steps,
+            polynomial_steps_numpy,
+            reduction_schedule,
+        )
+
+        graph = _make_graph(kind, n, delta, seed=n * delta)
+        xadj, adj = graph.adjacency_csr()
+        ids = [3 * v * v + 7 for v in graph.nodes()]
+        schedule = reduction_schedule(max(ids) + 1, delta)
+        assert schedule
+        results = {}
+        for steps in (polynomial_steps, polynomial_steps_numpy):
+            tracker = RoundTracker()
+            results[steps] = (steps(ids, xadj, adj, schedule, tracker), tracker.breakdown)
+        assert results[polynomial_steps] == results[polynomial_steps_numpy]
+
+    def test_same_colored_neighbor_rows_match_python_twin(self):
+        from repro.coloring.color_reduction import (
+            conflict_free_step_numpy,
+            min_conflict_step_numpy,
+            minimum_conflict_step,
+            polynomial_step,
+            sweep_rows,
+        )
+
+        np = _np
+        graph = generators.random_regular_graph(64, 6, seed=8)
+        xadj, adj = graph.adjacency_csr()
+        colors = [v % 6 + 40 for v in graph.nodes()]
+        assert any(colors[u] == colors[v] for u, v in _edge_pairs(graph))
+        rows = [[colors[w] for w in adj[xadj[v] : xadj[v + 1]]] for v in graph.nodes()]
+        q, d = 13, 1
+        layout = sweep_rows(
+            np.arange(graph.num_nodes, dtype=np.int64),
+            np.asarray(adj, dtype=np.int64),
+            np.asarray(xadj, dtype=np.int64),
+        )
+        free = conflict_free_step_numpy(colors, layout, q, d)
+        assert free.tolist() == [polynomial_step(c, row, q, d) for c, row in zip(colors, rows)]
+        fewest = min_conflict_step_numpy(colors, layout, q, d)
+        assert fewest.tolist() == [
+            minimum_conflict_step(c, row, q, d)[0] for c, row in zip(colors, rows)
+        ]
+
+    def test_sweep_reports_not_applicable(self):
+        from repro.coloring.color_reduction import agreement_sweep, sweep_rows
+
+        np = _np
+        rows = sweep_rows(
+            np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(2, dtype=np.int64)
+        )
+        assert agreement_sweep([2**70], rows, 11, 1) is None
+        assert agreement_sweep([5], rows, 2**31, 1) is None
+        assert agreement_sweep([5], rows, 11, 1) is not None
+
+
+@requires_numpy
+class TestSlotReceiveSameColorMatrix:
+    """LinialNodeAlgorithm.receive_batch when a payload equals the own color."""
+
+    def test_same_colored_payloads_match_polynomial_step(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.coloring.color_reduction import polynomial_step, reduction_schedule
+        from repro.distributed.network import RoundInbox
+
+        _force_engine(monkeypatch, "numpy")
+        graph = generators.random_regular_graph(96, 6, seed=12)
+        xadj, adj = graph.adjacency_csr()
+        n = graph.num_nodes
+        # An improper input: color classes v % 5 leave many adjacent
+        # nodes with equal colors, which the step must ignore.
+        colors = [(v * 7919) % 5 + 1000 for v in range(n)]
+        assert any(colors[u] == colors[v] for u, v in _edge_pairs(graph))
+        schedule = reduction_schedule(10**6, graph.max_degree)
+        q, d = schedule[0]
+        buf = [colors[w] for w in adj]
+        states = [{"color": colors[v], "schedule": schedule, "step": 0} for v in range(n)]
+        contexts = [SimpleNamespace(degree=xadj[v + 1] - xadj[v]) for v in range(n)]
+        LinialNodeAlgorithm().receive_batch(
+            contexts, states, list(range(n)), RoundInbox(buf, xadj), 0
+        )
+        expected = [
+            polynomial_step(colors[v], [colors[w] for w in adj[xadj[v] : xadj[v + 1]]], q, d)
+            for v in range(n)
+        ]
+        assert [s["color"] for s in states] == expected
+        assert all(s["step"] == 1 for s in states)
 
 
 @requires_numpy
@@ -199,6 +368,22 @@ class TestDefectiveReductionMatrix:
             )
             np_ = polynomial_defective_reduction(
                 graph, colors, count, target_defect=target, scan_path="numpy"
+            )
+            assert py == np_
+
+    @pytest.mark.parametrize("n,delta", [(64, 8), (128, 16)])
+    def test_improper_input_bit_identical(self, n, delta):
+        from repro.coloring.defective_vertex import polynomial_defective_reduction
+
+        graph = generators.random_regular_graph(n, delta, seed=n + 2 * delta)
+        colors = [v % 7 for v in range(n)]
+        assert any(colors[u] == colors[v] for u, v in _edge_pairs(graph))
+        for target in (1, max(1, delta // 3)):
+            py = polynomial_defective_reduction(
+                graph, colors, 7, target_defect=target, scan_path="python"
+            )
+            np_ = polynomial_defective_reduction(
+                graph, colors, 7, target_defect=target, scan_path="numpy"
             )
             assert py == np_
 
