@@ -23,7 +23,7 @@ from repro.baselines.greedy_by_classes import BaselineResult
 from repro.coloring.defective_vertex import defective_coloring_local_search
 from repro.coloring.greedy import greedy_edge_coloring_by_classes, proper_edge_schedule
 from repro.distributed.rounds import RoundTracker
-from repro.graphs.core import Graph
+from repro.graphs.core import Graph, degrees_within
 
 
 def barenboim_elkin_edge_coloring(
@@ -62,11 +62,7 @@ def barenboim_elkin_edge_coloring(
     for e in graph.edges():
         class_members.setdefault(classes[e], []).append(e)
     for members in class_members.values():
-        member_set = set(members)
-        degrees = graph.edge_subgraph_degrees(member_set)
-        for e in members:
-            u, v = graph.edge_endpoints(e)
-            max_class_degree = max(max_class_degree, degrees[u] + degrees[v] - 2)
+        max_class_degree = max(max_class_degree, max(degrees_within(graph, members)[1]))
     stride = max_class_degree + 1
     greedy_rounds = 0
     for class_index, members in sorted(class_members.items()):

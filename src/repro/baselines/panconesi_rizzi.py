@@ -2,75 +2,23 @@
 
 Stands in for the Panconesi–Rizzi [44] / Barenboim–Elkin–Goldenberg [10]
 family of algorithms whose round complexity is linear (up to a log
-factor) in Δ: Linial's O(Δ̄²)-edge coloring followed by the
-Kuhn–Wattenhofer parallel color reduction, which halves the number of
-colors in O(Δ̄) rounds per halving and therefore reaches 2Δ−1 colors in
-O(Δ̄·log Δ̄ + log* n) rounds.  The benchmarks plot its round count next to
+factor) in Δ: Linial's O(Δ̄²)-coloring followed by the Kuhn–Wattenhofer
+parallel color reduction, both run as vertex algorithms on the line
+graph.  The reduction halves the number of colors in O(Δ̄) rounds per
+halving and therefore reaches 2Δ−1 colors in O(Δ̄·log Δ̄ + log* n)
+rounds.  The benchmarks plot its round count next to
 the paper's polylog-Δ algorithm (experiment E6).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.baselines.greedy_by_classes import BaselineResult
-from repro.coloring.linial import linial_edge_coloring
+from repro.classic.vertex_coloring import kuhn_wattenhofer_vertex_reduction
+from repro.coloring.linial import linial_vertex_coloring
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.core import Graph
-
-
-def kuhn_wattenhofer_reduction(
-    graph: Graph,
-    edge_colors: Dict[int, int],
-    num_colors: int,
-    target: int,
-    tracker: Optional[RoundTracker] = None,
-) -> Dict[int, int]:
-    """Reduce a proper edge coloring to ``target`` colors, halving per stage.
-
-    Each stage partitions the current color classes into groups of ``2·target``
-    consecutive classes; within a group the classes are processed one per
-    round and every edge re-colors itself greedily inside the group's
-    ``target``-color palette (adjacent edges within a group number at most
-    Δ̄ ≤ target − 1, so a free color exists).  Groups use disjoint palettes
-    and are processed in parallel, so the number of colors halves in
-    ``2·target`` rounds.
-    """
-    colors = dict(edge_colors)
-    current = max(num_colors, target)
-    while current > target:
-        group_size = 2 * target
-        num_groups = -(-current // group_size)
-        # Recolor each group into its own `target`-color palette.
-        new_colors: Dict[int, int] = {}
-        for e, c in colors.items():
-            group = c // group_size
-            position = c % group_size
-            if position < target:
-                new_colors[e] = group * target + position
-        rounds_this_stage = 0
-        for position in range(target, group_size):
-            moving = [e for e, c in colors.items() if c % group_size == position]
-            rounds_this_stage += 1
-            for e in moving:
-                group = colors[e] // group_size
-                palette_start = group * target
-                used = {
-                    new_colors[f]
-                    for f in graph.adjacent_edges(e)
-                    if f in new_colors and palette_start <= new_colors[f] < palette_start + target
-                }
-                choice = next(
-                    c for c in range(palette_start, palette_start + target) if c not in used
-                )
-                new_colors[e] = choice
-        if tracker is not None:
-            tracker.charge(rounds_this_stage, "kuhn-wattenhofer")
-        colors = new_colors
-        current = num_groups * target
-        if num_groups == 1:
-            break
-    return colors
 
 
 def linear_in_delta_edge_coloring(
@@ -82,8 +30,11 @@ def linear_in_delta_edge_coloring(
     if graph.num_edges == 0:
         return BaselineResult(colors={}, num_colors=0, bound=0, rounds=0, algorithm="linear-in-delta")
     target = max(1, 2 * graph.max_degree - 1)
-    initial, num_colors = linial_edge_coloring(graph, tracker=own)
-    colors = kuhn_wattenhofer_reduction(graph, initial, num_colors, target, tracker=own)
+    # Line-graph nodes are the edges, and Δ̄ + 1 ≤ 2Δ − 1 = target.
+    line = graph.line_graph()
+    initial, num_colors = linial_vertex_coloring(line, tracker=own)
+    reduced = kuhn_wattenhofer_vertex_reduction(line, initial, num_colors, target, tracker=own)
+    colors = dict(enumerate(reduced))
     if tracker is not None:
         tracker.merge(own)
     return BaselineResult(

@@ -3,8 +3,8 @@
 Two stages, mirroring the classic pipeline the paper's introduction
 describes: Linial's O(Δ²)-coloring in O(log* n) rounds, followed by a
 color reduction down to Δ+1 colors.  The reduction is the
-Kuhn–Wattenhofer halving scheme (the same scheme the linear-in-Δ edge
-coloring baseline uses on the line graph): the current classes are split
+Kuhn–Wattenhofer halving scheme (the linear-in-Δ edge coloring
+baseline runs it on the line graph): the current classes are split
 into groups of 2(Δ+1) consecutive classes, every group re-colors itself
 into its own (Δ+1)-color palette one class per round, and the number of
 colors halves every 2(Δ+1) rounds — O(Δ log Δ) rounds in total.

@@ -126,7 +126,6 @@ def greedy_edge_coloring_by_classes(
     lists: Optional[Dict[int, Sequence[int]]] = None,
     palette_size: Optional[int] = None,
     edge_set: Optional[Set[int]] = None,
-    existing_colors: Optional[Dict[int, int]] = None,
     tracker: Optional[RoundTracker] = None,
     used_colors: Optional[UsedColorMasks] = None,
     list_masks: Optional[Dict[int, int]] = None,
@@ -134,9 +133,9 @@ def greedy_edge_coloring_by_classes(
     """Greedy list edge coloring scheduled by the classes of ``schedule``.
 
     Only the edges in ``edge_set`` (default: all edges present in
-    ``schedule``) are colored.  ``existing_colors`` are colors of adjacent
-    edges colored by earlier stages; they are treated as occupied but are
-    not modified.
+    ``schedule``) are colored.  Colors of adjacent edges colored by
+    earlier stages come in as ``used_colors``; they are treated as
+    occupied but are not modified.
 
     The pick is the smallest available color: from ``list_masks``, or from
     the default palette.  ``lists`` are scanned in list order, which is the
@@ -150,14 +149,13 @@ def greedy_edge_coloring_by_classes(
             ``{0, ..., palette_size - 1}`` with ``palette_size`` defaulting
             to ``2Δ − 1``.
         tracker: one round is charged per non-empty schedule class.
-        used_colors: optional caller-owned :class:`UsedColorMasks`,
-            exactly reflecting ``existing_colors`` (which is then not
-            read).  Availability reads the masks directly and assignments
-            land in them **in place**, so callers running many greedy
-            passes against one growing coloring share the state instead
-            of rebuilding it per pass.  Requires that no target edge is
-            already colored — presence-only state cannot express
-            re-coloring over an existing entry.
+        used_colors: optional caller-owned :class:`UsedColorMasks` of the
+            colors already used at every node (default: none).
+            Availability reads the masks directly and assignments land in
+            them **in place**, so callers running many greedy passes
+            against one growing coloring share the state instead of
+            rebuilding it per pass.  The target edges must not be
+            colored yet.
         list_masks: optional per-edge color lists as bitmasks (bit ``c``
             set iff ``c`` is in the list), in place of ``lists``.
 
@@ -177,49 +175,14 @@ def greedy_edge_coloring_by_classes(
     edge_u, edge_v = graph.endpoint_arrays()
     # An edge's blocked colors are exactly those used at its two
     # endpoints, kept as one bitmask per node (bit ``c`` set iff color
-    # ``c`` is used there).  Three sources for those masks:
-    #
-    # * the caller-owned ``used_colors`` state, read and updated in place;
-    # * internal masks, when no target edge is colored yet — zero for
-    #   every node, plus the pre-existing colors at the target endpoints;
-    # * none: when some target edge is already colored, the (always
-    #   exact) per-edge scan over the precomputed line-graph rows.
-    node_masks: Optional[List[int]]
-    if used_colors is not None:
-        if existing_colors and any(e in existing_colors for e in targets):
-            raise ValueError(
-                "used_colors requires that no target edge is already colored"
-            )
-        node_masks = used_colors._masks
-    else:
-        colored = dict(existing_colors) if existing_colors else {}
-        if any(e in colored for e in targets):
-            node_masks = None
-            offsets, flat = graph.edge_adjacency_csr()
-        else:
-            node_masks = [0] * graph.num_nodes
-            if colored:
-                xadj, inc = graph.incidence_csr()
-                for node in {edge_u[e] for e in targets} | {edge_v[e] for e in targets}:
-                    mask = 0
-                    for f in inc[xadj[node] : xadj[node + 1]]:
-                        color = colored.get(f)
-                        if color is not None:
-                            mask |= 1 << color
-                    node_masks[node] = mask
+    # ``c`` is used there).
+    node_masks = used_colors._masks if used_colors is not None else [0] * graph.num_nodes
     full_mask = (1 << palette_size) - 1
     for cls in sorted(by_class):
         members = by_class[cls]
         round_choices: List[Tuple[int, int]] = []
         for e in members:
-            if node_masks is not None:
-                blocked = node_masks[edge_u[e]] | node_masks[edge_v[e]]
-            else:
-                blocked = 0
-                for f in flat[offsets[e] : offsets[e + 1]]:
-                    color = colored.get(f)
-                    if color is not None:
-                        blocked |= 1 << color
+            blocked = node_masks[edge_u[e]] | node_masks[edge_v[e]]
             if lists is None:
                 available = (
                     list_masks[e] if list_masks is not None else full_mask
@@ -233,12 +196,9 @@ def greedy_edge_coloring_by_classes(
             round_choices.append((e, choice))
         for e, c in round_choices:
             result[e] = c
-            if node_masks is not None:
-                bit = 1 << c
-                node_masks[edge_u[e]] |= bit
-                node_masks[edge_v[e]] |= bit
-            else:
-                colored[e] = c
+            bit = 1 << c
+            node_masks[edge_u[e]] |= bit
+            node_masks[edge_v[e]] |= bit
         if tracker is not None:
             tracker.charge(1, "greedy-edge-classes")
     return result

@@ -41,7 +41,6 @@ from repro.graphs.core import Graph
 def linial_vertex_coloring(
     graph: Graph,
     tracker: Optional[RoundTracker] = None,
-    degree_bound: Optional[int] = None,
 ) -> Tuple[List[int], int]:
     """A proper O(Δ²)-vertex coloring computed in O(log* n) charged rounds.
 
@@ -49,8 +48,6 @@ def linial_vertex_coloring(
         graph: the input graph (node identifiers are the initial colors).
         tracker: optional round tracker; one round is charged per
             reduction step under the label ``linial``.
-        degree_bound: override for Δ (useful when the graph is a subgraph
-            of a graph with known larger degree).
 
     Returns:
         ``(colors, num_colors)`` where ``colors[v]`` is the color of node
@@ -60,8 +57,7 @@ def linial_vertex_coloring(
         return [], 1
     colors = graph.node_ids
     space = max(colors) + 1
-    delta = graph.max_degree if degree_bound is None else degree_bound
-    schedule = reduction_schedule(space, max(1, delta))
+    schedule = reduction_schedule(space, max(1, graph.max_degree))
     if not schedule:
         return colors, space
     xadj, adj = graph.adjacency_csr()

@@ -65,7 +65,7 @@ from repro.core.engine import _np, resolve_use_numpy
 from repro.core.token_dropping import ROUNDS_PER_PHASE, _token_dropping_core
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.bipartite import Bipartition
-from repro.graphs.core import Graph
+from repro.graphs.core import Graph, degrees_within
 
 
 @dataclass
@@ -136,18 +136,11 @@ def instance_arrays(
     ids — so hot loops index instead of calling ``orient_edge``.  Raises
     ``ValueError`` for edges that do not cross the bipartition.
     """
-    n = graph.num_nodes
     edge_u, edge_v = graph.endpoint_arrays()
     sides = bipartition.sides
 
-    static_deg = [0] * n
-    for e in edges:
-        static_deg[edge_u[e]] += 1
-        static_deg[edge_v[e]] += 1
-
-    edge_degrees = {
-        e: static_deg[edge_u[e]] + static_deg[edge_v[e]] - 2 for e in edges
-    }
+    static_deg, degrees = degrees_within(graph, edges)
+    edge_degrees = dict(zip(edges, degrees))
 
     o_u = [0] * graph.num_edges
     o_v = [0] * graph.num_edges

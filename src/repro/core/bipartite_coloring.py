@@ -3,9 +3,10 @@
 The algorithm splits the edge set recursively with generalized defective
 2-edge colorings (λ_e = 1/2): after ``k`` levels the graph is decomposed
 into ``2^k`` edge-disjoint parts whose maximum edge degree has dropped by
-roughly a factor ``2^k``.  The parts of one level split in parallel, in
-one :func:`~repro.core.defective_edge_coloring.defective_split_level`
-call.  Each part is then properly edge-colored with
+roughly a factor ``2^k``.  The recursion is the one Lemma D.3 shares,
+:func:`~repro.core.defective_edge_coloring.split_recursion`: the parts of
+one level split in parallel, in one level call that charges the level's
+max over its parts.  Each part is then properly edge-colored with
 ``d_i + 1`` colors by a greedy pass scheduled by a Linial O(d̄²)-edge
 coloring, and the final color of an edge is the pair
 ``(part index, local color)``, exactly as in the proof of Lemma 6.1.
@@ -23,14 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.coloring.greedy import greedy_edge_coloring_by_classes, proper_edge_schedule
 from repro.core import parameters
-from repro.core.defective_edge_coloring import defective_split_level, degrees_within
+from repro.core.defective_edge_coloring import split_recursion
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.bipartite import Bipartition
-from repro.graphs.core import Graph
+from repro.graphs.core import Graph, degrees_within
 
 
 @dataclass
@@ -113,46 +114,22 @@ def bipartite_edge_coloring(
     # (1+χ)^k ≤ 1 + ε/2 as in the proof of Lemma 6.1.
     chi = max(0.01, math.log(1.0 + epsilon / 2.0) / max(1, levels)) if levels > 0 else epsilon
 
-    # Every part carries its edge degrees; a split hands its classes'
-    # degrees to the next level.
-    parts: List[Tuple[List[int], List[int]]] = [(edges, edge_degrees)]
-    defect_history: List[int] = []
-    for _level in range(levels):
-        splitting = [
-            index for index, (_, degrees) in enumerate(parts) if max(degrees) > params.leaf_degree
-        ]
-        # The parts are edge-disjoint subgraphs: the defective splits of one
-        # level run in parallel in the distributed model (here: one engine
-        # call), so the level costs the maximum over the parts, not the sum.
-        splits = dict(
-            zip(
-                splitting,
-                defective_split_level(
-                    graph,
-                    bipartition,
-                    [parts[index][0] for index in splitting],
-                    None,
-                    epsilon=chi,
-                    betas=[params.beta(bar_delta)] * len(splitting),
-                    nu=params.resolved_nu(),
-                    scan_path=scan_path,
-                ),
-            )
-        )
-        new_parts: List[Tuple[List[int], List[int]]] = []
-        for index, part in enumerate(parts):
-            split = splits.get(index)
-            if split is None:
-                new_parts.append(part)
-            else:
-                defect_history.append(split.max_defect)
-                new_parts.append((split.red, split.red_degrees))
-                new_parts.append((split.blue, split.blue_degrees))
-        own.charge(
-            max((split.rounds for split in splits.values()), default=0),
-            "bipartite-split-level",
-        )
-        parts = [part for part in new_parts if part[0]]
+    # The parts of a level are edge-disjoint and split in parallel; every
+    # split uses the root's β.
+    parts, defect_history = split_recursion(
+        graph,
+        bipartition,
+        edges,
+        edge_degrees,
+        levels,
+        params.leaf_degree,
+        lambda _degree: params.beta(bar_delta),
+        chi,
+        own,
+        "bipartite-split-level",
+        nu=params.resolved_nu(),
+        scan_path=scan_path,
+    )
 
     # Leaf coloring: each part gets its own contiguous range of stride colors.
     max_leaf_degree = max((max(degrees) for _, degrees in parts), default=0)

@@ -10,7 +10,11 @@ The algorithm repeats, on the graph induced by the still-uncolored edges:
 3. the same for the pair {1,3} / {2,4};
 
 after which only monochromatic edges remain and the maximum degree has
-(roughly) halved.  The recursion runs O(log Δ) times and the constant
+(roughly) halved.  Both bipartite pieces come from one pass of
+:func:`~repro.graphs.bipartite.class_pair_pieces`: an edge crossing both
+pairings joins the first, and since Lemma 6.1 colors every edge it is
+given, that is the same piece a rescan after step 2 would leave for
+step 3.  The recursion runs O(log Δ) times and the constant
 degree leftover is colored greedily.  Every stage draws its colors from a
 fresh contiguous range handed out by a palette allocator; the total
 number of colors is compared against the (8+ε)Δ bound.
@@ -28,10 +32,9 @@ from repro.coloring.linial import linial_vertex_coloring
 from repro.coloring.palettes import PaletteAllocator
 from repro.core import parameters
 from repro.core.bipartite_coloring import bipartite_edge_coloring
-from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np
 from repro.distributed.rounds import RoundTracker
-from repro.graphs.bipartite import Bipartition
-from repro.graphs.core import Graph
+from repro.graphs.bipartite import class_pair_pieces
+from repro.graphs.core import Graph, degrees_within
 
 
 @dataclass
@@ -100,7 +103,7 @@ def congest_edge_coloring(
 
     epsilon_defective = epsilon / 4.0
     epsilon_bipartite = epsilon / 2.0
-    uncolored: Set[int] = set(graph.edges())
+    uncolored: List[int] = list(graph.edges())
     max_levels = max(1, math.floor(math.log2(max(2, delta))))
     levels_run = 0
 
@@ -126,46 +129,14 @@ def congest_edge_coloring(
             scan_path=scan_path,
         )
 
-        edge_u, edge_v = graph.endpoint_arrays()
-        for side_a, side_b in _PAIRINGS:
-            # Classify the *current* uncolored edges (the first pairing's
-            # coloring shrinks the set before the second runs).  The
-            # vectorized path preserves the set-iteration order of the
-            # scan it replaces; the bipartite solver sorts its edge set,
-            # so classification order is free anyway.
-            if (
-                _np is not None
-                and len(uncolored) >= NUMPY_SCAN_THRESHOLD
-                and hasattr(graph, "endpoint_arrays_np")
-            ):
-                unc_np = _np.fromiter(uncolored, dtype=_np.int64, count=len(uncolored))
-                eu_all, ev_all = graph.endpoint_arrays_np()
-                classes_np = _np.asarray(classes, dtype=_np.int64)
-                cu_np = classes_np[eu_all[unc_np]]
-                cv_np = classes_np[ev_all[unc_np]]
-                in_a_u = _np.isin(cu_np, list(side_a))
-                in_a_v = _np.isin(cv_np, list(side_a))
-                in_b_u = _np.isin(cu_np, list(side_b))
-                in_b_v = _np.isin(cv_np, list(side_b))
-                mask = (in_a_u & in_b_v) | (in_b_u & in_a_v)
-                bip_edges = unc_np[mask].tolist()
-            else:
-                bip_edges = []
-                for e in uncolored:
-                    cu = classes[edge_u[e]]
-                    cv = classes[edge_v[e]]
-                    if (cu in side_a and cv in side_b) or (cu in side_b and cv in side_a):
-                        bip_edges.append(e)
-            if not bip_edges:
-                continue
-            bipartition = Bipartition(
-                [0 if classes[v] in side_a else 1 for v in graph.nodes()]
-            )
+        # An edge crossing both pairings goes to the first, which colors
+        # every edge it is given.
+        for bipartition, piece in class_pair_pieces(graph, uncolored, classes, _PAIRINGS):
             result = bipartite_edge_coloring(
                 graph,
                 bipartition,
                 epsilon=epsilon_bipartite,
-                edge_set=bip_edges,
+                edge_set=piece,
                 params=params,
                 tracker=own,
                 scan_path=scan_path,
@@ -173,16 +144,12 @@ def congest_edge_coloring(
             palette = allocator.allocate(result.palette_size)
             for e, c in result.colors.items():
                 colors[e] = palette.start + c
-            uncolored.difference_update(result.colors.keys())
+        uncolored = [e for e in uncolored if e not in colors]
 
     # Final stage: the leftover graph has small degree; color it greedily
     # with a fresh palette of 2d − 1 colors.
     if uncolored:
-        _nd = graph.edge_subgraph_degrees(uncolored)
-        remaining_edge_degree = 0
-        for e in uncolored:
-            u, v = graph.edge_endpoints(e)
-            remaining_edge_degree = max(remaining_edge_degree, _nd[u] + _nd[v] - 2)
+        remaining_edge_degree = max(degrees_within(graph, uncolored)[1])
         palette = allocator.allocate(remaining_edge_degree + 1)
         schedule = proper_edge_schedule(
             graph, uncolored, tracker=own, scan_path=scan_path

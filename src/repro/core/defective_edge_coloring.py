@@ -12,23 +12,27 @@ blue.  Corollary 5.7 plugs in the orientation algorithm of Theorem 5.6.
 
 The implementation exposes the reduction (:func:`eta_from_lambda`), the
 end-to-end coloring of one instance
-(:func:`generalized_defective_two_edge_coloring`) and the level entry
-point of the recursive algorithms of Sections 6 and 7
-(:func:`defective_split_level`): every edge-disjoint part of one
-recursion level is colored in one call, which the numpy engine runs as
-one lock-step orientation over all parts — the parallel level of the
-distributed model.  Both share one body (engine choice, λ validation,
-output charge).  A level also returns each class's edge degrees, read off
-the orientation's in-degrees, so a recursion counts degrees
-(:func:`degrees_within`) only for its root instance.  Everything operates
-on explicit edge sets, so subgraphs need no re-indexing.
+(:func:`generalized_defective_two_edge_coloring`), the level entry point
+of the recursive algorithms of Sections 6 and 7
+(:func:`defective_split_level`) and the λ = 1/2 recursion built on it
+(:func:`split_recursion`).  A level colors every edge-disjoint part of
+one recursion level in one call, which the numpy engine runs as one
+lock-step orientation over all parts — the parallel level of the
+distributed model — and it is the one place a level's rounds are
+charged: the max over its parts.  The single instance and the level
+share one body (engine choice, λ validation, output charge).  A level
+also returns each class's edge degrees, read off the orientation's
+in-degrees, so a recursion counts degrees
+(:func:`~repro.graphs.core.degrees_within`) only for its root instance.
+Everything operates on explicit edge sets, so subgraphs need no
+re-indexing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.balanced_orientation import (
     BalancedOrientationResult,
@@ -239,6 +243,8 @@ def defective_split_level(
     nu: Optional[float] = None,
     scan_path: str = "auto",
     max_phases: Optional[int] = None,
+    tracker: Optional[RoundTracker] = None,
+    label: str = "defective-split-level",
 ) -> List[SplitPart]:
     """Defective 2-edge color every part of one recursion level (Corollary 5.7).
 
@@ -251,7 +257,9 @@ def defective_split_level(
     ``"auto"`` mode the level's total edge count picks the engine.  The
     class degrees of every :class:`SplitPart` come from the orientation's
     in-degrees, so a recursion reads its next level's degrees from here
-    instead of counting them.
+    instead of counting them.  Being parallel, the level costs the
+    maximum of its parts' rounds; that is charged to ``tracker`` under
+    ``label`` (0 for a level without parts).
 
     Args:
         graph / bipartition: the host graph and its node sides; every
@@ -267,26 +275,79 @@ def defective_split_level(
         nu: optional override of the orientation's phase parameter.
         scan_path: ``"auto"`` / ``"numpy"`` / ``"python"``.
         max_phases: optional cap on every part's orientation phases.
+        tracker / label: where the level's rounds are charged (optional).
 
     Returns one :class:`SplitPart` per part, in order.
     """
-    return _split_level(
+    splits = _split_level(
         graph, bipartition, parts, lambdas, epsilon, betas, nu, scan_path, max_phases
     )[0]
+    if tracker is not None:
+        tracker.charge(max((outcome.rounds for outcome in splits), default=0), label)
+    return splits
 
 
-def degrees_within(graph: Graph, edges: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """Node degrees and edge degrees (aligned with ``edges``) within ``edges``.
+def split_recursion(
+    graph: Graph,
+    bipartition: Bipartition,
+    edges: List[int],
+    degrees: List[int],
+    levels: int,
+    leaf_degree: int,
+    beta: Callable[[int], float],
+    epsilon: float,
+    tracker: RoundTracker,
+    label: str,
+    nu: Optional[float],
+    scan_path: str,
+) -> Tuple[List[Tuple[List[int], List[int]]], List[int]]:
+    """Split ``edges`` into parts of small edge degree by λ = 1/2 levels.
 
-    The recursions count the degrees of their root instance with this;
-    every later level reads them from :class:`SplitPart`.
+    The shared recursion of Lemmas D.3 and 6.1.  Each of at most
+    ``levels`` levels makes one :func:`defective_split_level` call (charged
+    to ``tracker`` under ``label``) over every part whose max edge degree
+    exceeds ``leaf_degree``, with β = ``beta(that max degree)``; a split
+    part is replaced by its non-empty red and blue classes.  The first
+    level at which no part splits (charged 0) ends the recursion.
+
+    Args:
+        edges / degrees: the strictly ascending, non-empty root instance
+            and its edge degrees (aligned).
+
+    Returns ``(parts, defects)``: the leaf parts as ``(edges, degrees)``
+    pairs, and each split's max defect, in split order.
     """
-    edge_u, edge_v = graph.endpoint_arrays()
-    node_deg = [0] * graph.num_nodes
-    for e in edges:
-        node_deg[edge_u[e]] += 1
-        node_deg[edge_v[e]] += 1
-    return node_deg, [node_deg[edge_u[e]] + node_deg[edge_v[e]] - 2 for e in edges]
+    parts = [(edges, degrees)]
+    defects: List[int] = []
+    for _level in range(levels):
+        splitting = [max(part_degrees) > leaf_degree for _, part_degrees in parts]
+        chosen = [part for part, splits_here in zip(parts, splitting) if splits_here]
+        splits = iter(
+            defective_split_level(
+                graph,
+                bipartition,
+                [part_edges for part_edges, _ in chosen],
+                None,
+                epsilon,
+                [beta(max(part_degrees)) for _, part_degrees in chosen],
+                nu=nu,
+                scan_path=scan_path,
+                tracker=tracker,
+                label=label,
+            )
+        )
+        if not chosen:
+            break
+        next_parts: List[Tuple[List[int], List[int]]] = []
+        for part, splits_here in zip(parts, splitting):
+            if not splits_here:
+                next_parts.append(part)
+                continue
+            outcome = next(splits)
+            defects.append(outcome.max_defect)
+            next_parts += [(outcome.red, outcome.red_degrees), (outcome.blue, outcome.blue_degrees)]
+        parts = [part for part in next_parts if part[0]]
+    return parts, defects
 
 
 def _split_level(

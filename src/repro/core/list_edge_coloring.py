@@ -17,16 +17,18 @@ Three layers, mirroring the paper:
   an OR, a median bit and two ANDs, and a passive edge takes the lowest
   free bit of its window.  All parts of one recursion level split in one
   :func:`~repro.core.defective_edge_coloring.defective_split_level` call:
-  in the distributed model they run in parallel, and the numpy engine
-  orients them in lock-step.
+  in the distributed model they run in parallel, the numpy engine
+  orients them in lock-step, and the call charges the level its max
+  over the parts.
 
 * :func:`partially_color_bipartite` — the Lemma D.3 substitute (DESIGN.md
   §3.3).  It splits the uncolored bipartite graph into
-  ``params.list_reduction_parts`` edge-disjoint parts with λ = 1/2
-  defective splits (one level-wide call per split level) and colors the
-  parts sequentially with the Lemma D.2 solver, where an edge
-  participates only while its available list is at least
-  ``params.list_slack`` times its uncolored within-part degree.
+  ``params.list_reduction_parts`` edge-disjoint parts with the λ = 1/2
+  recursion Lemma 6.1 shares
+  (:func:`~repro.core.defective_edge_coloring.split_recursion`, leaf
+  degree 1) and colors the parts sequentially with the Lemma D.2
+  solver, where an edge participates only while its available list is
+  at least ``params.list_slack`` times its uncolored within-part degree.
   Edges that stay uncolored were skipped, and an edge is only skipped
   when its uncolored degree is already small — which is exactly the
   degree-reduction guarantee Lemma D.3 provides.  Availability is one
@@ -34,10 +36,12 @@ Three layers, mirroring the paper:
   popcount.
 
 * :func:`list_edge_coloring` — Theorem D.4.  A defective 4-coloring of
-  the nodes splits the uncolored graph into bipartite class pairs; each
-  pair is partially colored with :func:`partially_color_bipartite`; the
-  uncolored degree shrinks by a constant factor per outer iteration, and
-  the constant-degree leftover is colored greedily.  The (degree+1)
+  the nodes splits the uncolored graph into its six bipartite class-pair
+  pieces (:func:`~repro.graphs.bipartite.class_pair_pieces`, the helper
+  Theorem 6.3 shares); each piece is partially colored with
+  :func:`partially_color_bipartite`; the uncolored degree shrinks by a
+  constant factor per outer iteration, and the constant-degree leftover
+  is colored greedily.  The (degree+1)
   invariant — every uncolored edge always has more available colors than
   uncolored neighbors — is maintained throughout, so the final greedy
   step (and hence the whole algorithm) always succeeds.  One
@@ -64,13 +68,13 @@ from repro.coloring.linial import linial_vertex_coloring
 from repro.core import parameters
 from repro.core.defective_edge_coloring import (
     defective_split_level,
-    degrees_within,
     generalized_defective_two_edge_coloring,  # noqa: F401 - perfbench/layers.py patches it
+    split_recursion,
 )
 from repro.core.slack import ListEdgeColoringInstance, uniform_instance
 from repro.distributed.rounds import RoundTracker
-from repro.graphs.bipartite import Bipartition
-from repro.graphs.core import Graph
+from repro.graphs.bipartite import Bipartition, class_pair_pieces
+from repro.graphs.core import Graph, degrees_within
 
 
 @dataclass
@@ -98,6 +102,10 @@ class ListColoringResult:
 
 
 # ---------------------------------------------------------------------------- helpers
+#: The class pairs of Theorem D.4's defective 4-coloring, one piece each.
+_CLASS_PAIRS = tuple(({a}, {b}) for a in range(4) for b in range(a + 1, 4))
+
+
 @dataclass
 class _Part:
     """An edge-disjoint part of the Lemma D.2 recursion with its color windows.
@@ -147,7 +155,7 @@ def solve_relaxed_instance(
     Every list and every recursion window is a color bitmask.  A level
     splits every part's color space at its median color by value, all
     parts in one :func:`~repro.core.defective_edge_coloring.
-    defective_split_level` call: the union
+    defective_split_level` call, which charges the level: the union
     is the OR of the windows, λ_e is the share of the window below the
     median, and a survivor keeps the half its side of the split chose.
     A passive edge takes the smallest color of its window that is free
@@ -250,7 +258,7 @@ def solve_relaxed_instance(
             boundaries[index] = below
         # The parts of one level are edge-disjoint and use disjoint color
         # spaces: their defective splits run in parallel — one engine call
-        # for the level — so the level costs the maximum over the parts.
+        # for the level, charged as the maximum over the parts.
         splits = defective_split_level(
             graph,
             bipartition,
@@ -260,6 +268,8 @@ def solve_relaxed_instance(
             betas=betas,
             nu=params.resolved_nu(),
             scan_path=scan_path,
+            tracker=own,
+            label="list-solver-split-level",
         )
         # A red edge keeps the colors below the boundary, a blue edge the rest.
         sides_of: Dict[int, List[Tuple[int, List[int], List[int]]]] = {
@@ -290,7 +300,6 @@ def solve_relaxed_instance(
                     if len(survivors) < len(side_edges):
                         side_degrees = degrees_within(graph, survivors)[1]
                     new_parts.append(_Part(survivors, survivor_windows, side_degrees))
-        own.charge(max((split.rounds for split in splits), default=0), "list-solver-split-level")
         passive_levels.append(level_passive)
         parts = new_parts
 
@@ -330,10 +339,10 @@ def partially_color_bipartite(
     """Partially color a bipartite piece so that its uncolored degree drops (Lemma D.3).
 
     The uncolored edges of ``edge_set`` (any order; repeats are ignored)
-    are split into ``params.list_reduction_parts`` edge-disjoint parts
-    (repeated λ = 1/2 defective splits, every part of a split level in
-    one :func:`~repro.core.defective_edge_coloring.defective_split_level`
-    call); the parts are then colored sequentially with
+    are split into ``params.list_reduction_parts`` edge-disjoint parts by
+    :func:`~repro.core.defective_edge_coloring.split_recursion` (λ = 1/2
+    levels down to edge degree 1, β from each part's max degree); the
+    parts are then colored sequentially with
     :func:`solve_relaxed_instance`, where an
     edge participates only if its currently available list is at least
     ``params.list_slack`` times its uncolored within-part degree (and at
@@ -358,45 +367,20 @@ def partially_color_bipartite(
         return newly
 
     split_levels = max(1, math.ceil(math.log2(max(2, params.list_reduction_parts))))
-    # Every part carries its edge degrees; a split hands its classes'
-    # degrees to the next level.
-    parts: List[Tuple[List[int], List[int]]] = [(edges, degrees_within(graph, edges)[1])]
-    for _ in range(split_levels):
-        splitting = [
-            index
-            for index, (part, degrees) in enumerate(parts)
-            if len(part) > 1 and max(degrees) > 1
-        ]
-        # Parts are edge-disjoint: the splits of one level run in parallel
-        # (one engine call), and the level costs the max over the parts.
-        splits = dict(
-            zip(
-                splitting,
-                defective_split_level(
-                    graph,
-                    bipartition,
-                    [parts[index][0] for index in splitting],
-                    None,
-                    epsilon=max(params.epsilon, 0.5),
-                    betas=[params.beta(max(parts[index][1])) for index in splitting],
-                    nu=params.resolved_nu(),
-                    scan_path=scan_path,
-                ),
-            )
-        )
-        next_parts: List[Tuple[List[int], List[int]]] = []
-        for index, part in enumerate(parts):
-            split = splits.get(index)
-            if split is None:
-                next_parts.append(part)
-            else:
-                next_parts.append((split.red, split.red_degrees))
-                next_parts.append((split.blue, split.blue_degrees))
-        own.charge(
-            max((split.rounds for split in splits.values()), default=0),
-            "degree-reduction-split-level",
-        )
-        parts = [part for part in next_parts if part[0]]
+    parts, _defects = split_recursion(
+        graph,
+        bipartition,
+        edges,
+        degrees_within(graph, edges)[1],
+        split_levels,
+        1,
+        params.beta,
+        max(params.epsilon, 0.5),
+        own,
+        "degree-reduction-split-level",
+        nu=params.resolved_nu(),
+        scan_path=scan_path,
+    )
 
     used = (
         used_colors
@@ -503,7 +487,6 @@ def list_edge_coloring(
     # instead of rescanning every graph edge twice per level, and its
     # degrees come from a zero-copy EdgeSubsetView instead of building a
     # fresh Graph per level.
-    edge_u, edge_v = graph.endpoint_arrays()
     uncolored: List[int] = list(graph.edges())
 
     while True:
@@ -525,40 +508,22 @@ def list_edge_coloring(
             tracker=own,
             scan_path=scan_path,
         )
-        # Bucket the uncolored edges by their (unordered) class pair in
-        # one pass; the pairs are edge-disjoint, so the per-pair lists
-        # cannot be invalidated by the other pairs' colorings.
-        pair_buckets: Dict[Tuple[int, int], List[int]] = {}
-        for e in uncolored:
-            cu = classes[edge_u[e]]
-            cv = classes[edge_v[e]]
-            if cu != cv:
-                key = (cu, cv) if cu < cv else (cv, cu)
-                bucket = pair_buckets.get(key)
-                if bucket is None:
-                    pair_buckets[key] = [e]
-                else:
-                    bucket.append(e)
-        for class_a in range(4):
-            for class_b in range(class_a + 1, 4):
-                pair_edges = pair_buckets.get((class_a, class_b))
-                if not pair_edges:
-                    continue
-                bipartition = Bipartition(
-                    [0 if classes[v] == class_a else 1 for v in graph.nodes()]
-                )
-                new = partially_color_bipartite(
+        # The six class pairs are edge-disjoint, so a piece's lists cannot
+        # be invalidated by the other pieces' colorings.
+        for bipartition, piece in class_pair_pieces(graph, uncolored, classes, _CLASS_PAIRS):
+            coloring.update(
+                partially_color_bipartite(
                     graph,
                     bipartition,
                     instance,
-                    pair_edges,
+                    piece,
                     coloring,
                     params=params,
                     tracker=own,
                     scan_path=scan_path,
                     used_colors=used,
                 )
-                coloring.update(new)
+            )
         uncolored = [e for e in uncolored if e not in coloring]
 
     # Final stage: the uncolored graph has small degree; greedy from the

@@ -20,8 +20,7 @@ with what they charge here; integration tests assert that.
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Dict
 
 
 class RoundTracker:
@@ -30,7 +29,6 @@ class RoundTracker:
     def __init__(self) -> None:
         self._total = 0
         self._breakdown: "OrderedDict[str, int]" = OrderedDict()
-        self._scope: Optional[str] = None
 
     @property
     def total(self) -> int:
@@ -50,26 +48,13 @@ class RoundTracker:
         """
         if rounds < 0:
             raise ValueError("cannot charge a negative number of rounds")
-        if self._scope is not None:
-            label = f"{self._scope}/{label}"
         self._total += rounds
         self._breakdown[label] = self._breakdown.get(label, 0) + rounds
 
-    @contextmanager
-    def scope(self, label: str) -> Iterator["RoundTracker"]:
-        """Prefix all charges inside the context with ``label/``."""
-        previous = self._scope
-        self._scope = label if previous is None else f"{previous}/{label}"
-        try:
-            yield self
-        finally:
-            self._scope = previous
-
-    def merge(self, other: "RoundTracker", label: Optional[str] = None) -> None:
-        """Add another tracker's rounds (optionally under a prefix label)."""
+    def merge(self, other: "RoundTracker") -> None:
+        """Add another tracker's rounds, label by label."""
         for key, value in other.breakdown.items():
-            merged = key if label is None else f"{label}/{key}"
-            self.charge(value, merged)
+            self.charge(value, key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RoundTracker(total={self._total})"

@@ -3,14 +3,16 @@
 Sections 5–7 of the paper work with *2-colored bipartite graphs*: the
 nodes know whether they belong to the side ``U`` or the side ``V``.  A
 :class:`Bipartition` records that side information.  ``find_bipartition``
-recovers a bipartition of a bipartite graph (used by tests and by the
-reduction from general graphs, where the bipartition is induced by a
-defective vertex coloring and is therefore known to the nodes).
+recovers a bipartition of a bipartite graph (used by tests).  The
+reductions from general graphs (Theorems 6.3 and D.4) induce their
+bipartitions from a defective vertex coloring, which the nodes know:
+:func:`class_pair_pieces` cuts an edge set into the bipartite pieces
+between pairs of color-class groups.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.graphs.core import Graph
 
@@ -69,6 +71,41 @@ def bipartition_from_sides(left: Iterable[int], num_nodes: int) -> Bipartition:
     """A bipartition whose U side is exactly ``left``."""
     left_set = set(left)
     return Bipartition([0 if v in left_set else 1 for v in range(num_nodes)])
+
+
+def class_pair_pieces(
+    graph: Graph,
+    edges: Iterable[int],
+    classes: Sequence[int],
+    pairings: Sequence[Tuple[AbstractSet[int], AbstractSet[int]]],
+) -> List[Tuple[Bipartition, List[int]]]:
+    """The bipartite pieces of ``edges`` between the class groups of ``pairings``.
+
+    ``classes`` is a node coloring and each pairing ``(side_a, side_b)``
+    is two disjoint groups of classes.  In one pass, every edge goes to
+    the first pairing it crosses (one endpoint's class in ``side_a``, the
+    other's in ``side_b``); edges crossing none are left out.  Returns,
+    in pairing order, ``(bipartition, piece edges)`` for every non-empty
+    piece, where the bipartition puts the nodes of ``side_a`` classes on
+    side U; the piece edges keep the order of ``edges``.
+    """
+    piece_of: Dict[Tuple[int, int], int] = {}
+    for index, (side_a, side_b) in enumerate(pairings):
+        for a in side_a:
+            for b in side_b:
+                piece_of.setdefault((a, b), index)
+                piece_of.setdefault((b, a), index)
+    pieces: List[List[int]] = [[] for _ in pairings]
+    edge_u, edge_v = graph.endpoint_arrays()
+    for e in edges:
+        index = piece_of.get((classes[edge_u[e]], classes[edge_v[e]]))
+        if index is not None:
+            pieces[index].append(e)
+    return [
+        (Bipartition([0 if classes[v] in side_a else 1 for v in graph.nodes()]), piece)
+        for (side_a, _), piece in zip(pairings, pieces)
+        if piece
+    ]
 
 
 def find_bipartition(graph: Graph) -> Optional[Bipartition]:

@@ -398,16 +398,6 @@ class Graph:
         return a * self._edge_id_base + b
 
     # -------------------------------------------------------------- subgraphs
-    def edge_subgraph_degrees(self, edge_set: Iterable[int]) -> List[int]:
-        """Node degrees restricted to the edges in ``edge_set``."""
-        degrees = [0] * self._num_nodes
-        edge_u = self._edge_u
-        edge_v = self._edge_v
-        for e in edge_set:
-            degrees[edge_u[e]] += 1
-            degrees[edge_v[e]] += 1
-        return degrees
-
     def edge_degree_within(
         self, e: int, edge_set: Set[int], degrees: Optional[List[int]] = None
     ) -> int:
@@ -702,6 +692,21 @@ class EdgeSubsetView:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"EdgeSubsetView(m={self._num_edges} of {self._graph.num_edges})"
+
+
+def degrees_within(graph: Graph, edges: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Node degrees and edge degrees (aligned with ``edges``) within ``edges``.
+
+    The one subset-degree counter: the recursions count the degrees of
+    their root instance with it (every later level reads them off its
+    defective split), and leftover stages size their palettes with it.
+    """
+    edge_u, edge_v = graph.endpoint_arrays()
+    node_deg = [0] * graph.num_nodes
+    for e in edges:
+        node_deg[edge_u[e]] += 1
+        node_deg[edge_v[e]] += 1
+    return node_deg, [node_deg[edge_u[e]] + node_deg[edge_v[e]] - 2 for e in edges]
 
 
 @dataclass(frozen=True)

@@ -577,6 +577,7 @@ def run_degree_reduction(ctx: CellContext) -> Dict[str, object]:
     from repro.core.list_edge_coloring import partially_color_bipartite
     from repro.core.slack import uniform_instance
     from repro.graphs import generators
+    from repro.graphs.core import degrees_within
     from repro.verification.checkers import is_proper_edge_coloring
 
     side = int(ctx.params["side"])
@@ -598,14 +599,7 @@ def run_degree_reduction(ctx: CellContext) -> Dict[str, object]:
         ),
     )
     uncolored = [e for e in graph.edges() if e not in newly]
-    if uncolored:
-        degrees = graph.edge_subgraph_degrees(set(uncolored))
-        worst = max(
-            degrees[graph.edge_endpoints(e)[0]] + degrees[graph.edge_endpoints(e)[1]] - 2
-            for e in uncolored
-        )
-    else:
-        worst = 0
+    worst = max(degrees_within(graph, uncolored)[1], default=0)
     assert is_proper_edge_coloring(graph, newly, edge_set=list(newly.keys()))
     assert worst <= 0.75 * bar_delta, "degree reduction too weak"
     return {

@@ -6,16 +6,14 @@ import pytest
 
 from repro.baselines.barenboim_elkin import barenboim_elkin_edge_coloring
 from repro.baselines.greedy_by_classes import greedy_baseline_edge_coloring
-from repro.baselines.panconesi_rizzi import (
-    kuhn_wattenhofer_reduction,
-    linear_in_delta_edge_coloring,
-)
+from repro.baselines.panconesi_rizzi import linear_in_delta_edge_coloring
 from repro.baselines.randomized import randomized_edge_coloring
 from repro.baselines.sequential import (
     sequential_greedy_edge_coloring,
     sequential_greedy_vertex_coloring,
 )
-from repro.coloring.linial import linial_edge_coloring
+from repro.classic.vertex_coloring import kuhn_wattenhofer_vertex_reduction
+from repro.coloring.linial import linial_vertex_coloring
 from repro.graphs import generators
 from repro.graphs.core import Graph
 from repro.verification.checkers import (
@@ -61,11 +59,12 @@ class TestLinearInDelta:
 
     def test_kw_reduction_preserves_properness(self):
         graph = generators.random_regular_graph(40, 6, seed=2)
-        initial, num_colors = linial_edge_coloring(graph)
+        line = graph.line_graph()
+        initial, num_colors = linial_vertex_coloring(line)
         target = 2 * graph.max_degree - 1
-        reduced = kuhn_wattenhofer_reduction(graph, initial, num_colors, target)
-        assert is_proper_edge_coloring(graph, reduced)
-        assert max(reduced.values()) < target
+        reduced = kuhn_wattenhofer_vertex_reduction(line, initial, num_colors, target)
+        assert is_proper_edge_coloring(graph, dict(enumerate(reduced)))
+        assert max(reduced) < target
 
     def test_empty_graph(self):
         result = linear_in_delta_edge_coloring(Graph(2, []))

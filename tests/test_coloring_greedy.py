@@ -63,7 +63,10 @@ class TestGreedyEdgeColoring:
         second_half = set(all_edges) - first_half
         colors_a = greedy_edge_coloring_by_classes(graph, schedule, edge_set=first_half)
         colors_b = greedy_edge_coloring_by_classes(
-            graph, schedule, edge_set=second_half, existing_colors=colors_a
+            graph,
+            schedule,
+            edge_set=second_half,
+            used_colors=UsedColorMasks.from_edge_coloring(graph, colors_a),
         )
         combined = {**colors_a, **colors_b}
         assert is_proper_edge_coloring(graph, combined)
@@ -102,7 +105,7 @@ class TestGreedyEdgeColoring:
             )
 
     def test_shared_used_colors_match_existing_colors(self):
-        # Caller-owned masks stand in for ``existing_colors`` and receive
+        # Caller-owned masks of the existing colors block them and receive
         # the new colors in place.
         graph = generators.grid_graph(4, 4)
         schedule, _num = linial_edge_coloring(graph)
@@ -114,17 +117,10 @@ class TestGreedyEdgeColoring:
         shared = greedy_edge_coloring_by_classes(
             graph, schedule, edge_set=second_half, used_colors=used
         )
-        assert shared == greedy_edge_coloring_by_classes(
-            graph, schedule, edge_set=second_half, existing_colors=colors_a
-        )
         combined = {**colors_a, **shared}
+        assert is_proper_edge_coloring(graph, combined)
         expected = UsedColorMasks.from_edge_coloring(graph, combined)
         assert all(used.mask(v) == expected.mask(v) for v in graph.nodes())
-        with pytest.raises(ValueError, match="already colored"):
-            greedy_edge_coloring_by_classes(
-                graph, schedule, edge_set=second_half, existing_colors=combined,
-                used_colors=used,
-            )
 
 
 # Pinned outputs of proper_edge_schedule / greedy_edge_coloring_by_classes,
@@ -162,11 +158,6 @@ _PINNED_SUBSET_20_4_COLORS = {
     0: 2, 2: 3, 4: 1, 6: 3, 8: 3, 10: 0, 12: 0, 14: 1, 16: 0, 18: 2, 20: 1,
     22: 3, 24: 0, 26: 2, 28: 0, 30: 0, 32: 1, 34: 1, 36: 1, 38: 0,
 }
-_PINNED_RECOLOR_12_4_COLORS = {
-    0: 1, 1: 2, 2: 3, 3: 0, 4: 3, 5: 0, 6: 2, 7: 1, 8: 3, 9: 2, 10: 1, 11: 1,
-    12: 2, 13: 3, 14: 4, 15: 0, 16: 3, 17: 2, 18: 4, 19: 0, 20: 4, 21: 1,
-    22: 0, 23: 5,
-}
 
 
 class TestGreedyScheduleRegression:
@@ -193,20 +184,13 @@ class TestGreedyScheduleRegression:
         others = [e for e in graph.edges() if e not in set(subset)][:6]
         existing = {e: (i % 3) for i, e in enumerate(others)}
         colors = greedy_edge_coloring_by_classes(
-            graph, schedule, lists=lists, edge_set=set(subset), existing_colors=existing
+            graph,
+            schedule,
+            lists=lists,
+            edge_set=set(subset),
+            used_colors=UsedColorMasks.from_edge_coloring(graph, existing),
         )
         assert colors == _PINNED_SUBSET_20_4_COLORS
-
-    def test_recoloring_over_precolored_targets_pinned(self):
-        # Target edges that already carry a color must take the exact scan
-        # path (per-node masks cannot express re-coloring an existing entry).
-        graph = generators.random_regular_graph(12, 4, seed=1)
-        schedule = proper_edge_schedule(graph, list(graph.edges()))
-        pre = {e: 7 for e in list(graph.edges())[:4]}
-        colors = greedy_edge_coloring_by_classes(
-            graph, schedule, palette_size=8, existing_colors=pre
-        )
-        assert colors == _PINNED_RECOLOR_12_4_COLORS
 
 
 class TestProperEdgeSchedule:

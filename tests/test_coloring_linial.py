@@ -37,11 +37,6 @@ class TestVertexColoring:
         assert colors == []
         assert num_colors == 1
 
-    def test_degree_bound_override(self):
-        graph = generators.cycle_graph(16)
-        colors, _num = linial_vertex_coloring(graph, degree_bound=5)
-        assert is_proper_vertex_coloring(graph, colors)
-
 
 class TestEdgeColoring:
     def test_proper_edge_coloring(self):

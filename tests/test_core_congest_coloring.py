@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
+import pytest
+
 from repro.core.congest_coloring import congest_edge_coloring
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
@@ -55,3 +60,38 @@ class TestCongestColoring:
         result = congest_edge_coloring(small_regular, tracker=tracker)
         assert tracker.total == result.rounds
         assert result.rounds > 0
+
+
+class TestTheorem63Pinned:
+    """A Theorem 6.3 run above the recursion threshold (two class-pair levels).
+
+    The determinism goldens stop at Δ = 6, where Theorem 6.3 never
+    recurses.  Digest, rounds, palette, level degrees and breakdown were
+    recorded with a per-pairing rescan of the uncolored edges, under both
+    forced engines.
+    """
+
+    DIGEST = "0510eaab7ce08ece4e1bae8b132778a5e8e27bbcfcb54fb6ae213cd9d178c167"
+    BREAKDOWN = {
+        "bipartite-split-level": 559,
+        "bipartite-leaf-coloring": 119,
+        "defective-local-search": 13,
+        "defective-poly-reduction": 2,
+        "greedy-edge-classes": 16,
+        "linial": 2,
+    }
+
+    @pytest.mark.parametrize("scan_path", ["numpy", "python"])
+    def test_pinned(self, scan_path):
+        graph = generators.random_regular_graph(128, 32, seed=33)
+        tracker = RoundTracker()
+        result = congest_edge_coloring(
+            graph, epsilon=0.5, tracker=tracker, scan_path=scan_path
+        )
+        assert is_proper_edge_coloring(graph, result.colors)
+        digest = hashlib.sha256(json.dumps(sorted(result.colors.items())).encode())
+        assert digest.hexdigest() == self.DIGEST
+        assert result.rounds == 711
+        assert result.palette_size == 124
+        assert result.level_degrees == [32, 10, 3]
+        assert dict(tracker.breakdown) == self.BREAKDOWN

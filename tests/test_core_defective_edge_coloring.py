@@ -14,9 +14,12 @@ from repro.core.defective_edge_coloring import (
     half_split_lambdas,
     list_driven_lambdas,
     measure_defects,
+    split_recursion,
 )
 from repro.core.engine import _np
+from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
+from repro.graphs.core import degrees_within
 
 
 class TestEtaFormula:
@@ -213,3 +216,44 @@ class TestSplitLevelParts:
             assert split.red_degrees == [defects[e] for e in split.red]
             assert split.blue_degrees == [defects[e] for e in split.blue]
             assert split.max_defect == max(defects.values())
+
+
+class TestSplitRecursion:
+    """The shared λ = 1/2 recursion of Lemmas D.3 and 6.1: its leaves
+    partition the root, carry their own edge degrees, and every level is
+    charged once under the recursion's label."""
+
+    ENGINES = TestLambdaValidation.ENGINES
+
+    @staticmethod
+    def run(scan_path, levels, leaf_degree):
+        graph, bipartition = generators.regular_bipartite_graph(40, 12, seed=2)
+        edges = list(graph.edges())
+        tracker = RoundTracker()
+        parts, defects = split_recursion(
+            graph, bipartition, edges, degrees_within(graph, edges)[1],
+            levels=levels, leaf_degree=leaf_degree, beta=lambda degree: 0.0,
+            epsilon=0.5, tracker=tracker, label="split", nu=None, scan_path=scan_path,
+        )
+        return graph, edges, tracker, parts, defects
+
+    @pytest.mark.parametrize("scan_path", ENGINES)
+    def test_leaves_partition_the_root_with_their_degrees(self, scan_path):
+        graph, edges, tracker, parts, defects = self.run(scan_path, levels=2, leaf_degree=1)
+        assert sorted(e for part_edges, _ in parts for e in part_edges) == edges
+        for part_edges, part_degrees in parts:
+            assert part_edges
+            assert part_degrees == degrees_within(graph, part_edges)[1]
+        # One split at level 1, two at level 2, each split's max defect
+        # bounding the edge degrees of the classes it produced.
+        assert len(defects) == 3
+        assert max(max(part_degrees) for _, part_degrees in parts) <= max(defects[1:])
+        assert set(tracker.breakdown) == {"split"}
+        assert tracker.total > 0
+
+    @pytest.mark.parametrize("scan_path", ENGINES)
+    def test_no_split_charges_zero_and_stops(self, scan_path):
+        graph, edges, tracker, parts, defects = self.run(scan_path, levels=3, leaf_degree=100)
+        assert parts == [(edges, degrees_within(graph, edges)[1])]
+        assert defects == []
+        assert tracker.breakdown == {"split": 0}

@@ -21,6 +21,7 @@ from repro.core.slack import (
 )
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
+from repro.graphs.core import degrees_within
 from repro.verification.checkers import is_proper_edge_coloring, list_coloring_violations
 from repro.verification.invariants import slack_invariant_violations
 
@@ -281,12 +282,7 @@ class TestDegreeReduction:
         uncolored = [e for e in graph.edges() if e not in combined]
         bar_delta = graph.max_edge_degree
         if uncolored:
-            degrees = graph.edge_subgraph_degrees(set(uncolored))
-            worst = max(
-                degrees[graph.edge_endpoints(e)[0]] + degrees[graph.edge_endpoints(e)[1]] - 2
-                for e in uncolored
-            )
-            assert worst < bar_delta
+            assert max(degrees_within(graph, uncolored)[1]) < bar_delta
         # The invariant that makes the remaining instance colorable holds.
         assert slack_invariant_violations(instance, combined) == []
 

@@ -29,7 +29,7 @@ from repro.coloring.linial import LinialNodeAlgorithm
 from repro.core import parameters
 from repro.core.balanced_orientation import compute_balanced_orientation
 from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np
-from repro.core.defective_edge_coloring import defective_split_level, degrees_within
+from repro.core.defective_edge_coloring import defective_split_level
 from repro.core.list_edge_coloring import partially_color_bipartite
 from repro.core.slack import uniform_instance
 from repro.distributed.algorithms import NodeAlgorithm
@@ -38,7 +38,7 @@ from repro.distributed.model import Model
 from repro.distributed.network import SynchronousNetwork
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
-from repro.graphs.core import Graph
+from repro.graphs.core import Graph, degrees_within
 from repro.graphs.identifiers import id_space_size
 from repro.verification.checkers import is_proper_edge_coloring
 

@@ -32,20 +32,6 @@ class TestRoundTracker:
         tracker.charge(4)
         assert tracker.breakdown == {"unlabelled": 4}
 
-    def test_scope_prefixes_labels(self):
-        tracker = RoundTracker()
-        with tracker.scope("outer"):
-            tracker.charge(1, "step")
-            with tracker.scope("inner"):
-                tracker.charge(2, "step")
-        tracker.charge(3, "step")
-        assert tracker.breakdown == {
-            "outer/step": 1,
-            "outer/inner/step": 2,
-            "step": 3,
-        }
-        assert tracker.total == 6
-
     def test_merge(self):
         a = RoundTracker()
         a.charge(2, "x")
@@ -54,10 +40,3 @@ class TestRoundTracker:
         a.merge(b)
         assert a.total == 5
         assert a.breakdown == {"x": 2, "y": 3}
-
-    def test_merge_with_prefix(self):
-        a = RoundTracker()
-        b = RoundTracker()
-        b.charge(3, "y")
-        a.merge(b, label="sub")
-        assert a.breakdown == {"sub/y": 3}

@@ -5,7 +5,13 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro.graphs.core import DirectedGraph, Graph, graph_from_networkx, iter_edge_pairs
+from repro.graphs.core import (
+    DirectedGraph,
+    Graph,
+    degrees_within,
+    graph_from_networkx,
+    iter_edge_pairs,
+)
 
 
 class TestGraphConstruction:
@@ -112,7 +118,7 @@ class TestEdgeAccessors:
 class TestSubgraphHelpers:
     def test_edge_subgraph_degrees(self):
         graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        degrees = graph.edge_subgraph_degrees({0, 2})
+        degrees = degrees_within(graph, [0, 2])[0]
         assert degrees == [1, 1, 1, 1]
 
     def test_edge_degree_within(self):
@@ -120,7 +126,7 @@ class TestSubgraphHelpers:
         subset = {0, 1, 2}
         inside = graph.edge_degree_within(1, subset)
         assert inside == 2
-        degrees = graph.edge_subgraph_degrees(subset)
+        degrees = degrees_within(graph, sorted(subset))[0]
         assert graph.edge_degree_within(1, subset, degrees) == 2
 
     def test_subgraph_from_edges_preserves_indices_and_ids(self):

@@ -6,7 +6,7 @@ import random
 
 
 from repro.graphs import generators
-from repro.graphs.core import EdgeSubsetView, Graph
+from repro.graphs.core import EdgeSubsetView, Graph, degrees_within
 
 
 def _reference_edge_id(graph: Graph, e: int) -> int:
@@ -112,7 +112,7 @@ class TestEdgeSubsetView:
     def test_view_degrees_match_edge_subgraph_degrees(self):
         graph, subset = self._graph_and_subset()
         view = graph.edge_subset_view(subset)
-        assert view.node_degrees == graph.edge_subgraph_degrees(set(subset))
+        assert view.node_degrees == degrees_within(graph, subset)[0]
 
     def test_edge_degree_within_view(self):
         graph, subset = self._graph_and_subset()
@@ -132,7 +132,7 @@ class TestEdgeSubsetView:
         remaining = [e for e in subset if e not in set(removed)]
         assert view.edge_list() == remaining
         assert view.num_edges == len(remaining)
-        assert view.node_degrees == graph.edge_subgraph_degrees(set(remaining))
+        assert view.node_degrees == degrees_within(graph, remaining)[0]
         # Adjacency caches are rebuilt after removals.
         subgraph = graph.subgraph_from_edges(remaining)
         for v in graph.nodes():
