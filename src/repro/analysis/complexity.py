@@ -9,7 +9,7 @@ and least-squares fits against candidate models.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -63,10 +63,3 @@ def fit_models(
         norm = float(np.linalg.norm(y_arr)) or 1.0
         results[model] = float(np.linalg.norm(residual)) / norm
     return results
-
-
-def best_model(xs: Sequence[float], ys: Sequence[float]) -> Tuple[str, Dict[str, float]]:
-    """The candidate model with the smallest relative residual."""
-    fits = fit_models(xs, ys)
-    winner = min(fits, key=fits.get)
-    return winner, fits

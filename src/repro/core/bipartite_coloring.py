@@ -79,9 +79,7 @@ def bipartite_edge_coloring(
         epsilon: the ε of Lemma 6.1.
         edge_set: instance edges (defaults to all edges of ``graph``).
         levels: recursion depth ``k``; defaults to a depth that leaves leaf
-            parts of edge degree around ``params.leaf_degree`` (the analytic
-            k of Lemma 6.1 is available as
-            :func:`repro.core.parameters.lemma61_recursion_depth`).
+            parts of edge degree around ``params.leaf_degree``.
         params: practical parameter overrides.
         tracker: optional round tracker.
         scan_path: orientation engine selector, forwarded to every

@@ -595,20 +595,3 @@ def measure_defects(
 def half_split_lambdas(edges: Iterable[int]) -> Dict[int, float]:
     """λ_e = 1/2 for every edge (the plain degree-splitting case of Section 6)."""
     return {e: 0.5 for e in edges}
-
-
-def list_driven_lambdas(
-    lists: Dict[int, Sequence[int]],
-    left_colors: Set[int],
-    edges: Iterable[int],
-) -> Dict[int, float]:
-    """λ_e = |L_e ∩ left| / |L_e| as in Section 7 / Lemma D.1."""
-    lambdas = {}
-    for e in edges:
-        colors = lists[e]
-        if not colors:
-            lambdas[e] = 0.5
-            continue
-        in_left = sum(1 for c in colors if c in left_colors)
-        lambdas[e] = in_left / len(colors)
-    return lambdas

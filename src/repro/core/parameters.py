@@ -1,4 +1,4 @@
-"""Parameter formulas of the paper (Equations (3)–(7), Theorem 5.6, Lemma 6.1).
+"""Parameter formulas of the paper (Equations (3)–(6), Theorem 5.6, Lemma 6.1).
 
 Two kinds of values live here:
 
@@ -32,11 +32,6 @@ BETA_CONSTANT = 28.0
 def _safe_log(value: float) -> float:
     """Natural log clamped away from zero (the paper always has Δ̄ ≥ 2)."""
     return math.log(max(2.0, value))
-
-
-def max_edge_degree_bound(max_degree: int) -> int:
-    """Δ̄ = 2Δ − 2, the bound on the line-graph degree used throughout Section 5."""
-    return max(0, 2 * max_degree - 2)
 
 
 # --------------------------------------------------------------------------- Section 4 / 5
@@ -77,16 +72,6 @@ def alpha_node(nu: float, bar_delta: int, d_minus: int) -> int:
     return max(1, math.floor(value))
 
 
-def k_edge(nu: float, edge_degree: int) -> int:
-    """k_e = ⌈ν/(1−ν)·deg_G(e)⌉ (Equation (7))."""
-    return max(0, math.ceil(nu / (1.0 - nu) * edge_degree))
-
-
-def xi_edge(nu: float, bar_delta: int, k_e: int) -> float:
-    """ξ_e = (5/2)·ν/lnΔ̄·k_e + 28·ln²Δ̄/ν⁴ (Equation (7))."""
-    return 2.5 * nu / _safe_log(bar_delta) * k_e + 28.0 * _safe_log(bar_delta) ** 2 / (nu ** 4)
-
-
 def beta_theoretical(epsilon: float, bar_delta: int, constant: float = BETA_CONSTANT) -> float:
     """β = C·ln³Δ̄/ε⁵ of Theorem 5.6 / Corollary 5.7."""
     if epsilon <= 0:
@@ -116,36 +101,7 @@ def token_dropping_slack_bound(
     ) * delta
 
 
-def theorem_56_round_bound(epsilon: float, max_degree: int) -> float:
-    """The O(log⁴Δ/ε⁶) round bound of Theorem 5.6 (with unit constant)."""
-    return _safe_log(max(2, max_degree)) ** 4 / (epsilon ** 6)
-
-
 # --------------------------------------------------------------------------- Section 6
-def lemma61_chi(epsilon: float, max_degree: int, c_small: float = 1.0, c_big: float = 1.0) -> float:
-    """The analytic χ of the proof of Lemma 6.1.
-
-    χ = log(1 + ε/4)·ln 2 / log( (ε·Δ̄/4) / (c'·log⁸Δ / (c⁵ε⁵)) ).  The value
-    is only meaningful when Δ is enormous; for simulatable Δ the
-    denominator can be non-positive, in which case the practical fallback
-    (ε/ log Δ clamped to (0, 1/2]) is returned.
-    """
-    bar_delta = max(2, max_edge_degree_bound(max_degree))
-    log_delta = math.log2(max(2, max_degree))
-    numerator = math.log2(1.0 + epsilon / 4.0) * math.log(2.0)
-    denominator_arg = (epsilon * bar_delta / 4.0) / (c_big * log_delta ** 8 / (c_small ** 5 * epsilon ** 5))
-    if denominator_arg <= 1.0:
-        return min(0.5, max(1e-9, epsilon / max(1.0, log_delta)))
-    return min(0.5, numerator / math.log2(denominator_arg))
-
-
-def lemma61_recursion_depth(epsilon: float, chi: float) -> int:
-    """k = ⌊ln(1 + ε/4)/χ⌋, the recursion depth of Lemma 6.1."""
-    if chi <= 0:
-        raise ValueError("chi must be positive")
-    return max(0, math.floor(math.log(1.0 + epsilon / 4.0) / chi))
-
-
 def lemma61_round_bound(epsilon: float, max_degree: int) -> float:
     """The O(log¹¹Δ/ε⁶) round bound of Lemma 6.1 (unit constant)."""
     return math.log2(max(2, max_degree)) ** 11 / (epsilon ** 6)

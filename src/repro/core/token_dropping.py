@@ -273,20 +273,6 @@ def run_token_dropping(
     )
 
 
-def make_game_from_orientation(
-    num_nodes: int,
-    arcs: Sequence[Tuple[int, int]],
-    initial_tokens: Sequence[int],
-    k: int,
-    alpha: Sequence[int],
-    delta: int,
-) -> TokenDroppingGame:
-    """Convenience constructor used by the orientation algorithm of Section 5."""
-    graph = DirectedGraph(num_nodes, arcs)
-    clipped = [min(k, max(0, t)) for t in initial_tokens]
-    return TokenDroppingGame(graph=graph, k=k, initial_tokens=clipped, alpha=list(alpha), delta=delta)
-
-
 def uniform_alpha(num_nodes: int, value: int = 1) -> List[int]:
     """A constant α vector (the original game of [14] uses α ≡ 1)."""
     return [max(1, value)] * num_nodes

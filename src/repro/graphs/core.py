@@ -29,7 +29,7 @@ Sections 5–7 run entirely on views.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 class Graph:
@@ -375,14 +375,6 @@ class Graph:
         offsets, flat = self._edge_adjacency()
         return flat[offsets[e] : offsets[e + 1]]
 
-    def edge_adjacency_csr(self) -> Tuple[List[int], List[int]]:
-        """The flat adjacent-edge arrays ``(offsets, flat)``.
-
-        Edge ``e``'s adjacent edges are ``flat[offsets[e] : offsets[e+1]]``.
-        Shared, not copied — do not mutate.
-        """
-        return self._edge_adjacency()
-
     def edge_id(self, e: int) -> int:
         """A unique identifier for edge ``e`` derived from its endpoint ids.
 
@@ -398,45 +390,6 @@ class Graph:
         return a * self._edge_id_base + b
 
     # -------------------------------------------------------------- subgraphs
-    def edge_degree_within(
-        self, e: int, edge_set: Set[int], degrees: Optional[List[int]] = None
-    ) -> int:
-        """Edge degree of ``e`` counting only adjacent edges in ``edge_set``.
-
-        ``e`` itself does not need to be in ``edge_set``.  If ``degrees``
-        (node degrees within ``edge_set``) is supplied it is used instead
-        of recomputing.
-        """
-        u = self._edge_u[e]
-        v = self._edge_v[e]
-        if degrees is not None:
-            count = degrees[u] + degrees[v]
-            if e in edge_set:
-                count -= 2
-            return count
-        count = 0
-        inc = self._inc
-        xadj = self._xadj
-        for f in inc[xadj[u] : xadj[u + 1]]:
-            if f != e and f in edge_set:
-                count += 1
-        for f in inc[xadj[v] : xadj[v + 1]]:
-            if f != e and f in edge_set:
-                count += 1
-        return count
-
-    def subgraph_from_edges(self, edge_set: Iterable[int]) -> "Graph":
-        """A new :class:`Graph` over the same node set with only the given edges.
-
-        Prefer :class:`EdgeSubsetView` (:meth:`edge_subset_view`) on hot
-        paths — it exposes the same read API without copying the graph.
-        """
-        return Graph._from_normalized(
-            self._num_nodes,
-            [self._edges[e] for e in sorted(set(edge_set))],
-            self._node_ids,
-        )
-
     def edge_subset_view(self, edge_set: Iterable[int]) -> "EdgeSubsetView":
         """A zero-copy :class:`EdgeSubsetView` of the given edges."""
         return EdgeSubsetView(self, edge_set)
@@ -463,28 +416,6 @@ class Graph:
         )
 
     # ------------------------------------------------------------------ misc
-    def connected_components(self) -> List[List[int]]:
-        """Connected components as lists of node indices."""
-        seen = [False] * self._num_nodes
-        components: List[List[int]] = []
-        adj = self._adj
-        xadj = self._xadj
-        for start in range(self._num_nodes):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            component = []
-            while stack:
-                v = stack.pop()
-                component.append(v)
-                for w in adj[xadj[v] : xadj[v + 1]]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            components.append(sorted(component))
-        return components
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Graph(n={self._num_nodes}, m={len(self._edges)}, max_degree={self.max_degree})"
 
@@ -565,11 +496,6 @@ class EdgeSubsetView:
         self._sub_xadj = None
         self._sub_adj = None
         self._sub_inc = None
-
-    def remove_edges(self, edges: Iterable[int]) -> None:
-        """Remove every edge of ``edges`` from the subset."""
-        for e in edges:
-            self.remove_edge(e)
 
     # ------------------------------------------------------------------ nodes
     @property
@@ -803,26 +729,3 @@ class DirectedGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"DirectedGraph(n={self._num_nodes}, m={len(self._tails)})"
-
-
-def graph_from_networkx(nx_graph) -> Graph:
-    """Convert a :mod:`networkx` graph to a :class:`Graph`.
-
-    Node labels are relabelled to ``0 .. n-1`` in sorted label order; the
-    original labels are hashed into the node-id space only when they are
-    integers, otherwise consecutive identifiers are used.
-    """
-    labels = sorted(nx_graph.nodes())
-    index_of = {label: i for i, label in enumerate(labels)}
-    edges = [(index_of[u], index_of[v]) for u, v in nx_graph.edges()]
-    node_ids: Optional[List[int]] = None
-    if labels and all(isinstance(label, int) for label in labels):
-        node_ids = list(labels)
-    return Graph(len(labels), edges, node_ids=node_ids)
-
-
-def iter_edge_pairs(graph: Graph) -> Iterator[Tuple[int, int, int]]:
-    """Yield ``(e, u, v)`` for every edge of ``graph`` with ``u < v``."""
-    for e in graph.edges():
-        u, v = graph.edge_endpoints(e)
-        yield e, u, v

@@ -23,7 +23,7 @@ All generators are deterministic given ``seed``.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.graphs.bipartite import Bipartition
 from repro.graphs.core import Graph
@@ -238,18 +238,3 @@ def list_edge_coloring_lists(
         raise ValueError("color_space too small for the requested slack")
     lists = [sorted(rng.sample(range(color_space), sizes[e])) for e in graph.edges()]
     return lists, color_space
-
-
-def named_workloads(seed: int = 0) -> Sequence[Tuple[str, Graph]]:
-    """A small catalogue of graphs used by the examples and smoke tests."""
-    workloads: List[Tuple[str, Graph]] = [
-        ("cycle-64", cycle_graph(64)),
-        ("grid-8x8", grid_graph(8, 8)),
-        ("hypercube-5", hypercube_graph(5)),
-        ("random-regular-48-6", random_regular_graph(48, 6, seed=seed)),
-        ("erdos-renyi-64", erdos_renyi_graph(64, 0.12, seed=seed)),
-        ("tree-63", tree_graph(63, branching=3, seed=seed)),
-    ]
-    bipartite, _sides = regular_bipartite_graph(24, 6, seed=seed)
-    workloads.append(("regular-bipartite-24-6", bipartite))
-    return workloads

@@ -5,12 +5,24 @@ processes) registered under a string name in :data:`RUNNERS`; a
 :class:`~repro.runtime.spec.ScenarioSpec` references its runner by that
 name, so specs remain pure data.  A runner receives a
 :class:`CellContext` (params, derived seed, resolved knobs, repeat
-count) and returns a JSON-serializable result dict.  Runners *verify*
-their outputs (a perf number for a wrong coloring is worthless) and
-raise ``AssertionError`` on violations; an optional ``"timing"``
-sub-dict (e.g. best-of-N wall seconds with graph generation untimed) is
-split off into the row's timing field by the executor and excluded from
-all determinism comparisons and cache keys.
+count) and returns a JSON-serializable result dict.
+
+The skeleton: every scenario runner hands three callables to
+:func:`_cell`, which owns the rest of the cell.
+
+* ``setup()`` builds the inputs (graphs, lists, offline artifacts).
+* ``solve(inputs)`` is the measured region.  It runs ``ctx.repeats``
+  times; the best wall is the row's ``timing.wall_seconds`` and the
+  first result is kept (runners are deterministic, so repeats agree).
+* ``verify(inputs, result, wall)`` asserts the paper's guarantees on
+  that result — a perf number for a wrong coloring is worthless — and
+  returns the row's result fields, optionally with a ``"timing"`` dict
+  of extra timing-only fields.
+
+:func:`_cell` times the three as ``timing.phases`` (a ``runtime.phase.*``
+span each when tracing is on) and marks the row ``verified: True``.  The
+executor splits ``timing`` off into the row's timing field, which is
+excluded from all determinism comparisons and cache keys.
 
 Determinism: runners must be pure functions of ``(params, seed, knobs)``
 — no wall-clock, no process state, no unseeded randomness — so that the
@@ -20,13 +32,17 @@ executor's bit-identical-results guarantee holds (see
 
 from __future__ import annotations
 
+import hashlib
+import os
+import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Mapping, Tuple
 
 from repro import api
+from repro.graphs import generators
 from repro.obs import PhaseTimer
-from repro.runtime.spec import Knobs
+from repro.runtime.spec import Knobs, canonical_json
 
 RUNNERS: Dict[str, Callable[["CellContext"], Dict[str, object]]] = {}
 
@@ -82,15 +98,55 @@ def _timed(ctx: CellContext, run: Callable[[], object]) -> Tuple[object, float]:
     return first, best
 
 
-def _phases(runner_name: str) -> PhaseTimer:
-    """A setup/solve/verify phase split for one cell execution.
+def _cell(ctx: CellContext, name: str, setup, solve, verify) -> Dict[str, object]:
+    """Run one cell through the setup/solve/verify skeleton (see the module docstring)."""
+    phases = PhaseTimer("runtime.phase", runner=name)
+    with phases.phase("setup"):
+        inputs = setup()
+    with phases.phase("solve"):
+        result, wall = _timed(ctx, lambda: solve(inputs))
+    with phases.phase("verify"):
+        row = verify(inputs, result, wall)
+    row["verified"] = True
+    row["timing"] = {
+        "wall_seconds": round(wall, 4),
+        **row.get("timing", {}),
+        "phases": phases.as_timing(),
+    }
+    return row
 
-    The split lands in the row's ``timing["phases"]`` sub-dict — timing
-    is already excluded from every diff and cache key, so phase walls
-    vary freely between runs — and each phase additionally emits a
-    ``runtime.phase.<name>`` span when tracing is enabled.
-    """
-    return PhaseTimer("runtime.phase", runner=runner_name)
+
+def _digest(value: object) -> str:
+    """The first 16 hex digits of the SHA-256 of ``value``'s canonical JSON."""
+    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()[:16]
+
+
+def _coloring_digest(artifact) -> str:
+    """:func:`_digest` of a serving artifact's coloring, one ``[u, v, color]`` per edge."""
+    return _digest([[u, v, c] for (u, v), c in sorted(artifact.colors.items())])
+
+
+def _regular_graph(ctx: CellContext):
+    """The cell's random ``delta``-regular graph on ``n`` nodes."""
+    return generators.random_regular_graph(
+        int(ctx.params["n"]), int(ctx.params["delta"]), seed=int(ctx.params["graph_seed"])
+    )
+
+
+def _bipartite_graph(ctx: CellContext):
+    """The cell's ``delta``-regular bipartite graph, ``side`` nodes a side."""
+    return generators.regular_bipartite_graph(
+        int(ctx.params["side"]), int(ctx.params["delta"]), seed=int(ctx.params["graph_seed"])
+    )
+
+
+def _list_instance(ctx: CellContext, graph, **options):
+    """A list instance on ``graph`` with random lists seeded by ``list_seed``."""
+    from repro.core.slack import ListEdgeColoringInstance
+
+    seed = int(ctx.params["list_seed"])
+    lists, space = generators.list_edge_coloring_lists(graph, seed=seed, **options)
+    return ListEdgeColoringInstance(graph, {e: lists[e] for e in graph.edges()}, space)
 
 
 # ------------------------------------------------------------------ E1: LOCAL
@@ -99,72 +155,62 @@ def run_local_coloring(ctx: CellContext) -> Dict[str, object]:
     """E1 — Theorem 1.1 / D.4: (2Δ−1)-edge coloring in the LOCAL model."""
     from repro.core.parameters import theorem_d4_round_bound
     from repro.core.slack import uniform_instance
-    from repro.graphs import generators
     from repro.verification.checkers import list_coloring_violations
 
-    phases = _phases("local_coloring")
     n = int(ctx.params["n"])
     delta = int(ctx.params["delta"])
-    with phases.phase("setup"):
-        graph = generators.random_regular_graph(n, delta, seed=int(ctx.params["graph_seed"]))
-    with phases.phase("solve"):
-        outcome, wall = _timed(
-            ctx, lambda: api.color_edges_local(graph, scan_path=ctx.knobs.scan_path)
-        )
-    with phases.phase("verify"):
+
+    def solve(graph):
+        return api.color_edges_local(graph, scan_path=ctx.knobs.scan_path)
+
+    def verify(graph, outcome, _wall):
         bound = max(1, 2 * delta - 1)
         assert outcome.is_proper, f"improper coloring on n={n} delta={delta}"
         assert outcome.num_colors <= bound, f"color bound violated on n={n} delta={delta}"
-        instance = uniform_instance(graph)
-        violations = list_coloring_violations(graph, outcome.colors, instance.lists)
+        violations = list_coloring_violations(graph, outcome.colors, uniform_instance(graph).lists)
         assert not violations, f"list violations on n={n} delta={delta}"
-    return {
-        "n": n,
-        "delta": delta,
-        "colors": outcome.num_colors,
-        "bound": bound,
-        "rounds": outcome.rounds,
-        "paper_round_bound": round(theorem_d4_round_bound(bound, delta, n)),
-        "verified": True,
-        "timing": {"wall_seconds": round(wall, 4), "phases": phases.as_timing()},
-    }
+        return {
+            "n": n,
+            "delta": delta,
+            "colors": outcome.num_colors,
+            "bound": bound,
+            "rounds": outcome.rounds,
+            "paper_round_bound": round(theorem_d4_round_bound(bound, delta, n)),
+        }
+
+    return _cell(ctx, "local_coloring", lambda: _regular_graph(ctx), solve, verify)
 
 
 @runner("list_instance")
 def run_list_instance(ctx: CellContext) -> Dict[str, object]:
     """E1 — the (degree+1)-list instance; verifies list conformance."""
-    from repro.core.slack import ListEdgeColoringInstance
-    from repro.graphs import generators
     from repro.verification.checkers import list_coloring_violations
 
-    phases = _phases("list_instance")
     n = int(ctx.params["n"])
     delta = int(ctx.params["delta"])
-    with phases.phase("setup"):
-        graph = generators.random_regular_graph(n, delta, seed=int(ctx.params["graph_seed"]))
-        lists, space = generators.list_edge_coloring_lists(
-            graph, slack=float(ctx.params.get("slack", 1.0)), seed=int(ctx.params["list_seed"])
+
+    def setup():
+        return _list_instance(ctx, _regular_graph(ctx), slack=float(ctx.params.get("slack", 1.0)))
+
+    def solve(instance):
+        return api.color_edges_local(
+            instance.graph, instance=instance, scan_path=ctx.knobs.scan_path
         )
-        instance = ListEdgeColoringInstance(graph, {e: lists[e] for e in graph.edges()}, space)
-    with phases.phase("solve"):
-        outcome, wall = _timed(
-            ctx,
-            lambda: api.color_edges_local(graph, instance=instance, scan_path=ctx.knobs.scan_path),
-        )
-    with phases.phase("verify"):
+
+    def verify(instance, outcome, _wall):
         assert outcome.is_proper, f"improper list coloring on n={n} delta={delta}"
-        violations = list_coloring_violations(graph, outcome.colors, instance.lists)
+        violations = list_coloring_violations(instance.graph, outcome.colors, instance.lists)
         assert not violations, f"list violations on n={n} delta={delta}"
-    return {
-        "n": n,
-        "delta": delta,
-        "colors": outcome.num_colors,
-        "color_space": space,
-        "rounds": outcome.rounds,
-        "list_violations": 0,
-        "verified": True,
-        "timing": {"wall_seconds": round(wall, 4), "phases": phases.as_timing()},
-    }
+        return {
+            "n": n,
+            "delta": delta,
+            "colors": outcome.num_colors,
+            "color_space": instance.color_space,
+            "rounds": outcome.rounds,
+            "list_violations": 0,
+        }
+
+    return _cell(ctx, "list_instance", setup, solve, verify)
 
 
 # --------------------------------------------------------------- E2/E6: CONGEST
@@ -172,35 +218,30 @@ def run_list_instance(ctx: CellContext) -> Dict[str, object]:
 def run_congest_coloring(ctx: CellContext) -> Dict[str, object]:
     """E2 / E6 — Theorem 1.2 / 6.3: (8+ε)Δ-edge coloring in CONGEST."""
     from repro.core.parameters import theorem63_round_bound
-    from repro.graphs import generators
 
-    phases = _phases("congest_coloring")
     n = int(ctx.params["n"])
     delta = int(ctx.params["delta"])
     epsilon = float(ctx.params.get("epsilon", 0.5))
-    with phases.phase("setup"):
-        graph = generators.random_regular_graph(n, delta, seed=int(ctx.params["graph_seed"]))
-    with phases.phase("solve"):
-        outcome, wall = _timed(
-            ctx,
-            lambda: api.color_edges_congest(graph, epsilon=epsilon, scan_path=ctx.knobs.scan_path),
-        )
-    with phases.phase("verify"):
+
+    def solve(graph):
+        return api.color_edges_congest(graph, epsilon=epsilon, scan_path=ctx.knobs.scan_path)
+
+    def verify(_graph, outcome, _wall):
         assert outcome.is_proper, f"improper congest coloring on n={n} delta={delta}"
         palette = outcome.details["palette_size"]
         assert palette <= outcome.bound, f"palette bound violated on n={n} delta={delta}"
-    return {
-        "n": n,
-        "delta": delta,
-        "epsilon": epsilon,
-        "colors": outcome.num_colors,
-        "palette": palette,
-        "bound": round(outcome.bound, 1),
-        "rounds": outcome.rounds,
-        "paper_round_bound": round(theorem63_round_bound(epsilon, delta, n)),
-        "verified": True,
-        "timing": {"wall_seconds": round(wall, 4), "phases": phases.as_timing()},
-    }
+        return {
+            "n": n,
+            "delta": delta,
+            "epsilon": epsilon,
+            "colors": outcome.num_colors,
+            "palette": palette,
+            "bound": round(outcome.bound, 1),
+            "rounds": outcome.rounds,
+            "paper_round_bound": round(theorem63_round_bound(epsilon, delta, n)),
+        }
+
+    return _cell(ctx, "congest_coloring", lambda: _regular_graph(ctx), solve, verify)
 
 
 # ------------------------------------------------------------------ E3: Lemma 6.1
@@ -208,111 +249,87 @@ def run_congest_coloring(ctx: CellContext) -> Dict[str, object]:
 def run_bipartite_coloring(ctx: CellContext) -> Dict[str, object]:
     """E3 — Lemma 6.1: (2+ε)Δ coloring of 2-colored bipartite graphs."""
     from repro.core.parameters import lemma61_round_bound
-    from repro.graphs import generators
 
-    phases = _phases("bipartite_coloring")
-    side = int(ctx.params["side"])
     delta = int(ctx.params["delta"])
     epsilon = float(ctx.params.get("epsilon", 0.5))
-    with phases.phase("setup"):
-        graph, bipartition = generators.regular_bipartite_graph(
-            side, delta, seed=int(ctx.params["graph_seed"])
-        )
-    with phases.phase("solve"):
-        outcome, wall = _timed(
-            ctx,
-            lambda: api.color_edges_bipartite(
-                graph, bipartition, epsilon=epsilon, scan_path=ctx.knobs.scan_path
-            ),
-        )
-    with phases.phase("verify"):
+
+    def solve(instance):
+        return api.color_edges_bipartite(*instance, epsilon=epsilon, scan_path=ctx.knobs.scan_path)
+
+    def verify(_instance, outcome, _wall):
         assert outcome.is_proper, f"improper bipartite coloring at delta={delta}"
         assert outcome.num_colors <= 4 * delta, f"color blowup at delta={delta}"
         assert outcome.num_colors <= 2 * outcome.bound, f"colors over 2x bound at delta={delta}"
-    return {
-        "side": side,
-        "delta": delta,
-        "epsilon": epsilon,
-        "colors": outcome.num_colors,
-        "palette": outcome.details["palette_size"],
-        "bound": round(outcome.bound, 1),
-        "part_count": outcome.details["part_count"],
-        "rounds": outcome.rounds,
-        "paper_round_bound": round(lemma61_round_bound(epsilon, delta)),
-        "verified": True,
-        "timing": {"wall_seconds": round(wall, 4), "phases": phases.as_timing()},
-    }
+        return {
+            "side": int(ctx.params["side"]),
+            "delta": delta,
+            "epsilon": epsilon,
+            "colors": outcome.num_colors,
+            "palette": outcome.details["palette_size"],
+            "bound": round(outcome.bound, 1),
+            "part_count": outcome.details["part_count"],
+            "rounds": outcome.rounds,
+            "paper_round_bound": round(lemma61_round_bound(epsilon, delta)),
+        }
+
+    return _cell(ctx, "bipartite_coloring", lambda: _bipartite_graph(ctx), solve, verify)
 
 
 # ------------------------------------------------------------------ E4: Theorem 4.3
-def _layered_token_game(layers: int, width: int, k: int, delta: int):
-    from repro.core.token_dropping import TokenDroppingGame, layered_dag, uniform_alpha
-
-    graph = layered_dag(layers, width, connect=3)
-    tokens = [0] * graph.num_nodes
-    for i in range(width):
-        tokens[(layers - 1) * width + i] = k
-        tokens[(layers - 2) * width + i] = k // 2
-    return TokenDroppingGame(
-        graph=graph,
-        k=k,
-        initial_tokens=tokens,
-        alpha=uniform_alpha(graph.num_nodes, delta),
-        delta=delta,
-    )
-
-
-def _cyclic_token_game(n: int, k: int, delta: int):
-    from repro.core.token_dropping import TokenDroppingGame, uniform_alpha
-    from repro.graphs.core import DirectedGraph
-
-    arcs = []
-    for v in range(n):
-        arcs.append((v, (v + 1) % n))
-        arcs.append((v, (v + 7) % n))
-        arcs.append(((v + 3) % n, v))
-    graph = DirectedGraph(n, arcs)
-    tokens = [k if v % 3 == 0 else 0 for v in range(n)]
-    return TokenDroppingGame(
-        graph=graph, k=k, initial_tokens=tokens, alpha=uniform_alpha(n, delta), delta=delta
-    )
-
-
 @runner("token_dropping")
 def run_token_dropping_cell(ctx: CellContext) -> Dict[str, object]:
     """E4 — Theorem 4.3: the generalized token dropping game."""
-    from repro.core.token_dropping import run_token_dropping
+    from repro.core.token_dropping import (
+        TokenDroppingGame,
+        layered_dag,
+        run_token_dropping,
+        uniform_alpha,
+    )
+    from repro.graphs.core import DirectedGraph
 
     variant = str(ctx.params.get("variant", "layered"))
     k = int(ctx.params["k"])
     delta = int(ctx.params["delta"])
-    if variant == "layered":
-        game = _layered_token_game(
-            int(ctx.params["layers"]), int(ctx.params["width"]), k, delta
-        )
-    elif variant == "cyclic":
-        game = _cyclic_token_game(int(ctx.params["n"]), k, delta)
-    else:
-        raise ValueError(f"unknown token dropping variant {variant!r}")
-    result, wall = _timed(ctx, lambda: run_token_dropping(game))
-    phase_bound = k // delta - 1
-    assert result.max_tokens() <= k, f"token cap violated ({variant})"
-    assert not result.slack_violations(), f"slack violations ({variant})"
-    if variant == "layered":
-        assert result.phases == phase_bound, "phase bound missed (layered)"
-    return {
-        "variant": variant,
-        "k": k,
-        "delta": delta,
-        "nodes": game.graph.num_nodes,
-        "phases": result.phases,
-        "phase_bound": phase_bound,
-        "max_tokens": result.max_tokens(),
-        "moved_arcs": len(result.moved_arcs),
-        "slack_violations": 0,
-        "verified": True,
-        "timing": {"wall_seconds": round(wall, 4)},
-    }
+
+    def setup():
+        if variant == "layered":
+            layers, width = int(ctx.params["layers"]), int(ctx.params["width"])
+            graph = layered_dag(layers, width, connect=3)
+            tokens = [0] * graph.num_nodes
+            for i in range(width):
+                tokens[(layers - 1) * width + i] = k
+                tokens[(layers - 2) * width + i] = k // 2
+        elif variant == "cyclic":
+            n = int(ctx.params["n"])
+            arcs = []
+            for v in range(n):
+                arcs += [(v, (v + 1) % n), (v, (v + 7) % n), ((v + 3) % n, v)]
+            graph = DirectedGraph(n, arcs)
+            tokens = [k if v % 3 == 0 else 0 for v in range(n)]
+        else:
+            raise ValueError(f"unknown token dropping variant {variant!r}")
+        alpha = uniform_alpha(graph.num_nodes, delta)
+        return TokenDroppingGame(graph=graph, k=k, initial_tokens=tokens, alpha=alpha, delta=delta)
+
+    def verify(game, result, _wall):
+        phase_bound = k // delta - 1
+        assert result.max_tokens() <= k, f"token cap violated ({variant})"
+        assert not result.slack_violations(), f"slack violations ({variant})"
+        if variant == "layered":
+            assert result.phases == phase_bound, "phase bound missed (layered)"
+        return {
+            "variant": variant,
+            "k": k,
+            "delta": delta,
+            "nodes": game.graph.num_nodes,
+            "phases": result.phases,
+            "phase_bound": phase_bound,
+            "max_tokens": result.max_tokens(),
+            "moved_arcs": len(result.moved_arcs),
+            "slack_violations": 0,
+        }
+
+    return _cell(ctx, "token_dropping", setup, run_token_dropping, verify)
 
 
 # ------------------------------------------------------------------ E5: Section 5
@@ -324,45 +341,44 @@ def run_defective_two_coloring(ctx: CellContext) -> Dict[str, object]:
         generalized_defective_two_edge_coloring,
         half_split_lambdas,
     )
-    from repro.graphs import generators
 
-    side = int(ctx.params["side"])
-    delta = int(ctx.params["delta"])
     epsilon = float(ctx.params.get("epsilon", 0.5))
     variant = str(ctx.params.get("variant", "half"))
-    graph, bipartition = generators.regular_bipartite_graph(
-        side, delta, seed=int(ctx.params["graph_seed"])
-    )
-    bar_delta = graph.max_edge_degree
-    if variant == "half":
-        lambdas = half_split_lambdas(graph.edges())
-    elif variant == "list_driven":
-        lambdas = {e: (0.8 if e % 2 == 0 else 0.2) for e in graph.edges()}
-    else:
-        raise ValueError(f"unknown defective coloring variant {variant!r}")
-    result, wall = _timed(
-        ctx,
-        lambda: generalized_defective_two_edge_coloring(
-            graph, bipartition, lambdas, epsilon=epsilon, scan_path=ctx.knobs.scan_path
-        ),
-    )
-    beta = parameters.beta_theoretical(epsilon, bar_delta)
-    violations = result.violations(beta=2 * beta)
-    assert not violations, f"Definition 5.1 violations ({variant}, epsilon={epsilon})"
-    if variant == "half":
-        assert result.max_defect() <= 0.85 * bar_delta, "defective split not useful"
-    return {
-        "variant": variant,
-        "epsilon": epsilon,
-        "edge_degree": bar_delta,
-        "max_defect": result.max_defect(),
-        "analytic_two_beta": round(2 * beta),
-        "violations": 0,
-        "orientation_phases": result.orientation.phases,
-        "rounds": result.rounds,
-        "verified": True,
-        "timing": {"wall_seconds": round(wall, 4)},
-    }
+
+    def setup():
+        graph, bipartition = _bipartite_graph(ctx)
+        if variant == "half":
+            lambdas = half_split_lambdas(graph.edges())
+        elif variant == "list_driven":
+            lambdas = {e: (0.8 if e % 2 == 0 else 0.2) for e in graph.edges()}
+        else:
+            raise ValueError(f"unknown defective coloring variant {variant!r}")
+        return graph, bipartition, lambdas
+
+    def solve(instance):
+        return generalized_defective_two_edge_coloring(
+            *instance, epsilon=epsilon, scan_path=ctx.knobs.scan_path
+        )
+
+    def verify(instance, result, _wall):
+        bar_delta = instance[0].max_edge_degree
+        beta = parameters.beta_theoretical(epsilon, bar_delta)
+        violations = result.violations(beta=2 * beta)
+        assert not violations, f"Definition 5.1 violations ({variant}, epsilon={epsilon})"
+        if variant == "half":
+            assert result.max_defect() <= 0.85 * bar_delta, "defective split not useful"
+        return {
+            "variant": variant,
+            "epsilon": epsilon,
+            "edge_degree": bar_delta,
+            "max_defect": result.max_defect(),
+            "analytic_two_beta": round(2 * beta),
+            "violations": 0,
+            "orientation_phases": result.orientation.phases,
+            "rounds": result.rounds,
+        }
+
+    return _cell(ctx, "defective_two_coloring", setup, solve, verify)
 
 
 # ------------------------------------------------------------------ E6: comparison
@@ -372,13 +388,10 @@ def run_round_scaling_suite(ctx: CellContext) -> Dict[str, object]:
     from repro.baselines.greedy_by_classes import greedy_baseline_edge_coloring
     from repro.baselines.panconesi_rizzi import linear_in_delta_edge_coloring
     from repro.baselines.randomized import randomized_edge_coloring
-    from repro.graphs import generators
 
-    n = int(ctx.params["n"])
     delta = int(ctx.params["delta"])
-    graph = generators.random_regular_graph(n, delta, seed=int(ctx.params["graph_seed"]))
 
-    def run_all():
+    def solve(graph):
         local = api.color_edges_local(graph, scan_path=ctx.knobs.scan_path)
         congest = api.color_edges_congest(graph, epsilon=0.5, scan_path=ctx.knobs.scan_path)
         greedy = greedy_baseline_edge_coloring(graph)
@@ -386,21 +399,22 @@ def run_round_scaling_suite(ctx: CellContext) -> Dict[str, object]:
         rand = randomized_edge_coloring(graph, seed=int(ctx.params["rand_seed"]))
         return local, congest, greedy, linear, rand
 
-    (local, congest, greedy, linear, rand), wall = _timed(ctx, run_all)
-    assert local.is_proper and congest.is_proper, f"improper paper coloring at delta={delta}"
-    return {
-        "n": n,
-        "delta": delta,
-        "rounds": {
-            "local-list-coloring": local.rounds,
-            "congest-8eps": congest.rounds,
-            "greedy-by-classes": greedy.rounds,
-            "linear-in-delta": linear.rounds,
-            "randomized": rand.rounds,
-        },
-        "verified": True,
-        "timing": {"wall_seconds": round(wall, 4)},
-    }
+    def verify(_graph, outcomes, _wall):
+        local, congest, greedy, linear, rand = outcomes
+        assert local.is_proper and congest.is_proper, f"improper paper coloring at delta={delta}"
+        return {
+            "n": int(ctx.params["n"]),
+            "delta": delta,
+            "rounds": {
+                "local-list-coloring": local.rounds,
+                "congest-8eps": congest.rounds,
+                "greedy-by-classes": greedy.rounds,
+                "linear-in-delta": linear.rounds,
+                "randomized": rand.rounds,
+            },
+        }
+
+    return _cell(ctx, "round_scaling_suite", lambda: _regular_graph(ctx), solve, verify)
 
 
 # ------------------------------------------------------------------ E7: log* n
@@ -410,81 +424,89 @@ def run_logstar_growth(ctx: CellContext) -> Dict[str, object]:
     from repro.baselines.greedy_by_classes import greedy_baseline_edge_coloring
     from repro.coloring.linial import linial_vertex_coloring
     from repro.distributed.rounds import RoundTracker
-    from repro.graphs import generators
     from repro.graphs.identifiers import log_star
+    from repro.verification.checkers import is_proper_edge_coloring, is_proper_vertex_coloring
 
     n = int(ctx.params["n"])
     factor = int(ctx.params.get("id_space_factor", 16))
-    graph = generators.graph_with_scrambled_ids(
-        generators.cycle_graph(n), seed=n, id_space_factor=factor
-    )
 
-    def run_all():
+    def setup():
+        cycle = generators.cycle_graph(n)
+        return generators.graph_with_scrambled_ids(cycle, seed=n, id_space_factor=factor)
+
+    def solve(graph):
         tracker = RoundTracker()
         colors, num_colors = linial_vertex_coloring(graph, tracker=tracker)
         baseline = greedy_baseline_edge_coloring(graph)
         return tracker.total, colors, num_colors, baseline
 
-    (linial_rounds, vertex_colors, linial_colors, baseline), wall = _timed(ctx, run_all)
-    from repro.verification.checkers import is_proper_edge_coloring, is_proper_vertex_coloring
+    def verify(graph, outcomes, _wall):
+        linial_rounds, vertex_colors, linial_colors, baseline = outcomes
+        assert is_proper_vertex_coloring(graph, vertex_colors), f"improper Linial coloring at n={n}"
+        assert is_proper_edge_coloring(graph, baseline.colors), f"improper greedy coloring at n={n}"
+        # Δ = 2 on a cycle: the Linial palette is O(Δ²) = O(1), whatever n is.
+        assert linial_colors <= 64, f"Linial palette blowup at n={n}"
+        return {
+            "n": n,
+            "id_space": factor * n,
+            "log_star": log_star(factor * n),
+            "linial_rounds": linial_rounds,
+            "linial_colors": linial_colors,
+            "greedy_rounds": baseline.rounds,
+            "greedy_colors": baseline.num_colors,
+        }
 
-    assert is_proper_vertex_coloring(graph, vertex_colors), f"improper Linial coloring at n={n}"
-    assert is_proper_edge_coloring(graph, baseline.colors), f"improper greedy coloring at n={n}"
-    # Δ = 2 on a cycle: the Linial palette is O(Δ²) = O(1), whatever n is.
-    assert linial_colors <= 64, f"Linial palette blowup at n={n}"
-    return {
-        "n": n,
-        "id_space": factor * n,
-        "log_star": log_star(factor * n),
-        "linial_rounds": linial_rounds,
-        "linial_colors": linial_colors,
-        "greedy_rounds": baseline.rounds,
-        "greedy_colors": baseline.num_colors,
-        "verified": True,
-        "timing": {"wall_seconds": round(wall, 4)},
-    }
+    return _cell(ctx, "logstar_growth", setup, solve, verify)
 
 
 # ------------------------------------------------------------------ E8: CONGEST audit
-@runner("linial_audit")
-def run_linial_audit(ctx: CellContext) -> Dict[str, object]:
-    """E8 — message-passing Linial audited end to end on the simulator."""
-    from repro.graphs import generators
+def _linial_cell(ctx: CellContext, name: str, verify, fault_plan=None) -> Dict[str, object]:
+    """Message-passing Linial on the cell's identifier-scrambled regular graph.
 
-    phases = _phases("linial_audit")
+    The simulator is built in setup, so the measured region is the run.
+    """
     n = int(ctx.params["n"])
     degree = int(ctx.params.get("degree", 4))
     factor = int(ctx.params.get("id_space_factor", 8))
-    with phases.phase("setup"):
+
+    def setup():
         graph = generators.graph_with_scrambled_ids(
             generators.random_regular_graph(n, degree, seed=n), seed=n, id_space_factor=factor
         )
-        network = api.build_linial_network(graph)
-    with phases.phase("solve"):
-        outcome, wall = _timed(
-            ctx,
-            lambda: api.run_linial_network(
-                graph,
-                send_plane=ctx.knobs.send_plane,
-                receive_plane=ctx.knobs.receive_plane,
-                network=network,
-            ),
+        return graph, api.build_linial_network(graph)
+
+    def solve(instance):
+        return api.run_linial_network(
+            instance[0],
+            send_plane=ctx.knobs.send_plane,
+            receive_plane=ctx.knobs.receive_plane,
+            network=instance[1],
+            fault_plan=fault_plan,
         )
-    with phases.phase("verify"):
+
+    return _cell(ctx, name, setup, solve, verify)
+
+
+@runner("linial_audit")
+def run_linial_audit(ctx: CellContext) -> Dict[str, object]:
+    """E8 — message-passing Linial audited end to end on the simulator."""
+    n = int(ctx.params["n"])
+
+    def verify(_instance, outcome, _wall):
         assert outcome.congest_violations == 0, f"congest violations in Linial audit at n={n}"
         assert outcome.max_message_bits <= outcome.congest_budget_bits, (
             f"message over budget at n={n}"
         )
-    return {
-        "n": n,
-        "budget_bits": outcome.congest_budget_bits,
-        "max_message_bits": outcome.max_message_bits,
-        "messages": outcome.messages,
-        "rounds": outcome.rounds,
-        "violations": 0,
-        "verified": True,
-        "timing": {"wall_seconds": round(wall, 4), "phases": phases.as_timing()},
-    }
+        return {
+            "n": n,
+            "budget_bits": outcome.congest_budget_bits,
+            "max_message_bits": outcome.max_message_bits,
+            "messages": outcome.messages,
+            "rounds": outcome.rounds,
+            "violations": 0,
+        }
+
+    return _linial_cell(ctx, "linial_audit", verify)
 
 
 @runner("congest_value_audit")
@@ -493,37 +515,33 @@ def run_congest_value_audit(ctx: CellContext) -> Dict[str, object]:
     from repro.core.congest_coloring import congest_edge_coloring
     from repro.distributed.messages import message_size_bits
     from repro.distributed.model import congest_bit_budget
-    from repro.graphs import generators
 
-    n = int(ctx.params["n"])
-    delta = int(ctx.params["delta"])
-    graph = generators.random_regular_graph(n, delta, seed=int(ctx.params["graph_seed"]))
-    result, wall = _timed(
-        ctx,
-        lambda: congest_edge_coloring(
-            graph, epsilon=float(ctx.params.get("epsilon", 0.5)), scan_path=ctx.knobs.scan_path
-        ),
-    )
-    budget = congest_bit_budget(graph.num_nodes)
-    values = {
-        "largest_color": max(result.colors.values()),
-        "largest_node_id": max(graph.node_ids),
-        "largest_level_degree": max(result.level_degrees or [0]),
-        "palette_size": result.palette_size,
-    }
-    audited = {
-        name: {"value": int(value), "bits": message_size_bits(int(value))}
-        for name, value in values.items()
-    }
-    assert all(entry["bits"] <= budget for entry in audited.values()), "value over budget"
-    return {
-        "n": n,
-        "delta": delta,
-        "budget_bits": budget,
-        "values": audited,
-        "verified": True,
-        "timing": {"wall_seconds": round(wall, 4)},
-    }
+    epsilon = float(ctx.params.get("epsilon", 0.5))
+
+    def solve(graph):
+        return congest_edge_coloring(graph, epsilon=epsilon, scan_path=ctx.knobs.scan_path)
+
+    def verify(graph, result, _wall):
+        budget = congest_bit_budget(graph.num_nodes)
+        values = {
+            "largest_color": max(result.colors.values()),
+            "largest_node_id": max(graph.node_ids),
+            "largest_level_degree": max(result.level_degrees or [0]),
+            "palette_size": result.palette_size,
+        }
+        audited = {
+            name: {"value": int(value), "bits": message_size_bits(int(value))}
+            for name, value in values.items()
+        }
+        assert all(entry["bits"] <= budget for entry in audited.values()), "value over budget"
+        return {
+            "n": int(ctx.params["n"]),
+            "delta": int(ctx.params["delta"]),
+            "budget_bits": budget,
+            "values": audited,
+        }
+
+    return _cell(ctx, "congest_value_audit", lambda: _regular_graph(ctx), solve, verify)
 
 
 # ------------------------------------------------------------------ E9: Lemma D.2/D.3
@@ -531,44 +549,39 @@ def run_congest_value_audit(ctx: CellContext) -> Dict[str, object]:
 def run_relaxed_solver(ctx: CellContext) -> Dict[str, object]:
     """E9 — the Lemma D.2 relaxed-instance solver across slack values."""
     from repro.core.list_edge_coloring import solve_relaxed_instance
-    from repro.core.slack import ListEdgeColoringInstance
-    from repro.graphs import generators
     from repro.verification.checkers import is_proper_edge_coloring, list_coloring_violations
 
-    side = int(ctx.params["side"])
-    delta = int(ctx.params["delta"])
     slack = float(ctx.params["slack"])
-    graph, bipartition = generators.regular_bipartite_graph(
-        side, delta, seed=int(ctx.params["graph_seed"])
-    )
-    lists, space = generators.list_edge_coloring_lists(
-        graph,
-        slack=slack,
-        color_space=int(ctx.params["color_space"]),
-        seed=int(ctx.params["list_seed"]),
-    )
-    instance = ListEdgeColoringInstance(graph, {e: lists[e] for e in graph.edges()}, space)
-    colors, wall = _timed(
-        ctx,
-        lambda: solve_relaxed_instance(
-            graph, bipartition, instance.lists, scan_path=ctx.knobs.scan_path
-        ),
-    )
-    violations = list_coloring_violations(graph, colors, instance.lists)
-    assert len(colors) == graph.num_edges, f"uncolored edges at slack={slack}"
-    assert is_proper_edge_coloring(graph, colors), f"improper at slack={slack}"
-    assert not violations, f"list violations at slack={slack}"
-    return {
-        "slack": slack,
-        "color_space": space,
-        "edges": graph.num_edges,
-        "colored": len(colors),
-        "proper": True,
-        "list_violations": 0,
-        "min_slack_measured": round(instance.min_slack(), 2),
-        "verified": True,
-        "timing": {"wall_seconds": round(wall, 4)},
-    }
+
+    def setup():
+        graph, bipartition = _bipartite_graph(ctx)
+        space = int(ctx.params["color_space"])
+        return bipartition, _list_instance(ctx, graph, slack=slack, color_space=space)
+
+    def solve(inputs):
+        bipartition, instance = inputs
+        return solve_relaxed_instance(
+            instance.graph, bipartition, instance.lists, scan_path=ctx.knobs.scan_path
+        )
+
+    def verify(inputs, colors, _wall):
+        instance = inputs[1]
+        graph = instance.graph
+        violations = list_coloring_violations(graph, colors, instance.lists)
+        assert len(colors) == graph.num_edges, f"uncolored edges at slack={slack}"
+        assert is_proper_edge_coloring(graph, colors), f"improper at slack={slack}"
+        assert not violations, f"list violations at slack={slack}"
+        return {
+            "slack": slack,
+            "color_space": instance.color_space,
+            "edges": graph.num_edges,
+            "colored": len(colors),
+            "proper": True,
+            "list_violations": 0,
+            "min_slack_measured": round(instance.min_slack(), 2),
+        }
+
+    return _cell(ctx, "relaxed_solver", setup, solve, verify)
 
 
 @runner("degree_reduction")
@@ -576,51 +589,48 @@ def run_degree_reduction(ctx: CellContext) -> Dict[str, object]:
     """E9 — one Lemma D.3 pass reduces the uncolored degree by a constant factor."""
     from repro.core.list_edge_coloring import partially_color_bipartite
     from repro.core.slack import uniform_instance
-    from repro.graphs import generators
     from repro.graphs.core import degrees_within
     from repro.verification.checkers import is_proper_edge_coloring
 
-    side = int(ctx.params["side"])
-    delta = int(ctx.params["delta"])
-    graph, bipartition = generators.regular_bipartite_graph(
-        side, delta, seed=int(ctx.params["graph_seed"])
-    )
-    instance = uniform_instance(graph)
-    bar_delta = graph.max_edge_degree
-    newly, wall = _timed(
-        ctx,
-        lambda: partially_color_bipartite(
+    def setup():
+        graph, bipartition = _bipartite_graph(ctx)
+        return graph, bipartition, uniform_instance(graph)
+
+    def solve(inputs):
+        graph, bipartition, instance = inputs
+        return partially_color_bipartite(
             graph,
             bipartition,
             instance,
             list(graph.edges()),
             coloring={},
             scan_path=ctx.knobs.scan_path,
-        ),
-    )
-    uncolored = [e for e in graph.edges() if e not in newly]
-    worst = max(degrees_within(graph, uncolored)[1], default=0)
-    assert is_proper_edge_coloring(graph, newly, edge_set=list(newly.keys()))
-    assert worst <= 0.75 * bar_delta, "degree reduction too weak"
-    return {
-        "edges": graph.num_edges,
-        "initial_edge_degree": bar_delta,
-        "colored": len(newly),
-        "uncolored": len(uncolored),
-        "uncolored_edge_degree": worst,
-        "reduction_factor": round(bar_delta / max(1, worst), 2),
-        "proper": True,
-        "verified": True,
-        "timing": {"wall_seconds": round(wall, 4)},
-    }
+        )
+
+    def verify(inputs, newly, _wall):
+        graph = inputs[0]
+        bar_delta = graph.max_edge_degree
+        uncolored = [e for e in graph.edges() if e not in newly]
+        worst = max(degrees_within(graph, uncolored)[1], default=0)
+        assert is_proper_edge_coloring(graph, newly, edge_set=list(newly.keys()))
+        assert worst <= 0.75 * bar_delta, "degree reduction too weak"
+        return {
+            "edges": graph.num_edges,
+            "initial_edge_degree": bar_delta,
+            "colored": len(newly),
+            "uncolored": len(uncolored),
+            "uncolored_edge_degree": worst,
+            "reduction_factor": round(bar_delta / max(1, worst), 2),
+            "proper": True,
+        }
+
+    return _cell(ctx, "degree_reduction", setup, solve, verify)
 
 
 # ------------------------------------------------------------------ E10: ablations
 @runner("ablation")
 def run_ablation(ctx: CellContext) -> Dict[str, object]:
     """E10 — the design-choice ablations (δ, ν, recursion depth)."""
-    from repro.graphs import generators
-
     ablation = str(ctx.params["ablation"])
     if ablation == "token_delta":
         from repro.core.token_dropping import (
@@ -631,88 +641,103 @@ def run_ablation(ctx: CellContext) -> Dict[str, object]:
         )
 
         delta = int(ctx.params["delta"])
-        graph = layered_dag(8, 24, connect=3)
-        k = 24
-        tokens = [0] * graph.num_nodes
-        for i in range(24):
-            tokens[7 * 24 + i] = k
-        game = TokenDroppingGame(
-            graph=graph,
-            k=k,
-            initial_tokens=list(tokens),
-            alpha=uniform_alpha(graph.num_nodes, delta),
-            delta=delta,
-        )
-        result, wall = _timed(ctx, lambda: run_token_dropping(game))
-        worst_gap = 0
-        for a in result.active_arcs():
-            arc = graph.arc(a)
-            worst_gap = max(worst_gap, result.tokens[arc.tail] - result.tokens[arc.head])
-        assert not result.slack_violations()
-        return {
-            "ablation": ablation,
-            "delta": delta,
-            "phases": result.phases,
-            "rounds": result.rounds,
-            "worst_active_gap": worst_gap,
-            "slack_violations": 0,
-            "verified": True,
-            "timing": {"wall_seconds": round(wall, 4)},
-        }
+
+        def setup():
+            graph = layered_dag(8, 24, connect=3)
+            tokens = [0] * graph.num_nodes
+            for i in range(24):
+                tokens[7 * 24 + i] = 24
+            return TokenDroppingGame(
+                graph=graph,
+                k=24,
+                initial_tokens=tokens,
+                alpha=uniform_alpha(graph.num_nodes, delta),
+                delta=delta,
+            )
+
+        def verify(game, result, _wall):
+            worst_gap = 0
+            for a in result.active_arcs():
+                arc = game.graph.arc(a)
+                worst_gap = max(worst_gap, result.tokens[arc.tail] - result.tokens[arc.head])
+            assert not result.slack_violations()
+            return {
+                "ablation": ablation,
+                "delta": delta,
+                "phases": result.phases,
+                "rounds": result.rounds,
+                "worst_active_gap": worst_gap,
+                "slack_violations": 0,
+            }
+
+        return _cell(ctx, "ablation", setup, run_token_dropping, verify)
     if ablation == "orientation_nu":
+        from repro.core import parameters
         from repro.core.balanced_orientation import compute_balanced_orientation
 
         nu = float(ctx.params["nu"])
-        graph, bipartition = generators.regular_bipartite_graph(48, 12, seed=41)
-        eta = {e: 0.0 for e in graph.edges()}
-        result, wall = _timed(
-            ctx,
-            lambda: compute_balanced_orientation(
-                graph, bipartition, eta, epsilon=8 * nu, nu=nu, scan_path=ctx.knobs.scan_path
-            ),
-        )
-        worst = 0
-        for e in graph.edges():
-            u, v = bipartition.orient_edge(graph, e)
-            tail, head = result.orientation[e]
-            gap = result.in_degrees[v] - result.in_degrees[u]
-            worst = max(worst, gap if (tail, head) == (u, v) else -gap)
-        # Invariants: every edge is oriented exactly once and the
-        # in-degree tally accounts for every edge.
-        assert len(result.orientation) == graph.num_edges, "incomplete orientation"
-        assert sum(result.in_degrees) == graph.num_edges, "in-degree tally broken"
-        return {
-            "ablation": ablation,
-            "nu": nu,
-            "phases": result.phases,
-            "rounds": result.rounds,
-            "worst_imbalance": worst,
-            "verified": True,
-            "timing": {"wall_seconds": round(wall, 4)},
-        }
+        epsilon = 8 * nu
+
+        def setup():
+            graph, bipartition = generators.regular_bipartite_graph(48, 12, seed=41)
+            return graph, bipartition, {e: 0.0 for e in graph.edges()}
+
+        def solve(instance):
+            return compute_balanced_orientation(
+                *instance, epsilon=epsilon, nu=nu, scan_path=ctx.knobs.scan_path
+            )
+
+        def verify(instance, result, _wall):
+            graph, bipartition, eta = instance
+            worst = 0
+            for e in graph.edges():
+                u, v = bipartition.orient_edge(graph, e)
+                tail, head = result.orientation[e]
+                gap = result.in_degrees[v] - result.in_degrees[u]
+                worst = max(worst, gap if (tail, head) == (u, v) else -gap)
+            # Invariants: every edge is oriented exactly once and the
+            # in-degree tally accounts for every edge.
+            assert len(result.orientation) == graph.num_edges, "incomplete orientation"
+            assert sum(result.in_degrees) == graph.num_edges, "in-degree tally broken"
+            # Theorem 5.6 at ε = 8ν: (ε, β)-balanced for its analytic β.
+            beta = parameters.beta_theoretical(epsilon, max(2, result.bar_delta))
+            violations = result.definition_52_violations(graph, bipartition, eta, epsilon, beta)
+            assert not violations, f"Definition 5.2 violations at nu={nu}"
+            return {
+                "ablation": ablation,
+                "nu": nu,
+                "phases": result.phases,
+                "rounds": result.rounds,
+                "worst_imbalance": worst,
+            }
+
+        return _cell(ctx, "ablation", setup, solve, verify)
     if ablation == "recursion_depth":
         from repro.core.bipartite_coloring import bipartite_edge_coloring
 
         levels = int(ctx.params["levels"])
-        graph, bipartition = generators.regular_bipartite_graph(64, 16, seed=43)
-        result, wall = _timed(
-            ctx,
-            lambda: bipartite_edge_coloring(
-                graph, bipartition, epsilon=0.5, levels=levels, scan_path=ctx.knobs.scan_path
-            ),
-        )
-        assert result.num_colors <= 5 * 16
-        return {
-            "ablation": ablation,
-            "levels": levels,
-            "parts": result.part_count,
-            "max_leaf_degree": result.max_leaf_degree,
-            "colors": result.num_colors,
-            "palette": result.palette_size,
-            "rounds": result.rounds,
-            "verified": True,
-            "timing": {"wall_seconds": round(wall, 4)},
-        }
+
+        def solve(instance):
+            return bipartite_edge_coloring(
+                *instance, epsilon=0.5, levels=levels, scan_path=ctx.knobs.scan_path
+            )
+
+        def verify(_instance, result, _wall):
+            assert result.num_colors <= 5 * 16
+            return {
+                "ablation": ablation,
+                "levels": levels,
+                "parts": result.part_count,
+                "max_leaf_degree": result.max_leaf_degree,
+                "colors": result.num_colors,
+                "palette": result.palette_size,
+                "rounds": result.rounds,
+            }
+
+        def setup():
+            return generators.regular_bipartite_graph(64, 16, seed=43)
+
+        return _cell(ctx, "ablation", setup, solve, verify)
     raise ValueError(f"unknown ablation {ablation!r}")
 
 
@@ -721,18 +746,16 @@ def run_ablation(ctx: CellContext) -> Dict[str, object]:
 def run_classic_reduction(ctx: CellContext) -> Dict[str, object]:
     """E11 — a C-coloring solves maximal matching / MIS in C extra rounds."""
     from repro.distributed.rounds import RoundTracker
-    from repro.graphs import generators
     from repro.verification.checkers import is_maximal_independent_set, is_maximal_matching
 
     pipeline = str(ctx.params["pipeline"])
     n = int(ctx.params["n"])
     delta = int(ctx.params["delta"])
-    graph = generators.random_regular_graph(n, delta, seed=int(ctx.params["graph_seed"]))
     if pipeline == "matching":
         from repro.classic.matching import maximal_matching_from_edge_coloring
         from repro.core.list_edge_coloring import list_edge_coloring
 
-        def run_all():
+        def solve(graph):
             coloring_tracker = RoundTracker()
             coloring = list_edge_coloring(
                 graph, tracker=coloring_tracker, scan_path=ctx.knobs.scan_path
@@ -743,44 +766,48 @@ def run_classic_reduction(ctx: CellContext) -> Dict[str, object]:
             )
             return coloring, coloring_tracker.total, matching, reduction_tracker.total
 
-        (coloring, coloring_rounds, matching, reduction_rounds), wall = _timed(ctx, run_all)
-        assert is_maximal_matching(graph, matching), f"non-maximal matching at delta={delta}"
-        assert reduction_rounds <= coloring.num_colors, "reduction exceeded C rounds"
-        return {
-            "pipeline": pipeline,
-            "n": n,
-            "delta": delta,
-            "coloring_colors": coloring.num_colors,
-            "coloring_rounds": coloring_rounds,
-            "reduction_rounds": reduction_rounds,
-            "matching_size": len(matching),
-            "maximal": True,
-            "verified": True,
-            "timing": {"wall_seconds": round(wall, 4)},
-        }
-    if pipeline == "mis":
+        def verify(graph, outcomes, _wall):
+            coloring, coloring_rounds, matching, reduction_rounds = outcomes
+            assert is_maximal_matching(graph, matching), f"non-maximal matching at delta={delta}"
+            assert reduction_rounds <= coloring.num_colors, "reduction exceeded C rounds"
+            return {
+                "pipeline": pipeline,
+                "n": n,
+                "delta": delta,
+                "coloring_colors": coloring.num_colors,
+                "coloring_rounds": coloring_rounds,
+                "reduction_rounds": reduction_rounds,
+                "matching_size": len(matching),
+                "maximal": True,
+            }
+
+    elif pipeline == "mis":
         from repro.classic.mis import maximal_independent_set
 
-        def run_mis():
+        def solve(graph):
             tracker = RoundTracker()
             independent, colors = maximal_independent_set(graph, tracker=tracker)
             return independent, colors, tracker.total
 
-        (independent, colors, total_rounds), wall = _timed(ctx, run_mis)
-        assert is_maximal_independent_set(graph, independent), f"non-maximal MIS at delta={delta}"
-        assert len(set(colors)) <= delta + 1, "vertex palette blowup"
-        return {
-            "pipeline": pipeline,
-            "n": n,
-            "delta": delta,
-            "vertex_colors": len(set(colors)),
-            "total_rounds": total_rounds,
-            "mis_size": len(independent),
-            "maximal": True,
-            "verified": True,
-            "timing": {"wall_seconds": round(wall, 4)},
-        }
-    raise ValueError(f"unknown classic pipeline {pipeline!r}")
+        def verify(graph, outcomes, _wall):
+            independent, colors, total_rounds = outcomes
+            assert is_maximal_independent_set(graph, independent), (
+                f"non-maximal MIS at delta={delta}"
+            )
+            assert len(set(colors)) <= delta + 1, "vertex palette blowup"
+            return {
+                "pipeline": pipeline,
+                "n": n,
+                "delta": delta,
+                "vertex_colors": len(set(colors)),
+                "total_rounds": total_rounds,
+                "mis_size": len(independent),
+                "maximal": True,
+            }
+
+    else:
+        raise ValueError(f"unknown classic pipeline {pipeline!r}")
+    return _cell(ctx, "classic_reduction", lambda: _regular_graph(ctx), solve, verify)
 
 
 # ------------------------------------------------------------------ analysis suite
@@ -788,29 +815,24 @@ def run_classic_reduction(ctx: CellContext) -> Dict[str, object]:
 def run_algorithm_suite_cell(ctx: CellContext) -> Dict[str, object]:
     """The :mod:`repro.analysis.experiments` comparison suite on one workload."""
     from repro.analysis.experiments import run_algorithm_suite
-    from repro.graphs import generators
 
     n = int(ctx.params["n"])
     delta = int(ctx.params["delta"])
-    graph = generators.random_regular_graph(n, delta, seed=int(ctx.params["graph_seed"]))
-    records, wall = _timed(
-        ctx,
-        lambda: run_algorithm_suite(
+
+    def solve(graph):
+        return run_algorithm_suite(
             graph,
             experiment=str(ctx.params.get("experiment", "suite")),
             parameters={"n": n, "delta": delta},
             seed=int(ctx.params.get("rand_seed", ctx.seed % 2**31)),
             scan_path=ctx.knobs.scan_path,
-        ),
-    )
-    assert all(record.proper for record in records), "improper suite coloring"
-    return {
-        "n": n,
-        "delta": delta,
-        "records": [record.as_dict() for record in records],
-        "verified": True,
-        "timing": {"wall_seconds": round(wall, 4)},
-    }
+        )
+
+    def verify(_graph, records, _wall):
+        assert all(record.proper for record in records), "improper suite coloring"
+        return {"n": n, "delta": delta, "records": [record.as_dict() for record in records]}
+
+    return _cell(ctx, "algorithm_suite", lambda: _regular_graph(ctx), solve, verify)
 
 
 # ------------------------------------------------------------------ fault plane
@@ -828,51 +850,34 @@ def run_fault_sweep(ctx: CellContext) -> Dict[str, object]:
     control row.
     """
     from repro.distributed.faults import FaultPlan
-    from repro.graphs import generators
 
     n = int(ctx.params["n"])
-    degree = int(ctx.params.get("degree", 4))
-    factor = int(ctx.params.get("id_space_factor", 8))
     fault_params = dict(ctx.params.get("faults", {}))
     fault_params.setdefault("seed", ctx.seed % 2**31)
     plan = FaultPlan.from_params(fault_params)
-    graph = generators.graph_with_scrambled_ids(
-        generators.random_regular_graph(n, degree, seed=n), seed=n, id_space_factor=factor
-    )
-    network = api.build_linial_network(graph)
-    outcome, wall = _timed(
-        ctx,
-        lambda: api.run_linial_network(
-            graph,
-            send_plane=ctx.knobs.send_plane,
-            receive_plane=ctx.knobs.receive_plane,
-            network=network,
-            fault_plan=plan,
-        ),
-    )
-    outputs = outcome.outputs
-    conflicts = 0
-    num_edges = 0
-    for edge in graph.edges():
-        num_edges += 1
-        u, v = graph.edge_endpoints(edge)
-        if outputs[u] is not None and outputs[u] == outputs[v]:
-            conflicts += 1
-    if not plan.active:
-        assert conflicts == 0, f"improper fault-free Linial coloring at n={n}"
-    return {
-        "n": n,
-        "degree": degree,
-        "faults": plan.as_dict(),
-        "fault_summary": outcome.fault_summary,
-        "rounds": outcome.rounds,
-        "messages": outcome.messages,
-        "conflict_edges": conflicts,
-        "conflict_fraction": round(conflicts / max(1, num_edges), 6),
-        "proper": conflicts == 0,
-        "verified": True,
-        "timing": {"wall_seconds": round(wall, 4)},
-    }
+
+    def verify(instance, outcome, _wall):
+        graph, outputs = instance[0], outcome.outputs
+        conflicts = sum(
+            1
+            for u, v in zip(*graph.endpoint_arrays())
+            if outputs[u] is not None and outputs[u] == outputs[v]
+        )
+        if not plan.active:
+            assert conflicts == 0, f"improper fault-free Linial coloring at n={n}"
+        return {
+            "n": n,
+            "degree": int(ctx.params.get("degree", 4)),
+            "faults": plan.as_dict(),
+            "fault_summary": outcome.fault_summary,
+            "rounds": outcome.rounds,
+            "messages": outcome.messages,
+            "conflict_edges": conflicts,
+            "conflict_fraction": round(conflicts / max(1, graph.num_edges), 6),
+            "proper": conflicts == 0,
+        }
+
+    return _linial_cell(ctx, "fault_sweep", verify, fault_plan=plan)
 
 
 # ------------------------------------------------------------------ chaos probe
@@ -890,7 +895,6 @@ def run_chaos_probe(ctx: CellContext) -> Dict[str, object]:
     and succeed on retries.  The result dict is independent of how many
     attempts it took, preserving the bit-identical-rows guarantee.
     """
-    import os
     import signal
 
     params = ctx.params
@@ -993,11 +997,7 @@ def run_serving_churn(ctx: CellContext) -> Dict[str, object]:
     stats) stay in ``timing``, so rows diff clean across
     ``repair_path`` values.
     """
-    import hashlib
-
-    from repro.graphs import generators
     from repro.graphs.delta import DeltaGraph
-    from repro.runtime.spec import canonical_json
     from repro.serving import (
         ColoringArtifact,
         ServingSession,
@@ -1005,52 +1005,39 @@ def run_serving_churn(ctx: CellContext) -> Dict[str, object]:
         resolve_repair_path,
     )
 
-    phases = _phases("serving_churn")
     n = int(ctx.params["n"])
     delta = int(ctx.params["delta"])
     churn = float(ctx.params["churn"])
     reads_per_delta = int(ctx.params.get("reads_per_delta", 3))
-    with phases.phase("setup"):
-        graph = generators.random_regular_graph(
-            n, delta, seed=int(ctx.params["graph_seed"])
-        )
+    resolved = resolve_repair_path(ctx.knobs.repair_path)
 
-        # Offline build (untimed): the artifact every session starts from.
+    def setup():
+        graph = _regular_graph(ctx)
+        # Offline build: the artifact every session starts from.
         colors0 = dict(build_artifact(graph).colors)
-
-        # Deterministic request stream over the evolving edge set.
         requests, num_deltas = _churn_requests(
             graph, colors0, n, delta, churn, reads_per_delta, ctx.seed
         )
 
-    def make_session(path: str) -> ServingSession:
-        artifact = ColoringArtifact(DeltaGraph(graph), dict(colors0))
-        return ServingSession(artifact, repair_path=path)
+        def session(path: str) -> ServingSession:
+            artifact = ColoringArtifact(DeltaGraph(graph), dict(colors0))
+            return ServingSession(artifact, repair_path=path)
 
-    # Knob-selected twin, best-of-repeats timing.
-    resolved = resolve_repair_path(ctx.knobs.repair_path)
-    best = None
-    session = None
-    responses = None
-    with phases.phase("solve"):
-        for attempt in range(max(1, ctx.repeats)):
-            candidate = make_session(resolved)
-            start = time.perf_counter()
-            answered = candidate.serve_batch(requests)
-            wall = time.perf_counter() - start
-            if best is None or wall < best:
-                best = wall
-            if attempt == 0:
-                session = candidate
-                responses = answered
+        # One fresh session per timed repeat, so the timed region only serves.
+        sessions = iter([session(resolved) for _ in range(max(1, ctx.repeats))])
+        return requests, num_deltas, sessions, session("recompute")
 
-        # Per-delta full-recompute baseline twin (timed once).
-        baseline = make_session("recompute")
+    def solve(inputs):
+        session = next(inputs[2])
+        return session, session.serve_batch(inputs[0])
+
+    def verify(inputs, served, wall):
+        requests, num_deltas, _sessions, baseline = inputs
+        session, responses = served
+        # The per-delta full-recompute baseline twin, timed once.
         start = time.perf_counter()
         baseline_responses = baseline.serve_batch(requests)
         baseline_wall = time.perf_counter() - start
-
-    with phases.phase("verify"):
         bad = [r for r in responses if not r.get("ok")]
         assert not bad, f"failed responses on n={n} churn={churn}: {bad[:3]}"
         assert responses == baseline_responses, "twin response streams diverge"
@@ -1058,47 +1045,37 @@ def run_serving_churn(ctx: CellContext) -> Dict[str, object]:
             "incremental repair diverged from full recompute"
         )
         session.artifact.verify()
-        speedup = baseline_wall / max(best, 1e-9)
+        speedup = baseline_wall / max(wall, 1e-9)
         if resolved == "incremental" and n >= 1000:
             assert speedup >= 10, (
                 f"serving speedup {speedup:.1f}x < 10x vs per-delta recompute "
                 f"(n={n}, churn={churn})"
             )
+        final = session.artifact
+        # Lossless totals from cache_stats — ``session.reports`` is a capped
+        # ring buffer and would silently undercount long streams.
+        stats = session.cache_stats()
+        return {
+            "n": n,
+            "delta": delta,
+            "churn": churn,
+            "rounds": num_deltas,
+            "requests": len(requests),
+            "colors": final.num_colors,
+            "epoch": final.epoch,
+            "coloring_digest": _coloring_digest(final),
+            "responses_digest": _digest(responses),
+            "timing": {
+                "baseline_wall_seconds": round(baseline_wall, 4),
+                "speedup": round(speedup, 2),
+                "touched": stats["touched"],
+                "recolored": stats["recolored"],
+                "fallbacks": stats["fallbacks"],
+                "cache": stats,
+            },
+        }
 
-    final = session.artifact
-    coloring_digest = hashlib.sha256(
-        canonical_json(
-            [[u, v, c] for (u, v), c in sorted(final.colors.items())]
-        ).encode("utf-8")
-    ).hexdigest()[:16]
-    responses_digest = hashlib.sha256(
-        canonical_json(responses).encode("utf-8")
-    ).hexdigest()[:16]
-    # Lossless totals from cache_stats — ``session.reports`` is a capped
-    # ring buffer now and would silently undercount long streams.
-    stats = session.cache_stats()
-    return {
-        "n": n,
-        "delta": delta,
-        "churn": churn,
-        "rounds": num_deltas,
-        "requests": len(requests),
-        "colors": final.num_colors,
-        "epoch": final.epoch,
-        "coloring_digest": coloring_digest,
-        "responses_digest": responses_digest,
-        "verified": True,
-        "timing": {
-            "wall_seconds": round(best, 4),
-            "baseline_wall_seconds": round(baseline_wall, 4),
-            "speedup": round(speedup, 2),
-            "touched": stats["touched"],
-            "recolored": stats["recolored"],
-            "fallbacks": stats["fallbacks"],
-            "cache": stats,
-            "phases": phases.as_timing(),
-        },
-    }
+    return _cell(ctx, "serving_churn", setup, solve, verify)
 
 
 def _concurrent_client_streams(colors0, n, clients, toggles, reads_per_write, seed):
@@ -1147,7 +1124,7 @@ def _concurrent_client_streams(colors0, n, clients, toggles, reads_per_write, se
     for index, owner in enumerate(owners):
         client_rng = random.Random(f"{seed}:client:{index}")
         edges = sorted(edge for edge in colors0 if owner in edge)[:toggles]
-        stream: List[Dict[str, object]] = []
+        stream = []
         for u, v in edges:
             for op in ("delete", "insert"):
                 stream.append({"op": op, "u": u, "v": v})
@@ -1164,6 +1141,19 @@ def _concurrent_client_streams(colors0, n, clients, toggles, reads_per_write, se
         streams.append(stream)
     writes_per_pass = 2 * toggles * clients
     return streams, writes_per_pass
+
+
+def _compacted_artifact(path: str):
+    """The artifact a graceful daemon shutdown left at ``path``, loaded and verified.
+
+    Shutdown compacts the journal into the artifact JSON, so none may remain.
+    """
+    from repro.serving import ColoringArtifact, journal_path
+
+    assert not os.path.exists(journal_path(path)), "graceful shutdown left the journal behind"
+    final = ColoringArtifact.load(path)
+    final.verify()
+    return final
 
 
 def _run_daemon_concurrent(ctx: CellContext) -> Dict[str, object]:
@@ -1187,22 +1177,13 @@ def _run_daemon_concurrent(ctx: CellContext) -> Dict[str, object]:
     threading daemon overlaps; a serialized daemon cannot, which is what
     the ``min_speedup`` gate measures.
     """
-    import hashlib
-    import os
-    import tempfile
+    import contextlib
     import threading
+    from types import SimpleNamespace
 
-    from repro.graphs import generators
-    from repro.runtime.spec import canonical_json
-    from repro.serving import (
-        ColoringArtifact,
-        build_artifact,
-        journal_path,
-        resolve_repair_path,
-    )
+    from repro.serving import build_artifact, resolve_repair_path
     from repro.serving.daemon import connect, spawned_daemon
 
-    phases = _phases("serving_daemon")
     n = int(ctx.params["n"])
     delta = int(ctx.params["delta"])
     clients = int(ctx.params["clients"])
@@ -1210,128 +1191,115 @@ def _run_daemon_concurrent(ctx: CellContext) -> Dict[str, object]:
     reads_per_write = int(ctx.params.get("reads_per_write", 3))
     delay = float(ctx.params.get("client_delay_ms", 2.0)) / 1000.0
     min_speedup = float(ctx.params.get("min_speedup", 0.0))
-    journal_max_records = ctx.params.get("journal_max_records")
+    cap = ctx.params.get("journal_max_records")
+    extra_args = [] if cap is None else ["--journal-max-records", str(int(cap))]
     resolved = resolve_repair_path(ctx.knobs.repair_path)
 
-    with phases.phase("setup"):
-        graph = generators.random_regular_graph(
-            n, delta, seed=int(ctx.params["graph_seed"])
-        )
-        built = build_artifact(graph)
-        colors0 = dict(built.colors)
-        epoch0 = built.epoch
-        streams, writes_per_pass = _concurrent_client_streams(
-            colors0, n, clients, toggles, reads_per_write, ctx.seed
-        )
-    requests_per_pass = sum(len(stream) for stream in streams)
+    def drive(stream, client, acks):
+        for request in stream:
+            time.sleep(delay)
+            acks.append(client.request(request))
 
-    with tempfile.TemporaryDirectory(prefix="repro_e13c_") as tmp:
+    with tempfile.TemporaryDirectory(prefix="repro_e13c_") as tmp, contextlib.ExitStack() as stack:
         path = os.path.join(tmp, "artifact.json")
-        built.save(path)
-        extra_args = []
-        if journal_max_records is not None:
-            extra_args = ["--journal-max-records", str(int(journal_max_records))]
 
-        def drive(stream, client, acks):
-            for request in stream:
-                time.sleep(delay)
-                acks.append(client.request(request))
+        def setup():
+            built = build_artifact(_regular_graph(ctx))
+            colors0 = dict(built.colors)
+            streams, writes_per_pass = _concurrent_client_streams(
+                colors0, n, clients, toggles, reads_per_write, ctx.seed
+            )
+            built.save(path)
+            process, host, port = stack.enter_context(
+                spawned_daemon(path, repair_path=resolved, extra_args=extra_args)
+            )
+            return SimpleNamespace(
+                epoch0=built.epoch,
+                colors0=colors0,
+                streams=streams,
+                writes_per_pass=writes_per_pass,
+                process=process,
+                address=(host, port),
+                passes=[],
+            )
 
-        def concurrent_pass():
-            acks = [[] for _ in streams]
+        def solve(state):
+            # One concurrent pass; verify checks every pass, so each is kept.
+            acks = [[] for _ in state.streams]
+
             def work(index, stream):
-                with connect((host, port)) as client:
+                with connect(state.address) as client:
                     drive(stream, client, acks[index])
+
             threads = [
                 threading.Thread(target=work, args=(i, s), daemon=True)
-                for i, s in enumerate(streams)
+                for i, s in enumerate(state.streams)
             ]
-            start = time.perf_counter()
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
-            return acks, time.perf_counter() - start
+            state.passes.append(acks)
 
-        def serial_pass():
-            acks = [[] for _ in streams]
+        def verify(state, _result, wall):
+            acks = [[] for _ in state.streams]
             start = time.perf_counter()
-            with connect((host, port)) as client:
-                for index, stream in enumerate(streams):
+            with connect(state.address) as client:
+                for index, stream in enumerate(state.streams):
                     drive(stream, client, acks[index])
-            return acks, time.perf_counter() - start
-
-        daemon = spawned_daemon(path, repair_path=resolved, extra_args=extra_args)
-        with daemon as (process, host, port):
-            solve_start = time.perf_counter()
-            acks_a, wall_a = concurrent_pass()
-            acks_b, wall_b = concurrent_pass()
-            measured_wall = min(wall_a, wall_b)
-            acks_c, serial_wall = serial_pass()
-            passes = (acks_a, acks_b, acks_c)
-            with connect((host, port)) as client:
+            serial_wall = time.perf_counter() - start
+            state.passes.append(acks)
+            with connect(state.address) as client:
                 ack = client.shutdown()
             assert ack == {"ok": True, "op": "shutdown"}, f"bad shutdown ack: {ack}"
-            process.wait(timeout=30)
-        phases.record("solve", time.perf_counter() - solve_start)
-        speedup = serial_wall / max(measured_wall, 1e-9)
+            state.process.wait(timeout=30)
+            speedup = serial_wall / max(wall, 1e-9)
 
-        with phases.phase("verify"):
-            for pass_index, acks in enumerate(passes):
+            writes_per_pass = state.writes_per_pass
+            for pass_index, acks in enumerate(state.passes):
                 flat = [response for per_client in acks for response in per_client]
                 bad = [r for r in flat if not r.get("ok")]
                 assert not bad, f"failed responses in pass {pass_index}: {bad[:3]}"
                 write_epochs = sorted(
-                    r["epoch"]
-                    for r in flat
-                    if r["op"] in ("insert", "delete", "set_list")
+                    r["epoch"] for r in flat if r["op"] in ("insert", "delete", "set_list")
                 )
-                lo = epoch0 + pass_index * writes_per_pass
+                lo = state.epoch0 + pass_index * writes_per_pass
                 assert len(write_epochs) == writes_per_pass
                 assert write_epochs == list(range(lo + 1, lo + writes_per_pass + 1)), (
                     f"write epochs in pass {pass_index} are not the contiguous "
                     f"total order ({lo + 1}..{lo + writes_per_pass})"
                 )
-            # Graceful shutdown compacted: no journal, no rotated segments.
-            assert not os.path.exists(journal_path(path)), (
-                "graceful shutdown left the journal behind"
-            )
-            final = ColoringArtifact.load(path)
-            assert final.epoch == epoch0 + len(passes) * writes_per_pass
-            assert final.colors == colors0, (
+            final = _compacted_artifact(path)
+            passes = len(state.passes)
+            assert final.epoch == state.epoch0 + passes * writes_per_pass
+            assert final.colors == state.colors0, (
                 "toggled writes did not restore the canonical base coloring"
             )
-            final.verify()
             if min_speedup:
                 assert speedup >= min_speedup, (
                     f"concurrent clients speedup {speedup:.2f}x < {min_speedup}x "
                     f"over the serialized schedule ({clients} clients)"
                 )
+            return {
+                "n": n,
+                "delta": delta,
+                "clients": clients,
+                "rounds": passes * writes_per_pass,
+                "requests": passes * sum(len(stream) for stream in state.streams),
+                "writes_per_pass": writes_per_pass,
+                "passes": passes,
+                "colors": final.num_colors,
+                "epoch": final.epoch,
+                "coloring_digest": _coloring_digest(final),
+                "timing": {
+                    "serial_wall_seconds": round(serial_wall, 4),
+                    "speedup": round(speedup, 2),
+                },
+            }
 
-    coloring_digest = hashlib.sha256(
-        canonical_json(
-            [[u, v, c] for (u, v), c in sorted(final.colors.items())]
-        ).encode("utf-8")
-    ).hexdigest()[:16]
-    return {
-        "n": n,
-        "delta": delta,
-        "clients": clients,
-        "rounds": len(passes) * writes_per_pass,
-        "requests": len(passes) * requests_per_pass,
-        "writes_per_pass": writes_per_pass,
-        "passes": len(passes),
-        "colors": final.num_colors,
-        "epoch": final.epoch,
-        "coloring_digest": coloring_digest,
-        "verified": True,
-        "timing": {
-            "wall_seconds": round(measured_wall, 4),
-            "serial_wall_seconds": round(serial_wall, 4),
-            "speedup": round(speedup, 2),
-            "phases": phases.as_timing(),
-        },
-    }
+        # Two measured concurrent passes, whatever the cell's repeats:
+        # wall_seconds is the faster one.
+        return _cell(replace(ctx, repeats=2), "serving_daemon", setup, solve, verify)
 
 
 @runner("serving_daemon")
@@ -1363,117 +1331,90 @@ def run_serving_daemon(ctx: CellContext) -> Dict[str, object]:
     if "clients" in ctx.params:
         return _run_daemon_concurrent(ctx)
 
-    import hashlib
-    import os
-    import tempfile
-
-    from repro.graphs import generators
-    from repro.runtime.spec import canonical_json
     from repro.serving import (
         ColoringArtifact,
         ServingSession,
         build_artifact,
-        journal_path,
         resolve_repair_path,
     )
     from repro.serving.daemon import connect, spawned_daemon
 
-    phases = _phases("serving_daemon")
     n = int(ctx.params["n"])
     delta = int(ctx.params["delta"])
     churn = float(ctx.params["churn"])
     reads_per_delta = int(ctx.params.get("reads_per_delta", 2))
-    with phases.phase("setup"):
-        graph = generators.random_regular_graph(
-            n, delta, seed=int(ctx.params["graph_seed"])
-        )
-        built = build_artifact(graph)
-        colors0 = dict(built.colors)
-        requests, num_deltas = _churn_requests(
-            graph, colors0, n, delta, churn, reads_per_delta, ctx.seed
-        )
-    kill_at = len(requests) // 2
     resolved = resolve_repair_path(ctx.knobs.repair_path)
 
     with tempfile.TemporaryDirectory(prefix="repro_e13_") as tmp:
         path = os.path.join(tmp, "artifact.json")
-        built.save(path)
 
-        # In-process twin (never rebases; the daemon auto-rebases).
-        twin = ServingSession(
-            ColoringArtifact.load(path), repair_path=resolved, rebase_policy=None
-        )
-        expected_prefix = twin.serve_batch(requests[:kill_at])
-        prefix_colors = dict(twin.artifact.colors)
-        prefix_epoch = twin.artifact.epoch
-        expected_suffix = twin.serve_batch(requests[kill_at:])
-
-        start = time.perf_counter()
-        # Phase 1: lockstep until the kill point, then SIGKILL mid-stream.
-        with spawned_daemon(path, repair_path=resolved) as (process, host, port):
-            with connect((host, port)) as client:
-                got_prefix = client.request_many(requests[:kill_at])
-            process.kill()
-            process.wait(timeout=30)
-
-        # Journal replay reproduces the exact pre-kill state.
-        recovered = ColoringArtifact.load(path)
-        assert recovered.epoch == prefix_epoch, (
-            f"replayed epoch {recovered.epoch} != pre-kill epoch {prefix_epoch}"
-        )
-        assert recovered.colors == prefix_colors, (
-            "journal replay diverged from the pre-kill coloring"
-        )
-        recovered.verify()
-
-        # Phase 2: restart from base+journal, finish the stream, shut down.
-        with spawned_daemon(path, repair_path=resolved) as (process, host, port):
-            with connect((host, port)) as client:
-                got_suffix = client.request_many(requests[kill_at:])
-                ack = client.shutdown()
-            assert ack == {"ok": True, "op": "shutdown"}, f"bad shutdown ack: {ack}"
-            process.wait(timeout=30)
-        wall = time.perf_counter() - start
-        phases.record("solve", wall)
-
-        with phases.phase("verify"):
-            # Graceful shutdown compacted: journal gone, JSON carries the end.
-            assert not os.path.exists(journal_path(path)), (
-                "graceful shutdown left the journal behind"
+        def setup():
+            graph = _regular_graph(ctx)
+            built = build_artifact(graph)
+            requests, num_deltas = _churn_requests(
+                graph, dict(built.colors), n, delta, churn, reads_per_delta, ctx.seed
             )
-            final = ColoringArtifact.load(path)
+            built.save(path)
+            kill_at = len(requests) // 2
+            # In-process twin (never rebases; the daemon auto-rebases).
+            twin = ServingSession(
+                ColoringArtifact.load(path), repair_path=resolved, rebase_policy=None
+            )
+            expected = twin.serve_batch(requests[:kill_at])
+            prefix = (twin.artifact.epoch, dict(twin.artifact.colors))
+            expected += twin.serve_batch(requests[kill_at:])
+            return requests, num_deltas, kill_at, prefix, twin, expected
+
+        def solve(inputs):
+            requests, _num_deltas, kill_at, (prefix_epoch, prefix_colors), _twin, _ = inputs
+            # Phase 1: lockstep until the kill point, then SIGKILL mid-stream.
+            with spawned_daemon(path, repair_path=resolved) as (process, host, port):
+                with connect((host, port)) as client:
+                    got = client.request_many(requests[:kill_at])
+                process.kill()
+                process.wait(timeout=30)
+
+            # Journal replay reproduces the exact pre-kill state.
+            recovered = ColoringArtifact.load(path)
+            assert recovered.epoch == prefix_epoch, (
+                f"replayed epoch {recovered.epoch} != pre-kill epoch {prefix_epoch}"
+            )
+            assert recovered.colors == prefix_colors, (
+                "journal replay diverged from the pre-kill coloring"
+            )
+            recovered.verify()
+
+            # Phase 2: restart from base+journal, finish the stream, shut down.
+            with spawned_daemon(path, repair_path=resolved) as (process, host, port):
+                with connect((host, port)) as client:
+                    got += client.request_many(requests[kill_at:])
+                    ack = client.shutdown()
+                assert ack == {"ok": True, "op": "shutdown"}, f"bad shutdown ack: {ack}"
+                process.wait(timeout=30)
+            return got
+
+        def verify(inputs, got, _wall):
+            requests, num_deltas, kill_at, _prefix, twin, expected = inputs
+            final = _compacted_artifact(path)
             assert final.epoch == twin.artifact.epoch
             assert final.colors == twin.artifact.colors, (
                 "compacted artifact diverged from the in-process twin"
             )
-            final.verify()
+            assert got == expected, "socket responses diverge from the in-process session"
+            bad = [r for r in got if not r.get("ok")]
+            assert not bad, f"failed daemon responses on n={n}: {bad[:3]}"
+            return {
+                "n": n,
+                "delta": delta,
+                "churn": churn,
+                "rounds": num_deltas,
+                "requests": len(requests),
+                "kill_at": kill_at,
+                "colors": final.num_colors,
+                "epoch": final.epoch,
+                "coloring_digest": _coloring_digest(final),
+                "responses_digest": _digest(got),
+            }
 
-    with phases.phase("verify"):
-        got = got_prefix + got_suffix
-        expected = expected_prefix + expected_suffix
-        assert got == expected, "socket responses diverge from the in-process session"
-        bad = [r for r in got if not r.get("ok")]
-        assert not bad, f"failed daemon responses on n={n}: {bad[:3]}"
-
-    coloring_digest = hashlib.sha256(
-        canonical_json(
-            [[u, v, c] for (u, v), c in sorted(final.colors.items())]
-        ).encode("utf-8")
-    ).hexdigest()[:16]
-    responses_digest = hashlib.sha256(
-        canonical_json(got).encode("utf-8")
-    ).hexdigest()[:16]
-    return {
-        "n": n,
-        "delta": delta,
-        "churn": churn,
-        "rounds": num_deltas,
-        "requests": len(requests),
-        "kill_at": kill_at,
-        "colors": final.num_colors,
-        "epoch": final.epoch,
-        "coloring_digest": coloring_digest,
-        "responses_digest": responses_digest,
-        "verified": True,
-        "timing": {"wall_seconds": round(wall, 4), "phases": phases.as_timing()},
-    }
+        # Timed once: a second pass would replay against the mutated artifact.
+        return _cell(replace(ctx, repeats=1), "serving_daemon", setup, solve, verify)

@@ -1,0 +1,46 @@
+"""Test-side graph oracles and the shared workload catalogue.
+
+The library answers subset queries through ``EdgeSubsetView`` without
+building a new graph; these helpers do it the slow, obvious way, so the
+view tests have an independent reference.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, List, Optional, Set, Tuple
+
+from repro.graphs import generators
+from repro.graphs.core import Graph
+
+
+def subgraph_from_edges(graph: Graph, edge_set: Iterable[int]) -> Graph:
+    """A new graph over the same nodes and identifiers with only the given edges."""
+    edges = [graph.edge_endpoints(e) for e in sorted(set(edge_set))]
+    return Graph(graph.num_nodes, edges, node_ids=graph.node_ids)
+
+
+def edge_degree_within(
+    graph: Graph, e: int, edge_set: Set[int], degrees: Optional[List[int]] = None
+) -> int:
+    """Edge degree of ``e`` counting only adjacent edges in ``edge_set``.
+
+    ``e`` itself does not need to be in ``edge_set``.  ``degrees`` (node
+    degrees within ``edge_set``) is used instead of counting when given.
+    """
+    u, v = graph.edge_endpoints(e)
+    if degrees is not None:
+        return degrees[u] + degrees[v] - (2 if e in edge_set else 0)
+    return sum(1 for w in (u, v) for f in graph.incident_edges(w) if f != e and f in edge_set)
+
+
+def named_workloads(seed: int = 0) -> List[Tuple[str, Graph]]:
+    """A small catalogue of graph families for smoke and cross-check tests."""
+    return [
+        ("cycle-64", generators.cycle_graph(64)),
+        ("grid-8x8", generators.grid_graph(8, 8)),
+        ("hypercube-5", generators.hypercube_graph(5)),
+        ("random-regular-48-6", generators.random_regular_graph(48, 6, seed=seed)),
+        ("erdos-renyi-64", generators.erdos_renyi_graph(64, 0.12, seed=seed)),
+        ("tree-63", generators.tree_graph(63, branching=3, seed=seed)),
+        ("regular-bipartite-24-6", generators.regular_bipartite_graph(24, 6, seed=seed)[0]),
+    ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from graph_helpers import named_workloads
 from repro.classic.matching import maximal_matching, maximal_matching_from_edge_coloring
 from repro.classic.mis import maximal_independent_set, mis_from_vertex_coloring
 from repro.classic.vertex_coloring import (
@@ -30,7 +31,7 @@ class TestDeltaPlusOneVertexColoring:
         assert max(colors) < num_colors
 
     def test_various_families(self):
-        for _name, graph in generators.named_workloads(seed=6):
+        for _name, graph in named_workloads(seed=6):
             colors, num_colors = delta_plus_one_vertex_coloring(graph)
             assert is_proper_vertex_coloring(graph, colors)
             assert num_colors <= graph.max_degree + 1 or num_colors <= 4

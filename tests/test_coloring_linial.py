@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from graph_helpers import named_workloads
 from repro.coloring.linial import linial_edge_coloring, linial_vertex_coloring
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
@@ -12,7 +13,7 @@ from repro.verification.checkers import is_proper_edge_coloring, is_proper_verte
 
 class TestVertexColoring:
     def test_proper_on_various_graphs(self):
-        for _name, graph in generators.named_workloads(seed=2):
+        for _name, graph in named_workloads(seed=2):
             colors, num_colors = linial_vertex_coloring(graph)
             assert is_proper_vertex_coloring(graph, colors)
             assert all(0 <= c < num_colors for c in colors)

@@ -7,7 +7,6 @@ import json
 
 import pytest
 
-from repro.core import parameters
 from repro.core.bipartite_coloring import bipartite_edge_coloring
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
@@ -80,17 +79,6 @@ class TestBipartiteColoring:
         graph, bipartition = generators.random_bipartite_graph(30, 30, 0.1, seed=6)
         result = bipartite_edge_coloring(graph, bipartition, epsilon=0.5)
         assert is_proper_edge_coloring(graph, result.colors)
-
-
-class TestAgainstAnalyticParameters:
-    def test_analytic_depth_formula_is_consistent(self):
-        # The analytic χ/k of Lemma 6.1 are reported by parameters.py; they
-        # should at least be self-consistent (k ≥ 0, χ ∈ (0, 1/2]).
-        for delta in (8, 64, 2 ** 20):
-            chi = parameters.lemma61_chi(0.5, delta)
-            depth = parameters.lemma61_recursion_depth(0.5, chi)
-            assert 0 < chi <= 0.5
-            assert depth >= 0
 
 
 class TestSection6Pinned:

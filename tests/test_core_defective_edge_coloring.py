@@ -12,7 +12,6 @@ from repro.core.defective_edge_coloring import (
     eta_from_lambda,
     generalized_defective_two_edge_coloring,
     half_split_lambdas,
-    list_driven_lambdas,
     measure_defects,
     split_recursion,
 )
@@ -44,13 +43,6 @@ class TestLambdaHelpers:
     def test_half_split(self):
         lambdas = half_split_lambdas([3, 7, 9])
         assert lambdas == {3: 0.5, 7: 0.5, 9: 0.5}
-
-    def test_list_driven(self):
-        lists = {0: [1, 2, 3, 10], 1: [10, 11], 2: []}
-        lambdas = list_driven_lambdas(lists, left_colors={1, 2, 3, 4}, edges=[0, 1, 2])
-        assert lambdas[0] == pytest.approx(0.75)
-        assert lambdas[1] == 0.0
-        assert lambdas[2] == 0.5  # empty list falls back to 1/2
 
 
 class TestDefectiveColoring:
@@ -86,6 +78,18 @@ class TestDefectiveColoring:
         assert result.max_defect() < bar_delta
         # The measured split should be meaningfully better than "no split".
         assert result.max_defect() <= 0.85 * bar_delta
+
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0])
+    @pytest.mark.parametrize("delta", [8, 12, 16, 24, 32])
+    def test_half_split_within_stable_orientation_bound(self, delta, epsilon):
+        # Section 3: on a Δ-regular 2-colored bipartite graph a stable
+        # orientation splits each edge's 2Δ−2 neighbors evenly, defect
+        # Δ−1.  The Theorem 5.6 split stays within a (1+ε) factor of it.
+        graph, bipartition = generators.regular_bipartite_graph(48, delta, seed=delta)
+        result = generalized_defective_two_edge_coloring(
+            graph, bipartition, half_split_lambdas(graph.edges()), epsilon=epsilon
+        )
+        assert result.max_defect() <= (1 + epsilon) * (delta - 1)
 
     def test_skewed_lambdas_skew_defects(self, medium_bipartite):
         graph, bipartition = medium_bipartite

@@ -38,13 +38,6 @@ class TestSection45Parameters:
         assert values == sorted(values)
         assert values[0] >= 1
 
-    def test_k_edge_and_xi_edge(self):
-        nu = 0.1
-        assert parameters.k_edge(nu, 0) == 0
-        assert parameters.k_edge(nu, 90) == math.ceil(nu / (1 - nu) * 90)
-        xi = parameters.xi_edge(nu, 1000, parameters.k_edge(nu, 90))
-        assert xi > 0
-
     def test_beta_theoretical_shrinks_with_epsilon(self):
         small = parameters.beta_theoretical(1.0, 1000)
         large = parameters.beta_theoretical(0.1, 1000)
@@ -66,26 +59,8 @@ class TestSection45Parameters:
         expected = 2 * (2 + 3) + (10 * 20 / 6 + 10 / 2 + 20 / 3) * 1
         assert bound == pytest.approx(expected)
 
-    def test_theorem_56_round_bound(self):
-        assert parameters.theorem_56_round_bound(0.5, 100) > parameters.theorem_56_round_bound(1.0, 100)
-
 
 class TestSection6Parameters:
-    def test_lemma61_chi_fallback_for_small_delta(self):
-        chi = parameters.lemma61_chi(0.5, 16)
-        assert 0 < chi <= 0.5
-
-    def test_lemma61_chi_analytic_for_huge_delta(self):
-        chi = parameters.lemma61_chi(0.5, 2 ** 40)
-        assert 0 < chi <= 0.5
-
-    def test_lemma61_recursion_depth(self):
-        chi = 0.01
-        depth = parameters.lemma61_recursion_depth(0.5, chi)
-        assert depth == math.floor(math.log(1.125) / chi)
-        with pytest.raises(ValueError):
-            parameters.lemma61_recursion_depth(0.5, 0.0)
-
     def test_round_bounds_monotone_in_delta(self):
         assert parameters.lemma61_round_bound(0.5, 256) > parameters.lemma61_round_bound(0.5, 16)
         assert parameters.theorem63_round_bound(0.5, 256, 1000) > parameters.theorem63_round_bound(
@@ -94,11 +69,6 @@ class TestSection6Parameters:
         assert parameters.theorem_d4_round_bound(64, 256, 1000) > parameters.theorem_d4_round_bound(
             64, 16, 1000
         )
-
-    def test_max_edge_degree_bound(self):
-        assert parameters.max_edge_degree_bound(0) == 0
-        assert parameters.max_edge_degree_bound(1) == 0
-        assert parameters.max_edge_degree_bound(10) == 18
 
 
 class TestPracticalParameters:

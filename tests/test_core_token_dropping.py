@@ -7,7 +7,6 @@ import pytest
 from repro.core.token_dropping import (
     TokenDroppingGame,
     layered_dag,
-    make_game_from_orientation,
     run_token_dropping,
     uniform_alpha,
 )
@@ -112,17 +111,6 @@ class TestExecution:
         tracker = RoundTracker()
         result = run_token_dropping(game, tracker=tracker)
         assert tracker.total == result.rounds
-
-    def test_make_game_from_orientation_clips_tokens(self):
-        game = make_game_from_orientation(
-            num_nodes=3,
-            arcs=[(0, 1), (1, 2)],
-            initial_tokens=[10, -2, 1],
-            k=3,
-            alpha=[1, 1, 1],
-            delta=1,
-        )
-        assert game.initial_tokens == [3, 0, 1]
 
 
 class TestSlackAccounting:

@@ -2,16 +2,10 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
-from repro.graphs.core import (
-    DirectedGraph,
-    Graph,
-    degrees_within,
-    graph_from_networkx,
-    iter_edge_pairs,
-)
+from graph_helpers import edge_degree_within, subgraph_from_edges
+from repro.graphs.core import DirectedGraph, Graph, degrees_within
 
 
 class TestGraphConstruction:
@@ -124,26 +118,19 @@ class TestSubgraphHelpers:
     def test_edge_degree_within(self):
         graph = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         subset = {0, 1, 2}
-        inside = graph.edge_degree_within(1, subset)
+        inside = edge_degree_within(graph, 1, subset)
         assert inside == 2
         degrees = degrees_within(graph, sorted(subset))[0]
-        assert graph.edge_degree_within(1, subset, degrees) == 2
+        assert edge_degree_within(graph, 1, subset, degrees) == 2
 
     def test_subgraph_from_edges_preserves_indices_and_ids(self):
         graph = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], node_ids=[5, 6, 7, 8, 9])
-        sub = graph.subgraph_from_edges({1, 3})
+        sub = subgraph_from_edges(graph, {1, 3})
         assert sub.num_nodes == 5
         assert sub.num_edges == 2
         assert sub.node_ids == [5, 6, 7, 8, 9]
         assert sub.has_edge(1, 2) and sub.has_edge(3, 4)
         assert not sub.has_edge(0, 1)
-
-    def test_connected_components(self):
-        graph = Graph(6, [(0, 1), (1, 2), (3, 4)])
-        components = graph.connected_components()
-        assert [0, 1, 2] in components
-        assert [3, 4] in components
-        assert [5] in components
 
 
 class TestLineGraph:
@@ -191,17 +178,3 @@ class TestDirectedGraph:
     def test_undirected_edge_degree(self):
         digraph = DirectedGraph(3, [(0, 1), (1, 2)])
         assert digraph.undirected_edge_degree(0) == digraph.degree(0) + digraph.degree(1) - 2
-
-
-class TestConversions:
-    def test_graph_from_networkx(self):
-        nx_graph = nx.cycle_graph(5)
-        graph = graph_from_networkx(nx_graph)
-        assert graph.num_nodes == 5
-        assert graph.num_edges == 5
-        assert graph.max_degree == 2
-
-    def test_iter_edge_pairs(self):
-        graph = Graph(3, [(0, 1), (1, 2)])
-        pairs = list(iter_edge_pairs(graph))
-        assert pairs == [(0, 0, 1), (1, 1, 2)]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
+from graph_helpers import named_workloads
 from repro.graphs import generators
 from repro.graphs.bipartite import find_bipartition
 
@@ -53,7 +55,9 @@ class TestRandomFamilies:
     def test_tree_is_acyclic_and_connected(self):
         graph = generators.tree_graph(40, branching=3, seed=2)
         assert graph.num_edges == 39
-        assert len(graph.connected_components()) == 1
+        tree = nx.Graph(graph.edge_endpoints(e) for e in graph.edges())
+        tree.add_nodes_from(graph.nodes())
+        assert nx.is_connected(tree)
 
     def test_regular_bipartite_graph(self):
         graph, bipartition = generators.regular_bipartite_graph(20, 6, seed=3)
@@ -127,7 +131,7 @@ class TestListInstances:
 
 
 def test_named_workloads_catalogue():
-    workloads = generators.named_workloads(seed=1)
+    workloads = named_workloads(seed=1)
     names = [name for name, _graph in workloads]
     assert len(names) == len(set(names))
     assert len(workloads) >= 6

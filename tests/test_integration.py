@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from graph_helpers import named_workloads
 from repro import api
 from repro.baselines.sequential import sequential_greedy_edge_coloring
 from repro.coloring.linial import LinialNodeAlgorithm, linial_vertex_coloring
@@ -21,14 +22,14 @@ from repro.verification.checkers import is_proper_edge_coloring, is_proper_verte
 
 
 class TestWorkloadCatalogue:
-    @pytest.mark.parametrize("name,graph", generators.named_workloads(seed=3), ids=lambda x: str(x))
+    @pytest.mark.parametrize("name,graph", named_workloads(seed=3), ids=lambda x: str(x))
     def test_local_algorithm_on_catalogue(self, name, graph):
         if isinstance(name, str):
             outcome = api.color_edges_local(graph)
             assert outcome.is_proper, name
             assert outcome.num_colors <= max(1, 2 * graph.max_degree - 1), name
 
-    @pytest.mark.parametrize("name,graph", generators.named_workloads(seed=4), ids=lambda x: str(x))
+    @pytest.mark.parametrize("name,graph", named_workloads(seed=4), ids=lambda x: str(x))
     def test_congest_algorithm_on_catalogue(self, name, graph):
         if isinstance(name, str):
             outcome = api.color_edges_congest(graph, epsilon=1.0)

@@ -14,7 +14,8 @@ import sys
 import pytest
 
 from repro.runtime import REGISTRY, get
-from repro.runtime.workloads import RUNNERS
+from repro.runtime.spec import cell_seed
+from repro.runtime.workloads import RUNNERS, CellContext
 
 #: scenario name -> expected cell count (the E1..E11 bench workloads).
 EXPECTED_BENCH = {
@@ -69,6 +70,36 @@ class TestRegistryCoverage:
         spec = get("e1_sweep")
         with pytest.raises(ValueError, match="already registered"):
             REGISTRY.register(spec)
+
+
+def _cheapest_quick_cell(runner_name):
+    """The smallest quick cell, by (n or side, delta or degree), of any spec running it."""
+    cells = [
+        (spec, cell)
+        for spec in REGISTRY.specs()
+        if spec.runner == runner_name
+        for _index, cell in spec.iter_cells(quick=True)
+    ]
+
+    def size(entry):
+        params = entry[1].params
+        return params.get("n", params.get("side", 0)), params.get("delta", params.get("degree", 0))
+
+    return min(cells, key=size)
+
+
+class TestRunnerEnvelope:
+    """Every registered runner goes through the one setup/solve/verify skeleton."""
+
+    @pytest.mark.parametrize("runner_name", sorted({s.runner for s in REGISTRY.specs()}))
+    def test_quick_cell_is_verified_with_a_phase_split(self, runner_name):
+        spec, cell = _cheapest_quick_cell(runner_name)
+        result = RUNNERS[runner_name](
+            CellContext(params=cell.params, seed=cell_seed(spec, cell), repeats=cell.repeats)
+        )
+        assert result["verified"] is True
+        assert set(result["timing"]["phases"]) == {"setup", "solve", "verify"}
+        assert result["timing"]["wall_seconds"] >= 0
 
 
 class TestPerfGridDrift:
