@@ -55,9 +55,10 @@ def color_edges_local(
 ) -> EdgeColoringOutcome:
     """(2Δ−1)-edge coloring / (degree+1)-list edge coloring in the LOCAL model (Theorem 1.1).
 
-    ``scan_path`` selects the orientation engine every defective split
-    runs on (``"auto"`` / ``"numpy"`` / ``"python"``); the forced engines
-    are bit-identical, so the knob only matters for perf and testing.
+    ``scan_path`` selects the engine the initial Linial coloring and
+    every defective split run on (``"auto"`` / ``"numpy"`` /
+    ``"python"``); the forced engines are bit-identical, so the knob only
+    matters for perf and testing.
     """
     tracker = RoundTracker()
     result = list_edge_coloring(
@@ -86,7 +87,7 @@ def color_edges_congest(
 ) -> EdgeColoringOutcome:
     """(8+ε)Δ-edge coloring in the CONGEST model (Theorem 1.2 / 6.3).
 
-    ``scan_path`` selects the orientation engine (see
+    ``scan_path`` selects the Linial and orientation engines (see
     :func:`color_edges_local`).
     """
     tracker = RoundTracker()
@@ -154,26 +155,22 @@ def build_linial_network(graph: Graph):
 
 def run_linial_network(
     graph: Graph,
-    send_plane: str = "auto",
-    receive_plane: str = "auto",
     network=None,
     fault_plan=None,
     max_rounds: int = 10_000,
+    scan_path: str = "auto",
 ) -> MessagePassingOutcome:
     """Run message-passing Linial coloring under the CONGEST audit (E8).
 
-    ``send_plane`` selects how outgoing messages enter the simulator's
-    round buffer and ``receive_plane`` how they are drained
-    (``"auto"`` / ``"batched"`` / ``"dict"``; see
-    :meth:`repro.distributed.network.SynchronousNetwork.run`) — all
-    plane combinations are bit-identical, so the knobs only matter for
-    perf and testing.  ``network`` optionally reuses a prebuilt
-    :func:`build_linial_network` simulator (perf callers keep the
-    construction untimed).  ``fault_plan`` opts the run into the
-    deterministic fault-injection plane
-    (:mod:`repro.distributed.faults`); the realized faults are reported
-    in ``fault_summary`` and are identical across all plane
-    combinations for a fixed plan.
+    ``network`` optionally reuses a prebuilt :func:`build_linial_network`
+    simulator (perf callers keep the construction untimed).
+    ``fault_plan`` opts the run into the deterministic fault-injection
+    plane (:mod:`repro.distributed.faults`); the realized faults are
+    reported in ``fault_summary`` and are a pure function of the plan.
+    ``scan_path`` selects the engine of Linial's phase-level receive
+    (``"auto"`` / ``"numpy"`` / ``"python"``; see
+    :class:`repro.coloring.linial.LinialNodeAlgorithm`); the forced
+    engines are bit-identical.
     """
     from repro.coloring.linial import LinialNodeAlgorithm
 
@@ -187,9 +184,7 @@ def run_linial_network(
             "(build_linial_network(graph))"
         )
     outputs, metrics = network.run(
-        LinialNodeAlgorithm(),
-        send_plane=send_plane,
-        receive_plane=receive_plane,
+        LinialNodeAlgorithm(scan_path=scan_path),
         fault_plan=fault_plan,
         max_rounds=max_rounds,
     )

@@ -32,13 +32,18 @@ class BaselineResult:
 def greedy_baseline_edge_coloring(
     graph: Graph,
     tracker: Optional[RoundTracker] = None,
+    scan_path: str = "auto",
 ) -> BaselineResult:
-    """(2Δ−1)-edge coloring via Linial scheduling plus greedy, O(Δ̄² + log* n) rounds."""
+    """(2Δ−1)-edge coloring via Linial scheduling plus greedy, O(Δ̄² + log* n) rounds.
+
+    ``scan_path`` selects the engine of the Linial schedule (see
+    :mod:`repro.core.engine`).
+    """
     own = RoundTracker()
     if graph.num_edges == 0:
         return BaselineResult(colors={}, num_colors=0, bound=0, rounds=0, algorithm="greedy-by-classes")
     palette = max(1, 2 * graph.max_degree - 1)
-    schedule, _num = linial_edge_coloring(graph, tracker=own)
+    schedule, _num = linial_edge_coloring(graph, tracker=own, scan_path=scan_path)
     colors = greedy_edge_coloring_by_classes(
         graph,
         schedule,

@@ -5,8 +5,8 @@ engines of :mod:`repro.coloring.color_reduction`:
 
 * :func:`linial_vertex_coloring` — the phase-level form used by the
   higher-level algorithms: every reduction step runs over the CSR
-  adjacency, on the numpy sweep for large graphs and on the python twin
-  otherwise, and charges one round to a
+  adjacency, on the numpy sweep or its python twin as the ``scan_path``
+  knob selects, and charges one round to a
   :class:`repro.distributed.rounds.RoundTracker`;
 * :class:`LinialNodeAlgorithm` — the same algorithm as a message-passing
   :class:`repro.distributed.algorithms.NodeAlgorithm`; integration tests
@@ -41,6 +41,7 @@ from repro.graphs.core import Graph
 def linial_vertex_coloring(
     graph: Graph,
     tracker: Optional[RoundTracker] = None,
+    scan_path: str = "auto",
 ) -> Tuple[List[int], int]:
     """A proper O(Δ²)-vertex coloring computed in O(log* n) charged rounds.
 
@@ -48,6 +49,8 @@ def linial_vertex_coloring(
         graph: the input graph (node identifiers are the initial colors).
         tracker: optional round tracker; one round is charged per
             reduction step under the label ``linial``.
+        scan_path: engine selector of the reduction steps (``"auto"`` /
+            ``"numpy"`` / ``"python"``; see :mod:`repro.core.engine`).
 
     Returns:
         ``(colors, num_colors)`` where ``colors[v]`` is the color of node
@@ -61,7 +64,7 @@ def linial_vertex_coloring(
     if not schedule:
         return colors, space
     xadj, adj = graph.adjacency_csr()
-    steps = polynomial_steps_numpy if resolve_use_numpy("auto", len(adj)) else polynomial_steps
+    steps = polynomial_steps_numpy if resolve_use_numpy(scan_path, len(adj)) else polynomial_steps
     colors = steps(colors, xadj, adj, schedule, tracker)
     q, _d = schedule[-1]
     return colors, q * q
@@ -70,6 +73,7 @@ def linial_vertex_coloring(
 def linial_edge_coloring(
     graph: Graph,
     tracker: Optional[RoundTracker] = None,
+    scan_path: str = "auto",
 ) -> Tuple[Dict[int, int], int]:
     """A proper O(Δ̄²)-edge coloring of ``graph`` in O(log* n) charged rounds.
 
@@ -78,13 +82,14 @@ def linial_edge_coloring(
     identifiers, so the algorithm also runs in the CONGEST model (each
     original node simulates its incident line-graph nodes).
 
+    ``scan_path`` selects the engine as in :func:`linial_vertex_coloring`.
     Returns ``(edge_colors, num_colors)`` with ``edge_colors`` keyed by
     edge index.
     """
     if graph.num_edges == 0:
         return {}, 1
     line = graph.line_graph()
-    colors, num_colors = linial_vertex_coloring(line, tracker=tracker)
+    colors, num_colors = linial_vertex_coloring(line, tracker=tracker, scan_path=scan_path)
     return {e: colors[e] for e in graph.edges()}, num_colors
 
 
@@ -97,28 +102,22 @@ class LinialNodeAlgorithm(NodeAlgorithm):
     current color to every neighbor, receive the neighbors' colors, apply
     the polynomial step.
 
-    The algorithm is a pure broadcast, so it ships a native batched-send
-    implementation (``batched_send = True``): each round the current
-    color is written once into the simulator's slot buffer via
-    ``outbox.broadcast`` instead of materializing a per-port dict.  The
-    dict-returning :meth:`send` is kept as the compatibility path; the
-    differential matrix pins both planes bit-identical.
-
-    Symmetrically it ships a native batched-receive implementation
-    (``batched_receive = True``): all nodes run the same ``(q, d)`` step
-    each round, so the phase-level :meth:`receive_batch` runs one
+    The algorithm is a pure broadcast: each round :meth:`send_batch`
+    writes the current color once into the simulator's slot buffer via
+    ``outbox.broadcast``.  All nodes run the same ``(q, d)`` step each
+    round, so the phase-level :meth:`receive_batch` runs one
     :func:`repro.coloring.color_reduction.conflict_free_step_numpy` over
     *all* incoming slots — the table is the distinct own colors and
     payloads — instead of ``n`` per-node python dispatches.  The
-    per-node :meth:`receive` stays as the bit-identical compatibility
-    twin, and the batch falls back to it whenever the sweep's
-    preconditions do not hold (numpy absent or steered off, non-``int``
-    payloads, ``None`` slots, int64 overflow, a non-contiguous unfinished
-    set).
+    per-node :meth:`receive` is its bit-identical python twin: it runs
+    under ``scan_path="python"`` (see :mod:`repro.core.engine`), and the
+    batch falls back to it whenever the sweep's preconditions do not hold
+    (numpy absent, non-``int`` payloads, ``None`` slots, int64 overflow,
+    a non-contiguous unfinished set).
     """
 
-    batched_send = True
-    batched_receive = True
+    def __init__(self, scan_path: str = "auto") -> None:
+        self.scan_path = scan_path
 
     def initialize(self, ctx: NodeContext) -> Dict[str, Any]:
         id_space = ctx.globals.get("id_space")
@@ -127,11 +126,6 @@ class LinialNodeAlgorithm(NodeAlgorithm):
         delta = ctx.globals["max_degree"]
         schedule = reduction_schedule(id_space, max(1, delta))
         return {"color": ctx.node_id, "schedule": schedule, "step": 0}
-
-    def send(self, ctx: NodeContext, state: Dict[str, Any], round_index: int) -> Dict[int, Any]:
-        if state["step"] >= len(state["schedule"]):
-            return {}
-        return {port: state["color"] for port in range(ctx.degree)}
 
     def send_batch(
         self, ctx: NodeContext, state: Dict[str, Any], round_index: int, outbox: Any
@@ -182,7 +176,7 @@ class LinialNodeAlgorithm(NodeAlgorithm):
             )
             lo, _ = inbox.slot_bounds(nodes[0])
             _, hi = inbox.slot_bounds(nodes[-1])
-            if uniform and resolve_use_numpy("auto", hi - lo):
+            if uniform and resolve_use_numpy(self.scan_path, hi - lo):
                 np = _np
                 q, d = schedule[step_index]
                 num = len(nodes)

@@ -81,8 +81,9 @@ def congest_edge_coloring(
         epsilon: the ε of Theorem 6.3 (the bound is (8+ε)Δ).
         params: practical parameter overrides.
         tracker: optional round tracker.
-        scan_path: orientation engine selector, forwarded to every
-            defective split (``"auto"`` / ``"numpy"`` / ``"python"``).
+        scan_path: engine selector, forwarded to the initial Linial
+            coloring and every defective split (``"auto"`` / ``"numpy"``
+            / ``"python"``).
     """
     params = params or parameters.DEFAULT_PARAMETERS
     own = RoundTracker()
@@ -99,7 +100,9 @@ def congest_edge_coloring(
         )
 
     # Initial O(Δ²)-vertex coloring, O(log* n) rounds.
-    vertex_colors, vertex_color_count = linial_vertex_coloring(graph, tracker=own)
+    vertex_colors, vertex_color_count = linial_vertex_coloring(
+        graph, tracker=own, scan_path=scan_path
+    )
 
     epsilon_defective = epsilon / 4.0
     epsilon_bipartite = epsilon / 2.0

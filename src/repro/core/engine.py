@@ -3,10 +3,13 @@
 Several hot paths ship two bit-identical implementations — a vectorized
 numpy engine and a pure-python reference twin: the orientation
 proposal/accept loop (:mod:`repro.core.balanced_orientation`), the
-color-reduction step (:mod:`repro.coloring.color_reduction`, run by
-vertex Linial, the line-graph schedule and the defective reduction), the
-local search of :mod:`repro.coloring.defective_vertex` and the defect
-measurement (:mod:`repro.core.defective_edge_coloring`).  They all
+color-reduction step (:mod:`repro.coloring.color_reduction`, run by the
+line-graph schedule and the defective reduction), Linial's two engines
+(:mod:`repro.coloring.linial`: the phase-level reduction steps of
+``linial_vertex_coloring`` and the vectorized ``receive_batch`` sweep of
+``LinialNodeAlgorithm`` on the simulator), the local search of
+:mod:`repro.coloring.defective_vertex` and the defect measurement
+(:mod:`repro.core.defective_edge_coloring`).  They all
 select their engine through :func:`resolve_use_numpy`, driven by one
 ``scan_path`` knob with identical semantics everywhere:
 

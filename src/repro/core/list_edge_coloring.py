@@ -449,9 +449,10 @@ def list_edge_coloring(
             instance, in which case the output is a (2Δ−1)-edge coloring.
         params: practical parameter overrides.
         tracker: optional round tracker.
-        scan_path: orientation engine selector (``"auto"`` / ``"numpy"``
-            / ``"python"``), forwarded to every defective split the
-            recursion performs; both forced engines are bit-identical.
+        scan_path: engine selector (``"auto"`` / ``"numpy"`` /
+            ``"python"``), forwarded to the initial Linial coloring and
+            every defective split the recursion performs; both forced
+            engines are bit-identical.
 
     Raises ``ValueError`` if the instance violates the (degree+1) condition.
     """
@@ -476,7 +477,9 @@ def list_edge_coloring(
             outer_iterations=0,
         )
 
-    vertex_colors, vertex_color_count = linial_vertex_coloring(graph, tracker=own)
+    vertex_colors, vertex_color_count = linial_vertex_coloring(
+        graph, tracker=own, scan_path=scan_path
+    )
     coloring: Dict[int, int] = {}
     level_degrees: List[int] = []
     max_outer = 2 * math.ceil(math.log2(max(2, graph.max_degree))) + 4

@@ -14,22 +14,17 @@ sizes estimated by :func:`message_size_bits` (see
 in :class:`ExecutionMetrics` (``max_message_bits``,
 ``congest_violations``); LOCAL runs skip the audit.
 
-Algorithms send either through per-round ``send()`` dicts or — on the
-batched send plane — by writing payloads straight into the flat
-slot-indexed round buffer through an :class:`OutboxWriter` view (see the
-batched-send contract on :class:`NodeAlgorithm`: slot ownership,
-``None``-payload semantics, audit equivalence).  Symmetrically, the
-receive side either hands each node a pooled :class:`PortInbox` view per
-round, or — on the batched receive plane — hands the algorithm one
-phase-level :class:`RoundInbox` view over the whole round's buffer and
-lets it sweep every incoming slot at once (see the batched-receive
-contract on :class:`NodeAlgorithm`: per-(node, port) slot ownership,
-``None`` slots are absent messages and never surface, views die with the
-round, late delivery stays per-node, and auditing lives on the send side
-so the totals are arithmetically identical).  All four send × receive
-plane combinations are bit-identical in outputs and metrics
-(``tests/test_differential_paths.py`` pins the matrix,
-``tests/test_receive_plane.py`` the edge semantics).
+Every round, each unfinished node writes its messages straight into the
+flat slot-indexed round buffer through a pooled :class:`OutboxWriter`,
+and the algorithm then drains the whole round at once from one
+phase-level :class:`RoundInbox` view (see the contract on
+:class:`NodeAlgorithm`: per-(node, port) slot ownership, ``None`` is an
+absent message and never surfaces, views die with the round, late
+delivery to finished nodes stays per-node).  Algorithms that only define
+per-node ``send()`` dicts and ``receive()`` hooks run through the base
+class's bridges, which hand ``receive()`` a pooled :class:`PortInbox`
+view per node (``tests/test_distributed_network.py`` pins the edge
+semantics).
 
 **Fault model.**  The simulator is perfectly reliable by default; a run
 opts into adversity by passing a :class:`FaultPlan`
@@ -45,11 +40,9 @@ stay equal to the fault-free totals of the same rounds, while the
 realized faults are reported in ``metrics.fault_summary``.
 *Determinism contract*: every decision is a pure splitmix64 hash of
 ``(plan.seed, fault channel, round, slot-or-node)`` — independent of
-iteration order, plane choice, worker count and process identity — so a
-fixed plan produces bit-identical outputs, metrics and fault statistics
-across all four send × receive plane combinations and any executor
-sharding (pinned by the fault matrix in
-``tests/test_differential_paths.py`` and ``tests/test_faults.py``).
+iteration order, worker count and process identity — so a fixed plan
+produces bit-identical outputs, metrics and fault statistics under any
+executor sharding (pinned by ``tests/test_faults.py``).
 """
 
 from repro.distributed.model import Model, congest_bit_budget

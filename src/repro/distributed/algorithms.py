@@ -47,73 +47,42 @@ class NodeAlgorithm:
     and :meth:`finished`.  Messages are addressed by *port*: the position
     of the neighbor in ``NodeContext.neighbor_ids``.
 
-    **Batched send contract.**  The simulator offers two send planes.
-    On the default *dict* plane it calls :meth:`send` and routes the
-    returned per-port dict.  On the *batched* plane it calls
-    :meth:`send_batch` with a pooled
+    **The message plane.**  Every round the simulator calls
+    :meth:`send_batch` once per unfinished node with a pooled
     :class:`repro.distributed.network.OutboxWriter` bound to the node's
-    slots, and the algorithm writes payloads straight into the flat
-    slot-indexed round buffer — no per-round dict is ever built.  The
+    slots, then :meth:`receive_batch` **once** with a phase-level
+    :class:`repro.distributed.network.RoundInbox` over the whole round's
+    flat slot buffer and the ascending list of unfinished nodes.  The
     contract:
 
-    * the writer is only valid for the duration of the ``send_batch``
-      call, and only for the bound node's ports (*slot ownership*: port
-      ``p`` of node ``v`` owns exactly one buffer slot per round, and no
-      other node can write it);
-    * writing ``None`` is a no-op — exactly like omitting the port from
-      (or storing ``None`` in) a ``send()`` dict, a ``None`` payload is
-      *not sent*: it is neither delivered, nor counted, nor audited;
-    * each port should be written at most once per round (a second write
-      overwrites the payload but both writes count as sent messages);
-    * metrics and CONGEST auditing are bit-identical across the two
-      planes (*audit equivalence*): same message counts, same
-      ``max_message_bits``, same ordered violation list.
+    * *slot ownership*: port ``p`` of node ``v`` owns exactly one slot
+      ``xadj[v] + p`` of the round buffer.  A node writes only its own
+      ports, and a batched receive reads only the slots of the nodes it
+      was handed;
+    * ``None`` means *no message*: writing ``None`` (or storing it in a
+      ``send()`` dict) sends nothing — the payload is neither delivered,
+      nor counted, nor audited — and a ``None`` slot is never surfaced
+      by the per-node views, so batched implementations must skip it;
+    * each port should be written at most once per round (a second
+      write overwrites the payload but both writes count as sent
+      messages);
+    * every view is only valid for the duration of the call it was
+      passed to (the simulator clears the round's slots afterwards);
+      payloads that must outlive the call have to be copied out;
+    * *late delivery*: a message that reaches an already-finished node
+      is handed to the per-node :meth:`receive` hook after the
+      phase-level call.
 
-    Algorithms with a native batched implementation set the class
-    attribute ``batched_send = True`` (the simulator's ``"auto"`` mode
-    then picks the batched plane) and override :meth:`send_batch`; the
-    default implementation bridges to :meth:`send`, so *any* algorithm
-    can be forced onto either plane for differential testing.
-
-    **Batched receive contract.**  Symmetrically, the simulator offers
-    two receive planes.  On the default *dict* plane it calls
-    :meth:`receive` once per unfinished node with a pooled
-    :class:`repro.distributed.network.PortInbox` view.  On the *batched*
-    plane it calls :meth:`receive_batch` **once per round** with a
-    phase-level :class:`repro.distributed.network.RoundInbox` view over
-    the whole round's flat slot buffer and the ascending list of
-    unfinished nodes.  The contract:
-
-    * *slot ownership*: slot ``xadj[v] + p`` of the round buffer belongs
-      to port ``p`` of node ``v``; a batched implementation may only
-      read the slots of the nodes it was handed;
-    * ``None`` slots mean *no message arrived on that port* — they are
-      never surfaced by the dict plane's views, and batched
-      implementations must skip them the same way;
-    * the view is only valid for the duration of the ``receive_batch``
-      call (the simulator clears the round's slots afterwards); payloads
-      that must outlive the call have to be copied out;
-    * late delivery to already-finished nodes always runs through the
-      per-node :meth:`receive` hook, on both planes, after the
-      phase-level call;
-    * metrics and CONGEST auditing happen on the send side, so they are
-      bit-identical across the receive planes by construction (*audit
-      equivalence*); outputs and round counts must match too — the
-      differential matrix pins all four plane combinations.
-
-    Algorithms with a native phase-level implementation set
-    ``batched_receive = True`` and override :meth:`receive_batch`; the
-    default bridges to :meth:`receive`, so *any* algorithm can be forced
-    onto either receive plane for differential testing.
+    **The per-node bridges.**  The default :meth:`send_batch` writes the
+    per-port dict returned by :meth:`send` into the writer, and the
+    default :meth:`receive_batch` calls :meth:`receive` for each node
+    with a pooled :class:`repro.distributed.network.PortInbox` view, so
+    an algorithm that only defines the per-node hooks runs unchanged.
+    Native implementations (e.g.
+    :class:`repro.coloring.linial.LinialNodeAlgorithm`) override the
+    batched hooks, typically with ``outbox.broadcast(payload)`` and one
+    vectorized sweep over every incoming slot.
     """
-
-    #: Whether the simulator's ``"auto"`` send plane should use
-    #: :meth:`send_batch` (native batched implementations set this).
-    batched_send = False
-
-    #: Whether the simulator's ``"auto"`` receive plane should use
-    #: :meth:`receive_batch` (native phase-level implementations set this).
-    batched_receive = False
 
     def initialize(self, ctx: NodeContext) -> Dict[str, Any]:
         """Initial local state of the node."""
@@ -128,10 +97,10 @@ class NodeAlgorithm:
     ) -> None:
         """Write this round's messages into ``outbox`` (an ``OutboxWriter``).
 
-        The default bridges to :meth:`send`, so every algorithm runs on
-        the batched plane; native implementations override this (see the
-        class docstring for the contract) and typically use
-        ``outbox.broadcast(payload)`` or ``outbox[port] = payload``.
+        The default bridges to :meth:`send`; native implementations
+        override this (see the class docstring for the contract) and
+        typically use ``outbox.broadcast(payload)`` or
+        ``outbox[port] = payload``.
         """
         for port, payload in self.send(ctx, state, round_index).items():
             outbox[port] = payload
@@ -164,10 +133,9 @@ class NodeAlgorithm:
         ``inbox`` is a :class:`repro.distributed.network.RoundInbox`
         covering the whole round's slot buffer; ``nodes`` lists the
         unfinished nodes in ascending order.  The default bridges to the
-        per-node :meth:`receive` through pooled views — bit-identical to
-        the dict plane — so every algorithm runs on the batched plane;
-        native implementations override this (see the class docstring
-        for the contract) and typically sweep all slots as arrays.
+        per-node :meth:`receive` through pooled views; native
+        implementations override this (see the class docstring for the
+        contract) and typically sweep all slots as arrays.
         """
         receive = self.receive
         for v in nodes:

@@ -6,16 +6,14 @@ by default.  This module turns "the algorithm is distributed" into a
 measurable claim: an opt-in :class:`FaultPlan` makes
 :meth:`repro.distributed.network.SynchronousNetwork.run` drop, delay and
 duplicate messages and crash-stop nodes — deterministically, derived
-from a seed, identically across every send × receive plane combination.
+from a seed.
 
 **Fault model.**  Faults are applied to the flat slot-indexed round
 buffer *after* the send phase (and its CONGEST audit) and *before* the
-receive phase.  Because both send planes produce bit-identical buffer
-contents (the twin discipline), and the fault decisions below depend
-only on ``(seed, round, slot)`` — never on iteration order, plane
-choice, worker identity or wall clock — a fixed plan yields
-bit-identical outputs, metrics and fault statistics across all four
-send × receive combinations.  The supported faults:
+receive phase.  The fault decisions below depend only on ``(seed,
+round, slot)`` — never on iteration order, worker identity or wall
+clock — so a fixed plan yields bit-identical outputs, metrics and fault
+statistics.  The supported faults:
 
 * **drop** — a delivered payload is erased from its slot; the receiver
   sees an absent message (``None`` slot), exactly as if the sender had
@@ -44,10 +42,9 @@ run of the same rounds; what the receivers actually saw is recorded in
 of ``(plan.seed, fault channel, round, slot)`` through a splitmix64
 hash; every per-node crash decision of ``(plan.seed, channel, node)``.
 There is no shared RNG stream to consume out of order, so the decisions
-are independent of how many other faults fired, of the send plane's
+are independent of how many other faults fired, of the send phase's
 write order, and of the process executing the run — the property the
-runtime's bit-identical-rows guarantee and the differential matrix
-(``tests/test_differential_paths.py``) rely on.
+runtime's bit-identical-rows guarantee relies on.
 """
 
 from __future__ import annotations
@@ -80,7 +77,7 @@ def fault_unit(seed: int, channel: int, a: int, b: int = 0) -> float:
 
     Pure function of ``(seed, channel, a, b)`` — typically
     ``(plan.seed, fault type, round, slot)`` — so decisions are
-    order-independent and identical across planes and processes.
+    order-independent and identical across processes.
     """
     h = _mix(seed & _MASK64 ^ _mix(channel))
     h = _mix(h ^ a & _MASK64)

@@ -14,17 +14,17 @@ would take:
 The estimates only need to be accurate up to constant factors — the
 CONGEST bound itself is O(log n) bits.
 
-Three auditing entry points are provided.  :meth:`CongestAuditor.record`
-sizes one payload at a time; :meth:`CongestAuditor.record_batch` sizes a
-whole round of payloads in one call, memoizing the size of repeated
-scalar payloads (distributed algorithms overwhelmingly resend the same
-few values — colors, identifiers — to every neighbor); and
-:meth:`CongestAuditor.record_batch_grouped` takes ``(payload, count)``
-pairs so a broadcast is sized **once** and accounted arithmetically —
-this is what the simulator's batched send plane emits.  All three
-maintain exactly the same counters: per-payload sizes, totals, the
-running maximum and the ordered violation list are bit-identical
-whichever entry point delivered the payloads.
+Two auditing entry points are provided.  :meth:`CongestAuditor.record`
+sizes one payload at a time and is the per-message reference;
+:meth:`CongestAuditor.record_batch_grouped` takes a whole round of
+``(payload, count)`` pairs, so a broadcast is sized **once** and
+accounted arithmetically, and memoizes the size of repeated scalar
+payloads (distributed algorithms overwhelmingly resend the same few
+values — colors, identifiers — to every neighbor).  This is what the
+simulator's send phase emits.  Both maintain exactly the same counters:
+per-payload sizes, totals, the running maximum and the ordered
+violation list are bit-identical whichever entry point delivered the
+payloads.
 """
 
 from __future__ import annotations
@@ -96,57 +96,6 @@ class CongestAuditor:
                 )
         return bits
 
-    def record_batch(self, payloads: Iterable[Any]) -> int:
-        """Record a whole round of messages at once; returns the batch maximum.
-
-        Equivalent to calling :meth:`record` on every payload in order
-        (same counters, same violation list, and in strict mode the raise
-        happens at the first violating payload, with every payload up to
-        and including it recorded) — but the budget is read once, and the
-        sizes of repeated ``int`` / ``str`` payloads are memoized within
-        the batch.  The memo is keyed by value and deliberately restricted
-        to those two exact types: ``bool`` (``True == 1``) and ``float``
-        (``1.0 == 1``) payloads compare equal to integers while sizing
-        differently, so they — and all containers — fall through to a
-        direct :func:`message_size_bits` call.
-
-        Returns 0 for an empty batch (``max_bits`` is untouched).
-        """
-        budget = self.budget_bits
-        memo: Dict[Any, int] = {}
-        violations = self.violations
-        count = 0
-        total = 0
-        batch_max = 0
-        for payload in payloads:
-            kind = type(payload)
-            if kind is int or kind is str:
-                bits = memo.get(payload)
-                if bits is None:
-                    bits = message_size_bits(payload)
-                    memo[payload] = bits
-            else:
-                bits = message_size_bits(payload)
-            count += 1
-            total += bits
-            if bits > batch_max:
-                batch_max = bits
-            if bits > budget:
-                violations.append(bits)
-                if self.strict:
-                    self.messages_recorded += count
-                    self.total_bits += total
-                    if batch_max > self.max_bits:
-                        self.max_bits = batch_max
-                    raise ValueError(
-                        f"CONGEST violation: message of {bits} bits exceeds budget of {budget} bits"
-                    )
-        self.messages_recorded += count
-        self.total_bits += total
-        if batch_max > self.max_bits:
-            self.max_bits = batch_max
-        return batch_max
-
     def record_batch_grouped(self, groups: Iterable[Tuple[Any, int]]) -> int:
         """Record ``(payload, count)`` pairs; returns the batch maximum.
 
@@ -155,12 +104,11 @@ class CongestAuditor:
         ``max_bits`` counters and an identical violation list (a
         violating payload appends its size ``count`` times) — but each
         distinct payload is sized exactly once.  This is the entry point
-        of the simulator's batched send plane, where a broadcast arrives
-        as one pair instead of ``degree`` repeated payloads; the
-        equivalence is what makes batched and per-message auditing
-        bit-identical.  In strict mode the raise happens at the first
-        violating payload, with every payload up to and including it
-        recorded (the remainder of its group is not).
+        of the simulator's send phase, where a broadcast arrives as one
+        pair instead of ``degree`` repeated payloads.  In strict mode the
+        raise happens at the first violating payload, with every payload
+        up to and including it recorded (the remainder of its group is
+        not).
 
         Returns 0 for an empty iterable (``max_bits`` is untouched).
         """
@@ -173,8 +121,9 @@ class CongestAuditor:
         for payload, count in groups:
             if count <= 0:
                 continue
-            # Same memo discipline as record_batch: exact int/str only
-            # (bool/float compare equal to ints but size differently).
+            # The memo is keyed by value, so it holds exact int/str only:
+            # bool (True == 1) and float (1.0 == 1) compare equal to ints
+            # but size differently.
             kind = type(payload)
             if kind is int or kind is str:
                 bits = memo.get(payload)

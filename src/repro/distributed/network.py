@@ -16,69 +16,52 @@ per-message dicts of the naive implementation.  Routing a message is two
 array reads — the neighbor from the adjacency array, the destination
 slot from the precomputed reverse-slot array
 (:meth:`repro.graphs.core.Graph.reverse_slot_csr`) — and a single write;
-no ``(v, w)`` dict lookups, no per-node inbox dicts.  ``receive()`` is
-handed a pooled :class:`PortInbox` view of the node's buffer row instead
-of a fresh dict.
+no ``(v, w)`` dict lookups, no per-node inbox dicts.
 
-Two *send planes* feed the buffer (the ``send_plane`` knob of
-:meth:`SynchronousNetwork.run`):
+Every round has one send phase and one receive phase:
 
-* the **dict plane** — the compatibility path: every round each node's
-  ``send()`` returns a per-port dict that the simulator routes;
-* the **batched plane** — each node's ``send_batch()`` receives a pooled
+* **send** — each unfinished node's ``send_batch()`` receives a pooled
   :class:`OutboxWriter` bound to the node's slots and writes payloads
   straight into the destination slots of the round buffer.  A broadcast
   is one tight loop over the node's reverse-slot row, and its CONGEST
   audit is a single ``(payload, count)`` group
   (:meth:`repro.distributed.messages.CongestAuditor.
-  record_batch_grouped`) instead of ``degree`` repeated payloads.
-
-Two *receive planes* drain the buffer (the ``receive_plane`` knob):
-
-* the **dict plane** — the compatibility path: every round each
-  unfinished node's ``receive()`` is handed a pooled :class:`PortInbox`
-  view of its buffer row;
-* the **batched plane** — the simulator calls
-  ``algorithm.receive_batch()`` **once per round** with a phase-level
-  :class:`RoundInbox` view over the whole round's flat buffer and the
-  list of unfinished nodes.  A native implementation (e.g.
+  record_batch_grouped`) instead of ``degree`` repeated payloads;
+* **receive** — the simulator calls ``algorithm.receive_batch()`` once
+  per round with a phase-level :class:`RoundInbox` view over the whole
+  round's flat buffer and the ascending list of unfinished nodes.  A
+  native implementation (e.g.
   :class:`repro.coloring.linial.LinialNodeAlgorithm`) processes all
   incoming slots of the round as one vectorized sweep instead of ``n``
-  python dispatches; the default implementation bridges to the per-node
-  ``receive()`` via pooled views, so any algorithm runs on either plane.
+  python dispatches.
 
-Batched-receive contract (*slot ownership*, ``None`` semantics, audit
-equivalence):
+Algorithms that only define the per-node ``send()`` / ``receive()``
+hooks run through the :class:`~repro.distributed.algorithms.
+NodeAlgorithm` bridges: the default ``send_batch`` writes the returned
+per-port dict into the writer, and the default ``receive_batch`` hands
+each node a pooled :class:`PortInbox` view of its buffer row.
+
+The contract (*slot ownership*, ``None`` semantics, late delivery):
 
 * slot ``xadj[v] + p`` is owned by (node ``v``, port ``p``) for the
   duration of one round: it either holds the payload delivered to that
   port this round or ``None``.  ``None`` slots are *absent* messages —
-  they are never surfaced by :class:`PortInbox`, and batched
-  implementations must skip them exactly like the dict plane does
-  (a ``None`` payload is never sent, delivered, counted or audited);
-* the :class:`RoundInbox` (and every view derived from it) is only
-  valid during the ``receive_batch`` call — the simulator clears the
-  written slots right after the receive phase, so payloads that must
-  outlive the round have to be copied out;
+  a ``None`` payload is never sent, delivered, counted or audited, and
+  :class:`PortInbox` never surfaces it;
+* every view (:class:`OutboxWriter`, :class:`RoundInbox`,
+  :class:`PortInbox`) is pooled and only valid during the call it was
+  passed to — the simulator clears the written slots right after the
+  receive phase, so payloads that must outlive the round have to be
+  copied out;
 * late delivery to *finished* nodes always runs through the per-node
-  ``receive()`` hook, on both planes, after the phase-level call — the
-  unfinished set handed to ``receive_batch`` never contains a finished
-  node;
-* CONGEST auditing happens on the send side and is therefore untouched
-  by the receive plane: message counts, ``max_message_bits`` and the
-  ordered violation list are arithmetically identical across all four
-  send × receive plane combinations.
-
-All observable behaviour — delivery order, metrics, violation lists — is
-identical across the planes (and to the historical per-message
-implementation); the differential matrix in
-``tests/test_differential_paths.py`` pins the equivalence.
+  ``receive()`` hook, after the phase-level call — the unfinished set
+  handed to ``receive_batch`` never contains a finished node.
 
 Fault model: :meth:`SynchronousNetwork.run` optionally applies a
 deterministic, seed-derived :class:`repro.distributed.faults.FaultPlan`
 to the flat slot buffer between the send phase (and its audit) and the
 receive phase — message drops, delays, duplicates and node crash-stops
-that are bit-identical across all four plane combinations.  See
+that are a pure function of the plan.  See
 :mod:`repro.distributed.faults` for the full fault model and
 determinism contract; without a plan the simulator stays perfectly
 reliable and pays nothing.
@@ -91,7 +74,7 @@ holds the largest observed size and ``metrics.congest_violations``
 counts the payloads over budget.  LOCAL runs skip the audit entirely
 (``congest_budget_bits`` is ``None``).  ``None`` payloads are never
 sent: they are not delivered, not counted in ``metrics.messages`` and
-not audited, on either plane.
+not audited.
 """
 
 from __future__ import annotations
@@ -105,10 +88,6 @@ from repro.distributed.messages import CongestAuditor
 from repro.distributed.metrics import ExecutionMetrics
 from repro.distributed.model import Model
 from repro.graphs.core import Graph
-
-#: Recognized values of the ``send_plane`` and ``receive_plane`` knobs.
-PLANES = ("auto", "batched", "dict")
-
 
 class PortInbox:
     """A read-only, port-keyed view of one node's received messages.
@@ -211,13 +190,12 @@ class PortInbox:
 class RoundInbox:
     """A phase-level, slot-indexed view over one round's whole inbox buffer.
 
-    The batched-receive counterpart of :class:`PortInbox`: instead of one
-    per-node view per ``receive()`` call, the simulator hands **one**
-    instance to ``algorithm.receive_batch()`` per round, covering every
-    node's slots at once.  Slot ``xadj[v] + p`` holds the payload
-    delivered to port ``p`` of node ``v`` this round, or ``None`` when
-    nothing arrived on that port (``None`` is *absence*, never a
-    payload — see the module docstring for the full contract).
+    The simulator hands **one** instance to ``algorithm.receive_batch()``
+    per round, covering every node's slots at once.  Slot ``xadj[v] + p``
+    holds the payload delivered to port ``p`` of node ``v`` this round,
+    or ``None`` when nothing arrived on that port (``None`` is
+    *absence*, never a payload — see the module docstring for the full
+    contract).
 
     Native batched algorithms read :attr:`buffer` / :meth:`slot_bounds`
     directly and sweep all slots as arrays; :meth:`node` returns a pooled
@@ -256,7 +234,7 @@ class RoundInbox:
 class OutboxWriter:
     """A write-only, port-keyed view of one node's outgoing slots.
 
-    The batched-send counterpart of :class:`PortInbox`: the simulator
+    The write-side counterpart of :class:`PortInbox`: the simulator
     pools **one** instance per run and rebinds it to each unfinished node
     before calling ``send_batch()``.  Writes go straight to the
     destination slot of the flat round buffer (via the graph's
@@ -440,28 +418,10 @@ class SynchronousNetwork:
         """The model the network simulates."""
         return self._model
 
-    def _coerce_port(self, v: int, port: Any, rounds: int) -> int:
-        """Validate a non-``int``-typed outbox key (slow path).
-
-        Index-like values (e.g. numpy integers) are converted; anything
-        else — floats, strings, tuples — is rejected with a clear error
-        naming the node and round instead of surfacing as a confusing
-        ``TypeError`` from a downstream comparison or list index.
-        """
-        try:
-            return operator.index(port)
-        except TypeError:
-            raise TypeError(
-                f"node {self._contexts[v].node_id} keyed an outbox entry with "
-                f"{port!r} in round {rounds}: ports must be integers"
-            ) from None
-
     def run(
         self,
         algorithm: NodeAlgorithm,
         max_rounds: int = 10_000,
-        send_plane: str = "auto",
-        receive_plane: str = "auto",
         fault_plan: Optional[FaultPlan] = None,
     ) -> Tuple[List[Any], ExecutionMetrics]:
         """Run ``algorithm`` on every node until all nodes are finished.
@@ -471,24 +431,11 @@ class SynchronousNetwork:
         ``max_rounds`` rounds (an algorithm that finishes in exactly
         ``max_rounds`` rounds terminates normally).
 
-        ``send_plane`` selects how outgoing messages enter the round
-        buffer: ``"dict"`` calls ``algorithm.send()`` and routes the
-        returned per-port dicts; ``"batched"`` hands a pooled
-        :class:`OutboxWriter` to ``algorithm.send_batch()`` (every
-        algorithm supports this — the base class bridges to ``send()``);
-        ``"auto"`` picks the batched plane when the algorithm declares
-        ``batched_send = True`` and the dict plane otherwise.
-
-        ``receive_plane`` symmetrically selects how the round's messages
-        are drained: ``"dict"`` calls the per-node ``receive()`` with a
-        pooled :class:`PortInbox` view; ``"batched"`` calls
-        ``algorithm.receive_batch()`` once per round with a phase-level
-        :class:`RoundInbox` view over the whole buffer and the list of
-        unfinished nodes (every algorithm supports this — the base class
-        bridges back to ``receive()``); ``"auto"`` picks the batched
-        plane when the algorithm declares ``batched_receive = True``.
-        All four send × receive combinations produce bit-identical
-        outputs and metrics.
+        Each round calls ``algorithm.send_batch()`` once per unfinished
+        node with a pooled :class:`OutboxWriter`, then
+        ``algorithm.receive_batch()`` once with a phase-level
+        :class:`RoundInbox` over the whole buffer (see the module
+        docstring for the contract and the per-node bridges).
 
         ``fault_plan`` opts the run into the deterministic
         fault-injection plane (:mod:`repro.distributed.faults`): the
@@ -496,34 +443,19 @@ class SynchronousNetwork:
         buffer *after* the send phase and its CONGEST audit and *before*
         the receive phase, and crash-stopped nodes are halted at the
         start of their crash round — so a fixed plan produces
-        bit-identical outputs, metrics and fault statistics across all
-        four plane combinations.  ``metrics.messages`` and the audit
-        keep counting *sent* payloads; the realized faults land in
-        ``metrics.fault_summary``.  ``None`` (the default) bypasses the
-        plane entirely.
+        bit-identical outputs, metrics and fault statistics.
+        ``metrics.messages`` and the audit keep counting *sent*
+        payloads; the realized faults land in ``metrics.fault_summary``.
+        ``None`` (the default) bypasses the plane entirely.
 
         The simulator tracks the set of unfinished nodes instead of
         re-querying every node each round: a node reporting finished is
         assumed to stay finished (termination is monotone in the LOCAL /
         CONGEST models), it no longer sends, and its ``receive`` hook only
-        runs in rounds where messages actually arrive for it (late
-        delivery runs through the per-node hook on both receive planes).
-
-        Messages move through a flat slot-indexed buffer over the CSR
-        adjacency (see the module docstring); ``receive()`` gets a pooled
-        :class:`PortInbox` view of the node's row, valid only for that
-        call.  Only the slots written this round are cleared afterwards,
-        so a round costs O(messages), not O(m).
+        runs in rounds where messages actually arrive for it.  Only the
+        slots written this round are cleared afterwards, so a round
+        costs O(messages), not O(m).
         """
-        for name, plane in (("send_plane", send_plane), ("receive_plane", receive_plane)):
-            if plane not in PLANES:
-                raise ValueError(f"unknown {name} {plane!r}: expected one of {PLANES}")
-        use_batched = send_plane == "batched" or (
-            send_plane == "auto" and bool(getattr(algorithm, "batched_send", False))
-        )
-        use_batched_receive = receive_plane == "batched" or (
-            receive_plane == "auto" and bool(getattr(algorithm, "batched_receive", False))
-        )
         contexts = self._contexts
         states = [algorithm.initialize(ctx) for ctx in contexts]
         auditor = self._auditor
@@ -550,9 +482,7 @@ class SynchronousNetwork:
         inbox_buf: List[Any] = [None] * len(adj)
         touched: List[int] = []  # slots written this round
         receivers: set = set()  # nodes with >= 1 message this round
-        inbox = PortInbox(inbox_buf)
-        round_inbox = RoundInbox(inbox_buf, xadj) if use_batched_receive else None
-        batch: List[Any] = []  # dict plane: this round's payloads for the audit
+        round_inbox = RoundInbox(inbox_buf, xadj)
         groups: Optional[List[Tuple[Any, int]]] = [] if auditor is not None else None
         writer = OutboxWriter(
             inbox_buf, adj, rev_slot, touched, receivers, groups, contexts
@@ -580,85 +510,33 @@ class SynchronousNetwork:
             # fault plane always tracks: deferred re-deliveries may land
             # after the receiver finished.
             track_receivers = len(unfinished) < n or injector is not None
-            if use_batched:
-                writer._receivers = receivers if track_receivers else None
-                writer.sent = 0
-                for v in unfinished:
-                    algorithm.send_batch(
-                        contexts[v],
-                        states[v],
-                        rounds,
-                        writer._bind(xadj[v], xadj[v + 1], v, rounds),
-                    )
-                metrics.messages += writer.sent
-                if groups:
-                    batch_max = auditor.record_batch_grouped(groups)
-                    if batch_max > metrics.max_message_bits:
-                        metrics.max_message_bits = batch_max
-                    groups.clear()
-            else:
-                sent = 0
-                for v in unfinished:
-                    outbox = algorithm.send(contexts[v], states[v], rounds)
-                    if not outbox:
-                        continue
-                    base = xadj[v]
-                    degree = xadj[v + 1] - base
-                    for port, payload in outbox.items():
-                        if type(port) is not int:
-                            port = self._coerce_port(v, port, rounds)
-                        if port < 0 or port >= degree:
-                            raise ValueError(
-                                f"node {contexts[v].node_id} sent on invalid port "
-                                f"{port} in round {rounds}: valid ports are "
-                                f"0..{degree - 1}"
-                            )
-                        if payload is None:
-                            continue
-                        slot = base + port
-                        dest = rev_slot[slot]
-                        inbox_buf[dest] = payload
-                        touched.append(dest)
-                        if track_receivers:
-                            receivers.add(adj[slot])
-                        sent += 1
-                        if auditor is not None:
-                            batch.append(payload)
-                metrics.messages += sent
-                if batch:
-                    batch_max = auditor.record_batch(batch)
-                    if batch_max > metrics.max_message_bits:
-                        metrics.max_message_bits = batch_max
-                    batch.clear()
+            writer._receivers = receivers if track_receivers else None
+            writer.sent = 0
+            for v in unfinished:
+                algorithm.send_batch(
+                    contexts[v],
+                    states[v],
+                    rounds,
+                    writer._bind(xadj[v], xadj[v + 1], v, rounds),
+                )
+            metrics.messages += writer.sent
+            if groups:
+                batch_max = auditor.record_batch_grouped(groups)
+                if batch_max > metrics.max_message_bits:
+                    metrics.max_message_bits = batch_max
+                groups.clear()
             if injector is not None:
-                # Post-send, pre-receive: both send planes have produced
-                # the identical buffer (and identical audit totals), so
-                # faulting here keeps all plane combinations bit-identical.
+                # Post-send, pre-receive: the buffer and the audit totals
+                # are final for this round, so faults never touch them.
                 injector.apply(rounds, inbox_buf, touched, receivers)
-            if use_batched_receive:
-                # Phase-level drain: one call covers every unfinished
-                # node's slots this round (the bridge in NodeAlgorithm
-                # reproduces the per-node loop below bit-identically).
-                algorithm.receive_batch(contexts, states, unfinished, round_inbox, rounds)
-            else:
-                receive = algorithm.receive
-                for v in unfinished:
-                    # Inlined PortInbox._bind (one attribute pair instead
-                    # of a method call per node per round).
-                    start = xadj[v]
-                    inbox._start = start
-                    inbox._degree = xadj[v + 1] - start
-                    receive(contexts[v], states[v], inbox, rounds)
+            algorithm.receive_batch(contexts, states, unfinished, round_inbox, rounds)
             if receivers:
                 # Finished nodes still observe late messages addressed to them.
                 unfinished_set = set(unfinished)
                 for v in sorted(receivers):
                     if v not in unfinished_set:
                         algorithm.receive(
-                            contexts[v],
-                            states[v],
-                            inbox._bind(xadj[v], xadj[v + 1] - xadj[v]),
-                            rounds,
+                            contexts[v], states[v], round_inbox.node(v), rounds
                         )
                 receivers.clear()
             # Clearing: O(messages) slot resets, or one C-level copy of

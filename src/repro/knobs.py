@@ -5,7 +5,7 @@ picks which twin runs.  Each row of :data:`KNOBS` gives a knob's name,
 environment variable, allowed values (a tuple kept next to the code it
 selects) and default.  The runtime's :class:`~repro.runtime.spec.Knobs`
 and cache keys, the CLI flags, the benchmark metadata and the
-orientation engine's process-wide override all iterate this table.
+``scan_path`` engines' process-wide override all iterate this table.
 
 Resolution is *explicit value > environment > default*, where an
 explicit default (``"auto"``) counts as unset, so a row records the
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.engine import SCAN_PATHS
-from repro.distributed.network import PLANES
 from repro.serving.repair import REPAIR_PATHS
 
 
@@ -58,9 +57,7 @@ class Knob:
 KNOBS = {
     knob.name: knob
     for knob in (
-        Knob("scan_path", "REPRO_SCAN_PATH", SCAN_PATHS, "orientation engine knob"),
-        Knob("send_plane", "REPRO_SEND_PLANE", PLANES, "simulator send plane knob"),
-        Knob("receive_plane", "REPRO_RECEIVE_PLANE", PLANES, "simulator receive plane knob"),
+        Knob("scan_path", "REPRO_SCAN_PATH", SCAN_PATHS, "numpy/python engine knob"),
         Knob("repair_path", "REPRO_REPAIR_PATH", REPAIR_PATHS, "serving delta-repair twin knob"),
     )
 }

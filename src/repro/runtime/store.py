@@ -258,8 +258,8 @@ def strip_timing(
 
     With ``ignore_knobs`` the resolved engine knobs and the cache key
     (which folds them in) are dropped too — the projection used to
-    compare runs across ``scan_path`` / ``send_plane`` /
-    ``receive_plane`` settings, which are bit-identical by contract.
+    compare runs across ``scan_path`` / ``repair_path`` settings, which
+    are bit-identical by contract.
     """
     drop = {"timing", "knobs", "key"} if ignore_knobs else {"timing"}
     return {key: value for key, value in row.items() if key not in drop}

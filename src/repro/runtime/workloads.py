@@ -394,8 +394,8 @@ def run_round_scaling_suite(ctx: CellContext) -> Dict[str, object]:
     def solve(graph):
         local = api.color_edges_local(graph, scan_path=ctx.knobs.scan_path)
         congest = api.color_edges_congest(graph, epsilon=0.5, scan_path=ctx.knobs.scan_path)
-        greedy = greedy_baseline_edge_coloring(graph)
-        linear = linear_in_delta_edge_coloring(graph)
+        greedy = greedy_baseline_edge_coloring(graph, scan_path=ctx.knobs.scan_path)
+        linear = linear_in_delta_edge_coloring(graph, scan_path=ctx.knobs.scan_path)
         rand = randomized_edge_coloring(graph, seed=int(ctx.params["rand_seed"]))
         return local, congest, greedy, linear, rand
 
@@ -436,8 +436,10 @@ def run_logstar_growth(ctx: CellContext) -> Dict[str, object]:
 
     def solve(graph):
         tracker = RoundTracker()
-        colors, num_colors = linial_vertex_coloring(graph, tracker=tracker)
-        baseline = greedy_baseline_edge_coloring(graph)
+        colors, num_colors = linial_vertex_coloring(
+            graph, tracker=tracker, scan_path=ctx.knobs.scan_path
+        )
+        baseline = greedy_baseline_edge_coloring(graph, scan_path=ctx.knobs.scan_path)
         return tracker.total, colors, num_colors, baseline
 
     def verify(graph, outcomes, _wall):
@@ -478,10 +480,9 @@ def _linial_cell(ctx: CellContext, name: str, verify, fault_plan=None) -> Dict[s
     def solve(instance):
         return api.run_linial_network(
             instance[0],
-            send_plane=ctx.knobs.send_plane,
-            receive_plane=ctx.knobs.receive_plane,
             network=instance[1],
             fault_plan=fault_plan,
+            scan_path=ctx.knobs.scan_path,
         )
 
     return _cell(ctx, name, setup, solve, verify)

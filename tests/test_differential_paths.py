@@ -2,19 +2,18 @@
 
 Each vectorized engine ships with a pure-python (or per-node) reference
 twin: the orientation proposal/accept loop, the local-search round loop,
-the simulator's batched send *and* receive planes, and the one
+the simulator's broadcast against per-port writes, and the one
 color-reduction engine pair of :mod:`repro.coloring.color_reduction`,
-whose callers are vertex Linial, the line-graph schedule, the batched
-Linial receive and the defective min-conflict reduction.  This matrix
-runs a seeded randomized sweep (varying n, Δ, bipartite/general
-topology, both sides of the engine-size threshold and of the legacy
-384-edge mark) and asserts the twins are
+whose callers are vertex Linial, the line-graph schedule, Linial's
+vectorized receive on the simulator and the defective min-conflict
+reduction.  This matrix runs a seeded randomized sweep (varying n, Δ,
+bipartite/general topology, both sides of the engine-size threshold and
+of the legacy 384-edge mark) and asserts the twins are
 **bit-identical**: same colorings, orientations, round counts and
-CONGEST metrics, down to dict contents and violation lists.  The
-simulator planes are checked over the full send × receive combination
-matrix.  CI runs the matrix twice more with ``REPRO_SCAN_PATH`` forcing
-each engine across the whole suite, and the scenario-runtime job diffs
-result stores across the plane knobs.
+CONGEST metrics, down to dict contents and violation lists.  CI runs the
+matrix twice more with ``REPRO_SCAN_PATH`` forcing each engine across
+the whole suite, and the scenario-runtime job diffs result stores
+across the ``scan_path`` and ``repair_path`` knobs.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from repro.graphs import generators
 from repro.graphs.core import Graph, degrees_within
 from repro.graphs.identifiers import id_space_size
 from repro.verification.checkers import is_proper_edge_coloring
+from simulator_reference import RaggedSender
 
 requires_numpy = pytest.mark.skipif(_np is None, reason="numpy not installed")
 
@@ -219,30 +219,29 @@ class TestVertexLinialEngineMatrix:
     """linial_vertex_coloring under both forced color-reduction engines."""
 
     @staticmethod
-    def _run(monkeypatch, graph, path):
+    def _run(graph, path):
         from repro.coloring.linial import linial_vertex_coloring
 
-        _force_engine(monkeypatch, path)
         tracker = RoundTracker()
-        colors, num_colors = linial_vertex_coloring(graph, tracker=tracker)
+        colors, num_colors = linial_vertex_coloring(graph, tracker=tracker, scan_path=path)
         return colors, num_colors, tracker.breakdown
 
-    def _assert_engines_agree(self, monkeypatch, graph):
-        py = self._run(monkeypatch, graph, "python")
-        np_ = self._run(monkeypatch, graph, "numpy")
+    def _assert_engines_agree(self, graph):
+        py = self._run(graph, "python")
+        np_ = self._run(graph, "numpy")
         assert py == np_
         colors = py[0]
         assert all(colors[u] != colors[v] for u, v in _edge_pairs(graph))
         assert all(0 <= c < py[1] for c in colors)
 
     @pytest.mark.parametrize("kind,n,delta", GRAPH_CELLS)
-    def test_graph_cells_bit_identical(self, monkeypatch, kind, n, delta):
-        self._assert_engines_agree(monkeypatch, _make_graph(kind, n, delta, seed=5 * n + delta))
+    def test_graph_cells_bit_identical(self, kind, n, delta):
+        self._assert_engines_agree(_make_graph(kind, n, delta, seed=5 * n + delta))
 
-    def test_scrambled_id_cycle_bit_identical(self, monkeypatch):
-        self._assert_engines_agree(monkeypatch, _scrambled_id_cycle(300, seed=4))
+    def test_scrambled_id_cycle_bit_identical(self):
+        self._assert_engines_agree(_scrambled_id_cycle(300, seed=4))
 
-    def test_huge_identifier_star_bit_identical(self, monkeypatch):
+    def test_huge_identifier_star_bit_identical(self):
         # A center id beyond int64 cannot enter the numpy sweep, so the
         # numpy request takes the python fallback for the first step.
         leaves = 40
@@ -251,7 +250,7 @@ class TestVertexLinialEngineMatrix:
             [(0, leaf) for leaf in range(1, leaves + 1)],
             node_ids=[2**70, *range(1, leaves + 1)],
         )
-        self._assert_engines_agree(monkeypatch, graph)
+        self._assert_engines_agree(graph)
 
 
 @requires_numpy
@@ -321,13 +320,12 @@ class TestColorReductionEngineMatrix:
 class TestSlotReceiveSameColorMatrix:
     """LinialNodeAlgorithm.receive_batch when a payload equals the own color."""
 
-    def test_same_colored_payloads_match_polynomial_step(self, monkeypatch):
+    def test_same_colored_payloads_match_polynomial_step(self):
         from types import SimpleNamespace
 
         from repro.coloring.color_reduction import polynomial_step, reduction_schedule
         from repro.distributed.network import RoundInbox
 
-        _force_engine(monkeypatch, "numpy")
         graph = generators.random_regular_graph(96, 6, seed=12)
         xadj, adj = graph.adjacency_csr()
         n = graph.num_nodes
@@ -340,7 +338,7 @@ class TestSlotReceiveSameColorMatrix:
         buf = [colors[w] for w in adj]
         states = [{"color": colors[v], "schedule": schedule, "step": 0} for v in range(n)]
         contexts = [SimpleNamespace(degree=xadj[v + 1] - xadj[v]) for v in range(n)]
-        LinialNodeAlgorithm().receive_batch(
+        LinialNodeAlgorithm(scan_path="numpy").receive_batch(
             contexts, states, list(range(n)), RoundInbox(buf, xadj), 0
         )
         expected = [
@@ -580,53 +578,32 @@ class TestSplitLevelMatrix:
         assert calls == [1, 2, 4, 8]
 
 
-class _SelectivePortAlgorithm(NodeAlgorithm):
-    """A dict-plane algorithm with ragged sends, ``None`` payloads, mixed
-    payload types and staggered termination — exercises slot semantics,
-    late delivery and audit equivalence through the default bridge."""
-
-    def initialize(self, ctx):
-        return {"log": [], "round": 0}
-
-    def send(self, ctx, state, round_index):
-        outbox = {}
-        for port in range(ctx.degree):
-            if (port + round_index + ctx.node) % 3 == 0:
-                outbox[port] = None  # explicitly not sent
-            elif (port + round_index) % 2 == 0:
-                outbox[port] = ctx.node_id * 10 + round_index
-            else:
-                outbox[port] = (ctx.node_id, "r", round_index)
-        return outbox
-
-    def receive(self, ctx, state, inbox, round_index):
-        state["log"].append((round_index, inbox.to_dict()))
-        state["round"] = round_index + 1
-
-    def finished(self, ctx, state):
-        return state["round"] > ctx.node % 3
-
-    def output(self, ctx, state):
-        return state["log"]
-
-
 class _BroadcastAlgorithm(NodeAlgorithm):
-    """Native batched broadcaster (mirrors LinialNodeAlgorithm's shape)."""
+    """Native broadcaster (mirrors LinialNodeAlgorithm's send shape).
 
-    batched_send = True
+    Odd nodes broadcast a list that grows each round, so a tightened
+    CONGEST budget records violations in a known order.
+    """
+
     ROUNDS = 3
+
+    @staticmethod
+    def _payload(ctx, round_index):
+        if ctx.node % 2:
+            return [ctx.node_id] * (round_index + 1)
+        return ctx.node_id + round_index
 
     def initialize(self, ctx):
         return {"seen": [], "round": 0}
 
     def send(self, ctx, state, round_index):
-        return {port: ctx.node_id + round_index for port in range(ctx.degree)}
+        return {port: self._payload(ctx, round_index) for port in range(ctx.degree)}
 
     def send_batch(self, ctx, state, round_index, outbox):
-        outbox.broadcast(ctx.node_id + round_index)
+        outbox.broadcast(self._payload(ctx, round_index))
 
     def receive(self, ctx, state, inbox, round_index):
-        state["seen"].append(list(inbox.values()))
+        state["seen"].append(inbox.items())
         state["round"] = round_index + 1
 
     def finished(self, ctx, state):
@@ -634,6 +611,12 @@ class _BroadcastAlgorithm(NodeAlgorithm):
 
     def output(self, ctx, state):
         return state["seen"]
+
+
+class _PerPortAlgorithm(_BroadcastAlgorithm):
+    """The same messages written port by port through the ``send`` bridge."""
+
+    send_batch = NodeAlgorithm.send_batch
 
 
 def _metrics_fingerprint(metrics):
@@ -646,141 +629,144 @@ def _metrics_fingerprint(metrics):
     )
 
 
-#: Every send × receive plane combination the simulator offers.
-PLANE_MATRIX = [
-    (send, receive) for send in ("dict", "batched") for receive in ("dict", "batched")
-]
+def _linial_network(n: int, seed: int, model=Model.CONGEST) -> SynchronousNetwork:
+    graph = generators.graph_with_scrambled_ids(
+        generators.random_regular_graph(n, 4, seed=seed), seed=seed, id_space_factor=8
+    )
+    return SynchronousNetwork(
+        graph, model=model, global_knowledge={"id_space": id_space_size(graph)}
+    )
 
 
-class TestSendPlaneMatrix:
-    """Send × receive plane matrix: bit-identical outputs and metrics."""
+def _count_sweeps(monkeypatch):
+    """Count the vectorized Linial receive sweeps run from now on."""
+    from repro.coloring import linial
+
+    calls = []
+    original = linial.conflict_free_step_numpy
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linial, "conflict_free_step_numpy", counted)
+    return calls
+
+
+@requires_numpy
+class TestSimulatorTwinMatrix:
+    """The simulator's fast paths against their per-node twins."""
 
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("model", [Model.LOCAL, Model.CONGEST])
-    def test_linial_planes_bit_identical(self, n, model):
-        graph = generators.graph_with_scrambled_ids(
-            generators.random_regular_graph(n, 4, seed=n), seed=n, id_space_factor=8
-        )
-        network = SynchronousNetwork(
-            graph, model=model, global_knowledge={"id_space": id_space_size(graph)}
-        )
-        results = [
-            network.run(LinialNodeAlgorithm(), send_plane=send, receive_plane=receive)
-            for send, receive in PLANE_MATRIX
-        ]
-        results.append(network.run(LinialNodeAlgorithm()))  # auto -> batched/batched
-        reference_out, reference_metrics = results[0]
-        for out, metrics in results[1:]:
-            assert out == reference_out
-            assert _metrics_fingerprint(metrics) == _metrics_fingerprint(
-                reference_metrics
-            )
+    def test_linial_receive_engines_bit_identical(self, monkeypatch, n, model):
+        # The vectorized receive_batch sweep against the per-node
+        # receive() twin it falls back to; "auto" must match both.
+        network = _linial_network(n, seed=n, model=model)
+        calls = _count_sweeps(monkeypatch)
+        results = {}
+        for path in ("numpy", "python", "auto"):
+            calls.clear()
+            out, metrics = network.run(LinialNodeAlgorithm(scan_path=path))
+            results[path] = (out, _metrics_fingerprint(metrics), len(calls))
+        assert results["numpy"][:2] == results["python"][:2] == results["auto"][:2]
+        # Non-vacuous: one sweep per round under numpy, none under python.
+        assert results["numpy"][2] == results["numpy"][1][0] > 0
+        assert results["python"][2] == 0
 
-    @pytest.mark.parametrize("kind,n,delta", [("general", 24, 4), ("bipartite", 32, 8), ("general", 32, 10)])
-    def test_selective_sends_bridge_bit_identical(self, kind, n, delta):
-        # Ragged ports, None payloads, tuples/strings, staggered finishes
-        # (late delivery to finished nodes) through the send() and
-        # receive() bridges, across all four plane combinations.
-        graph = _make_graph(kind, n, delta, seed=n + delta)
-
-        def run(send, receive):
-            # Fresh network per combination: the CONGEST auditor
-            # accumulates across runs of one network by design.
-            network = SynchronousNetwork(graph, model=Model.CONGEST, congest_factor=2)
-            return network.run(
-                _SelectivePortAlgorithm(), send_plane=send, receive_plane=receive
-            )
-
-        results = [run(send, receive) for send, receive in PLANE_MATRIX]
-        reference_out, reference_metrics = results[0]
-        for out, metrics in results[1:]:
-            assert out == reference_out
-            assert _metrics_fingerprint(metrics) == _metrics_fingerprint(
-                reference_metrics
-            )
-        # The ragged payloads overflow the tightened budget somewhere —
-        # otherwise the violation-list comparison would be vacuous.
-        assert reference_metrics.congest_violations > 0
-
-    def test_native_broadcast_planes_bit_identical(self):
+    def test_broadcast_matches_per_port_writes(self):
+        # One (payload, degree) audit group per broadcast against degree
+        # per-port writes and (payload, 1) groups: same outputs, metrics
+        # and auditor state.
         graph = generators.random_regular_graph(48, 6, seed=2)
-        network = SynchronousNetwork(graph, model=Model.CONGEST)
-        results = [
-            network.run(_BroadcastAlgorithm(), send_plane=send, receive_plane=receive)
-            for send, receive in PLANE_MATRIX
-        ]
-        reference_out, reference_metrics = results[0]
-        for out, metrics in results[1:]:
-            assert out == reference_out
-            assert _metrics_fingerprint(metrics) == _metrics_fingerprint(
-                reference_metrics
-            )
 
-    def test_api_linial_network_plane_matrix(self):
-        # The public E8 entry point: every send × receive combination
-        # produces the same MessagePassingOutcome on a reused network.
-        graph = generators.graph_with_scrambled_ids(
-            generators.random_regular_graph(96, 4, seed=7), seed=7, id_space_factor=8
-        )
-        network = api.build_linial_network(graph)
-        outcomes = [
-            api.run_linial_network(
-                graph, send_plane=send, receive_plane=receive, network=network
-            )
-            for send, receive in PLANE_MATRIX
-        ]
-        for outcome in outcomes[1:]:
-            assert outcome == outcomes[0]
-
-    def test_auditor_state_identical_across_planes(self):
-        graph = generators.random_regular_graph(24, 4, seed=3)
-
-        def run(plane):
+        def run(algorithm):
             network = SynchronousNetwork(graph, model=Model.CONGEST, congest_factor=2)
-            network.run(_SelectivePortAlgorithm(), send_plane=plane)
+            out, metrics = network.run(algorithm)
             auditor = network._auditor
-            return (
+            audit = (
                 auditor.messages_recorded,
                 auditor.total_bits,
                 auditor.max_bits,
                 auditor.violations,
             )
+            return out, _metrics_fingerprint(metrics), audit
 
-        assert run("dict") == run("batched")
+        broadcast = run(_BroadcastAlgorithm())
+        assert broadcast == run(_PerPortAlgorithm())
+        assert broadcast[1][3] > 0  # the violation lists are not vacuous
 
-    def test_unknown_send_plane_rejected(self):
-        graph = generators.path_graph(4)
-        network = SynchronousNetwork(graph)
-        with pytest.raises(ValueError, match="send_plane"):
-            network.run(LinialNodeAlgorithm(), send_plane="pigeon")
+    def test_api_linial_network_engines_bit_identical(self):
+        # The public E8 entry point on a reused network.
+        graph = generators.graph_with_scrambled_ids(
+            generators.random_regular_graph(96, 4, seed=7), seed=7, id_space_factor=8
+        )
+        network = api.build_linial_network(graph)
+        outcomes = [
+            api.run_linial_network(graph, network=network, scan_path=path)
+            for path in ("numpy", "python", "auto")
+        ]
+        for outcome in outcomes[1:]:
+            assert outcome == outcomes[0]
 
-    @pytest.mark.parametrize("plane", ["dict", "batched"])
-    def test_invalid_port_errors_match(self, plane):
-        class BadPort(NodeAlgorithm):
-            def send(self, ctx, state, round_index):
-                return {99: 1}
 
-            def finished(self, ctx, state):
-                return False
+class TestScanPathReachesLinial:
+    """An explicit ``scan_path="python"`` keeps every Linial call off numpy."""
 
-        graph = generators.path_graph(4)
-        network = SynchronousNetwork(graph)
-        with pytest.raises(ValueError, match="invalid port 99"):
-            network.run(BadPort(), send_plane=plane, max_rounds=2)
+    @pytest.fixture
+    def numpy_engines_raise(self, monkeypatch):
+        from repro.coloring import linial
 
-    @pytest.mark.parametrize("plane", ["dict", "batched"])
-    def test_non_integer_port_errors_match(self, plane):
-        class BadKey(NodeAlgorithm):
-            def send(self, ctx, state, round_index):
-                return {"north": 1}
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a numpy engine ran under scan_path='python'")
 
-            def finished(self, ctx, state):
-                return False
+        monkeypatch.setattr(linial, "polynomial_steps_numpy", forbidden)
+        monkeypatch.setattr(linial, "conflict_free_step_numpy", forbidden)
+        # The explicit knob must win even over a forced environment.
+        _force_engine(monkeypatch, "numpy")
 
-        graph = generators.path_graph(4)
-        network = SynchronousNetwork(graph)
-        with pytest.raises(TypeError, match="ports must be integers"):
-            network.run(BadKey(), send_plane=plane, max_rounds=2)
+    @pytest.fixture
+    def graph(self):
+        # Scrambled identifiers give Linial a non-empty reduction schedule.
+        graph = generators.graph_with_scrambled_ids(
+            generators.random_regular_graph(96, 4, seed=7), seed=7, id_space_factor=8
+        )
+        assert 2 * graph.num_edges >= NUMPY_SCAN_THRESHOLD
+        return graph
+
+    def test_local_pipeline(self, numpy_engines_raise, graph):
+        outcome = api.color_edges_local(graph, scan_path="python")
+        assert outcome.is_proper
+        assert outcome.details["round_breakdown"]["linial"] > 0
+
+    def test_congest_pipeline(self, numpy_engines_raise, graph):
+        outcome = api.color_edges_congest(graph, scan_path="python")
+        assert outcome.is_proper
+        assert outcome.details["round_breakdown"]["linial"] > 0
+
+    def test_linial_network(self, numpy_engines_raise, graph):
+        outcome = api.run_linial_network(graph, scan_path="python")
+        assert outcome.rounds > 0
+        assert outcome.congest_violations == 0
+
+    def test_baselines(self, numpy_engines_raise, graph):
+        from repro.baselines.greedy_by_classes import greedy_baseline_edge_coloring
+        from repro.baselines.panconesi_rizzi import linear_in_delta_edge_coloring
+
+        for baseline in (greedy_baseline_edge_coloring, linear_in_delta_edge_coloring):
+            result = baseline(graph, scan_path="python")
+            assert is_proper_edge_coloring(graph, result.colors)
+
+    @pytest.mark.parametrize("name", ["e7_logstar", "e8_linial", "fault_sweep"])
+    def test_scenario_runners(self, numpy_engines_raise, name):
+        # The runners read the knob from ctx.knobs: a row that records
+        # scan_path "python" ran no numpy Linial engine.
+        from repro.runtime.executor import run_scenario_results
+        from repro.runtime.registry import get
+        from repro.runtime.spec import Knobs
+
+        results = run_scenario_results(get(name), quick=True, knobs=Knobs(scan_path="python"))
+        assert results
 
 
 #: Fault plans covering every fault channel, alone and combined.
@@ -793,59 +779,61 @@ FAULT_PLANS = [
 
 
 class TestFaultPlaneMatrix:
-    """Fault injection across the plane matrix: same plan, same faults.
+    """Fault injection against the twins: same plan, same faults.
 
     The determinism contract of :mod:`repro.distributed.faults` — every
     decision a pure hash of (seed, channel, round, slot) — means a fixed
     plan must yield bit-identical outputs, metrics *and* fault summaries
-    on every send × receive combination, even though the planes fill the
-    round buffer in different orders.
+    under both Linial receive engines, and on every rerun.
     """
 
+    @requires_numpy
     @pytest.mark.parametrize("plan", FAULT_PLANS, ids=lambda p: f"seed{p.seed}")
-    def test_faulted_linial_planes_bit_identical(self, plan):
-        graph = generators.graph_with_scrambled_ids(
-            generators.random_regular_graph(96, 4, seed=96), seed=96, id_space_factor=8
-        )
-        network = SynchronousNetwork(
-            graph, model=Model.CONGEST, global_knowledge={"id_space": id_space_size(graph)}
-        )
+    def test_faulted_linial_engines_bit_identical(self, plan):
+        network = _linial_network(96, seed=96)
         results = [
-            network.run(
-                LinialNodeAlgorithm(), send_plane=send, receive_plane=receive, fault_plan=plan
-            )
-            for send, receive in PLANE_MATRIX
+            network.run(LinialNodeAlgorithm(scan_path=path), fault_plan=plan)
+            for path in ("numpy", "python")
         ]
-        reference_out, reference_metrics = results[0]
-        assert reference_metrics.fault_summary is not None
-        for out, metrics in results[1:]:
-            assert out == reference_out
-            assert _metrics_fingerprint(metrics) == _metrics_fingerprint(reference_metrics)
-            assert metrics.fault_summary == reference_metrics.fault_summary
+        (numpy_out, numpy_metrics), (python_out, python_metrics) = results
+        assert numpy_metrics.fault_summary is not None
+        assert numpy_out == python_out
+        assert _metrics_fingerprint(numpy_metrics) == _metrics_fingerprint(python_metrics)
+        assert numpy_metrics.fault_summary == python_metrics.fault_summary
 
     @pytest.mark.parametrize("plan", FAULT_PLANS, ids=lambda p: f"seed{p.seed}")
-    def test_faulted_bridge_algorithm_planes_bit_identical(self, plan):
-        # The dict-plane bridge (ragged sends, None payloads, staggered
-        # termination and late delivery) under faults: the hardest case
-        # for receiver tracking, since drops must not trigger spurious
-        # late deliveries on any plane.
+    def test_faulted_ragged_sender_is_deterministic(self, plan):
+        # Ragged sends, None payloads, staggered termination and late
+        # delivery under faults — the hardest case for receiver tracking,
+        # since drops must not trigger spurious late deliveries.  A fresh
+        # network and a reused one must agree on everything.
         graph = _make_graph("general", 32, 10, seed=42)
+        reused = SynchronousNetwork(graph, model=Model.CONGEST, congest_factor=2)
 
-        def run(send, receive):
+        def run(network):
+            out, metrics = network.run(RaggedSender(), fault_plan=plan)
+            return out, _metrics_fingerprint(metrics), metrics.fault_summary
+
+        first = run(reused)
+        assert first[2] is not None
+        assert run(reused) == first
+        assert run(SynchronousNetwork(graph, model=Model.CONGEST, congest_factor=2)) == first
+
+    @pytest.mark.parametrize("plan", FAULT_PLANS, ids=lambda p: f"seed{p.seed}")
+    def test_faulted_broadcast_matches_per_port_writes(self, plan):
+        # Fault decisions hash (round, slot), never the write path: a
+        # broadcast and the same messages written port by port must
+        # see the same drops, delays, duplicates and crashes.
+        graph = generators.random_regular_graph(48, 6, seed=2)
+
+        def run(algorithm):
             network = SynchronousNetwork(graph, model=Model.CONGEST, congest_factor=2)
-            return network.run(
-                _SelectivePortAlgorithm(),
-                send_plane=send,
-                receive_plane=receive,
-                fault_plan=plan,
-            )
+            out, metrics = network.run(algorithm, fault_plan=plan)
+            return out, _metrics_fingerprint(metrics), metrics.fault_summary
 
-        results = [run(send, receive) for send, receive in PLANE_MATRIX]
-        reference_out, reference_metrics = results[0]
-        for out, metrics in results[1:]:
-            assert out == reference_out
-            assert _metrics_fingerprint(metrics) == _metrics_fingerprint(reference_metrics)
-            assert metrics.fault_summary == reference_metrics.fault_summary
+        broadcast = run(_BroadcastAlgorithm())
+        assert broadcast[2] is not None
+        assert broadcast == run(_PerPortAlgorithm())
 
     def test_fault_summary_repeatable_and_seed_sensitive(self):
         graph = generators.graph_with_scrambled_ids(

@@ -81,55 +81,86 @@ class TestAuditor:
         assert auditor.compliant
 
 
+def _auditor_state(auditor):
+    return (
+        auditor.messages_recorded,
+        auditor.total_bits,
+        auditor.max_bits,
+        list(auditor.violations),
+    )
+
+
+def _record_sequentially(auditor, groups):
+    """The per-message reference: ``record`` once per sent copy."""
+    for payload, count in groups:
+        for _ in range(count):
+            auditor.record(payload)
+
+
 class TestBatchAuditing:
+    """``record_batch_grouped`` against sequential ``record`` calls."""
+
     # Payloads chosen to stress the memo: 0 == False and 1 == True == 1.0
     # compare equal but size differently, repeated ints hit the memo, and
     # containers/floats bypass it.
     MIXED = [0, False, True, 1, 1, 1.0, "ab", "ab", (7, 7), [1, 2, 3], 255, 0, None]
 
-    def test_batch_matches_sequential_record(self):
-        sequential = CongestAuditor(num_nodes=256, factor=4)
-        batched = CongestAuditor(num_nodes=256, factor=4)
-        for payload in self.MIXED:
-            sequential.record(payload)
-        batch_max = batched.record_batch(self.MIXED)
-        assert batched.messages_recorded == sequential.messages_recorded
-        assert batched.total_bits == sequential.total_bits
-        assert batched.max_bits == sequential.max_bits
-        assert batched.violations == sequential.violations
-        assert batch_max == max(message_size_bits(p) for p in self.MIXED)
+    def _assert_matches_sequential(self, groups, num_nodes=256, factor=4):
+        sequential = CongestAuditor(num_nodes=num_nodes, factor=factor)
+        grouped = CongestAuditor(num_nodes=num_nodes, factor=factor)
+        _record_sequentially(sequential, groups)
+        batch_max = grouped.record_batch_grouped(groups)
+        assert _auditor_state(grouped) == _auditor_state(sequential)
+        sent = [payload for payload, count in groups if count > 0]
+        assert batch_max == max((message_size_bits(p) for p in sent), default=0)
+        return grouped
+
+    def test_count_one_groups_match_sequential_record(self):
+        # What per-port writes emit: one (payload, 1) group per message.
+        self._assert_matches_sequential([(payload, 1) for payload in self.MIXED])
+
+    def test_count_above_one_groups_match_sequential_record(self):
+        # What broadcasts emit: one (payload, degree) group, mixed with
+        # single writes and an empty broadcast (count 0).
+        groups = [(5, 4), ("ab", 1), ((7, 7), 3), (5, 2), (1.0, 0), ([1, 2], 5), (True, 6)]
+        auditor = self._assert_matches_sequential(groups)
+        assert auditor.messages_recorded == 4 + 1 + 3 + 2 + 5 + 6
 
     def test_equal_but_differently_sized_payloads_not_conflated(self):
         auditor = CongestAuditor(num_nodes=256, factor=8)
-        auditor.record_batch([0, False, 0, False, 1, True, 1.0])
+        auditor.record_batch_grouped(
+            [(0, 1), (False, 2), (0, 1), (1, 1), (True, 1), (1.0, 1)]
+        )
         # int 0 costs 2 bits, bool False costs 1; 1/True/1.0 cost 2/1/64.
-        assert auditor.total_bits == 2 + 1 + 2 + 1 + 2 + 1 + 64
+        assert auditor.total_bits == 2 + 1 + 1 + 2 + 2 + 1 + 64
 
-    def test_batch_violations_keep_order(self):
-        sequential = CongestAuditor(num_nodes=4, factor=1)
-        batched = CongestAuditor(num_nodes=4, factor=1)
+    def test_violations_keep_order(self):
         # Budget is 2 bits: the big lists and the ints 2 and 3 (3 bits)
-        # violate, the int 1 (2 bits) does not.
-        payloads = [1, list(range(100)), 2, list(range(30)), 3]
-        for payload in payloads:
-            sequential.record(payload)
-        batched.record_batch(payloads)
-        assert batched.violations == sequential.violations
-        assert len(batched.violations) == 4
+        # violate, the int 1 (2 bits) does not; a violating group
+        # appends its size once per copy.
+        groups = [(1, 2), (list(range(100)), 1), (2, 3), (list(range(30)), 1), (3, 1)]
+        auditor = self._assert_matches_sequential(groups, num_nodes=4, factor=1)
+        assert len(auditor.violations) == 1 + 3 + 1 + 1
 
-    def test_strict_batch_raises_at_first_violation_and_records_prefix(self):
+    def test_strict_raises_at_first_violation_and_records_prefix(self):
         auditor = CongestAuditor(num_nodes=4, factor=1, strict=True)
         big = list(range(100))
         with pytest.raises(ValueError, match="CONGEST violation"):
-            auditor.record_batch([1, big, 2])
-        # Everything up to and including the violator is recorded, the
-        # tail is not — exactly like sequential strict record() calls.
-        assert auditor.messages_recorded == 2
-        assert auditor.total_bits == message_size_bits(1) + message_size_bits(big)
+            auditor.record_batch_grouped([(1, 3), (big, 2), (2, 1)])
+        # Everything up to and including the first violating copy is
+        # recorded, the rest of its group and the tail are not — exactly
+        # like sequential strict record() calls.
+        reference = CongestAuditor(num_nodes=4, factor=1, strict=True)
+        with pytest.raises(ValueError, match="CONGEST violation"):
+            _record_sequentially(reference, [(1, 3), (big, 2), (2, 1)])
+        assert _auditor_state(auditor) == _auditor_state(reference)
+        assert auditor.messages_recorded == 4
         assert auditor.violations == [message_size_bits(big)]
 
     def test_empty_batch_is_a_noop(self):
         auditor = CongestAuditor(num_nodes=256, factor=4)
-        assert auditor.record_batch([]) == 0
-        assert auditor.messages_recorded == 0
-        assert auditor.max_bits == 0
+        auditor.record(7)
+        before = _auditor_state(auditor)
+        assert auditor.record_batch_grouped([]) == 0
+        assert auditor.record_batch_grouped([(9, 0)]) == 0
+        assert _auditor_state(auditor) == before

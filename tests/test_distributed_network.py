@@ -1,4 +1,11 @@
-"""Unit tests for the synchronous message-passing simulator."""
+"""Unit tests for the synchronous message-passing simulator.
+
+Besides purpose-built algorithms for each edge case (late delivery, the
+``max_rounds`` boundary, pooled views, bad ports), the slot buffer is
+checked against the per-message reference simulator of
+``simulator_reference.py``, and a native ``receive_batch`` against the
+per-node bridge.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +16,12 @@ import pytest
 from repro.coloring.linial import LinialNodeAlgorithm
 from repro.distributed.algorithms import NodeAlgorithm, NodeContext
 from repro.distributed.model import Model
-from repro.distributed.network import SynchronousNetwork
+from repro.distributed.network import RoundInbox, SynchronousNetwork
 from repro.graphs import generators
+from repro.graphs.core import Graph
 from repro.graphs.identifiers import id_space_size
 from repro.verification.checkers import is_proper_vertex_coloring
+from simulator_reference import RaggedSender, reference_run
 
 
 class MaxIdFlooding(NodeAlgorithm):
@@ -172,6 +181,67 @@ class InboxApiProbe(NodeAlgorithm):
         return state["probe"]
 
 
+class RoundInboxProbe(NodeAlgorithm):
+    """Native batched receiver that inspects the raw ``RoundInbox``.
+
+    Asserts the contract from inside a real run: only unfinished nodes
+    are handed to ``receive_batch``, every node's slot range has its
+    degree, and the pooled per-node view surfaces exactly the
+    non-``None`` slots of that range.  Odd nodes finish a round early,
+    so their last messages arrive as late deliveries through
+    ``receive``.
+    """
+
+    def initialize(self, ctx):
+        return {"round": 0, "log": [], "rounds": 3 - ctx.node % 2}
+
+    def send(self, ctx, state, round_index):
+        return {
+            port: ctx.node_id * 100 + port
+            for port in range(ctx.degree)
+            if (port + ctx.node + round_index) % 2 == 0
+        }
+
+    def receive(self, ctx, state, inbox, round_index):
+        late = self.finished(ctx, state)
+        state["log"].append((round_index, late, inbox.to_dict()))
+        state["round"] += 1
+
+    def receive_batch(self, contexts, states, nodes, inbox, round_index):
+        assert isinstance(inbox, RoundInbox)
+        buf = inbox.buffer
+        for v in nodes:
+            assert not self.finished(contexts[v], states[v])
+            lo, hi = inbox.slot_bounds(v)
+            assert hi - lo == contexts[v].degree
+            view = inbox.node(v).to_dict()
+            assert view == {p: buf[lo + p] for p in range(hi - lo) if buf[lo + p] is not None}
+            states[v]["log"].append((round_index, False, view))
+            states[v]["round"] += 1
+
+    def finished(self, ctx, state):
+        return state["round"] >= state["rounds"]
+
+    def output(self, ctx, state):
+        return state["log"]
+
+
+class BridgedRoundInboxProbe(RoundInboxProbe):
+    """The same algorithm on the per-node ``receive_batch`` bridge."""
+
+    receive_batch = NodeAlgorithm.receive_batch
+
+
+def _fingerprint(metrics):
+    return (
+        metrics.rounds,
+        metrics.messages,
+        metrics.max_message_bits,
+        metrics.congest_violations,
+        metrics.congest_budget_bits,
+    )
+
+
 class TestSimulator:
     def test_flooding_reaches_diameter(self):
         graph = generators.cycle_graph(8)
@@ -230,10 +300,13 @@ class TestSimulator:
 
     @pytest.mark.parametrize("bad_key", ["north", 1.5, (0,), None])
     def test_non_int_port_key_raises_type_error(self, bad_key):
-        graph = generators.cycle_graph(4)
+        graph = generators.graph_with_scrambled_ids(generators.cycle_graph(4), seed=3)
         network = SynchronousNetwork(graph)
-        with pytest.raises(TypeError, match="ports must be integers"):
+        with pytest.raises(TypeError, match="ports must be integers") as excinfo:
             network.run(BadPortAlgorithm(port_key=bad_key))
+        message = str(excinfo.value)
+        assert f"node {graph.node_id(0)} " in message
+        assert "round 0" in message
 
     def test_index_like_port_keys_are_accepted(self):
         numpy = pytest.importorskip("numpy")
@@ -288,6 +361,70 @@ class TestEdgeSemantics:
         for seen in outputs:
             assert seen == [(2, True, [7, 7]), (0, False, []), (0, False, [])]
 
+    @pytest.mark.parametrize(
+        "kind,n,delta", [("general", 24, 4), ("bipartite", 32, 8), ("general", 32, 10)]
+    )
+    def test_slot_buffer_matches_reference_simulator(self, kind, n, delta):
+        # None payloads are never sent, counted, audited or surfaced;
+        # staggered finishes exercise late delivery; mixed payload types
+        # exercise the grouped audit's memo.
+        if kind == "bipartite":
+            graph, _bip = generators.regular_bipartite_graph(n, delta, seed=n + delta)
+        else:
+            graph = generators.random_regular_graph(n, delta, seed=n + delta)
+        network = SynchronousNetwork(graph, model=Model.CONGEST, congest_factor=2)
+        outputs, metrics = network.run(RaggedSender())
+        auditor = network._auditor
+        audit = (
+            auditor.messages_recorded,
+            auditor.total_bits,
+            auditor.max_bits,
+            auditor.violations,
+        )
+        ref_outputs, ref_fingerprint, ref_audit = reference_run(
+            graph, RaggedSender(), model=Model.CONGEST, congest_factor=2
+        )
+        assert outputs == ref_outputs
+        assert _fingerprint(metrics) == ref_fingerprint
+        assert audit == ref_audit
+        # Non-vacuous: payloads overflow the tightened budget, and some
+        # finished node observed a late delivery.
+        assert metrics.congest_violations > 0
+        assert any(
+            entry[0] >= v % 3 + 1 and entry[4] for v, log in enumerate(outputs) for entry in log
+        )
+
+    @pytest.mark.parametrize("model", [Model.LOCAL, Model.CONGEST], ids=["local", "congest"])
+    @pytest.mark.parametrize(
+        "algorithm,graph",
+        [
+            (lambda: MaxIdFlooding(hops=3), lambda: generators.cycle_graph(8)),
+            (EarlyFinisher, lambda: generators.cycle_graph(4)),
+            (OneShotSender, lambda: generators.cycle_graph(6)),
+            (InboxApiProbe, lambda: generators.path_graph(3)),
+            (ChattyAlgorithm, lambda: generators.random_regular_graph(12, 3, seed=1)),
+        ],
+        ids=["flooding", "early-finisher", "one-shot", "inbox-api", "chatty"],
+    )
+    def test_purpose_built_algorithms_match_reference_simulator(self, algorithm, graph, model):
+        graph = graph()
+        network = SynchronousNetwork(graph, model=model, congest_factor=2)
+        outputs, metrics = network.run(algorithm())
+        ref_outputs, ref_fingerprint, _audit = reference_run(
+            graph, algorithm(), model=model, congest_factor=2
+        )
+        assert outputs == ref_outputs
+        assert _fingerprint(metrics) == ref_fingerprint
+
+    def test_round_inbox_views_match_per_node_bridge(self):
+        graph = generators.random_regular_graph(16, 4, seed=3)
+        native = SynchronousNetwork(graph).run(RoundInboxProbe())
+        bridged = SynchronousNetwork(graph).run(BridgedRoundInboxProbe())
+        assert native[0] == bridged[0]
+        assert _fingerprint(native[1]) == _fingerprint(bridged[1])
+        # Non-vacuous: some finished node observed a late delivery.
+        assert any(late for log in native[0] for _round, late, _view in log)
+
     def test_inbox_view_mapping_api(self):
         graph = generators.path_graph(3)
         outputs, _metrics = SynchronousNetwork(graph).run(InboxApiProbe())
@@ -306,6 +443,56 @@ class TestEdgeSemantics:
         middle = outputs[1]  # degree 2: a message on each port
         assert middle["len"] == 2
         assert middle["items"] == [(0, 10), (1, 10)]
+
+
+class Broadcaster(NodeAlgorithm):
+    """One round: node ``v`` broadcasts ``payload(v)`` and writes ``extra(v)``."""
+
+    def __init__(self, payload, extra=lambda ctx: {}):
+        self.payload = payload
+        self.extra = extra
+
+    def initialize(self, ctx):
+        return {"got": None}
+
+    def send_batch(self, ctx, state, round_index, outbox):
+        outbox.broadcast(self.payload(ctx))
+        for port, payload in self.extra(ctx).items():
+            outbox.send(port, payload)
+
+    def receive(self, ctx, state, inbox, round_index):
+        state["got"] = inbox.to_dict()
+
+    def finished(self, ctx, state):
+        return state["got"] is not None
+
+    def output(self, ctx, state):
+        return state["got"]
+
+
+class TestOutboxWriter:
+    def test_none_broadcast_and_isolated_nodes_send_nothing(self):
+        # Node 3 is isolated (degree 0); even nodes broadcast None.
+        graph = Graph(4, [(0, 1), (1, 2)])
+        network = SynchronousNetwork(graph, model=Model.CONGEST)
+        outputs, metrics = network.run(
+            Broadcaster(lambda ctx: None if ctx.node % 2 == 0 else ctx.node_id)
+        )
+        assert outputs == [{0: graph.node_id(1)}, {}, {0: graph.node_id(1)}, {}]
+        assert metrics.messages == 2
+        assert network._auditor.messages_recorded == 2
+
+    def test_second_write_to_a_port_overwrites_and_counts(self):
+        # The contract: a port should be written once per round; a
+        # second write overwrites the payload, and both count as sent.
+        graph = generators.path_graph(2)
+        network = SynchronousNetwork(graph, model=Model.CONGEST)
+        outputs, metrics = network.run(
+            Broadcaster(lambda ctx: 1, extra=lambda ctx: {0: [ctx.node_id] * 3})
+        )
+        assert outputs == [{0: [graph.node_id(1)] * 3}, {0: [graph.node_id(0)] * 3}]
+        assert metrics.messages == 4
+        assert network._auditor.messages_recorded == 4
 
 
 class TestLinialOnSimulator:

@@ -261,14 +261,10 @@ class TestDeterminismUnderFaultPlane:
         assert _strip_all(parallel) == _strip_all(serial)
         assert not diff_rows(parallel, serial)
 
-    def test_fault_sweep_rows_identical_across_planes(self):
+    def test_fault_sweep_rows_identical_across_engines(self):
         sweep = get("fault_sweep")
-        left = run_scenario(
-            sweep, workers=1, knobs=Knobs(send_plane="dict", receive_plane="dict")
-        ).rows
-        right = run_scenario(
-            sweep, workers=1, knobs=Knobs(send_plane="batched", receive_plane="batched")
-        ).rows
+        left = run_scenario(sweep, workers=1, knobs=Knobs(scan_path="python")).rows
+        right = run_scenario(sweep, workers=1, knobs=Knobs(scan_path="numpy")).rows
         assert not diff_rows(left, right, ignore_knobs=True)
 
     def test_fault_sweep_control_row_is_proper(self):

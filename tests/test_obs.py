@@ -36,12 +36,10 @@ from repro.serving.daemon import ColoringDaemon
 from repro.graphs import generators
 
 #: Tracing on vs off must be invisible at every twin point: engine
-#: (``scan_path``), simulator planes, and the serving repair path.
+#: (``scan_path``) and the serving repair path.
 KNOB_MATRIX = (
-    Knobs(scan_path="python", send_plane="dict", receive_plane="dict",
-          repair_path="recompute"),
-    Knobs(scan_path="numpy", send_plane="batched", receive_plane="batched",
-          repair_path="incremental"),
+    Knobs(scan_path="python", repair_path="recompute"),
+    Knobs(scan_path="numpy", repair_path="incremental"),
 )
 
 

@@ -2,8 +2,8 @@
 
 Fast assertions wired into the tier-1 run: the E1 Δ=16 sweep cell, one
 E1_large cell (n = 192, Δ = 32 — the vectorized orientation engine's
-territory), and the E8 Linial-on-simulator cell at n = 10⁴ on the
-batched send plane must finish well inside generous caps.  Each cap is
+territory), and the E8 Linial-on-simulator cell at n = 10⁴ must
+finish well inside generous caps.  Each cap is
 ~15–20× the current measured time (≈25 ms for E1, ≈110 ms for E1_large,
 ≈80 ms for E8 on the reference machine), so it only trips on a genuine
 complexity regression (e.g. reintroducing a per-level rescan, a
@@ -33,8 +33,8 @@ E1_DELTA16_BUDGET_SECONDS = 2.0
 E1_LARGE_BUDGET_SECONDS = 3.0
 
 #: Generous wall-clock cap for one E8 Linial run at n = 10⁴ on the
-#: batched send plane (seconds; graph generation stays outside the
-#: timer, like in the benchmarks).
+#: simulator (seconds; graph generation stays outside the timer, like
+#: in the benchmarks).
 E8_N10K_BUDGET_SECONDS = 2.0
 
 
@@ -110,7 +110,7 @@ def test_e8_linial_n10k_batched_within_budget():
         graph, model=Model.CONGEST, global_knowledge={"id_space": id_space_size(graph)}
     )
     start = time.perf_counter()
-    colors, metrics = network.run(LinialNodeAlgorithm(), send_plane="batched")
+    colors, metrics = network.run(LinialNodeAlgorithm())
     wall = time.perf_counter() - start
     assert is_proper_vertex_coloring(graph, colors)
     assert metrics.congest_violations == 0

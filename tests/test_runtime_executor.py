@@ -164,7 +164,7 @@ class TestStore:
         rerun = {"key": "k", "cell_index": 0, "result": {"x": 1}, "timing": {"w": 7}}
         assert diff_rows([row, rerun], [row]) == []
 
-    def test_diff_ignore_knobs_matches_across_plane_settings(self):
+    def test_diff_ignore_knobs_matches_across_engine_settings(self):
         # Rows computed under different resolved knobs have different
         # cache keys; --ignore-knobs matches them by cell identity and
         # compares everything but timing/knobs/key.
@@ -181,14 +181,14 @@ class TestStore:
                 "timing": {"w": 1},
             }
 
-        batched = [row("ka", {"send_plane": "batched", "receive_plane": "batched"}, 1)]
-        compat = [row("kb", {"send_plane": "dict", "receive_plane": "dict"}, 1)]
+        numpy_rows = [row("ka", {"scan_path": "numpy", "repair_path": "incremental"}, 1)]
+        python_rows = [row("kb", {"scan_path": "python", "repair_path": "recompute"}, 1)]
         # Plain diff sees disjoint keys; the knob-insensitive diff agrees.
-        assert diff_rows(batched, compat)
-        assert diff_rows(batched, compat, ignore_knobs=True) == []
+        assert diff_rows(numpy_rows, python_rows)
+        assert diff_rows(numpy_rows, python_rows, ignore_knobs=True) == []
         # A genuine result difference still fails under --ignore-knobs.
-        drifted = [row("kb", {"send_plane": "dict", "receive_plane": "dict"}, 2)]
+        drifted = [row("kb", {"scan_path": "python", "repair_path": "recompute"}, 2)]
         assert any(
             "rows differ" in p
-            for p in diff_rows(batched, drifted, ignore_knobs=True)
+            for p in diff_rows(numpy_rows, drifted, ignore_knobs=True)
         )

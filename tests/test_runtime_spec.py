@@ -59,8 +59,8 @@ class TestCacheKey:
             cache_key(s1, s1.cells[1], knobs),
             cache_key(s2, s2.cells[0], knobs),
             cache_key(s1, s1.cells[0], Knobs(scan_path="numpy")),
-            cache_key(s1, s1.cells[0], Knobs(send_plane="batched")),
-            cache_key(s1, s1.cells[0], Knobs(receive_plane="batched")),
+            cache_key(s1, s1.cells[0], Knobs(scan_path="python")),
+            cache_key(s1, s1.cells[0], Knobs(repair_path="recompute")),
         }
         assert len(keys) == 6
 
@@ -73,8 +73,6 @@ class TestCacheKey:
 #: repro.knobs is checked against an independent copy.
 KNOB_ROWS = [
     ("scan_path", "REPRO_SCAN_PATH", ("auto", "numpy", "python")),
-    ("send_plane", "REPRO_SEND_PLANE", ("auto", "batched", "dict")),
-    ("receive_plane", "REPRO_RECEIVE_PLANE", ("auto", "batched", "dict")),
     ("repair_path", "REPRO_REPAIR_PATH", ("auto", "incremental", "recompute")),
 ]
 
@@ -89,18 +87,16 @@ def clean_env(monkeypatch):
 class TestKnobs:
     def test_env_override(self, clean_env):
         clean_env.setenv("REPRO_SCAN_PATH", "NumPy")
-        clean_env.setenv("REPRO_SEND_PLANE", "batched")
-        clean_env.setenv("REPRO_RECEIVE_PLANE", "Dict")
+        clean_env.setenv("REPRO_REPAIR_PATH", "Recompute")
         knobs = resolve_knobs()
         assert knobs.scan_path == "numpy"
-        assert knobs.send_plane == "batched"
-        assert knobs.receive_plane == "dict"
+        assert knobs.repair_path == "recompute"
 
     def test_explicit_beats_env(self, clean_env):
         clean_env.setenv("REPRO_SCAN_PATH", "numpy")
-        clean_env.setenv("REPRO_RECEIVE_PLANE", "dict")
+        clean_env.setenv("REPRO_REPAIR_PATH", "recompute")
         assert resolve_knobs(scan_path="python").scan_path == "python"
-        assert resolve_knobs(receive_plane="batched").receive_plane == "batched"
+        assert resolve_knobs(repair_path="incremental").repair_path == "incremental"
 
     def test_default_auto(self, clean_env):
         assert resolve_knobs() == Knobs()

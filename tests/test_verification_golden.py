@@ -91,15 +91,15 @@ class TestGoldenE6Invariants:
 
 
 @pytest.mark.parametrize("name,graph,record", GOLDEN_CASES, ids=GOLDEN_IDS)
-@pytest.mark.parametrize("send_plane", ["dict", "batched"])
+@pytest.mark.parametrize("scan_path", ["numpy", "python"])
 class TestGoldenE8Invariants:
     """E8 (Linial on the simulator) invariants over the golden graphs."""
 
-    def test_linial_on_simulator_invariants(self, name, graph, record, send_plane):
+    def test_linial_on_simulator_invariants(self, name, graph, record, scan_path):
         network = SynchronousNetwork(
             graph, model=Model.CONGEST, global_knowledge={"id_space": id_space_size(graph)}
         )
-        colors, metrics = network.run(LinialNodeAlgorithm(), send_plane=send_plane)
+        colors, metrics = network.run(LinialNodeAlgorithm(scan_path=scan_path))
         assert is_proper_vertex_coloring(graph, colors)
         assert metrics.congest_violations == 0
         if graph.num_nodes:
