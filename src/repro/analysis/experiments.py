@@ -72,10 +72,11 @@ def run_algorithm_suite(
 ) -> List[ExperimentRecord]:
     """Run the selected algorithms on one graph and collect records.
 
-    ``scan_path`` selects the orientation engine of the paper's
-    algorithms (``"auto"`` / ``"numpy"`` / ``"python"``); the forced
-    engines are bit-identical, so the knob only matters for perf and
-    testing (the scenario runtime threads it through for cache keying).
+    ``scan_path`` selects the engine of the paper's algorithms and of
+    the deterministic baselines (``"auto"`` / ``"numpy"`` /
+    ``"python"``); the forced engines are bit-identical, so the knob
+    only matters for perf and testing (the scenario runtime threads it
+    through for cache keying).
     """
     parameters = dict(parameters or {})
     records: List[ExperimentRecord] = []
@@ -101,13 +102,13 @@ def run_algorithm_suite(
         outcome = api.color_edges_congest(graph, scan_path=scan_path)
         add(outcome.algorithm, outcome.colors, outcome.num_colors, outcome.bound, outcome.rounds)
     if "greedy-by-classes" in algorithms:
-        result = greedy_baseline_edge_coloring(graph)
+        result = greedy_baseline_edge_coloring(graph, scan_path=scan_path)
         add(result.algorithm, result.colors, result.num_colors, result.bound, result.rounds)
     if "linear-in-delta" in algorithms:
-        result = linear_in_delta_edge_coloring(graph)
+        result = linear_in_delta_edge_coloring(graph, scan_path=scan_path)
         add(result.algorithm, result.colors, result.num_colors, result.bound, result.rounds)
     if "barenboim-elkin" in algorithms:
-        result = barenboim_elkin_edge_coloring(graph)
+        result = barenboim_elkin_edge_coloring(graph, scan_path=scan_path)
         add(result.algorithm, result.colors, result.num_colors, result.bound, result.rounds)
     if "randomized" in algorithms:
         result = randomized_edge_coloring(graph, seed=seed)

@@ -84,6 +84,8 @@ class DefectiveTwoColoringResult:
         defects: measured number of same-colored neighboring edges, per
             edge (computed lazily on first access — the recursive
             splitting algorithms only consume the two color classes).
+            The recount is an independent check of Definition 5.1; it
+            runs on ``scan_path``, the engine the coloring ran with.
         orientation: the underlying balanced orientation.
         epsilon / beta: the parameters the run used (β is the additive
             slack used when computing η; the *guarantee* of Lemma 5.3 is
@@ -104,6 +106,7 @@ class DefectiveTwoColoringResult:
         edge_degrees: Optional[Dict[int, int]] = None,
         defects: Optional[Dict[int, int]] = None,
         _graph: Optional[Graph] = None,
+        scan_path: str = "auto",
     ) -> None:
         self.colors = colors
         self.red_edges = red_edges
@@ -116,6 +119,7 @@ class DefectiveTwoColoringResult:
         self.edge_degrees = edge_degrees if edge_degrees is not None else {}
         self._defects = defects
         self._measure_graph = _graph
+        self.scan_path = scan_path
 
     @property
     def defects(self) -> Dict[int, int]:
@@ -124,7 +128,7 @@ class DefectiveTwoColoringResult:
             if self._measure_graph is None:
                 raise ValueError("defects were not supplied and no graph is attached")
             self._defects = measure_defects(
-                self._measure_graph, self.colors, self.colors.keys()
+                self._measure_graph, self.colors, self.colors.keys(), self.scan_path
             )
         return self._defects
 
@@ -203,6 +207,7 @@ def generalized_defective_two_edge_coloring(
         lambdas=dict(lambdas),
         edge_degrees=orientation.edge_degrees,
         _graph=graph,
+        scan_path=scan_path,
     )
 
 
@@ -546,7 +551,7 @@ def measure_defects(
     ``scan_path`` selects the counting engine like every other knob of
     this family (``"auto"`` / ``"numpy"`` / ``"python"``; bit-identical
     results — the lazily computed ``DefectiveTwoColoringResult.defects``
-    uses ``"auto"``, steerable via ``REPRO_SCAN_PATH``).
+    uses the engine its coloring ran with).
     """
     edge_list = list(edges)
     from repro.core.engine import _np, resolve_use_numpy

@@ -98,26 +98,24 @@ def open_append(
     header: Optional[Mapping[str, object]] = None,
     fsync: bool = False,
     heal_counter: Optional[str] = None,
-) -> Tuple[IO[str], int]:
-    """Heal ``path`` and open it for appending; return ``(handle, offset)``.
+) -> IO[str]:
+    """Heal ``path`` and return a handle open for appending.
 
-    ``offset`` is the healed file size, where the caller's first line
-    lands (the header, when one is written, comes before it).  A file
-    that is empty after the heal gets ``header`` as its first line,
-    buffered so the caller's first :func:`write` flushes both; with
-    ``fsync`` its new directory entry is synced too.
+    A file that is empty after the heal gets ``header`` as its first
+    line, buffered so the caller's first :func:`write` flushes both;
+    with ``fsync`` its new directory entry is synced too.
     """
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    offset = _heal(path, heal_counter)
+    empty = _heal(path, heal_counter) == 0
     handle = open(path, "a", encoding="utf-8")
-    if offset == 0:
+    if empty:
         if header is not None:
             handle.write(json.dumps(header) + "\n")
         if fsync:
             fsync_dir(path)
-    return handle, offset
+    return handle
 
 
 def append(
@@ -126,16 +124,10 @@ def append(
     header: Optional[Mapping[str, object]] = None,
     fsync: bool = False,
     heal_counter: Optional[str] = None,
-) -> int:
-    """Heal, then append encoded ``lines`` (no newlines) in one flushed write.
-
-    Returns the byte offset of the first appended line (see
-    :func:`open_append`).
-    """
-    handle, offset = open_append(path, header, fsync, heal_counter)
-    with handle:
+) -> None:
+    """Heal, then append encoded ``lines`` (no newlines) in one flushed write."""
+    with open_append(path, header, fsync, heal_counter) as handle:
         write(handle, "".join(line + "\n" for line in lines), fsync)
-    return offset
 
 
 def read(

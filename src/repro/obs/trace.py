@@ -178,7 +178,7 @@ class Tracer:
         line = json.dumps(event, sort_keys=True, separators=(",", ":"))
         with self._write_lock:
             if self._handle is None:
-                self._handle, _offset = jsonlog.open_append(
+                self._handle = jsonlog.open_append(
                     self.path, {"format": TRACE_FORMAT, "pid": os.getpid()}, self.fsync
                 )
             jsonlog.write(self._handle, line + "\n", self.fsync)
@@ -417,10 +417,6 @@ class PhaseTimer:
     def phase(self, phase: str) -> "PhaseTimer._Phase":
         """Time one named phase (accumulates on repeated entry)."""
         return PhaseTimer._Phase(self, phase)
-
-    def record(self, phase: str, seconds: float) -> None:
-        """Fold an externally-measured duration into the split."""
-        self.durations[phase] = self.durations.get(phase, 0.0) + seconds
 
     def as_timing(self, digits: int = 4) -> Dict[str, float]:
         """The split as a ``timing``-style sub-dict (rounded seconds)."""

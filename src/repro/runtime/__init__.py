@@ -11,9 +11,10 @@ The orchestration layer every repository workload runs through:
 * :mod:`repro.runtime.executor` — the hardened executor:
   process-per-cell fan-out with timeouts, crash requeue, retry with
   backoff and quarantine error rows; serial fallback; resume-from-store.
-* :mod:`repro.runtime.store` — append-only JSONL results with the
-  content-keyed cache, the sidecar key index, compaction and the
-  timing-excluded diff helpers.
+* :mod:`repro.runtime.store` — the one-file append-only JSONL store:
+  the content-keyed cache, the outcome rule that picks each cell's row
+  (shared by resume, compaction and the timing-excluded diff), and
+  compaction.
 * :mod:`repro.runtime.cli` — the ``scenarios
   list|run|report|diff|compact`` subcommands.
 
@@ -25,7 +26,7 @@ how seeds and cache keys guarantee it and
 worker crashes, quarantine).
 """
 
-from repro.runtime.executor import RunReport, run_scenario, run_scenario_results
+from repro.runtime.executor import RunReport, run_scenario
 from repro.runtime.registry import REGISTRY, get, names, register
 from repro.runtime.spec import (
     Cell,
@@ -42,7 +43,6 @@ from repro.runtime.store import (
     default_store_path,
     diff_rows,
     is_error_row,
-    rows_equivalent,
 )
 
 __all__ = [
@@ -62,8 +62,6 @@ __all__ = [
     "names",
     "register",
     "resolve_knobs",
-    "rows_equivalent",
     "run_scenario",
-    "run_scenario_results",
     "spec",
 ]

@@ -42,11 +42,13 @@ worker count or retries; per-cell seeds are pure functions of the spec
 enters a seed or cache key.  Only the ``timing`` field of an ok row
 varies between runs, and every comparison helper excludes it.
 
-**Resume.**  With ``resume=True`` the executor loads the store's key
-index first and skips every cell whose key is already present —
-including quarantined cells, whose error rows are skipped by default so
-a flaky sweep does not thrash; pass ``retry_errors=True`` (CLI
-``--retry-errors``) to re-execute exactly the quarantined cells.
+**Resume.**  With ``resume=True`` the executor reads the store's rows
+once and skips every cell that already has an outcome row (see the
+outcome rule in :mod:`repro.runtime.store`: an ok row wins over an
+error row for the same key, whatever their order).  A cell whose
+outcome is an error row is skipped too by default, so a flaky sweep
+does not thrash; pass ``retry_errors=True`` (CLI ``--retry-errors``) to
+re-execute exactly those quarantined cells.
 """
 
 from __future__ import annotations
@@ -466,8 +468,8 @@ def run_scenario(
             debugging fallback — no subprocesses, so no timeout
             enforcement or crash isolation).
         quick: restrict to the quick cell subset.
-        resume: skip cells whose cache key is already in ``store``
-            (error rows included, unless ``retry_errors``).
+        resume: skip cells that already have an outcome row in
+            ``store`` (error outcomes included, unless ``retry_errors``).
         store: JSONL store to append rows to (and read cached rows
             from); ``None`` keeps everything in memory.
         knobs: resolved execution knobs; defaults to the environment
@@ -511,18 +513,11 @@ def run_scenario(
 
     cached: Dict[str, Dict[str, object]] = {}
     if resume and store is not None:
-        # Key index only (no row parsing) to decide what is missing —
-        # O(new work) resume — then seek-read just the cached rows.
-        index = store.key_index()
-        wanted = []
+        stored = store.rows_by_key()
         for payload in payloads:
-            entry = index.get(payload["key"])
-            if entry is None:
-                continue
-            if entry.status == "error" and retry_errors:
-                continue  # quarantined cell: re-execute it
-            wanted.append(payload["key"])
-        cached = store.load_rows(wanted)
+            row = stored.get(payload["key"])
+            if row is not None and not (retry_errors and is_error_row(row)):
+                cached[payload["key"]] = row
     pending = [p for p in payloads if p["key"] not in cached]
 
     fresh: Dict[str, Dict[str, object]] = {}
@@ -576,18 +571,3 @@ def run_scenario(
         errored=len(errored),
         quarantined=[row["key"] for row in errored],
     )
-
-
-def run_scenario_results(spec: ScenarioSpec, quick: bool = False, **kwargs) -> List[Dict[str, object]]:
-    """Convenience: run serially and return just the per-cell ``result`` dicts.
-
-    The entry point for checks across the cells of one scenario
-    (``tests/test_scenario_claims.py``).  Raises if any cell was
-    quarantined: callers of this helper expect every result to exist.
-    """
-    report = run_scenario(spec, workers=1, quick=quick, **kwargs)
-    if report.errored:
-        raise RuntimeError(
-            f"{spec.name}: {report.errored} cell(s) quarantined: {report.quarantined}"
-        )
-    return [row["result"] for row in report.rows]

@@ -9,7 +9,7 @@ interrupted run loses at most its last row, which a ``--resume`` run
 simply recomputes.  The store never rewrites existing lines while
 appending: resuming appends only the missing cells.
 :meth:`ResultStore.compact` is the explicit rewrite — it atomically
-drops superseded duplicate rows.
+keeps only each cell's outcome row (see the outcome rule below).
 
 Row layout::
 
@@ -26,19 +26,18 @@ execution-dependent field of an ok row; every comparison helper here
 are excluded from diffs the same way — which is how "bit-identical
 regardless of worker count" is both defined and tested.
 
-**Key index.**  Next to ``<name>.jsonl`` the store maintains a sidecar
-``<name>.jsonl.idx`` recording ``(key, offset, length, status)`` per
-row.  ``--resume`` reads only the index (O(rows) tiny lines, no JSON
-row parsing) to decide what is missing, so resuming a 10⁵-row sweep
-stays fast; a stale or missing index is rebuilt from the JSONL file
-transparently.
+**Outcome rule.**  A cell can have several rows: a non-resume rerun
+appends a duplicate, quarantine-then-retry appends an ok row after an
+error row, and a flaky rerun can append an error row after an ok row.
+A cell's *outcome* is its last ok row, else its last error row —
+whatever order they were appended in.  :func:`outcome_positions` is the
+one implementation; ``--resume``, :meth:`ResultStore.rows_by_key`,
+:meth:`ResultStore.compact` and :func:`diff_rows` all go through it.
 """
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro import jsonlog
 from repro.obs import get_registry
@@ -50,22 +49,30 @@ def is_error_row(row: Dict[str, object]) -> bool:
     return row.get("status") == "error"
 
 
-@dataclass(frozen=True)
-class IndexEntry:
-    """One sidecar-index record locating a row inside the JSONL file."""
-
-    key: str
-    offset: int
-    length: int
-    status: str  # "ok" | "error"
+def _cache_key(row: Dict[str, object]) -> object:
+    return row.get("key")
 
 
-def _index_line(entry: IndexEntry) -> str:
-    return f"{entry.key} {entry.offset} {entry.length} {entry.status}"
+def outcome_positions(
+    rows: Sequence[Dict[str, object]], identity: Callable[[Dict[str, object]], object]
+) -> List[int]:
+    """Ascending positions in ``rows`` of each cell's outcome row.
+
+    Rows are grouped by ``identity``; the outcome of a group is the
+    rule stated in the module docstring: its last ok row, else its last
+    error row.
+    """
+    outcome: Dict[object, int] = {}
+    for position, row in enumerate(rows):
+        cell = identity(row)
+        held = outcome.get(cell)
+        if held is None or is_error_row(rows[held]) or not is_error_row(row):
+            outcome[cell] = position
+    return sorted(outcome.values())
 
 
 class ResultStore:
-    """An append-only JSONL file of result rows (plus a sidecar key index).
+    """An append-only JSONL file of result rows.
 
     ``fsync=True`` forces every append through ``os.fsync`` — the
     durability option for chaos runs where the process may be killed at
@@ -77,28 +84,13 @@ class ResultStore:
         self.path = path
         self.fsync = fsync
 
-    @property
-    def index_path(self) -> str:
-        return self.path + ".idx"
-
-    # ------------------------------------------------------------- appending
     def append(self, row: Dict[str, object]) -> None:
-        """Append one row (canonical JSON), flush, and index it."""
-        line = canonical_json(row)
-        offset = jsonlog.append(
-            self.path, [line], fsync=self.fsync, heal_counter="store.heals"
+        """Append one row (canonical JSON) and flush it."""
+        jsonlog.append(
+            self.path, [canonical_json(row)], fsync=self.fsync, heal_counter="store.heals"
         )
-        entry = IndexEntry(
-            key=str(row.get("key", "")),
-            offset=offset,
-            length=len(line.encode("utf-8")) + 1,
-            status="error" if is_error_row(row) else "ok",
-        )
-        with open(self.index_path, "a", encoding="utf-8") as handle:
-            jsonlog.write(handle, _index_line(entry) + "\n", self.fsync)
         get_registry().counter("store.appends").inc()
 
-    # --------------------------------------------------------------- reading
     def rows(self) -> List[Dict[str, object]]:
         """All complete rows; a torn trailing line is skipped.
 
@@ -109,131 +101,25 @@ class ResultStore:
             return []
         return [row for _line, row in jsonlog.read(self.path, kind="store", noun="row")]
 
-    def _read_index(self) -> Optional[List[IndexEntry]]:
-        """The sidecar index, or ``None`` when missing/stale/unparseable.
-
-        Staleness check: the last entry must end exactly at the JSONL
-        file's last newline (a torn tail past it is fine — it carries no
-        index entry and heals on the next append).
-        """
-        if not os.path.exists(self.index_path) or not os.path.exists(self.path):
-            return None
-        entries: List[IndexEntry] = []
-        try:
-            with open(self.index_path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    key, offset, length, status = line.split(" ")
-                    entries.append(IndexEntry(key, int(offset), int(length), status))
-        except (ValueError, OSError):
-            return None
-        end = entries[-1].offset + entries[-1].length if entries else 0
-        size = os.path.getsize(self.path)
-        if end > size:
-            return None  # index ahead of the data: rebuild
-        if end < size:
-            # Data past the index: either a torn tail (no newline after
-            # `end`... cheap check: complete rows end in newline) or
-            # rows appended without the index — verify the tail is torn.
-            with open(self.path, "rb") as handle:
-                handle.seek(end)
-                tail = handle.read()
-            if b"\n" in tail:
-                return None  # complete unindexed rows exist: rebuild
-        return entries
-
-    def rebuild_index(self) -> List[IndexEntry]:
-        """Rescan the JSONL file and atomically rewrite the sidecar index."""
-        entries: List[IndexEntry] = []
-        if os.path.exists(self.path):
-            offset = 0
-            with open(self.path, "rb") as handle:
-                for raw in handle:
-                    length = len(raw)
-                    if raw.endswith(b"\n"):
-                        try:
-                            row = json.loads(raw.decode("utf-8"))
-                        except json.JSONDecodeError:
-                            row = None
-                        if isinstance(row, dict) and "key" in row:
-                            entries.append(
-                                IndexEntry(
-                                    key=str(row["key"]),
-                                    offset=offset,
-                                    length=length,
-                                    status="error" if is_error_row(row) else "ok",
-                                )
-                            )
-                    offset += length
-        jsonlog.rewrite(
-            self.index_path, [_index_line(entry) for entry in entries], fsync=self.fsync
-        )
-        return entries
-
-    def key_index(self) -> Dict[str, IndexEntry]:
-        """Latest index entry per cache key (O(index), no row parsing).
-
-        The structure ``--resume`` consults: deciding which cells are
-        missing needs only keys and statuses, not the row bodies, so
-        resuming stays O(new work) even on very large stores.
-        """
-        entries = self._read_index()
-        if entries is None:
-            entries = self.rebuild_index()
-        index: Dict[str, IndexEntry] = {}
-        for entry in entries:
-            index[entry.key] = entry
-        return index
-
-    def load_rows(self, keys: Iterable[str]) -> Dict[str, Dict[str, object]]:
-        """Seek-read only the rows for ``keys`` (latest per key)."""
-        index = self.key_index()
-        out: Dict[str, Dict[str, object]] = {}
-        wanted = [index[k] for k in keys if k in index]
-        if not wanted:
-            return out
-        with open(self.path, "rb") as handle:
-            for entry in sorted(wanted, key=lambda e: e.offset):
-                handle.seek(entry.offset)
-                out[entry.key] = json.loads(handle.read(entry.length).decode("utf-8"))
-        return out
-
-    def completed_keys(self) -> set:
-        """Cache keys of every stored row (for ``--resume`` skipping)."""
-        return set(self.key_index())
-
     def rows_by_key(self) -> Dict[str, Dict[str, object]]:
-        """Latest stored row per cache key."""
-        index: Dict[str, Dict[str, object]] = {}
-        for row in self.rows():
-            if "key" in row:
-                index[row["key"]] = row
-        return index
+        """The outcome row of every stored cache key."""
+        rows = self.rows()
+        return {rows[p]["key"]: rows[p] for p in outcome_positions(rows, _cache_key)}
 
-    # ------------------------------------------------------------ compaction
     def compact(self) -> int:
-        """Atomically drop superseded rows; return the rows removed.
+        """Atomically keep only the outcome rows; return the rows removed.
 
-        Keeps the *latest* row per cache key (matching
-        :meth:`rows_by_key`), in the order of last occurrence, writes
-        the survivors to a temp file and renames it over the store —
-        readers never observe a half-compacted file.  The sidecar index
-        is rebuilt to match.
+        The survivors keep their on-disk order and are written to a temp
+        file that is renamed over the store, so readers never observe a
+        half-compacted file.
         """
         rows = self.rows()
-        last: Dict[object, int] = {}
-        for position, row in enumerate(rows):
-            last[row.get("key", id(row))] = position
-        keep = sorted(last.values())
+        keep = outcome_positions(rows, _cache_key)
         removed = len(rows) - len(keep)
-        if removed == 0 and os.path.exists(self.index_path):
-            return 0
-        jsonlog.rewrite(
-            self.path, [canonical_json(rows[position]) for position in keep], fsync=self.fsync
-        )
-        self.rebuild_index()
+        if removed:
+            jsonlog.rewrite(
+                self.path, [canonical_json(rows[p]) for p in keep], fsync=self.fsync
+            )
         return removed
 
 
@@ -265,34 +151,26 @@ def strip_timing(
     return {key: value for key, value in row.items() if key not in drop}
 
 
+def _cell_identity(row: Dict[str, object]) -> object:
+    """A cell's identity across knob settings (the ``ignore_knobs`` match)."""
+    return (
+        row.get("spec"),
+        row.get("version"),
+        row.get("cell_index"),
+        canonical_json(row.get("params", {})),
+    )
+
+
 def _indexed_rows(
     rows: Iterable[Dict[str, object]], ignore_knobs: bool, include_errors: bool
 ) -> Dict[object, Dict[str, object]]:
-    """Deduplicated rows, keyed by cache key (or cell identity)."""
-    index: Dict[object, Dict[str, object]] = {}
-    for row in rows:
-        if not include_errors and is_error_row(row):
-            continue
-        if ignore_knobs:
-            key: object = (
-                row.get("spec"),
-                row.get("version"),
-                row.get("cell_index"),
-                canonical_json(row.get("params", {})),
-            )
-        else:
-            key = row.get("key")
-        # Ok supersedes error for the same key regardless of on-disk
-        # order.  Both orders occur in real stores: quarantine-then-retry
-        # appends the recovered ok row *after* its error row, while a
-        # later flaky re-run can append a fresh error row after an ok
-        # one.  Either way the cell's definitive outcome is the ok row,
-        # so under ``include_errors`` an error row never displaces it
-        # (plain last-wins still applies among rows of equal status).
-        if is_error_row(row) and key in index and not is_error_row(index[key]):
-            continue
-        index[key] = strip_timing(row, ignore_knobs=ignore_knobs)
-    return index
+    """Outcome rows without timing, keyed by cache key (or cell identity)."""
+    rows = [row for row in rows if include_errors or not is_error_row(row)]
+    identity = _cell_identity if ignore_knobs else _cache_key
+    return {
+        identity(rows[p]): strip_timing(rows[p], ignore_knobs=ignore_knobs)
+        for p in outcome_positions(rows, identity)
+    }
 
 
 def diff_rows(
@@ -303,18 +181,12 @@ def diff_rows(
 ) -> List[str]:
     """Human-readable differences between two row sets, timing excluded.
 
-    Rows are matched by cache key after deduplication (last occurrence
-    wins, matching :meth:`ResultStore.rows_by_key`), so neither the
-    on-disk order (which depends on completion order under ``--resume``)
-    nor re-appended duplicate rows from repeated non-resume runs matter.
-    Quarantine error rows are excluded like timing — their content
-    (tracebacks, attempt counts) is execution-dependent; pass
-    ``include_errors=True`` to compare them anyway.  Under
-    ``include_errors`` an ok row **supersedes** an error row with the
-    same key no matter which was appended first: quarantine-then-retry
-    writes ``error`` then ``ok``, a flaky re-run writes ``ok`` then
-    ``error``, and in both cases the cell's definitive outcome for the
-    diff is the ok row.  With
+    Each side is reduced to its cells' outcome rows (the module's
+    outcome rule), so neither the on-disk order (which depends on
+    completion order under ``--resume``) nor re-appended duplicate rows
+    matter.  Quarantine error rows are excluded like timing — their
+    content (tracebacks, attempt counts) is execution-dependent; pass
+    ``include_errors=True`` to compare them anyway.  With
     ``ignore_knobs`` rows are matched by cell identity instead and the
     knob/key fields are excluded from the comparison — the mode CI uses
     to hold the cross-plane bit-identity contract on real stores.
@@ -338,10 +210,3 @@ def diff_rows(
                 f"key {key}: rows differ\n  left:  {canonical_json(a)}\n  right: {canonical_json(b)}"
             )
     return problems
-
-
-def rows_equivalent(
-    left: Iterable[Dict[str, object]], right: Iterable[Dict[str, object]]
-) -> bool:
-    """Whether two row sets are bit-identical modulo timing and order."""
-    return not diff_rows(left, right)

@@ -40,6 +40,7 @@ from repro.graphs import generators
 from repro.graphs.core import Graph, degrees_within
 from repro.graphs.identifiers import id_space_size
 from repro.verification.checkers import is_proper_edge_coloring
+from runtime_helpers import scenario_results
 from simulator_reference import RaggedSender
 
 requires_numpy = pytest.mark.skipif(_np is None, reason="numpy not installed")
@@ -710,20 +711,39 @@ class TestSimulatorTwinMatrix:
             assert outcome == outcomes[0]
 
 
-class TestScanPathReachesLinial:
-    """An explicit ``scan_path="python"`` keeps every Linial call off numpy."""
+class TestScanPathReachesEngines:
+    """An explicit ``scan_path="python"`` keeps every engine off numpy.
+
+    Covered: the Linial reduction steps, the defective local search, the
+    edge-schedule setup and the Definition 5.1 defect recount.
+    """
 
     @pytest.fixture
     def numpy_engines_raise(self, monkeypatch):
-        from repro.coloring import linial
+        from repro.coloring import defective_vertex, greedy, linial
+        from repro.core import engine
 
         def forbidden(*_args, **_kwargs):
             raise AssertionError("a numpy engine ran under scan_path='python'")
 
         monkeypatch.setattr(linial, "polynomial_steps_numpy", forbidden)
         monkeypatch.setattr(linial, "conflict_free_step_numpy", forbidden)
+        monkeypatch.setattr(defective_vertex, "_local_search_rounds_numpy", forbidden)
+        monkeypatch.setattr(greedy, "_schedule_setup_numpy", forbidden)
+        # measure_defects resolves its inline numpy branch through a
+        # call-time import of engine.resolve_use_numpy: record the knobs
+        # it is handed.
+        resolved = []
+        real = engine.resolve_use_numpy
+
+        def recording(scan_path, size):
+            resolved.append(scan_path)
+            return real(scan_path, size)
+
+        monkeypatch.setattr(engine, "resolve_use_numpy", recording)
         # The explicit knob must win even over a forced environment.
         _force_engine(monkeypatch, "numpy")
+        return resolved
 
     @pytest.fixture
     def graph(self):
@@ -757,16 +777,30 @@ class TestScanPathReachesLinial:
             result = baseline(graph, scan_path="python")
             assert is_proper_edge_coloring(graph, result.colors)
 
-    @pytest.mark.parametrize("name", ["e7_logstar", "e8_linial", "fault_sweep"])
+    def test_barenboim_elkin_baseline(self, numpy_engines_raise, graph):
+        from repro.baselines.barenboim_elkin import barenboim_elkin_edge_coloring
+
+        result = barenboim_elkin_edge_coloring(graph, scan_path="python")
+        assert is_proper_edge_coloring(graph, result.colors)
+
+    @pytest.mark.parametrize("name", ["e7_logstar", "e8_linial", "fault_sweep", "suite_compare"])
     def test_scenario_runners(self, numpy_engines_raise, name):
         # The runners read the knob from ctx.knobs: a row that records
-        # scan_path "python" ran no numpy Linial engine.
-        from repro.runtime.executor import run_scenario_results
+        # scan_path "python" ran no numpy engine.
         from repro.runtime.registry import get
         from repro.runtime.spec import Knobs
 
-        results = run_scenario_results(get(name), quick=True, knobs=Knobs(scan_path="python"))
+        results = scenario_results(get(name), quick=True, knobs=Knobs(scan_path="python"))
         assert results
+
+    def test_e5_defect_recount_uses_the_coloring_engine(self, numpy_engines_raise):
+        # E5's Definition 5.1 check recounts defects on the engine the
+        # coloring ran with.
+        from repro.runtime.registry import get
+        from repro.runtime.spec import Knobs
+
+        scenario_results(get("e5_defective"), quick=True, knobs=Knobs(scan_path="python"))
+        assert numpy_engines_raise and set(numpy_engines_raise) == {"python"}
 
 
 #: Fault plans covering every fault channel, alone and combined.

@@ -6,13 +6,14 @@ executor retries with backoff, requeues cells lost to worker death,
 quarantines deterministic failures as structured error rows, and the
 rest of the sweep completes; ``--resume`` skips error rows by default
 and ``--retry-errors`` re-executes exactly the quarantined cells.  The
-store side: sidecar key index, atomic compaction, fsync appends and
-torn-write healing with a logged byte offset.
+store side: one JSONL file and no sidecar, one outcome rule shared by
+resume, compaction and diffs (an ok row beats a later error row), atomic
+compaction, fsync appends and torn-write healing with a logged byte
+offset.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 
@@ -180,10 +181,9 @@ class TestResumeSemantics:
     def test_compact_mid_sweep_then_resume_executes_nothing(self, tmp_path):
         """``scenarios compact`` between runs must not disturb ``--resume``.
 
-        Compaction rewrites the JSONL file and rebuilds the sidecar
-        index; a subsequent resume consults only that index, so every
-        completed cell must still be seen as completed — zero cells
-        re-execute.
+        Compaction rewrites the JSONL file; a subsequent resume reads the
+        rewritten rows, so every completed cell must still be seen as
+        completed — zero cells re-execute.
         """
         chaos = _chaos_spec([{"mode": "ok", "payload": i} for i in range(3)])
         store = ResultStore(str(tmp_path / "mid.jsonl"))
@@ -197,8 +197,29 @@ class TestResumeSemantics:
         assert resumed.executed == 0
         assert resumed.skipped == 3
         assert resumed.errored == 0
-        # and the compacted store + index stay self-consistent
-        assert set(store.completed_keys()) == {r["key"] for r in store.rows()}
+        # and the compacted store holds exactly one row per cell
+        assert len(store.rows()) == 3
+        assert set(store.rows_by_key()) == {r["key"] for r in store.rows()}
+
+    def test_resume_takes_ok_row_over_later_error_row(self, tmp_path):
+        # A flaky non-resume rerun can append an error row after the
+        # cell's ok row; the ok row is still the cell's outcome.
+        chaos = _chaos_spec([{"mode": "ok", "payload": 1}])
+        store = ResultStore(str(tmp_path / "flaky.jsonl"))
+        (ok,) = run_scenario(chaos, workers=1, store=store).rows
+        store.append(error_row(ok, {"kind": "exception", "type": "A"}, attempts=2, wall=0.1))
+        resumed = run_scenario(chaos, workers=1, resume=True, store=store)
+        assert (resumed.executed, resumed.skipped, resumed.errored) == (0, 1, 0)
+        assert strip_timing(resumed.rows[0]) == strip_timing(ok)
+
+    def test_store_is_one_jsonl_file(self, tmp_path):
+        chaos = _chaos_spec([{"mode": "ok", "payload": i} for i in range(2)])
+        store = ResultStore(str(tmp_path / "one.jsonl"))
+        run_scenario(chaos, workers=1, store=store)
+        run_scenario(chaos, workers=1, store=store)
+        run_scenario(chaos, workers=1, resume=True, store=store)
+        assert store.compact() == 2
+        assert os.listdir(tmp_path) == ["one.jsonl"]
 
 
 class TestErrorRowsExcludedFromDiffs:
@@ -293,47 +314,28 @@ class TestStoreHardening:
         )
         assert [r["key"] for r in store.rows()] == ["a", "c"]
 
-    def test_key_index_tracks_status_without_parsing_rows(self, tmp_path):
-        store = ResultStore(str(tmp_path / "idx.jsonl"))
-        store.append(self._row("a"))
-        store.append({**self._row("b"), "status": "error", "error": {"type": "X"}})
-        index = store.key_index()
-        assert index["a"].status == "ok"
-        assert index["b"].status == "error"
-        assert store.completed_keys() == {"a", "b"}
-
-    def test_index_rebuilt_when_missing_or_stale(self, tmp_path):
-        store = ResultStore(str(tmp_path / "re.jsonl"))
-        store.append(self._row("a"))
-        store.append(self._row("b"))
-        os.remove(store.index_path)
-        assert set(store.key_index()) == {"a", "b"}  # rebuilt from JSONL
-        # Rows appended behind the index's back: detected and rebuilt.
-        with open(store.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(self._row("c")) + "\n")
-        assert set(store.key_index()) == {"a", "b", "c"}
-
-    def test_load_rows_seek_reads_latest_per_key(self, tmp_path):
-        store = ResultStore(str(tmp_path / "seek.jsonl"))
-        store.append(self._row("a", x=1))
-        store.append(self._row("b", x=2))
-        store.append(self._row("a", x=3))  # supersedes the first
-        loaded = store.load_rows(["a", "b", "missing"])
-        assert loaded["a"]["result"]["x"] == 3
-        assert loaded["b"]["result"]["x"] == 2
-        assert "missing" not in loaded
-
     def test_compact_drops_superseded_rows_atomically(self, tmp_path):
         store = ResultStore(str(tmp_path / "c.jsonl"))
         store.append(self._row("a", x=1))
         store.append(self._row("b", x=2))
         store.append(self._row("a", x=3))
         before = store.rows_by_key()
+        assert before["a"]["result"]["x"] == 3  # the latest row per key
         assert store.compact() == 1
         assert len(store.rows()) == 2
         assert store.rows_by_key() == before
         assert store.compact() == 0  # idempotent
-        assert set(store.key_index()) == {"a", "b"}
+        assert [r["key"] for r in store.rows()] == ["b", "a"]
+
+    def test_compact_keeps_ok_row_over_later_error_row(self, tmp_path):
+        store = ResultStore(str(tmp_path / "flaky.jsonl"))
+        ok = self._row("a")
+        store.append(ok)
+        store.append({**self._row("a"), "status": "error", "error": {"type": "X"}})
+        assert diff_rows(store.rows(), [ok]) == []
+        assert store.compact() == 1
+        assert store.rows() == [ok]
+        assert diff_rows(store.rows(), [ok]) == []
 
     def test_fsync_store_appends_and_reads(self, tmp_path):
         store = ResultStore(str(tmp_path / "f.jsonl"), fsync=True)

@@ -17,7 +17,6 @@ from repro.runtime.spec import Cell, Knobs, spec
 from repro.runtime.store import (
     ResultStore,
     diff_rows,
-    rows_equivalent,
     strip_timing,
 )
 from repro.runtime.workloads import RUNNERS
@@ -42,7 +41,7 @@ class TestDeterminismMatrix:
     def test_workers4_matches_serial(self, serial_rows):
         parallel = run_scenario(get(MATRIX_SCENARIO), workers=4).rows
         assert _strip_all(parallel) == _strip_all(serial_rows)
-        assert rows_equivalent(parallel, serial_rows)
+        assert diff_rows(parallel, serial_rows) == []
 
     def test_workers2_jsonl_bytes_match_serial_modulo_timing(self, tmp_path, serial_rows):
         store = ResultStore(str(tmp_path / "w2.jsonl"))
@@ -144,7 +143,7 @@ class TestStore:
         path = tmp_path / "torn.jsonl"
         path.write_text('{"key": "a"}\n{"key": "b"')
         store = ResultStore(str(path))
-        assert store.completed_keys() == {"a"}
+        assert list(store.rows_by_key()) == ["a"]
 
     def test_missing_file_is_empty(self, tmp_path):
         assert ResultStore(str(tmp_path / "absent.jsonl")).rows() == []

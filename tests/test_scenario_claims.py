@@ -13,7 +13,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.analysis.complexity import loglog_slope
-from repro.runtime import get, run_scenario_results
+from repro.runtime import get
+from runtime_helpers import scenario_results
 
 
 def _results(name, **match):
@@ -21,7 +22,7 @@ def _results(name, **match):
     cells = tuple(
         c for c in spec.cells if all(c.params[k] == v for k, v in match.items())
     )
-    return run_scenario_results(dataclasses.replace(spec, cells=cells))
+    return scenario_results(dataclasses.replace(spec, cells=cells))
 
 
 def test_e2_congest_rounds_grow_subquadratically_in_delta():
