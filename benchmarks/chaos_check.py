@@ -131,7 +131,10 @@ def concurrent_clients_kill_probe(workdir: str) -> None:
     replay every *acknowledged* write (journal-before-ack inside the
     writer lock), the acknowledged write epochs must be pairwise
     distinct (the writer lock's total order), and a restart + graceful
-    shutdown must compact segments and journal away.
+    shutdown must compact segments and journal away.  The daemon runs at
+    ``--radius-limit 0``, so every write whose repair pops an edge is a
+    fallback; at m=160 the drain budget is 10 pops, so both fallback
+    routes run.
     """
     import threading
     import time
@@ -164,7 +167,7 @@ def concurrent_clients_kill_probe(workdir: str) -> None:
         if len(owners) == clients:
             break
 
-    rotation = ["--journal-max-records", "8"]
+    rotation = ["--journal-max-records", "8", "--radius-limit", "0"]
     acks = [[] for _ in owners]
     write_count = threading.Lock()
     total_writes = [0]

@@ -217,10 +217,10 @@ def build_coloring_service(
     color/schedule lookups and absorbs edge/demand deltas by bounded
     incremental repair.  ``repair_path`` pins the repair twin
     (``"auto"`` / ``"incremental"`` / ``"recompute"`` — bit-identical,
-    the knob only matters for perf and testing), ``radius_limit``
-    bounds the incremental worklist before it falls back to recompute,
-    and ``lists`` optionally constrains edges to demand lists, keyed by
-    endpoint pair.
+    the knob only matters for perf and testing), ``radius_limit`` is
+    the repair radius past which a delta counts as a fallback and is
+    finished within a recompute-sized budget, and ``lists`` optionally
+    constrains edges to demand lists, keyed by endpoint pair.
     """
     from repro.serving import ServingSession, build_artifact
 

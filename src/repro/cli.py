@@ -132,7 +132,8 @@ def serve_main(argv: list) -> int:
         "--radius-limit",
         type=int,
         default=None,
-        help="daemon mode: incremental worklist budget before recompute fallback",
+        help="daemon mode: repair radius past which a delta counts as a fallback "
+        "and is finished within a recompute-sized budget",
     )
     parser.add_argument(
         "--rebase-policy",
@@ -228,7 +229,8 @@ def query_main(argv: list) -> int:
         "--radius-limit",
         type=int,
         default=None,
-        help="incremental worklist budget before falling back to recompute",
+        help="repair radius past which a delta counts as a fallback and is "
+        "finished within a recompute-sized budget",
     )
     parser.add_argument(
         "--save",

@@ -31,8 +31,9 @@ two:
 **Incremental repair** (:mod:`repro.serving.repair`)
     Deltas are absorbed by bounded incremental repair: a min-heap
     worklist recolors only the affected repair radius (an exact
-    affectedness test prunes the cascade) and falls back to a
-    from-scratch recompute when the radius blows past ``radius_limit``.
+    affectedness test prunes the cascade).  A delta whose radius passes
+    ``radius_limit`` is a fallback: it keeps draining the worklist up to
+    a recompute-sized budget and recomputes from scratch only past it.
     Both paths converge on the same canonical fixed point, so repairs
     are **bit-identical** to recomputation — the ``repair_path`` knob
     (``incremental`` / ``recompute``, env ``REPRO_REPAIR_PATH``) pins

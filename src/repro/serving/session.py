@@ -105,8 +105,9 @@ CONTROL_OPS = protocol.CONTROL_OPS
 #: Default size of the per-session repair-report ring buffer.
 DEFAULT_REPORTS_CAP = 256
 
-#: Repair-radius histogram buckets (touched-node counts, not seconds).
-RADIUS_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024)
+#: Repair-radius histogram buckets (touched-edge counts, not seconds);
+#: the top ones resolve drained fallbacks past the default radius limit.
+RADIUS_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
 def result_cache_key(epoch: int, request: QueryRequest) -> Tuple[int, QueryRequest]:
@@ -180,10 +181,11 @@ class ServingSession:
     Safe for concurrent use from many threads (see the module
     docstring): reads share, writes serialize.  ``repair_path`` pins
     which twin absorbs deltas (``auto`` → ``incremental``);
-    ``radius_limit`` bounds the incremental worklist before it falls
-    back to recompute.  Cache statistics live in :attr:`metrics`, are
-    read through :meth:`cache_stats` and are deliberately kept *out* of
-    responses — they are observability, not answers.
+    ``radius_limit`` is the repair radius past which a delta counts as
+    a fallback and is finished within a recompute-sized budget.  Cache
+    statistics live in :attr:`metrics`, are read through
+    :meth:`cache_stats` and are deliberately kept *out* of responses —
+    they are observability, not answers.
     """
 
     def __init__(

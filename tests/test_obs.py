@@ -10,6 +10,7 @@ response streams across engine × plane × repair-path combinations.
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -31,7 +32,13 @@ from repro.obs.cli import obs_main
 from repro.runtime import diff_rows, get, run_scenario
 from repro.runtime.spec import Knobs
 from repro.runtime.store import ResultStore
-from repro.serving import ColoringArtifact, ServingSession, build_artifact
+from repro.serving import (
+    DEFAULT_RADIUS_LIMIT,
+    ColoringArtifact,
+    ServingSession,
+    build_artifact,
+    repair,
+)
 from repro.serving.daemon import ColoringDaemon
 from repro.graphs import generators
 
@@ -352,6 +359,30 @@ class TestQuarantine:
         for event in deltas:
             assert isinstance(event["attrs"]["touched"], int)
             assert event["attrs"]["path"] in ("incremental", "recompute")
+
+    def test_drained_fallback_shows_its_real_radius(self, tmp_path, monkeypatch, capsys):
+        graph = generators.random_regular_graph(4000, 8, seed=1)
+        u, v = sorted(build_artifact(graph).colors)[0]
+        pops = build_artifact(graph).delete(u, v, radius_limit=sys.maxsize).touched
+        assert DEFAULT_RADIUS_LIMIT < pops <= 512
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a drained fallback must not recompute")
+
+        monkeypatch.setattr(repair, "full_recompute", refuse)
+        path = str(tmp_path / "trace.jsonl")
+        obs_trace.configure(path)
+        session = ServingSession(build_artifact(graph), rebase_policy=None)
+        assert session.serve_batch([{"op": "delete", "u": u, "v": v}])[0]["ok"]
+        obs_trace.disable()
+        stats = session.cache_stats()
+        assert (stats["fallbacks"], stats["touched"]) == (1, pops)
+        radius = session.metrics.snapshot()["serving.repair_radius"]
+        assert radius["max"] == pops and radius["buckets"]["512"] == 1
+        assert obs_report.summarize(path)["repair_radius"] == {pops: 1}
+        capsys.readouterr()
+        assert obs_main(["report", path, "--format", "markdown"]) == 0
+        assert f"| {pops} | 1 |" in capsys.readouterr().out
 
     def test_daemon_strips_trace_field_before_session(self, tmp_path):
         path = str(tmp_path / "artifact.json")

@@ -10,6 +10,7 @@ under forced radius-limit fallback.
 import copy
 import json
 import random
+import sys
 
 import pytest
 
@@ -35,7 +36,8 @@ from repro.serving import (
 )
 from repro.serving import protocol
 from repro.serving.protocol import PROTOCOL_FORMAT, parse_request
-from repro.serving.repair import choose_color
+from repro.serving import repair
+from repro.serving.repair import EDGES_PER_POP, choose_color
 
 
 def small_graph():
@@ -54,6 +56,16 @@ def absent_pair(graph):
 def rebuilt_twin(artifact):
     """A fresh canonical artifact for the artifact's *current* edge set."""
     return build_artifact(artifact.graph.snapshot(), dict(artifact.lists))
+
+
+def unbounded_pops(graph, u, v):
+    """Worklist pops of deleting ``{u, v}`` from ``graph`` with no radius cap."""
+    return build_artifact(graph).delete(u, v, radius_limit=sys.maxsize).touched
+
+
+def budget(num_edges, radius_limit):
+    """Pops a fallback may drain, on a graph left with ``num_edges`` edges."""
+    return max(radius_limit, num_edges // EDGES_PER_POP)
 
 
 # --------------------------------------------------------------------- repair
@@ -166,7 +178,92 @@ class TestTwinDiscipline:
         assert artifact.verify()
         assert artifact.colors == rebuilt_twin(artifact).colors
         if radius_limit == 0:
-            assert report.fallback  # worklist never allowed to run
+            assert report.fallback  # the first pop already overflows a zero radius
+
+    @pytest.mark.parametrize("radius_limit", [0, 1, 8, 64])
+    def test_fallback_contract_under_churn(self, radius_limit):
+        """A delta falls back iff its unbounded radius exceeds the limit;
+        drained or recomputed, it lands on the recompute twin's colors."""
+        base = generators.random_regular_graph(400, 6, seed=1)
+        bounded, unbounded, rec = (build_artifact(base) for _ in range(3))
+        rng = random.Random(radius_limit)
+        n = base.num_nodes
+        present = sorted(bounded.colors)
+        routes = set()
+        for step in range(90):
+            kind = step % 3
+            if kind == 0:
+                args = present.pop(rng.randrange(len(present)))
+                op = "delete"
+            elif kind == 1:
+                while True:
+                    u, v = sorted((rng.randrange(n), rng.randrange(n)))
+                    if u != v and not bounded.graph.has_edge(u, v):
+                        break
+                present.append((u, v))
+                args, op = (u, v), "insert"
+            else:
+                args = present[rng.randrange(len(present))]
+                args += (tuple(sorted(rng.sample(range(16), 8))),)
+                op = "set_list"
+            report = getattr(bounded, op)(*args, radius_limit=radius_limit)
+            twin = getattr(unbounded, op)(*args, radius_limit=sys.maxsize)
+            getattr(rec, op)(*args, path="recompute")
+            own = int(op == "insert")
+            pops = twin.touched - own
+            assert report.fallback == (pops > radius_limit), f"step {step}"
+            cap = budget(bounded.graph.num_edges, radius_limit)
+            if pops > cap:
+                routes.add("recompute")
+                expected = own + cap + 1 + bounded.graph.num_edges
+            else:
+                routes.add("drain" if report.fallback else "incremental")
+                expected = twin.touched
+            assert report.touched == expected, f"step {step}"
+            assert bounded.colors == rec.colors, f"diverged at step {step}"
+            assert bounded.epoch == rec.epoch
+        assert bounded.verify()
+        assert routes & {"drain", "recompute"}  # some delta did fall back
+
+    def test_drained_fallback_never_recomputes(self, monkeypatch):
+        graph = generators.random_regular_graph(400, 6, seed=1)
+        artifact = build_artifact(graph)
+        limit = 8
+        u, v = next(
+            key for key in sorted(artifact.colors)
+            if limit < unbounded_pops(graph, *key) <= budget(graph.num_edges - 1, limit)
+        )
+        pops = unbounded_pops(graph, u, v)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a drained fallback must not recompute")
+
+        monkeypatch.setattr(repair, "full_recompute", refuse)
+        report = artifact.delete(u, v, radius_limit=limit)
+        assert report.fallback
+        assert report.touched == pops
+        assert artifact.colors == rebuilt_twin(artifact).colors
+
+    def test_fallback_past_budget_recomputes_once(self, monkeypatch):
+        graph = small_graph()
+        artifact = build_artifact(graph)
+        u, v = next(
+            key for key in sorted(artifact.colors)
+            if unbounded_pops(graph, *key) > budget(graph.num_edges - 1, 0)
+        )
+        calls = []
+        recompute = repair.full_recompute
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return recompute(*args, **kwargs)
+
+        monkeypatch.setattr(repair, "full_recompute", counting)
+        report = artifact.delete(u, v, radius_limit=0)
+        assert len(calls) == 1
+        assert report.fallback
+        assert report.touched >= artifact.graph.num_edges
+        assert artifact.colors == rebuilt_twin(artifact).colors
 
     def test_randomized_churn_twins_stay_identical(self):
         """80 mixed deltas: incremental twin == recompute twin after each."""
