@@ -2,8 +2,9 @@
 
 Runs the full algorithm suite (the paper's LOCAL and CONGEST algorithms
 plus the greedy, linear-in-Δ, Barenboim–Elkin and randomized baselines)
-on a configurable workload and prints the comparison table used by
-experiment E6 of DESIGN.md.
+on a configurable workload and prints the comparison table of
+experiment E6 (rounds against Δ across the paper's algorithms and the
+baselines; the ``e6_round_scaling`` scenario sweeps it).
 
 Run with::
 

@@ -2,7 +2,8 @@
 
 The paper contains no tables or figures; the benchmarks instead compare
 the paper's algorithms against the baselines across parameter sweeps
-(experiments E1–E10 of DESIGN.md).  This module provides the shared
+(experiments E1–E10, the scenarios of :mod:`repro.runtime.scenarios`).
+This module provides the shared
 plumbing: run every algorithm on a graph, collect
 :class:`ExperimentRecord` rows, and sweep a parameter over a graph
 family.

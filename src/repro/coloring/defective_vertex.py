@@ -6,7 +6,7 @@ coloring with O(1) colors whose monochromatic degree is roughly Δ/2
 (Lemma 6.2, which the paper obtains from the Refine procedure of
 Barenboim–Elkin–Kuhn [11]).
 
-This module implements the substitute documented in DESIGN.md §3.2:
+This module implements a two-step substitute for Lemma 6.2:
 
 1. :func:`polynomial_defective_reduction` — the one-round defective color
    reduction (Kuhn-style weak coloring): from a proper O(Δ²)-coloring it
@@ -288,7 +288,7 @@ def defective_split_coloring(
 ) -> Tuple[List[int], int]:
     """A ``num_classes``-class defective coloring with defect ≤ deg(v)/num_classes + εΔ.
 
-    This is the Lemma 6.2 substitute (see DESIGN.md §3.2): a one-round
+    This is the Lemma 6.2 substitute (see the module docstring): a one-round
     polynomial defective reduction seeded by the proper coloring (when one
     is supplied), followed by the local-search refinement.  The measured
     defect is strictly below the (εΔ + ⌊Δ/2⌋) bound Lemma 6.2 promises for

@@ -43,9 +43,12 @@ Two interchangeable phase-loop engines are provided, selected by the
   reference's.  Proposal, the per-node ``k_φ`` accept cap (a stable
   argsort by key plus a group-rank cut, which keeps the reference's
   "smallest edge first" order) and accept run as array ops over all
-  parts.  Only the token dropping repair games run in python,
-  per part, on part-local node ids — a monotone relabelling, so every
-  tie-break is unchanged.
+  parts.  The token dropping repair games of one iteration touch
+  disjoint keys and read only phase-start values, so they run as one
+  segmented numpy game
+  (:func:`~repro.core.token_dropping.segmented_token_dropping`) over the
+  keys their arcs join — a monotone relabelling, so every tie-break is
+  unchanged — with each part's own ``k_φ``, ``δ_φ`` and phase count.
 
 A single instance (:func:`compute_balanced_orientation`) is the one-part
 level.  Both engines are required to produce bit-identical orientations,
@@ -62,7 +65,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core import parameters
 from repro.core.engine import _np, resolve_use_numpy
-from repro.core.token_dropping import ROUNDS_PER_PHASE, _token_dropping_core
+from repro.core.token_dropping import (
+    ROUNDS_PER_PHASE,
+    _token_dropping_core,
+    segmented_token_dropping,
+)
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.bipartite import Bipartition
 from repro.graphs.core import Graph, degrees_within
@@ -588,15 +595,16 @@ class LevelSegments:
 
 
 def segment_parts(
-    graph: Graph, bipartition: Bipartition, parts: Sequence[Sequence[int]]
+    graph: Graph, bipartitions: Sequence[Bipartition], parts: Sequence[Sequence[int]]
 ) -> LevelSegments:
     """Lay the (edge-disjoint, ascending) parts of one level out (numpy only).
 
-    One ``np.unique`` compacts the (part, node) keys and one bincount over
-    them gives every part's node degrees.  Raises ``ValueError`` for a
-    part that is not strictly ascending, and the reference twin's
-    ``ValueError`` for the first position whose edge does not cross the
-    bipartition.
+    ``bipartitions[p]`` gives part ``p``'s node sides, so a key's side
+    comes from its own part's bipartition.  One ``np.unique`` compacts the
+    (part, node) keys and one bincount over them gives every part's node
+    degrees.  Raises ``ValueError`` for a part that is not strictly
+    ascending, and the reference twin's ``ValueError`` for the first
+    position whose edge does not cross its part's bipartition.
     """
     np = _np
     sizes = [len(part) for part in parts]
@@ -621,7 +629,12 @@ def segment_parts(
     key_node = uniq - key_part * n
     ku = inv[:total]
     kv = inv[total:]
-    key_side = np.asarray(bipartition.sides, dtype=np.int8)[key_node]
+    # One row of sides per distinct bipartition; a key reads its part's row.
+    distinct = list({id(b): b for b in bipartitions}.values())
+    row = {id(b): index for index, b in enumerate(distinct)}
+    sides = np.array([b.sides for b in distinct], dtype=np.int8)
+    part_row = np.array([row[id(b)] for b in bipartitions], dtype=np.int64)
+    key_side = sides[part_row[key_part], key_node]
     su = key_side[ku]
     bad = su == key_side[kv]
     if bad.any():
@@ -749,8 +762,10 @@ def orient_segments(
     same iteration.  Step 5's violation flags are recomputed per
     iteration from the phase-start in-degrees in one masked comparison
     (the python twin maintains the same set incrementally).
-    Fast-forwards, repair games and every round charge are per part and
-    mirror the reference branch for branch.
+    Fast-forwards and every round charge are per part and mirror the
+    reference branch for branch; the iteration's repair games, one per
+    part, are played as one segmented game (arcs in part order, then
+    orientation order) and their flips applied once.
     """
     np = _np
     num_parts = seg.num_parts
@@ -761,7 +776,6 @@ def orient_segments(
     edge_start_np = seg.edge_start
     edge_start = edge_start_np.tolist()
     key_start_np = seg.key_start
-    key_start = key_start_np.tolist()
     num_keys = int(seg.deg.size)
     key_part = np.repeat(np.arange(num_parts, dtype=np.int64), np.diff(key_start_np))
 
@@ -786,7 +800,12 @@ def orient_segments(
     seta = np.full(num, np.inf, dtype=np.float64)
     seq = np.full(num, -1, dtype=np.int64)  # position in orientation order
     d_minus = bar_np[key_part]
-    alpha_memo: List[Dict[int, int]] = [{} for _ in range(num_parts)]
+    # α per (Δ̄, d⁻) pair, filled on demand: row = the part's Δ̄ among the
+    # distinct ones, column = d⁻ ≤ Δ̄; 0 marks a cell not computed yet.
+    row_bar = sorted(set(bar))
+    bar_row = np.searchsorted(np.array(row_bar, dtype=np.int64), bar_np)
+    stride = max(bar, default=0) + 1
+    alpha_table = np.zeros(len(row_bar) * stride, dtype=np.int64)
     unoriented_count = [edge_start[p + 1] - edge_start[p] for p in range(num_parts)]
     phase = [1] * num_parts
     phases_run = [0] * num_parts
@@ -917,76 +936,69 @@ def orient_segments(
             unoriented_count[p] -= accepted[p + 1] - accepted[p]
             proposal_rounds[p] += 2
             phase[p] += 1
-            # Steps 5 + 6: the repair game (see the reference engine for
-            # the two cheap no-op checks).
-            if violated[p] == violated[p + 1]:
-                continue
-            delta_use, rounds_phases = game_phases[p]
-            if p not in games:
+            # Steps 5 + 6: a part whose repair game cannot move a token
+            # (see the reference engine's two cheap no-op checks) is only
+            # charged.
+            if violated[p] < violated[p + 1] and p not in games:
                 trackers[p].charge(
-                    max(1, ROUNDS_PER_PHASE * rounds_phases), "orientation-token-dropping"
+                    max(1, ROUNDS_PER_PHASE * game_phases[p][1]), "orientation-token-dropping"
                 )
-                continue
-            part_viol = viol_pos[violated[p] : violated[p + 1]]
-            viol_sorted = part_viol[np.argsort(seq[part_viol])]  # orientation order
-            forward = sdir[viol_sorted] == 1
-            end_u = kou[viol_sorted]
-            end_v = kov[viol_sorted]
-            vtail = np.where(forward, end_u, end_v)
-            vhead = np.where(forward, end_v, end_u)
-            # Part-local node ids: the part's keys ascend with the node id.
-            offset = key_start[p]
-            local_n = key_start[p + 1] - offset
-            # The game arc runs opposite to the orientation: head -> tail.
-            # Its inputs are built with array ops: arcs grouped by
-            # receiver (ascending arc index within a group), degrees in
-            # the arc set, initial tokens from the capped accept tallies.
-            arc_tails = vhead - offset
-            arc_receivers = vtail - offset
-            by_receiver = np.argsort(arc_receivers, kind="stable")
-            receivers = arc_receivers[by_receiver]
-            bounds = np.flatnonzero(receivers[1:] != receivers[:-1]) + 1
-            cuts = [0, *bounds.tolist(), int(receivers.size)]
-            arcs = by_receiver.tolist()
-            in_map = {
-                node: arcs[cuts[i] : cuts[i + 1]]
-                for i, node in enumerate(receivers[cuts[:-1]].tolist())
-            }
-            deg_count = np.bincount(
-                np.concatenate((arc_tails, arc_receivers)), minlength=local_n
-            ).tolist()
-            tokens = np.zeros(local_n, dtype=np.int64)
-            tokens[group_keys[groups[p] : groups[p + 1]] - offset] = capped[
-                groups[p] : groups[p + 1]
-            ]
-            # Phase-start α, memoized per d⁻ value.
-            memo = alpha_memo[p]
-            d_old = d_minus_old[offset : offset + local_n].tolist()
-            for degree in set(d_old).difference(memo):
-                memo[degree] = parameters.alpha_node(resolved_nu, bar[p], degree)
+        if not games:
+            continue
 
-            _x, _y, moved_arcs, _arc_moves, played = _token_dropping_core(
-                n=local_n,
-                tails=arc_tails.tolist(),
-                in_map=in_map,
-                degrees=deg_count,
-                k=int(k_phi[p]),
-                initial_tokens=tokens.tolist(),
-                alphas=list(map(memo.__getitem__, d_old)),
-                delta=delta_use,
+        # Step 6: the parts' repair games touch disjoint keys and read only
+        # phase-start values, so they run as one segmented game.  Its arcs
+        # are every game's violated edges, in part order, then orientation
+        # order, each running opposite to its edge: head -> tail.
+        game_of_part = np.full(num_parts, -1, dtype=np.int64)
+        game_of_part[games] = np.arange(len(games))
+        game_viol = viol_pos[game_of_part[pid[viol_pos]] >= 0]
+        # Positions are grouped by part and seq < num: one key sorts by
+        # part, then orientation order.
+        game_viol = game_viol[np.argsort(pid[game_viol] * num + seq[game_viol])]
+        forward = sdir[game_viol] == 1
+        end_u = kou[game_viol]
+        end_v = kov[game_viol]
+        vtail = np.where(forward, end_u, end_v)
+        vhead = np.where(forward, end_v, end_u)
+        # The game's nodes: the keys its arcs join, relabelled densely
+        # (keys ascend, so every tie-break by node is unchanged).
+        in_arcs = np.zeros(num_keys, dtype=bool)
+        in_arcs[vhead] = True
+        in_arcs[vtail] = True
+        nodes = np.flatnonzero(in_arcs)
+        local = np.cumsum(in_arcs) - 1
+        node_part = key_part[nodes]
+        # Initial tokens: the capped accept tallies.
+        tokens = np.zeros(num_keys, dtype=np.int64)
+        tokens[group_keys] = capped
+        # Phase-start α, per (Δ̄, d⁻) pair from one table filled on demand.
+        cells = bar_row[node_part] * stride + d_minus_old[nodes]
+        for cell in np.unique(cells[alpha_table[cells] == 0]).tolist():
+            alpha_table[cell] = parameters.alpha_node(
+                resolved_nu, row_bar[cell // stride], cell % stride
             )
+        moved, played = segmented_token_dropping(
+            local[vhead],
+            local[vtail],
+            game_of_part[node_part],
+            k_phi[games],
+            [game_phases[p][0] for p in games],
+            tokens[nodes],
+            alpha_table[cells],
+        )
+        for p, game_played in zip(games, played):
             trackers[p].charge(
-                max(1, ROUNDS_PER_PHASE * played), "orientation-token-dropping"
+                max(1, ROUNDS_PER_PHASE * game_played), "orientation-token-dropping"
             )
 
-            # Step 7: flip every edge over which a token moved.
-            if moved_arcs:
-                moved = np.fromiter(moved_arcs, dtype=np.int64, count=len(moved_arcs))
-                flip_pos = viol_sorted[moved]
-                x -= np.bincount(vhead[moved], minlength=num_keys)
-                x += np.bincount(vtail[moved], minlength=num_keys)
-                sdir[flip_pos] = -sdir[flip_pos]
-                seta[flip_pos] = -seta[flip_pos]
+        # Step 7: flip every edge over which a token moved.
+        if moved.any():
+            flip_pos = game_viol[moved]
+            x -= np.bincount(vhead[moved], minlength=num_keys)
+            x += np.bincount(vtail[moved], minlength=num_keys)
+            sdir[flip_pos] = -sdir[flip_pos]
+            seta[flip_pos] = -seta[flip_pos]
 
     # Remaining unoriented edges (constant per node): orient from U to V.
     for p in range(num_parts):
@@ -1050,7 +1062,7 @@ def compute_balanced_orientation(
     edges = sorted(set(edge_set)) if edge_set is not None else list(graph.edges())
     if resolve_use_numpy(scan_path, len(edges)):
         np = _np
-        seg = segment_parts(graph, bipartition, [edges])
+        seg = segment_parts(graph, [bipartition], [edges])
         # A trivial instance (no edge has a neighbor) never reads η.
         if seg.dege.any():
             eta_np = np.fromiter((eta[e] for e in edges), dtype=np.float64, count=len(edges))

@@ -114,16 +114,14 @@ def bipartite_edge_coloring(
 
     # The parts of a level are edge-disjoint and split in parallel; every
     # split uses the root's β.
-    parts, defect_history = split_recursion(
+    ((parts, defect_history),) = split_recursion(
         graph,
-        bipartition,
-        edges,
-        edge_degrees,
+        [(bipartition, edges, edge_degrees)],
         levels,
         params.leaf_degree,
         lambda _degree: params.beta(bar_delta),
         chi,
-        own,
+        [own],
         "bipartite-split-level",
         nu=params.resolved_nu(),
         scan_path=scan_path,

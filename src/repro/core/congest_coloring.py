@@ -3,8 +3,8 @@
 The algorithm repeats, on the graph induced by the still-uncolored edges:
 
 1. a defective 4-coloring of the nodes with monochromatic degree roughly
-   half the current maximum degree (Lemma 6.2 / the substitute of
-   DESIGN.md §3.2);
+   half the current maximum degree (Lemma 6.2 / the substitute specified
+   in :mod:`repro.coloring.defective_vertex`);
 2. a (2+ε)Δ-edge coloring (Lemma 6.1) of the bipartite graph between the
    class pair {1,2} / {3,4} with a fresh palette;
 3. the same for the pair {1,3} / {2,4};

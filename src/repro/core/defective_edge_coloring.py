@@ -16,10 +16,14 @@ end-to-end coloring of one instance
 of the recursive algorithms of Sections 6 and 7
 (:func:`defective_split_level`) and the λ = 1/2 recursion built on it
 (:func:`split_recursion`).  A level colors every edge-disjoint part of
-one recursion level in one call, which the numpy engine runs as one
-lock-step orientation over all parts — the parallel level of the
-distributed model — and it is the one place a level's rounds are
-charged: the max over its parts.  The single instance and the level
+one recursion level in one call, each part under its own bipartition,
+which the numpy engine runs as one lock-step orientation over all parts
+— the parallel level of the distributed model — and
+:func:`defective_split_level` charges it the max over its parts.  The
+recursion takes several edge-disjoint *roots*, each with its own
+bipartition, and makes one level call per depth across all of them;
+each root is charged, per depth, the max over its own parts, which is
+exactly what it is charged alone.  The single instance and the level
 share one body (engine choice, λ validation, output charge).  A level
 also returns each class's edge degrees, read off the orientation's
 in-degrees, so a recursion counts degrees
@@ -188,7 +192,7 @@ def generalized_defective_two_edge_coloring(
     edges: List[int] = sorted(set(edge_set)) if edge_set is not None else list(graph.edges())
     resolved_beta = 0.0 if beta is None else float(beta)
     (split,), (orientation,) = _split_level(
-        graph, bipartition, [edges], lambdas, epsilon, [resolved_beta], nu, scan_path, None,
+        graph, [bipartition], [edges], lambdas, epsilon, [resolved_beta], nu, scan_path, None,
         keep_orientations=True,
     )
     if tracker is not None:
@@ -240,7 +244,7 @@ class SplitPart:
 
 def defective_split_level(
     graph: Graph,
-    bipartition: Bipartition,
+    bipartitions: Sequence[Bipartition],
     parts: Sequence[Sequence[int]],
     lambdas: Optional[Mapping[int, float]],
     epsilon: float,
@@ -264,11 +268,14 @@ def defective_split_level(
     in-degrees, so a recursion reads its next level's degrees from here
     instead of counting them.  Being parallel, the level costs the
     maximum of its parts' rounds; that is charged to ``tracker`` under
-    ``label`` (0 for a level without parts).
+    ``label`` (0 for a level without parts).  Every :class:`SplitPart`
+    carries its own rounds, so a caller that charges groups of parts
+    separately (:func:`split_recursion`) passes no tracker.
 
     Args:
-        graph / bipartition: the host graph and its node sides; every
-            part edge must cross them.
+        graph: the host graph.
+        bipartitions: the node sides of every part, one per part; every
+            part edge must cross its part's bipartition.
         parts: the level's parts; a part that is not strictly ascending
             raises ``ValueError`` (parts that share an edge are not
             detected: each is colored on its own).
@@ -285,7 +292,7 @@ def defective_split_level(
     Returns one :class:`SplitPart` per part, in order.
     """
     splits = _split_level(
-        graph, bipartition, parts, lambdas, epsilon, betas, nu, scan_path, max_phases
+        graph, bipartitions, parts, lambdas, epsilon, betas, nu, scan_path, max_phases
     )[0]
     if tracker is not None:
         tracker.charge(max((outcome.rounds for outcome in splits), default=0), label)
@@ -294,70 +301,92 @@ def defective_split_level(
 
 def split_recursion(
     graph: Graph,
-    bipartition: Bipartition,
-    edges: List[int],
-    degrees: List[int],
+    roots: Sequence[Tuple[Bipartition, List[int], List[int]]],
     levels: int,
     leaf_degree: int,
     beta: Callable[[int], float],
     epsilon: float,
-    tracker: RoundTracker,
+    trackers: Sequence[RoundTracker],
     label: str,
     nu: Optional[float],
     scan_path: str,
-) -> Tuple[List[Tuple[List[int], List[int]]], List[int]]:
-    """Split ``edges`` into parts of small edge degree by λ = 1/2 levels.
+) -> List[Tuple[List[Tuple[List[int], List[int]]], List[int]]]:
+    """Split every root into parts of small edge degree by λ = 1/2 levels.
 
-    The shared recursion of Lemmas D.3 and 6.1.  Each of at most
-    ``levels`` levels makes one :func:`defective_split_level` call (charged
-    to ``tracker`` under ``label``) over every part whose max edge degree
-    exceeds ``leaf_degree``, with β = ``beta(that max degree)``; a split
-    part is replaced by its non-empty red and blue classes.  The first
-    level at which no part splits (charged 0) ends the recursion.
+    The shared recursion of Lemmas D.3 and 6.1.  The roots are
+    edge-disjoint instances, each with its own bipartition, and every
+    root is split exactly as it would be alone.  Each of at most
+    ``levels`` depths makes one :func:`defective_split_level` call over
+    every part, of every root, whose max edge degree exceeds
+    ``leaf_degree``, with β = ``beta(that max degree)``; a split part is
+    replaced by its non-empty red and blue classes.  A root's parts split
+    in parallel, so ``trackers[r]`` is charged under ``label``, per depth,
+    the max over root ``r``'s own parts.  The first depth at which none
+    of a root's parts splits is charged 0 and ends that root's recursion.
 
     Args:
-        edges / degrees: the strictly ascending, non-empty root instance
-            and its edge degrees (aligned).
+        roots: ``(bipartition, edges, degrees)`` per root: a strictly
+            ascending, non-empty instance and its edge degrees (aligned).
+        trackers: one round tracker per root.
 
-    Returns ``(parts, defects)``: the leaf parts as ``(edges, degrees)``
-    pairs, and each split's max defect, in split order.
+    Returns, per root, ``(parts, defects)``: the leaf parts as
+    ``(edges, degrees)`` pairs, and each split's max defect, in split
+    order.
     """
-    parts = [(edges, degrees)]
-    defects: List[int] = []
+    parts = [[(edges, degrees)] for _, edges, degrees in roots]
+    defects: List[List[int]] = [[] for _ in roots]
+    going = list(range(len(roots)))
     for _level in range(levels):
-        splitting = [max(part_degrees) > leaf_degree for _, part_degrees in parts]
-        chosen = [part for part, splits_here in zip(parts, splitting) if splits_here]
+        if not going:
+            break
+        # Per root still going, which of its parts split at this depth.
+        splitting = {
+            r: [max(part_degrees) > leaf_degree for _, part_degrees in parts[r]] for r in going
+        }
+        chosen = [
+            (r, part)
+            for r in going
+            for part, splits_here in zip(parts[r], splitting[r])
+            if splits_here
+        ]
         splits = iter(
             defective_split_level(
                 graph,
-                bipartition,
-                [part_edges for part_edges, _ in chosen],
+                [roots[r][0] for r, _ in chosen],
+                [part_edges for _, (part_edges, _) in chosen],
                 None,
                 epsilon,
-                [beta(max(part_degrees)) for _, part_degrees in chosen],
+                [beta(max(part_degrees)) for _, (_, part_degrees) in chosen],
                 nu=nu,
                 scan_path=scan_path,
-                tracker=tracker,
-                label=label,
             )
         )
-        if not chosen:
-            break
-        next_parts: List[Tuple[List[int], List[int]]] = []
-        for part, splits_here in zip(parts, splitting):
-            if not splits_here:
-                next_parts.append(part)
-                continue
-            outcome = next(splits)
-            defects.append(outcome.max_defect)
-            next_parts += [(outcome.red, outcome.red_degrees), (outcome.blue, outcome.blue_degrees)]
-        parts = [part for part in next_parts if part[0]]
-    return parts, defects
+        still_going = []
+        for r in going:
+            next_parts: List[Tuple[List[int], List[int]]] = []
+            rounds = 0
+            for part, splits_here in zip(parts[r], splitting[r]):
+                if not splits_here:
+                    next_parts.append(part)
+                    continue
+                outcome = next(splits)
+                rounds = max(rounds, outcome.rounds)
+                defects[r].append(outcome.max_defect)
+                next_parts += [
+                    (outcome.red, outcome.red_degrees),
+                    (outcome.blue, outcome.blue_degrees),
+                ]
+            trackers[r].charge(rounds, label)
+            if any(splitting[r]):
+                parts[r] = [part for part in next_parts if part[0]]
+                still_going.append(r)
+        going = still_going
+    return list(zip(parts, defects))
 
 
 def _split_level(
     graph: Graph,
-    bipartition: Bipartition,
+    bipartitions: Sequence[Bipartition],
     parts: Sequence[Sequence[int]],
     lambdas: Optional[Mapping[int, float]],
     epsilon: float,
@@ -372,13 +401,15 @@ def _split_level(
     Returns the parts' splits and, with ``keep_orientations``, each
     part's :class:`BalancedOrientationResult` (else an empty list).
     """
+    if len(bipartitions) != len(parts):
+        raise ValueError(f"{len(bipartitions)} bipartitions for {len(parts)} parts")
     if not parts:
         return [], []
     trackers = [RoundTracker() for _ in parts]
     orientations: List[BalancedOrientationResult] = []
     if resolve_use_numpy(scan_path, sum(len(part) for part in parts)):
         lam = _lambda_array(lambdas, parts)
-        seg = segment_parts(graph, bipartition, parts)
+        seg = segment_parts(graph, bipartitions, parts)
         run = orient_segments(
             seg, _eta_np(seg, lam, epsilon, betas), nu, epsilon, max_phases, trackers
         )
@@ -394,7 +425,7 @@ def _split_level(
             _check_ascending(index, part)
         classes = []
         start = 0
-        for part, beta, part_tracker in zip(parts, betas, trackers):
+        for part, bipartition, beta, part_tracker in zip(parts, bipartitions, betas, trackers):
             orientation, part_classes = _split_python(
                 graph,
                 bipartition,

@@ -8,9 +8,9 @@ Three layers, mirroring the paper:
   2-edge coloring of Section 5 with λ_e = |L_e ∩ left half| / |L_e| to
   split the edges, sends low-degree / low-slack edges to per-level
   *passive* sets, and finally colors the passive sets greedily from the
-  deepest level upwards.  An additional post-split check (see DESIGN.md
-  §3) re-passivates any edge whose list would become smaller than its new
-  degree + 1, so the output is a correct list coloring for *every* input
+  deepest level upwards.  An additional post-split check re-passivates
+  any edge whose list would become smaller than its new degree + 1, so
+  the output is a correct list coloring for *every* input
   satisfying the (degree+1) condition, independent of how well the
   defective splits performed.  Every list and every recursion window is
   a color bitmask (bit ``c`` set iff color ``c`` is usable): a split is
@@ -21,25 +21,29 @@ Three layers, mirroring the paper:
   orients them in lock-step, and the call charges the level its max
   over the parts.
 
-* :func:`partially_color_bipartite` — the Lemma D.3 substitute (DESIGN.md
-  §3.3).  It splits the uncolored bipartite graph into
+* :func:`partially_color_bipartite` — the Lemma D.3 substitute, applied
+  to the bipartite pieces of one outer iteration.  Instead of the
+  paper's construction it splits every piece's uncolored edges into
   ``params.list_reduction_parts`` edge-disjoint parts with the λ = 1/2
   recursion Lemma 6.1 shares
   (:func:`~repro.core.defective_edge_coloring.split_recursion`, leaf
-  degree 1) and colors the parts sequentially with the Lemma D.2
-  solver, where an edge participates only while its available list is
-  at least ``params.list_slack`` times its uncolored within-part degree.
-  Edges that stay uncolored were skipped, and an edge is only skipped
-  when its uncolored degree is already small — which is exactly the
-  degree-reduction guarantee Lemma D.3 provides.  Availability is one
-  mask-and against the per-node used-color masks, participation one
+  degree 1; one engine call per depth across all pieces) and colors the
+  parts sequentially with the Lemma D.2 solver, where an edge
+  participates only while its available list is at least
+  ``params.list_slack`` times its uncolored within-part degree.  Edges
+  that stay uncolored were skipped, and an edge is only skipped when its
+  uncolored degree is already small — which is exactly the
+  degree-reduction guarantee Lemma D.3 provides.  Rounds are charged as
+  if the pieces ran one after another: per piece, its split depths (the
+  max over its own parts), then its Lemma D.2 solves.  Availability is
+  one mask-and against the per-node used-color masks, participation one
   popcount.
 
 * :func:`list_edge_coloring` — Theorem D.4.  A defective 4-coloring of
   the nodes splits the uncolored graph into its six bipartite class-pair
   pieces (:func:`~repro.graphs.bipartite.class_pair_pieces`, the helper
-  Theorem 6.3 shares); each piece is partially colored with
-  :func:`partially_color_bipartite`; the uncolored degree shrinks by a
+  Theorem 6.3 shares); one :func:`partially_color_bipartite` call
+  partially colors all six; the uncolored degree shrinks by a
   constant factor per outer iteration, and the constant-degree leftover
   is colored greedily.  The (degree+1)
   invariant — every uncolored edge always has more available colors than
@@ -261,7 +265,7 @@ def solve_relaxed_instance(
         # for the level, charged as the maximum over the parts.
         splits = defective_split_level(
             graph,
-            bipartition,
+            [bipartition] * len(actives),
             actives,
             lambdas,
             epsilon=epsilon,
@@ -327,22 +331,24 @@ def solve_relaxed_instance(
 # ---------------------------------------------------------------------------- Lemma D.3 substitute
 def partially_color_bipartite(
     graph: Graph,
-    bipartition: Bipartition,
     instance: ListEdgeColoringInstance,
-    edge_set: Iterable[int],
+    pieces: Sequence[Tuple[Bipartition, Iterable[int]]],
     coloring: Dict[int, int],
     params: Optional[parameters.PracticalParameters] = None,
     tracker: Optional[RoundTracker] = None,
     scan_path: str = "auto",
     used_colors: Optional[UsedColorMasks] = None,
 ) -> Dict[int, int]:
-    """Partially color a bipartite piece so that its uncolored degree drops (Lemma D.3).
+    """Partially color bipartite pieces so that their uncolored degree drops (Lemma D.3).
 
-    The uncolored edges of ``edge_set`` (any order; repeats are ignored)
-    are split into ``params.list_reduction_parts`` edge-disjoint parts by
-    :func:`~repro.core.defective_edge_coloring.split_recursion` (λ = 1/2
-    levels down to edge degree 1, β from each part's max degree); the
-    parts are then colored sequentially with
+    ``pieces`` are the edge-disjoint ``(bipartition, edges)`` pieces of
+    one Theorem D.4 outer iteration (the edges in any order; repeats are
+    ignored).  The uncolored edges of every piece are split into
+    ``params.list_reduction_parts`` edge-disjoint parts by one
+    :func:`~repro.core.defective_edge_coloring.split_recursion` over all
+    pieces (λ = 1/2 levels down to edge degree 1, β from each part's max
+    degree): a depth is one engine call across the pieces.  Then the
+    pieces, and within a piece its parts, are colored in order with
     :func:`solve_relaxed_instance`, where an
     edge participates only if its currently available list is at least
     ``params.list_slack`` times its uncolored within-part degree (and at
@@ -350,6 +356,10 @@ def partially_color_bipartite(
     uncolored degree, which is the degree-reduction guarantee.
     ``scan_path`` selects the orientation engine of every defective
     split (``"auto"`` / ``"numpy"`` / ``"python"``).
+
+    The charges are those of the pieces run one after another: each
+    piece's split depths (the max over its own parts), then its Lemma
+    D.2 solves, merged into ``tracker`` piece by piece.
 
     An edge's available list is the bitmask ``list & ~(used[u] | used[v])``
     of its instance list minus the colors used at its endpoints.
@@ -360,23 +370,27 @@ def partially_color_bipartite(
     Returns the newly assigned colors (``coloring`` itself is not modified).
     """
     params = params or parameters.DEFAULT_PARAMETERS
-    own = RoundTracker()
-    edges = sorted({e for e in edge_set if e not in coloring})
     newly: Dict[int, int] = {}
-    if not edges:
+    # The pieces are edge-disjoint, so a piece's uncolored edges do not
+    # depend on the other pieces' colors: every split can run first.
+    roots = []
+    for bipartition, edge_set in pieces:
+        edges = sorted({e for e in edge_set if e not in coloring})
+        if edges:
+            roots.append((bipartition, edges, degrees_within(graph, edges)[1]))
+    if not roots:
         return newly
 
+    trackers = [RoundTracker() for _ in roots]
     split_levels = max(1, math.ceil(math.log2(max(2, params.list_reduction_parts))))
-    parts, _defects = split_recursion(
+    leaves = split_recursion(
         graph,
-        bipartition,
-        edges,
-        degrees_within(graph, edges)[1],
+        roots,
         split_levels,
         1,
         params.beta,
         max(params.epsilon, 0.5),
-        own,
+        trackers,
         "degree-reduction-split-level",
         nu=params.resolved_nu(),
         scan_path=scan_path,
@@ -396,40 +410,40 @@ def partially_color_bipartite(
     threshold_memo: Dict[int, int] = {}
     # The parts are edge-disjoint and only a part's own solve colors its
     # edges, so every part is still entirely uncolored when its turn comes.
-    for part, part_degrees in parts:
-        participants: Dict[int, int] = {}
-        # Equal neighbouring lists (all of them, in a uniform instance)
-        # share one mask build; the comparison runs at C speed.
-        last_list: Sequence[int] = ()
-        last_mask = 0
-        for e, degree in zip(part, part_degrees):
-            if lists[e] != last_list:
-                last_list = lists[e]
-                last_mask = _color_mask(last_list)
-            available = last_mask & ~(node_mask(edge_u[e]) | node_mask(edge_v[e]))
-            threshold = threshold_memo.get(degree)
-            if threshold is None:
-                threshold = max(degree + 1, math.ceil(list_slack * degree))
-                threshold_memo[degree] = threshold
-            if available.bit_count() >= threshold:
-                participants[e] = available
-        if not participants:
-            continue
-        newly.update(
-            solve_relaxed_instance(
-                graph,
-                bipartition,
-                None,
-                params=params,
-                tracker=own,
-                scan_path=scan_path,
-                list_masks=participants,
-                used_colors=used,
+    for (bipartition, _edges, _degrees), (parts, _defects), own in zip(roots, leaves, trackers):
+        for part, part_degrees in parts:
+            participants: Dict[int, int] = {}
+            # Equal neighbouring lists (all of them, in a uniform instance)
+            # share one mask build; the comparison runs at C speed.
+            last_list: Sequence[int] = ()
+            last_mask = 0
+            for e, degree in zip(part, part_degrees):
+                if lists[e] != last_list:
+                    last_list = lists[e]
+                    last_mask = _color_mask(last_list)
+                available = last_mask & ~(node_mask(edge_u[e]) | node_mask(edge_v[e]))
+                threshold = threshold_memo.get(degree)
+                if threshold is None:
+                    threshold = max(degree + 1, math.ceil(list_slack * degree))
+                    threshold_memo[degree] = threshold
+                if available.bit_count() >= threshold:
+                    participants[e] = available
+            if not participants:
+                continue
+            newly.update(
+                solve_relaxed_instance(
+                    graph,
+                    bipartition,
+                    None,
+                    params=params,
+                    tracker=own,
+                    scan_path=scan_path,
+                    list_masks=participants,
+                    used_colors=used,
+                )
             )
-        )
-
-    if tracker is not None:
-        tracker.merge(own)
+        if tracker is not None:
+            tracker.merge(own)
     return newly
 
 
@@ -513,20 +527,18 @@ def list_edge_coloring(
         )
         # The six class pairs are edge-disjoint, so a piece's lists cannot
         # be invalidated by the other pieces' colorings.
-        for bipartition, piece in class_pair_pieces(graph, uncolored, classes, _CLASS_PAIRS):
-            coloring.update(
-                partially_color_bipartite(
-                    graph,
-                    bipartition,
-                    instance,
-                    piece,
-                    coloring,
-                    params=params,
-                    tracker=own,
-                    scan_path=scan_path,
-                    used_colors=used,
-                )
+        coloring.update(
+            partially_color_bipartite(
+                graph,
+                instance,
+                class_pair_pieces(graph, uncolored, classes, _CLASS_PAIRS),
+                coloring,
+                params=params,
+                tracker=own,
+                scan_path=scan_path,
+                used_colors=used,
             )
+        )
         uncolored = [e for e in uncolored if e not in coloring]
 
     # Final stage: the uncolored graph has small degree; greedy from the

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core import parameters
+from repro.core.engine import _np
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.core import DirectedGraph
 
@@ -230,6 +231,100 @@ def _token_dropping_core(
             x[v] += gained
 
     return x, y, moved_arcs, arc_moves, num_phases
+
+
+def segmented_token_dropping(tails, heads, node_game, k, delta, tokens, alphas):
+    """Play several independent games at once, step for step as :func:`_token_dropping_core`.
+
+    The games share one node and one arc index space but no node: every
+    arc joins two nodes of one game (``node_game``), so no game reads
+    another's state.  A game keeps its own ``k``, ``δ`` and phase count
+    ``⌊k/δ⌋ − 1``; each loop iteration runs one phase of every game that
+    still has one.  Steps 1–6 are array ops over all nodes and arcs: a
+    receiver's candidates (active arcs from active tails, the first
+    active arc per tail, as the twin dedups them each phase) are ranked
+    by ``(deg/α, tail)`` and cut at its capacity, and a sender accepts
+    proposals by ascending receiver up to its unfrozen tokens.  A node
+    without arcs can neither send nor receive, so whether a caller
+    passes it changes no outcome.
+
+    Args:
+        tails / heads: per arc, the game-graph sender and receiver (int64
+            node ids); within a game, arc order is the twin's arc order.
+        node_game: the game of every node.
+        k / delta: per game, the token bound and the per-phase budget.
+        tokens / alphas: per node, initial tokens (≤ its game's ``k``)
+            and α ≥ 1.
+
+    Returns ``(moved, phases)``: a bool mask of the arcs a token moved
+    over, and each game's phase count.
+    """
+    np = _np
+    k = np.asarray(k, dtype=np.int64)
+    delta = np.asarray(delta, dtype=np.int64)
+    phases = np.maximum(0, k // delta - 1)
+    num_nodes = int(node_game.size)
+    num_arcs = int(tails.size)
+    moved = np.zeros(num_arcs, dtype=bool)
+    if not num_arcs:
+        return moved, phases.tolist()
+    node_k = k[node_game]
+    node_delta = delta[node_game]
+    node_phases = phases[node_game]
+    # Receivers rank candidate tails by (deg/α, tail): one rank per node.
+    # The ratio is the twin's float division, so ties break identically.
+    degree = np.bincount(np.concatenate((tails, heads)), minlength=num_nodes)
+    by_priority = np.lexsort((np.arange(num_nodes), degree / alphas))
+    priority = np.empty(num_nodes, dtype=np.int64)
+    priority[by_priority] = np.arange(num_nodes)
+    arc_active = np.ones(num_arcs, dtype=bool)
+    x = np.asarray(tokens, dtype=np.int64).copy()
+    for phase in range(1, int(phases.max()) + 1):
+        live = node_phases >= phase
+        # Steps 1 + 2: active nodes freeze δ tokens.  Without an active
+        # node nothing changes, now or in any later phase.
+        active = live & (x >= alphas + node_delta)
+        if not active.any():
+            break
+        x = x - np.where(active, node_delta, 0)
+        # Step 3 + 4: receivers with spare capacity propose to their first
+        # ``capacity`` candidate tails; parallel candidate arcs from one
+        # tail count once, by their first arc (a stable sort keeps arc
+        # order within a key).
+        free = node_k - phase * node_delta
+        capacity = free - x
+        receiving = live & (x <= free - alphas) & (capacity > 0)
+        cand = np.flatnonzero(arc_active & active[tails] & receiving[heads])
+        if not cand.size:
+            continue
+        c_head = heads[cand]
+        key = c_head * num_nodes + priority[tails[cand]]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(cand.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        cand = cand[order[first]]
+        c_head = c_head[order[first]]
+        rank = np.arange(cand.size) - np.searchsorted(c_head, c_head)
+        proposed = cand[rank < capacity[c_head]]
+        # Step 5: a sender accepts by ascending receiver, up to its tokens.
+        p_tail = tails[proposed]
+        order = np.argsort(p_tail * num_nodes + heads[proposed])
+        proposed = proposed[order]
+        p_tail = p_tail[order]
+        rank = np.arange(p_tail.size) - np.searchsorted(p_tail, p_tail)
+        sent = proposed[rank < x[p_tail]]
+        arc_active[sent] = False
+        moved[sent] = True
+        # Step 6: tokens move.
+        x = (
+            x
+            - np.bincount(tails[sent], minlength=num_nodes)
+            + np.bincount(heads[sent], minlength=num_nodes)
+        )
+        if not arc_active.any():
+            break
+    return moved, phases.tolist()
 
 
 def run_token_dropping(

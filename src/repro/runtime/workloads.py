@@ -601,9 +601,8 @@ def run_degree_reduction(ctx: CellContext) -> Dict[str, object]:
         graph, bipartition, instance = inputs
         return partially_color_bipartite(
             graph,
-            bipartition,
             instance,
-            list(graph.edges()),
+            [(bipartition, graph.edges())],
             coloring={},
             scan_path=ctx.knobs.scan_path,
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import parameters
@@ -18,6 +20,7 @@ from repro.core.defective_edge_coloring import (
 from repro.core.engine import _np
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
+from repro.graphs.bipartite import Bipartition
 from repro.graphs.core import degrees_within
 
 
@@ -179,7 +182,7 @@ class TestLambdaValidation:
         parts = [list(range(16)), list(range(16, 32))]
         with pytest.raises(ValueError, match="edge 30 has lambda nan"):
             defective_split_level(
-                graph, bipartition, parts, lambdas, epsilon=0.5, betas=[0.0, 0.0],
+                graph, [bipartition] * 2, parts, lambdas, epsilon=0.5, betas=[0.0, 0.0],
                 scan_path=scan_path,
             )
 
@@ -200,7 +203,7 @@ class TestSplitLevelParts:
         graph, bipartition = generators.regular_bipartite_graph(16, 4, seed=1)
         with pytest.raises(ValueError, match=f"part 1 is not strictly ascending at edge {at}$"):
             defective_split_level(
-                graph, bipartition, [list(range(16)), second], None, epsilon=0.5,
+                graph, [bipartition] * 2, [list(range(16)), second], None, epsilon=0.5,
                 betas=[0.0, 0.0], scan_path=scan_path,
             )
 
@@ -211,7 +214,7 @@ class TestSplitLevelParts:
         for part, split in zip(
             parts,
             defective_split_level(
-                graph, bipartition, parts, None, epsilon=0.5, betas=[0.0, 1.0, 2.0],
+                graph, [bipartition] * 3, parts, None, epsilon=0.5, betas=[0.0, 1.0, 2.0],
                 scan_path=scan_path,
             ),
         ):
@@ -234,10 +237,10 @@ class TestSplitRecursion:
         graph, bipartition = generators.regular_bipartite_graph(40, 12, seed=2)
         edges = list(graph.edges())
         tracker = RoundTracker()
-        parts, defects = split_recursion(
-            graph, bipartition, edges, degrees_within(graph, edges)[1],
+        ((parts, defects),) = split_recursion(
+            graph, [(bipartition, edges, degrees_within(graph, edges)[1])],
             levels=levels, leaf_degree=leaf_degree, beta=lambda degree: 0.0,
-            epsilon=0.5, tracker=tracker, label="split", nu=None, scan_path=scan_path,
+            epsilon=0.5, trackers=[tracker], label="split", nu=None, scan_path=scan_path,
         )
         return graph, edges, tracker, parts, defects
 
@@ -261,3 +264,105 @@ class TestSplitRecursion:
         assert parts == [(edges, degrees_within(graph, edges)[1])]
         assert defects == []
         assert tracker.breakdown == {"split": 0}
+
+
+class TestMultiRootSplitRecursion:
+    """Several roots, each with its own bipartition, in one recursion: one
+    :func:`defective_split_level` call per depth across the roots, and
+    every root split and charged exactly as it is alone."""
+
+    ENGINES = TestLambdaValidation.ENGINES
+    LEVELS = 4
+    LEAF_DEGREE = 4
+
+    @staticmethod
+    def roots():
+        """Three edge-disjoint roots under three random bipartitions: root 0
+        splits three depths, root 1 two, and root 2 (a sparse subset,
+        max edge degree ≤ 2) never splits."""
+        graph = generators.random_regular_graph(96, 16, seed=5)
+        rng = random.Random(5)
+        bipartitions = [Bipartition([rng.randint(0, 1) for _ in graph.nodes()]) for _ in range(3)]
+        edge_u, edge_v = graph.endpoint_arrays()
+        edges = [[], [], []]
+        for e in graph.edges():
+            for r, bipartition in enumerate(bipartitions):
+                if bipartition.side(edge_u[e]) != bipartition.side(edge_v[e]):
+                    edges[r].append(e)
+                    break
+        load = [0] * graph.num_nodes
+        sparse = []
+        for e in edges[2]:
+            if load[edge_u[e]] < 2 and load[edge_v[e]] < 2:
+                load[edge_u[e]] += 1
+                load[edge_v[e]] += 1
+                sparse.append(e)
+        edges[2] = sparse
+        roots = [
+            (bipartition, root_edges, degrees_within(graph, root_edges)[1])
+            for bipartition, root_edges in zip(bipartitions, edges)
+        ]
+        return graph, roots
+
+    def split(self, graph, roots, scan_path):
+        trackers = [RoundTracker() for _ in roots]
+        leaves = split_recursion(
+            graph, roots, levels=self.LEVELS, leaf_degree=self.LEAF_DEGREE,
+            beta=lambda degree: 0.0, epsilon=0.5, trackers=trackers, label="split", nu=None,
+            scan_path=scan_path,
+        )
+        return leaves, [tracker.breakdown for tracker in trackers]
+
+    @pytest.mark.parametrize("scan_path", ENGINES)
+    def test_roots_split_as_alone(self, scan_path, monkeypatch):
+        from repro.core import defective_edge_coloring
+
+        graph, roots = self.roots()
+        depths = []
+        level = defective_edge_coloring.defective_split_level
+
+        def recording(graph, bipartitions, parts, *args, **kwargs):
+            depths.append(
+                {r for r, root in enumerate(roots) if any(b is root[0] for b in bipartitions)}
+            )
+            return level(graph, bipartitions, parts, *args, **kwargs)
+
+        monkeypatch.setattr(defective_edge_coloring, "defective_split_level", recording)
+        together = self.split(graph, roots, scan_path)
+        # One call per depth; root 1 stops one depth before root 0, root
+        # 2 never splits, and the last depth has nothing left to split.
+        assert depths == [{0, 1}, {0, 1}, {0}, set()]
+        monkeypatch.setattr(defective_edge_coloring, "defective_split_level", level)
+        alone = [self.split(graph, [root], scan_path) for root in roots]
+        for r, (leaves, breakdowns) in enumerate(alone):
+            assert together[0][r] == leaves[0]
+            assert together[1][r] == breakdowns[0]
+        (parts, defects), breakdown = together[0][2], together[1][2]
+        assert parts == [roots[2][1:]] and defects == []
+        assert breakdown == {"split": 0}
+        assert together[1][0]["split"] > together[1][1]["split"] > 0
+
+    @pytest.mark.parametrize("scan_path", ENGINES)
+    def test_part_edges_must_cross_their_own_bipartition(self, scan_path):
+        graph, roots = self.roots()
+        (bip_0, edges_0, _), (bip_1, edges_1, _), _ = roots
+        edge_u, edge_v = graph.endpoint_arrays()
+        # Root 0's edges cross bipartition 0; the first that does not
+        # cross bipartition 1 is the one named.
+        bad = next(e for e in edges_0 if bip_1.side(edge_u[e]) == bip_1.side(edge_v[e]))
+        message = (
+            f"edge {bad} = ({edge_u[bad]}, {edge_v[bad]}) is not bichromatic in this bipartition"
+        )
+        with pytest.raises(ValueError) as raised:
+            defective_split_level(
+                graph, [bip_1, bip_1], [edges_1, edges_0], None, epsilon=0.5,
+                betas=[0.0, 0.0], scan_path=scan_path,
+            )
+        assert str(raised.value) == message
+        # With its own bipartition, the same level is fine.
+        splits = defective_split_level(
+            graph, [bip_1, bip_0], [edges_1, edges_0], None, epsilon=0.5,
+            betas=[0.0, 0.0], scan_path=scan_path,
+        )
+        assert [sorted(split.red + split.blue) for split in splits] == [edges_1, edges_0]
+

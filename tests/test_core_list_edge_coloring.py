@@ -204,6 +204,16 @@ class TestLemmaD3Pinned:
         "linial": 133,
         "list-solver-split-level": 0,
     }
+    #: The breakdown's label order (first-charge order), recorded with one
+    #: split recursion per class-pair piece.
+    LABELS = [
+        "defective-poly-reduction",
+        "defective-local-search",
+        "degree-reduction-split-level",
+        "list-solver-split-level",
+        "linial",
+        "greedy-edge-classes",
+    ]
     PINS = {
         "uniform": (
             "acc550e298c33fa95588fdc0d53002b23730d87e4948437a75dda5a2cd0b2ee8",
@@ -235,6 +245,7 @@ class TestLemmaD3Pinned:
         assert coloring_digest(result.colors) == digest
         assert result.rounds == rounds
         assert dict(tracker.breakdown) == breakdown
+        assert list(tracker.breakdown) == self.LABELS
 
 
 class TestLemmaD2Pinned:
@@ -273,7 +284,7 @@ class TestDegreeReduction:
         instance = uniform_instance(graph)
         coloring = {}
         newly = partially_color_bipartite(
-            graph, bipartition, instance, list(graph.edges()), coloring
+            graph, instance, [(bipartition, list(graph.edges()))], coloring
         )
         assert newly
         combined = dict(newly)
@@ -295,7 +306,7 @@ class TestDegreeReduction:
             used = {existing[f] for f in graph.adjacent_edges(e) if f in existing}
             existing[e] = next(c for c in instance.lists[e] if c not in used)
         newly = partially_color_bipartite(
-            graph, bipartition, instance, list(graph.edges()), existing
+            graph, instance, [(bipartition, list(graph.edges()))], existing
         )
         combined = {**existing, **newly}
         assert is_proper_edge_coloring(graph, combined, edge_set=list(combined.keys()))
@@ -309,7 +320,7 @@ class TestDegreeReduction:
         def run(edge_set):
             tracker = RoundTracker()
             newly = partially_color_bipartite(
-                graph, bipartition, instance, edge_set, {}, tracker=tracker,
+                graph, instance, [(bipartition, edge_set)], {}, tracker=tracker,
                 scan_path=scan_path,
             )
             return newly, tracker.breakdown
@@ -326,10 +337,10 @@ class TestDegreeReduction:
         existing = {0: 0}
         used = UsedColorMasks.from_edge_coloring(graph, existing)
         newly = partially_color_bipartite(
-            graph, bipartition, instance, list(graph.edges()), existing, used_colors=used
+            graph, instance, [(bipartition, list(graph.edges()))], existing, used_colors=used
         )
         assert newly == partially_color_bipartite(
-            graph, bipartition, instance, list(graph.edges()), existing
+            graph, instance, [(bipartition, list(graph.edges()))], existing
         )
         expected = UsedColorMasks.from_edge_coloring(graph, {**existing, **newly})
         assert all(used.mask(v) == expected.mask(v) for v in graph.nodes())

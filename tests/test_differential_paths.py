@@ -19,6 +19,7 @@ across the ``scan_path`` and ``repair_path`` knobs.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -29,8 +30,9 @@ from repro.core import parameters
 from repro.core.balanced_orientation import compute_balanced_orientation
 from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np
 from repro.core.defective_edge_coloring import defective_split_level
-from repro.core.list_edge_coloring import partially_color_bipartite
+from repro.core.list_edge_coloring import list_edge_coloring, partially_color_bipartite
 from repro.core.slack import uniform_instance
+from repro.core.token_dropping import _token_dropping_core, segmented_token_dropping
 from repro.distributed.algorithms import NodeAlgorithm
 from repro.distributed.faults import FaultPlan
 from repro.distributed.model import Model
@@ -143,6 +145,109 @@ class TestOrientationEngineMatrix:
         monkeypatch.setattr(engine, "_ENV_SCAN_PATH", getattr(engine, "_UNREAD", None))
         with pytest.raises(ValueError, match="REPRO_SCAN_PATH"):
             engine.resolve_use_numpy("auto", 10**4)
+
+
+@requires_numpy
+class TestSegmentedGameMatrix:
+    """segmented_token_dropping: several games in one numpy game vs the
+    python twin (``_token_dropping_core``) run per game.
+
+    Each instance mixes games with their own ``k`` and ``δ ∈ {1, 2, 3}``,
+    a game that runs zero phases, token holders without arcs and one
+    parallel arc pair (the twin dedups candidates per tail each phase).
+    """
+
+    @staticmethod
+    def games(seed):
+        rng = random.Random(seed)
+        specs = [(4, 1), (7, 2), (11, 3), (2, 2), (9, 1), (13, 2)]  # (k, δ); (2, 2): 0 phases
+        games = []
+        for k, delta in specs:
+            n = rng.randint(8, 24)
+            wired = n - 3  # the last three nodes get tokens but no arcs
+            arcs = []
+            for _ in range(rng.randint(n, 3 * n)):
+                tail, head = rng.sample(range(wired), 2)
+                arcs.append((tail, head))
+            tokens = [rng.randint(0, k) for _ in range(n)]
+            tokens[-1] = k
+            alphas = [rng.randint(1, 2) for _ in range(n)]
+            games.append((n, arcs, k, delta, tokens, alphas))
+        # One parallel arc pair out of a token-rich tail.
+        n, arcs, k, delta, tokens, alphas = games[4]
+        arcs.insert(1, arcs[0])
+        tokens[arcs[0][0]] = k
+        return games
+
+    @staticmethod
+    def twin(game):
+        n, arcs, k, delta, tokens, alphas = game
+        in_map = {}
+        degrees = [0] * n
+        for index, (tail, head) in enumerate(arcs):
+            in_map.setdefault(head, []).append(index)
+            degrees[tail] += 1
+            degrees[head] += 1
+        _x, _y, moved, _moves, phases = _token_dropping_core(
+            n=n,
+            tails=[tail for tail, _ in arcs],
+            in_map=in_map,
+            degrees=degrees,
+            k=k,
+            initial_tokens=tokens,
+            alphas=alphas,
+            delta=delta,
+        )
+        return moved, phases
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_games_match_python_twin_per_game(self, seed):
+        np = _np
+        games = self.games(seed)
+        offsets = [0]
+        for game in games:
+            offsets.append(offsets[-1] + game[0])
+        tails, heads, node_game, tokens, alphas = [], [], [], [], []
+        for index, (game, offset) in enumerate(zip(games, offsets)):
+            n, arcs, _k, _delta, game_tokens, game_alphas = game
+            tails += [offset + tail for tail, _ in arcs]
+            heads += [offset + head for _, head in arcs]
+            node_game += [index] * n
+            tokens += game_tokens
+            alphas += game_alphas
+        moved, phases = segmented_token_dropping(
+            np.array(tails, dtype=np.int64),
+            np.array(heads, dtype=np.int64),
+            np.array(node_game, dtype=np.int64),
+            [game[2] for game in games],
+            [game[3] for game in games],
+            np.array(tokens, dtype=np.int64),
+            np.array(alphas, dtype=np.int64),
+        )
+        start = 0
+        for game, played in zip(games, phases):
+            twin_moved, twin_phases = self.twin(game)
+            end = start + len(game[1])
+            assert set(np.flatnonzero(moved[start:end]).tolist()) == twin_moved
+            assert played == twin_phases
+            start = end
+        assert phases[3] == 0
+        assert moved.any()  # not vacuous
+
+    def test_parallel_arcs_move_at_most_one_token_per_phase(self):
+        # Two parallel arcs from a full tail into an empty receiver: the
+        # twin proposes over the first arc in phase 1 and the second in
+        # phase 2, once the first is passive.
+        np = _np
+        game = (2, [(0, 1), (0, 1)], 6, 1, [6, 0], [1, 1])
+        twin_moved, twin_phases = self.twin(game)
+        moved, phases = segmented_token_dropping(
+            np.array([0, 0]), np.array([1, 1]), np.array([0, 0]), [6], [1],
+            np.array([6, 0]), np.array([1, 1]),
+        )
+        assert twin_moved == {0, 1}
+        assert set(np.flatnonzero(moved).tolist()) == twin_moved
+        assert phases == [twin_phases]
 
 
 @requires_numpy
@@ -525,11 +630,12 @@ class TestSplitLevelMatrix:
         lambdas = {e: ((e * 7) % 11) / 10.0 for e in graph.edges()}
         common = dict(epsilon=0.5, nu=params.resolved_nu(), max_phases=max_phases)
         level = defective_split_level(
-            graph, bipartition, parts, lambdas, betas=betas, scan_path="numpy", **common
+            graph, [bipartition] * len(parts), parts, lambdas, betas=betas, scan_path="numpy",
+            **common,
         )
         alone = [
             defective_split_level(
-                graph, bipartition, [part], lambdas, betas=[beta], scan_path="python", **common
+                graph, [bipartition], [part], lambdas, betas=[beta], scan_path="python", **common
             )[0]
             for part, beta in zip(parts, betas)
         ]
@@ -565,9 +671,8 @@ class TestSplitLevelMatrix:
         tracker = RoundTracker()
         partially_color_bipartite(
             graph,
-            bipartition,
             uniform_instance(graph),
-            list(graph.edges()),
+            [(bipartition, list(graph.edges()))],
             {},
             tracker=tracker,
             scan_path="numpy",
@@ -577,6 +682,38 @@ class TestSplitLevelMatrix:
         split_levels = math.ceil(math.log2(parameters.DEFAULT_PARAMETERS.list_reduction_parts))
         assert len(calls) <= split_levels
         assert calls == [1, 2, 4, 8]
+
+        # A Theorem D.4 solve splits all six class-pair pieces of an outer
+        # iteration together: one engine call per split depth.
+        calls.clear()
+        graph = generators.random_regular_graph(96, 16, seed=2)
+        assert graph.max_degree > parameters.DEFAULT_PARAMETERS.final_degree
+        tracker = RoundTracker()
+        result = list_edge_coloring(graph, tracker=tracker, scan_path="numpy")
+        assert tracker.breakdown["list-solver-split-level"] == 0
+        assert result.outer_iterations >= 1
+        assert len(calls) <= split_levels * result.outer_iterations
+        assert calls[0] == 6  # the first depth: one part per piece
+
+    def test_numpy_engine_plays_no_python_game(self, monkeypatch):
+        from repro.core import balanced_orientation
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the numpy engine played a python token dropping game")
+
+        played = []
+        segmented = balanced_orientation.segmented_token_dropping
+
+        def counting(*args, **kwargs):
+            played.append(1)
+            return segmented(*args, **kwargs)
+
+        monkeypatch.setattr(balanced_orientation, "_token_dropping_core", forbidden)
+        monkeypatch.setattr(balanced_orientation, "segmented_token_dropping", counting)
+        graph = generators.random_regular_graph(96, 16, seed=2)
+        result = list_edge_coloring(graph, scan_path="numpy")
+        assert is_proper_edge_coloring(graph, result.colors)
+        assert played  # repair games did run
 
 
 class _BroadcastAlgorithm(NodeAlgorithm):
