@@ -40,7 +40,7 @@ def barenboim_elkin_edge_coloring(
             rounds per class but more classes (and therefore more colors).
         tracker: optional round tracker.
         scan_path: engine of the defective split and the per-class
-            schedules (see :mod:`repro.core.engine`).
+            schedules and greedy passes (see :mod:`repro.core.engine`).
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError("epsilon must be in (0, 1]")
@@ -78,6 +78,7 @@ def barenboim_elkin_edge_coloring(
             palette_size=stride,
             edge_set=set(members),
             tracker=class_tracker,
+            scan_path=scan_path,
         )
         greedy_rounds = max(greedy_rounds, class_tracker.total)
         for e, c in local.items():

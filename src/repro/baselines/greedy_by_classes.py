@@ -36,8 +36,8 @@ def greedy_baseline_edge_coloring(
 ) -> BaselineResult:
     """(2Δ−1)-edge coloring via Linial scheduling plus greedy, O(Δ̄² + log* n) rounds.
 
-    ``scan_path`` selects the engine of the Linial schedule (see
-    :mod:`repro.core.engine`).
+    ``scan_path`` selects the engine of the Linial schedule and of the
+    greedy pass (see :mod:`repro.core.engine`).
     """
     own = RoundTracker()
     if graph.num_edges == 0:
@@ -49,6 +49,7 @@ def greedy_baseline_edge_coloring(
         schedule,
         palette_size=palette,
         tracker=own,
+        scan_path=scan_path,
     )
     if tracker is not None:
         tracker.merge(own)

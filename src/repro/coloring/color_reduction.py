@@ -26,9 +26,11 @@ defective reduction) runs over CSR rows, bit-identically:
   for a whole schedule;
 * the **numpy sweep** :func:`agreement_sweep` over a :func:`sweep_rows`
   layout, and its two consumers,
-  :func:`conflict_free_step_numpy` and :func:`min_conflict_step_numpy`;
-  :func:`polynomial_steps_numpy` runs a whole schedule.  When the sweep
-  does not apply (no int64 headroom) the callers run the python twin.
+  :func:`conflict_free_step_numpy` (which sweeps its last unresolved
+  rows again as their own compacted sub-CSR) and
+  :func:`min_conflict_step_numpy`; :func:`polynomial_steps_numpy` runs a
+  whole schedule.  When the sweep does not apply (no int64 headroom) the
+  callers run the python twin.
 """
 
 from __future__ import annotations
@@ -39,6 +41,16 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.engine import _np
 from repro.distributed.rounds import RoundTracker
+
+
+#: Unresolved rows from which :func:`conflict_free_step_numpy` sweeps
+#: its residue as a compacted sub-CSR instead of calling
+#: :func:`polynomial_step` per row.
+RESIDUE_SWEEP_ROWS = 48
+
+_NO_FREE_POINT = (
+    "no conflict-free point found; the input coloring was not proper or q <= degree_bound * d"
+)
 
 
 def is_prime(value: int) -> bool:
@@ -180,10 +192,7 @@ def polynomial_step(
                 break
         else:
             return x * q + own
-    raise ValueError(
-        "no conflict-free point found; the input coloring was not proper "
-        "or q <= degree_bound * d"
-    )
+    raise ValueError(_NO_FREE_POINT)
 
 
 def minimum_conflict_step(
@@ -265,6 +274,35 @@ def sweep_rows(own: Any, flat: Any, offsets: Any) -> Tuple[Any, ...]:
     return own, flat, offsets, counts, nonempty, offsets[:-1][nonempty]
 
 
+def _base_q_digits(table: Any, q: int, degree: int) -> List[Any]:
+    """The ``degree + 1`` base-``q`` digits of an int64 color table, lowest first.
+
+    Decomposed once per step; a value at ``x`` is then one multiply-add
+    sweep (:func:`_values_at`).
+    """
+    digits = []
+    for _ in range(degree + 1):
+        digits.append(table % q)
+        table = table // q
+    return digits
+
+
+def _values_at(digits: List[Any], x: int, q: int) -> Any:
+    """``f_c(x) mod q`` for every color of a :func:`_base_q_digits` table.
+
+    Digits and powers are < q, so the unreduced sum stays inside int64
+    (the callers check ``(d + 1)·q²``) and one final ``% q`` matches the
+    modular chain of :func:`polynomial_value`.
+    """
+    value = digits[0].copy()
+    power = 1
+    for digit in digits[1:]:
+        power = (power * x) % q
+        _np.add(value, digit * power, out=value)
+    value %= q
+    return value
+
+
 def agreement_sweep(
     values: Any, rows: Tuple[Any, ...], q: int, degree: int
 ) -> Optional[Iterator[Tuple[Any, Any]]]:
@@ -285,23 +323,11 @@ def agreement_sweep(
     except OverflowError:
         return None
     own, flat, _offsets, counts, nonempty, starts = rows
-    # Base-q digits, decomposed once; a value at ``x`` is then one
-    # multiply-add sweep.  Digits and powers are < q, so the unreduced
-    # sum stays inside int64 and one final ``% q`` matches the modular
-    # chain of :func:`polynomial_value`.
-    digits = []
-    for _ in range(degree + 1):
-        digits.append(table % q)
-        table = table // q
+    digits = _base_q_digits(table, q, degree)
 
     def points() -> Iterator[Tuple[Any, Any]]:
         for x in range(q):
-            value = digits[0].copy()
-            power = 1
-            for i in range(1, degree + 1):
-                power = (power * x) % q
-                np.add(value, digits[i] * power, out=value)
-            value %= q
+            value = _values_at(digits, x, q)
             own_value = value[own]
             agree = np.zeros(own.shape[0], dtype=np.int64)
             agree[nonempty] = np.add.reduceat(
@@ -315,10 +341,14 @@ def agreement_sweep(
 def conflict_free_step_numpy(values: Any, rows: Tuple[Any, ...], q: int, degree: int) -> Any:
     """:func:`polynomial_step` for every row of an :func:`agreement_sweep`.
 
-    Each row takes the first ``x`` no neighbor agrees at.  The last few
-    unresolved rows, among them every row with a same-colored neighbor,
-    go to :func:`polynomial_step`, which ignores such neighbors.
-    Returns int64 colors, or ``None`` when the sweep does not apply.
+    Each row takes the first ``x`` no neighbor agrees at.  Once fewer
+    than 1/16 of the rows are unresolved, among them every row with a
+    same-colored neighbor, the full-width sweep stops.  From
+    :data:`RESIDUE_SWEEP_ROWS` unresolved rows on they are swept again as
+    their own compacted sub-CSR (:func:`_residue_sweep`); fewer go to
+    :func:`polynomial_step` one by one.  Both ignore same-colored
+    neighbors.  Returns int64 colors, or ``None`` when the sweep does not
+    apply.
     """
     np = _np
     sweep = agreement_sweep(values, rows, q, degree)
@@ -336,13 +366,61 @@ def conflict_free_step_numpy(values: Any, rows: Tuple[Any, ...], q: int, degree:
         # Per-row rescans beat full-width sweeps once few rows remain.
         if not unresolved.size or (unresolved.size * 16 < num and x >= 1):
             break
-    if unresolved.size:
-        cache = shared_eval_cache(q, degree)
-        table = np.asarray(values, dtype=np.int64)
-        for r in unresolved.tolist():
-            neighbors = table[flat[offsets[r] : offsets[r + 1]]].tolist()
-            result[r] = polynomial_step(int(table[own[r]]), neighbors, q, degree, cache)
+    if not unresolved.size:
+        return result
+    table = np.asarray(values, dtype=np.int64)
+    if unresolved.size >= RESIDUE_SWEEP_ROWS:
+        result[unresolved] = _residue_sweep(table, rows, unresolved, q, degree)
+        return result
+    cache = shared_eval_cache(q, degree)
+    for r in unresolved.tolist():
+        neighbors = table[flat[offsets[r] : offsets[r + 1]]].tolist()
+        result[r] = polynomial_step(int(table[own[r]]), neighbors, q, degree, cache)
     return result
+
+
+def _residue_sweep(table: Any, rows: Tuple[Any, ...], residue: Any, q: int, degree: int) -> Any:
+    """:func:`polynomial_step` for the ``residue`` rows, as one compacted sweep.
+
+    The residue rows and their neighbors form a sub-CSR without the
+    same-colored neighbors, which the twin ignores.  From ``x = 0`` on,
+    each row takes the first ``x`` no remaining neighbor agrees at, and
+    resolved rows leave the sub-CSR.  A row that finds no such ``x``
+    raises the twin's ``ValueError``.
+    """
+    np = _np
+    own, flat, offsets, counts = rows[:4]
+    live = residue.shape[0]
+    sizes = counts[residue]
+    ends = np.cumsum(sizes)
+    ramp = np.arange(int(ends[-1]), dtype=np.int64)
+    ramp += np.repeat(offsets[residue] - ends + sizes, sizes)
+    seg = np.repeat(np.arange(live, dtype=np.int64), sizes)
+    own_colors = table[own[residue]]
+    neighbor_colors = table[flat[ramp]]
+    differs = neighbor_colors != own_colors[seg]
+    seg = seg[differs]
+    # One digit table: the live rows' own colors, then their neighbors'.
+    digits = _base_q_digits(np.concatenate((own_colors, neighbor_colors[differs])), q, degree)
+    slots = np.arange(live, dtype=np.int64)
+    result = np.empty(live, dtype=np.int64)
+    for x in range(q):
+        value = _values_at(digits, x, q)
+        own_value = value[:live]
+        conflicted = np.zeros(live, dtype=bool)
+        conflicted[seg[value[live:] == own_value[seg]]] = True
+        free = ~conflicted
+        result[slots[free]] = x * q + own_value[free]
+        if not conflicted.any():
+            return result
+        if free.any():
+            keep = conflicted[seg]
+            rank = np.cumsum(conflicted) - 1
+            digits = [digit[np.concatenate((conflicted, keep))] for digit in digits]
+            seg = rank[seg[keep]]
+            slots = slots[conflicted]
+            live = slots.shape[0]
+    raise ValueError(_NO_FREE_POINT)
 
 
 def min_conflict_step_numpy(values: Any, rows: Tuple[Any, ...], q: int, degree: int) -> Any:

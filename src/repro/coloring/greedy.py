@@ -11,6 +11,15 @@ This is the final step of every recursion in the paper (coloring the
 constant-degree or ``β/ε``-degree leftover graphs) and, combined with
 Linial's O(Δ̄²)-edge coloring, it is also the classic
 O(Δ² + log* n)-round baseline for (2Δ−1)-edge coloring.
+
+Both halves ship as engine twins under the ``scan_path`` knob
+(:mod:`repro.core.engine`): :func:`proper_edge_schedule` runs a
+vectorized or a python setup into the color-reduction engines of
+:mod:`repro.coloring.color_reduction`, and
+:func:`greedy_edge_coloring_by_classes` runs each schedule class as one
+numpy array pass over int64 color masks or as its per-edge python loop.
+The pairs are bit-identical: same colors, in the same dict order, same
+charges and same used-color masks.
 """
 
 from __future__ import annotations
@@ -22,9 +31,18 @@ from repro.coloring.color_reduction import (
     polynomial_steps_numpy,
     reduction_schedule,
 )
-from repro.core.engine import _np, resolve_use_numpy
+from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np, resolve_use_numpy
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.core import Graph
+
+#: Mean edges per non-empty schedule class from which the numpy leaf
+#: engages under ``scan_path="auto"``: below it the per-class numpy
+#: dispatch costs more than the per-edge loop saves.
+LEAF_NUMPY_EDGES_PER_CLASS = 48
+
+#: Masks the numpy leaf handles: 62 bits, so ``avail & -avail`` and the
+#: float64 bit index stay exact in int64.
+_LEAF_MASK_LIMIT = 1 << 62
 
 
 class UsedColorMasks:
@@ -129,6 +147,7 @@ def greedy_edge_coloring_by_classes(
     tracker: Optional[RoundTracker] = None,
     used_colors: Optional[UsedColorMasks] = None,
     list_masks: Optional[Dict[int, int]] = None,
+    scan_path: str = "auto",
 ) -> Dict[int, int]:
     """Greedy list edge coloring scheduled by the classes of ``schedule``.
 
@@ -158,26 +177,49 @@ def greedy_edge_coloring_by_classes(
             colored yet.
         list_masks: optional per-edge color lists as bitmasks (bit ``c``
             set iff ``c`` is in the list), in place of ``lists``.
+        scan_path: engine selector (``"auto"`` / ``"numpy"`` /
+            ``"python"``).  The numpy engine (:func:`_greedy_classes_numpy`)
+            runs each class as one array pass; it serves bitmask picks
+            whose list masks and touched node masks fit in 62 bits, and
+            under ``"auto"`` only from :data:`LEAF_NUMPY_EDGES_PER_CLASS`
+            edges per class on.  Everything else runs the per-edge loop
+            below, its bit-identical twin.
 
-    Returns the new colors, keyed by edge index.
+    Returns the new colors, keyed by edge index, class by class and by
+    edge within a class.  An edge without an available color raises
+    ``ValueError`` with the classes before its own applied to
+    ``used_colors``.
     """
     if lists is not None and list_masks is not None:
         raise ValueError("pass lists or list_masks, not both")
-    targets = set(schedule.keys()) if edge_set is None else set(edge_set)
+    targets = sorted(set(schedule.keys()) if edge_set is None else set(edge_set))
+    classes = list(map(schedule.__getitem__, targets))
     if palette_size is None:
         palette_size = max(1, 2 * graph.max_degree - 1)
-    result: Dict[int, int] = {}
-    # Group the targets by schedule class in one pass (the per-class
-    # choices are simultaneous, so the order within a class is free).
-    by_class: Dict[int, List[int]] = {}
-    for e in sorted(targets):
-        by_class.setdefault(schedule[e], []).append(e)
-    edge_u, edge_v = graph.endpoint_arrays()
     # An edge's blocked colors are exactly those used at its two
     # endpoints, kept as one bitmask per node (bit ``c`` set iff color
     # ``c`` is used there).
     node_masks = used_colors._masks if used_colors is not None else [0] * graph.num_nodes
     full_mask = (1 << palette_size) - 1
+    if lists is None and targets:
+        # The leaf's per-step work is one class; scale the mean class size
+        # so the shared threshold sits at the measured crossover.
+        per_class = len(targets) // len(set(classes))
+        if resolve_use_numpy(
+            scan_path, per_class * NUMPY_SCAN_THRESHOLD // LEAF_NUMPY_EDGES_PER_CLASS
+        ):
+            vectorized = _greedy_classes_numpy(
+                graph, targets, classes, list_masks, full_mask, node_masks, tracker
+            )
+            if vectorized is not None:
+                return vectorized
+    result: Dict[int, int] = {}
+    # Group the targets by schedule class in one pass (the per-class
+    # choices are simultaneous, so the order within a class is free).
+    by_class: Dict[int, List[int]] = {}
+    for e, cls in zip(targets, classes):
+        by_class.setdefault(cls, []).append(e)
+    edge_u, edge_v = graph.endpoint_arrays()
     for cls in sorted(by_class):
         members = by_class[cls]
         round_choices: List[Tuple[int, int]] = []
@@ -202,6 +244,92 @@ def greedy_edge_coloring_by_classes(
         if tracker is not None:
             tracker.charge(1, "greedy-edge-classes")
     return result
+
+
+def _greedy_classes_numpy(
+    graph: Graph,
+    targets: List[int],
+    classes: List[int],
+    list_masks: Optional[Dict[int, int]],
+    full_mask: int,
+    node_masks: List[int],
+    tracker: Optional[RoundTracker],
+) -> Optional[Dict[int, int]]:
+    """The numpy engine of :func:`greedy_edge_coloring_by_classes`.
+
+    A stable sort of the (sorted) targets by class keeps the twin's
+    order: class, then edge.  Each class is one array pass over int64
+    masks: ``avail = list_mask & ~(used[u] | used[v])``, its lowest set
+    bit is the pick, and ``used[u] |= bit``, ``used[v] |= bit``.  Members
+    of a class share no endpoint, so the fancy-indexed ``|=`` is exact.
+    The touched nodes' masks are written back into ``node_masks``, also
+    when a class fails: the error names the class's first edge (by
+    index) without a color, with the earlier classes applied and the
+    failing one not, as in the twin.  Returns ``None`` when a list mask,
+    the palette or a touched node mask does not fit in 62 bits, or a
+    class id does not fit int64.
+    """
+    np = _np
+    k = len(targets)
+    try:
+        cls = np.fromiter(classes, dtype=np.int64, count=k)
+        if list_masks is None:
+            masks = np.full(k, full_mask, dtype=np.int64)
+        else:
+            masks = np.fromiter(map(list_masks.__getitem__, targets), dtype=np.int64, count=k)
+    except OverflowError:
+        return None
+    if int(masks.max()) >= _LEAF_MASK_LIMIT or int(masks.min()) < 0:
+        return None
+    all_u, all_v = graph.endpoint_arrays_np()
+    # A stable sort of 16-bit keys is a radix sort.
+    small = int(cls.min()) >= 0 and int(cls.max()) < 1 << 16
+    order = np.argsort(cls.astype(np.uint16) if small else cls, kind="stable")
+    masks = masks[order]
+    edges = np.fromiter(targets, dtype=np.int64, count=k)[order]
+    eu = all_u[edges]
+    ev = all_v[edges]
+    # Compact node index over the touched nodes only.
+    touched_flag = np.zeros(graph.num_nodes, dtype=bool)
+    touched_flag[eu] = True
+    touched_flag[ev] = True
+    touched = np.flatnonzero(touched_flag).tolist()
+    before = [node_masks[v] for v in touched]
+    if max(before) >= _LEAF_MASK_LIMIT:
+        return None
+    local = np.cumsum(touched_flag) - 1
+    lu = local[eu]
+    lv = local[ev]
+    used = np.array(before, dtype=np.int64)
+    sorted_cls = cls[order]
+    cuts = [0, *(np.flatnonzero(sorted_cls[1:] != sorted_cls[:-1]) + 1).tolist(), k]
+    picks = np.empty(k, dtype=np.int64)
+    failed = None
+    applied = 0
+    for start, stop in zip(cuts, cuts[1:]):
+        uu = lu[start:stop]
+        vv = lv[start:stop]
+        available = masks[start:stop] & ~(used[uu] | used[vv])
+        bits = available & -available
+        if not bits.all():
+            failed = start + int(np.flatnonzero(bits == 0)[0])
+            break
+        used[uu] |= bits
+        used[vv] |= bits
+        picks[start:stop] = bits
+        applied += 1
+    for v, mask in zip(touched, used.tolist()):
+        node_masks[v] = mask
+    if tracker is not None and applied:
+        tracker.charge(applied, "greedy-edge-classes")
+    if failed is not None:
+        raise ValueError(
+            f"edge {int(edges[failed])} has no available color; its list/palette is too small"
+        )
+    # A single set bit converts exactly to float64: frexp's exponent is
+    # its index + 1.
+    colors = np.frexp(picks.astype(np.float64))[1] - 1
+    return dict(zip(edges.tolist(), colors.tolist()))
 
 
 def _schedule_setup_numpy(

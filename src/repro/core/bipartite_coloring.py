@@ -82,8 +82,9 @@ def bipartite_edge_coloring(
             parts of edge degree around ``params.leaf_degree``.
         params: practical parameter overrides.
         tracker: optional round tracker.
-        scan_path: orientation engine selector, forwarded to every
-            defective split (``"auto"`` / ``"numpy"`` / ``"python"``).
+        scan_path: engine selector, forwarded to every defective split
+            and every leaf schedule and greedy pass (``"auto"`` /
+            ``"numpy"`` / ``"python"``).
     """
     params = params or parameters.DEFAULT_PARAMETERS
     edges: List[int] = sorted(set(edge_set)) if edge_set is not None else list(graph.edges())
@@ -144,6 +145,7 @@ def bipartite_edge_coloring(
             palette_size=stride,
             edge_set=set(part),
             tracker=part_tracker,
+            scan_path=scan_path,
         )
         # The parts use disjoint palettes and are colored in parallel.
         leaf_rounds = max(leaf_rounds, part_tracker.total)

@@ -82,8 +82,8 @@ def congest_edge_coloring(
         params: practical parameter overrides.
         tracker: optional round tracker.
         scan_path: engine selector, forwarded to the initial Linial
-            coloring and every defective split (``"auto"`` / ``"numpy"``
-            / ``"python"``).
+            coloring, every defective split and the final schedule and
+            greedy pass (``"auto"`` / ``"numpy"`` / ``"python"``).
     """
     params = params or parameters.DEFAULT_PARAMETERS
     own = RoundTracker()
@@ -163,6 +163,7 @@ def congest_edge_coloring(
             palette_size=remaining_edge_degree + 1,
             edge_set=set(uncolored),
             tracker=own,
+            scan_path=scan_path,
         )
         for e, c in local.items():
             colors[e] = palette.start + c

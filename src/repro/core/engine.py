@@ -9,7 +9,9 @@ line-graph schedule and the defective reduction), Linial's two engines
 ``linial_vertex_coloring`` and the vectorized ``receive_batch`` sweep of
 ``LinialNodeAlgorithm`` on the simulator), the local search of
 :mod:`repro.coloring.defective_vertex` and the defect measurement
-(:mod:`repro.core.defective_edge_coloring`).  They all
+(:mod:`repro.core.defective_edge_coloring`) and the greedy leaf
+(:func:`repro.coloring.greedy.greedy_edge_coloring_by_classes`, one
+array pass per schedule class).  They all
 select their engine through :func:`resolve_use_numpy`, driven by one
 ``scan_path`` knob with identical semantics everywhere:
 

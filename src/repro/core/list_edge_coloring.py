@@ -135,6 +135,27 @@ def _color_mask(colors: Sequence[int]) -> int:
     return mask
 
 
+def _ascending_list_masks(
+    lists: Dict[int, Sequence[int]], edges: Sequence[int]
+) -> Optional[Dict[int, int]]:
+    """The color masks of ``edges``' lists, or ``None`` if one list is not ascending.
+
+    Equal neighbouring lists (all of them, in a uniform instance) share
+    one mask build and one order check; the comparison runs at C speed.
+    """
+    masks: Dict[int, int] = {}
+    last_list: Sequence[int] = ()
+    last_mask = 0
+    for e in edges:
+        if lists[e] != last_list:
+            last_list = lists[e]
+            if list(last_list) != sorted(last_list):
+                return None
+            last_mask = _color_mask(last_list)
+        masks[e] = last_mask
+    return masks
+
+
 # ---------------------------------------------------------------------------- Lemma D.2
 def solve_relaxed_instance(
     graph: Graph,
@@ -175,9 +196,10 @@ def solve_relaxed_instance(
         edge_set: instance edges (defaults to the keys of the lists).
         params: practical parameter overrides.
         tracker: optional round tracker.
-        scan_path: orientation engine selector, forwarded to
+        scan_path: engine selector, forwarded to
             :func:`repro.core.defective_edge_coloring.
-            defective_split_level` for every split level.
+            defective_split_level` for every split level and to every
+            greedy schedule and leaf.
         list_masks: the lists as per-edge color bitmasks, in place of
             ``lists``.
         used_colors: caller-owned per-node used-color masks of the
@@ -319,7 +341,12 @@ def solve_relaxed_instance(
         schedule = proper_edge_schedule(graph, batch, tracker=own, scan_path=scan_path)
         result.update(
             greedy_edge_coloring_by_classes(
-                graph, schedule, tracker=own, used_colors=used, list_masks=batch
+                graph,
+                schedule,
+                tracker=own,
+                used_colors=used,
+                list_masks=batch,
+                scan_path=scan_path,
             )
         )
 
@@ -464,9 +491,10 @@ def list_edge_coloring(
         params: practical parameter overrides.
         tracker: optional round tracker.
         scan_path: engine selector (``"auto"`` / ``"numpy"`` /
-            ``"python"``), forwarded to the initial Linial coloring and
-            every defective split the recursion performs; both forced
-            engines are bit-identical.
+            ``"python"``), forwarded to the initial Linial coloring,
+            every defective split the recursion performs and every
+            greedy schedule and leaf; both forced engines are
+            bit-identical.
 
     Raises ``ValueError`` if the instance violates the (degree+1) condition.
     """
@@ -542,16 +570,21 @@ def list_edge_coloring(
         uncolored = [e for e in uncolored if e not in coloring]
 
     # Final stage: the uncolored graph has small degree; greedy from the
-    # instance lists against the shared used-color masks.
+    # instance lists against the shared used-color masks.  On ascending
+    # lists the first free color in list order is the lowest free bit, so
+    # the lists go in as masks (which the numpy leaf serves).
     if uncolored:
         schedule = proper_edge_schedule(graph, uncolored, tracker=own, scan_path=scan_path)
+        masks = _ascending_list_masks(instance.lists, uncolored)
         new = greedy_edge_coloring_by_classes(
             graph,
             schedule,
-            lists=instance.lists,
+            lists=instance.lists if masks is None else None,
             edge_set=set(uncolored),
             tracker=own,
             used_colors=used,
+            list_masks=masks,
+            scan_path=scan_path,
         )
         coloring.update(new)
 

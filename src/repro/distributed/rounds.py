@@ -10,11 +10,13 @@ records how many synchronous rounds the phase would take in the LOCAL or
 CONGEST model and a label identifying which part of the algorithm it
 belongs to.
 
-The low-level primitives that genuinely need identifier-driven symmetry
-breaking (Linial coloring, greedy coloring by color classes) are in
-addition implemented on the real message-passing simulator
-(:mod:`repro.distributed.network`) and their measured round counts agree
-with what they charge here; integration tests assert that.
+Linial's coloring, the primitive that genuinely needs identifier-driven
+symmetry breaking, is in addition implemented on the real message-passing
+simulator (:class:`repro.coloring.linial.LinialNodeAlgorithm` on
+:mod:`repro.distributed.network`), and its measured round count agrees
+with its ``linial`` charge; an integration test asserts that.  Every
+other label, greedy coloring by color classes among them, is charged
+here and not executed on the simulator.
 """
 
 from __future__ import annotations

@@ -24,7 +24,11 @@ import random
 import pytest
 
 from repro import api
-from repro.coloring.greedy import proper_edge_schedule
+from repro.coloring.greedy import (
+    UsedColorMasks,
+    greedy_edge_coloring_by_classes,
+    proper_edge_schedule,
+)
 from repro.coloring.linial import LinialNodeAlgorithm
 from repro.core import parameters
 from repro.core.balanced_orientation import compute_balanced_orientation
@@ -302,6 +306,146 @@ class TestScheduleEngineMatrix:
         assert is_proper_edge_coloring(graph, a)
 
 
+def _leaf_run(graph, schedule, path, masks=(), **kwargs):
+    """One greedy leaf call on ``path``: outcome, charges and final node masks.
+
+    The outcome is the colors in dict order, or the ``ValueError`` text.
+    ``masks`` pre-populates the shared used-color state.
+    """
+    used = UsedColorMasks(graph.num_nodes)
+    for v, mask in enumerate(masks):
+        used._masks[v] = mask
+    tracker = RoundTracker()
+    try:
+        colors = greedy_edge_coloring_by_classes(
+            graph, schedule, tracker=tracker, used_colors=used, scan_path=path, **kwargs
+        )
+        outcome = list(colors.items())
+    except ValueError as exc:
+        outcome = str(exc)
+    return outcome, tracker.total, tracker.breakdown, [used.mask(v) for v in graph.nodes()]
+
+
+@requires_numpy
+class TestGreedyLeafEngineMatrix:
+    """greedy_edge_coloring_by_classes: numpy class passes vs the per-edge twin."""
+
+    @staticmethod
+    def _assert_engines_agree(graph, schedule, **kwargs):
+        py = _leaf_run(graph, schedule, "python", **kwargs)
+        assert _leaf_run(graph, schedule, "numpy", **kwargs) == py
+        return py
+
+    @staticmethod
+    def _half_colored(graph):
+        """A schedule for the odd half of the edges, and masks of the even half's colors."""
+        edges = list(graph.edges())
+        first = proper_edge_schedule(graph, edges[::2])
+        masks = _leaf_run(graph, first, "python")[3]
+        return proper_edge_schedule(graph, edges[1::2]), masks
+
+    @pytest.mark.parametrize("kind,n,delta", GRAPH_CELLS[::2])
+    def test_palette_and_masks_bit_identical(self, kind, n, delta):
+        graph = _make_graph(kind, n, delta, seed=7 * n + delta)
+        schedule = proper_edge_schedule(graph, list(graph.edges()))
+        outcome, total, _breakdown, _masks = self._assert_engines_agree(graph, schedule)
+        assert is_proper_edge_coloring(graph, dict(outcome))
+        # One charge per non-empty schedule class, on both engines.
+        assert total == len(set(schedule.values()))
+        # (degree+1)-lists drawn from a wider color space.
+        rng = random.Random(n)
+        edge_u, edge_v = graph.endpoint_arrays()
+        masks = {}
+        for e in graph.edges():
+            size = graph.degree(edge_u[e]) + graph.degree(edge_v[e]) - 1
+            masks[e] = sum(1 << c for c in rng.sample(range(2 * delta + 10), size))
+        outcome = self._assert_engines_agree(graph, schedule, list_masks=masks)[0]
+        assert all(masks[e] >> c & 1 for e, c in outcome)
+
+    @pytest.mark.parametrize("kind,n,delta", GRAPH_CELLS[1::2])
+    def test_shared_used_colors_bit_identical(self, kind, n, delta):
+        graph = _make_graph(kind, n, delta, seed=5 * n + delta)
+        schedule, masks = self._half_colored(graph)
+        outcome, total, _breakdown, final = self._assert_engines_agree(
+            graph, schedule, masks=masks
+        )
+        assert isinstance(outcome, list) and len(outcome) == len(schedule)
+        assert total == len(set(schedule.values()))
+        assert all(final[v] & masks[v] == masks[v] for v in graph.nodes())
+
+    def test_lists_sorted_and_unsorted_bit_identical(self):
+        graph = _make_graph("general", 48, 16, seed=11)
+        schedule, masks = self._half_colored(graph)
+        palette = list(range(2 * 16 - 1))
+        rng = random.Random(11)
+        shuffled = {e: rng.sample(palette, len(palette)) for e in graph.edges()}
+        sorted_lists = {e: palette for e in graph.edges()}
+        for lists in (sorted_lists, shuffled):
+            self._assert_engines_agree(graph, schedule, masks=masks, lists=lists)
+        # Sorted lists pick the lowest free color, as their masks do.
+        as_masks = {e: (1 << len(palette)) - 1 for e in graph.edges()}
+        assert _leaf_run(graph, schedule, "numpy", masks=masks, list_masks=as_masks) == (
+            _leaf_run(graph, schedule, "python", masks=masks, lists=sorted_lists)
+        )
+
+    def test_exhausted_list_raises_identically_with_earlier_classes_applied(self):
+        graph = _make_graph("general", 400, 4, seed=3)
+        schedule = proper_edge_schedule(graph, list(graph.edges()))
+        classes = sorted(set(schedule.values()))
+        earlier = {e: c for e, c in schedule.items() if c in classes[:4]}
+        applied = _leaf_run(graph, earlier, "python")[3]
+        # A late member of the fifth class gets the list {0}, which an
+        # earlier class has taken at one of its endpoints.
+        edge_u, edge_v = graph.endpoint_arrays()
+        fifth = sorted(e for e, c in schedule.items() if c == classes[4])
+        blocked = [e for e in fifth if (applied[edge_u[e]] | applied[edge_v[e]]) & 1]
+        victim = blocked[len(blocked) // 2]
+        assert fifth.index(victim) > 0 and fifth[-1] != victim
+        full = (1 << 7) - 1
+        masks = {e: full for e in graph.edges()}
+        masks[victim] = 1
+        py = self._assert_engines_agree(graph, schedule, list_masks=masks)
+        assert py[0] == f"edge {victim} has no available color; its list/palette is too small"
+        # The four earlier classes are charged and applied, the failing one is not.
+        assert py[1:] == (4, {"greedy-edge-classes": 4}, applied)
+        # A failing first class charges nothing and leaves the state alone.
+        first = min(e for e, c in schedule.items() if c == classes[0])
+        masks[victim], masks[first] = full, 0
+        py = self._assert_engines_agree(graph, schedule, list_masks=masks)
+        assert py[1:] == (0, {}, [0] * graph.num_nodes)
+        assert py[0].startswith(f"edge {first} ")
+        # The default palette too small for the graph.
+        self._assert_engines_agree(graph, schedule, palette_size=3)
+
+    def test_wide_palettes_fall_back_to_the_twin(self, monkeypatch):
+        from repro.coloring import greedy
+
+        graph = _make_graph("general", 64, 20, seed=9)
+        schedule, masks = self._half_colored(graph)
+        engine_results = []
+        real = greedy._greedy_classes_numpy
+
+        def recording(*args):
+            engine_results.append(real(*args))
+            return engine_results[-1]
+
+        monkeypatch.setattr(greedy, "_greedy_classes_numpy", recording)
+        wide = {e: (1 << 70) - 1 for e in graph.edges()}
+        high = {e: (1 << 62) | ((1 << 39) - 1) for e in graph.edges()}
+        high_used = [mask | 1 << 62 for mask in masks]
+        for kwargs in (
+            {"palette_size": 70},
+            {"list_masks": wide},
+            {"list_masks": high},
+            {"palette_size": 39, "masks": high_used},
+        ):
+            self._assert_engines_agree(graph, schedule, **kwargs)
+        assert len(engine_results) == 4 and all(r is None for r in engine_results)
+        # The same call with 62-bit masks runs the engine.
+        self._assert_engines_agree(graph, schedule, masks=masks, palette_size=39)
+        assert engine_results[-1] is not None
+
+
 def _force_engine(monkeypatch, path):
     """Steer every ``scan_path="auto"`` engine choice to ``path``."""
     from repro.core import engine
@@ -409,6 +553,92 @@ class TestColorReductionEngineMatrix:
         assert fewest.tolist() == [
             minimum_conflict_step(c, row, q, d)[0] for c, row in zip(colors, rows)
         ]
+
+    @staticmethod
+    def _count_residue_sweeps(monkeypatch):
+        from repro.coloring import color_reduction
+
+        calls = []
+        real = color_reduction._residue_sweep
+
+        def counted(table, rows, residue, q, degree):
+            calls.append(residue.size)
+            return real(table, rows, residue, q, degree)
+
+        monkeypatch.setattr(color_reduction, "_residue_sweep", counted)
+        return calls
+
+    @pytest.mark.parametrize("same_colored", [0, 40, 400])
+    def test_residue_sweep_matches_python_twin(self, monkeypatch, same_colored):
+        from repro.coloring.color_reduction import (
+            RESIDUE_SWEEP_ROWS,
+            conflict_free_step_numpy,
+            polynomial_step,
+            sweep_rows,
+        )
+
+        np = _np
+        calls = self._count_residue_sweeps(monkeypatch)
+        graph = generators.random_regular_graph(3000, 8, seed=21)
+        xadj, adj = graph.adjacency_csr()
+        q, d = 37, 2  # q > Δ·d and q³ above the colors
+        rng = random.Random(same_colored)
+        colors = rng.sample(range(q ** (d + 1)), graph.num_nodes)
+        # Some nodes copy a neighbor's color: the sweep never frees them,
+        # and the twin ignores that neighbor.
+        for v in rng.sample(range(graph.num_nodes), same_colored):
+            colors[v] = colors[adj[xadj[v]]]
+        layout = sweep_rows(
+            np.arange(graph.num_nodes, dtype=np.int64),
+            np.asarray(adj, dtype=np.int64),
+            np.asarray(xadj, dtype=np.int64),
+        )
+        rows = [[colors[w] for w in adj[xadj[v] : xadj[v + 1]]] for v in graph.nodes()]
+        expected = [polynomial_step(c, row, q, d) for c, row in zip(colors, rows)]
+        assert conflict_free_step_numpy(colors, layout, q, d).tolist() == expected
+        assert len(calls) == 1 and calls[0] >= RESIDUE_SWEEP_ROWS
+        if same_colored:
+            assert any(colors[u] == colors[v] for u, v in _edge_pairs(graph))
+
+    def test_exhausted_row_raises_on_both_engines(self, monkeypatch):
+        from repro.coloring.color_reduction import (
+            RESIDUE_SWEEP_ROWS,
+            conflict_free_step_numpy,
+            polynomial_step,
+            sweep_rows,
+        )
+
+        np = _np
+        calls = self._count_residue_sweeps(monkeypatch)
+        q, d = 3, 1
+        # Row 0 (color 0) sees every other color of [0, 9): each x has an
+        # agreeing neighbor.  The other rows share their color 4 with one
+        # neighbor and see color 0 besides; only the twin frees them.
+        sharing = RESIDUE_SWEEP_ROWS + 12
+        values = list(range(q * q)) + [4] * sharing
+        own = [0, *range(q * q, q * q + sharing)]
+        rows = [list(range(1, q * q))]
+        rows += [[q * q + (i + 1) % sharing, 0] for i in range(sharing)]
+        offsets = np.cumsum([0, *map(len, rows)])
+        layout = sweep_rows(
+            np.asarray(own, dtype=np.int64),
+            np.asarray([j for row in rows for j in row], dtype=np.int64),
+            offsets.astype(np.int64),
+        )
+        with pytest.raises(ValueError) as numpy_error:
+            conflict_free_step_numpy(values, layout, q, d)
+        with pytest.raises(ValueError) as python_error:
+            polynomial_step(values[own[0]], [values[j] for j in rows[0]], q, d)
+        assert str(numpy_error.value) == str(python_error.value)
+        assert calls == [sharing + 1]
+        # Without the stuck row, every row resolves as in the twin.
+        layout = sweep_rows(
+            np.asarray(own[1:], dtype=np.int64),
+            np.asarray([j for row in rows[1:] for j in row], dtype=np.int64),
+            (offsets[1:] - offsets[1]).astype(np.int64),
+        )
+        expected = [polynomial_step(4, [values[j] for j in row], q, d) for row in rows[1:]]
+        assert conflict_free_step_numpy(values, layout, q, d).tolist() == expected
 
     def test_sweep_reports_not_applicable(self):
         from repro.coloring.color_reduction import agreement_sweep, sweep_rows
@@ -852,7 +1082,8 @@ class TestScanPathReachesEngines:
     """An explicit ``scan_path="python"`` keeps every engine off numpy.
 
     Covered: the Linial reduction steps, the defective local search, the
-    edge-schedule setup and the Definition 5.1 defect recount.
+    edge-schedule setup, the greedy leaf and the Definition 5.1 defect
+    recount.
     """
 
     @pytest.fixture
@@ -867,6 +1098,7 @@ class TestScanPathReachesEngines:
         monkeypatch.setattr(linial, "conflict_free_step_numpy", forbidden)
         monkeypatch.setattr(defective_vertex, "_local_search_rounds_numpy", forbidden)
         monkeypatch.setattr(greedy, "_schedule_setup_numpy", forbidden)
+        monkeypatch.setattr(greedy, "_greedy_classes_numpy", forbidden)
         # measure_defects resolves its inline numpy branch through a
         # call-time import of engine.resolve_use_numpy: record the knobs
         # it is handed.

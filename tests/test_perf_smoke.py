@@ -10,11 +10,20 @@ complexity regression (e.g. reintroducing a per-level rescan, a
 per-edge python proposal loop, or a per-message dict on the simulator's
 message plane), not on machine noise.  ``benchmarks/run_benchmarks.py``
 holds the full before/after trajectory.
+
+Every budget is in seconds at reference speed.  A measured wall is
+scaled to reference speed by the host-speed method of
+``perfbench/common.py`` before the comparison: ticks of a fixed kernel
+that does not touch the code under test run next to the timed work, and
+the wall is multiplied by the reference tick over the measured tick.  So
+a host that runs 1.5× slow for a while reads the same as a fast one,
+while the code's own cost still counts in full.
 """
 
 from __future__ import annotations
 
 import time
+from typing import List
 
 import pytest
 
@@ -37,30 +46,67 @@ E1_LARGE_BUDGET_SECONDS = 3.0
 #: in the benchmarks).
 E8_N10K_BUDGET_SECONDS = 2.0
 
+#: The host-speed probe, as ``perfbench/common.py`` defines it: a tick is
+#: one run of :func:`_tick_kernel` (``TICK_LOOPS`` loops), which takes
+#: ``TICK_REF_S`` seconds at reference speed.
+TICK_LOOPS = 100_000
+TICK_REF_S = 0.007
+
+
+def _tick_kernel() -> int:
+    total = 0
+    for i in range(TICK_LOOPS):
+        total += i * i % 7
+    return total
+
+
+def _tick() -> float:
+    """The wall time of one tick on this host right now."""
+    start = time.perf_counter()
+    _tick_kernel()
+    return time.perf_counter() - start
+
+
+def _at_reference_speed(wall: float, ticks: List[float]) -> float:
+    """``wall`` scaled by reference tick / measured tick.
+
+    The fastest tick is the host speed: a tick preempted by another
+    process reads slow, never fast.
+    """
+    return wall * TICK_REF_S / min(ticks)
+
+
+def _timed(run):
+    """``run()``'s result and its wall at reference speed (ticks before and after)."""
+    ticks = [_tick(), _tick()]
+    start = time.perf_counter()
+    result = run()
+    wall = time.perf_counter() - start
+    ticks += [_tick(), _tick()]
+    return result, _at_reference_speed(wall, ticks)
+
 
 @pytest.mark.perf_smoke
 def test_e1_delta16_within_budget():
     graph = generators.random_regular_graph(96, 16, seed=16)
-    start = time.perf_counter()
-    outcome = api.color_edges_local(graph)
-    wall = time.perf_counter() - start
+    outcome, wall = _timed(lambda: api.color_edges_local(graph))
     assert outcome.is_proper
     assert outcome.num_colors <= 2 * 16 - 1
     assert wall < E1_DELTA16_BUDGET_SECONDS, (
-        f"E1 Δ=16 took {wall:.3f}s, over the {E1_DELTA16_BUDGET_SECONDS}s smoke budget"
+        f"E1 Δ=16 took {wall:.3f}s at reference speed, over the "
+        f"{E1_DELTA16_BUDGET_SECONDS}s smoke budget"
     )
 
 
 @pytest.mark.perf_smoke
 def test_e1_large_within_budget():
     graph = generators.random_regular_graph(192, 32, seed=32)
-    start = time.perf_counter()
-    outcome = api.color_edges_local(graph)
-    wall = time.perf_counter() - start
+    outcome, wall = _timed(lambda: api.color_edges_local(graph))
     assert outcome.is_proper
     assert outcome.num_colors <= 2 * 32 - 1
     assert wall < E1_LARGE_BUDGET_SECONDS, (
-        f"E1_large n=192 took {wall:.3f}s, over the {E1_LARGE_BUDGET_SECONDS}s smoke budget"
+        f"E1_large n=192 took {wall:.3f}s at reference speed, over the "
+        f"{E1_LARGE_BUDGET_SECONDS}s smoke budget"
     )
 
 
@@ -75,7 +121,8 @@ def test_disabled_tracing_overhead_within_budget():
     overhead with tracing off is noise.  The spans run in short batches
     and the fastest batch, scaled to 100k spans, is the cost of the loop
     itself: a transient slow period of the host spoils a few batches,
-    not all of them.
+    not all of them.  A tick runs after every batch, and the fastest
+    tick scales that cost to reference speed.
     """
     from repro.obs import trace as obs_trace
 
@@ -86,16 +133,18 @@ def test_disabled_tracing_overhead_within_budget():
     spans = 100_000
     batch = 5_000
     walls = []
-    for _repeat in range(100):
+    ticks = []
+    for _repeat in range(40):
         start = time.perf_counter()
         for index in range(batch):
             with trc.span("runtime.cell.run", spec="e1_sweep", cell_index=index) as span:
                 span.set(runner="local_coloring")
         walls.append(time.perf_counter() - start)
-    wall = min(walls) * (spans // batch)
+        ticks.append(_tick())
+    wall = _at_reference_speed(min(walls) * (spans // batch), ticks)
     budget = 0.05 * E1_DELTA16_BUDGET_SECONDS
     assert wall < budget, (
-        f"100k disabled spans took {wall:.3f}s, over the {budget}s "
+        f"100k disabled spans took {wall:.3f}s at reference speed, over the {budget}s "
         "(5% of E1) overhead budget"
     )
 
@@ -109,11 +158,10 @@ def test_e8_linial_n10k_batched_within_budget():
     network = SynchronousNetwork(
         graph, model=Model.CONGEST, global_knowledge={"id_space": id_space_size(graph)}
     )
-    start = time.perf_counter()
-    colors, metrics = network.run(LinialNodeAlgorithm())
-    wall = time.perf_counter() - start
+    (colors, metrics), wall = _timed(lambda: network.run(LinialNodeAlgorithm()))
     assert is_proper_vertex_coloring(graph, colors)
     assert metrics.congest_violations == 0
     assert wall < E8_N10K_BUDGET_SECONDS, (
-        f"E8 n=10⁴ took {wall:.3f}s, over the {E8_N10K_BUDGET_SECONDS}s smoke budget"
+        f"E8 n=10⁴ took {wall:.3f}s at reference speed, over the "
+        f"{E8_N10K_BUDGET_SECONDS}s smoke budget"
     )

@@ -6,15 +6,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.sequential import sequential_greedy_edge_coloring
-from repro.coloring.greedy import greedy_edge_coloring_by_classes, proper_edge_schedule
+from repro.coloring.greedy import (
+    UsedColorMasks,
+    greedy_edge_coloring_by_classes,
+    proper_edge_schedule,
+)
 from repro.coloring.linial import linial_vertex_coloring
 from repro.coloring.palettes import ColorRange
 from repro.core.defective_edge_coloring import (
     generalized_defective_two_edge_coloring,
     half_split_lambdas,
 )
+from repro.core.engine import _np
 from repro.core.slack import uniform_instance
 from repro.core.token_dropping import TokenDroppingGame, run_token_dropping, uniform_alpha
+from repro.distributed.rounds import RoundTracker
 from repro.graphs.bipartite import find_bipartition
 from repro.graphs.core import DirectedGraph, Graph
 from repro.verification.checkers import is_proper_edge_coloring, is_proper_vertex_coloring
@@ -109,6 +115,38 @@ class TestColoringProperties:
         )
         assert is_proper_edge_coloring(graph, colors)
         assert slack_invariant_violations(instance, colors) == []
+
+    @_SETTINGS
+    @given(random_graphs(max_nodes=24, edge_probability=0.3), st.data())
+    def test_schedule_and_leaf_engines_agree_on_precolored_masks(self, graph, data):
+        if _np is None or graph.num_edges == 0:
+            return
+        edges = list(graph.edges())
+        precolored = set(data.draw(st.lists(st.sampled_from(edges), unique=True)))
+        rest = [e for e in edges if e not in precolored]
+        palette = max(1, 2 * graph.max_degree - 1)
+        runs = {}
+        for path in ("python", "numpy"):
+            used = UsedColorMasks(graph.num_nodes)
+            tracker = RoundTracker()
+            first = proper_edge_schedule(graph, precolored, scan_path=path)
+            colors = greedy_edge_coloring_by_classes(
+                graph, first, used_colors=used, scan_path=path
+            )
+            schedule = proper_edge_schedule(graph, rest, tracker=tracker, scan_path=path)
+            before = dict(tracker.breakdown)
+            new = greedy_edge_coloring_by_classes(
+                graph, schedule, used_colors=used, tracker=tracker, scan_path=path
+            )
+            # The leaf's charge is its schedule's number of non-empty classes.
+            charged = tracker.breakdown.get("greedy-edge-classes", 0)
+            assert charged - before.get("greedy-edge-classes", 0) == len(set(schedule.values()))
+            colors.update(new)
+            assert is_proper_edge_coloring(graph, colors)
+            assert all(c < palette for c in colors.values())
+            masks = [used.mask(v) for v in graph.nodes()]
+            runs[path] = (schedule, list(new.items()), tracker.breakdown, masks)
+        assert runs["python"] == runs["numpy"]
 
     @_SETTINGS
     @given(random_bipartite_graphs())
