@@ -113,17 +113,19 @@ def congest_edge_coloring(
     for _level in range(max_levels):
         if not uncolored:
             break
-        # Degrees and the defective split run on a zero-copy view of the
-        # uncolored edges instead of materializing a Graph per level.
-        view = graph.edge_subset_view(uncolored)
-        current_delta = view.max_degree
+        # The level degree is the graph's own until something is colored;
+        # the defective split's restricted rows are built only when it runs.
+        if colors:
+            current_delta = max(degrees_within(graph, uncolored)[0])
+        else:
+            current_delta = delta
         level_degrees.append(current_delta)
         if current_delta <= max(4, params.final_degree // 2):
             break
         levels_run += 1
 
         classes, _defect = defective_split_coloring(
-            view,
+            graph.edge_subset_view(uncolored, scan_path=scan_path),
             num_classes=4,
             epsilon=epsilon_defective,
             proper_coloring=vertex_colors,

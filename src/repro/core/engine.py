@@ -11,7 +11,8 @@ line-graph schedule and the defective reduction), Linial's two engines
 :mod:`repro.coloring.defective_vertex` and the defect measurement
 (:mod:`repro.core.defective_edge_coloring`) and the greedy leaf
 (:func:`repro.coloring.greedy.greedy_edge_coloring_by_classes`, one
-array pass per schedule class).  They all
+array pass per schedule class) and the row filter of
+:meth:`repro.graphs.core.Graph.edge_subset_view`.  They all
 select their engine through :func:`resolve_use_numpy`, driven by one
 ``scan_path`` knob with identical semantics everywhere:
 

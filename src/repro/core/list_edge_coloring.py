@@ -529,23 +529,24 @@ def list_edge_coloring(
 
     # The uncolored edge set shrinks monotonically; it is maintained
     # incrementally (filter out the edges colored in the last iteration)
-    # instead of rescanning every graph edge twice per level, and its
-    # degrees come from a zero-copy EdgeSubsetView instead of building a
-    # fresh Graph per level.
+    # instead of rescanning every graph edge twice per level.  Its maximum
+    # degree is the graph's own until something is colored, and is
+    # counted with ``degrees_within`` after that; the restricted rows the
+    # defective split reads are built only when a split runs.
     uncolored: List[int] = list(graph.edges())
 
-    while True:
-        if not uncolored:
-            break
-        view = graph.edge_subset_view(uncolored)
-        current_delta = view.max_degree
+    while uncolored:
+        if coloring:
+            current_delta = max(degrees_within(graph, uncolored)[0])
+        else:
+            current_delta = graph.max_degree
         level_degrees.append(current_delta)
         if current_delta <= params.final_degree or outer >= max_outer:
             break
         outer += 1
 
         classes, _defect = defective_split_coloring(
-            view,
+            graph.edge_subset_view(uncolored, scan_path=scan_path),
             num_classes=4,
             epsilon=0.125,
             proper_coloring=vertex_colors,

@@ -106,11 +106,21 @@ class ListEdgeColoringInstance:
         return True
 
     def is_degree_plus_one(self) -> bool:
-        """Whether every list has at least deg(e) + 1 colors."""
-        degrees = self.node_degrees()
-        edge_u, edge_v = self.graph.endpoint_arrays()
+        """Whether every list has at least deg(e) + 1 colors.
+
+        An instance on every graph edge reads the graph's own degrees; a
+        sub-instance counts its node degrees first.
+        """
+        graph = self.graph
+        if len(self.edge_set) == graph.num_edges:
+            degrees = graph.degree_array()
+            edges: Iterable[int] = graph.edges()
+        else:
+            degrees = self.node_degrees()
+            edges = self.edge_set
+        edge_u, edge_v = graph.endpoint_arrays()
         lists = self.lists
-        for e in self.edge_set:
+        for e in edges:
             if len(lists[e]) < degrees[edge_u[e]] + degrees[edge_v[e]] - 1:
                 return False
         return True

@@ -21,14 +21,23 @@ lookups go through two flat endpoint arrays, and global quantities
 construction instead of on every call.  The per-edge *adjacent edge*
 lists (the line-graph rows) are flattened lazily on first use, so hot
 paths like list-availability queries cost one slice instead of two list
-copies.  :class:`EdgeSubsetView` exposes the same read API restricted to
-an edge subset **without building a new Graph** — the decompositions of
-Sections 5–7 run entirely on views.
+copies.
+
+The node algorithms that run on a line graph or on an edge subset
+(Linial, the defective vertex colorings, the Kuhn–Wattenhofer reduction)
+read a :class:`CsrView`: node identifiers plus flat CSR rows, and nothing
+else.  :meth:`Graph.line_graph` wraps the cached adjacent-edge rows in
+one, so no line graph is ever built as a :class:`Graph`;
+:meth:`Graph.edge_subset_view` filters the host rows down to an edge
+subset once and keeps host node indices, so colors, lists and
+orientations keyed by edge index stay valid.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
@@ -44,7 +53,8 @@ class Graph:
     * ``_adj`` — flat neighbor array, each row sorted by neighbor.
     * ``_inc`` — flat incident-edge array aligned with ``_adj``.
     * ``_eadj_off`` / ``_eadj`` — lazy flat adjacent-edge (line-graph row)
-      arrays, built on first :meth:`adjacent_edges` call.
+      arrays, built on first :meth:`adjacent_edges` or :meth:`line_graph`
+      call.
     """
 
     def __init__(
@@ -94,7 +104,8 @@ class Graph:
         node_ids: Optional[List[int]],
     ) -> "Graph":
         """Fast internal constructor for edges already normalized, in-range
-        and duplicate-free (subgraphs, line graphs)."""
+        and duplicate-free.  Only the :class:`repro.graphs.delta.DeltaGraph`
+        snapshot uses it."""
         graph = cls.__new__(cls)
         graph._finalize(num_nodes, normalized, node_ids)
         return graph
@@ -180,6 +191,11 @@ class Graph:
     def degree(self, v: int) -> int:
         """Degree of node ``v``."""
         return self._degrees[v]
+
+    def degree_array(self) -> List[int]:
+        """Node degrees, indexed by node.  Shared, not copied — callers
+        must not mutate it."""
+        return self._degrees
 
     def neighbors(self, v: int) -> List[int]:
         """Sorted neighbors of node ``v``."""
@@ -390,234 +406,126 @@ class Graph:
         return a * self._edge_id_base + b
 
     # -------------------------------------------------------------- subgraphs
-    def edge_subset_view(self, edge_set: Iterable[int]) -> "EdgeSubsetView":
-        """A zero-copy :class:`EdgeSubsetView` of the given edges."""
-        return EdgeSubsetView(self, edge_set)
+    def edge_subset_view(self, edge_set: Iterable[int], scan_path: str = "auto") -> "CsrView":
+        """This graph restricted to the given edges, as a :class:`CsrView`.
 
-    def line_graph(self) -> "Graph":
+        The view keeps every node, its identifier and the host's row order
+        (so neighbors stay sorted); only the rows are filtered, once, in
+        one pass over the host adjacency.  ``scan_path`` selects the numpy
+        filter or its python twin (see :mod:`repro.core.engine`; both
+        produce the same lists).
+        """
+        # Imported here: importing ``repro.core`` imports this module.
+        from repro.core.engine import _np, resolve_use_numpy
+
+        present = bytearray(len(self._edges))
+        for e in edge_set:
+            present[e] = 1
+        xadj = self._xadj
+        adj = self._adj
+        inc = self._inc
+        if resolve_use_numpy(scan_path, len(adj)):
+            np = _np
+            # Keep the slots whose edge is present, and read the restricted
+            # row boundaries off the running count of kept slots.
+            keep = np.frombuffer(present, dtype=np.uint8).astype(bool)[
+                np.asarray(inc, dtype=np.int64)
+            ]
+            csum = np.zeros(len(adj) + 1, dtype=np.int64)
+            np.cumsum(keep, out=csum[1:])
+            sub_xadj = csum[np.asarray(xadj, dtype=np.int64)].tolist()
+            sub_adj = np.asarray(adj, dtype=np.int64)[keep].tolist()
+        else:
+            sub_xadj = [0] * (self._num_nodes + 1)
+            sub_adj = []
+            for v in range(self._num_nodes):
+                for i in range(xadj[v], xadj[v + 1]):
+                    if present[inc[i]]:
+                        sub_adj.append(adj[i])
+                sub_xadj[v + 1] = len(sub_adj)
+        return CsrView(self._node_ids, sub_xadj, sub_adj)
+
+    def line_graph(self) -> "CsrView":
         """The line graph: one node per edge, edges between adjacent edges.
 
-        The node identifiers of the line graph are the edge identifiers of
-        this graph (unique, O(log n)-bit values).
+        A :class:`CsrView` over the cached :meth:`adjacent_edges` rows, so
+        nothing beyond those rows is built.  Its node identifiers are the
+        edge identifiers of this graph (unique, O(log n)-bit values).  A
+        row lists the edges at the lower endpoint, then those at the
+        higher one, so rows are not sorted.
         """
-        line_edges: List[Tuple[int, int]] = []
-        inc = self._inc
-        xadj = self._xadj
-        for v in range(self._num_nodes):
-            incident = inc[xadj[v] : xadj[v + 1]]
-            for i in range(len(incident)):
-                a = incident[i]
-                for j in range(i + 1, len(incident)):
-                    b = incident[j]
-                    line_edges.append((a, b) if a < b else (b, a))
-        # Two edges can share at most one endpoint in a simple graph, so no duplicates.
-        return Graph._from_normalized(
-            len(self._edges), line_edges, [self.edge_id(e) for e in self.edges()]
-        )
+        offsets, flat = self._edge_adjacency()
+        return CsrView([self.edge_id(e) for e in self.edges()], offsets, flat)
 
     # ------------------------------------------------------------------ misc
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Graph(n={self._num_nodes}, m={len(self._edges)}, max_degree={self.max_degree})"
 
 
-class EdgeSubsetView:
-    """A read-only view of a :class:`Graph` restricted to an edge subset.
+class CsrView:
+    """A read-only graph over flat CSR rows ``(node_ids, xadj, adj)``.
 
-    The recursive decompositions of Sections 5–7 constantly ask for node
-    degrees, neighbors and edge degrees *within the still-uncolored (or
-    per-part) edge set*.  Building a fresh :class:`Graph` per subset —
-    what the seed implementation did — re-validates, re-normalizes and
-    re-sorts every edge; the view instead keeps one membership array and
-    a degree array over the host graph and answers the same queries
-    directly, so constructing it is a single O(|subset|) pass and no edge
-    is ever re-indexed (colors, lists and orientations keyed by edge
-    index remain valid verbatim).
+    Node ``v``'s neighbors are ``adj[xadj[v] : xadj[v + 1]]``; every
+    undirected edge appears in both endpoints' rows.  The view answers
+    exactly the read API of the node algorithms that run on a line graph
+    or on an edge subset (Linial, the defective vertex colorings and the
+    Kuhn–Wattenhofer reduction): ``num_nodes`` / ``nodes()`` /
+    ``node_id`` / ``node_ids`` / ``max_degree`` / ``degree`` /
+    ``neighbors`` / ``adjacency_csr`` / ``num_edges``.  Those algorithms
+    read a row as a set or a count, never by position.
 
-    The view is duck-type compatible with the read API the defective
-    coloring and greedy stages use (``num_nodes`` / ``nodes()`` /
-    ``node_id`` / ``degree`` / ``neighbors`` / ``max_degree`` /
-    ``num_edges`` / ``incident_edges`` / ``adjacency_csr``), and it adds
-    incremental maintenance: :meth:`remove_edge` deletes an edge from the
-    subset in O(1) degree updates (membership and degree queries stay
-    O(1); the cached restricted adjacency is invalidated, so interleave
-    removals with ``neighbors``-style queries sparingly).
-
-    Restricted adjacency rows are materialized lazily (one pass over the
-    host adjacency, cached until the next :meth:`remove_edge`), so
-    read-heavy stages pay the filtering cost once, not per query.
+    :meth:`Graph.line_graph` and :meth:`Graph.edge_subset_view` build
+    it.  The arrays are shared, not copied — nobody may mutate them.
     """
 
-    def __init__(self, graph: Graph, edge_set: Iterable[int]) -> None:
-        self._graph = graph
-        present = bytearray(graph.num_edges)
-        degrees = [0] * graph.num_nodes
-        edge_u, edge_v = graph.endpoint_arrays()
-        count = 0
-        for e in edge_set:
-            if not present[e]:
-                present[e] = 1
-                count += 1
-                degrees[edge_u[e]] += 1
-                degrees[edge_v[e]] += 1
-        self._present = present
-        self._degrees = degrees
-        self._num_edges = count
-        # Lazily built restricted CSR adjacency (invalidated by removals).
-        self._sub_xadj: Optional[List[int]] = None
-        self._sub_adj: Optional[List[int]] = None
-        self._sub_inc: Optional[List[int]] = None
+    def __init__(self, node_ids: List[int], xadj: List[int], adj: List[int]) -> None:
+        self._node_ids = node_ids
+        self._xadj = xadj
+        self._adj = adj
+        self._max_degree = max(map(operator.sub, islice(xadj, 1, None), xadj), default=0)
 
-    # ------------------------------------------------------------- membership
-    @property
-    def graph(self) -> Graph:
-        """The host graph."""
-        return self._graph
-
-    def __contains__(self, e: int) -> bool:
-        return bool(self._present[e])
-
-    def __len__(self) -> int:
-        return self._num_edges
-
-    def edge_list(self) -> List[int]:
-        """The subset's edge indices in ascending order."""
-        present = self._present
-        return [e for e in range(len(present)) if present[e]]
-
-    def remove_edge(self, e: int) -> None:
-        """Remove edge ``e`` from the subset (no-op if absent)."""
-        if not self._present[e]:
-            return
-        self._present[e] = 0
-        self._num_edges -= 1
-        edge_u, edge_v = self._graph.endpoint_arrays()
-        self._degrees[edge_u[e]] -= 1
-        self._degrees[edge_v[e]] -= 1
-        self._sub_xadj = None
-        self._sub_adj = None
-        self._sub_inc = None
-
-    # ------------------------------------------------------------------ nodes
     @property
     def num_nodes(self) -> int:
-        """Number of nodes (the host graph's node set)."""
-        return self._graph.num_nodes
+        """Number of nodes."""
+        return len(self._xadj) - 1
 
     def nodes(self) -> range:
         """Iterate node indices."""
-        return self._graph.nodes()
+        return range(len(self._xadj) - 1)
 
     def node_id(self, v: int) -> int:
-        """The identifier of node ``v`` (shared with the host graph)."""
-        return self._graph.node_id(v)
+        """The unique identifier of node ``v``."""
+        return self._node_ids[v]
 
     @property
     def node_ids(self) -> List[int]:
         """All node identifiers, indexed by node."""
-        return self._graph.node_ids
-
-    def degree(self, v: int) -> int:
-        """Degree of ``v`` counting only subset edges."""
-        return self._degrees[v]
-
-    @property
-    def node_degrees(self) -> List[int]:
-        """Degrees of all nodes within the subset (shared; do not mutate)."""
-        return self._degrees
+        return list(self._node_ids)
 
     @property
     def max_degree(self) -> int:
-        """Maximum node degree within the subset."""
-        return max(self._degrees) if self._degrees else 0
+        """Maximum row length (0 without nodes); precomputed."""
+        return self._max_degree
 
-    def _restricted_csr(self) -> Tuple[List[int], List[int], List[int]]:
-        if self._sub_adj is None:
-            graph = self._graph
-            xadj, adj = graph.adjacency_csr()
-            _, inc = graph.incidence_csr()
-            present = self._present
-            if len(adj) >= 256:
-                try:
-                    import numpy as np
-                except ImportError:
-                    np = None
-                if np is not None:
-                    # Vectorized filter (same lists come out): keep the
-                    # slots whose edge is present, and read the restricted
-                    # row boundaries off the running count of kept slots.
-                    inc_np = np.asarray(inc, dtype=np.int64)
-                    keep = np.frombuffer(present, dtype=np.uint8).astype(bool)[inc_np]
-                    csum = np.zeros(len(adj) + 1, dtype=np.int64)
-                    np.cumsum(keep, out=csum[1:])
-                    self._sub_xadj = csum[np.asarray(xadj, dtype=np.int64)].tolist()
-                    self._sub_adj = np.asarray(adj, dtype=np.int64)[keep].tolist()
-                    self._sub_inc = inc_np[keep].tolist()
-                    return self._sub_xadj, self._sub_adj, self._sub_inc
-            sub_xadj = [0] * (graph.num_nodes + 1)
-            sub_adj: List[int] = []
-            sub_inc: List[int] = []
-            for v in range(graph.num_nodes):
-                for i in range(xadj[v], xadj[v + 1]):
-                    f = inc[i]
-                    if present[f]:
-                        sub_adj.append(adj[i])
-                        sub_inc.append(f)
-                sub_xadj[v + 1] = len(sub_adj)
-            self._sub_xadj = sub_xadj
-            self._sub_adj = sub_adj
-            self._sub_inc = sub_inc
-        return self._sub_xadj, self._sub_adj, self._sub_inc  # type: ignore[return-value]
+    def degree(self, v: int) -> int:
+        """Length of node ``v``'s row."""
+        return self._xadj[v + 1] - self._xadj[v]
 
     def neighbors(self, v: int) -> List[int]:
-        """Sorted neighbors of ``v`` along subset edges."""
-        sub_xadj, sub_adj, _ = self._restricted_csr()
-        return sub_adj[sub_xadj[v] : sub_xadj[v + 1]]
+        """Node ``v``'s row."""
+        return self._adj[self._xadj[v] : self._xadj[v + 1]]
 
     def adjacency_csr(self) -> Tuple[List[int], List[int]]:
-        """Restricted flat adjacency ``(xadj, adj)``; shared, do not mutate."""
-        sub_xadj, sub_adj, _ = self._restricted_csr()
-        return sub_xadj, sub_adj
+        """The flat rows ``(xadj, adj)``; shared, do not mutate."""
+        return self._xadj, self._adj
 
-    def incident_edges(self, v: int) -> List[int]:
-        """Subset edges incident to ``v`` (sorted by neighbor)."""
-        sub_xadj, _, sub_inc = self._restricted_csr()
-        return sub_inc[sub_xadj[v] : sub_xadj[v + 1]]
-
-    # ------------------------------------------------------------------ edges
     @property
     def num_edges(self) -> int:
-        """Number of subset edges."""
-        return self._num_edges
-
-    def edge_endpoints(self, e: int) -> Tuple[int, int]:
-        """Endpoints of edge ``e`` (host graph indexing)."""
-        return self._graph.edge_endpoints(e)
-
-    def edge_degree(self, e: int) -> int:
-        """Edge degree of ``e`` within the subset (``e`` need not belong)."""
-        edge_u, edge_v = self._graph.endpoint_arrays()
-        count = self._degrees[edge_u[e]] + self._degrees[edge_v[e]]
-        if self._present[e]:
-            count -= 2
-        return count
-
-    @property
-    def max_edge_degree(self) -> int:
-        """Maximum edge degree within the subset (matches the host
-        :class:`Graph` property)."""
-        edge_u, edge_v = self._graph.endpoint_arrays()
-        degrees = self._degrees
-        present = self._present
-        best = 0
-        for e in range(len(present)):
-            if present[e]:
-                d = degrees[edge_u[e]] + degrees[edge_v[e]] - 2
-                if d > best:
-                    best = d
-        return best
+        """Number of undirected edges (each sits in two rows)."""
+        return len(self._adj) // 2
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"EdgeSubsetView(m={self._num_edges} of {self._graph.num_edges})"
+        return f"CsrView(n={self.num_nodes}, m={self.num_edges}, max_degree={self._max_degree})"
 
 
 def degrees_within(graph: Graph, edges: Sequence[int]) -> Tuple[List[int], List[int]]:

@@ -1,8 +1,9 @@
 """Test-side graph oracles and the shared workload catalogue.
 
-The library answers subset queries through ``EdgeSubsetView`` without
-building a new graph; these helpers do it the slow, obvious way, so the
-view tests have an independent reference.
+The library answers line-graph and edge-subset queries through a
+``CsrView`` over flat rows, without building a new graph; these helpers
+build the full :class:`Graph` the slow, obvious way, so the view tests
+have an independent reference.
 """
 
 from __future__ import annotations
@@ -17,6 +18,20 @@ def subgraph_from_edges(graph: Graph, edge_set: Iterable[int]) -> Graph:
     """A new graph over the same nodes and identifiers with only the given edges."""
     edges = [graph.edge_endpoints(e) for e in sorted(set(edge_set))]
     return Graph(graph.num_nodes, edges, node_ids=graph.node_ids)
+
+
+def materialized_line_graph(graph: Graph) -> Graph:
+    """The line graph as a full :class:`Graph`: one node per edge, an edge
+    per pair of edges that share an endpoint, edge identifiers as node
+    identifiers."""
+    line_edges: List[Tuple[int, int]] = []
+    for v in graph.nodes():
+        incident = graph.incident_edges(v)
+        for i, a in enumerate(incident):
+            for b in incident[i + 1 :]:
+                line_edges.append((a, b) if a < b else (b, a))
+    # Two edges share at most one endpoint in a simple graph, so no duplicates.
+    return Graph(graph.num_edges, line_edges, node_ids=[graph.edge_id(e) for e in graph.edges()])
 
 
 def edge_degree_within(

@@ -1,12 +1,14 @@
-"""Tests for the CSR graph internals and :class:`EdgeSubsetView`."""
+"""Tests for the CSR graph internals and the :class:`CsrView` stand-ins."""
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
 from graph_helpers import edge_degree_within, subgraph_from_edges
 from repro.graphs import generators
-from repro.graphs.core import EdgeSubsetView, Graph, degrees_within
+from repro.graphs.core import Graph, degrees_within
 
 
 def _reference_edge_id(graph: Graph, e: int) -> int:
@@ -81,6 +83,24 @@ class TestCsrAccessors:
         assert graph.max_edge_degree == 10
 
 
+class TestLineGraphView:
+    def test_rows_are_the_adjacent_edges(self):
+        graph = generators.erdos_renyi_graph(30, 0.3, seed=6)
+        line = graph.line_graph()
+        assert line.num_nodes == graph.num_edges
+        for e in graph.edges():
+            assert line.neighbors(e) == graph.adjacent_edges(e)
+            assert line.degree(e) == graph.edge_degree(e)
+        assert line.max_degree == graph.max_edge_degree
+
+    def test_edgeless_graph(self):
+        line = Graph(3, []).line_graph()
+        assert line.num_nodes == 0
+        assert line.num_edges == 0
+        assert line.max_degree == 0
+        assert line.node_ids == []
+
+
 class TestEdgeSubsetView:
     def _graph_and_subset(self):
         graph = generators.erdos_renyi_graph(36, 0.25, seed=9)
@@ -100,60 +120,32 @@ class TestEdgeSubsetView:
             assert view.degree(v) == subgraph.degree(v)
             assert view.neighbors(v) == subgraph.neighbors(v)
 
-    def test_view_edges_keep_host_indices(self):
+    @pytest.mark.parametrize("scan_path", ["numpy", "python"])
+    def test_forced_filters_match_materialized_subgraph(self, scan_path):
+        # The numpy filter and its python twin must produce the same rows.
         graph, subset = self._graph_and_subset()
-        view = graph.edge_subset_view(subset)
-        assert view.edge_list() == subset
-        for e in subset:
-            assert e in view
-            assert view.edge_endpoints(e) == graph.edge_endpoints(e)
+        view = graph.edge_subset_view(subset, scan_path=scan_path)
+        assert view.adjacency_csr() == subgraph_from_edges(graph, subset).adjacency_csr()
 
-    def test_view_degrees_match_edge_subgraph_degrees(self):
-        graph, subset = self._graph_and_subset()
-        view = graph.edge_subset_view(subset)
-        assert view.node_degrees == degrees_within(graph, subset)[0]
+    @pytest.mark.parametrize("scan_path", ["numpy", "python"])
+    def test_empty_subset_keeps_every_node(self, scan_path):
+        view = Graph(3, [(0, 1)]).edge_subset_view([], scan_path=scan_path)
+        assert view.adjacency_csr() == ([0, 0, 0, 0], [])
+        assert (view.num_nodes, view.num_edges, view.max_degree) == (3, 0, 0)
 
-    def test_edge_degree_within_view(self):
+    def test_degrees_within_matches_materialized_subgraph(self):
         graph, subset = self._graph_and_subset()
-        view = graph.edge_subset_view(subset)
+        subgraph = subgraph_from_edges(graph, subset)
+        node_degrees, edge_degrees = degrees_within(graph, subset)
+        assert node_degrees == [subgraph.degree(v) for v in graph.nodes()]
         subset_set = set(subset)
-        for e in graph.edges():
-            assert view.edge_degree(e) == edge_degree_within(graph, e, subset_set)
-        assert view.max_edge_degree == max(
-            (edge_degree_within(graph, e, subset_set) for e in subset), default=0
-        )
-
-    def test_incremental_removal(self):
-        graph, subset = self._graph_and_subset()
-        view = graph.edge_subset_view(subset)
-        removed = subset[::3]
-        for e in removed:
-            view.remove_edge(e)
-        remaining = [e for e in subset if e not in set(removed)]
-        assert view.edge_list() == remaining
-        assert view.num_edges == len(remaining)
-        assert view.node_degrees == degrees_within(graph, remaining)[0]
-        # Adjacency caches are rebuilt after removals.
-        subgraph = subgraph_from_edges(graph, remaining)
-        for v in graph.nodes():
-            assert view.neighbors(v) == subgraph.neighbors(v)
-            assert view.incident_edges(v) == subgraph_incident(subgraph, graph, v, remaining)
+        assert edge_degrees == [edge_degree_within(graph, e, subset_set) for e in subset]
 
     def test_duplicate_edges_in_subset_counted_once(self):
         graph = Graph(3, [(0, 1), (1, 2)])
-        view = EdgeSubsetView(graph, [0, 0, 1])
+        view = graph.edge_subset_view([0, 0, 1])
         assert view.num_edges == 2
         assert view.degree(1) == 2
-
-    def test_removing_absent_edge_is_noop(self):
-        graph = Graph(3, [(0, 1), (1, 2)])
-        view = EdgeSubsetView(graph, [0])
-        view.remove_edge(1)
-        assert view.num_edges == 1
-        view.remove_edge(0)
-        view.remove_edge(0)
-        assert view.num_edges == 0
-        assert view.max_degree == 0
 
     def test_view_works_for_defective_split(self):
         # The Theorem D.4 outer loop hands views to the defective split;
@@ -167,9 +159,3 @@ class TestEdgeSubsetView:
         classes_sub, defect_sub = defective_split_coloring(subgraph, num_classes=4, epsilon=0.25)
         assert classes_view == classes_sub
         assert defect_view == defect_sub
-
-
-def subgraph_incident(subgraph: Graph, graph: Graph, v: int, remaining):
-    """Incident edges of ``v`` in the subgraph, mapped to host edge indices."""
-    pairs = [subgraph.edge_endpoints(e) for e in subgraph.incident_edges(v)]
-    return [graph.edge_index(a, b) for a, b in pairs]

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from graph_helpers import materialized_line_graph
 from repro.baselines.sequential import sequential_greedy_edge_coloring
 from repro.coloring.greedy import (
     UsedColorMasks,
@@ -46,6 +47,16 @@ def random_graphs(draw, max_nodes=14, edge_probability=0.35):
 
 
 @st.composite
+def graphs_with_isolated_nodes_and_scrambled_ids(draw):
+    """A random graph plus up to three isolated nodes, with identifiers
+    drawn injectively from a space eight times the node count."""
+    graph = draw(random_graphs())
+    n = graph.num_nodes + draw(st.integers(min_value=0, max_value=3))
+    ids = draw(st.lists(st.integers(0, 8 * n), min_size=n, max_size=n, unique=True))
+    return Graph(n, [graph.edge_endpoints(e) for e in graph.edges()], node_ids=ids)
+
+
+@st.composite
 def random_bipartite_graphs(draw, max_side=8):
     """Small random bipartite graphs with their natural bipartition sides."""
     left = draw(st.integers(min_value=1, max_value=max_side))
@@ -79,12 +90,20 @@ class TestGraphProperties:
             assert graph.edge_degree(e) == len(graph.adjacent_edges(e))
 
     @_SETTINGS
-    @given(random_graphs())
+    @given(graphs_with_isolated_nodes_and_scrambled_ids())
     def test_line_graph_consistency(self, graph):
         line = graph.line_graph()
-        assert line.num_nodes == graph.num_edges
+        oracle = materialized_line_graph(graph)
+        assert line.num_nodes == oracle.num_nodes == graph.num_edges
+        assert line.node_ids == oracle.node_ids
+        assert line.num_edges == oracle.num_edges
+        assert line.max_degree == oracle.max_degree == graph.max_edge_degree
         for e in graph.edges():
-            assert line.degree(e) == graph.edge_degree(e)
+            assert line.node_id(e) == oracle.node_id(e)
+            assert line.degree(e) == oracle.degree(e) == graph.edge_degree(e)
+            # Rows are u-side then v-side, not sorted: compare as sets
+            # (sorted lists, so a repeated entry would show too).
+            assert sorted(line.neighbors(e)) == oracle.neighbors(e)
 
 
 class TestColoringProperties:
