@@ -1,13 +1,12 @@
 """Experiment runner, result tables and complexity fitting."""
 
-from repro.analysis.experiments import ExperimentRecord, run_algorithm_suite, sweep
+from repro.analysis.experiments import ExperimentRecord, run_algorithm_suite
 from repro.analysis.tables import format_records, format_table
 from repro.analysis.complexity import fit_models, loglog_slope
 
 __all__ = [
     "ExperimentRecord",
     "run_algorithm_suite",
-    "sweep",
     "format_records",
     "format_table",
     "fit_models",

@@ -4,15 +4,14 @@ The paper contains no tables or figures; the benchmarks instead compare
 the paper's algorithms against the baselines across parameter sweeps
 (experiments E1–E10, the scenarios of :mod:`repro.runtime.scenarios`).
 This module provides the shared
-plumbing: run every algorithm on a graph, collect
-:class:`ExperimentRecord` rows, and sweep a parameter over a graph
-family.
+plumbing: run every algorithm on a graph and collect
+:class:`ExperimentRecord` rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import api
 from repro.baselines.barenboim_elkin import barenboim_elkin_edge_coloring
@@ -119,28 +118,3 @@ def run_algorithm_suite(
         add("sequential", colors, len(set(colors.values())), 2 * graph.max_degree - 1, 0)
     return records
 
-
-def sweep(
-    experiment: str,
-    values: Iterable[object],
-    graph_factory: Callable[[object], Graph],
-    parameter_name: str = "value",
-    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
-    seed: int = 0,
-    scan_path: str = "auto",
-) -> List[ExperimentRecord]:
-    """Run the algorithm suite over a family of graphs indexed by ``values``."""
-    records: List[ExperimentRecord] = []
-    for value in values:
-        graph = graph_factory(value)
-        records.extend(
-            run_algorithm_suite(
-                graph,
-                experiment,
-                parameters={parameter_name: value, "n": graph.num_nodes, "delta": graph.max_degree},
-                algorithms=algorithms,
-                seed=seed,
-                scan_path=scan_path,
-            )
-        )
-    return records

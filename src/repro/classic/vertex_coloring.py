@@ -43,14 +43,16 @@ def kuhn_wattenhofer_vertex_reduction(
         group_size = 2 * target
         num_groups = -(-current // group_size)
         new_colors: List[Optional[int]] = [None] * graph.num_nodes
+        # The nodes that move in round ``p`` of the stage, ascending; a
+        # stage is ``target`` rounds, one per position above ``target``.
+        moving_at: List[List[int]] = [[] for _ in range(target)]
         for v in graph.nodes():
             group, position = divmod(current_colors[v], group_size)
             if position < target:
                 new_colors[v] = group * target + position
-        rounds_this_stage = 0
-        for position in range(target, group_size):
-            rounds_this_stage += 1
-            moving = [v for v in graph.nodes() if current_colors[v] % group_size == position]
+            else:
+                moving_at[position - target].append(v)
+        for moving in moving_at:
             for v in moving:
                 group = current_colors[v] // group_size
                 palette_start = group * target
@@ -64,7 +66,7 @@ def kuhn_wattenhofer_vertex_reduction(
                     c for c in range(palette_start, palette_start + target) if c not in used
                 )
         if tracker is not None:
-            tracker.charge(rounds_this_stage, "kw-vertex-reduction")
+            tracker.charge(target, "kw-vertex-reduction")
         current_colors = [c for c in new_colors]  # type: ignore[misc]
         current = num_groups * target
         if num_groups == 1:

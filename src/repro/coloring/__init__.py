@@ -12,7 +12,6 @@ from repro.coloring.linial import (
 )
 from repro.coloring.greedy import (
     greedy_edge_coloring_by_classes,
-    greedy_vertex_coloring_by_classes,
     proper_edge_schedule,
 )
 from repro.coloring.defective_vertex import (
@@ -29,7 +28,6 @@ __all__ = [
     "LinialNodeAlgorithm",
     "linial_vertex_coloring",
     "linial_edge_coloring",
-    "greedy_vertex_coloring_by_classes",
     "greedy_edge_coloring_by_classes",
     "proper_edge_schedule",
     "polynomial_defective_reduction",

@@ -1,11 +1,12 @@
 """Greedy (list) coloring scheduled by color classes.
 
 Given a proper ``c``-coloring of the conflict graph, the classic greedy
-schedule iterates over the ``c`` classes; in iteration ``i`` every vertex
-(or edge) of class ``i`` simultaneously picks the smallest color of its
-list that no already-colored neighbor uses.  Nodes of the same class are
-never adjacent, so the step is conflict-free; each class costs one
-communication round.
+schedule iterates over the ``c`` classes; in iteration ``i`` every edge
+of class ``i`` simultaneously picks the smallest color of its list that
+no already-colored neighbor uses.  Edges of the same class are never
+adjacent, so the step is conflict-free; each class costs one
+communication round.  A list is a color bitmask (or the default
+palette), and the pick is its lowest free bit.
 
 This is the final step of every recursion in the paper (coloring the
 constant-degree or ``β/ε``-degree leftover graphs) and, combined with
@@ -24,7 +25,7 @@ charges and same used-color masks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.coloring.color_reduction import (
     polynomial_steps,
@@ -99,49 +100,9 @@ class UsedColorMasks:
         masks[v] |= bit
 
 
-def greedy_vertex_coloring_by_classes(
-    graph: Graph,
-    schedule: Sequence[int],
-    lists: Optional[Sequence[Sequence[int]]] = None,
-    palette_size: Optional[int] = None,
-    tracker: Optional[RoundTracker] = None,
-) -> List[int]:
-    """Greedy vertex coloring scheduled by the classes of ``schedule``.
-
-    Args:
-        graph: the graph to color.
-        schedule: a proper coloring of ``graph`` used as the schedule.
-        lists: optional per-node color lists; defaults to
-            ``{0, ..., palette_size - 1}``.
-        palette_size: size of the default palette; defaults to Δ + 1.
-        tracker: one round is charged per non-empty schedule class.
-
-    Returns the chosen colors, indexed by node.
-    """
-    if palette_size is None:
-        palette_size = graph.max_degree + 1
-    colors: List[Optional[int]] = [None] * graph.num_nodes
-    classes = sorted(set(schedule))
-    for cls in classes:
-        members = [v for v in graph.nodes() if schedule[v] == cls]
-        if not members:
-            continue
-        for v in members:
-            used = {colors[w] for w in graph.neighbors(v) if colors[w] is not None}
-            candidates: Iterable[int] = lists[v] if lists is not None else range(palette_size)
-            choice = next((c for c in candidates if c not in used), None)
-            if choice is None:
-                raise ValueError(f"node {v} has no available color; its list/palette is too small")
-            colors[v] = choice
-        if tracker is not None:
-            tracker.charge(1, "greedy-classes")
-    return [c if c is not None else 0 for c in colors]
-
-
 def greedy_edge_coloring_by_classes(
     graph: Graph,
     schedule: Dict[int, int],
-    lists: Optional[Dict[int, Sequence[int]]] = None,
     palette_size: Optional[int] = None,
     edge_set: Optional[Set[int]] = None,
     tracker: Optional[RoundTracker] = None,
@@ -156,17 +117,16 @@ def greedy_edge_coloring_by_classes(
     earlier stages come in as ``used_colors``; they are treated as
     occupied but are not modified.
 
-    The pick is the smallest available color: from ``list_masks``, or from
-    the default palette.  ``lists`` are scanned in list order, which is the
-    same pick on sorted lists.
+    The pick is the lowest free bit of the edge's list mask, or of the
+    default palette: the smallest available color.
 
     Args:
         graph: the host graph (edges are referenced by index).
         schedule: a proper edge coloring of the edges to color (no two
             adjacent edges of ``edge_set`` may share a schedule class).
-        lists: optional per-edge color lists; default palette is
-            ``{0, ..., palette_size - 1}`` with ``palette_size`` defaulting
-            to ``2Δ − 1``.
+        palette_size: size of the default palette ``{0, ...,
+            palette_size - 1}`` used without ``list_masks``; defaults to
+            ``2Δ − 1``.
         tracker: one round is charged per non-empty schedule class.
         used_colors: optional caller-owned :class:`UsedColorMasks` of the
             colors already used at every node (default: none).
@@ -176,11 +136,11 @@ def greedy_edge_coloring_by_classes(
             rebuilding it per pass.  The target edges must not be
             colored yet.
         list_masks: optional per-edge color lists as bitmasks (bit ``c``
-            set iff ``c`` is in the list), in place of ``lists``.
+            set iff ``c`` is in the list), in place of the default palette.
         scan_path: engine selector (``"auto"`` / ``"numpy"`` /
             ``"python"``).  The numpy engine (:func:`_greedy_classes_numpy`)
-            runs each class as one array pass; it serves bitmask picks
-            whose list masks and touched node masks fit in 62 bits, and
+            runs each class as one array pass; it serves the picks whose
+            list masks and touched node masks fit in 62 bits, and
             under ``"auto"`` only from :data:`LEAF_NUMPY_EDGES_PER_CLASS`
             edges per class on.  Everything else runs the per-edge loop
             below, its bit-identical twin.
@@ -190,8 +150,6 @@ def greedy_edge_coloring_by_classes(
     ``ValueError`` with the classes before its own applied to
     ``used_colors``.
     """
-    if lists is not None and list_masks is not None:
-        raise ValueError("pass lists or list_masks, not both")
     targets = sorted(set(schedule.keys()) if edge_set is None else set(edge_set))
     classes = list(map(schedule.__getitem__, targets))
     if palette_size is None:
@@ -201,7 +159,7 @@ def greedy_edge_coloring_by_classes(
     # ``c`` is used there).
     node_masks = used_colors._masks if used_colors is not None else [0] * graph.num_nodes
     full_mask = (1 << palette_size) - 1
-    if lists is None and targets:
+    if targets:
         # The leaf's per-step work is one class; scale the mean class size
         # so the shared threshold sits at the measured crossover.
         per_class = len(targets) // len(set(classes))
@@ -224,18 +182,13 @@ def greedy_edge_coloring_by_classes(
         members = by_class[cls]
         round_choices: List[Tuple[int, int]] = []
         for e in members:
-            blocked = node_masks[edge_u[e]] | node_masks[edge_v[e]]
-            if lists is None:
-                available = (
-                    list_masks[e] if list_masks is not None else full_mask
-                ) & ~blocked
-                # The lowest set bit is the smallest available color.
-                choice = (available & -available).bit_length() - 1 if available else None
-            else:
-                choice = next((c for c in lists[e] if not (blocked >> c) & 1), None)
-            if choice is None:
+            available = (full_mask if list_masks is None else list_masks[e]) & ~(
+                node_masks[edge_u[e]] | node_masks[edge_v[e]]
+            )
+            if not available:
                 raise ValueError(f"edge {e} has no available color; its list/palette is too small")
-            round_choices.append((e, choice))
+            # The lowest set bit is the smallest available color.
+            round_choices.append((e, (available & -available).bit_length() - 1))
         for e, c in round_choices:
             result[e] = c
             bit = 1 << c

@@ -45,7 +45,10 @@ Three layers, mirroring the paper:
   Theorem 6.3 shares); one :func:`partially_color_bipartite` call
   partially colors all six; the uncolored degree shrinks by a
   constant factor per outer iteration, and the constant-degree leftover
-  is colored greedily.  The (degree+1)
+  is colored greedily.  The solver reads the instance lists only as
+  bitmasks (:meth:`~repro.core.slack.ListEdgeColoringInstance.list_masks`),
+  so every pick, Lemma D.2's and the final greedy's alike, is the lowest
+  free bit: the smallest available color.  The (degree+1)
   invariant — every uncolored edge always has more available colors than
   uncolored neighbors — is maintained throughout, so the final greedy
   step (and hence the whole algorithm) always succeeds.  One
@@ -127,45 +130,15 @@ class _Part:
     degrees: List[int]
 
 
-def _color_mask(colors: Sequence[int]) -> int:
-    """The bitmask of a color list: bit ``c`` is set iff ``c`` is in ``colors``."""
-    mask = 0
-    for c in colors:
-        mask |= 1 << c
-    return mask
-
-
-def _ascending_list_masks(
-    lists: Dict[int, Sequence[int]], edges: Sequence[int]
-) -> Optional[Dict[int, int]]:
-    """The color masks of ``edges``' lists, or ``None`` if one list is not ascending.
-
-    Equal neighbouring lists (all of them, in a uniform instance) share
-    one mask build and one order check; the comparison runs at C speed.
-    """
-    masks: Dict[int, int] = {}
-    last_list: Sequence[int] = ()
-    last_mask = 0
-    for e in edges:
-        if lists[e] != last_list:
-            last_list = lists[e]
-            if list(last_list) != sorted(last_list):
-                return None
-            last_mask = _color_mask(last_list)
-        masks[e] = last_mask
-    return masks
-
-
 # ---------------------------------------------------------------------------- Lemma D.2
 def solve_relaxed_instance(
     graph: Graph,
     bipartition: Bipartition,
-    lists: Optional[Dict[int, Sequence[int]]],
+    list_masks: Dict[int, int],
     edge_set: Optional[Iterable[int]] = None,
     params: Optional[parameters.PracticalParameters] = None,
     tracker: Optional[RoundTracker] = None,
     scan_path: str = "auto",
-    list_masks: Optional[Dict[int, int]] = None,
     used_colors: Optional[UsedColorMasks] = None,
 ) -> Dict[int, int]:
     """Color every edge of a bipartite list instance from its list (Lemma D.2).
@@ -183,25 +156,23 @@ def solve_relaxed_instance(
     defective_split_level` call, which charges the level: the union
     is the OR of the windows, λ_e is the share of the window below the
     median, and a survivor keeps the half its side of the split chose.
-    A passive edge takes the smallest color of its window that is free
-    at both endpoints, so on sorted lists the pick is the first available
-    list color.
+    A passive edge takes the lowest bit of its window that is free at
+    both endpoints: the smallest available color.
 
     Args:
         graph: the host graph.
         bipartition: node sides.
-        lists: per-edge available color lists (already excluding the
-            colors of adjacent edges colored before this call); ``None``
-            when ``list_masks`` is given instead.
-        edge_set: instance edges (defaults to the keys of the lists).
+        list_masks: per-edge available color lists as bitmasks (bit
+            ``c`` set iff color ``c`` is usable), already excluding the
+            colors of adjacent edges colored before this call; see
+            :meth:`~repro.core.slack.ListEdgeColoringInstance.list_masks`.
+        edge_set: instance edges (defaults to the keys of ``list_masks``).
         params: practical parameter overrides.
         tracker: optional round tracker.
         scan_path: engine selector, forwarded to
             :func:`repro.core.defective_edge_coloring.
             defective_split_level` for every split level and to every
             greedy schedule and leaf.
-        list_masks: the lists as per-edge color bitmasks, in place of
-            ``lists``.
         used_colors: caller-owned per-node used-color masks of the
             colors outside the instance (the lists must already exclude
             them); the greedy passes read them and add their colors **in
@@ -211,11 +182,7 @@ def solve_relaxed_instance(
     """
     params = params or parameters.DEFAULT_PARAMETERS
     own = RoundTracker()
-    edges: List[int] = sorted(
-        set(edge_set) if edge_set is not None else (lists if list_masks is None else list_masks)
-    )
-    if list_masks is None:
-        list_masks = {e: _color_mask(lists[e]) for e in edges}
+    edges: List[int] = sorted(set(edge_set) if edge_set is not None else list_masks)
     if not edges:
         return {}
 
@@ -389,7 +356,9 @@ def partially_color_bipartite(
     D.2 solves, merged into ``tracker`` piece by piece.
 
     An edge's available list is the bitmask ``list & ~(used[u] | used[v])``
-    of its instance list minus the colors used at its endpoints.
+    of its instance list (from
+    :meth:`~repro.core.slack.ListEdgeColoringInstance.list_masks`, one
+    call per part) minus the colors used at its endpoints.
     ``used_colors`` is the caller's :class:`UsedColorMasks` for
     ``coloring``; the new colors land in it in place.  Without it, masks
     are built from ``coloring``.
@@ -430,7 +399,6 @@ def partially_color_bipartite(
     )
     node_mask = used.mask
     edge_u, edge_v = graph.endpoint_arrays()
-    lists = instance.lists
     # Participation threshold per uncolored degree, memoized (the same
     # few degree values recur across all parts).
     list_slack = params.list_slack
@@ -440,15 +408,9 @@ def partially_color_bipartite(
     for (bipartition, _edges, _degrees), (parts, _defects), own in zip(roots, leaves, trackers):
         for part, part_degrees in parts:
             participants: Dict[int, int] = {}
-            # Equal neighbouring lists (all of them, in a uniform instance)
-            # share one mask build; the comparison runs at C speed.
-            last_list: Sequence[int] = ()
-            last_mask = 0
+            list_masks = instance.list_masks(part)
             for e, degree in zip(part, part_degrees):
-                if lists[e] != last_list:
-                    last_list = lists[e]
-                    last_mask = _color_mask(last_list)
-                available = last_mask & ~(node_mask(edge_u[e]) | node_mask(edge_v[e]))
+                available = list_masks[e] & ~(node_mask(edge_u[e]) | node_mask(edge_v[e]))
                 threshold = threshold_memo.get(degree)
                 if threshold is None:
                     threshold = max(degree + 1, math.ceil(list_slack * degree))
@@ -461,11 +423,10 @@ def partially_color_bipartite(
                 solve_relaxed_instance(
                     graph,
                     bipartition,
-                    None,
+                    participants,
                     params=params,
                     tracker=own,
                     scan_path=scan_path,
-                    list_masks=participants,
                     used_colors=used,
                 )
             )
@@ -483,6 +444,10 @@ def list_edge_coloring(
     scan_path: str = "auto",
 ) -> ListColoringResult:
     """Solve the (degree+1)-list edge coloring problem (Theorems 1.1 / D.4).
+
+    Every color is picked from the instance's list masks as the lowest
+    free bit, so list order never matters: an instance built from
+    shuffled lists colors exactly like one built from the sorted lists.
 
     Args:
         graph: the input graph.
@@ -571,20 +536,17 @@ def list_edge_coloring(
         uncolored = [e for e in uncolored if e not in coloring]
 
     # Final stage: the uncolored graph has small degree; greedy from the
-    # instance lists against the shared used-color masks.  On ascending
-    # lists the first free color in list order is the lowest free bit, so
-    # the lists go in as masks (which the numpy leaf serves).
+    # instance list masks against the shared used-color masks, each edge
+    # taking its smallest available color.
     if uncolored:
         schedule = proper_edge_schedule(graph, uncolored, tracker=own, scan_path=scan_path)
-        masks = _ascending_list_masks(instance.lists, uncolored)
         new = greedy_edge_coloring_by_classes(
             graph,
             schedule,
-            lists=instance.lists if masks is None else None,
             edge_set=set(uncolored),
             tracker=own,
             used_colors=used,
-            list_masks=masks,
+            list_masks=instance.list_masks(uncolored),
             scan_path=scan_path,
         )
         coloring.update(new)

@@ -142,7 +142,6 @@ class PracticalParameters:
             the leftover graph is colored greedily.
         passive_slack_threshold: the list-coloring solver sends an edge to
             the passive set when its slack falls below this value.
-        max_local_search_rounds: safety cap for the defective-vertex local search.
         list_slack: the slack S the Lemma D.3 substitute demands before it
             hands an edge to the slack solver (the paper uses S ≥ e²; any
             S ≥ 1 is correct here, larger values only change round counts).
@@ -158,7 +157,6 @@ class PracticalParameters:
     beta_override: float | None = 0.0
     leaf_degree: int = 8
     passive_slack_threshold: float = 2.0
-    max_local_search_rounds: int | None = None
     list_slack: float = 1.5
     list_reduction_parts: int = 16
     final_degree: int = 12

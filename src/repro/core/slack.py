@@ -7,15 +7,28 @@ size ``C``.  :class:`ListEdgeColoringInstance` packages a graph (or a
 subgraph given as an edge set) together with per-edge lists and provides
 the degree / slack / availability accounting that both the solver
 (Lemma D.2) and the verification module need.
+
+This module is the only one that knows the list format.  An instance
+keeps every list in ascending order and treats it as read-only; equal
+lists may be one shared object (:func:`uniform_instance` maps every edge
+to one palette list).  The solver reads lists only as color bitmasks,
+and :meth:`ListEdgeColoringInstance.list_masks` is the one list-to-mask
+conversion.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import InitVar, dataclass, field
+from itertools import islice
+from operator import lt
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.graphs.core import Graph
+
+
+def _ascending(colors: Sequence[int]) -> bool:
+    """Whether ``colors`` is strictly ascending (so also repeat-free)."""
+    return all(map(lt, colors, islice(colors, 1, None)))
 
 
 @dataclass
@@ -24,7 +37,10 @@ class ListEdgeColoringInstance:
 
     Attributes:
         graph: the host graph.
-        lists: per-edge color lists, keyed by edge index.
+        lists: per-edge color lists, keyed by edge index.  Every list is
+            ascending: a list that is not is replaced by a sorted copy in
+            a new dict, so the caller's dict and lists are never mutated.
+            The lists are read-only, and equal lists may be one object.
         color_space: size ``C`` of the color space; colors are
             ``0 .. C - 1``.
         edge_set: the instance's edges (defaults to the keys of ``lists``).
@@ -35,7 +51,7 @@ class ListEdgeColoringInstance:
     """
 
     graph: Graph
-    lists: Dict[int, List[int]]
+    lists: Dict[int, Sequence[int]]
     color_space: int
     edge_set: Set[int] = field(default_factory=set)
     validate: InitVar[bool] = True
@@ -43,24 +59,63 @@ class ListEdgeColoringInstance:
     def __post_init__(self, validate: bool) -> None:
         if not self.edge_set:
             self.edge_set = set(self.lists.keys())
+        # One check per run of one list object in dict order: a shared
+        # list is checked (and, if unsorted, copied) once per run.
+        lists = self.lists
+        last: Optional[Sequence[int]] = None
+        last_sorted: Sequence[int] = ()
+        for e, lst in self.lists.items():
+            if lst is not last:
+                last = lst
+                last_sorted = lst if _ascending(lst) else sorted(lst)
+            if last_sorted is not lst:
+                if lists is self.lists:
+                    lists = dict(lists)
+                lists[e] = last_sorted
+        self.lists = lists
         if not validate:
             return
         space = self.color_space
+        last = None
         for e in self.edge_set:
-            if e not in self.lists:
+            if e not in lists:
                 raise ValueError(f"edge {e} has no list")
-            lst = self.lists[e]
-            # min/max run at C speed; the per-color scan only happens on
-            # the error path to name the offending color.
-            if lst and (min(lst) < 0 or max(lst) >= space):
-                for c in lst:
-                    if not (0 <= c < space):
-                        raise ValueError(f"color {c} of edge {e} outside the color space")
+            lst = lists[e]
+            if lst is last:
+                continue
+            last = lst
+            if lst and (lst[0] < 0 or lst[-1] >= space):
+                c = lst[0] if lst[0] < 0 else lst[-1]
+                raise ValueError(f"color {c} of edge {e} outside the color space")
             # A repeated color would count twice towards the (degree+1)
-            # condition while offering only one choice.
-            if len(set(lst)) != len(lst):
-                c = next(c for c, k in Counter(lst).items() if k > 1)
+            # condition while offering only one choice.  In a sorted list
+            # repeats are neighbours.
+            if not _ascending(lst):
+                c = next(a for a, b in zip(lst, islice(lst, 1, None)) if a == b)
                 raise ValueError(f"the list of edge {e} repeats color {c}")
+
+    def list_masks(self, edges: Iterable[int]) -> Dict[int, int]:
+        """The color bitmasks of ``edges``' lists: bit ``c`` set iff ``c`` is in the list.
+
+        This is the one list-to-mask conversion; the solver reads lists
+        only through it.  Masks are built per call, never cached: with
+        sparse huge color ids one mask is megabytes.  Equal neighbouring
+        lists share one mask build: identity is checked first, then
+        equality (at C speed).
+        """
+        lists = self.lists
+        masks: Dict[int, int] = {}
+        last: Optional[Sequence[int]] = None
+        mask = 0
+        for e in edges:
+            lst = lists[e]
+            if lst is not last and lst != last:
+                mask = 0
+                for c in lst:
+                    mask |= 1 << c
+            last = lst
+            masks[e] = mask
+        return masks
 
     # ------------------------------------------------------------------ degrees
     def node_degrees(self) -> List[int]:
@@ -157,15 +212,16 @@ class ListEdgeColoringInstance:
 def uniform_instance(graph: Graph, num_colors: Optional[int] = None) -> ListEdgeColoringInstance:
     """The standard K-edge-coloring instance: every edge gets the list {0, .., K-1}.
 
+    All edges share one palette list object.
+
     ``K`` defaults to ``2Δ − 1``, so the instance is a (degree+1)-list
     instance (``deg(e) + 1 ≤ 2Δ − 1``).
     """
     if num_colors is None:
         num_colors = max(1, 2 * graph.max_degree - 1)
-    palette = list(range(num_colors))
-    lists = {e: list(palette) for e in graph.edges()}
-    # Every list is a fresh copy of the same in-range, repeat-free
-    # palette: skip the per-list validation.
+    # Every edge maps to one shared palette list, which is in range,
+    # ascending and repeat-free by construction: skip the validation.
+    lists = dict.fromkeys(graph.edges(), list(range(num_colors)))
     return ListEdgeColoringInstance(
         graph=graph, lists=lists, color_space=num_colors, validate=False
     )
@@ -187,7 +243,7 @@ def degree_plus_one_instance(
     if lists is None:
         built = {e: list(range(min(color_space, graph.edge_degree(e) + 1))) for e in graph.edges()}
     else:
-        built = {e: list(lists[e]) for e in lists}
+        built = dict(lists)
     instance = ListEdgeColoringInstance(graph=graph, lists=built, color_space=color_space)
     if not instance.is_degree_plus_one():
         raise ValueError("the provided lists violate the (degree+1) condition")

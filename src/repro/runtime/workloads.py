@@ -562,7 +562,10 @@ def run_relaxed_solver(ctx: CellContext) -> Dict[str, object]:
     def solve(inputs):
         bipartition, instance = inputs
         return solve_relaxed_instance(
-            instance.graph, bipartition, instance.lists, scan_path=ctx.knobs.scan_path
+            instance.graph,
+            bipartition,
+            instance.list_masks(instance.edge_set),
+            scan_path=ctx.knobs.scan_path,
         )
 
     def verify(inputs, colors, _wall):

@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import jsonlog
 from repro.graphs.core import Graph
-from repro.graphs.delta import DeltaGraph
+from repro.graphs.delta import DeltaGraph, _pair
 from repro.serving.journal import (
     DeltaJournal,
     RotationPolicy,
@@ -53,10 +53,6 @@ Pair = Tuple[int, int]
 
 #: On-disk format tag; bump on breaking layout changes.
 ARTIFACT_FORMAT = "repro-coloring-artifact/v1"
-
-
-def _pair(u: int, v: int) -> Pair:
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.graphs.delta import _pair
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.artifact import ColoringArtifact
 
@@ -99,10 +101,6 @@ class RepairError(ValueError):
     def __init__(self, message: str, *, code: str = "repair-failed") -> None:
         super().__init__(message)
         self.code = code
-
-
-def _pair(u: int, v: int) -> Pair:
-    return (u, v) if u < v else (v, u)
 
 
 def resolve_repair_path(value: Optional[str]) -> str:

@@ -130,7 +130,6 @@ def defective_edge_coloring_violations(
     neighbors (Definition 5.1's right-hand side).
     """
     edges = list(edge_set) if edge_set is not None else list(colors.keys())
-    relevant = set(edges)
     per_node_color: Dict[Tuple[int, int], int] = {}
     for e in edges:
         u, v = graph.edge_endpoints(e)
@@ -144,7 +143,6 @@ def defective_edge_coloring_violations(
         defect = per_node_color.get((u, c), 0) + per_node_color.get((v, c), 0) - 2
         if defect > bounds[e] + 1e-9:
             violations.append((e, defect, bounds[e]))
-    del relevant
     return violations
 
 

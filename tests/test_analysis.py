@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.analysis.complexity import fit_models, loglog_slope
-from repro.analysis.experiments import ExperimentRecord, run_algorithm_suite, sweep
+from repro.analysis.experiments import ExperimentRecord, run_algorithm_suite
 from repro.analysis.tables import format_records, format_table
 from repro.graphs import generators
 
@@ -78,19 +78,6 @@ class TestSuiteRunner:
         names = {r.algorithm for r in records}
         assert names == {"local-list-coloring", "congest-8eps"}
         assert all(r.proper for r in records)
-
-    def test_sweep_attaches_parameters(self):
-        records = sweep(
-            "unit-sweep",
-            values=[8, 12],
-            graph_factory=lambda n: generators.cycle_graph(n),
-            parameter_name="n_nodes",
-            algorithms=("greedy-by-classes",),
-        )
-        assert len(records) == 2
-        assert records[0].parameters["n_nodes"] == 8
-        assert records[1].parameters["delta"] == 2
-        assert all("n" in r.parameters for r in records)
 
     def test_record_as_dict(self):
         record = ExperimentRecord(

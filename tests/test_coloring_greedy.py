@@ -7,44 +7,12 @@ import pytest
 from repro.coloring.greedy import (
     UsedColorMasks,
     greedy_edge_coloring_by_classes,
-    greedy_vertex_coloring_by_classes,
     proper_edge_schedule,
 )
-from repro.coloring.linial import linial_edge_coloring, linial_vertex_coloring
-from repro.distributed.rounds import RoundTracker
+from repro.coloring.linial import linial_edge_coloring
+from repro.core.slack import ListEdgeColoringInstance
 from repro.graphs import generators
-from repro.verification.checkers import is_proper_edge_coloring, is_proper_vertex_coloring
-
-
-class TestGreedyVertexColoring:
-    def test_delta_plus_one_colors(self):
-        graph = generators.random_regular_graph(40, 5, seed=1)
-        schedule, _num = linial_vertex_coloring(graph)
-        colors = greedy_vertex_coloring_by_classes(graph, schedule)
-        assert is_proper_vertex_coloring(graph, colors)
-        assert max(colors) <= graph.max_degree
-
-    def test_respects_lists(self):
-        graph = generators.cycle_graph(8)
-        schedule, _num = linial_vertex_coloring(graph)
-        lists = [[v % 3, 5 + (v % 3), 10 + v] for v in graph.nodes()]
-        colors = greedy_vertex_coloring_by_classes(graph, schedule, lists=lists)
-        assert is_proper_vertex_coloring(graph, colors)
-        for v in graph.nodes():
-            assert colors[v] in lists[v]
-
-    def test_too_small_palette_raises(self):
-        graph = generators.complete_graph(5)
-        schedule, _num = linial_vertex_coloring(graph)
-        with pytest.raises(ValueError, match="no available color"):
-            greedy_vertex_coloring_by_classes(graph, schedule, palette_size=2)
-
-    def test_charges_one_round_per_class(self):
-        graph = generators.cycle_graph(10)
-        schedule, _num = linial_vertex_coloring(graph)
-        tracker = RoundTracker()
-        greedy_vertex_coloring_by_classes(graph, schedule, tracker=tracker)
-        assert tracker.total == len(set(schedule))
+from repro.verification.checkers import is_proper_edge_coloring
 
 
 class TestGreedyEdgeColoring:
@@ -75,7 +43,8 @@ class TestGreedyEdgeColoring:
         graph = generators.cycle_graph(9)
         schedule, _num = linial_edge_coloring(graph)
         lists = {e: [e % 3, 3 + (e % 3), 6 + e] for e in graph.edges()}
-        colors = greedy_edge_coloring_by_classes(graph, schedule, lists=lists)
+        masks = ListEdgeColoringInstance(graph, lists, 15).list_masks(graph.edges())
+        colors = greedy_edge_coloring_by_classes(graph, schedule, list_masks=masks)
         assert is_proper_edge_coloring(graph, colors)
         for e, c in colors.items():
             assert c in lists[e]
@@ -87,22 +56,19 @@ class TestGreedyEdgeColoring:
             greedy_edge_coloring_by_classes(graph, schedule, palette_size=2)
 
     def test_list_masks_pick_the_smallest_available_color(self):
-        # A mask carries no list order: the pick is the smallest available
-        # color, which on sorted lists is the first available list entry.
+        # A mask carries no list order: each pick is the smallest color of
+        # the list that no edge of an earlier class took at an endpoint.
         graph = generators.random_regular_graph(20, 4, seed=3)
         schedule = proper_edge_schedule(graph, list(graph.edges()))
         lists = {e: [(5 * e + 3 * i) % 13 for i in range(7)] for e in graph.edges()}
         masks = {e: sum(1 << c for c in lst) for e, lst in lists.items()}
-        from_masks = greedy_edge_coloring_by_classes(graph, schedule, list_masks=masks)
-        from_sorted = greedy_edge_coloring_by_classes(
-            graph, schedule, lists={e: sorted(lst) for e, lst in lists.items()}
-        )
-        assert from_masks == from_sorted
-        assert is_proper_edge_coloring(graph, from_masks)
-        with pytest.raises(ValueError, match="not both"):
-            greedy_edge_coloring_by_classes(
-                graph, schedule, lists=lists, list_masks=masks
-            )
+        colors = greedy_edge_coloring_by_classes(graph, schedule, list_masks=masks)
+        assert is_proper_edge_coloring(graph, colors)
+        for e, c in colors.items():
+            taken = {
+                colors[f] for f in graph.adjacent_edges(e) if schedule[f] < schedule[e]
+            }
+            assert c == min(set(lists[e]) - taken)
 
     def test_shared_used_colors_match_existing_colors(self):
         # Caller-owned masks of the existing colors block them and receive
@@ -181,13 +147,14 @@ class TestGreedyScheduleRegression:
         subset = sorted(set(graph.edges()))[::2]
         schedule = proper_edge_schedule(graph, subset)
         lists = {e: list(range(12)) for e in subset}
+        masks = ListEdgeColoringInstance(graph, lists, 12).list_masks(subset)
         others = [e for e in graph.edges() if e not in set(subset)][:6]
         existing = {e: (i % 3) for i, e in enumerate(others)}
         colors = greedy_edge_coloring_by_classes(
             graph,
             schedule,
-            lists=lists,
             edge_set=set(subset),
+            list_masks=masks,
             used_colors=UsedColorMasks.from_edge_coloring(graph, existing),
         )
         assert colors == _PINNED_SUBSET_20_4_COLORS

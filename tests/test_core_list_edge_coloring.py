@@ -112,26 +112,23 @@ class TestSolver:
     def test_solve_relaxed_instance_with_slack(self, medium_bipartite):
         graph, bipartition = medium_bipartite
         # Uniform 2Δ−1 lists give slack ≥ 1 on the bipartite instance.
-        palette = list(range(2 * graph.max_degree - 1))
-        lists = {e: list(palette) for e in graph.edges()}
-        colors = solve_relaxed_instance(graph, bipartition, lists)
+        instance = uniform_instance(graph)
+        colors = solve_relaxed_instance(graph, bipartition, instance.list_masks(graph.edges()))
         assert set(colors.keys()) == set(graph.edges())
         assert is_proper_edge_coloring(graph, colors)
-        for e, c in colors.items():
-            assert c in lists[e]
+        assert list_coloring_violations(graph, colors, instance.lists) == []
 
     def test_solver_rejects_insufficient_lists(self, small_bipartite):
         graph, bipartition = small_bipartite
-        lists = {e: [0] for e in graph.edges()}
+        masks = {e: 1 for e in graph.edges()}
         with pytest.raises(ValueError, match="available colors"):
-            solve_relaxed_instance(graph, bipartition, lists)
+            solve_relaxed_instance(graph, bipartition, masks)
 
     def test_solver_on_subset(self, medium_bipartite):
         graph, bipartition = medium_bipartite
         subset = sorted(graph.edges())[: graph.num_edges // 3]
-        palette = list(range(2 * graph.max_degree - 1))
-        lists = {e: list(palette) for e in subset}
-        colors = solve_relaxed_instance(graph, bipartition, lists, edge_set=subset)
+        masks = uniform_instance(graph).list_masks(graph.edges())
+        colors = solve_relaxed_instance(graph, bipartition, masks, edge_set=subset)
         assert set(colors.keys()) == set(subset)
         assert is_proper_edge_coloring(graph, colors, edge_set=subset)
 
@@ -154,31 +151,26 @@ class TestSolver:
 
     def regression_instance(self):
         graph, bipartition = generators.regular_bipartite_graph(16, 4, seed=5)
-        lists, _space = generators.list_edge_coloring_lists(graph, slack=2.0, seed=11)
-        return graph, bipartition, {e: lists[e] for e in graph.edges()}
+        lists, space = generators.list_edge_coloring_lists(graph, slack=2.0, seed=11)
+        return graph, bipartition, {e: lists[e] for e in graph.edges()}, space
 
     def test_solver_output_pinned(self):
-        graph, bipartition, lists = self.regression_instance()
-        colors = solve_relaxed_instance(graph, bipartition, lists)
+        graph, bipartition, lists, _space = self.regression_instance()
+        masks = {e: sum(1 << c for c in lst) for e, lst in lists.items()}
+        colors = solve_relaxed_instance(graph, bipartition, masks)
         assert list_coloring_violations(graph, colors, lists) == []
         assert colors == self.REGRESSION_PIN
 
     def test_solver_handles_unsorted_lists(self):
-        # The solver carries lists as color bitmasks, so list order is
-        # invisible to it: reversed lists give the pinned coloring, and a
-        # passive edge still picks its smallest available color.
-        graph, bipartition, lists = self.regression_instance()
+        # An instance keeps its lists ascending and the solver reads them
+        # as bitmasks, so list order is invisible: reversed lists give the
+        # pinned coloring.
+        graph, bipartition, lists, space = self.regression_instance()
         reversed_lists = {e: list(reversed(lst)) for e, lst in lists.items()}
-        colors = solve_relaxed_instance(graph, bipartition, reversed_lists)
+        instance = ListEdgeColoringInstance(graph, reversed_lists, space)
+        colors = solve_relaxed_instance(graph, bipartition, instance.list_masks(graph.edges()))
         assert list_coloring_violations(graph, colors, reversed_lists) == []
         assert colors == self.REGRESSION_PIN
-
-    def test_solver_accepts_list_masks(self):
-        graph, bipartition, lists = self.regression_instance()
-        masks = {e: sum(1 << c for c in lst) for e, lst in lists.items()}
-        assert solve_relaxed_instance(graph, bipartition, None, list_masks=masks) == (
-            self.REGRESSION_PIN
-        )
 
 
 def coloring_digest(colors):
@@ -268,9 +260,10 @@ class TestLemmaD2Pinned:
     def test_pinned(self, scan_path):
         graph, bipartition = generators.regular_bipartite_graph(64, 24, seed=3)
         lists = {e: range(4 * (2 * 24 - 1)) for e in graph.edges()}
+        masks = {e: (1 << 4 * (2 * 24 - 1)) - 1 for e in graph.edges()}
         tracker = RoundTracker()
         colors = solve_relaxed_instance(
-            graph, bipartition, lists, tracker=tracker, scan_path=scan_path
+            graph, bipartition, masks, tracker=tracker, scan_path=scan_path
         )
         assert list_coloring_violations(graph, colors, lists) == []
         assert coloring_digest(colors) == self.DIGEST

@@ -35,7 +35,7 @@ from repro.core.balanced_orientation import compute_balanced_orientation
 from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np
 from repro.core.defective_edge_coloring import defective_split_level
 from repro.core.list_edge_coloring import list_edge_coloring, partially_color_bipartite
-from repro.core.slack import uniform_instance
+from repro.core.slack import ListEdgeColoringInstance, uniform_instance
 from repro.core.token_dropping import _token_dropping_core, segmented_token_dropping
 from repro.distributed.algorithms import NodeAlgorithm
 from repro.distributed.faults import FaultPlan
@@ -373,19 +373,22 @@ class TestGreedyLeafEngineMatrix:
         assert total == len(set(schedule.values()))
         assert all(final[v] & masks[v] == masks[v] for v in graph.nodes())
 
-    def test_lists_sorted_and_unsorted_bit_identical(self):
+    def test_instance_masks_of_sorted_and_shuffled_lists_bit_identical(self):
         graph = _make_graph("general", 48, 16, seed=11)
         schedule, masks = self._half_colored(graph)
         palette = list(range(2 * 16 - 1))
         rng = random.Random(11)
         shuffled = {e: rng.sample(palette, len(palette)) for e in graph.edges()}
-        sorted_lists = {e: palette for e in graph.edges()}
-        for lists in (sorted_lists, shuffled):
-            self._assert_engines_agree(graph, schedule, masks=masks, lists=lists)
-        # Sorted lists pick the lowest free color, as their masks do.
-        as_masks = {e: (1 << len(palette)) - 1 for e in graph.edges()}
-        assert _leaf_run(graph, schedule, "numpy", masks=masks, list_masks=as_masks) == (
-            _leaf_run(graph, schedule, "python", masks=masks, lists=sorted_lists)
+        runs = []
+        for lists in ({e: palette for e in graph.edges()}, shuffled):
+            instance = ListEdgeColoringInstance(graph, lists, len(palette))
+            list_masks = instance.list_masks(graph.edges())
+            runs.append(
+                self._assert_engines_agree(graph, schedule, masks=masks, list_masks=list_masks)
+            )
+        # Both instances give the palette's mask: the lowest free color.
+        assert runs[0] == runs[1] == _leaf_run(
+            graph, schedule, "python", masks=masks, palette_size=len(palette)
         )
 
     def test_exhausted_list_raises_identically_with_earlier_classes_applied(self):

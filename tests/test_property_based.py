@@ -130,7 +130,10 @@ class TestColoringProperties:
         instance = uniform_instance(graph)
         schedule = proper_edge_schedule(graph, graph.edges())
         colors = greedy_edge_coloring_by_classes(
-            graph, schedule, lists=instance.lists, edge_set=set(graph.edges())
+            graph,
+            schedule,
+            edge_set=set(graph.edges()),
+            list_masks=instance.list_masks(graph.edges()),
         )
         assert is_proper_edge_coloring(graph, colors)
         assert slack_invariant_violations(instance, colors) == []
