@@ -68,16 +68,8 @@ def run_algorithm_suite(
     parameters: Optional[Dict[str, object]] = None,
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
     seed: int = 0,
-    scan_path: str = "auto",
 ) -> List[ExperimentRecord]:
-    """Run the selected algorithms on one graph and collect records.
-
-    ``scan_path`` selects the engine of the paper's algorithms and of
-    the deterministic baselines (``"auto"`` / ``"numpy"`` /
-    ``"python"``); the forced engines are bit-identical, so the knob
-    only matters for perf and testing (the scenario runtime threads it
-    through for cache keying).
-    """
+    """Run the selected algorithms on one graph and collect records."""
     parameters = dict(parameters or {})
     records: List[ExperimentRecord] = []
 
@@ -96,19 +88,19 @@ def run_algorithm_suite(
         )
 
     if "local-list-coloring" in algorithms:
-        outcome = api.color_edges_local(graph, scan_path=scan_path)
+        outcome = api.color_edges_local(graph)
         add(outcome.algorithm, outcome.colors, outcome.num_colors, outcome.bound, outcome.rounds)
     if "congest-8eps" in algorithms:
-        outcome = api.color_edges_congest(graph, scan_path=scan_path)
+        outcome = api.color_edges_congest(graph)
         add(outcome.algorithm, outcome.colors, outcome.num_colors, outcome.bound, outcome.rounds)
     if "greedy-by-classes" in algorithms:
-        result = greedy_baseline_edge_coloring(graph, scan_path=scan_path)
+        result = greedy_baseline_edge_coloring(graph)
         add(result.algorithm, result.colors, result.num_colors, result.bound, result.rounds)
     if "linear-in-delta" in algorithms:
-        result = linear_in_delta_edge_coloring(graph, scan_path=scan_path)
+        result = linear_in_delta_edge_coloring(graph)
         add(result.algorithm, result.colors, result.num_colors, result.bound, result.rounds)
     if "barenboim-elkin" in algorithms:
-        result = barenboim_elkin_edge_coloring(graph, scan_path=scan_path)
+        result = barenboim_elkin_edge_coloring(graph)
         add(result.algorithm, result.colors, result.num_colors, result.bound, result.rounds)
     if "randomized" in algorithms:
         result = randomized_edge_coloring(graph, seed=seed)

@@ -51,19 +51,10 @@ def color_edges_local(
     graph: Graph,
     instance: Optional[ListEdgeColoringInstance] = None,
     params: Optional[parameters.PracticalParameters] = None,
-    scan_path: str = "auto",
 ) -> EdgeColoringOutcome:
-    """(2Δ−1)-edge coloring / (degree+1)-list edge coloring in the LOCAL model (Theorem 1.1).
-
-    ``scan_path`` selects the engine the initial Linial coloring and
-    every defective split run on (``"auto"`` / ``"numpy"`` /
-    ``"python"``); the forced engines are bit-identical, so the knob only
-    matters for perf and testing.
-    """
+    """(2Δ−1)-edge coloring / (degree+1)-list edge coloring in the LOCAL model (Theorem 1.1)."""
     tracker = RoundTracker()
-    result = list_edge_coloring(
-        graph, instance=instance, params=params, tracker=tracker, scan_path=scan_path
-    )
+    result = list_edge_coloring(graph, instance=instance, params=params, tracker=tracker)
     return EdgeColoringOutcome(
         algorithm="local-list-coloring",
         colors=result.colors,
@@ -83,17 +74,10 @@ def color_edges_congest(
     graph: Graph,
     epsilon: float = 0.5,
     params: Optional[parameters.PracticalParameters] = None,
-    scan_path: str = "auto",
 ) -> EdgeColoringOutcome:
-    """(8+ε)Δ-edge coloring in the CONGEST model (Theorem 1.2 / 6.3).
-
-    ``scan_path`` selects the Linial and orientation engines (see
-    :func:`color_edges_local`).
-    """
+    """(8+ε)Δ-edge coloring in the CONGEST model (Theorem 1.2 / 6.3)."""
     tracker = RoundTracker()
-    result = congest_edge_coloring(
-        graph, epsilon=epsilon, params=params, tracker=tracker, scan_path=scan_path
-    )
+    result = congest_edge_coloring(graph, epsilon=epsilon, params=params, tracker=tracker)
     return EdgeColoringOutcome(
         algorithm="congest-8eps",
         colors=result.colors,
@@ -158,7 +142,6 @@ def run_linial_network(
     network=None,
     fault_plan=None,
     max_rounds: int = 10_000,
-    scan_path: str = "auto",
 ) -> MessagePassingOutcome:
     """Run message-passing Linial coloring under the CONGEST audit (E8).
 
@@ -167,10 +150,6 @@ def run_linial_network(
     ``fault_plan`` opts the run into the deterministic fault-injection
     plane (:mod:`repro.distributed.faults`); the realized faults are
     reported in ``fault_summary`` and are a pure function of the plan.
-    ``scan_path`` selects the engine of Linial's phase-level receive
-    (``"auto"`` / ``"numpy"`` / ``"python"``; see
-    :class:`repro.coloring.linial.LinialNodeAlgorithm`); the forced
-    engines are bit-identical.
     """
     from repro.coloring.linial import LinialNodeAlgorithm
 
@@ -184,9 +163,7 @@ def run_linial_network(
             "(build_linial_network(graph))"
         )
     outputs, metrics = network.run(
-        LinialNodeAlgorithm(scan_path=scan_path),
-        fault_plan=fault_plan,
-        max_rounds=max_rounds,
+        LinialNodeAlgorithm(), fault_plan=fault_plan, max_rounds=max_rounds
     )
     return MessagePassingOutcome(
         algorithm="linial-message-passing",
@@ -238,7 +215,6 @@ def color_edges_bipartite(
     bipartition: Optional[Bipartition] = None,
     epsilon: float = 0.25,
     params: Optional[parameters.PracticalParameters] = None,
-    scan_path: str = "auto",
 ) -> EdgeColoringOutcome:
     """(2+ε)Δ-edge coloring of a 2-colored bipartite graph (Lemma 6.1)."""
     if bipartition is None:
@@ -247,7 +223,7 @@ def color_edges_bipartite(
             raise ValueError("the graph is not bipartite; provide a bipartition or use another algorithm")
     tracker = RoundTracker()
     result = bipartite_edge_coloring(
-        graph, bipartition, epsilon=epsilon, params=params, tracker=tracker, scan_path=scan_path
+        graph, bipartition, epsilon=epsilon, params=params, tracker=tracker
     )
     return EdgeColoringOutcome(
         algorithm="bipartite-2eps",

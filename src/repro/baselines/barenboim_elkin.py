@@ -30,7 +30,6 @@ def barenboim_elkin_edge_coloring(
     graph: Graph,
     epsilon: float = 0.5,
     tracker: Optional[RoundTracker] = None,
-    scan_path: str = "auto",
 ) -> BaselineResult:
     """An O(Δ)-edge coloring with the Barenboim–Elkin time/colors trade-off.
 
@@ -39,8 +38,6 @@ def barenboim_elkin_edge_coloring(
         epsilon: trade-off parameter in (0, 1]; smaller values mean fewer
             rounds per class but more classes (and therefore more colors).
         tracker: optional round tracker.
-        scan_path: engine of the defective split and the per-class
-            schedules and greedy passes (see :mod:`repro.core.engine`).
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError("epsilon must be in (0, 1]")
@@ -57,7 +54,6 @@ def barenboim_elkin_edge_coloring(
         num_classes=num_classes,
         slack=slack,
         tracker=own,
-        scan_path=scan_path,
     )
 
     colors: Dict[int, int] = {}
@@ -70,7 +66,7 @@ def barenboim_elkin_edge_coloring(
     stride = max_class_degree + 1
     greedy_rounds = 0
     for class_index, members in sorted(class_members.items()):
-        schedule = proper_edge_schedule(graph, members, tracker=None, scan_path=scan_path)
+        schedule = proper_edge_schedule(graph, members, tracker=None)
         class_tracker = RoundTracker()
         local = greedy_edge_coloring_by_classes(
             graph,
@@ -78,7 +74,6 @@ def barenboim_elkin_edge_coloring(
             palette_size=stride,
             edge_set=set(members),
             tracker=class_tracker,
-            scan_path=scan_path,
         )
         greedy_rounds = max(greedy_rounds, class_tracker.total)
         for e, c in local.items():

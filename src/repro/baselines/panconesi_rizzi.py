@@ -24,20 +24,15 @@ from repro.graphs.core import Graph
 def linear_in_delta_edge_coloring(
     graph: Graph,
     tracker: Optional[RoundTracker] = None,
-    scan_path: str = "auto",
 ) -> BaselineResult:
-    """(2Δ−1)-edge coloring in O(Δ̄ log Δ̄ + log* n) rounds (linear-in-Δ baseline).
-
-    ``scan_path`` selects the engine of the initial Linial coloring (see
-    :mod:`repro.core.engine`).
-    """
+    """(2Δ−1)-edge coloring in O(Δ̄ log Δ̄ + log* n) rounds (linear-in-Δ baseline)."""
     own = RoundTracker()
     if graph.num_edges == 0:
         return BaselineResult(colors={}, num_colors=0, bound=0, rounds=0, algorithm="linear-in-delta")
     target = max(1, 2 * graph.max_degree - 1)
     # Line-graph nodes are the edges, and Δ̄ + 1 ≤ 2Δ − 1 = target.
     line = graph.line_graph()
-    initial, num_colors = linial_vertex_coloring(line, tracker=own, scan_path=scan_path)
+    initial, num_colors = linial_vertex_coloring(line, tracker=own)
     reduced = kuhn_wattenhofer_vertex_reduction(line, initial, num_colors, target, tracker=own)
     colors = dict(enumerate(reduced))
     if tracker is not None:

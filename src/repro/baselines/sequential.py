@@ -1,16 +1,16 @@
-"""Centralized sequential greedy colorings.
+"""Centralized sequential greedy edge coloring.
 
 The "trivial sequential greedy algorithm" of the paper's introduction:
-process edges (or nodes) in a fixed order and give each the smallest
-color not used by an already-colored neighbor.  These are not distributed
-algorithms; they serve as correctness references and as the color-count
+process edges in a fixed order and give each the smallest color not
+used by an already-colored neighbor.  This is not a distributed
+algorithm; it serves as a correctness reference and as the color-count
 yardstick (a greedy edge coloring never needs more than Δ̄ + 1 ≤ 2Δ − 1
 colors).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.graphs.core import Graph
 
@@ -24,16 +24,4 @@ def sequential_greedy_edge_coloring(graph: Graph) -> Dict[int, int]:
         while color in used:
             color += 1
         colors[e] = color
-    return colors
-
-
-def sequential_greedy_vertex_coloring(graph: Graph) -> List[int]:
-    """Greedy vertex coloring in node order; uses at most Δ + 1 colors."""
-    colors: List[int] = [-1] * graph.num_nodes
-    for v in graph.nodes():
-        used = {colors[w] for w in graph.neighbors(v) if colors[w] >= 0}
-        color = 0
-        while color in used:
-            color += 1
-        colors[v] = color
     return colors

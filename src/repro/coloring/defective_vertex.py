@@ -37,7 +37,8 @@ from repro.coloring.color_reduction import (
     shared_eval_cache,
     sweep_rows,
 )
-from repro.core.engine import _np, resolve_use_numpy
+from repro.core import engine
+from repro.core.engine import _np
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.core import Graph
 
@@ -48,7 +49,6 @@ def polynomial_defective_reduction(
     num_colors: int,
     target_defect: int,
     tracker: Optional[RoundTracker] = None,
-    scan_path: str = "auto",
 ) -> Tuple[List[int], int, int]:
     """One-round defective color reduction.
 
@@ -59,9 +59,9 @@ def polynomial_defective_reduction(
     conflicts; with ``q ≥ ceil(Δ·t / max(1, target_defect))`` the result is
     ``target_defect``-defective.
 
-    ``scan_path`` selects the per-node :func:`minimum_conflict_step` loop
-    or the numpy sweep's min-conflict consumer (``"auto"`` / ``"numpy"`` /
-    ``"python"``; both bit-identical).
+    The step runs as the per-node :func:`minimum_conflict_step` loop or
+    the numpy sweep's min-conflict consumer (bit-identical twins; see
+    :mod:`repro.core.engine`).
 
     Returns ``(new_colors, new_num_colors, guaranteed_defect)``.
     """
@@ -77,7 +77,7 @@ def polynomial_defective_reduction(
         t = max(1, math.ceil(math.log(max(2, num_colors), q)))
     xadj, adj = graph.adjacency_csr()
     reduced = None
-    if resolve_use_numpy(scan_path, graph.num_nodes):
+    if engine.use_numpy(graph.num_nodes):
         np = _np
         rows = sweep_rows(
             np.arange(graph.num_nodes, dtype=np.int64),
@@ -187,7 +187,6 @@ def defective_coloring_local_search(
     initial_classes: Optional[Sequence[int]] = None,
     tracker: Optional[RoundTracker] = None,
     max_rounds: Optional[int] = None,
-    scan_path: str = "auto",
 ) -> Tuple[List[int], int]:
     """Deterministic local-search defective coloring with ``num_classes`` classes.
 
@@ -201,9 +200,9 @@ def defective_coloring_local_search(
     At termination every node ``v`` has at most
     ``deg(v) / num_classes + slack`` neighbors in its own class.
 
-    ``scan_path`` selects the per-node reference loop or its vectorized
-    twin (``"auto"`` / ``"numpy"`` / ``"python"``; bit-identical classes
-    *and* round counts).
+    The rounds run as a per-node reference loop or its vectorized twin
+    (bit-identical classes *and* round counts; see
+    :mod:`repro.core.engine`).
 
     Returns ``(classes, rounds_used)``.
     """
@@ -219,7 +218,7 @@ def defective_coloring_local_search(
         max_rounds = max(16, 4 * graph.num_edges // slack + 16)
     rounds = 0
     xadj, adj = graph.adjacency_csr()
-    if resolve_use_numpy(scan_path, len(adj)):
+    if engine.use_numpy(len(adj)):
         vectorized = _local_search_rounds_numpy(
             classes,
             graph.node_ids,
@@ -284,7 +283,6 @@ def defective_split_coloring(
     proper_coloring: Optional[Sequence[int]] = None,
     proper_num_colors: Optional[int] = None,
     tracker: Optional[RoundTracker] = None,
-    scan_path: str = "auto",
 ) -> Tuple[List[int], int]:
     """A ``num_classes``-class defective coloring with defect ≤ deg(v)/num_classes + εΔ.
 
@@ -306,7 +304,6 @@ def defective_split_coloring(
             proper_num_colors if proper_num_colors is not None else max(proper_coloring) + 1,
             target_defect=slack,
             tracker=tracker,
-            scan_path=scan_path,
         )
         initial = reduced
     classes, _rounds = defective_coloring_local_search(
@@ -315,22 +312,19 @@ def defective_split_coloring(
         slack=slack,
         initial_classes=initial,
         tracker=tracker,
-        scan_path=scan_path,
     )
-    defect = monochromatic_degree(graph, classes, scan_path=scan_path)
+    defect = monochromatic_degree(graph, classes)
     return classes, defect
 
 
-def monochromatic_degree(
-    graph: Graph, classes: Sequence[int], scan_path: str = "auto"
-) -> int:
+def monochromatic_degree(graph: Graph, classes: Sequence[int]) -> int:
     """The maximum number of same-class neighbors over all nodes.
 
-    ``scan_path`` selects the per-node scan or one segmented comparison
-    over the CSR adjacency (bit-identical — the result is an int).
+    Counted by a per-node scan or by one segmented comparison over the
+    CSR adjacency (bit-identical — the result is an int).
     """
     xadj, adj = graph.adjacency_csr()
-    if resolve_use_numpy(scan_path, len(adj)) and adj:
+    if engine.use_numpy(len(adj)) and adj:
         np = _np
         xadj_np = np.asarray(xadj, dtype=np.int64)
         adj_np = np.asarray(adj, dtype=np.int64)

@@ -13,12 +13,12 @@ constant-degree or ``β/ε``-degree leftover graphs) and, combined with
 Linial's O(Δ̄²)-edge coloring, it is also the classic
 O(Δ² + log* n)-round baseline for (2Δ−1)-edge coloring.
 
-Both halves ship as engine twins under the ``scan_path`` knob
-(:mod:`repro.core.engine`): :func:`proper_edge_schedule` runs a
-vectorized or a python setup into the color-reduction engines of
-:mod:`repro.coloring.color_reduction`, and
-:func:`greedy_edge_coloring_by_classes` runs each schedule class as one
-numpy array pass over int64 color masks or as its per-edge python loop.
+Both halves ship as engine twins, chosen by :mod:`repro.core.engine`:
+:func:`proper_edge_schedule` runs a vectorized or a python setup into
+the color-reduction engines of :mod:`repro.coloring.color_reduction`,
+and :func:`greedy_edge_coloring_by_classes` runs each schedule class as
+one numpy array pass over int64 color masks or as its per-edge python
+loop.
 The pairs are bit-identical: same colors, in the same dict order, same
 charges and same used-color masks.
 """
@@ -32,12 +32,13 @@ from repro.coloring.color_reduction import (
     polynomial_steps_numpy,
     reduction_schedule,
 )
-from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np, resolve_use_numpy
+from repro.core import engine
+from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.core import Graph
 
 #: Mean edges per non-empty schedule class from which the numpy leaf
-#: engages under ``scan_path="auto"``: below it the per-class numpy
+#: engages when no engine is forced: below it the per-class numpy
 #: dispatch costs more than the per-edge loop saves.
 LEAF_NUMPY_EDGES_PER_CLASS = 48
 
@@ -108,7 +109,6 @@ def greedy_edge_coloring_by_classes(
     tracker: Optional[RoundTracker] = None,
     used_colors: Optional[UsedColorMasks] = None,
     list_masks: Optional[Dict[int, int]] = None,
-    scan_path: str = "auto",
 ) -> Dict[int, int]:
     """Greedy list edge coloring scheduled by the classes of ``schedule``.
 
@@ -118,7 +118,12 @@ def greedy_edge_coloring_by_classes(
     occupied but are not modified.
 
     The pick is the lowest free bit of the edge's list mask, or of the
-    default palette: the smallest available color.
+    default palette: the smallest available color.  The numpy engine
+    (:func:`_greedy_classes_numpy`) runs each class as one array pass;
+    it serves the picks whose list masks and touched node masks fit in
+    62 bits, and, when no engine is forced, only from
+    :data:`LEAF_NUMPY_EDGES_PER_CLASS` edges per class on.  Everything
+    else runs the per-edge loop below, its bit-identical twin.
 
     Args:
         graph: the host graph (edges are referenced by index).
@@ -137,13 +142,6 @@ def greedy_edge_coloring_by_classes(
             colored yet.
         list_masks: optional per-edge color lists as bitmasks (bit ``c``
             set iff ``c`` is in the list), in place of the default palette.
-        scan_path: engine selector (``"auto"`` / ``"numpy"`` /
-            ``"python"``).  The numpy engine (:func:`_greedy_classes_numpy`)
-            runs each class as one array pass; it serves the picks whose
-            list masks and touched node masks fit in 62 bits, and
-            under ``"auto"`` only from :data:`LEAF_NUMPY_EDGES_PER_CLASS`
-            edges per class on.  Everything else runs the per-edge loop
-            below, its bit-identical twin.
 
     Returns the new colors, keyed by edge index, class by class and by
     edge within a class.  An edge without an available color raises
@@ -163,9 +161,7 @@ def greedy_edge_coloring_by_classes(
         # The leaf's per-step work is one class; scale the mean class size
         # so the shared threshold sits at the measured crossover.
         per_class = len(targets) // len(set(classes))
-        if resolve_use_numpy(
-            scan_path, per_class * NUMPY_SCAN_THRESHOLD // LEAF_NUMPY_EDGES_PER_CLASS
-        ):
+        if engine.use_numpy(per_class * NUMPY_SCAN_THRESHOLD // LEAF_NUMPY_EDGES_PER_CLASS):
             vectorized = _greedy_classes_numpy(
                 graph, targets, classes, list_masks, full_mask, node_masks, tracker
             )
@@ -386,7 +382,6 @@ def proper_edge_schedule(
     graph: Graph,
     edge_set: Iterable[int],
     tracker: Optional[RoundTracker] = None,
-    scan_path: str = "auto",
 ) -> Dict[int, int]:
     """A proper O(d̄²)-coloring of the edges in ``edge_set``, usable as a greedy schedule.
 
@@ -396,9 +391,8 @@ def proper_edge_schedule(
     building it: a vectorized or a python setup lays its rows out as
     CSR, and the color-reduction engines of
     :mod:`repro.coloring.color_reduction` run the steps over them.
-    ``scan_path`` selects the setup and engine exactly like the
-    orientation knob (``"auto"`` / ``"numpy"`` / ``"python"``); both
-    produce bit-identical schedules.
+    :mod:`repro.core.engine` chooses the setup and engine; both produce
+    bit-identical schedules.
     """
     edge_list = sorted(set(edge_set))
     if not edge_list:
@@ -406,9 +400,7 @@ def proper_edge_schedule(
     # A reduction step sweeps both endpoint rows of every position, so
     # the per-step element count is ~2m, not m — the measured numpy
     # crossover sits near 64 edges, half the shared threshold.
-    if resolve_use_numpy(scan_path, 2 * len(edge_list)) and hasattr(
-        graph, "endpoint_arrays_np"
-    ):
+    if engine.use_numpy(2 * len(edge_list)) and hasattr(graph, "endpoint_arrays_np"):
         # Vectorized setup + engine: the per-part incident maps and row
         # building collapse to array passes (see _schedule_setup_numpy);
         # ``None`` means the identifier guard tripped — fall through to

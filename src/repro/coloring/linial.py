@@ -5,8 +5,8 @@ engines of :mod:`repro.coloring.color_reduction`:
 
 * :func:`linial_vertex_coloring` — the phase-level form used by the
   higher-level algorithms: every reduction step runs over the CSR
-  adjacency, on the numpy sweep or its python twin as the ``scan_path``
-  knob selects, and charges one round to a
+  adjacency, on the numpy sweep or its python twin as
+  :mod:`repro.core.engine` chooses, and charges one round to a
   :class:`repro.distributed.rounds.RoundTracker`;
 * :class:`LinialNodeAlgorithm` — the same algorithm as a message-passing
   :class:`repro.distributed.algorithms.NodeAlgorithm`; integration tests
@@ -32,7 +32,8 @@ from repro.coloring.color_reduction import (
     shared_eval_cache,
     sweep_rows,
 )
-from repro.core.engine import _np, resolve_use_numpy
+from repro.core import engine
+from repro.core.engine import _np
 from repro.distributed.algorithms import NodeAlgorithm, NodeContext
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.core import Graph
@@ -41,7 +42,6 @@ from repro.graphs.core import Graph
 def linial_vertex_coloring(
     graph: Graph,
     tracker: Optional[RoundTracker] = None,
-    scan_path: str = "auto",
 ) -> Tuple[List[int], int]:
     """A proper O(Δ²)-vertex coloring computed in O(log* n) charged rounds.
 
@@ -49,8 +49,6 @@ def linial_vertex_coloring(
         graph: the input graph (node identifiers are the initial colors).
         tracker: optional round tracker; one round is charged per
             reduction step under the label ``linial``.
-        scan_path: engine selector of the reduction steps (``"auto"`` /
-            ``"numpy"`` / ``"python"``; see :mod:`repro.core.engine`).
 
     Returns:
         ``(colors, num_colors)`` where ``colors[v]`` is the color of node
@@ -64,7 +62,7 @@ def linial_vertex_coloring(
     if not schedule:
         return colors, space
     xadj, adj = graph.adjacency_csr()
-    steps = polynomial_steps_numpy if resolve_use_numpy(scan_path, len(adj)) else polynomial_steps
+    steps = polynomial_steps_numpy if engine.use_numpy(len(adj)) else polynomial_steps
     colors = steps(colors, xadj, adj, schedule, tracker)
     q, _d = schedule[-1]
     return colors, q * q
@@ -73,7 +71,6 @@ def linial_vertex_coloring(
 def linial_edge_coloring(
     graph: Graph,
     tracker: Optional[RoundTracker] = None,
-    scan_path: str = "auto",
 ) -> Tuple[Dict[int, int], int]:
     """A proper O(Δ̄²)-edge coloring of ``graph`` in O(log* n) charged rounds.
 
@@ -82,14 +79,13 @@ def linial_edge_coloring(
     identifiers, so the algorithm also runs in the CONGEST model (each
     original node simulates its incident line-graph nodes).
 
-    ``scan_path`` selects the engine as in :func:`linial_vertex_coloring`.
     Returns ``(edge_colors, num_colors)`` with ``edge_colors`` keyed by
     edge index.
     """
     if graph.num_edges == 0:
         return {}, 1
     line = graph.line_graph()
-    colors, num_colors = linial_vertex_coloring(line, tracker=tracker, scan_path=scan_path)
+    colors, num_colors = linial_vertex_coloring(line, tracker=tracker)
     return {e: colors[e] for e in graph.edges()}, num_colors
 
 
@@ -110,14 +106,11 @@ class LinialNodeAlgorithm(NodeAlgorithm):
     *all* incoming slots — the table is the distinct own colors and
     payloads — instead of ``n`` per-node python dispatches.  The
     per-node :meth:`receive` is its bit-identical python twin: it runs
-    under ``scan_path="python"`` (see :mod:`repro.core.engine`), and the
+    when :mod:`repro.core.engine` chooses python, and the
     batch falls back to it whenever the sweep's preconditions do not hold
     (numpy absent, non-``int`` payloads, ``None`` slots, int64 overflow,
     a non-contiguous unfinished set).
     """
-
-    def __init__(self, scan_path: str = "auto") -> None:
-        self.scan_path = scan_path
 
     def initialize(self, ctx: NodeContext) -> Dict[str, Any]:
         id_space = ctx.globals.get("id_space")
@@ -176,7 +169,7 @@ class LinialNodeAlgorithm(NodeAlgorithm):
             )
             lo, _ = inbox.slot_bounds(nodes[0])
             _, hi = inbox.slot_bounds(nodes[-1])
-            if uniform and resolve_use_numpy(self.scan_path, hi - lo):
+            if uniform and engine.use_numpy(hi - lo):
                 np = _np
                 q, d = schedule[step_index]
                 num = len(nodes)

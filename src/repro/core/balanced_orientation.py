@@ -22,9 +22,9 @@ with its own orientation.  In the distributed model those orientations
 run in parallel, so a level costs the maximum of its parts' rounds; the
 numpy engine simulates exactly that parallel level, one call per level.
 
-Two interchangeable phase-loop engines are provided, selected by the
-``scan_path`` knob (or the ``REPRO_SCAN_PATH`` environment variable in
-``"auto"`` mode, where the level's total edge count decides):
+Two interchangeable phase-loop engines are provided; the caller runs
+one of them on the choice of :func:`repro.core.engine.use_numpy` (its
+scope or environment, else the level's total edge count decides):
 
 * the **pure-python reference twin** (:func:`orient_python`) — a direct
   transcription of the seven steps with incremental violation tracking,
@@ -64,7 +64,8 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core import parameters
-from repro.core.engine import _np, resolve_use_numpy
+from repro.core import engine
+from repro.core.engine import _np
 from repro.core.token_dropping import (
     ROUNDS_PER_PHASE,
     _token_dropping_core,
@@ -1029,7 +1030,6 @@ def compute_balanced_orientation(
     nu: Optional[float] = None,
     tracker: Optional[RoundTracker] = None,
     max_phases: Optional[int] = None,
-    scan_path: str = "auto",
 ) -> BalancedOrientationResult:
     """Compute a generalized balanced edge orientation (Theorem 5.6).
 
@@ -1044,23 +1044,17 @@ def compute_balanced_orientation(
         tracker: optional round tracker.
         max_phases: optional cap on the number of orientation phases
             (defaults to the analytic O(log Δ̄ / ν) phase count).
-        scan_path: which phase-loop engine to use: ``"auto"`` (the
-            segmented numpy engine, as a one-part level, when numpy is
-            available and the instance has at least
-            :data:`repro.core.engine.NUMPY_SCAN_THRESHOLD` edges —
-            overridable via the ``REPRO_SCAN_PATH`` environment variable —
-            pure python otherwise), ``"numpy"`` (force the numpy engine; raises
-            ``RuntimeError`` when numpy is unavailable) or ``"python"``
-            (force the pure-python reference engine).  Both engines are
-            required to produce bit-identical results — the knob exists
-            so tests can cross-check them on the same instance.
+
+    The segmented numpy engine runs the instance as a one-part level,
+    the reference engine as :func:`orient_python`; both produce
+    bit-identical results.
 
     Returns a :class:`BalancedOrientationResult` covering every edge of
     the instance.
     """
     local_tracker = RoundTracker()
     edges = sorted(set(edge_set)) if edge_set is not None else list(graph.edges())
-    if resolve_use_numpy(scan_path, len(edges)):
+    if engine.use_numpy(len(edges)):
         np = _np
         seg = segment_parts(graph, [bipartition], [edges])
         # A trivial instance (no edge has a neighbor) never reads η.

@@ -69,7 +69,6 @@ def bipartite_edge_coloring(
     levels: Optional[int] = None,
     params: Optional[parameters.PracticalParameters] = None,
     tracker: Optional[RoundTracker] = None,
-    scan_path: str = "auto",
 ) -> BipartiteColoringResult:
     """Color the (bichromatic) edges of a 2-colored bipartite graph with ~(2+ε)Δ colors.
 
@@ -82,9 +81,6 @@ def bipartite_edge_coloring(
             parts of edge degree around ``params.leaf_degree``.
         params: practical parameter overrides.
         tracker: optional round tracker.
-        scan_path: engine selector, forwarded to every defective split
-            and every leaf schedule and greedy pass (``"auto"`` /
-            ``"numpy"`` / ``"python"``).
     """
     params = params or parameters.DEFAULT_PARAMETERS
     edges: List[int] = sorted(set(edge_set)) if edge_set is not None else list(graph.edges())
@@ -125,7 +121,6 @@ def bipartite_edge_coloring(
         [own],
         "bipartite-split-level",
         nu=params.resolved_nu(),
-        scan_path=scan_path,
     )
 
     # Leaf coloring: each part gets its own contiguous range of stride colors.
@@ -136,16 +131,13 @@ def bipartite_edge_coloring(
     leaf_rounds = 0
     for index, (part, _) in enumerate(parts):
         part_tracker = RoundTracker()
-        schedule = proper_edge_schedule(
-            graph, part, tracker=part_tracker, scan_path=scan_path
-        )
+        schedule = proper_edge_schedule(graph, part, tracker=part_tracker)
         local = greedy_edge_coloring_by_classes(
             graph,
             schedule,
             palette_size=stride,
             edge_set=set(part),
             tracker=part_tracker,
-            scan_path=scan_path,
         )
         # The parts use disjoint palettes and are colored in parallel.
         leaf_rounds = max(leaf_rounds, part_tracker.total)

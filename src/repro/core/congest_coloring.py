@@ -72,7 +72,6 @@ def congest_edge_coloring(
     epsilon: float = 0.5,
     params: Optional[parameters.PracticalParameters] = None,
     tracker: Optional[RoundTracker] = None,
-    scan_path: str = "auto",
 ) -> CongestColoringResult:
     """Compute an O(Δ)-edge coloring following Theorem 6.3.
 
@@ -81,9 +80,6 @@ def congest_edge_coloring(
         epsilon: the ε of Theorem 6.3 (the bound is (8+ε)Δ).
         params: practical parameter overrides.
         tracker: optional round tracker.
-        scan_path: engine selector, forwarded to the initial Linial
-            coloring, every defective split and the final schedule and
-            greedy pass (``"auto"`` / ``"numpy"`` / ``"python"``).
     """
     params = params or parameters.DEFAULT_PARAMETERS
     own = RoundTracker()
@@ -100,9 +96,7 @@ def congest_edge_coloring(
         )
 
     # Initial O(Δ²)-vertex coloring, O(log* n) rounds.
-    vertex_colors, vertex_color_count = linial_vertex_coloring(
-        graph, tracker=own, scan_path=scan_path
-    )
+    vertex_colors, vertex_color_count = linial_vertex_coloring(graph, tracker=own)
 
     epsilon_defective = epsilon / 4.0
     epsilon_bipartite = epsilon / 2.0
@@ -125,13 +119,12 @@ def congest_edge_coloring(
         levels_run += 1
 
         classes, _defect = defective_split_coloring(
-            graph.edge_subset_view(uncolored, scan_path=scan_path),
+            graph.edge_subset_view(uncolored),
             num_classes=4,
             epsilon=epsilon_defective,
             proper_coloring=vertex_colors,
             proper_num_colors=vertex_color_count,
             tracker=own,
-            scan_path=scan_path,
         )
 
         # An edge crossing both pairings goes to the first, which colors
@@ -144,7 +137,6 @@ def congest_edge_coloring(
                 edge_set=piece,
                 params=params,
                 tracker=own,
-                scan_path=scan_path,
             )
             palette = allocator.allocate(result.palette_size)
             for e, c in result.colors.items():
@@ -156,16 +148,13 @@ def congest_edge_coloring(
     if uncolored:
         remaining_edge_degree = max(degrees_within(graph, uncolored)[1])
         palette = allocator.allocate(remaining_edge_degree + 1)
-        schedule = proper_edge_schedule(
-            graph, uncolored, tracker=own, scan_path=scan_path
-        )
+        schedule = proper_edge_schedule(graph, uncolored, tracker=own)
         local = greedy_edge_coloring_by_classes(
             graph,
             schedule,
             palette_size=remaining_edge_degree + 1,
             edge_set=set(uncolored),
             tracker=own,
-            scan_path=scan_path,
         )
         for e, c in local.items():
             colors[e] = palette.start + c

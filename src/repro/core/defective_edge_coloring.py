@@ -47,7 +47,8 @@ from repro.core.balanced_orientation import (
     orient_segments,
     segment_parts,
 )
-from repro.core.engine import _np, resolve_use_numpy
+from repro.core import engine
+from repro.core.engine import _np
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.bipartite import Bipartition
 from repro.graphs.core import Graph
@@ -89,7 +90,8 @@ class DefectiveTwoColoringResult:
             edge (computed lazily on first access — the recursive
             splitting algorithms only consume the two color classes).
             The recount is an independent check of Definition 5.1; it
-            runs on ``scan_path``, the engine the coloring ran with.
+            runs on the engine of the scope current at first access
+            (see :mod:`repro.core.engine`).
         orientation: the underlying balanced orientation.
         epsilon / beta: the parameters the run used (β is the additive
             slack used when computing η; the *guarantee* of Lemma 5.3 is
@@ -110,7 +112,6 @@ class DefectiveTwoColoringResult:
         edge_degrees: Optional[Dict[int, int]] = None,
         defects: Optional[Dict[int, int]] = None,
         _graph: Optional[Graph] = None,
-        scan_path: str = "auto",
     ) -> None:
         self.colors = colors
         self.red_edges = red_edges
@@ -123,7 +124,6 @@ class DefectiveTwoColoringResult:
         self.edge_degrees = edge_degrees if edge_degrees is not None else {}
         self._defects = defects
         self._measure_graph = _graph
-        self.scan_path = scan_path
 
     @property
     def defects(self) -> Dict[int, int]:
@@ -131,9 +131,7 @@ class DefectiveTwoColoringResult:
         if self._defects is None:
             if self._measure_graph is None:
                 raise ValueError("defects were not supplied and no graph is attached")
-            self._defects = measure_defects(
-                self._measure_graph, self.colors, self.colors.keys(), self.scan_path
-            )
+            self._defects = measure_defects(self._measure_graph, self.colors, self.colors.keys())
         return self._defects
 
     def defect_bound(self, e: int, beta: Optional[float] = None) -> float:
@@ -168,7 +166,6 @@ def generalized_defective_two_edge_coloring(
     beta: Optional[float] = None,
     nu: Optional[float] = None,
     tracker: Optional[RoundTracker] = None,
-    scan_path: str = "auto",
 ) -> DefectiveTwoColoringResult:
     """Solve the generalized (1+ε, 2β)-relaxed defective 2-edge coloring (Corollary 5.7).
 
@@ -184,15 +181,14 @@ def generalized_defective_two_edge_coloring(
             analytic value is ``beta_theoretical(ε, Δ̄)``.
         nu: optional override of the orientation's phase parameter.
         tracker: optional round tracker.
-        scan_path: the orientation engine, as in :func:`repro.core.
-            balanced_orientation.compute_balanced_orientation` (the numpy
-            engine runs the instance as a one-part level; both forced
-            paths are bit-identical).
+
+    The numpy orientation engine runs the instance as a one-part level
+    (bit-identical to the reference engine).
     """
     edges: List[int] = sorted(set(edge_set)) if edge_set is not None else list(graph.edges())
     resolved_beta = 0.0 if beta is None else float(beta)
     (split,), (orientation,) = _split_level(
-        graph, [bipartition], [edges], lambdas, epsilon, [resolved_beta], nu, scan_path, None,
+        graph, [bipartition], [edges], lambdas, epsilon, [resolved_beta], nu, None,
         keep_orientations=True,
     )
     if tracker is not None:
@@ -211,7 +207,6 @@ def generalized_defective_two_edge_coloring(
         lambdas=dict(lambdas),
         edge_degrees=orientation.edge_degrees,
         _graph=graph,
-        scan_path=scan_path,
     )
 
 
@@ -250,7 +245,6 @@ def defective_split_level(
     epsilon: float,
     betas: Sequence[float],
     nu: Optional[float] = None,
-    scan_path: str = "auto",
     max_phases: Optional[int] = None,
     tracker: Optional[RoundTracker] = None,
     label: str = "defective-split-level",
@@ -263,7 +257,8 @@ def defective_split_level(
     parts run in parallel: the numpy engine orients all of them in one
     lock-step call (:func:`repro.core.balanced_orientation.
     orient_segments`), the python reference twin one after another.  In
-    ``"auto"`` mode the level's total edge count picks the engine.  The
+    the absence of a forced engine the level's total edge count picks
+    it.  The
     class degrees of every :class:`SplitPart` come from the orientation's
     in-degrees, so a recursion reads its next level's degrees from here
     instead of counting them.  Being parallel, the level costs the
@@ -285,15 +280,12 @@ def defective_split_level(
         epsilon: the ε of Definition 5.1, shared by the parts.
         betas: the additive slack of Equation (3), per part.
         nu: optional override of the orientation's phase parameter.
-        scan_path: ``"auto"`` / ``"numpy"`` / ``"python"``.
         max_phases: optional cap on every part's orientation phases.
         tracker / label: where the level's rounds are charged (optional).
 
     Returns one :class:`SplitPart` per part, in order.
     """
-    splits = _split_level(
-        graph, bipartitions, parts, lambdas, epsilon, betas, nu, scan_path, max_phases
-    )[0]
+    splits = _split_level(graph, bipartitions, parts, lambdas, epsilon, betas, nu, max_phases)[0]
     if tracker is not None:
         tracker.charge(max((outcome.rounds for outcome in splits), default=0), label)
     return splits
@@ -309,7 +301,6 @@ def split_recursion(
     trackers: Sequence[RoundTracker],
     label: str,
     nu: Optional[float],
-    scan_path: str,
 ) -> List[Tuple[List[Tuple[List[int], List[int]]], List[int]]]:
     """Split every root into parts of small edge degree by λ = 1/2 levels.
 
@@ -358,7 +349,6 @@ def split_recursion(
                 epsilon,
                 [beta(max(part_degrees)) for _, (_, part_degrees) in chosen],
                 nu=nu,
-                scan_path=scan_path,
             )
         )
         still_going = []
@@ -392,7 +382,6 @@ def _split_level(
     epsilon: float,
     betas: Sequence[float],
     nu: Optional[float],
-    scan_path: str,
     max_phases: Optional[int],
     keep_orientations: bool = False,
 ) -> Tuple[List[SplitPart], List[BalancedOrientationResult]]:
@@ -407,7 +396,7 @@ def _split_level(
         return [], []
     trackers = [RoundTracker() for _ in parts]
     orientations: List[BalancedOrientationResult] = []
-    if resolve_use_numpy(scan_path, sum(len(part) for part in parts)):
+    if engine.use_numpy(sum(len(part) for part in parts)):
         lam = _lambda_array(lambdas, parts)
         seg = segment_parts(graph, bipartitions, parts)
         run = orient_segments(
@@ -575,19 +564,14 @@ def measure_defects(
     graph: Graph,
     colors: Dict[int, int],
     edges: Iterable[int],
-    scan_path: str = "auto",
 ) -> Dict[int, int]:
     """Number of same-colored neighboring edges for every edge of the instance.
 
-    ``scan_path`` selects the counting engine like every other knob of
-    this family (``"auto"`` / ``"numpy"`` / ``"python"``; bit-identical
-    results — the lazily computed ``DefectiveTwoColoringResult.defects``
-    uses the engine its coloring ran with).
+    Counted by a numpy or a python engine (bit-identical results; see
+    :mod:`repro.core.engine`).
     """
     edge_list = list(edges)
-    from repro.core.engine import _np, resolve_use_numpy
-
-    if resolve_use_numpy(scan_path, len(edge_list)):
+    if engine.use_numpy(len(edge_list)):
         # Vectorized (node, color) counting: color values are factorized
         # through np.unique, so any int color space works; counts and
         # defects are plain int arithmetic either way (bit-identical).

@@ -1,38 +1,51 @@
-"""Shared numpy-engine selection for the vectorized/reference twins.
+"""The one owner of the numpy-or-python engine choice.
 
 Several hot paths ship two bit-identical implementations — a vectorized
-numpy engine and a pure-python reference twin: the orientation
-proposal/accept loop (:mod:`repro.core.balanced_orientation`), the
-color-reduction step (:mod:`repro.coloring.color_reduction`, run by the
-line-graph schedule and the defective reduction), Linial's two engines
-(:mod:`repro.coloring.linial`: the phase-level reduction steps of
-``linial_vertex_coloring`` and the vectorized ``receive_batch`` sweep of
-``LinialNodeAlgorithm`` on the simulator), the local search of
-:mod:`repro.coloring.defective_vertex` and the defect measurement
-(:mod:`repro.core.defective_edge_coloring`) and the greedy leaf
-(:func:`repro.coloring.greedy.greedy_edge_coloring_by_classes`, one
-array pass per schedule class) and the row filter of
-:meth:`repro.graphs.core.Graph.edge_subset_view`.  They all
-select their engine through :func:`resolve_use_numpy`, driven by one
-``scan_path`` knob with identical semantics everywhere:
+numpy engine and a pure-python reference twin:
 
-* ``"auto"`` — numpy when available and the instance has at least
-  :data:`NUMPY_SCAN_THRESHOLD` elements, unless the environment forces
-  an engine process-wide (CI runs the whole suite on one forced engine
-  that way);
-* ``"numpy"`` — force the vectorized engine (``RuntimeError`` when
-  numpy is unavailable);
-* ``"python"`` — force the reference twin.
+* the orientation proposal/accept loop
+  (:mod:`repro.core.balanced_orientation`, run per split level by
+  :mod:`repro.core.defective_edge_coloring`);
+* Linial's reduction steps (:func:`repro.coloring.linial.
+  linial_vertex_coloring`, which the line-graph schedule runs too) and
+  the vectorized ``receive_batch`` sweep of ``LinialNodeAlgorithm`` on
+  the simulator, both over the one engine pair of
+  :mod:`repro.coloring.color_reduction`;
+* the defective reduction, local search and monochromatic-degree count
+  of :mod:`repro.coloring.defective_vertex`;
+* the Definition 5.1 defect recount
+  (:func:`repro.core.defective_edge_coloring.measure_defects`);
+* the edge-schedule setup and the greedy leaf of
+  :mod:`repro.coloring.greedy`;
+* the row filter of :meth:`repro.graphs.core.Graph.edge_subset_view`.
 
-The knob and its environment variable are declared once, in the knob
-table :data:`repro.knobs.KNOBS`; this module owns only its values
-(:data:`SCAN_PATHS`) and reads the override through the table.
+Every one of them asks :func:`use_numpy` with the size of its instance,
+and nothing passes the choice around.  The answer comes from, in order:
+
+1. the innermost :func:`scan_path` scope of the current context — the
+   runtime's executor enters one per cell, from the cell's
+   ``Knobs.scan_path``, and tests enter one to pin an engine;
+2. the ``REPRO_SCAN_PATH`` environment value, read once per process
+   (CI runs the whole suite on one forced engine that way);
+3. the size rule: numpy when it is installed and the instance has at
+   least :data:`NUMPY_SCAN_THRESHOLD` elements.
+
+``"auto"`` at either of the first two levels counts as unset;
+``"numpy"`` forces the vectorized engine (``RuntimeError`` when numpy is
+unavailable) and ``"python"`` the reference twin.  The knob and its
+environment variable are declared once, in the knob table
+:data:`repro.knobs.KNOBS`; this module owns its values
+(:data:`SCAN_PATHS`) and checks every value through that table.
 
 The differential matrix (``tests/test_differential_paths.py``) pins
 every pair of twins bit-identical.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator, Optional
 
 try:  # numpy accelerates the vectorized engines when present.
     import numpy as _np
@@ -42,31 +55,53 @@ except ImportError:  # pragma: no cover - the pure-python twins are equivalent
 #: Recognized values of the ``scan_path`` knob.
 SCAN_PATHS = ("auto", "numpy", "python")
 
-#: Instance size (elements scanned per phase/step) above which the
-#: vectorized engines engage in ``scan_path="auto"`` mode.  Below it,
+#: Instance size (elements scanned per phase/step) from which the
+#: vectorized engines engage when nothing forces an engine.  Below it,
 #: per-op numpy dispatch overhead makes the pure-python twins faster.
 NUMPY_SCAN_THRESHOLD = 128
 
-#: The process-wide override of ``scan_path="auto"``: the knob table's
-#: environment value, read once on first use (``None`` when unset).
+#: The current scope's choice (``None`` outside every scope).  A context
+#: variable, so a scope never leaks into another thread.
+_SCOPE: ContextVar[Optional[str]] = ContextVar("repro_scan_path", default=None)
+
+#: The knob table's environment value, read once on first use (``None``
+#: when unset).
 _ENV_SCAN_PATH = _UNREAD = object()
 
 
-def resolve_use_numpy(scan_path: str, size: int) -> bool:
-    """Whether to run the vectorized engine (see the module docstring)."""
-    global _ENV_SCAN_PATH
-    if scan_path == "auto":
-        if _ENV_SCAN_PATH is _UNREAD:
-            from repro.knobs import KNOBS
+def _knob():
+    # Imported here: the knob table imports SCAN_PATHS from this module.
+    from repro.knobs import KNOBS
 
-            _ENV_SCAN_PATH = KNOBS["scan_path"].from_env()
-        scan_path = _ENV_SCAN_PATH or "auto"
-    if scan_path == "auto":
+    return KNOBS["scan_path"]
+
+
+@contextmanager
+def scan_path(value: str) -> Iterator[None]:
+    """Run the body with every engine choice resolved from ``value``.
+
+    ``value`` is one of :data:`SCAN_PATHS` (else ``ValueError``).  On
+    exit, by return or exception, the enclosing scope's value is back.
+    """
+    token = _SCOPE.set(_knob().check(value))
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def use_numpy(size: int) -> bool:
+    """Whether an instance of ``size`` elements runs the vectorized engine."""
+    global _ENV_SCAN_PATH
+    path = _SCOPE.get()
+    if path is None or path == "auto":
+        if _ENV_SCAN_PATH is _UNREAD:
+            _ENV_SCAN_PATH = _knob().from_env()
+        path = _ENV_SCAN_PATH or "auto"
+    if path == "auto":
         return _np is not None and size >= NUMPY_SCAN_THRESHOLD
-    if scan_path == "numpy":
+    if path == "numpy":
         if _np is None:
             raise RuntimeError("scan_path='numpy' requested but numpy is unavailable")
         return True
-    if scan_path == "python":
-        return False
-    raise ValueError(f"unknown scan_path {scan_path!r}: expected one of {SCAN_PATHS}")
+    return False  # "python": both sources are checked against SCAN_PATHS

@@ -138,7 +138,6 @@ def solve_relaxed_instance(
     edge_set: Optional[Iterable[int]] = None,
     params: Optional[parameters.PracticalParameters] = None,
     tracker: Optional[RoundTracker] = None,
-    scan_path: str = "auto",
     used_colors: Optional[UsedColorMasks] = None,
 ) -> Dict[int, int]:
     """Color every edge of a bipartite list instance from its list (Lemma D.2).
@@ -169,10 +168,6 @@ def solve_relaxed_instance(
         edge_set: instance edges (defaults to the keys of ``list_masks``).
         params: practical parameter overrides.
         tracker: optional round tracker.
-        scan_path: engine selector, forwarded to
-            :func:`repro.core.defective_edge_coloring.
-            defective_split_level` for every split level and to every
-            greedy schedule and leaf.
         used_colors: caller-owned per-node used-color masks of the
             colors outside the instance (the lists must already exclude
             them); the greedy passes read them and add their colors **in
@@ -260,7 +255,6 @@ def solve_relaxed_instance(
             epsilon=epsilon,
             betas=betas,
             nu=params.resolved_nu(),
-            scan_path=scan_path,
             tracker=own,
             label="list-solver-split-level",
         )
@@ -305,7 +299,7 @@ def solve_relaxed_instance(
     for batch in reversed(passive_levels):
         if not batch:
             continue
-        schedule = proper_edge_schedule(graph, batch, tracker=own, scan_path=scan_path)
+        schedule = proper_edge_schedule(graph, batch, tracker=own)
         result.update(
             greedy_edge_coloring_by_classes(
                 graph,
@@ -313,7 +307,6 @@ def solve_relaxed_instance(
                 tracker=own,
                 used_colors=used,
                 list_masks=batch,
-                scan_path=scan_path,
             )
         )
 
@@ -330,7 +323,6 @@ def partially_color_bipartite(
     coloring: Dict[int, int],
     params: Optional[parameters.PracticalParameters] = None,
     tracker: Optional[RoundTracker] = None,
-    scan_path: str = "auto",
     used_colors: Optional[UsedColorMasks] = None,
 ) -> Dict[int, int]:
     """Partially color bipartite pieces so that their uncolored degree drops (Lemma D.3).
@@ -348,8 +340,6 @@ def partially_color_bipartite(
     ``params.list_slack`` times its uncolored within-part degree (and at
     least that degree + 1).  Edges skipped this way already have a small
     uncolored degree, which is the degree-reduction guarantee.
-    ``scan_path`` selects the orientation engine of every defective
-    split (``"auto"`` / ``"numpy"`` / ``"python"``).
 
     The charges are those of the pieces run one after another: each
     piece's split depths (the max over its own parts), then its Lemma
@@ -389,7 +379,6 @@ def partially_color_bipartite(
         trackers,
         "degree-reduction-split-level",
         nu=params.resolved_nu(),
-        scan_path=scan_path,
     )
 
     used = (
@@ -426,7 +415,6 @@ def partially_color_bipartite(
                     participants,
                     params=params,
                     tracker=own,
-                    scan_path=scan_path,
                     used_colors=used,
                 )
             )
@@ -441,7 +429,6 @@ def list_edge_coloring(
     instance: Optional[ListEdgeColoringInstance] = None,
     params: Optional[parameters.PracticalParameters] = None,
     tracker: Optional[RoundTracker] = None,
-    scan_path: str = "auto",
 ) -> ListColoringResult:
     """Solve the (degree+1)-list edge coloring problem (Theorems 1.1 / D.4).
 
@@ -455,11 +442,6 @@ def list_edge_coloring(
             instance, in which case the output is a (2Δ−1)-edge coloring.
         params: practical parameter overrides.
         tracker: optional round tracker.
-        scan_path: engine selector (``"auto"`` / ``"numpy"`` /
-            ``"python"``), forwarded to the initial Linial coloring,
-            every defective split the recursion performs and every
-            greedy schedule and leaf; both forced engines are
-            bit-identical.
 
     Raises ``ValueError`` if the instance violates the (degree+1) condition.
     """
@@ -484,9 +466,7 @@ def list_edge_coloring(
             outer_iterations=0,
         )
 
-    vertex_colors, vertex_color_count = linial_vertex_coloring(
-        graph, tracker=own, scan_path=scan_path
-    )
+    vertex_colors, vertex_color_count = linial_vertex_coloring(graph, tracker=own)
     coloring: Dict[int, int] = {}
     level_degrees: List[int] = []
     max_outer = 2 * math.ceil(math.log2(max(2, graph.max_degree))) + 4
@@ -511,13 +491,12 @@ def list_edge_coloring(
         outer += 1
 
         classes, _defect = defective_split_coloring(
-            graph.edge_subset_view(uncolored, scan_path=scan_path),
+            graph.edge_subset_view(uncolored),
             num_classes=4,
             epsilon=0.125,
             proper_coloring=vertex_colors,
             proper_num_colors=vertex_color_count,
             tracker=own,
-            scan_path=scan_path,
         )
         # The six class pairs are edge-disjoint, so a piece's lists cannot
         # be invalidated by the other pieces' colorings.
@@ -529,7 +508,6 @@ def list_edge_coloring(
                 coloring,
                 params=params,
                 tracker=own,
-                scan_path=scan_path,
                 used_colors=used,
             )
         )
@@ -539,7 +517,7 @@ def list_edge_coloring(
     # instance list masks against the shared used-color masks, each edge
     # taking its smallest available color.
     if uncolored:
-        schedule = proper_edge_schedule(graph, uncolored, tracker=own, scan_path=scan_path)
+        schedule = proper_edge_schedule(graph, uncolored, tracker=own)
         new = greedy_edge_coloring_by_classes(
             graph,
             schedule,
@@ -547,7 +525,6 @@ def list_edge_coloring(
             tracker=own,
             used_colors=used,
             list_masks=instance.list_masks(uncolored),
-            scan_path=scan_path,
         )
         coloring.update(new)
 

@@ -36,14 +36,6 @@ class Bipartition:
         """Side of node ``v``."""
         return self._sides[v]
 
-    def left_nodes(self) -> List[int]:
-        """Nodes on side U (0)."""
-        return [v for v, s in enumerate(self._sides) if s == 0]
-
-    def right_nodes(self) -> List[int]:
-        """Nodes on side V (1)."""
-        return [v for v, s in enumerate(self._sides) if s == 1]
-
     def orient_edge(self, graph: Graph, e: int) -> Tuple[int, int]:
         """Endpoints of ``e`` as ``(u, v)`` with ``u`` on side U and ``v`` on side V.
 

@@ -406,17 +406,17 @@ class Graph:
         return a * self._edge_id_base + b
 
     # -------------------------------------------------------------- subgraphs
-    def edge_subset_view(self, edge_set: Iterable[int], scan_path: str = "auto") -> "CsrView":
+    def edge_subset_view(self, edge_set: Iterable[int]) -> "CsrView":
         """This graph restricted to the given edges, as a :class:`CsrView`.
 
         The view keeps every node, its identifier and the host's row order
         (so neighbors stay sorted); only the rows are filtered, once, in
-        one pass over the host adjacency.  ``scan_path`` selects the numpy
-        filter or its python twin (see :mod:`repro.core.engine`; both
-        produce the same lists).
+        one pass over the host adjacency, by the numpy filter or its
+        python twin (see :mod:`repro.core.engine`; both produce the same
+        lists).
         """
         # Imported here: importing ``repro.core`` imports this module.
-        from repro.core.engine import _np, resolve_use_numpy
+        from repro.core import engine
 
         present = bytearray(len(self._edges))
         for e in edge_set:
@@ -424,8 +424,8 @@ class Graph:
         xadj = self._xadj
         adj = self._adj
         inc = self._inc
-        if resolve_use_numpy(scan_path, len(adj)):
-            np = _np
+        if engine.use_numpy(len(adj)):
+            np = engine._np
             # Keep the slots whose edge is present, and read the restricted
             # row boundaries off the running count of kept slots.
             keep = np.frombuffer(present, dtype=np.uint8).astype(bool)[

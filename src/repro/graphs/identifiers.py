@@ -9,7 +9,6 @@ experiments need control over it.
 from __future__ import annotations
 
 import math
-from typing import List
 
 from repro.graphs.core import Graph
 
@@ -21,11 +20,6 @@ def id_space_size(graph: Graph) -> int:
     return max(graph.node_ids) + 1
 
 
-def id_bits(graph: Graph) -> int:
-    """Number of bits needed to write any node identifier."""
-    return max(1, math.ceil(math.log2(max(2, id_space_size(graph)))))
-
-
 def log_star(value: float) -> int:
     """The iterated logarithm log* (base 2), with log*(x) = 0 for x <= 1."""
     count = 0
@@ -34,8 +28,3 @@ def log_star(value: float) -> int:
         current = math.log2(current)
         count += 1
     return count
-
-
-def edge_identifiers(graph: Graph) -> List[int]:
-    """Unique identifiers for the edges (usable as line-graph node ids)."""
-    return [graph.edge_id(e) for e in graph.edges()]

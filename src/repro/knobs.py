@@ -4,8 +4,11 @@ Every fast path ships with a bit-identical reference twin, and a knob
 picks which twin runs.  Each row of :data:`KNOBS` gives a knob's name,
 environment variable, allowed values (a tuple kept next to the code it
 selects) and default.  The runtime's :class:`~repro.runtime.spec.Knobs`
-and cache keys, the CLI flags, the benchmark metadata and the
-``scan_path`` engines' process-wide override all iterate this table.
+and cache keys, the CLI flags and the benchmark metadata all iterate
+this table.  ``scan_path`` reaches no function as an argument: the
+runtime's executor enters it per cell as the scope of
+:mod:`repro.core.engine`, which checks every scope value and reads the
+environment override through this table.
 
 Resolution is *explicit value > environment > default*, where an
 explicit default (``"auto"``) counts as unset, so a row records the

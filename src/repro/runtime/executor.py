@@ -60,6 +60,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core import engine
 from repro.obs import get_registry, tracer
 from repro.obs import trace as obs_trace
 from repro.runtime import workloads
@@ -107,6 +108,10 @@ def _build_payload(spec: ScenarioSpec, index: int, cell, knobs: Knobs) -> Dict[s
 def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
     """Run one cell payload and build its result row (worker entry point).
 
+    Both the serial and the process-per-cell paths run every cell here,
+    so this is where the cell's ``scan_path`` knob becomes the engine
+    scope its runner runs in (:func:`repro.core.engine.scan_path`).
+
     The optional ``trace`` payload field carries the parent's span
     context across the process boundary; it seeds the ambient tracing
     context and never enters the result row (built from explicit fields
@@ -128,7 +133,7 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
         cell_index=payload["cell_index"],
         runner=payload["runner"],
     )
-    with span:
+    with span, engine.scan_path(context.knobs.scan_path):
         start = time.perf_counter()
         result = run(context)
         wall = time.perf_counter() - start

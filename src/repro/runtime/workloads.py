@@ -161,7 +161,7 @@ def run_local_coloring(ctx: CellContext) -> Dict[str, object]:
     delta = int(ctx.params["delta"])
 
     def solve(graph):
-        return api.color_edges_local(graph, scan_path=ctx.knobs.scan_path)
+        return api.color_edges_local(graph)
 
     def verify(graph, outcome, _wall):
         bound = max(1, 2 * delta - 1)
@@ -193,9 +193,7 @@ def run_list_instance(ctx: CellContext) -> Dict[str, object]:
         return _list_instance(ctx, _regular_graph(ctx), slack=float(ctx.params.get("slack", 1.0)))
 
     def solve(instance):
-        return api.color_edges_local(
-            instance.graph, instance=instance, scan_path=ctx.knobs.scan_path
-        )
+        return api.color_edges_local(instance.graph, instance=instance)
 
     def verify(instance, outcome, _wall):
         assert outcome.is_proper, f"improper list coloring on n={n} delta={delta}"
@@ -224,7 +222,7 @@ def run_congest_coloring(ctx: CellContext) -> Dict[str, object]:
     epsilon = float(ctx.params.get("epsilon", 0.5))
 
     def solve(graph):
-        return api.color_edges_congest(graph, epsilon=epsilon, scan_path=ctx.knobs.scan_path)
+        return api.color_edges_congest(graph, epsilon=epsilon)
 
     def verify(_graph, outcome, _wall):
         assert outcome.is_proper, f"improper congest coloring on n={n} delta={delta}"
@@ -254,7 +252,7 @@ def run_bipartite_coloring(ctx: CellContext) -> Dict[str, object]:
     epsilon = float(ctx.params.get("epsilon", 0.5))
 
     def solve(instance):
-        return api.color_edges_bipartite(*instance, epsilon=epsilon, scan_path=ctx.knobs.scan_path)
+        return api.color_edges_bipartite(*instance, epsilon=epsilon)
 
     def verify(_instance, outcome, _wall):
         assert outcome.is_proper, f"improper bipartite coloring at delta={delta}"
@@ -356,9 +354,7 @@ def run_defective_two_coloring(ctx: CellContext) -> Dict[str, object]:
         return graph, bipartition, lambdas
 
     def solve(instance):
-        return generalized_defective_two_edge_coloring(
-            *instance, epsilon=epsilon, scan_path=ctx.knobs.scan_path
-        )
+        return generalized_defective_two_edge_coloring(*instance, epsilon=epsilon)
 
     def verify(instance, result, _wall):
         bar_delta = instance[0].max_edge_degree
@@ -392,10 +388,10 @@ def run_round_scaling_suite(ctx: CellContext) -> Dict[str, object]:
     delta = int(ctx.params["delta"])
 
     def solve(graph):
-        local = api.color_edges_local(graph, scan_path=ctx.knobs.scan_path)
-        congest = api.color_edges_congest(graph, epsilon=0.5, scan_path=ctx.knobs.scan_path)
-        greedy = greedy_baseline_edge_coloring(graph, scan_path=ctx.knobs.scan_path)
-        linear = linear_in_delta_edge_coloring(graph, scan_path=ctx.knobs.scan_path)
+        local = api.color_edges_local(graph)
+        congest = api.color_edges_congest(graph, epsilon=0.5)
+        greedy = greedy_baseline_edge_coloring(graph)
+        linear = linear_in_delta_edge_coloring(graph)
         rand = randomized_edge_coloring(graph, seed=int(ctx.params["rand_seed"]))
         return local, congest, greedy, linear, rand
 
@@ -436,10 +432,8 @@ def run_logstar_growth(ctx: CellContext) -> Dict[str, object]:
 
     def solve(graph):
         tracker = RoundTracker()
-        colors, num_colors = linial_vertex_coloring(
-            graph, tracker=tracker, scan_path=ctx.knobs.scan_path
-        )
-        baseline = greedy_baseline_edge_coloring(graph, scan_path=ctx.knobs.scan_path)
+        colors, num_colors = linial_vertex_coloring(graph, tracker=tracker)
+        baseline = greedy_baseline_edge_coloring(graph)
         return tracker.total, colors, num_colors, baseline
 
     def verify(graph, outcomes, _wall):
@@ -482,7 +476,6 @@ def _linial_cell(ctx: CellContext, name: str, verify, fault_plan=None) -> Dict[s
             instance[0],
             network=instance[1],
             fault_plan=fault_plan,
-            scan_path=ctx.knobs.scan_path,
         )
 
     return _cell(ctx, name, setup, solve, verify)
@@ -520,7 +513,7 @@ def run_congest_value_audit(ctx: CellContext) -> Dict[str, object]:
     epsilon = float(ctx.params.get("epsilon", 0.5))
 
     def solve(graph):
-        return congest_edge_coloring(graph, epsilon=epsilon, scan_path=ctx.knobs.scan_path)
+        return congest_edge_coloring(graph, epsilon=epsilon)
 
     def verify(graph, result, _wall):
         budget = congest_bit_budget(graph.num_nodes)
@@ -565,7 +558,6 @@ def run_relaxed_solver(ctx: CellContext) -> Dict[str, object]:
             instance.graph,
             bipartition,
             instance.list_masks(instance.edge_set),
-            scan_path=ctx.knobs.scan_path,
         )
 
     def verify(inputs, colors, _wall):
@@ -607,7 +599,6 @@ def run_degree_reduction(ctx: CellContext) -> Dict[str, object]:
             instance,
             [(bipartition, graph.edges())],
             coloring={},
-            scan_path=ctx.knobs.scan_path,
         )
 
     def verify(inputs, newly, _wall):
@@ -686,9 +677,7 @@ def run_ablation(ctx: CellContext) -> Dict[str, object]:
             return graph, bipartition, {e: 0.0 for e in graph.edges()}
 
         def solve(instance):
-            return compute_balanced_orientation(
-                *instance, epsilon=epsilon, nu=nu, scan_path=ctx.knobs.scan_path
-            )
+            return compute_balanced_orientation(*instance, epsilon=epsilon, nu=nu)
 
         def verify(instance, result, _wall):
             graph, bipartition, eta = instance
@@ -721,9 +710,7 @@ def run_ablation(ctx: CellContext) -> Dict[str, object]:
         levels = int(ctx.params["levels"])
 
         def solve(instance):
-            return bipartite_edge_coloring(
-                *instance, epsilon=0.5, levels=levels, scan_path=ctx.knobs.scan_path
-            )
+            return bipartite_edge_coloring(*instance, epsilon=0.5, levels=levels)
 
         def verify(_instance, result, _wall):
             assert result.num_colors <= 5 * 16
@@ -760,9 +747,7 @@ def run_classic_reduction(ctx: CellContext) -> Dict[str, object]:
 
         def solve(graph):
             coloring_tracker = RoundTracker()
-            coloring = list_edge_coloring(
-                graph, tracker=coloring_tracker, scan_path=ctx.knobs.scan_path
-            )
+            coloring = list_edge_coloring(graph, tracker=coloring_tracker)
             reduction_tracker = RoundTracker()
             matching = maximal_matching_from_edge_coloring(
                 graph, coloring.colors, tracker=reduction_tracker
@@ -828,7 +813,6 @@ def run_algorithm_suite_cell(ctx: CellContext) -> Dict[str, object]:
             experiment=str(ctx.params.get("experiment", "suite")),
             parameters={"n": n, "delta": delta},
             seed=int(ctx.params.get("rand_seed", ctx.seed % 2**31)),
-            scan_path=ctx.knobs.scan_path,
         )
 
     def verify(_graph, records, _wall):

@@ -9,7 +9,7 @@ report *what* failed, not just that something did.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graphs.core import Graph
 
@@ -98,9 +98,18 @@ def list_coloring_violations(
     for a, b in proper_edge_coloring_violations(graph, colors):
         violations.append(("conflict", a))
         violations.append(("conflict", b))
+    # One set per distinct list object (a uniform instance shares one
+    # palette), keyed by id; the memo holds each object, so no id is
+    # reused while it lives.
+    allowed: Dict[int, Tuple[Sequence[int], Set[int]]] = {}
     for e, c in colors.items():
-        if e in lists and c not in set(lists[e]):
-            violations.append(("list", e))
+        if e in lists:
+            options = lists[e]
+            entry = allowed.get(id(options))
+            if entry is None:
+                entry = allowed[id(options)] = (options, set(options))
+            if c not in entry[1]:
+                violations.append(("list", e))
     return violations
 
 

@@ -11,19 +11,14 @@ from repro.baselines.barenboim_elkin import barenboim_elkin_edge_coloring
 from repro.baselines.greedy_by_classes import greedy_baseline_edge_coloring
 from repro.baselines.panconesi_rizzi import linear_in_delta_edge_coloring
 from repro.baselines.randomized import randomized_edge_coloring
-from repro.baselines.sequential import (
-    sequential_greedy_edge_coloring,
-    sequential_greedy_vertex_coloring,
-)
+from repro.baselines.sequential import sequential_greedy_edge_coloring
 from repro.classic.vertex_coloring import kuhn_wattenhofer_vertex_reduction
 from repro.coloring.linial import linial_vertex_coloring
+from repro.core import engine
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
 from repro.graphs.core import Graph
-from repro.verification.checkers import (
-    is_proper_edge_coloring,
-    is_proper_vertex_coloring,
-)
+from repro.verification.checkers import is_proper_edge_coloring
 
 
 class TestSequentialGreedy:
@@ -31,11 +26,6 @@ class TestSequentialGreedy:
         colors = sequential_greedy_edge_coloring(medium_regular)
         assert is_proper_edge_coloring(medium_regular, colors)
         assert max(colors.values()) <= medium_regular.max_edge_degree
-
-    def test_vertex_coloring_uses_at_most_delta_plus_one(self, medium_regular):
-        colors = sequential_greedy_vertex_coloring(medium_regular)
-        assert is_proper_vertex_coloring(medium_regular, colors)
-        assert max(colors) <= medium_regular.max_degree
 
 
 class TestGreedyByClasses:
@@ -186,7 +176,8 @@ class TestBaselinesPinned:
         graph_name, baseline = key
         graph = self.GRAPHS[graph_name]()
         tracker = RoundTracker()
-        result = self.BASELINES[baseline](graph, tracker=tracker, scan_path=scan_path)
+        with engine.scan_path(scan_path):
+            result = self.BASELINES[baseline](graph, tracker=tracker)
         assert is_proper_edge_coloring(graph, result.colors)
         digest = hashlib.sha256(json.dumps(list(result.colors.items())).encode()).hexdigest()
         breakdown = list(tracker.breakdown.items())

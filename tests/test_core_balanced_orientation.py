@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import parameters
+from repro.core import engine, parameters
 from repro.core.balanced_orientation import compute_balanced_orientation
 from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np
 from repro.distributed.rounds import RoundTracker
@@ -129,12 +129,11 @@ class TestScanPathCrossCheck:
         results = {}
         for path in ("python", "numpy"):
             tracker = RoundTracker()
-            results[path] = (
-                compute_balanced_orientation(
-                    graph, bipartition, eta, epsilon=0.5, tracker=tracker, scan_path=path
-                ),
-                tracker.total,
-            )
+            with engine.scan_path(path):
+                result = compute_balanced_orientation(
+                    graph, bipartition, eta, epsilon=0.5, tracker=tracker
+                )
+            results[path] = (result, tracker.total)
         py, py_rounds = results["python"]
         np_, np_rounds = results["numpy"]
         assert py.orientation == np_.orientation
@@ -150,9 +149,8 @@ class TestScanPathCrossCheck:
         graph, bipartition = generators.regular_bipartite_graph(nodes, degree, seed=7)
         eta = self.varied_eta(graph)
         auto = compute_balanced_orientation(graph, bipartition, eta, epsilon=0.5)
-        forced = compute_balanced_orientation(
-            graph, bipartition, eta, epsilon=0.5, scan_path="python"
-        )
+        with engine.scan_path("python"):
+            forced = compute_balanced_orientation(graph, bipartition, eta, epsilon=0.5)
         assert auto.orientation == forced.orientation
         assert auto.in_degrees == forced.in_degrees
 
@@ -161,18 +159,16 @@ class TestScanPathCrossCheck:
         graph, bipartition = generators.regular_bipartite_graph(64, 16, seed=21)
         subset = sorted(set(graph.edges()) - set(range(0, graph.num_edges, 5)))
         eta = {e: 0.5 * (e % 3) for e in subset}
-        py = compute_balanced_orientation(
-            graph, bipartition, eta, epsilon=0.5, edge_set=subset, scan_path="python"
-        )
-        np_ = compute_balanced_orientation(
-            graph, bipartition, eta, epsilon=0.5, edge_set=subset, scan_path="numpy"
-        )
+        with engine.scan_path("python"):
+            py = compute_balanced_orientation(graph, bipartition, eta, epsilon=0.5, edge_set=subset)
+        with engine.scan_path("numpy"):
+            np_ = compute_balanced_orientation(
+                graph, bipartition, eta, epsilon=0.5, edge_set=subset
+            )
         assert py.orientation == np_.orientation
         assert py.in_degrees == np_.in_degrees
 
     def test_unknown_scan_path_rejected(self, small_bipartite):
         graph, bipartition = small_bipartite
-        with pytest.raises(ValueError, match="scan_path"):
-            compute_balanced_orientation(
-                graph, bipartition, zero_eta(graph), epsilon=0.5, scan_path="fortran"
-            )
+        with pytest.raises(ValueError, match="scan_path"), engine.scan_path("fortran"):
+            compute_balanced_orientation(graph, bipartition, zero_eta(graph), epsilon=0.5)

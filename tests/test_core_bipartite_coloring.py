@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.core import engine
 from repro.core.bipartite_coloring import bipartite_edge_coloring
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
@@ -94,9 +95,8 @@ class TestSection6Pinned:
     def test_pinned(self, scan_path):
         graph, bipartition = generators.regular_bipartite_graph(64, 24, seed=3)
         tracker = RoundTracker()
-        result = bipartite_edge_coloring(
-            graph, bipartition, tracker=tracker, scan_path=scan_path
-        )
+        with engine.scan_path(scan_path):
+            result = bipartite_edge_coloring(graph, bipartition, tracker=tracker)
         assert is_proper_edge_coloring(graph, result.colors)
         digest = hashlib.sha256(json.dumps(sorted(result.colors.items())).encode())
         assert digest.hexdigest() == self.DIGEST

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.core import engine
 from repro.core.congest_coloring import congest_edge_coloring
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
@@ -85,9 +86,8 @@ class TestTheorem63Pinned:
     def test_pinned(self, scan_path):
         graph = generators.random_regular_graph(128, 32, seed=33)
         tracker = RoundTracker()
-        result = congest_edge_coloring(
-            graph, epsilon=0.5, tracker=tracker, scan_path=scan_path
-        )
+        with engine.scan_path(scan_path):
+            result = congest_edge_coloring(graph, epsilon=0.5, tracker=tracker)
         assert is_proper_edge_coloring(graph, result.colors)
         digest = hashlib.sha256(json.dumps(sorted(result.colors.items())).encode())
         assert digest.hexdigest() == self.DIGEST

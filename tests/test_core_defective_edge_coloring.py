@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.core import parameters
+from repro.core import engine, parameters
 from repro.core.defective_edge_coloring import (
     BLUE,
     RED,
@@ -152,27 +152,26 @@ class TestLambdaValidation:
         graph, bipartition, lambdas = self.instance()
         lambdas[5] = bad
         with pytest.raises(ValueError, match=r"edge 5 has lambda .*outside \[0, 1\]"):
-            generalized_defective_two_edge_coloring(
-                graph, bipartition, lambdas, epsilon=0.5, scan_path=scan_path
-            )
+            with engine.scan_path(scan_path):
+                generalized_defective_two_edge_coloring(graph, bipartition, lambdas, epsilon=0.5)
 
     @pytest.mark.parametrize("scan_path", ENGINES)
     def test_missing_lambda_rejected(self, scan_path):
         graph, bipartition, lambdas = self.instance()
         del lambdas[5]
         with pytest.raises(ValueError, match="edge 5 has no lambda"):
-            generalized_defective_two_edge_coloring(
-                graph, bipartition, lambdas, epsilon=0.5, scan_path=scan_path
-            )
+            with engine.scan_path(scan_path):
+                generalized_defective_two_edge_coloring(graph, bipartition, lambdas, epsilon=0.5)
 
     @pytest.mark.parametrize("scan_path", ENGINES)
     def test_bounds_accepted(self, scan_path):
         graph, bipartition, lambdas = self.instance()
         lambdas[3] = 0.0
         lambdas[5] = 1.0
-        result = generalized_defective_two_edge_coloring(
-            graph, bipartition, lambdas, epsilon=0.5, scan_path=scan_path
-        )
+        with engine.scan_path(scan_path):
+            result = generalized_defective_two_edge_coloring(
+                graph, bipartition, lambdas, epsilon=0.5
+            )
         assert set(result.colors) == set(graph.edges())
 
     @pytest.mark.parametrize("scan_path", ENGINES)
@@ -181,10 +180,10 @@ class TestLambdaValidation:
         lambdas[30] = float("nan")
         parts = [list(range(16)), list(range(16, 32))]
         with pytest.raises(ValueError, match="edge 30 has lambda nan"):
-            defective_split_level(
-                graph, [bipartition] * 2, parts, lambdas, epsilon=0.5, betas=[0.0, 0.0],
-                scan_path=scan_path,
-            )
+            with engine.scan_path(scan_path):
+                defective_split_level(
+                    graph, [bipartition] * 2, parts, lambdas, epsilon=0.5, betas=[0.0, 0.0]
+                )
 
 
 class TestSplitLevelParts:
@@ -202,24 +201,24 @@ class TestSplitLevelParts:
     def test_unsorted_part_rejected(self, scan_path, second, at):
         graph, bipartition = generators.regular_bipartite_graph(16, 4, seed=1)
         with pytest.raises(ValueError, match=f"part 1 is not strictly ascending at edge {at}$"):
-            defective_split_level(
-                graph, [bipartition] * 2, [list(range(16)), second], None, epsilon=0.5,
-                betas=[0.0, 0.0], scan_path=scan_path,
-            )
+            with engine.scan_path(scan_path):
+                defective_split_level(
+                    graph, [bipartition] * 2, [list(range(16)), second], None, epsilon=0.5,
+                    betas=[0.0, 0.0],
+                )
 
     @pytest.mark.parametrize("scan_path", ENGINES)
     def test_class_degrees_are_the_defects(self, scan_path):
         graph, bipartition = generators.regular_bipartite_graph(40, 12, seed=2)
         parts = [[e for e in graph.edges() if e % 3 == r] for r in range(3)]
-        for part, split in zip(
-            parts,
-            defective_split_level(
-                graph, [bipartition] * 3, parts, None, epsilon=0.5, betas=[0.0, 1.0, 2.0],
-                scan_path=scan_path,
-            ),
-        ):
+        with engine.scan_path(scan_path):
+            splits = defective_split_level(
+                graph, [bipartition] * 3, parts, None, epsilon=0.5, betas=[0.0, 1.0, 2.0]
+            )
+        for part, split in zip(parts, splits):
             colors = {**dict.fromkeys(split.red, RED), **dict.fromkeys(split.blue, BLUE)}
-            defects = measure_defects(graph, colors, part, scan_path="python")
+            with engine.scan_path("python"):
+                defects = measure_defects(graph, colors, part)
             assert split.red_degrees == [defects[e] for e in split.red]
             assert split.blue_degrees == [defects[e] for e in split.blue]
             assert split.max_defect == max(defects.values())
@@ -237,11 +236,12 @@ class TestSplitRecursion:
         graph, bipartition = generators.regular_bipartite_graph(40, 12, seed=2)
         edges = list(graph.edges())
         tracker = RoundTracker()
-        ((parts, defects),) = split_recursion(
-            graph, [(bipartition, edges, degrees_within(graph, edges)[1])],
-            levels=levels, leaf_degree=leaf_degree, beta=lambda degree: 0.0,
-            epsilon=0.5, trackers=[tracker], label="split", nu=None, scan_path=scan_path,
-        )
+        with engine.scan_path(scan_path):
+            ((parts, defects),) = split_recursion(
+                graph, [(bipartition, edges, degrees_within(graph, edges)[1])],
+                levels=levels, leaf_degree=leaf_degree, beta=lambda degree: 0.0,
+                epsilon=0.5, trackers=[tracker], label="split", nu=None,
+            )
         return graph, edges, tracker, parts, defects
 
     @pytest.mark.parametrize("scan_path", ENGINES)
@@ -306,11 +306,11 @@ class TestMultiRootSplitRecursion:
 
     def split(self, graph, roots, scan_path):
         trackers = [RoundTracker() for _ in roots]
-        leaves = split_recursion(
-            graph, roots, levels=self.LEVELS, leaf_degree=self.LEAF_DEGREE,
-            beta=lambda degree: 0.0, epsilon=0.5, trackers=trackers, label="split", nu=None,
-            scan_path=scan_path,
-        )
+        with engine.scan_path(scan_path):
+            leaves = split_recursion(
+                graph, roots, levels=self.LEVELS, leaf_degree=self.LEAF_DEGREE,
+                beta=lambda degree: 0.0, epsilon=0.5, trackers=trackers, label="split", nu=None,
+            )
         return leaves, [tracker.breakdown for tracker in trackers]
 
     @pytest.mark.parametrize("scan_path", ENGINES)
@@ -353,16 +353,15 @@ class TestMultiRootSplitRecursion:
         message = (
             f"edge {bad} = ({edge_u[bad]}, {edge_v[bad]}) is not bichromatic in this bipartition"
         )
-        with pytest.raises(ValueError) as raised:
+        with pytest.raises(ValueError) as raised, engine.scan_path(scan_path):
             defective_split_level(
-                graph, [bip_1, bip_1], [edges_1, edges_0], None, epsilon=0.5,
-                betas=[0.0, 0.0], scan_path=scan_path,
+                graph, [bip_1, bip_1], [edges_1, edges_0], None, epsilon=0.5, betas=[0.0, 0.0]
             )
         assert str(raised.value) == message
         # With its own bipartition, the same level is fine.
-        splits = defective_split_level(
-            graph, [bip_1, bip_0], [edges_1, edges_0], None, epsilon=0.5,
-            betas=[0.0, 0.0], scan_path=scan_path,
-        )
+        with engine.scan_path(scan_path):
+            splits = defective_split_level(
+                graph, [bip_1, bip_0], [edges_1, edges_0], None, epsilon=0.5, betas=[0.0, 0.0]
+            )
         assert [sorted(split.red + split.blue) for split in splits] == [edges_1, edges_0]
 

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.coloring.greedy import UsedColorMasks
-from repro.core import parameters
+from repro.core import engine, parameters
 from repro.core.list_edge_coloring import (
     list_edge_coloring,
     partially_color_bipartite,
@@ -262,9 +262,8 @@ class TestLemmaD2Pinned:
         lists = {e: range(4 * (2 * 24 - 1)) for e in graph.edges()}
         masks = {e: (1 << 4 * (2 * 24 - 1)) - 1 for e in graph.edges()}
         tracker = RoundTracker()
-        colors = solve_relaxed_instance(
-            graph, bipartition, masks, tracker=tracker, scan_path=scan_path
-        )
+        with engine.scan_path(scan_path):
+            colors = solve_relaxed_instance(graph, bipartition, masks, tracker=tracker)
         assert list_coloring_violations(graph, colors, lists) == []
         assert coloring_digest(colors) == self.DIGEST
         assert tracker.total == 410
@@ -312,10 +311,10 @@ class TestDegreeReduction:
 
         def run(edge_set):
             tracker = RoundTracker()
-            newly = partially_color_bipartite(
-                graph, instance, [(bipartition, edge_set)], {}, tracker=tracker,
-                scan_path=scan_path,
-            )
+            with engine.scan_path(scan_path):
+                newly = partially_color_bipartite(
+                    graph, instance, [(bipartition, edge_set)], {}, tracker=tracker
+                )
             return newly, tracker.breakdown
 
         edges = list(graph.edges())

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.core import engine
 from repro.core.list_edge_coloring import list_edge_coloring
 from repro.core.parameters import DEFAULT_PARAMETERS
 from repro.core.slack import ListEdgeColoringInstance, degree_plus_one_instance, uniform_instance
@@ -144,12 +145,10 @@ class TestAscendingLists:
         runs = []
         for given in (sorted_lists, self._shuffled(sorted_lists, seed=5)):
             tracker = RoundTracker()
-            result = list_edge_coloring(
-                graph,
-                instance=ListEdgeColoringInstance(graph, given, space),
-                tracker=tracker,
-                scan_path=scan_path,
-            )
+            with engine.scan_path(scan_path):
+                result = list_edge_coloring(
+                    graph, instance=ListEdgeColoringInstance(graph, given, space), tracker=tracker
+                )
             runs.append(
                 (list(result.colors.items()), result.rounds, list(tracker.breakdown.items()))
             )

@@ -10,9 +10,10 @@ reduction.  This matrix runs a seeded randomized sweep (varying n, Δ,
 bipartite/general topology, both sides of the engine-size threshold and
 of the legacy 384-edge mark) and asserts the twins are
 **bit-identical**: same colorings, orientations, round counts and
-CONGEST metrics, down to dict contents and violation lists.  CI runs the
-matrix twice more with ``REPRO_SCAN_PATH`` forcing each engine across
-the whole suite, and the scenario-runtime job diffs result stores
+CONGEST metrics, down to dict contents and violation lists.  Each twin
+is forced by an engine scope (:func:`repro.core.engine.scan_path`).  CI
+runs the matrix twice more with ``REPRO_SCAN_PATH`` forcing each engine
+across the whole suite, and the scenario-runtime job diffs result stores
 across the ``scan_path`` and ``repair_path`` knobs.
 """
 
@@ -30,7 +31,7 @@ from repro.coloring.greedy import (
     proper_edge_schedule,
 )
 from repro.coloring.linial import LinialNodeAlgorithm
-from repro.core import parameters
+from repro.core import engine, parameters
 from repro.core.balanced_orientation import compute_balanced_orientation
 from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np
 from repro.core.defective_edge_coloring import defective_split_level
@@ -77,6 +78,12 @@ def _make_graph(kind: str, n: int, delta: int, seed: int):
     return generators.random_regular_graph(n, delta, seed=seed)
 
 
+def _on(path, run, *args, **kwargs):
+    """``run(*args, **kwargs)`` with every engine choice scoped to ``path``."""
+    with engine.scan_path(path):
+        return run(*args, **kwargs)
+
+
 def _outcome_fingerprint(outcome):
     return (
         outcome.colors,
@@ -100,8 +107,9 @@ class TestOrientationEngineMatrix:
         results = {}
         for path in ("python", "numpy"):
             tracker = RoundTracker()
-            r = compute_balanced_orientation(
-                graph, bipartition, eta, epsilon=0.25, nu=nu, tracker=tracker, scan_path=path
+            r = _on(
+                path, compute_balanced_orientation,
+                graph, bipartition, eta, epsilon=0.25, nu=nu, tracker=tracker
             )
             results[path] = (
                 r.orientation,
@@ -120,11 +128,13 @@ class TestOrientationEngineMatrix:
         graph, bipartition = generators.regular_bipartite_graph(48, 12, seed=9)
         subset = sorted(set(graph.edges()) - set(range(0, graph.num_edges, stride)))
         eta = {e: float(e % 3) - 1.0 for e in subset}
-        py = compute_balanced_orientation(
-            graph, bipartition, eta, epsilon=0.5, edge_set=subset, scan_path="python"
+        py = _on(
+            "python", compute_balanced_orientation,
+            graph, bipartition, eta, epsilon=0.5, edge_set=subset
         )
-        np_ = compute_balanced_orientation(
-            graph, bipartition, eta, epsilon=0.5, edge_set=subset, scan_path="numpy"
+        np_ = _on(
+            "numpy", compute_balanced_orientation,
+            graph, bipartition, eta, epsilon=0.5, edge_set=subset
         )
         assert py.orientation == np_.orientation
         assert list(py.orientation.items()) == list(np_.orientation.items())
@@ -132,23 +142,21 @@ class TestOrientationEngineMatrix:
         assert (py.phases, py.rounds) == (np_.phases, np_.rounds)
 
     def test_env_override_steers_auto_mode(self, monkeypatch):
-        from repro.core import engine
-
         monkeypatch.setattr(engine, "_ENV_SCAN_PATH", "python")
-        assert engine.resolve_use_numpy("auto", 10**6) is False
+        assert engine.use_numpy(10**6) is False
+        # An "auto" scope counts as unset.
+        assert _on("auto", engine.use_numpy, 10**6) is False
         monkeypatch.setattr(engine, "_ENV_SCAN_PATH", "numpy")
-        assert engine.resolve_use_numpy("auto", 1) is True
-        # Explicit arguments always win over the environment.
-        assert engine.resolve_use_numpy("python", 10**6) is False
+        assert engine.use_numpy(1) is True
+        # An explicit scope always wins over the environment.
+        assert _on("python", engine.use_numpy, 10**6) is False
 
     def test_unknown_env_value_is_rejected_not_ignored(self, monkeypatch):
-        from repro.core import engine
-
         monkeypatch.setenv("REPRO_SCAN_PATH", "nmpy")
         # Drop the once-per-process cache so the engine rereads the env.
-        monkeypatch.setattr(engine, "_ENV_SCAN_PATH", getattr(engine, "_UNREAD", None))
+        monkeypatch.setattr(engine, "_ENV_SCAN_PATH", engine._UNREAD)
         with pytest.raises(ValueError, match="REPRO_SCAN_PATH"):
-            engine.resolve_use_numpy("auto", 10**4)
+            engine.use_numpy(10**4)
 
 
 @requires_numpy
@@ -262,8 +270,8 @@ class TestScheduleEngineMatrix:
     def test_schedules_bit_identical(self, kind, n, delta):
         graph = _make_graph(kind, n, delta, seed=3 * n + delta)
         for subset in (list(graph.edges()), list(graph.edges())[::2]):
-            a = proper_edge_schedule(graph, subset, scan_path="python")
-            b = proper_edge_schedule(graph, subset, scan_path="numpy")
+            a = _on("python", proper_edge_schedule, graph, subset)
+            b = _on("numpy", proper_edge_schedule, graph, subset)
             assert a == b
 
     def test_round_charges_identical(self):
@@ -271,7 +279,7 @@ class TestScheduleEngineMatrix:
         charges = {}
         for path in ("python", "numpy"):
             tracker = RoundTracker()
-            proper_edge_schedule(graph, list(graph.edges()), tracker=tracker, scan_path=path)
+            _on(path, proper_edge_schedule, graph, list(graph.edges()), tracker=tracker)
             charges[path] = tracker.breakdown
         assert charges["python"] == charges["numpy"]
 
@@ -287,7 +295,7 @@ class TestScheduleEngineMatrix:
                 expected %= q  # a row with no neighbors takes x = 0: f_c(0) = c mod q
             for path in ("python", "numpy"):
                 tracker = RoundTracker()
-                assert proper_edge_schedule(graph, [e], tracker, path) == {e: expected}
+                assert _on(path, proper_edge_schedule, graph, [e], tracker) == {e: expected}
                 assert tracker.breakdown == ({"linial": len(schedule)} if schedule else {})
 
     def test_huge_identifier_star_schedules_bit_identical(self):
@@ -300,8 +308,8 @@ class TestScheduleEngineMatrix:
             node_ids=[2**40, *range(1, leaves + 1)],
         )
         edges = list(graph.edges())
-        a = proper_edge_schedule(graph, edges, scan_path="python")
-        b = proper_edge_schedule(graph, edges, scan_path="numpy")
+        a = _on("python", proper_edge_schedule, graph, edges)
+        b = _on("numpy", proper_edge_schedule, graph, edges)
         assert a == b
         assert is_proper_edge_coloring(graph, a)
 
@@ -317,8 +325,9 @@ def _leaf_run(graph, schedule, path, masks=(), **kwargs):
         used._masks[v] = mask
     tracker = RoundTracker()
     try:
-        colors = greedy_edge_coloring_by_classes(
-            graph, schedule, tracker=tracker, used_colors=used, scan_path=path, **kwargs
+        colors = _on(
+            path, greedy_edge_coloring_by_classes,
+            graph, schedule, tracker=tracker, used_colors=used, **kwargs
         )
         outcome = list(colors.items())
     except ValueError as exc:
@@ -449,13 +458,6 @@ class TestGreedyLeafEngineMatrix:
         assert engine_results[-1] is not None
 
 
-def _force_engine(monkeypatch, path):
-    """Steer every ``scan_path="auto"`` engine choice to ``path``."""
-    from repro.core import engine
-
-    monkeypatch.setattr(engine, "_ENV_SCAN_PATH", path)
-
-
 def _edge_pairs(graph: Graph):
     return map(graph.edge_endpoints, graph.edges())
 
@@ -476,7 +478,7 @@ class TestVertexLinialEngineMatrix:
         from repro.coloring.linial import linial_vertex_coloring
 
         tracker = RoundTracker()
-        colors, num_colors = linial_vertex_coloring(graph, tracker=tracker, scan_path=path)
+        colors, num_colors = _on(path, linial_vertex_coloring, graph, tracker=tracker)
         return colors, num_colors, tracker.breakdown
 
     def _assert_engines_agree(self, graph):
@@ -677,8 +679,10 @@ class TestSlotReceiveSameColorMatrix:
         buf = [colors[w] for w in adj]
         states = [{"color": colors[v], "schedule": schedule, "step": 0} for v in range(n)]
         contexts = [SimpleNamespace(degree=xadj[v + 1] - xadj[v]) for v in range(n)]
-        LinialNodeAlgorithm(scan_path="numpy").receive_batch(
-            contexts, states, list(range(n)), RoundInbox(buf, xadj), 0
+        _on(
+            "numpy",
+            LinialNodeAlgorithm().receive_batch,
+            contexts, states, list(range(n)), RoundInbox(buf, xadj), 0,
         )
         expected = [
             polynomial_step(colors[v], [colors[w] for w in adj[xadj[v] : xadj[v + 1]]], q, d)
@@ -700,11 +704,11 @@ class TestDefectiveReductionMatrix:
         graph = generators.random_regular_graph(n, delta, seed=n + delta)
         colors, count = linial_vertex_coloring(graph)
         for target in (1, max(1, delta // 3), delta):
-            py = polynomial_defective_reduction(
-                graph, colors, count, target_defect=target, scan_path="python"
+            py = _on(
+                "python", polynomial_defective_reduction, graph, colors, count, target_defect=target
             )
-            np_ = polynomial_defective_reduction(
-                graph, colors, count, target_defect=target, scan_path="numpy"
+            np_ = _on(
+                "numpy", polynomial_defective_reduction, graph, colors, count, target_defect=target
             )
             assert py == np_
 
@@ -716,11 +720,11 @@ class TestDefectiveReductionMatrix:
         colors = [v % 7 for v in range(n)]
         assert any(colors[u] == colors[v] for u, v in _edge_pairs(graph))
         for target in (1, max(1, delta // 3)):
-            py = polynomial_defective_reduction(
-                graph, colors, 7, target_defect=target, scan_path="python"
+            py = _on(
+                "python", polynomial_defective_reduction, graph, colors, 7, target_defect=target
             )
-            np_ = polynomial_defective_reduction(
-                graph, colors, 7, target_defect=target, scan_path="numpy"
+            np_ = _on(
+                "numpy", polynomial_defective_reduction, graph, colors, 7, target_defect=target
             )
             assert py == np_
 
@@ -746,14 +750,14 @@ class TestLocalSearchEngineMatrix:
         results = {}
         for path in ("python", "numpy"):
             tracker = RoundTracker()
-            classes, rounds = defective_coloring_local_search(
-                graph, num_classes, slack, tracker=tracker, scan_path=path
+            classes, rounds = _on(
+                path, defective_coloring_local_search, graph, num_classes, slack, tracker=tracker
             )
             results[path] = (
                 classes,
                 rounds,
                 tracker.breakdown,
-                monochromatic_degree(graph, classes, scan_path=path),
+                _on(path, monochromatic_degree, graph, classes),
             )
         assert results["python"] == results["numpy"]
 
@@ -767,14 +771,15 @@ class TestLocalSearchEngineMatrix:
         for path in ("python", "numpy"):
             tracker = RoundTracker()
             results[path] = (
-                defective_split_coloring(
+                _on(
+                    path,
+                    defective_split_coloring,
                     graph,
                     4,
                     0.125,
                     proper_coloring=colors,
                     proper_num_colors=count,
                     tracker=tracker,
-                    scan_path=path,
                 ),
                 tracker.breakdown,
             )
@@ -788,8 +793,8 @@ class TestPipelineScanPathMatrix:
     @pytest.mark.parametrize("kind,n,delta", GRAPH_CELLS)
     def test_local_pipeline_bit_identical(self, kind, n, delta):
         graph = _make_graph(kind, n, delta, seed=7 * n + delta)
-        py = api.color_edges_local(graph, scan_path="python")
-        np_ = api.color_edges_local(graph, scan_path="numpy")
+        py = _on("python", api.color_edges_local, graph)
+        np_ = _on("numpy", api.color_edges_local, graph)
         assert _outcome_fingerprint(py) == _outcome_fingerprint(np_)
         assert py.is_proper
         assert is_proper_edge_coloring(graph, py.colors)
@@ -799,8 +804,8 @@ class TestPipelineScanPathMatrix:
         # The CONGEST pipeline's fingerprint covers its round breakdown —
         # the CONGEST cost accounting — as well as the palette details.
         graph = _make_graph(kind, n, delta, seed=11 * n + delta)
-        py = api.color_edges_congest(graph, epsilon=0.5, scan_path="python")
-        np_ = api.color_edges_congest(graph, epsilon=0.5, scan_path="numpy")
+        py = _on("python", api.color_edges_congest, graph, epsilon=0.5)
+        np_ = _on("numpy", api.color_edges_congest, graph, epsilon=0.5)
         assert _outcome_fingerprint(py) == _outcome_fingerprint(np_)
         assert py.is_proper
 
@@ -813,7 +818,7 @@ class TestPipelineScanPathMatrix:
             instance = ListEdgeColoringInstance(
                 graph, {e: list(lists[e]) for e in graph.edges()}, space
             )
-            return api.color_edges_local(graph, instance=instance, scan_path=path)
+            return _on(path, api.color_edges_local, graph, instance=instance)
 
         assert _outcome_fingerprint(run("python")) == _outcome_fingerprint(run("numpy"))
 
@@ -862,13 +867,15 @@ class TestSplitLevelMatrix:
         assert len(set(betas)) == len(parts)
         lambdas = {e: ((e * 7) % 11) / 10.0 for e in graph.edges()}
         common = dict(epsilon=0.5, nu=params.resolved_nu(), max_phases=max_phases)
-        level = defective_split_level(
-            graph, [bipartition] * len(parts), parts, lambdas, betas=betas, scan_path="numpy",
+        level = _on(
+            "numpy", defective_split_level,
+            graph, [bipartition] * len(parts), parts, lambdas, betas=betas,
             **common,
         )
         alone = [
-            defective_split_level(
-                graph, [bipartition], [part], lambdas, betas=[beta], scan_path="python", **common
+            _on(
+                "python", defective_split_level,
+                graph, [bipartition], [part], lambdas, betas=[beta], **common
             )[0]
             for part, beta in zip(parts, betas)
         ]
@@ -893,22 +900,23 @@ class TestSplitLevelMatrix:
         from repro.core import defective_edge_coloring
 
         calls = []
-        engine = defective_edge_coloring.orient_segments
+        real = defective_edge_coloring.orient_segments
 
         def counting(seg, *args, **kwargs):
             calls.append(seg.num_parts)
-            return engine(seg, *args, **kwargs)
+            return real(seg, *args, **kwargs)
 
         monkeypatch.setattr(defective_edge_coloring, "orient_segments", counting)
         graph, bipartition = generators.regular_bipartite_graph(64, 24, seed=3)
         tracker = RoundTracker()
-        partially_color_bipartite(
+        _on(
+            "numpy",
+            partially_color_bipartite,
             graph,
             uniform_instance(graph),
             [(bipartition, list(graph.edges()))],
             {},
             tracker=tracker,
-            scan_path="numpy",
         )
         # Every call is a Lemma D.3 level: no Lemma D.2 level split here.
         assert tracker.breakdown["list-solver-split-level"] == 0
@@ -922,7 +930,7 @@ class TestSplitLevelMatrix:
         graph = generators.random_regular_graph(96, 16, seed=2)
         assert graph.max_degree > parameters.DEFAULT_PARAMETERS.final_degree
         tracker = RoundTracker()
-        result = list_edge_coloring(graph, tracker=tracker, scan_path="numpy")
+        result = _on("numpy", list_edge_coloring, graph, tracker=tracker)
         assert tracker.breakdown["list-solver-split-level"] == 0
         assert result.outer_iterations >= 1
         assert len(calls) <= split_levels * result.outer_iterations
@@ -944,7 +952,7 @@ class TestSplitLevelMatrix:
         monkeypatch.setattr(balanced_orientation, "_token_dropping_core", forbidden)
         monkeypatch.setattr(balanced_orientation, "segmented_token_dropping", counting)
         graph = generators.random_regular_graph(96, 16, seed=2)
-        result = list_edge_coloring(graph, scan_path="numpy")
+        result = _on("numpy", list_edge_coloring, graph)
         assert is_proper_edge_coloring(graph, result.colors)
         assert played  # repair games did run
 
@@ -1038,7 +1046,7 @@ class TestSimulatorTwinMatrix:
         results = {}
         for path in ("numpy", "python", "auto"):
             calls.clear()
-            out, metrics = network.run(LinialNodeAlgorithm(scan_path=path))
+            out, metrics = _on(path, network.run, LinialNodeAlgorithm())
             results[path] = (out, _metrics_fingerprint(metrics), len(calls))
         assert results["numpy"][:2] == results["python"][:2] == results["auto"][:2]
         # Non-vacuous: one sweep per round under numpy, none under python.
@@ -1074,7 +1082,7 @@ class TestSimulatorTwinMatrix:
         )
         network = api.build_linial_network(graph)
         outcomes = [
-            api.run_linial_network(graph, network=network, scan_path=path)
+            _on(path, api.run_linial_network, graph, network=network)
             for path in ("numpy", "python", "auto")
         ]
         for outcome in outcomes[1:]:
@@ -1082,39 +1090,43 @@ class TestSimulatorTwinMatrix:
 
 
 class TestScanPathReachesEngines:
-    """An explicit ``scan_path="python"`` keeps every engine off numpy.
+    """A ``python`` engine scope keeps every engine off numpy.
 
     Covered: the Linial reduction steps, the defective local search, the
     edge-schedule setup, the greedy leaf and the Definition 5.1 defect
-    recount.
+    recount, under the public pipelines, the baselines, the classic
+    pipelines and the scenario runners.
     """
 
     @pytest.fixture
     def numpy_engines_raise(self, monkeypatch):
+        import sys
+
         from repro.coloring import defective_vertex, greedy, linial
-        from repro.core import engine
 
         def forbidden(*_args, **_kwargs):
-            raise AssertionError("a numpy engine ran under scan_path='python'")
+            raise AssertionError("a numpy engine ran under a python scope")
 
         monkeypatch.setattr(linial, "polynomial_steps_numpy", forbidden)
         monkeypatch.setattr(linial, "conflict_free_step_numpy", forbidden)
         monkeypatch.setattr(defective_vertex, "_local_search_rounds_numpy", forbidden)
         monkeypatch.setattr(greedy, "_schedule_setup_numpy", forbidden)
         monkeypatch.setattr(greedy, "_greedy_classes_numpy", forbidden)
-        # measure_defects resolves its inline numpy branch through a
-        # call-time import of engine.resolve_use_numpy: record the knobs
-        # it is handed.
+        # Inline numpy branches (the defect recount's among them) have no
+        # engine function to patch: record every choice use_numpy makes,
+        # by the name of the function that asked.
         resolved = []
-        real = engine.resolve_use_numpy
+        real = engine.use_numpy
 
-        def recording(scan_path, size):
-            resolved.append(scan_path)
-            return real(scan_path, size)
+        def recording(size):
+            choice = real(size)
+            resolved.append((sys._getframe(1).f_code.co_name, choice))
+            return choice
 
-        monkeypatch.setattr(engine, "resolve_use_numpy", recording)
-        # The explicit knob must win even over a forced environment.
-        _force_engine(monkeypatch, "numpy")
+        monkeypatch.setattr(engine, "use_numpy", recording)
+        # The scope must win even over an environment forced to numpy.
+        monkeypatch.setenv("REPRO_SCAN_PATH", "numpy")
+        monkeypatch.setattr(engine, "_ENV_SCAN_PATH", engine._UNREAD)
         return resolved
 
     @pytest.fixture
@@ -1127,17 +1139,17 @@ class TestScanPathReachesEngines:
         return graph
 
     def test_local_pipeline(self, numpy_engines_raise, graph):
-        outcome = api.color_edges_local(graph, scan_path="python")
+        outcome = _on("python", api.color_edges_local, graph)
         assert outcome.is_proper
         assert outcome.details["round_breakdown"]["linial"] > 0
 
     def test_congest_pipeline(self, numpy_engines_raise, graph):
-        outcome = api.color_edges_congest(graph, scan_path="python")
+        outcome = _on("python", api.color_edges_congest, graph)
         assert outcome.is_proper
         assert outcome.details["round_breakdown"]["linial"] > 0
 
     def test_linial_network(self, numpy_engines_raise, graph):
-        outcome = api.run_linial_network(graph, scan_path="python")
+        outcome = _on("python", api.run_linial_network, graph)
         assert outcome.rounds > 0
         assert outcome.congest_violations == 0
 
@@ -1146,19 +1158,30 @@ class TestScanPathReachesEngines:
         from repro.baselines.panconesi_rizzi import linear_in_delta_edge_coloring
 
         for baseline in (greedy_baseline_edge_coloring, linear_in_delta_edge_coloring):
-            result = baseline(graph, scan_path="python")
+            result = _on("python", baseline, graph)
             assert is_proper_edge_coloring(graph, result.colors)
 
     def test_barenboim_elkin_baseline(self, numpy_engines_raise, graph):
         from repro.baselines.barenboim_elkin import barenboim_elkin_edge_coloring
 
-        result = barenboim_elkin_edge_coloring(graph, scan_path="python")
+        result = _on("python", barenboim_elkin_edge_coloring, graph)
         assert is_proper_edge_coloring(graph, result.colors)
+
+    @pytest.mark.parametrize(
+        "name", ["maximal_matching", "maximal_independent_set", "delta_plus_one_vertex_coloring"]
+    )
+    def test_classic_pipelines(self, numpy_engines_raise, graph, name):
+        from repro import classic
+
+        tracker = RoundTracker()
+        _on("python", getattr(classic, name), graph, tracker=tracker)
+        assert tracker.breakdown["linial"] > 0
+        assert numpy_engines_raise and not any(choice for _, choice in numpy_engines_raise)
 
     @pytest.mark.parametrize("name", ["e7_logstar", "e8_linial", "fault_sweep", "suite_compare"])
     def test_scenario_runners(self, numpy_engines_raise, name):
-        # The runners read the knob from ctx.knobs: a row that records
-        # scan_path "python" ran no numpy engine.
+        # The executor scopes every cell to its ctx.knobs: a row that
+        # records scan_path "python" ran no numpy engine.
         from repro.runtime.registry import get
         from repro.runtime.spec import Knobs
 
@@ -1167,12 +1190,13 @@ class TestScanPathReachesEngines:
 
     def test_e5_defect_recount_uses_the_coloring_engine(self, numpy_engines_raise):
         # E5's Definition 5.1 check recounts defects on the engine the
-        # coloring ran with.
+        # coloring ran with: the cell's scope.
         from repro.runtime.registry import get
         from repro.runtime.spec import Knobs
 
         scenario_results(get("e5_defective"), quick=True, knobs=Knobs(scan_path="python"))
-        assert numpy_engines_raise and set(numpy_engines_raise) == {"python"}
+        assert ("measure_defects", False) in numpy_engines_raise
+        assert not any(choice for _, choice in numpy_engines_raise)
 
 
 #: Fault plans covering every fault channel, alone and combined.
@@ -1198,7 +1222,7 @@ class TestFaultPlaneMatrix:
     def test_faulted_linial_engines_bit_identical(self, plan):
         network = _linial_network(96, seed=96)
         results = [
-            network.run(LinialNodeAlgorithm(scan_path=path), fault_plan=plan)
+            _on(path, network.run, LinialNodeAlgorithm(), fault_plan=plan)
             for path in ("numpy", "python")
         ]
         (numpy_out, numpy_metrics), (python_out, python_metrics) = results

@@ -17,8 +17,6 @@ from repro.graphs.core import Graph
 class TestBipartition:
     def test_side_accessors(self):
         bipartition = Bipartition([0, 1, 0, 1])
-        assert bipartition.left_nodes() == [0, 2]
-        assert bipartition.right_nodes() == [1, 3]
         assert bipartition.side(3) == 1
 
     def test_rejects_invalid_sides(self):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.graphs import generators
 from repro.graphs.core import Graph
-from repro.graphs.identifiers import edge_identifiers, id_bits, id_space_size, log_star
+from repro.graphs.identifiers import id_space_size, log_star
 
 
 class TestLogStar:
@@ -25,7 +25,6 @@ class TestIdSpace:
     def test_default_ids(self):
         graph = Graph(8, [(0, 1)])
         assert id_space_size(graph) == 8
-        assert id_bits(graph) == 3
 
     def test_scrambled_ids_change_space(self):
         base = generators.cycle_graph(8)
@@ -36,9 +35,8 @@ class TestIdSpace:
     def test_empty_graph(self):
         graph = Graph(0, [])
         assert id_space_size(graph) == 1
-        assert id_bits(graph) == 1
 
     def test_edge_identifiers_unique(self):
         graph = generators.grid_graph(4, 4)
-        ids = edge_identifiers(graph)
+        ids = [graph.edge_id(e) for e in graph.edges()]
         assert len(set(ids)) == graph.num_edges

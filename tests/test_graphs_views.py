@@ -7,6 +7,7 @@ import random
 import pytest
 
 from graph_helpers import edge_degree_within, subgraph_from_edges
+from repro.core import engine
 from repro.graphs import generators
 from repro.graphs.core import Graph, degrees_within
 
@@ -124,12 +125,14 @@ class TestEdgeSubsetView:
     def test_forced_filters_match_materialized_subgraph(self, scan_path):
         # The numpy filter and its python twin must produce the same rows.
         graph, subset = self._graph_and_subset()
-        view = graph.edge_subset_view(subset, scan_path=scan_path)
+        with engine.scan_path(scan_path):
+            view = graph.edge_subset_view(subset)
         assert view.adjacency_csr() == subgraph_from_edges(graph, subset).adjacency_csr()
 
     @pytest.mark.parametrize("scan_path", ["numpy", "python"])
     def test_empty_subset_keeps_every_node(self, scan_path):
-        view = Graph(3, [(0, 1)]).edge_subset_view([], scan_path=scan_path)
+        with engine.scan_path(scan_path):
+            view = Graph(3, [(0, 1)]).edge_subset_view([])
         assert view.adjacency_csr() == ([0, 0, 0, 0], [])
         assert (view.num_nodes, view.num_edges, view.max_degree) == (3, 0, 0)
 

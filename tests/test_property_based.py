@@ -18,6 +18,7 @@ from repro.core.defective_edge_coloring import (
     generalized_defective_two_edge_coloring,
     half_split_lambdas,
 )
+from repro.core import engine
 from repro.core.engine import _np
 from repro.core.slack import uniform_instance
 from repro.core.token_dropping import TokenDroppingGame, run_token_dropping, uniform_alpha
@@ -151,15 +152,14 @@ class TestColoringProperties:
         for path in ("python", "numpy"):
             used = UsedColorMasks(graph.num_nodes)
             tracker = RoundTracker()
-            first = proper_edge_schedule(graph, precolored, scan_path=path)
-            colors = greedy_edge_coloring_by_classes(
-                graph, first, used_colors=used, scan_path=path
-            )
-            schedule = proper_edge_schedule(graph, rest, tracker=tracker, scan_path=path)
-            before = dict(tracker.breakdown)
-            new = greedy_edge_coloring_by_classes(
-                graph, schedule, used_colors=used, tracker=tracker, scan_path=path
-            )
+            with engine.scan_path(path):
+                first = proper_edge_schedule(graph, precolored)
+                colors = greedy_edge_coloring_by_classes(graph, first, used_colors=used)
+                schedule = proper_edge_schedule(graph, rest, tracker=tracker)
+                before = dict(tracker.breakdown)
+                new = greedy_edge_coloring_by_classes(
+                    graph, schedule, used_colors=used, tracker=tracker
+                )
             # The leaf's charge is its schedule's number of non-empty classes.
             charged = tracker.breakdown.get("greedy-edge-classes", 0)
             assert charged - before.get("greedy-edge-classes", 0) == len(set(schedule.values()))

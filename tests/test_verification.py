@@ -47,6 +47,17 @@ class TestListColoringChecker:
         colors = {0: 0, 1: 1}
         violations = list_coloring_violations(graph, colors, lists)
         assert ("list", 1) in violations
+        # A list object shared by several edges (as in a uniform
+        # instance), one out-of-list color among them, and one edge with
+        # its own list.
+        graph = generators.cycle_graph(6)
+        palette = [0, 1, 2]
+        lists = dict.fromkeys(graph.edges(), palette)
+        lists[5] = [3, 4]
+        colors = {0: 0, 1: 1, 2: 0, 3: 7, 4: 0, 5: 4}
+        assert list_coloring_violations(graph, colors, lists) == [("list", 3)]
+        colors[5] = 1
+        assert list_coloring_violations(graph, colors, lists) == [("list", 3), ("list", 5)]
 
     def test_detects_conflicts(self):
         graph = generators.star_graph(2)

@@ -25,6 +25,7 @@ import pytest  # noqa: E402
 
 from repro.coloring.color_reduction import reduction_schedule  # noqa: E402
 from repro.coloring.linial import LinialNodeAlgorithm  # noqa: E402
+from repro.core import engine  # noqa: E402
 from repro.core.slack import uniform_instance  # noqa: E402
 from repro.distributed.model import Model, congest_bit_budget  # noqa: E402
 from repro.distributed.network import SynchronousNetwork  # noqa: E402
@@ -99,7 +100,8 @@ class TestGoldenE8Invariants:
         network = SynchronousNetwork(
             graph, model=Model.CONGEST, global_knowledge={"id_space": id_space_size(graph)}
         )
-        colors, metrics = network.run(LinialNodeAlgorithm(scan_path=scan_path))
+        with engine.scan_path(scan_path):
+            colors, metrics = network.run(LinialNodeAlgorithm())
         assert is_proper_vertex_coloring(graph, colors)
         assert metrics.congest_violations == 0
         if graph.num_nodes:
