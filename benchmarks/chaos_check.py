@@ -19,9 +19,9 @@ One small sweep, three adversaries at once:
   artifact + delta journal, and diffed against an uninterrupted
   in-process run;
 * **concurrent clients + kill** — four client threads hammer a daemon
-  running with journal rotation caps; the daemon is SIGKILLed
-  mid-traffic and the base + rotated segments + active journal must
-  replay every acknowledged write.
+  running with a journal rotation cap, which folds the journal into
+  the base JSON online; the daemon is SIGKILLed mid-traffic and the
+  base + journal must replay every acknowledged write.
 
 Asserted afterwards:
 
@@ -40,12 +40,13 @@ Asserted afterwards:
    asserts that journal replay reproduces the exact pre-kill artifact
    state and that the cross-kill response stream is bit-identical to
    the uninterrupted session;
-6. under four concurrent clients and rotation caps, the kill leaves
-   rotated ``.journal.N`` segments behind, every acknowledged write
-   epoch is distinct (the writer lock's total order), replaying
-   base + segments + active journal reaches at least the highest
-   acknowledged epoch, and a restart + graceful shutdown compacts
-   segments and journal away;
+6. under four concurrent clients and a journal rotation cap, the
+   daemon folded the journal into the base JSON online before the
+   kill, the journal left behind holds at most the cap, every
+   acknowledged write epoch is distinct (the writer lock's total
+   order), replaying base + journal reaches at least the highest
+   acknowledged epoch, and a restart + graceful shutdown folds the
+   journal away;
 7. the observability trace sink shares the store's torn-tail contract
    (:mod:`repro.jsonlog`):
    a torn trailing span (a tracer killed mid-write) is skipped on read,
@@ -57,6 +58,7 @@ Exit status 0 when all assertions hold.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import shutil
@@ -121,17 +123,18 @@ def daemon_kill_replay_probe() -> None:
 
 
 def concurrent_clients_kill_probe(workdir: str) -> None:
-    """Phase 6: 4 concurrent clients + rotation caps + SIGKILL mid-traffic.
+    """Phase 6: 4 concurrent clients + a rotation cap + SIGKILL mid-traffic.
 
     Each client thread owns one node (owners pairwise non-adjacent, so
     write sets are disjoint) and toggles its base edges over its own
-    socket while the daemon rotates its journal every 8 records.  The
-    daemon is SIGKILLed while traffic is in flight; afterwards the
-    retained ``.journal.N`` segments plus the active journal must
-    replay every *acknowledged* write (journal-before-ack inside the
-    writer lock), the acknowledged write epochs must be pairwise
-    distinct (the writer lock's total order), and a restart + graceful
-    shutdown must compact segments and journal away.  The daemon runs at
+    socket while the daemon folds its journal into the base JSON every
+    8 records.  The daemon is SIGKILLed while traffic is in flight;
+    afterwards the base JSON must be past the built epoch (an online
+    fold happened), the journal must hold at most 8 records, base +
+    journal must replay every *acknowledged* write (journal-before-ack
+    inside the writer lock), the acknowledged write epochs must be
+    pairwise distinct (the writer lock's total order), and a restart +
+    graceful shutdown must fold the journal away.  The daemon runs at
     ``--radius-limit 0``, so every write whose repair pops an edge is a
     fallback; at m=160 the drain budget is 10 pops, so both fallback
     routes run.
@@ -145,7 +148,6 @@ def concurrent_clients_kill_probe(workdir: str) -> None:
         DeltaJournal,
         build_artifact,
         journal_path,
-        segment_paths,
     )
     from repro.serving.daemon import connect, spawned_daemon
 
@@ -167,7 +169,8 @@ def concurrent_clients_kill_probe(workdir: str) -> None:
         if len(owners) == clients:
             break
 
-    rotation = ["--journal-max-records", "8", "--radius-limit", "0"]
+    cap = 8
+    rotation = ["--journal-max-records", str(cap), "--radius-limit", "0"]
     acks = [[] for _ in owners]
     write_count = threading.Lock()
     total_writes = [0]
@@ -223,24 +226,23 @@ def concurrent_clients_kill_probe(workdir: str) -> None:
             "per-client ack order follows epoch order",
         )
 
-    segments = segment_paths(path)
-    check(len(segments) >= 2, f"kill left >=2 rotated journal segments ({len(segments)})")
+    with open(path, encoding="utf-8") as handle:
+        folded_epoch = json.load(handle)["epoch"]
+    check(
+        folded_epoch > built.epoch,
+        f"daemon folded the journal online (base epoch {folded_epoch})",
+    )
+    journal = DeltaJournal(journal_path(path))
+    chain = [record["epoch"] for record in journal.records()]
+    check(len(chain) <= cap, f"journal holds at most the cap ({len(chain)} <= {cap})")
     recovered = ColoringArtifact.load(path)
     check(
         recovered.epoch >= max(epochs) and recovered.verify(),
-        "segment replay reaches every acknowledged epoch and verifies",
+        "base + journal replay reaches every acknowledged epoch and verifies",
     )
-
-    # The journal chain (segments + active) is itself a consistent
-    # total order: strictly increasing epochs across the chain.
-    chain = []
-    for segment in segments + [journal_path(path)]:
-        journal = DeltaJournal(segment)
-        if journal.exists():
-            chain.extend(record["epoch"] for record in journal.records())
     check(
         all(b > a for a, b in zip(chain, chain[1:])),
-        "journal chain epochs strictly increase across segments",
+        "journal epochs strictly increase",
     )
 
     # Restart + graceful shutdown folds everything back into the JSON.
@@ -250,8 +252,8 @@ def concurrent_clients_kill_probe(workdir: str) -> None:
         check(ack == {"ok": True, "op": "shutdown"}, "restarted daemon acks shutdown")
         process.wait(timeout=30)
     check(
-        not os.path.exists(journal_path(path)) and segment_paths(path) == [],
-        "graceful shutdown compacted journal and rotated segments",
+        not os.path.exists(journal_path(path)),
+        "graceful shutdown folded the journal away",
     )
     final = ColoringArtifact.load(path)
     check(

@@ -199,10 +199,6 @@ class FaultStats:
     suppressed: int = 0  # payloads addressed to crashed nodes
     crashes: List[Tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def total_faults(self) -> int:
-        return self.dropped + self.delayed + self.duplicated + len(self.crashes)
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "dropped": self.dropped,

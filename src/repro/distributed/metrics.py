@@ -23,7 +23,7 @@ Fault-free runs leave ``fault_summary`` as ``None``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 
@@ -39,7 +39,6 @@ class ExecutionMetrics:
         congest_budget_bits: the CONGEST budget the run was audited against
             (``None`` for LOCAL runs).
         congest_violations: number of messages that exceeded the budget.
-        round_breakdown: rounds per algorithm phase label.
         fault_summary: realized fault statistics when the run executed
             under a :class:`repro.distributed.faults.FaultPlan`
             (deterministic for a fixed plan); ``None`` for fault-free runs.
@@ -50,38 +49,4 @@ class ExecutionMetrics:
     max_message_bits: int = 0
     congest_budget_bits: Optional[int] = None
     congest_violations: int = 0
-    round_breakdown: Dict[str, int] = field(default_factory=dict)
     fault_summary: Optional[Dict[str, object]] = None
-
-    def merge(self, other: "ExecutionMetrics") -> "ExecutionMetrics":
-        """Combine two executions run one after the other."""
-        breakdown = dict(self.round_breakdown)
-        for key, value in other.round_breakdown.items():
-            breakdown[key] = breakdown.get(key, 0) + value
-        return ExecutionMetrics(
-            rounds=self.rounds + other.rounds,
-            messages=self.messages + other.messages,
-            max_message_bits=max(self.max_message_bits, other.max_message_bits),
-            congest_budget_bits=self.congest_budget_bits or other.congest_budget_bits,
-            congest_violations=self.congest_violations + other.congest_violations,
-            round_breakdown=breakdown,
-            fault_summary=_merge_fault_summaries(self.fault_summary, other.fault_summary),
-        )
-
-
-def _merge_fault_summaries(
-    left: Optional[Dict[str, object]], right: Optional[Dict[str, object]]
-) -> Optional[Dict[str, object]]:
-    """Sum the counters of two fault summaries; crash lists concatenate."""
-    if left is None:
-        return dict(right) if right is not None else None
-    if right is None:
-        return dict(left)
-    merged: Dict[str, object] = {}
-    for key in set(left) | set(right):
-        a, b = left.get(key), right.get(key)
-        if isinstance(a, list) or isinstance(b, list):
-            merged[key] = list(a or []) + list(b or [])
-        else:
-            merged[key] = (a or 0) + (b or 0)
-    return merged

@@ -165,7 +165,6 @@ class Graph:
         self._max_edge_degree: Optional[int] = None
         self._eadj_off: Optional[List[int]] = None
         self._eadj: Optional[List[int]] = None
-        self._rev_port: Optional[List[int]] = None
         self._rev_slot: Optional[List[int]] = None
         self._endpoints_np = None
 
@@ -246,29 +245,14 @@ class Graph:
                 rev_slot[i] = slot_hi[e] if edge_u[e] == v else slot_lo[e]
         self._rev_slot = rev_slot
 
-    def reverse_port_csr(self) -> List[int]:
-        """The flat reverse-port array aligned with :meth:`adjacency_csr`.
-
-        ``rev[xadj[v] + p]`` is the port of ``v`` in the row of the
-        neighbor ``w = adj[xadj[v] + p]`` — the port on which ``w``
-        receives what ``v`` sends on port ``p``.  Derived lazily from the
-        reverse-slot array (which the simulator shares); shared, not
-        copied — do not mutate.
-        """
-        if self._rev_port is None:
-            rev_slot = self.reverse_slot_csr()
-            xadj = self._xadj
-            adj = self._adj
-            self._rev_port = [rev_slot[i] - xadj[adj[i]] for i in range(len(adj))]
-        return self._rev_port
-
     def reverse_slot_csr(self) -> List[int]:
         """The flat reverse-*slot* array aligned with :meth:`adjacency_csr`.
 
         ``rev_slot[i]`` is the absolute adjacency-array position of the
         opposite direction of slot ``i``: ``rev_slot[xadj[v] + p] ==
-        xadj[w] + reverse_port_csr()[xadj[v] + p]`` with ``w`` the
-        neighbor on port ``p``.  The message-passing simulator uses this
+        xadj[w] + q`` with ``w`` the neighbor on port ``p`` and ``q`` the
+        port on which ``w`` receives what ``v`` sends on port ``p``.
+        The message-passing simulator uses this
         to index its flat inbox buffer directly.  Built lazily; shared,
         not copied — do not mutate.
         """
@@ -337,15 +321,6 @@ class Graph:
     def incident_edges(self, v: int) -> List[int]:
         """Edge indices incident to node ``v`` (sorted by neighbor)."""
         return self._inc[self._xadj[v] : self._xadj[v + 1]]
-
-    def other_endpoint(self, e: int, v: int) -> int:
-        """The endpoint of edge ``e`` that is not ``v``."""
-        u, w = self._edges[e]
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise ValueError(f"node {v} is not an endpoint of edge {e}")
 
     def edge_degree(self, e: int) -> int:
         """Degree of edge ``e`` in the line graph: deg(u) + deg(v) - 2."""
@@ -626,14 +601,6 @@ class DirectedGraph:
     def degree(self, v: int) -> int:
         """Total (undirected) degree of ``v``."""
         return len(self._out.get(v, ())) + len(self._in.get(v, ()))
-
-    def undirected_edge_degree(self, index: int) -> int:
-        """Degree of the arc in the underlying undirected (multi)graph.
-
-        This matches the paper's ``deg_G(e)`` convention for directed
-        graphs: degrees are taken in the undirected version of the graph.
-        """
-        return self.degree(self._tails[index]) + self.degree(self._heads[index]) - 2
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"DirectedGraph(n={self._num_nodes}, m={len(self._tails)})"

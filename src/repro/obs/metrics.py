@@ -58,9 +58,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def snapshot(self) -> Dict[str, object]:
         return {"kind": self.kind, "value": self.value}
 

@@ -68,14 +68,13 @@ two:
       acknowledgment inside that critical section (acknowledged ⇒
       durable, even under SIGKILL).  A :class:`RotationPolicy`
       (``--journal-max-bytes`` / ``--journal-max-records``) caps the
-      active journal with online compact-and-rotate into
-      ``<artifact>.journal.N`` segments; graceful shutdown compacts
-      everything.  :func:`connect` returns the same duck-typed client
-      for an in-process artifact or a daemon address.  The
-      ``serving_daemon`` scenario (E13) pins socket responses
-      bit-identical to an in-process session, journal-replay recovery
-      after SIGKILL, and the concurrent-clients cell's speedup over a
-      serialized schedule.
+      journal: past a cap, a full save folds it into the artifact JSON
+      online, as graceful shutdown does.  :func:`connect` returns
+      the same duck-typed client for an in-process artifact or a
+      daemon address.  The ``serving_daemon`` scenario (E13) pins
+      socket responses bit-identical to an in-process session,
+      journal-replay recovery after SIGKILL, and the concurrent-clients
+      cell's speedup over a serialized schedule.
     * *Bounded observability*: ``ServingSession.reports`` is a ring
       buffer (``reports_cap``, default 256); lossless totals live in
       the session's own metrics registry (``ServingSession.metrics``),
@@ -111,8 +110,6 @@ from repro.serving.journal import (
     RotationPolicy,
     compact_artifact,
     journal_path,
-    resolve_rotation,
-    segment_paths,
 )
 from repro.serving.protocol import (
     ERROR_CODES,
@@ -188,8 +185,6 @@ __all__ = [
     "parse_request",
     "resolve_rebase_policy",
     "resolve_repair_path",
-    "resolve_rotation",
     "result_cache_key",
-    "segment_paths",
     "spawn_daemon_process",
 ]

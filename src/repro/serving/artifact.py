@@ -31,13 +31,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro import jsonlog
 from repro.graphs.core import Graph
 from repro.graphs.delta import DeltaGraph, _pair
+from repro.obs import get_registry, tracer
 from repro.serving.journal import (
     DeltaJournal,
     RotationPolicy,
-    clear_segments,
     delta_record,
     journal_path,
-    segment_paths,
 )
 from repro.serving.repair import (
     RepairError,
@@ -137,9 +136,9 @@ class ColoringArtifact:
         # Delta records pending a journal append: populated only when
         # journal tracking is on (loaded/saved artifacts), drained by
         # ``save``.  In-memory artifacts that are never persisted pay
-        # nothing.  ``_journal_records`` counts records in the *active*
-        # journal file (rotation policies cap it without re-reading the
-        # file on every append).
+        # nothing.  ``_journal_records`` counts records in the journal
+        # file (rotation policies cap it without re-reading the file on
+        # every append).
         self._journal_tracking = False
         self._pending_deltas: List[Dict[str, object]] = []
         self._journal_records = 0
@@ -152,7 +151,7 @@ class ColoringArtifact:
 
     @property
     def journal_records(self) -> int:
-        """Records in the active on-disk journal (what a full save folds)."""
+        """Records in the on-disk journal (what a full save folds)."""
         return self._journal_records
 
     @property
@@ -420,44 +419,6 @@ class ColoringArtifact:
         """Atomically rewrite the full artifact JSON (journal untouched)."""
         jsonlog.rewrite(path, [json.dumps(self.to_json(), separators=(",", ":"))], fsync)
 
-    def _rotate(self, path: str, rotation: RotationPolicy, fsync: bool) -> None:
-        """Online compact-and-rotate the active journal (cap was hit).
-
-        Ordering is the durability argument: (1) the in-memory
-        artifact — which already contains every journaled delta — is
-        atomically full-saved, so from that instant every journal
-        record is at or below the base epoch and replay skips it;
-        (2) the active journal is renamed to the next ``.journal.N``
-        segment; (3) segments beyond ``keep_segments`` are pruned.  A
-        SIGKILL between any two steps loses nothing: before (1) the
-        old base + journal replay; after (1) the new base supersedes
-        whatever journal files remain.
-        """
-        from repro.obs import get_registry, tracer
-
-        with tracer().span("journal.rotate", artifact=path) as span:
-            self._write_full(path, fsync=fsync)
-            active = journal_path(path)
-            segments = segment_paths(path)
-            if os.path.exists(active):
-                next_n = 1
-                if segments:
-                    last = segments[-1]
-                    next_n = int(last.rsplit(".", 1)[1]) + 1
-                os.replace(active, f"{active}.{next_n}")
-                if fsync:
-                    jsonlog.fsync_dir(active)
-                segments.append(f"{active}.{next_n}")
-            self._journal_records = 0
-            pruned = 0
-            if rotation.keep_segments >= 0:
-                excess = segments[: max(0, len(segments) - rotation.keep_segments)]
-                for old in excess:
-                    os.remove(old)
-                    pruned += 1
-            span.set(segments=len(segments) - pruned, pruned=pruned)
-        get_registry().counter("journal.rotations").inc()
-
     def save(
         self,
         path: str,
@@ -470,18 +431,18 @@ class ColoringArtifact:
 
         ``journal=False`` (the default) writes the full snapshot: the
         artifact JSON is rewritten atomically
-        (:func:`repro.jsonlog.rewrite`) and a now-superseded
-        ``<path>.journal`` — rotated segments included — is deleted:
-        everything they recorded is baked into the new base.
+        (:func:`repro.jsonlog.rewrite`), then the now-superseded
+        ``<path>.journal`` is deleted — everything it recorded is baked
+        into the new base.
 
         ``journal=True`` appends the deltas absorbed since the last save
         to ``<path>.journal`` instead — O(deltas) disk work instead of
         O(m), the long-lived daemon's per-delta durability path.  It
         requires the artifact JSON to exist (first saves are full saves)
         and delta tracking to be on, which :meth:`load` and every full
-        :meth:`save` arm automatically.  With a ``rotation`` policy, an
-        active journal that outgrew a cap is compact-and-rotated after
-        the append (see :meth:`_rotate`).
+        :meth:`save` arm automatically.  With a ``rotation`` policy, a
+        journal that outgrew a cap is folded right after the append by
+        a full save (the ``journal.rotate`` span).
         """
         if journal:
             if not self._journal_tracking:
@@ -500,11 +461,12 @@ class ColoringArtifact:
             if rotation is not None and rotation.should_rotate(
                 journal_path(path), self._journal_records
             ):
-                self._rotate(path, rotation, fsync)
+                with tracer().span("journal.rotate", artifact=path):
+                    self.save(path, fsync=fsync)
+                get_registry().counter("journal.rotations").inc()
             return
         self._write_full(path, fsync=fsync)
         DeltaJournal(journal_path(path)).clear()
-        clear_segments(path)
         self._journal_tracking = True
         self._pending_deltas = []
         self._journal_records = 0
@@ -513,49 +475,40 @@ class ColoringArtifact:
     def load(cls, path: str) -> "ColoringArtifact":
         """Read an artifact written by :meth:`save`, replaying its journal.
 
-        Rotated ``<path>.journal.N`` segments are replayed in ascending
-        ``N``, then the active ``<path>.journal``: in every file, a
-        record above the base JSON's epoch is re-absorbed in order and
-        records the base already folded in are skipped, so the loaded
-        artifact lands on the exact state of the last acknowledged
-        delta — bit-identical, because each replayed delta repairs
-        toward the same canonical fixed point the original session
-        maintained.  (Under the fold-first rotation ordering, segments
-        only ever hold already-folded records — the skip makes them
-        harmless history.)  A torn trailing record (interrupted append)
-        is skipped by the journal layer; an epoch that fails to line up
-        raises :class:`RepairError`.
+        A record of ``<path>.journal`` above the base JSON's epoch is
+        re-absorbed in order; records the base already folded in are
+        skipped (a fold killed before it deleted the journal leaves only
+        such records).  So the loaded artifact lands on the exact state
+        of the last acknowledged delta — bit-identical, because each
+        replayed delta repairs toward the same canonical fixed point the
+        original session maintained.  A torn trailing record
+        (interrupted append) is skipped by the journal layer; an epoch
+        that fails to line up raises :class:`RepairError`.
         """
         with open(path, "r", encoding="utf-8") as handle:
             artifact = cls.from_json(json.load(handle))
         artifact._journal_tracking = True
-        active = DeltaJournal(journal_path(path))
-        journals = [DeltaJournal(p) for p in segment_paths(path)] + [active]
-        for journal in journals:
-            if not journal.exists():
-                continue
-            records = journal.records()
-            for record in records:
-                epoch = int(record["epoch"])
-                if epoch <= artifact.epoch:
-                    continue  # already folded into the base JSON
-                op = record["op"]
-                u, v = int(record["u"]), int(record["v"])
-                if op == "insert":
-                    artifact.insert(u, v)
-                elif op == "delete":
-                    artifact.delete(u, v)
-                elif op == "set_list":
-                    artifact.set_list(u, v, record.get("colors"))
-                else:
-                    raise RepairError(f"journal record with unknown op {op!r}")
-                if artifact.epoch != epoch:
-                    raise RepairError(
-                        f"journal replay drifted: record epoch {epoch}, "
-                        f"artifact epoch {artifact.epoch}"
-                    )
-            if journal is active:
-                artifact._journal_records = len(records)
+        records = DeltaJournal(journal_path(path)).records()
+        for record in records:
+            epoch = int(record["epoch"])
+            if epoch <= artifact.epoch:
+                continue  # already folded into the base JSON
+            op = record["op"]
+            u, v = int(record["u"]), int(record["v"])
+            if op == "insert":
+                artifact.insert(u, v)
+            elif op == "delete":
+                artifact.delete(u, v)
+            elif op == "set_list":
+                artifact.set_list(u, v, record.get("colors"))
+            else:
+                raise RepairError(f"journal record with unknown op {op!r}")
+            if artifact.epoch != epoch:
+                raise RepairError(
+                    f"journal replay drifted: record epoch {epoch}, "
+                    f"artifact epoch {artifact.epoch}"
+                )
+        artifact._journal_records = len(records)
         # Replay re-queued the records it applied; they are already
         # durable in the journal, so a later journal save must not
         # re-append them.

@@ -28,12 +28,12 @@ delta is a durable delta, and journal order equals epoch order equals
 ack order.  A SIGKILLed daemon therefore loses nothing it acknowledged
 — restarting replays the journal (:meth:`ColoringArtifact.load`) and
 resumes bit-identically.  ``journal_max_bytes`` / ``journal_max_records``
-cap the active journal; hitting a cap triggers an online
-compact-and-rotate into ``<artifact>.journal.N`` segments (see
+cap the journal; hitting a cap folds it online with a full save of the
+artifact, which deletes the journal (see
 :class:`~repro.serving.journal.RotationPolicy`), keeping weeks-long
 daemons at bounded disk and bounded replay.  Graceful shutdown (the
-``shutdown`` op, or SIGTERM/SIGINT under the CLI) compacts journal and
-segments into a fresh full artifact JSON on the way out.
+``shutdown`` op, or SIGTERM/SIGINT under the CLI) does the same fold
+on the way out.
 
 **Clients** — :func:`connect` is the one client surface: it returns
 the same duck-typed client (``request`` / ``request_many`` /
@@ -119,10 +119,10 @@ class ColoringDaemon:
     session's writer critical section, via
     :attr:`ServingSession.write_hook`); ``fsync=True`` additionally
     survives OS death, mirroring the result store's durability knob.
-    ``journal_max_bytes`` / ``journal_max_records`` cap the active
-    journal and trigger compact-and-rotate.  :meth:`stop` with
-    ``compact=True`` (graceful shutdown) folds journal + segments into
-    the artifact JSON; ``compact=False`` abandons the process state,
+    ``journal_max_bytes`` / ``journal_max_records`` cap the journal
+    and trigger an online fold.  :meth:`stop` with
+    ``compact=True`` (graceful shutdown) folds the journal into the
+    artifact JSON; ``compact=False`` abandons the process state,
     leaving the journal for the next :meth:`ColoringArtifact.load` to
     replay — the crash path, minus the crash.
     """
@@ -177,7 +177,7 @@ class ColoringDaemon:
             self._connections.inc(delta)
 
     def _persist_write(self, _response: Mapping) -> None:
-        """The session's write hook: journal-before-ack (+ rotation)."""
+        """The session's write hook: journal-before-ack (+ the capped fold)."""
         self.session.artifact.save(
             self.artifact_path, journal=True, fsync=self.fsync, rotation=self.rotation
         )
@@ -283,9 +283,9 @@ class ColoringDaemon:
         ``compact=True`` is the graceful path: the in-memory artifact
         (which already contains every journaled delta) is full-saved
         under the session's writer lock — no in-flight write can be
-        torn by the fold — deleting the journal and every rotated
-        segment.  ``compact=False`` leaves the on-disk base + journal
-        pair untouched for the next load.
+        torn by the fold — deleting the journal.  ``compact=False``
+        leaves the on-disk base + journal pair untouched for the next
+        load.
         """
         if self._server is not None:
             self._server.shutdown()

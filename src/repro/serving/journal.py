@@ -32,30 +32,24 @@ maintained (see :mod:`repro.serving.repair`).
 
 :func:`compact_artifact` folds the journal back into the artifact JSON
 (the explicit rewrite, mirroring ``scenarios compact`` on the result
-store); the daemon runs it on graceful shutdown.
+store); the daemon does the same fold on graceful shutdown.
 
-**Rotation.**  A weeks-long daemon cannot let the active journal grow
+**Rotation.**  A weeks-long daemon cannot let the journal grow
 without bound (unbounded disk, O(journal) replay).  A
-:class:`RotationPolicy` caps the active journal by bytes and/or record
-count; when a cap is hit, :meth:`ColoringArtifact.save` performs an
-online *compact-and-rotate*: the in-memory artifact is atomically
-full-saved (the fold — after it, every journal record is at or below
-the base epoch), the active journal is renamed to the next
-``<artifact>.journal.N`` segment, and segments beyond
-``keep_segments`` are pruned.  The ordering is SIGKILL-safe at every
-point: the fold lands first, so replay (which skips records at or
-below the base epoch) never double-applies a rotated record, and a
-kill between fold and rename merely leaves an already-superseded
-active journal.  ``load()`` replays segments in ascending ``N`` and
-then the active journal, under the same drift checks; a full save or
-compaction deletes segments along with the journal.
+:class:`RotationPolicy` caps the journal by bytes and/or record
+count; when a journal save pushes it past a cap,
+:meth:`ColoringArtifact.save` folds it online with a full save: the
+in-memory artifact is atomically rewritten as the base JSON, then the
+journal is deleted.  The ordering is SIGKILL-safe at every point: a
+kill before the rewrite leaves the old base + journal, and a kill
+between rewrite and delete leaves a journal whose records are all at
+or below the new base epoch, which replay skips.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -74,44 +68,16 @@ def journal_path(artifact_path: str) -> str:
     return artifact_path + ".journal"
 
 
-_SEGMENT_RE = re.compile(r"\.journal\.(\d+)$")
-
-
-def segment_paths(artifact_path: str) -> List[str]:
-    """Existing rotated segments ``<artifact>.journal.N``, ascending ``N``."""
-    base = journal_path(artifact_path)
-    directory = os.path.dirname(base) or "."
-    name = os.path.basename(base)
-    found = []
-    if os.path.isdir(directory):
-        for entry in os.listdir(directory):
-            if entry.startswith(name + "."):
-                match = _SEGMENT_RE.search(entry)
-                if match:
-                    found.append((int(match.group(1)), os.path.join(directory, entry)))
-    return [path for _n, path in sorted(found)]
-
-
-def clear_segments(artifact_path: str) -> None:
-    """Delete every rotated segment (a full save superseded them all)."""
-    for path in segment_paths(artifact_path):
-        os.remove(path)
-
-
 @dataclass(frozen=True)
 class RotationPolicy:
-    """Caps on the active journal that trigger compact-and-rotate.
+    """Caps on the journal that trigger an online fold.
 
-    ``max_bytes`` / ``max_records`` bound the active journal (either
-    may be ``None`` for uncapped); ``keep_segments`` bounds how many
-    rotated ``<artifact>.journal.N`` segments are retained — older
-    segments are pruned, which is safe because the fold-first rotation
-    ordering means a segment never holds the only copy of a record.
+    ``max_bytes`` / ``max_records`` bound the journal (either
+    may be ``None`` for uncapped, not both).
     """
 
     max_bytes: Optional[int] = None
     max_records: Optional[int] = None
-    keep_segments: int = 2
 
     def __post_init__(self) -> None:
         for name in ("max_bytes", "max_records"):
@@ -120,11 +86,9 @@ class RotationPolicy:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
         if self.max_bytes is None and self.max_records is None:
             raise ValueError("rotation policy needs max_bytes and/or max_records")
-        if self.keep_segments < 0:
-            raise ValueError(f"keep_segments must be >= 0, got {self.keep_segments!r}")
 
     def should_rotate(self, path: str, records: int) -> bool:
-        """Has the active journal at ``path`` outgrown a cap?"""
+        """Has the journal at ``path`` outgrown a cap?"""
         if self.max_records is not None and records >= self.max_records:
             return True
         if (
@@ -134,17 +98,6 @@ class RotationPolicy:
         ):
             return True
         return False
-
-
-def resolve_rotation(value) -> Optional[RotationPolicy]:
-    """Normalize a rotation knob: ``None``/``"off"`` disable, a policy passes."""
-    if value is None or value == "off":
-        return None
-    if isinstance(value, RotationPolicy):
-        return value
-    raise ValueError(
-        f"unknown rotation {value!r}; expected None, 'off' or a RotationPolicy"
-    )
 
 
 def delta_record(epoch: int, op: str, u: int, v: int, colors=None) -> Dict[str, object]:
@@ -173,9 +126,6 @@ class DeltaJournal:
     def __init__(self, path: str, fsync: bool = False) -> None:
         self.path = path
         self.fsync = fsync
-
-    def exists(self) -> bool:
-        return os.path.exists(self.path)
 
     def clear(self) -> None:
         """Delete the journal file (after a full save folded it in)."""
@@ -213,7 +163,7 @@ class DeltaJournal:
         non-increasing epoch raise too — those mean the file was edited,
         not interrupted.
         """
-        if not self.exists():
+        if not os.path.exists(self.path):
             return []
         records: List[Dict[str, object]] = []
         last_epoch = None
@@ -237,16 +187,14 @@ def compact_artifact(path: str, fsync: bool = False) -> int:
 
     Loads the artifact (which replays the journal), rewrites the full
     JSON atomically, and deletes the journal — the serving-plane
-    ``compact``, run by the daemon on graceful shutdown and by
-    ``python -m repro serve --compact``.  A journal-less artifact
-    compacts to itself (returns 0).
+    ``compact``, run by ``python -m repro serve --compact``.  A
+    journal-less artifact compacts to itself (returns 0).
     """
     from repro.serving.artifact import ColoringArtifact
 
     with tracer().span("journal.compact", artifact=path) as span:
-        journal = DeltaJournal(journal_path(path), fsync=fsync)
-        folded = len(journal.records()) if journal.exists() else 0
         artifact = ColoringArtifact.load(path)
+        folded = artifact.journal_records
         artifact.save(path, fsync=fsync)
         span.set(folded=folded)
     get_registry().counter("journal.compactions").inc()

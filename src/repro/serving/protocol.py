@@ -345,13 +345,3 @@ def error_response(
 ) -> Dict[str, object]:
     """The wire dict of a structured failure answer."""
     return ErrorResponse(code=code, error=message, op=op).to_wire()
-
-
-def is_read(request: Request) -> bool:
-    """True for ops that may execute concurrently against a snapshot."""
-    return isinstance(request, (QueryRequest, StatsRequest))
-
-
-def is_write(request: Request) -> bool:
-    """True for ops that must serialize on the writer lock."""
-    return isinstance(request, (DeltaRequest, RebaseRequest))

@@ -11,32 +11,3 @@ class TestExecutionMetrics:
         assert metrics.rounds == 0
         assert metrics.messages == 0
         assert metrics.congest_budget_bits is None
-
-    def test_merge_adds_counts_and_keeps_max(self):
-        a = ExecutionMetrics(
-            rounds=3,
-            messages=10,
-            max_message_bits=12,
-            congest_budget_bits=64,
-            congest_violations=1,
-            round_breakdown={"x": 3},
-        )
-        b = ExecutionMetrics(
-            rounds=2,
-            messages=5,
-            max_message_bits=20,
-            congest_violations=0,
-            round_breakdown={"x": 1, "y": 1},
-        )
-        merged = a.merge(b)
-        assert merged.rounds == 5
-        assert merged.messages == 15
-        assert merged.max_message_bits == 20
-        assert merged.congest_budget_bits == 64
-        assert merged.congest_violations == 1
-        assert merged.round_breakdown == {"x": 4, "y": 1}
-
-    def test_merge_budget_taken_from_either_side(self):
-        a = ExecutionMetrics()
-        b = ExecutionMetrics(congest_budget_bits=48)
-        assert a.merge(b).congest_budget_bits == 48

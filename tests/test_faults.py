@@ -13,7 +13,6 @@ import pytest
 
 from repro import api
 from repro.distributed.faults import FaultInjector, FaultPlan, FaultStats, fault_unit
-from repro.distributed.metrics import _merge_fault_summaries
 from repro.graphs import generators
 
 
@@ -157,14 +156,3 @@ class TestStatsPlumbing:
         stats = FaultStats(dropped=1, delayed=2, crashes=[(0, 3)])
         d = stats.as_dict()
         assert d["dropped"] == 1 and d["delayed"] == 2 and d["crashes"] == [[0, 3]]
-        assert stats.total_faults == 4
-
-    def test_merge_fault_summaries(self):
-        left = {"dropped": 2, "crashes": [[0, 1]]}
-        right = {"dropped": 3, "lost": 1, "crashes": [[4, 0]]}
-        merged = _merge_fault_summaries(left, right)
-        assert merged["dropped"] == 5
-        assert merged["lost"] == 1
-        assert merged["crashes"] == [[0, 1], [4, 0]]
-        assert _merge_fault_summaries(None, None) is None
-        assert _merge_fault_summaries(left, None) == left

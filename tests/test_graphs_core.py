@@ -65,13 +65,9 @@ class TestEdgeAccessors:
         with pytest.raises(KeyError):
             graph.edge_index(0, 3)
 
-    def test_incident_edges_and_other_endpoint(self):
+    def test_incident_edges(self):
         graph = Graph(4, [(0, 1), (0, 2), (0, 3)])
         assert sorted(graph.incident_edges(0)) == [0, 1, 2]
-        assert graph.other_endpoint(1, 0) == 2
-        assert graph.other_endpoint(1, 2) == 0
-        with pytest.raises(ValueError):
-            graph.other_endpoint(1, 3)
 
     def test_edge_degree_matches_definition(self):
         # Section 2: deg(e) = deg(u) + deg(v) - 2.
@@ -91,22 +87,20 @@ class TestEdgeAccessors:
         ids = [graph.edge_id(e) for e in graph.edges()]
         assert len(set(ids)) == graph.num_edges
 
-    def test_reverse_port_and_slot_arrays_are_consistent(self):
+    def test_reverse_slot_array_is_consistent(self):
         # Irregular graph: degrees 3, 2, 2, 2, 1.
         graph = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)])
         xadj, adj = graph.adjacency_csr()
-        rev_port = graph.reverse_port_csr()
         rev_slot = graph.reverse_slot_csr()
-        assert len(rev_port) == len(rev_slot) == len(adj)
+        assert len(rev_slot) == len(adj)
         for v in graph.nodes():
-            for p, i in enumerate(range(xadj[v], xadj[v + 1])):
+            for i in range(xadj[v], xadj[v + 1]):
                 w = adj[i]
-                # The reverse port points back at v in w's row …
-                assert adj[xadj[w] + rev_port[i]] == v
-                # … and the reverse slot is its absolute position.
-                assert rev_slot[i] == xadj[w] + rev_port[i]
-                # Reversing twice returns to the original slot.
-                assert rev_slot[rev_slot[i]] == xadj[v] + p
+                # The reverse slot lies in w's row and points back at v …
+                assert xadj[w] <= rev_slot[i] < xadj[w + 1]
+                assert adj[rev_slot[i]] == v
+                # … and reversing twice returns to the original slot.
+                assert rev_slot[rev_slot[i]] == i
 
 
 class TestSubgraphHelpers:
@@ -174,7 +168,3 @@ class TestDirectedGraph:
             DirectedGraph(2, [(0, 0)])
         with pytest.raises(ValueError):
             DirectedGraph(2, [(0, 3)])
-
-    def test_undirected_edge_degree(self):
-        digraph = DirectedGraph(3, [(0, 1), (1, 2)])
-        assert digraph.undirected_edge_degree(0) == digraph.degree(0) + digraph.degree(1) - 2

@@ -9,6 +9,7 @@ that ``fsync=False`` syncs nothing.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import stat
@@ -149,7 +150,10 @@ def test_journal_rotation_syncs_directory_only_when_asked(tmp_path, fsyncs, fsyn
     artifact.delete(u, v)
     del fsyncs[:]
     artifact.save(path, journal=True, fsync=fsync, rotation=RotationPolicy(max_records=1))
-    assert os.path.exists(path + ".journal.1")  # the cap rotated the journal
-    # New journal file, full-save rename, journal-to-segment rename.
-    assert fsyncs.count("dir") == (3 if fsync else 0)
+    # The cap folded the journal into the base JSON and deleted it.
+    with open(path, encoding="utf-8") as handle:
+        assert json.load(handle)["epoch"] == 1
+    assert sorted(os.listdir(tmp_path)) == ["artifact.json"]
+    # New journal file, full-save rename.
+    assert fsyncs.count("dir") == (2 if fsync else 0)
     assert fsync or not fsyncs

@@ -146,6 +146,23 @@ class TestDeltaJournal:
         assert compacted.colors == artifact.colors
         assert compact_artifact(path) == 0  # journal-less: a no-op
 
+    def test_compact_artifact_reads_the_journal_once(self, tmp_path, monkeypatch):
+        path = saved_artifact(tmp_path)
+        artifact = ColoringArtifact.load(path)
+        session = ServingSession(artifact, rebase_policy=None)
+        session.serve_batch(churn_batch(artifact, rounds=2))
+        artifact.save(path, journal=True)
+        reads = []
+        original = DeltaJournal.records
+
+        def counted(journal):
+            reads.append(journal.path)
+            return original(journal)
+
+        monkeypatch.setattr(DeltaJournal, "records", counted)
+        assert compact_artifact(path) == artifact.epoch > 0
+        assert reads == [journal_path(path)]
+
     def test_torn_tail_heals_to_last_complete_epoch(self, tmp_path):
         # Satellite: truncate mid-record; load() must heal to the last
         # complete epoch and a subsequent delta must resume cleanly.
@@ -382,11 +399,23 @@ class TestDaemonSubprocess:
 
 
 # ------------------------------------------------------------------- rotation
+def base_epoch(path):
+    """The epoch recorded in the artifact JSON itself (no journal replay)."""
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)["epoch"]
+
+
+def artifact_files(path):
+    """Every file next to the artifact that belongs to it."""
+    directory, name = os.path.split(path)
+    return sorted(entry for entry in os.listdir(directory) if entry.startswith(name))
+
+
 class TestJournalRotation:
-    """Online compact-and-rotate: bounded disk, bounded replay, no loss."""
+    """A capped journal folds online: bounded disk, bounded replay, no loss."""
 
     def test_rotation_policy_validation(self):
-        from repro.serving import RotationPolicy, resolve_rotation
+        from repro.serving import RotationPolicy
 
         with pytest.raises(ValueError, match="max_bytes and/or max_records"):
             RotationPolicy()
@@ -395,11 +424,6 @@ class TestJournalRotation:
         policy = RotationPolicy(max_records=3)
         assert not policy.should_rotate("/nonexistent", 2)
         assert policy.should_rotate("/nonexistent", 3)
-        assert resolve_rotation(None) is None
-        assert resolve_rotation("off") is None
-        assert resolve_rotation(policy) is policy
-        with pytest.raises(ValueError, match="unknown rotation"):
-            resolve_rotation("hourly")
 
     def test_rotation_policy_byte_cap(self, tmp_path):
         from repro.serving import RotationPolicy
@@ -419,69 +443,161 @@ class TestJournalRotation:
             artifact.insert(du, dv)
             artifact.save(path, journal=True, rotation=rotation)
 
-    def test_rotate_creates_prunes_and_replays_segments(self, tmp_path):
-        from repro.serving import RotationPolicy, segment_paths
+    def test_rotation_folds_into_the_base_and_replays(self, tmp_path):
+        from repro.serving import RotationPolicy
 
         path = saved_artifact(tmp_path)
         artifact = ColoringArtifact.load(path)
-        rotation = RotationPolicy(max_records=2, keep_segments=2)
-        self._churned_save(artifact, path, rotation, rounds=5)
+        self._churned_save(artifact, path, RotationPolicy(max_records=3), rounds=5)
 
-        segments = segment_paths(path)
-        assert len(segments) == 2, "keep_segments must prune older segments"
-        # Segment numbering keeps ascending across prunes.
-        numbers = [int(p.rsplit(".", 1)[1]) for p in segments]
-        assert numbers == sorted(numbers) and numbers[-1] >= 4
+        # Ten deltas under a 3-record cap: folds at epochs 3, 6 and 9,
+        # then the journal restarts and holds epoch 10 alone.
+        assert base_epoch(path) == 9
+        assert [r["epoch"] for r in DeltaJournal(journal_path(path)).records()] == [10]
+        assert artifact.journal_records == 1
+        assert artifact_files(path) == ["artifact.json", "artifact.json.journal"]
 
-        # Replay (base + retained segments + active journal) lands on
-        # the live state: rotation folded first, so nothing is lost or
-        # double-applied.
         recovered = ColoringArtifact.load(path)
         assert recovered.epoch == artifact.epoch == 10
         assert recovered.colors == artifact.colors
         recovered.verify()
 
-    def test_full_save_clears_journal_and_segments(self, tmp_path):
-        from repro.serving import RotationPolicy, segment_paths
+    def test_full_save_clears_journal(self, tmp_path):
+        from repro.serving import RotationPolicy
 
         path = saved_artifact(tmp_path)
         artifact = ColoringArtifact.load(path)
-        self._churned_save(
-            artifact, path, RotationPolicy(max_records=2), rounds=3
-        )
-        assert segment_paths(path)
-        artifact.save(path)  # full save supersedes journal + segments
-        assert not os.path.exists(journal_path(path))
-        assert segment_paths(path) == []
+        du, dv = sorted(artifact.colors)[0]
+        artifact.delete(du, dv)
+        artifact.save(path, journal=True, rotation=RotationPolicy(max_records=2))
+        assert base_epoch(path) == 0 and os.path.exists(journal_path(path))
+        artifact.save(path)  # a full save supersedes the journal
+        assert artifact_files(path) == ["artifact.json"]
         reloaded = ColoringArtifact.load(path)
-        assert reloaded.epoch == artifact.epoch
+        assert base_epoch(path) == reloaded.epoch == artifact.epoch == 1
         assert reloaded.colors == artifact.colors
 
-    def test_daemon_rotates_online_and_compacts_on_shutdown(self, tmp_path):
-        from repro.serving import segment_paths
+    def test_byte_cap_folds_every_oversized_save(self, tmp_path):
+        from repro.serving import RotationPolicy
 
+        path = saved_artifact(tmp_path)
+        artifact = ColoringArtifact.load(path)
+        # Any appended record outgrows a 1-byte cap, so each journal save
+        # folds at once and the journal never outlives the save.
+        self._churned_save(artifact, path, RotationPolicy(max_bytes=1), rounds=2)
+        assert base_epoch(path) == artifact.epoch == 4
+        assert artifact.journal_records == 0
+        assert artifact_files(path) == ["artifact.json"]
+        reloaded = ColoringArtifact.load(path)
+        assert reloaded.colors == artifact.colors
+        reloaded.verify()
+
+    def test_fold_keeps_its_span_and_counter(self, tmp_path):
+        from repro.obs import get_registry, read_events
+        from repro.obs import trace as obs_trace
+        from repro.serving import RotationPolicy
+
+        path = saved_artifact(tmp_path)
+        artifact = ColoringArtifact.load(path)
+        trace_file = str(tmp_path / "trace.jsonl")
+        rotations = get_registry().counter("journal.rotations").value
+        obs_trace.configure(trace_file)
+        try:
+            # Four deltas under a 3-record cap: one fold, at epoch 3.
+            self._churned_save(artifact, path, RotationPolicy(max_records=3), rounds=2)
+        finally:
+            obs_trace.disable()
+        assert get_registry().counter("journal.rotations").value == rotations + 1
+        folds = [e for e in read_events(trace_file) if e["name"] == "journal.rotate"]
+        assert [e["attrs"] for e in folds] == [{"artifact": path}]
+        assert base_epoch(path) == 3
+
+    def test_load_ignores_leftover_segment_files(self, tmp_path):
+        path = saved_artifact(tmp_path)
+        artifact = ColoringArtifact.load(path)
+        du, dv = sorted(artifact.colors)[0]
+        artifact.delete(du, dv)
+        artifact.save(path, journal=True)
+        artifact.insert(du, dv)
+        artifact.save(path, journal=True)
+        # A segment as older versions left it: records already in the base.
+        with open(journal_path(path), "rb") as handle:
+            segment = handle.read()
+        artifact.save(path)
+        with open(journal_path(path) + ".1", "wb") as handle:
+            handle.write(segment)
+
+        reloaded = ColoringArtifact.load(path)
+        assert reloaded.epoch == base_epoch(path) == 2
+        assert reloaded.journal_records == 0
+        assert reloaded.colors == artifact.colors
+        reloaded.verify()
+
+    def test_fold_killed_before_the_journal_delete(self, tmp_path, monkeypatch):
+        from repro.serving import RotationPolicy
+
+        path = saved_artifact(tmp_path)
+        artifact = ColoringArtifact.load(path)
+        du, dv = sorted(artifact.colors)[0]
+        rotation = RotationPolicy(max_records=2)
+        artifact.delete(du, dv)
+        artifact.save(path, journal=True, rotation=rotation)
+        artifact.insert(du, dv)
+
+        def killed(_self):
+            raise OSError("killed between the JSON rewrite and the journal delete")
+
+        monkeypatch.setattr(DeltaJournal, "clear", killed)
+        with pytest.raises(OSError, match="killed"):
+            artifact.save(path, journal=True, rotation=rotation)
+        monkeypatch.undo()
+
+        # The rewrite landed; the stale journal only holds folded records.
+        assert base_epoch(path) == 2
+        assert [r["epoch"] for r in DeltaJournal(journal_path(path)).records()] == [1, 2]
+        recovered = ColoringArtifact.load(path)
+        assert recovered.epoch == artifact.epoch == 2
+        assert recovered.colors == artifact.colors
+
+        # The next journal save appends after the stale records, and
+        # replay skips those and applies the new one.
+        recovered.delete(du, dv)
+        recovered.save(path, journal=True)
+        assert [r["epoch"] for r in DeltaJournal(journal_path(path)).records()] == [1, 2, 3]
+        replayed = ColoringArtifact.load(path)
+        assert replayed.epoch == 3 and not replayed.graph.has_edge(du, dv)
+        assert replayed.colors == recovered.colors
+        replayed.verify()
+        assert artifact_files(path) == ["artifact.json", "artifact.json.journal"]
+
+    def test_daemon_rotates_online_and_compacts_on_shutdown(self, tmp_path):
         path = saved_artifact(tmp_path)
         twin = ServingSession(ColoringArtifact.load(path), rebase_policy=None)
         batch = churn_batch(twin.artifact, rounds=8)
         expected = twin.serve_batch(batch)
 
-        daemon = ColoringDaemon(path, journal_max_records=2, rebase_policy=None)
+        daemon = ColoringDaemon(path, journal_max_records=3, rebase_policy=None)
         host, port = daemon.start()
         try:
             with connect((host, port)) as client:
                 got = client.request_many(batch)
-            assert segment_paths(path), "daemon never rotated online"
-            # Mid-life crash replay covers base + segments + active.
+            live = daemon.session.artifact
+            assert base_epoch(path) > 0, "daemon never folded online"
+            assert base_epoch(path) + live.journal_records == live.epoch
+            assert live.journal_records < 3
+            assert artifact_files(path) in (
+                ["artifact.json"], ["artifact.json", "artifact.json.journal"]
+            )
+            # Mid-life crash replay covers base + journal.
             recovered = ColoringArtifact.load(path)
-            assert recovered.epoch == daemon.session.artifact.epoch
-            assert recovered.colors == daemon.session.artifact.colors
+            assert recovered.epoch == live.epoch
+            assert recovered.colors == live.colors
         finally:
             daemon.stop(compact=True)
         assert got == expected
-        assert not os.path.exists(journal_path(path))
-        assert segment_paths(path) == []
+        assert artifact_files(path) == ["artifact.json"]
         final = ColoringArtifact.load(path)
-        assert final.epoch == twin.artifact.epoch
+        assert final.epoch == base_epoch(path) == twin.artifact.epoch
         assert final.colors == twin.artifact.colors
 
     def test_resolved_port_is_printed_and_nonzero(self, tmp_path):
