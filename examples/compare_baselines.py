@@ -4,11 +4,17 @@ Runs the full algorithm suite (the paper's LOCAL and CONGEST algorithms
 plus the greedy, linear-in-Δ, Barenboim–Elkin and randomized baselines)
 on a configurable workload and prints the comparison table of
 experiment E6 (rounds against Δ across the paper's algorithms and the
-baselines; the ``e6_round_scaling`` scenario sweeps it).
+baselines).  The ``e6_round_scaling`` scenario sweeps the same suite
+over Δ.
 
 Run with::
 
     python examples/compare_baselines.py [delta] [nodes]
+
+and the Δ sweep with::
+
+    python -m repro scenarios run e6_round_scaling
+    python -m repro scenarios report e6_round_scaling
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.analysis.experiments import run_algorithm_suite
+from repro.analysis.experiments import DEFAULT_ALGORITHMS, run_algorithm_suite
 from repro.analysis.tables import format_records
 from repro.graphs import generators
 
@@ -36,15 +42,7 @@ def main():
         graph,
         experiment="compare",
         parameters={"delta": delta, "n": nodes},
-        algorithms=(
-            "local-list-coloring",
-            "congest-8eps",
-            "greedy-by-classes",
-            "linear-in-delta",
-            "barenboim-elkin",
-            "randomized",
-            "sequential",
-        ),
+        algorithms=DEFAULT_ALGORITHMS + ("sequential",),
     )
     print(
         format_records(
@@ -54,7 +52,8 @@ def main():
     )
     print(
         "\nNote: the paper's algorithms trade constant-factor overhead at small Δ "
-        "for polylogarithmic growth in Δ; see benchmarks/results/E6_round_scaling.txt."
+        "for polylogarithmic growth in Δ; sweep Δ with `python -m repro scenarios run "
+        "e6_round_scaling` and read it with `python -m repro scenarios report e6_round_scaling`."
     )
 
     # Returned so the test suite can validate the suite run with the

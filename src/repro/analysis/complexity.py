@@ -2,14 +2,13 @@
 
 The headline claim of the paper is a *shape*: the paper's algorithms'
 round counts grow polylogarithmically in Δ while the baselines grow
-polynomially (linearly or quadratically).  The helpers here quantify that
-shape from a sweep: log–log slopes (the effective polynomial exponent)
-and least-squares fits against candidate models.
+polynomially (linearly or quadratically).  :func:`loglog_slope`
+quantifies that shape from a sweep: the effective polynomial exponent.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,40 +25,3 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     log_y = np.log([max(1e-9, float(y)) for y in ys])
     slope, _intercept = np.polyfit(log_x, log_y, 1)
     return float(slope)
-
-
-def _model_values(name: str, xs: np.ndarray) -> np.ndarray:
-    safe = np.maximum(xs, 2.0)
-    if name == "polylog":
-        return np.log2(safe) ** 2
-    if name == "log":
-        return np.log2(safe)
-    if name == "linear":
-        return safe
-    if name == "nloglog":
-        return safe * np.log2(safe)
-    if name == "quadratic":
-        return safe ** 2
-    raise ValueError(f"unknown model {name}")
-
-
-def fit_models(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    models: Sequence[str] = ("log", "polylog", "linear", "quadratic"),
-) -> Dict[str, float]:
-    """Relative residual of fitting y ≈ a·model(x) for each candidate model.
-
-    Smaller is better; the best-fitting model minimizes the returned value.
-    """
-    x_arr = np.asarray([float(x) for x in xs])
-    y_arr = np.asarray([float(y) for y in ys])
-    results: Dict[str, float] = {}
-    for model in models:
-        basis = _model_values(model, x_arr)
-        denom = float(np.dot(basis, basis))
-        scale = float(np.dot(basis, y_arr)) / denom if denom > 0 else 0.0
-        residual = y_arr - scale * basis
-        norm = float(np.linalg.norm(y_arr)) or 1.0
-        results[model] = float(np.linalg.norm(residual)) / norm
-    return results

@@ -1,11 +1,10 @@
-"""Experiment runner.
+"""The algorithm comparison suite.
 
-The paper contains no tables or figures; the benchmarks instead compare
-the paper's algorithms against the baselines across parameter sweeps
-(experiments E1–E10, the scenarios of :mod:`repro.runtime.scenarios`).
-This module provides the shared
-plumbing: run every algorithm on a graph and collect
-:class:`ExperimentRecord` rows.
+:func:`run_algorithm_suite` runs the paper's pipelines and the baselines
+on one graph and collects one :class:`ExperimentRecord` per algorithm.
+It is the one comparison list: the E6 scenario (``e6_round_scaling`` in
+:mod:`repro.runtime.scenarios`), the ``--algorithm compare`` CLI and
+``examples/compare_baselines.py`` all call it.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ class ExperimentRecord:
         return row
 
 
-#: The default algorithm suite used by the comparison experiments (E6).
+#: The algorithms every comparison runs, in report order.
 DEFAULT_ALGORITHMS = (
     "local-list-coloring",
     "congest-8eps",

@@ -177,39 +177,6 @@ def run_linial_network(
     )
 
 
-def build_coloring_service(
-    graph: Graph,
-    lists=None,
-    *,
-    cache_size: int = 1024,
-    repair_path: str = "auto",
-    radius_limit: Optional[int] = None,
-):
-    """Offline-build a canonical coloring artifact and open a serving session.
-
-    The two-phase entry point of the serving plane
-    (:mod:`repro.serving`): the build runs the canonical
-    priority-greedy coloring once, the returned
-    :class:`repro.serving.ServingSession` then answers batched
-    color/schedule lookups and absorbs edge/demand deltas by bounded
-    incremental repair.  ``repair_path`` pins the repair twin
-    (``"auto"`` / ``"incremental"`` / ``"recompute"`` — bit-identical,
-    the knob only matters for perf and testing), ``radius_limit`` is
-    the repair radius past which a delta counts as a fallback and is
-    finished within a recompute-sized budget, and ``lists`` optionally
-    constrains edges to demand lists, keyed by endpoint pair.
-    """
-    from repro.serving import ServingSession, build_artifact
-
-    artifact = build_artifact(graph, lists)
-    return ServingSession(
-        artifact,
-        cache_size=cache_size,
-        repair_path=repair_path,
-        radius_limit=radius_limit,
-    )
-
-
 def color_edges_bipartite(
     graph: Graph,
     bipartition: Optional[Bipartition] = None,

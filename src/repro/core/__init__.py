@@ -11,7 +11,7 @@ from repro.core.defective_edge_coloring import (
     eta_from_lambda,
     generalized_defective_two_edge_coloring,
 )
-from repro.core.slack import ListEdgeColoringInstance, degree_plus_one_instance, uniform_instance
+from repro.core.slack import ListEdgeColoringInstance, uniform_instance
 from repro.core.bipartite_coloring import BipartiteColoringResult, bipartite_edge_coloring
 from repro.core.congest_coloring import CongestColoringResult, congest_edge_coloring
 from repro.core.list_edge_coloring import (
@@ -31,7 +31,6 @@ __all__ = [
     "eta_from_lambda",
     "generalized_defective_two_edge_coloring",
     "ListEdgeColoringInstance",
-    "degree_plus_one_instance",
     "uniform_instance",
     "BipartiteColoringResult",
     "bipartite_edge_coloring",

@@ -225,26 +225,3 @@ def uniform_instance(graph: Graph, num_colors: Optional[int] = None) -> ListEdge
     return ListEdgeColoringInstance(
         graph=graph, lists=lists, color_space=num_colors, validate=False
     )
-
-
-def degree_plus_one_instance(
-    graph: Graph,
-    color_space: Optional[int] = None,
-    lists: Optional[Dict[int, Sequence[int]]] = None,
-) -> ListEdgeColoringInstance:
-    """A (degree+1)-list instance.
-
-    Without explicit ``lists``, edge ``e`` receives the first
-    ``deg(e) + 1`` colors of the color space (which defaults to ``2Δ − 1``);
-    with explicit lists the function validates the (degree+1) condition.
-    """
-    if color_space is None:
-        color_space = max(1, 2 * graph.max_degree - 1)
-    if lists is None:
-        built = {e: list(range(min(color_space, graph.edge_degree(e) + 1))) for e in graph.edges()}
-    else:
-        built = dict(lists)
-    instance = ListEdgeColoringInstance(graph=graph, lists=built, color_space=color_space)
-    if not instance.is_degree_plus_one():
-        raise ValueError("the provided lists violate the (degree+1) condition")
-    return instance

@@ -1,7 +1,7 @@
 """Graph substrate: static graphs, directed graphs, generators, bipartitions."""
 
 from repro.graphs.core import DirectedGraph, Graph
-from repro.graphs.bipartite import Bipartition, bipartition_from_sides, find_bipartition
+from repro.graphs.bipartite import Bipartition, find_bipartition
 from repro.graphs.delta import DeltaGraph
 from repro.graphs import generators, identifiers
 
@@ -10,7 +10,6 @@ __all__ = [
     "DirectedGraph",
     "DeltaGraph",
     "Bipartition",
-    "bipartition_from_sides",
     "find_bipartition",
     "generators",
     "identifiers",

@@ -59,12 +59,6 @@ class Bipartition:
         return True
 
 
-def bipartition_from_sides(left: Iterable[int], num_nodes: int) -> Bipartition:
-    """A bipartition whose U side is exactly ``left``."""
-    left_set = set(left)
-    return Bipartition([0 if v in left_set else 1 for v in range(num_nodes)])
-
-
 def class_pair_pieces(
     graph: Graph,
     edges: Iterable[int],

@@ -134,11 +134,15 @@ register(
 register(
     spec(
         "e6_round_scaling",
-        "E6: round scaling vs the classic baselines (n=128)",
+        "E6: round scaling vs the classic baselines",
         "round_scaling_suite",
         [
             {"n": 128, "delta": delta, "graph_seed": delta + 3, "rand_seed": delta}
             for delta in (8, 16, 32, 48)
+        ]
+        + [
+            {"n": 48, "delta": 6, "graph_seed": 1, "rand_seed": 6},
+            {"n": 96, "delta": 12, "graph_seed": 1, "rand_seed": 12},
         ],
         tags=("bench", "e6"),
     )
@@ -359,20 +363,6 @@ register(
             ),
         ],
         tags=("bench", "perf", "serving", "faults"),
-    )
-)
-
-# ---------------------------------------------------------------- analysis suite
-register(
-    spec(
-        "suite_compare",
-        "analysis.experiments: full algorithm suite on regular workloads",
-        "algorithm_suite",
-        [
-            {"n": 48, "delta": 6, "graph_seed": 1, "rand_seed": 6, "experiment": "suite"},
-            {"n": 96, "delta": 12, "graph_seed": 1, "rand_seed": 12, "experiment": "suite"},
-        ],
-        tags=("analysis",),
     )
 )
 

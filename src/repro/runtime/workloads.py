@@ -380,34 +380,35 @@ def run_defective_two_coloring(ctx: CellContext) -> Dict[str, object]:
 # ------------------------------------------------------------------ E6: comparison
 @runner("round_scaling_suite")
 def run_round_scaling_suite(ctx: CellContext) -> Dict[str, object]:
-    """E6 — rounds as a function of Δ across the paper's algorithms and baselines."""
-    from repro.baselines.greedy_by_classes import greedy_baseline_edge_coloring
-    from repro.baselines.panconesi_rizzi import linear_in_delta_edge_coloring
-    from repro.baselines.randomized import randomized_edge_coloring
+    """E6 — rounds and colors as a function of Δ across the algorithm suite.
 
+    The suite is :func:`repro.analysis.experiments.run_algorithm_suite`:
+    the paper's pipelines and every baseline, on one graph.
+    """
+    from repro.analysis.experiments import run_algorithm_suite
+
+    n = int(ctx.params["n"])
     delta = int(ctx.params["delta"])
 
     def solve(graph):
-        local = api.color_edges_local(graph)
-        congest = api.color_edges_congest(graph, epsilon=0.5)
-        greedy = greedy_baseline_edge_coloring(graph)
-        linear = linear_in_delta_edge_coloring(graph)
-        rand = randomized_edge_coloring(graph, seed=int(ctx.params["rand_seed"]))
-        return local, congest, greedy, linear, rand
+        return run_algorithm_suite(
+            graph,
+            experiment="e6",
+            parameters={"n": n, "delta": delta},
+            seed=int(ctx.params["rand_seed"]),
+        )
 
-    def verify(_graph, outcomes, _wall):
-        local, congest, greedy, linear, rand = outcomes
-        assert local.is_proper and congest.is_proper, f"improper paper coloring at delta={delta}"
+    def verify(_graph, records, _wall):
+        for record in records:
+            assert record.proper, f"improper {record.algorithm} coloring at delta={delta}"
+            assert record.num_colors <= record.bound, (
+                f"{record.algorithm} used {record.num_colors} colors > bound {record.bound}"
+            )
         return {
-            "n": int(ctx.params["n"]),
+            "n": n,
             "delta": delta,
-            "rounds": {
-                "local-list-coloring": local.rounds,
-                "congest-8eps": congest.rounds,
-                "greedy-by-classes": greedy.rounds,
-                "linear-in-delta": linear.rounds,
-                "randomized": rand.rounds,
-            },
+            "rounds": {record.algorithm: record.rounds for record in records},
+            "colors": {record.algorithm: record.num_colors for record in records},
         }
 
     return _cell(ctx, "round_scaling_suite", lambda: _regular_graph(ctx), solve, verify)
@@ -796,30 +797,6 @@ def run_classic_reduction(ctx: CellContext) -> Dict[str, object]:
     else:
         raise ValueError(f"unknown classic pipeline {pipeline!r}")
     return _cell(ctx, "classic_reduction", lambda: _regular_graph(ctx), solve, verify)
-
-
-# ------------------------------------------------------------------ analysis suite
-@runner("algorithm_suite")
-def run_algorithm_suite_cell(ctx: CellContext) -> Dict[str, object]:
-    """The :mod:`repro.analysis.experiments` comparison suite on one workload."""
-    from repro.analysis.experiments import run_algorithm_suite
-
-    n = int(ctx.params["n"])
-    delta = int(ctx.params["delta"])
-
-    def solve(graph):
-        return run_algorithm_suite(
-            graph,
-            experiment=str(ctx.params.get("experiment", "suite")),
-            parameters={"n": n, "delta": delta},
-            seed=int(ctx.params.get("rand_seed", ctx.seed % 2**31)),
-        )
-
-    def verify(_graph, records, _wall):
-        assert all(record.proper for record in records), "improper suite coloring"
-        return {"n": n, "delta": delta, "records": [record.as_dict() for record in records]}
-
-    return _cell(ctx, "algorithm_suite", lambda: _regular_graph(ctx), solve, verify)
 
 
 # ------------------------------------------------------------------ fault plane

@@ -17,7 +17,6 @@ two:
     the process that made it — the ``repro serve`` CLI writes one, any
     number of ``repro query`` invocations read it.
     :func:`artifact_from_coloring` wraps an arbitrary pipeline coloring
-    (and :func:`artifact_from_list_coloring` a ``ListColoringResult``)
     as a lookup-only artifact.
 
 **Online serve** (:mod:`repro.serving.session`)
@@ -81,8 +80,8 @@ two:
       which ``cache_stats()`` reads — long-lived sessions never grow
       without bound.
 
-Entry points: :func:`repro.api.build_coloring_service`, the ``repro
-serve`` / ``repro query`` CLI commands (including ``serve --listen`` /
+Entry points: :func:`build_artifact` with :class:`ServingSession`, the
+``repro serve`` / ``repro query`` CLI commands (including ``serve --listen`` /
 ``serve --compact``), and the ``serving_churn`` / ``serving_daemon``
 runners in :mod:`repro.runtime.workloads`.
 """
@@ -92,7 +91,6 @@ from repro.serving.artifact import (
     ColoringArtifact,
     RebasePolicy,
     artifact_from_coloring,
-    artifact_from_list_coloring,
     build_artifact,
     resolve_rebase_policy,
 )
@@ -175,7 +173,6 @@ __all__ = [
     "apply_insert",
     "apply_set_list",
     "artifact_from_coloring",
-    "artifact_from_list_coloring",
     "build_artifact",
     "compact_artifact",
     "connect",

@@ -568,9 +568,3 @@ def artifact_from_coloring(
         for e in range(graph.num_edges)
     }
     return ColoringArtifact(DeltaGraph(graph), colors, canonical=False, builder=builder)
-
-
-def artifact_from_list_coloring(graph: Graph, result) -> ColoringArtifact:
-    """Lookup artifact from a ``ListColoringResult`` (Theorem D.4 solve)."""
-    edge_colors = [result.colors[e] for e in graph.edges()]
-    return artifact_from_coloring(graph, edge_colors, builder="list_edge_coloring")

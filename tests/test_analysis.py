@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.analysis.complexity import fit_models, loglog_slope
+from repro.analysis.complexity import loglog_slope
 from repro.analysis.experiments import ExperimentRecord, run_algorithm_suite
 from repro.analysis.tables import format_records, format_table
 from repro.graphs import generators
@@ -23,19 +23,9 @@ class TestComplexityFitting:
         with pytest.raises(ValueError):
             loglog_slope([1], [1])
 
-    def test_fit_models_prefers_true_model(self):
-        xs = [4, 8, 16, 32, 64, 128, 256]
-        quadratic = [3 * x * x for x in xs]
-        fits = fit_models(xs, quadratic)
-        assert min(fits, key=fits.get) == "quadratic"
-        assert fits["quadratic"] < fits["linear"]
-
-        fits = fit_models(xs, [5 * math.log2(x) ** 2 for x in xs])
-        assert min(fits, key=fits.get) in ("polylog", "log")
-
-    def test_fit_models_unknown_model(self):
+    def test_loglog_slope_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            fit_models([1, 2], [1, 2], models=("cubic",))
+            loglog_slope([1, 2, 4], [1, 2])
 
 
 class TestTables:

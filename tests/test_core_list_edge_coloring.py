@@ -14,11 +14,7 @@ from repro.core.list_edge_coloring import (
     partially_color_bipartite,
     solve_relaxed_instance,
 )
-from repro.core.slack import (
-    ListEdgeColoringInstance,
-    degree_plus_one_instance,
-    uniform_instance,
-)
+from repro.core.slack import ListEdgeColoringInstance, uniform_instance
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
 from repro.graphs.core import degrees_within
@@ -77,18 +73,23 @@ class TestListInstances:
         result = list_edge_coloring(graph, instance=instance)
         assert list_coloring_violations(graph, result.colors, instance.lists) == []
 
-    @pytest.mark.parametrize("explicit_lists", [False, True])
-    def test_repeated_color_rejected(self, explicit_lists):
+    def test_repeated_color_rejected(self):
         # A list like [0, 0] holds one color, not two: counting it twice
         # would pass the (degree+1) check and fail the solve deep in the
         # greedy pass.  Validation names the defect up front.
         graph = generators.path_graph(3)
         lists = {e: [0, 0] for e in graph.edges()}
         with pytest.raises(ValueError, match="repeats color 0"):
-            if explicit_lists:
-                degree_plus_one_instance(graph, color_space=2, lists=lists)
-            else:
-                ListEdgeColoringInstance(graph, lists, color_space=2)
+            ListEdgeColoringInstance(graph, lists, color_space=2)
+
+    def test_repeat_in_one_list_is_named(self):
+        # Every list but one is sound; validation still finds the one,
+        # after sorting [2, 1, 2] into [1, 2, 2].
+        graph = generators.path_graph(4)
+        lists = {e: [0, 1, 2] for e in graph.edges()}
+        lists[2] = [2, 1, 2]
+        with pytest.raises(ValueError, match="the list of edge 2 repeats color 2"):
+            ListEdgeColoringInstance(graph, lists, color_space=3)
 
     def test_violating_instance_rejected(self):
         graph = generators.complete_graph(5)

@@ -10,7 +10,7 @@ import pytest
 from repro.core import engine
 from repro.core.list_edge_coloring import list_edge_coloring
 from repro.core.parameters import DEFAULT_PARAMETERS
-from repro.core.slack import ListEdgeColoringInstance, degree_plus_one_instance, uniform_instance
+from repro.core.slack import ListEdgeColoringInstance, uniform_instance
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
 from repro.graphs.core import Graph
@@ -24,16 +24,19 @@ class TestInstanceBasics:
         assert instance.is_degree_plus_one()
         assert instance.min_slack() >= 1.0
 
-    def test_degree_plus_one_instance_default_lists(self):
+    def test_exact_degree_plus_one_lists_qualify(self):
+        # Edge e holding the first deg(e) + 1 colors is the tight case.
         graph = generators.grid_graph(4, 4)
-        instance = degree_plus_one_instance(graph)
-        for e in graph.edges():
-            assert len(instance.lists[e]) == min(instance.color_space, graph.edge_degree(e) + 1)
+        lists = {e: list(range(graph.edge_degree(e) + 1)) for e in graph.edges()}
+        space = 2 * graph.max_degree - 1
+        assert ListEdgeColoringInstance(graph, lists, space).is_degree_plus_one()
+        lists[0] = lists[0][:-1]
+        assert not ListEdgeColoringInstance(graph, lists, space).is_degree_plus_one()
 
     def test_degree_plus_one_rejects_short_lists(self):
         graph = generators.complete_graph(4)
-        with pytest.raises(ValueError):
-            degree_plus_one_instance(graph, color_space=8, lists={e: [0] for e in graph.edges()})
+        instance = ListEdgeColoringInstance(graph, {e: [0] for e in graph.edges()}, color_space=8)
+        assert not instance.is_degree_plus_one()
 
     def test_validation_of_colors_and_missing_lists(self):
         graph = Graph(3, [(0, 1), (1, 2)])

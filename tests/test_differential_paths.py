@@ -1178,7 +1178,7 @@ class TestScanPathReachesEngines:
         assert tracker.breakdown["linial"] > 0
         assert numpy_engines_raise and not any(choice for _, choice in numpy_engines_raise)
 
-    @pytest.mark.parametrize("name", ["e7_logstar", "e8_linial", "fault_sweep", "suite_compare"])
+    @pytest.mark.parametrize("name", ["e7_logstar", "e8_linial", "fault_sweep", "e6_round_scaling"])
     def test_scenario_runners(self, numpy_engines_raise, name):
         # The executor scopes every cell to its ctx.knobs: a row that
         # records scan_path "python" ran no numpy engine.

@@ -7,7 +7,6 @@ import pytest
 from repro.graphs import generators
 from repro.graphs.bipartite import (
     Bipartition,
-    bipartition_from_sides,
     class_pair_pieces,
     find_bipartition,
 )
@@ -42,10 +41,6 @@ class TestBipartition:
         assert not bipartition.validates(graph)
         assert bipartition.validates(graph, edge_set=[0, 2])
 
-    def test_bipartition_from_sides(self):
-        bipartition = bipartition_from_sides([1, 3], 5)
-        assert bipartition.sides == [1, 0, 1, 0, 1]
-
 
 class TestFindBipartition:
     def test_finds_bipartition_of_even_cycle(self):
@@ -53,6 +48,12 @@ class TestFindBipartition:
         bipartition = find_bipartition(graph)
         assert bipartition is not None
         assert bipartition.validates(graph)
+
+    def test_path_sides_alternate(self):
+        graph = generators.path_graph(5)
+        bipartition = find_bipartition(graph)
+        assert bipartition is not None
+        assert bipartition.sides in ([0, 1, 0, 1, 0], [1, 0, 1, 0, 1])
 
     def test_odd_cycle_is_not_bipartite(self):
         graph = generators.cycle_graph(9)

@@ -25,7 +25,7 @@ EXPECTED_BENCH = {
     "e3_bipartite": 4,
     "e4_token_dropping": 5,
     "e5_defective": 4,
-    "e6_round_scaling": 4,
+    "e6_round_scaling": 6,
     "e7_logstar": 4,
     "e8_linial": 5,
     "e8_values": 1,
@@ -100,6 +100,31 @@ class TestRunnerEnvelope:
         assert result["verified"] is True
         assert set(result["timing"]["phases"]) == {"setup", "solve", "verify"}
         assert result["timing"]["wall_seconds"] >= 0
+
+    @pytest.mark.parametrize(
+        "record_fields, message",
+        [
+            ({"num_colors": 5, "proper": False}, "improper greedy-by-classes"),
+            ({"num_colors": 12, "proper": True}, "12 colors > bound 11"),
+        ],
+        ids=["improper", "over_bound"],
+    )
+    def test_e6_rejects_a_faulty_suite_record(self, monkeypatch, record_fields, message):
+        # E6 checks every algorithm of the suite, not only the paper's two.
+        from repro.analysis import experiments
+
+        def faulty_suite(graph, experiment, parameters, seed):
+            return [
+                experiments.ExperimentRecord(
+                    experiment, "greedy-by-classes", parameters, bound=11, rounds=1,
+                    **record_fields,
+                )
+            ]
+
+        monkeypatch.setattr(experiments, "run_algorithm_suite", faulty_suite)
+        params = {"n": 48, "delta": 6, "graph_seed": 1, "rand_seed": 6}
+        with pytest.raises(AssertionError, match=message):
+            RUNNERS["round_scaling_suite"](CellContext(params=params, seed=0, repeats=1))
 
 
 class TestPerfGridDrift:

@@ -5,7 +5,8 @@ defects, token caps, audits) lives in its runner in
 :mod:`repro.runtime.workloads`, so every run of a scenario checks it.
 The claims here compare cells of one scenario against each other — round
 growth in Δ or n and the ablation trade-offs — so they run the
-registered scenario in memory and check its results.
+registered scenario in memory and check its results.  E6's rows are
+also pinned whole, since they carry every algorithm of the comparison.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def test_e2_congest_rounds_grow_subquadratically_in_delta():
 
 
 def test_e6_paper_algorithms_scale_better_than_baselines():
-    rows = _results("e6_round_scaling")
+    rows = _results("e6_round_scaling", n=128)
     # The smallest Δ sits below the practical divide-and-conquer cutover.
     rows = rows[1:]
     deltas = [r["delta"] for r in rows]
@@ -44,6 +45,53 @@ def test_e6_paper_algorithms_scale_better_than_baselines():
     assert slopes["congest-8eps"] < slopes["greedy-by-classes"]
     assert slopes["local-list-coloring"] < slopes["greedy-by-classes"]
     assert slopes["randomized"] < 0.6
+
+
+#: (n, Δ) -> the E6 row's rounds and colors per algorithm, pinned so a
+#: change to the suite or to any of its algorithms shows here.
+E6_PINNED = {
+    (128, 8): (
+        {"local-list-coloring": 99, "congest-8eps": 154, "greedy-by-classes": 99,
+         "linear-in-delta": 91, "barenboim-elkin": 44, "randomized": 5},
+        {"local-list-coloring": 11, "congest-8eps": 17, "greedy-by-classes": 11,
+         "linear-in-delta": 15, "barenboim-elkin": 15, "randomized": 15},
+    ),
+    (128, 16): (
+        {"local-list-coloring": 1554, "congest-8eps": 350, "greedy-by-classes": 193,
+         "linear-in-delta": 218, "barenboim-elkin": 58, "randomized": 6},
+        {"local-list-coloring": 21, "congest-8eps": 34, "greedy-by-classes": 20,
+         "linear-in-delta": 31, "barenboim-elkin": 30, "randomized": 31},
+    ),
+    (128, 32): (
+        {"local-list-coloring": 2223, "congest-8eps": 700, "greedy-by-classes": 2048,
+         "linear-in-delta": 504, "barenboim-elkin": 176, "randomized": 6},
+        {"local-list-coloring": 38, "congest-8eps": 76, "greedy-by-classes": 44,
+         "linear-in-delta": 43, "barenboim-elkin": 53, "randomized": 63},
+    ),
+    (128, 48): (
+        {"local-list-coloring": 3969, "congest-8eps": 999, "greedy-by-classes": 3072,
+         "linear-in-delta": 760, "barenboim-elkin": 144, "randomized": 6},
+        {"local-list-coloring": 54, "congest-8eps": 104, "greedy-by-classes": 71,
+         "linear-in-delta": 73, "barenboim-elkin": 76, "randomized": 95},
+    ),
+    (48, 6): (
+        {"local-list-coloring": 50, "congest-8eps": 50, "greedy-by-classes": 50,
+         "linear-in-delta": 67, "barenboim-elkin": 28, "randomized": 4},
+        {"local-list-coloring": 8, "congest-8eps": 8, "greedy-by-classes": 8,
+         "linear-in-delta": 11, "barenboim-elkin": 12, "randomized": 11},
+    ),
+    (96, 12): (
+        {"local-list-coloring": 125, "congest-8eps": 295, "greedy-by-classes": 125,
+         "linear-in-delta": 162, "barenboim-elkin": 34, "randomized": 6},
+        {"local-list-coloring": 15, "congest-8eps": 27, "greedy-by-classes": 15,
+         "linear-in-delta": 23, "barenboim-elkin": 24, "randomized": 23},
+    ),
+}
+
+
+def test_e6_rows_keep_the_pinned_rounds_and_colors():
+    rows = _results("e6_round_scaling")
+    assert {(r["n"], r["delta"]): (r["rounds"], r["colors"]) for r in rows} == E6_PINNED
 
 
 def test_e7_rounds_grow_only_through_log_star():

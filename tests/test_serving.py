@@ -26,7 +26,6 @@ from repro.serving import (
     RepairError,
     ServingSession,
     artifact_from_coloring,
-    artifact_from_list_coloring,
     build_artifact,
     full_recompute,
     normalize_list,
@@ -345,7 +344,9 @@ class TestLookupArtifacts:
 
         graph = generators.random_regular_graph(16, 4, seed=2)
         result = list_edge_coloring(graph)
-        artifact = artifact_from_list_coloring(graph, result)
+        artifact = artifact_from_coloring(
+            graph, [result.colors[e] for e in graph.edges()], builder="list_edge_coloring"
+        )
         assert artifact.builder == "list_edge_coloring"
         assert artifact.palette_table() == Counter(result.colors.values())
         for e in graph.edges():
@@ -482,12 +483,6 @@ class TestServingSession:
             assert {r["path"] for r in session.reports} == {path}
             assert session.artifact.verify()
         assert twins["incremental"] == twins["recompute"]
-
-    def test_api_entry_point(self):
-        session = api.build_coloring_service(small_graph(), repair_path="recompute")
-        assert isinstance(session, ServingSession)
-        assert session.repair_path == "recompute"
-        assert session.query({"op": "stats"})["ok"]
 
     def test_mutating_a_response_cannot_corrupt_the_cache(self):
         # Regression: query() used to hand back the cached dict itself,
