@@ -17,7 +17,9 @@ numpy engine and a pure-python reference twin:
   (:func:`repro.core.defective_edge_coloring.measure_defects`);
 * the edge-schedule setup and the greedy leaf of
   :mod:`repro.coloring.greedy`;
-* the row filter of :meth:`repro.graphs.core.Graph.edge_subset_view`.
+* the row filter of :meth:`repro.graphs.core.Graph.edge_subset_view`;
+* the CSR build of :class:`repro.graphs.core.Graph`, sized by its edge
+  count.
 
 Every one of them asks :func:`use_numpy` with the size of its instance,
 and nothing passes the choice around.  The answer comes from, in order:

@@ -36,8 +36,9 @@ orientations keyed by edge index stay valid.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
@@ -46,8 +47,9 @@ class Graph:
 
     Internal layout (all built once in ``__init__``):
 
-    * ``_edges`` — tuple of normalized ``(u, v)`` endpoint pairs.
+    * ``_edges`` — list of normalized ``(u, v)`` endpoint pairs.
     * ``_edge_u`` / ``_edge_v`` — flat endpoint arrays (``u < v``).
+    * ``_degrees`` / ``_max_degree`` — node degrees and their maximum.
     * ``_xadj`` — per-node offsets into the flat adjacency arrays
       (``_xadj[v] .. _xadj[v+1]`` is node ``v``'s row).
     * ``_adj`` — flat neighbor array, each row sorted by neighbor.
@@ -55,6 +57,13 @@ class Graph:
     * ``_eadj_off`` / ``_eadj`` — lazy flat adjacent-edge (line-graph row)
       arrays, built on first :meth:`adjacent_edges` or :meth:`line_graph`
       call.
+
+    The arrays above are built by a numpy array pass or by its python
+    twin (:meth:`_build_csr_numpy` / :meth:`_build_csr_python`, chosen
+    by :func:`repro.core.engine.use_numpy` on ``m``); both give the same
+    lists of python ints.  There is no pair-to-edge dict:
+    :meth:`has_edge` and :meth:`edge_index` binary-search the sorted row
+    of ``u``, in O(log deg).
     """
 
     def __init__(
@@ -116,8 +125,64 @@ class Graph:
         normalized: List[Tuple[int, int]],
         node_ids: Optional[List[int]],
     ) -> None:
+        # Imported here: importing ``repro.core`` imports this module.
+        from repro.core import engine
+
         self._num_nodes = num_nodes
         self._edges: List[Tuple[int, int]] = normalized
+        if engine.use_numpy(len(normalized)):
+            self._build_csr_numpy(engine._np)
+        else:
+            self._build_csr_python()
+
+        if node_ids is None:
+            self._node_ids = list(range(num_nodes))
+        else:
+            self._node_ids = node_ids
+        self._edge_id_base = (max(self._node_ids) + 1) if self._node_ids else 1
+        # Lazy caches.
+        self._max_edge_degree: Optional[int] = None
+        self._eadj_off: Optional[List[int]] = None
+        self._eadj: Optional[List[int]] = None
+        self._rev_slot: Optional[List[int]] = None
+        self._endpoints_np = None
+
+    def _build_csr_numpy(self, np) -> None:
+        """The CSR arrays in a few array passes; the same lists of python
+        ints as :meth:`_build_csr_python`.
+
+        Every edge enters twice, once per direction, as a slot
+        ``(src, dst, edge)``.  One sort on the key ``src * n + dst`` (unique,
+        because the graph is simple; it fits in int64 for any ``n`` below
+        3·10⁹) lays the slots out row by row with each row sorted by
+        neighbor, which is the python twin's order.
+        """
+        n = self._num_nodes
+        normalized = self._edges
+        m = len(normalized)
+        pairs = np.fromiter(chain.from_iterable(normalized), dtype=np.int64, count=2 * m)
+        edge_u = pairs[0::2]
+        edge_v = pairs[1::2]
+        src = np.concatenate((edge_u, edge_v))
+        dst = np.concatenate((edge_v, edge_u))
+        order = np.argsort(src * n + dst)
+        degrees = np.bincount(src, minlength=n)
+        xadj = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=xadj[1:])
+        self._edge_u = edge_u.tolist()
+        self._edge_v = edge_v.tolist()
+        self._degrees = degrees.tolist()
+        self._max_degree = int(degrees.max()) if n else 0
+        self._xadj = xadj.tolist()
+        self._adj = dst[order].tolist()
+        # Slot ``s`` holds edge ``s mod m`` (both directions are stacked).
+        self._inc = (order % m).tolist() if m else []
+
+    def _build_csr_python(self) -> None:
+        """The CSR arrays by per-edge loops; the reference twin of
+        :meth:`_build_csr_numpy`."""
+        num_nodes = self._num_nodes
+        normalized = self._edges
         m = len(normalized)
         edge_u = [0] * m
         edge_v = [0] * m
@@ -152,21 +217,6 @@ class Graph:
         self._xadj = xadj
         self._adj = adj
         self._inc = inc
-
-        if node_ids is None:
-            self._node_ids = list(range(num_nodes))
-        else:
-            self._node_ids = node_ids
-        self._edge_id_base = (max(self._node_ids) + 1) if self._node_ids else 1
-        self._edge_index: Dict[Tuple[int, int], int] = {
-            key: index for index, key in enumerate(normalized)
-        }
-        # Lazy caches.
-        self._max_edge_degree: Optional[int] = None
-        self._eadj_off: Optional[List[int]] = None
-        self._eadj: Optional[List[int]] = None
-        self._rev_slot: Optional[List[int]] = None
-        self._endpoints_np = None
 
     # ------------------------------------------------------------------ nodes
     @property
@@ -305,18 +355,29 @@ class Graph:
             )
         return self._endpoints_np
 
+    def _slot(self, u: int, v: int) -> int:
+        """The position of ``v`` in node ``u``'s sorted CSR row, or -1
+        when there is no edge ``{u, v}``; a binary search, O(log deg)."""
+        if not 0 <= u < self._num_nodes:
+            return -1
+        lo = self._xadj[u]
+        hi = self._xadj[u + 1]
+        i = bisect_left(self._adj, v, lo, hi)
+        return i if i < hi and self._adj[i] == v else -1
+
     def edge_index(self, u: int, v: int) -> int:
         """Edge index of the edge between ``u`` and ``v``.
 
         Raises ``KeyError`` if the edge does not exist.
         """
-        key = (u, v) if u < v else (v, u)
-        return self._edge_index[key]
+        i = self._slot(u, v)
+        if i < 0:
+            raise KeyError((u, v) if u < v else (v, u))
+        return self._inc[i]
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether an edge between ``u`` and ``v`` exists."""
-        key = (u, v) if u < v else (v, u)
-        return key in self._edge_index
+        return self._slot(u, v) >= 0
 
     def incident_edges(self, v: int) -> List[int]:
         """Edge indices incident to node ``v`` (sorted by neighbor)."""

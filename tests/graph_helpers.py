@@ -20,6 +20,26 @@ def subgraph_from_edges(graph: Graph, edge_set: Iterable[int]) -> Graph:
     return Graph(graph.num_nodes, edges, node_ids=graph.node_ids)
 
 
+#: The arrays the CSR build fills, compared entry by entry by the twin tests.
+CSR_FIELDS = ("_edge_u", "_edge_v", "_degrees", "_max_degree", "_xadj", "_adj", "_inc")
+
+
+def csr_arrays(graph: Graph) -> dict:
+    """The graph's CSR build output, field by field (see :data:`CSR_FIELDS`)."""
+    return {name: getattr(graph, name) for name in CSR_FIELDS}
+
+
+def assert_python_ints(arrays: dict) -> None:
+    """Every CSR array is a ``list`` of python ints and ``_max_degree`` a
+    python int, never a numpy array or ``numpy.int64``: JSON encoding and
+    the bitmask code depend on that."""
+    for name, value in arrays.items():
+        if name == "_max_degree":
+            assert type(value) is int, name
+        else:
+            assert type(value) is list and all(type(x) is int for x in value), name
+
+
 def materialized_line_graph(graph: Graph) -> Graph:
     """The line graph as a full :class:`Graph`: one node per edge, an edge
     per pair of edges that share an endpoint, edge identifiers as node

@@ -1170,7 +1170,9 @@ class TestScanPathReachesEngines:
     @pytest.mark.parametrize(
         "name", ["maximal_matching", "maximal_independent_set", "delta_plus_one_vertex_coloring"]
     )
-    def test_classic_pipelines(self, numpy_engines_raise, graph, name):
+    def test_classic_pipelines(self, graph, numpy_engines_raise, name):
+        # ``graph`` comes first: its CSR build runs outside the python
+        # scope, before the recorder starts.
         from repro import classic
 
         tracker = RoundTracker()

@@ -2,10 +2,41 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from graph_helpers import edge_degree_within, subgraph_from_edges
+from graph_helpers import (
+    assert_python_ints,
+    csr_arrays,
+    edge_degree_within,
+    subgraph_from_edges,
+)
+from repro.core import engine
 from repro.graphs.core import DirectedGraph, Graph, degrees_within
+
+
+def _random_edges(n, m, seed):
+    """``m`` distinct random pairs on ``n`` nodes, each as ``(v, u)`` with
+    ``v > u``, in shuffled order."""
+    rng = random.Random(seed)
+    pairs = rng.sample([(v, u) for v in range(n) for u in range(v)], m)
+    rng.shuffle(pairs)
+    return pairs
+
+
+#: ``(num_nodes, edges, node_ids)`` per case of the CSR twin test.
+_CSR_CASES = {
+    "empty": (0, [], None),
+    "single-node": (1, [], None),
+    "isolated-nodes": (7, [(1, 4), (4, 2)], None),
+    "star": (9, [(0, leaf) for leaf in range(1, 9)], None),
+    "path": (12, [(v, v + 1) for v in range(11)], None),
+    "reversed-shuffled": (30, _random_edges(30, 90, seed=4), None),
+    "custom-node-ids": (6, [(5, 0), (2, 3), (0, 3), (4, 1)], [60, 10, 50, 20, 40, 30]),
+    "below-cutoff": (40, _random_edges(40, engine.NUMPY_SCAN_THRESHOLD - 1, seed=5), None),
+    "at-cutoff": (40, _random_edges(40, engine.NUMPY_SCAN_THRESHOLD, seed=6), None),
+}
 
 
 class TestGraphConstruction:
@@ -49,6 +80,44 @@ class TestGraphConstruction:
         assert graph.num_nodes == 0
         assert graph.max_degree == 0
         assert graph.max_edge_degree == 0
+
+
+class TestCsrBuildTwins:
+    """The numpy CSR build and its python twin fill the same arrays."""
+
+    @pytest.mark.parametrize("case", sorted(_CSR_CASES))
+    def test_engines_build_identical_csr(self, case):
+        num_nodes, edges, node_ids = _CSR_CASES[case]
+        graphs = {}
+        for path in ("numpy", "python"):
+            with engine.scan_path(path):
+                graphs[path] = Graph(num_nodes, edges, node_ids=node_ids)
+        arrays = {path: csr_arrays(graph) for path, graph in graphs.items()}
+        assert arrays["numpy"] == arrays["python"]
+        for path in graphs:
+            assert_python_ints(arrays[path])
+        # The automatic choice builds the same arrays on either side of
+        # the cutoff.
+        assert csr_arrays(Graph(num_nodes, edges, node_ids=node_ids)) == arrays["python"]
+
+        present = {(min(u, v), max(u, v)) for u, v in edges}
+        for graph in graphs.values():
+            for u in range(num_nodes):
+                for v in range(num_nodes):
+                    key = (min(u, v), max(u, v))
+                    assert graph.has_edge(u, v) == (key in present)
+                    if key in present:
+                        assert graph.edge_endpoints(graph.edge_index(u, v)) == key
+                    else:
+                        with pytest.raises(KeyError):
+                            graph.edge_index(u, v)
+
+    def test_lookups_outside_the_node_range_find_nothing(self):
+        graph = Graph(3, [(0, 1), (1, 2)])
+        for u, v in ((-1, 0), (0, -1), (3, 1), (1, 3), (7, 9)):
+            assert not graph.has_edge(u, v)
+            with pytest.raises(KeyError):
+                graph.edge_index(u, v)
 
 
 class TestEdgeAccessors:

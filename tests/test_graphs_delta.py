@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from graph_helpers import assert_python_ints, csr_arrays
+from repro.core import engine
 from repro.graphs import generators
 from repro.graphs.core import Graph
 from repro.graphs.delta import DeltaGraph
@@ -169,6 +171,75 @@ class TestSnapshots:
                 dg.rebase()
                 assert dg.overlay_size == 0
             assert sorted(dg.edge_pairs()) == sorted(model)
+
+
+def _churned(seed):
+    """A DeltaGraph after a seeded mix of inserts and deletes, and its
+    model edge set.
+
+    Nodes 5, 17 and 40 stay isolated throughout; the edge ``{0, n-1}``
+    is toggled last, so the rows of both end nodes change.
+    """
+    n = 64
+    isolated = {5, 17, 40}
+    rng = random.Random(seed)
+    live = [v for v in range(n) if v not in isolated]
+    pairs = sorted({tuple(sorted(rng.sample(live, 2))) for _ in range(220)})
+    dg = DeltaGraph(Graph(n, pairs, node_ids=[3 * v + 1 for v in range(n)]))
+    model = set(pairs)
+    for _ in range(120):
+        u, v = sorted(rng.sample(live, 2))
+        if (u, v) in model:
+            dg.delete_edge(u, v)
+            model.discard((u, v))
+        else:
+            dg.insert_edge(v, u)
+            model.add((u, v))
+    if (0, n - 1) in model:
+        dg.delete_edge(0, n - 1)
+        model.discard((0, n - 1))
+    else:
+        dg.insert_edge(n - 1, 0)
+        model.add((0, n - 1))
+    return dg, model, isolated
+
+
+class TestSnapshotTwins:
+    """A snapshot is the graph rebuilt from its edge set, on both engines."""
+
+    def test_snapshot_equals_rebuilt_graph(self):
+        arrays = {}
+        for path in ("numpy", "python"):
+            with engine.scan_path(path):
+                dg, model, _ = _churned(seed=8)
+                assert dg.overlay_size > 0
+                snap = dg.snapshot()
+                rebuilt = Graph(dg.num_nodes, sorted(model), node_ids=dg.node_ids)
+            arrays[path] = csr_arrays(snap)
+            assert arrays[path] == csr_arrays(rebuilt)
+            assert_python_ints(arrays[path])
+            assert snap._edges == sorted(model)
+            assert snap.node_ids == rebuilt.node_ids
+        assert arrays["numpy"] == arrays["python"]
+
+    @pytest.mark.parametrize("path", ["numpy", "python"])
+    def test_second_rebase_folds_nothing(self, path):
+        with engine.scan_path(path):
+            dg, model, isolated = _churned(seed=10)
+            first = dg.rebase()
+            assert dg.overlay_size == 0
+            rows = [dg.neighbors(v) for v in dg.nodes()]
+            assert dg.rebase() is first
+            assert dg.overlay_size == 0
+        assert [dg.neighbors(v) for v in dg.nodes()] == rows
+        n = dg.num_nodes
+        for graph in (dg, dg.base):
+            for u in sorted({0, n - 1} | isolated):
+                for v in range(n):
+                    expected = u != v and (min(u, v), max(u, v)) in model
+                    assert graph.has_edge(u, v) == expected
+                    assert graph.has_edge(v, u) == expected
+        assert all(not dg.neighbors(v) for v in isolated)
 
 
 class TestRandomizedEquivalence:
