@@ -273,6 +273,7 @@ def query_main(argv: list) -> int:
             failures += 1
     if args.save:
         artifact.save(args.artifact, journal=args.journal)
+        artifact.close()
     return 1 if failures else 0
 
 

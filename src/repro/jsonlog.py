@@ -8,19 +8,23 @@ One module owns the on-disk contract shared by the result store
 * **Lines.**  One JSON value per line, every line newline-terminated.
   A log may start with a header object ``{"format": <tag>, ...}``,
   written when the file is new and validated on read.
-* **Append** (:func:`append`, :func:`open_append`, :func:`write`).
-  Writes are flushed, and fsynced when the caller asks.  Before the
-  first write the torn tail is *healed*: a trailing fragment with no
-  newline is what an interrupted writer leaves behind, and appending
-  after it would corrupt the middle of the file, so it is truncated
-  away.  The heal logs the byte offset and the dropped byte count, and
-  bumps the caller's metrics counter when one is named.
+* **Append** (:class:`Appender`; :func:`append` is its one-shot
+  form: open, write once, close).  An appender holds one handle open
+  across writes.  It opens lazily on the first write, and *heals on
+  open*: a trailing fragment with no newline is what an interrupted
+  writer leaves behind, and appending after it would corrupt the middle
+  of the file, so it is truncated away.  The heal logs the byte offset
+  and the dropped byte count, and bumps the caller's metrics counter
+  when one is named.  Each write is one ``write`` plus ``flush`` (plus
+  ``os.fsync`` when the caller asks).  A write or flush that raises
+  *drops the handle*: the next write reopens, and so heals whatever
+  partial line the failed one left.
 * **Read** (:func:`read`).  A last line with no trailing newline is a
   torn tail: it is skipped with a warning, whether or not it parses —
-  exactly what the next append's heal would drop.  Any other line that
-  does not parse, a newline-terminated last line included, is
-  corruption: the file was edited, not interrupted, and the caller's
-  error type is raised.
+  exactly what the next appender's heal on open would drop.  Any other
+  line that does not parse, a newline-terminated last line included,
+  is corruption: the file was edited, not interrupted, and the
+  caller's error type is raised.
 * **Atomic rewrite** (:func:`rewrite`).  Write ``<path>.tmp``, flush,
   fsync when asked, then ``os.replace`` it over ``path``: readers see
   the old file or the new one, never half of either.
@@ -36,9 +40,12 @@ observability package can build on it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
+import threading
+import weakref
 from typing import IO, Iterable, List, Mapping, Optional, Tuple
 
 logger = logging.getLogger(__name__)
@@ -118,6 +125,70 @@ def open_append(
     return handle
 
 
+class Appender:
+    """A held append handle on one log: heal once on open, then write.
+
+    The handle opens on the first :meth:`write` (:func:`open_append`:
+    heal, header line when the file is new, directory fsync under
+    ``fsync``) and stays open until :meth:`close`.  A write that raises
+    drops the handle, so the next write reopens and heals the fragment
+    it may have left.  An appender collected without :meth:`close`
+    closes its handle then, so dropping one leaks no file.  Writes are
+    serialized by a lock: threads may share one appender.
+    """
+
+    def __init__(
+        self,
+        path: str,
+        header: Optional[Mapping[str, object]] = None,
+        fsync: bool = False,
+        heal_counter: Optional[str] = None,
+    ) -> None:
+        self.path = path
+        self.header = header
+        self.fsync = fsync
+        self.heal_counter = heal_counter
+        self._handle: Optional[IO[str]] = None
+        self._release: Optional[weakref.finalize] = None  # closes _handle
+        self._lock = threading.Lock()
+
+    def write(self, text: str) -> None:
+        """Append ``text`` (whole lines) in one flushed write."""
+        with self._lock:
+            if self._handle is None:
+                self._handle = open_append(
+                    self.path, self.header, self.fsync, self.heal_counter
+                )
+                self._release = weakref.finalize(self, self._handle.close)
+            try:
+                write(self._handle, text, self.fsync)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    self._drop()
+                raise
+
+    def tell(self) -> int:
+        """The log's size in bytes: the held handle's position after its
+        last flushed write, or the file's size when no handle is open."""
+        with self._lock:
+            if self._handle is not None:
+                return self._handle.tell()
+        try:
+            return os.path.getsize(self.path)
+        except FileNotFoundError:
+            return 0
+
+    def close(self) -> None:
+        """Release the handle (idempotent); the next write reopens."""
+        with self._lock:
+            self._drop()
+
+    def _drop(self) -> None:
+        release, self._release, self._handle = self._release, None, None
+        if release is not None:
+            release()
+
+
 def append(
     path: str,
     lines: Iterable[str],
@@ -125,9 +196,13 @@ def append(
     fsync: bool = False,
     heal_counter: Optional[str] = None,
 ) -> None:
-    """Heal, then append encoded ``lines`` (no newlines) in one flushed write."""
-    with open_append(path, header, fsync, heal_counter) as handle:
-        write(handle, "".join(line + "\n" for line in lines), fsync)
+    """One-shot :class:`Appender`: heal, append encoded ``lines`` (no
+    newlines) in one flushed write, close."""
+    log = Appender(path, header, fsync, heal_counter)
+    try:
+        log.write("".join(line + "\n" for line in lines))
+    finally:
+        log.close()
 
 
 def read(

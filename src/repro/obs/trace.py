@@ -30,8 +30,9 @@ no-op context manager — the ``perf_smoke`` suite budgets the disabled
 instrumentation at <5% of an E1 cell.
 
 **Durability.**  The sink follows the shared append-only log format of
-:mod:`repro.jsonlog` (torn-tail heal on open, skip on read, mid-file
-corruption is an error).  Each process writes its *own* file (the default
+:mod:`repro.jsonlog` (torn-tail heal on open, a held handle flushed per
+event and dropped on a failed write, skip on read, mid-file corruption
+is an error).  Each process writes its *own* file (the default
 sink is ``<trace dir>/trace-<pid>.jsonl``; a forked worker inherits the
 environment and resolves a fresh per-pid file), so concurrent sweeps
 never interleave partial lines.
@@ -102,9 +103,6 @@ class NullTracer:
     def emit(self, _name: str, _t0: float, _dur: float, **_attrs) -> None:
         return None
 
-    def flush(self) -> None:
-        return None
-
     def close(self) -> None:
         return None
 
@@ -159,10 +157,11 @@ class _Span:
 class Tracer:
     """A span sink appending ``repro-trace/v1`` events to one JSONL file.
 
-    The file handle stays open for the tracer's lifetime (one heal at
-    open, then plain appends flushed per event — ``fsync=True``
-    additionally survives OS death, mirroring the result store's
-    durability knob).
+    The sink is a :class:`repro.jsonlog.Appender`: its handle opens (and
+    heals) on the first event and stays held for the tracer's lifetime,
+    each event is one flushed write (``fsync=True`` additionally
+    survives OS death, mirroring the result store's durability knob),
+    and a failed write drops the handle for the next event to reopen.
     """
 
     enabled = True
@@ -170,18 +169,13 @@ class Tracer:
     def __init__(self, path: str, fsync: bool = False) -> None:
         self.path = path
         self.fsync = fsync
-        self._handle = None
-        self._write_lock = threading.Lock()
+        self._log = jsonlog.Appender(
+            path, {"format": TRACE_FORMAT, "pid": os.getpid()}, fsync
+        )
 
     # ------------------------------------------------------------------ sink
     def _write(self, event: Dict[str, object]) -> None:
-        line = json.dumps(event, sort_keys=True, separators=(",", ":"))
-        with self._write_lock:
-            if self._handle is None:
-                self._handle = jsonlog.open_append(
-                    self.path, {"format": TRACE_FORMAT, "pid": os.getpid()}, self.fsync
-                )
-            jsonlog.write(self._handle, line + "\n", self.fsync)
+        self._log.write(json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n")
 
     # ------------------------------------------------------------------- api
     def span(self, name: str, **attrs) -> _Span:
@@ -203,16 +197,8 @@ class Tracer:
             }
         )
 
-    def flush(self) -> None:
-        with self._write_lock:
-            if self._handle is not None:
-                self._handle.flush()
-
     def close(self) -> None:
-        with self._write_lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        self._log.close()
 
 
 # ------------------------------------------------------------- ambient state

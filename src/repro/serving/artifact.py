@@ -138,10 +138,12 @@ class ColoringArtifact:
         # ``save``.  In-memory artifacts that are never persisted pay
         # nothing.  ``_journal_records`` counts records in the journal
         # file (rotation policies cap it without re-reading the file on
-        # every append).
+        # every append).  ``_journal`` is the one journal this artifact
+        # appends to, holding its file open between journal saves.
         self._journal_tracking = False
         self._pending_deltas: List[Dict[str, object]] = []
         self._journal_records = 0
+        self._journal: Optional[DeltaJournal] = None
 
     # ------------------------------------------------------------------ meta
     @property
@@ -440,9 +442,12 @@ class ColoringArtifact:
         O(m), the long-lived daemon's per-delta durability path.  It
         requires the artifact JSON to exist (first saves are full saves)
         and delta tracking to be on, which :meth:`load` and every full
-        :meth:`save` arm automatically.  With a ``rotation`` policy, a
-        journal that outgrew a cap is folded right after the append by
-        a full save (the ``journal.rotate`` span).
+        :meth:`save` arm automatically.  The journal's append handle
+        stays open between journal saves (the base is checked only when
+        it opens) until a full save or :meth:`close` releases it.  With
+        a ``rotation`` policy, a journal that outgrew a cap is folded
+        right after the append by a full save (the ``journal.rotate``
+        span).
         """
         if journal:
             if not self._journal_tracking:
@@ -450,26 +455,40 @@ class ColoringArtifact:
                     "journal save needs delta tracking: load() the artifact or "
                     "full-save it once first"
                 )
-            if not os.path.exists(path):
-                raise RepairError(
-                    f"journal save without a base artifact at {path}; "
-                    "full-save first"
-                )
-            DeltaJournal(journal_path(path), fsync=fsync).append(self._pending_deltas)
+            log = self._journal
+            if log is None or log.path != journal_path(path) or log.fsync != fsync:
+                if not os.path.exists(path):
+                    raise RepairError(
+                        f"journal save without a base artifact at {path}; "
+                        "full-save first"
+                    )
+                self.close()
+                log = self._journal = DeltaJournal(journal_path(path), fsync=fsync)
+            log.append(self._pending_deltas)
             self._journal_records += len(self._pending_deltas)
             self._pending_deltas = []
-            if rotation is not None and rotation.should_rotate(
-                journal_path(path), self._journal_records
-            ):
+            if rotation is not None and rotation.should_rotate(log, self._journal_records):
                 with tracer().span("journal.rotate", artifact=path):
                     self.save(path, fsync=fsync)
                 get_registry().counter("journal.rotations").inc()
             return
         self._write_full(path, fsync=fsync)
+        self.close()
         DeltaJournal(journal_path(path)).clear()
         self._journal_tracking = True
         self._pending_deltas = []
         self._journal_records = 0
+
+    def close(self) -> None:
+        """Release the journal's held append handle (idempotent).
+
+        An artifact collected without ``close`` still closes its handle
+        (the appender's finalizer); a journal save after ``close``
+        reopens the journal.
+        """
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
 
     @classmethod
     def load(cls, path: str) -> "ColoringArtifact":

@@ -27,9 +27,14 @@ critical section, before its response is written*: an acknowledged
 delta is a durable delta, and journal order equals epoch order equals
 ack order.  A SIGKILLed daemon therefore loses nothing it acknowledged
 — restarting replays the journal (:meth:`ColoringArtifact.load`) and
-resumes bit-identically.  ``journal_max_bytes`` / ``journal_max_records``
-cap the journal; hitting a cap folds it online with a full save of the
-artifact, which deletes the journal (see
+resumes bit-identically.  The artifact holds the journal's append
+handle open, so an append is one write plus a flush (plus fsync under
+``fsync``): the handle heals a torn tail when it opens, a failed write
+drops it for the next append to reopen and heal, and
+:meth:`ColoringDaemon.stop` releases it.  ``journal_max_bytes`` /
+``journal_max_records`` cap the journal; hitting a cap folds it online
+with a full save of the artifact, which releases the handle and deletes
+the journal (see
 :class:`~repro.serving.journal.RotationPolicy`), keeping weeks-long
 daemons at bounded disk and bounded replay.  Graceful shutdown (the
 ``shutdown`` op, or SIGTERM/SIGINT under the CLI) does the same fold
@@ -285,7 +290,7 @@ class ColoringDaemon:
         under the session's writer lock — no in-flight write can be
         torn by the fold — deleting the journal.  ``compact=False``
         leaves the on-disk base + journal pair untouched for the next
-        load.
+        load.  Either way the journal's held append handle is released.
         """
         if self._server is not None:
             self._server.shutdown()
@@ -295,10 +300,11 @@ class ColoringDaemon:
             self._thread.join(timeout=5.0)
             self._thread = None
         folded = 0
-        if compact:
-            with self.session.exclusive():
+        with self.session.exclusive():
+            if compact:
                 folded = self.session.artifact.journal_records
                 self.session.artifact.save(self.artifact_path, fsync=self.fsync)
+            self.session.artifact.close()
         return folded
 
 
@@ -498,8 +504,10 @@ def spawn_daemon_process(
     """Start ``python -m repro serve --listen`` as a subprocess.
 
     Returns ``(process, host, port)`` once the daemon reports its bound
-    address.  Used by the E13 runner, the chaos probe and the CLI tests —
-    the SIGKILL experiments need a real process to kill.
+    address; the caller reaps the process and closes ``process.stdout``
+    (:func:`spawned_daemon` does both).  Used by the E13 runner, the
+    chaos probe and the CLI tests — the SIGKILL experiments need a real
+    process to kill.
     """
     import subprocess
     import sys
@@ -535,6 +543,8 @@ def spawn_daemon_process(
         if not line and process.poll() is not None:
             break
     process.kill()
+    process.wait(timeout=30)
+    process.stdout.close()
     raise RuntimeError(f"daemon failed to start (last output: {line!r})")
 
 
@@ -542,9 +552,10 @@ def spawn_daemon_process(
 def spawned_daemon(artifact_path: str, **options):
     """:func:`spawn_daemon_process` as a context yielding ``(process, host, port)``.
 
-    A daemon still running when the block exits is killed and reaped.
-    A deliberate SIGKILL inside the block stays explicit: that kill is
-    the experiment, this one is cleanup.
+    A daemon still running when the block exits is killed; either way
+    it is reaped and its output pipe closed.  A deliberate SIGKILL
+    inside the block stays explicit: that kill is the experiment, this
+    one is cleanup.
     """
     process, host, port = spawn_daemon_process(artifact_path, **options)
     try:
@@ -552,4 +563,5 @@ def spawned_daemon(artifact_path: str, **options):
     finally:
         if process.poll() is None:
             process.kill()
-            process.wait(timeout=30)
+        process.wait(timeout=30)
+        process.stdout.close()

@@ -21,10 +21,14 @@ analogue of the runtime's JSONL result store (:mod:`repro.runtime.store`):
   epoch are skipped).
 
 **Durability contract.**  The file follows the shared append-only log
-format of :mod:`repro.jsonlog`: flush per append (optionally fsync),
-torn-tail heal on append and skip on read, mid-file corruption is an
-error.  A SIGKILLed daemon therefore loses at most the one delta it
-was mid-append on, and every delta it *acknowledged* is recoverable:
+format of :mod:`repro.jsonlog`.  A :class:`DeltaJournal` holds one
+:class:`~repro.jsonlog.Appender`: the handle opens on the first append,
+healing a torn tail left by an earlier writer (heal on open), and stays
+held, so an append is one write plus a flush (plus fsync when asked).
+A write that raises drops the handle, and the next append reopens and
+heals.  Reads skip a torn tail; mid-file corruption is an error.  A
+SIGKILLed daemon therefore loses at most the one delta it was
+mid-append on, and every delta it *acknowledged* is recoverable:
 ``ColoringArtifact.load`` replays the journal over the base JSON and
 lands bit-identically on the pre-kill state, because every replayed
 delta repairs toward the same canonical fixed point the live session
@@ -37,10 +41,13 @@ store); the daemon does the same fold on graceful shutdown.
 **Rotation.**  A weeks-long daemon cannot let the journal grow
 without bound (unbounded disk, O(journal) replay).  A
 :class:`RotationPolicy` caps the journal by bytes and/or record
-count; when a journal save pushes it past a cap,
-:meth:`ColoringArtifact.save` folds it online with a full save: the
-in-memory artifact is atomically rewritten as the base JSON, then the
-journal is deleted.  The ordering is SIGKILL-safe at every point: a
+count; the byte size is the held handle's position after its flush,
+so checking a cap costs no ``stat``.  When a journal save pushes it
+past a cap, :meth:`ColoringArtifact.save` folds it online with a full
+save: the in-memory artifact is atomically rewritten as the base JSON,
+then the held handle is released and the journal is deleted (the next
+journal save opens a new one, header first).  The ordering is
+SIGKILL-safe at every point: a
 kill before the rewrite leaves the old base + journal, and a kill
 between rewrite and delete leaves a journal whose records are all at
 or below the new base epoch, which replay skips.
@@ -87,17 +94,11 @@ class RotationPolicy:
         if self.max_bytes is None and self.max_records is None:
             raise ValueError("rotation policy needs max_bytes and/or max_records")
 
-    def should_rotate(self, path: str, records: int) -> bool:
-        """Has the journal at ``path`` outgrown a cap?"""
+    def should_rotate(self, journal: "DeltaJournal", records: int) -> bool:
+        """Has ``journal``, holding ``records`` records, outgrown a cap?"""
         if self.max_records is not None and records >= self.max_records:
             return True
-        if (
-            self.max_bytes is not None
-            and os.path.exists(path)
-            and os.path.getsize(path) >= self.max_bytes
-        ):
-            return True
-        return False
+        return self.max_bytes is not None and journal.size() >= self.max_bytes
 
 
 def delta_record(epoch: int, op: str, u: int, v: int, colors=None) -> Dict[str, object]:
@@ -120,17 +121,31 @@ class DeltaJournal:
 
     The record layer only: records in, records out.
     Interpretation (replay, epoch matching) belongs to
-    :meth:`repro.serving.artifact.ColoringArtifact.load`.
+    :meth:`repro.serving.artifact.ColoringArtifact.load`.  Appends go
+    through one held :class:`~repro.jsonlog.Appender`; :meth:`close`
+    releases it.
     """
 
     def __init__(self, path: str, fsync: bool = False) -> None:
         self.path = path
         self.fsync = fsync
+        self._log = jsonlog.Appender(
+            path, {"format": JOURNAL_FORMAT}, fsync, heal_counter="journal.heals"
+        )
+
+    def close(self) -> None:
+        """Release the held append handle (idempotent)."""
+        self._log.close()
 
     def clear(self) -> None:
-        """Delete the journal file (after a full save folded it in)."""
+        """Release the handle, then delete the file (a full save folded it in)."""
+        self.close()
         if os.path.exists(self.path):
             os.remove(self.path)
+
+    def size(self) -> int:
+        """The journal's size in bytes (the held handle's position)."""
+        return self._log.tell()
 
     # ------------------------------------------------------------- appending
     def append(self, records: List[Dict[str, object]]) -> None:
@@ -138,19 +153,16 @@ class DeltaJournal:
         if not records:
             return
         with tracer().span("journal.append", records=len(records)):
-            jsonlog.append(
-                self.path,
-                [
+            self._log.write(
+                "".join(
                     json.dumps(
                         {field: record.get(field) for field in RECORD_FIELDS},
                         sort_keys=True,
                         separators=(",", ":"),
                     )
+                    + "\n"
                     for record in records
-                ],
-                header={"format": JOURNAL_FORMAT},
-                fsync=self.fsync,
-                heal_counter="journal.heals",
+                )
             )
         get_registry().counter("journal.appends").inc(len(records))
 

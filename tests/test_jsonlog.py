@@ -44,13 +44,14 @@ class _JournalLog:
 
     def __init__(self, path):
         self.path = path
-        self.journal = DeltaJournal(path)
 
     def append(self, i):
-        self.journal.append([{"epoch": i + 1, "op": "insert", "u": 0, "v": i + 1}])
+        journal = DeltaJournal(self.path)  # a fresh open heals, like a restarted process
+        journal.append([{"epoch": i + 1, "op": "insert", "u": 0, "v": i + 1}])
+        journal.close()
 
     def read(self):
-        return [record["epoch"] - 1 for record in self.journal.records()]
+        return [record["epoch"] - 1 for record in DeltaJournal(self.path).records()]
 
 
 class _TraceLog:
@@ -118,6 +119,41 @@ def test_newline_terminated_unparseable_last_line_is_corruption(log):
     _replace_line(log.path, -1, "{corrupt}\n")
     with pytest.raises(log.error, match="corrupt"):
         log.read()
+
+
+def test_failed_write_drops_the_handle_and_the_next_append_heals(tmp_path, monkeypatch):
+    path = str(tmp_path / "log.journal")
+    opens = []
+    original_open, original_write = jsonlog.open_append, jsonlog.write
+
+    def counted_open(*args, **kwargs):
+        opens.append(args[0])
+        return original_open(*args, **kwargs)
+
+    def torn_write(handle, text, fsync=False):
+        original_write(handle, text[: len(text) // 2], fsync)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(jsonlog, "open_append", counted_open)
+    journal = DeltaJournal(path)
+
+    def record(epoch):
+        return {"epoch": epoch, "op": "insert", "u": 0, "v": epoch}
+
+    journal.append([record(1)])
+    monkeypatch.setattr(jsonlog, "write", torn_write)
+    with pytest.raises(OSError, match="no space"):
+        journal.append([record(2)])
+    monkeypatch.setattr(jsonlog, "write", original_write)
+    with open(path, "rb") as handle:
+        assert not handle.read().endswith(b"\n")  # half a record on disk
+
+    heals = get_registry().counter("journal.heals").value
+    journal.append([record(3)])
+    assert opens == [path, path]  # the failed write dropped the handle
+    assert get_registry().counter("journal.heals").value == heals + 1
+    assert [r["epoch"] for r in journal.records()] == [1, 3]
+    journal.close()
 
 
 @pytest.fixture()

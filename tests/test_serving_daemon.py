@@ -338,6 +338,92 @@ class TestColoringDaemon:
         assert ColoringArtifact.load(path).epoch == 1
 
 
+# ------------------------------------------------------- held journal handle
+@pytest.fixture()
+def journal_handles(monkeypatch):
+    """Every handle :mod:`repro.jsonlog` opens for appending, in order."""
+    from repro import jsonlog
+
+    handles = []
+    original = jsonlog.open_append
+
+    def recorded(*args, **kwargs):
+        handles.append(original(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(jsonlog, "open_append", recorded)
+    return handles
+
+
+def journal_lines(path):
+    with open(journal_path(path), encoding="utf-8") as handle:
+        return handle.read().splitlines()
+
+
+class TestHeldJournalHandle:
+    """The journal opens once per artifact and is released by every fold."""
+
+    def test_fifty_journal_saves_open_the_file_once(self, tmp_path, journal_handles):
+        path = saved_artifact(tmp_path)
+        artifact = ColoringArtifact.load(path)
+        du, dv = sorted(artifact.colors)[0]
+        for i in range(50):
+            (artifact.delete if i % 2 == 0 else artifact.insert)(du, dv)
+            artifact.save(path, journal=True)
+        assert len(journal_handles) == 1 and not journal_handles[0].closed
+        assert len(DeltaJournal(journal_path(path)).records()) == 50
+        artifact.close()
+        artifact.close()  # idempotent
+        assert journal_handles[0].closed
+
+    def test_full_save_and_capped_fold_release_the_handle(self, tmp_path, journal_handles):
+        from repro.serving import RotationPolicy
+
+        path = saved_artifact(tmp_path)
+        artifact = ColoringArtifact.load(path)
+        du, dv = sorted(artifact.colors)[0]
+        artifact.delete(du, dv)
+        artifact.save(path, journal=True)
+        artifact.save(path)  # full save
+        assert journal_handles[0].closed
+        assert not os.path.exists(journal_path(path))
+
+        artifact.insert(du, dv)
+        artifact.save(path, journal=True)  # re-created, header first
+        assert len(journal_handles) == 2
+        assert journal_lines(path)[0] == json.dumps({"format": JOURNAL_FORMAT})
+        assert [r["epoch"] for r in DeltaJournal(journal_path(path)).records()] == [2]
+
+        artifact.delete(du, dv)
+        artifact.save(path, journal=True, rotation=RotationPolicy(max_records=2))
+        assert journal_handles[1].closed  # the capped fold released it
+        assert not os.path.exists(journal_path(path))
+        assert base_epoch(path) == 3
+
+        artifact.insert(du, dv)
+        artifact.save(path, journal=True)
+        assert len(journal_handles) == 3
+        assert journal_lines(path)[0] == json.dumps({"format": JOURNAL_FORMAT})
+        assert ColoringArtifact.load(path).colors == artifact.colors
+        artifact.close()
+
+    @pytest.mark.parametrize("compact", [True, False], ids=["compact", "crash"])
+    def test_daemon_stop_leaves_no_open_handle(self, tmp_path, journal_handles, compact):
+        path = saved_artifact(tmp_path)
+        daemon = ColoringDaemon(path)
+        batch = churn_batch(daemon.session.artifact, rounds=1)
+        host, port = daemon.start()
+        try:
+            with connect((host, port)) as client:
+                assert all(r["ok"] for r in client.request_many(batch))
+            assert len(journal_handles) == 1 and not journal_handles[0].closed
+        finally:
+            daemon.stop(compact=compact)
+        assert journal_handles[0].closed
+        assert os.path.exists(journal_path(path)) is not compact
+        assert ColoringArtifact.load(path).colors == daemon.session.artifact.colors
+
+
 # ---------------------------------------------------------------- end to end
 @pytest.mark.slow
 class TestDaemonSubprocess:
@@ -422,17 +508,57 @@ class TestJournalRotation:
         with pytest.raises(ValueError, match="max_records"):
             RotationPolicy(max_records=0)
         policy = RotationPolicy(max_records=3)
-        assert not policy.should_rotate("/nonexistent", 2)
-        assert policy.should_rotate("/nonexistent", 3)
+        journal = DeltaJournal("/nonexistent")
+        assert not policy.should_rotate(journal, 2)
+        assert policy.should_rotate(journal, 3)
 
-    def test_rotation_policy_byte_cap(self, tmp_path):
+    def test_rotation_policy_byte_cap(self, tmp_path, monkeypatch):
         from repro.serving import RotationPolicy
 
-        target = tmp_path / "journal"
-        target.write_text("x" * 100)
-        policy = RotationPolicy(max_bytes=100)
-        assert policy.should_rotate(str(target), 0)
-        assert not RotationPolicy(max_bytes=101).should_rotate(str(target), 0)
+        journal = DeltaJournal(str(tmp_path / "journal"))
+        journal.append([{"epoch": 1, "op": "insert", "u": 0, "v": 1}])
+        size = os.path.getsize(journal.path)
+
+        def no_stat(_path):
+            raise AssertionError("the byte cap stats the journal")
+
+        # The held handle's position is the size: no stat per append.
+        monkeypatch.setattr(os.path, "getsize", no_stat)
+        assert journal.size() == size
+        assert RotationPolicy(max_bytes=size).should_rotate(journal, 0)
+        assert not RotationPolicy(max_bytes=size + 1).should_rotate(journal, 0)
+        monkeypatch.undo()
+        journal.close()
+        assert journal.size() == size  # no handle: the file's size
+
+    def test_byte_cap_between_two_journal_sizes_folds_on_the_crossing_append(
+        self, tmp_path
+    ):
+        from repro.serving import RotationPolicy
+
+        def sizes_and_base_epochs(directory, rotation):
+            directory.mkdir()
+            path = saved_artifact(directory)
+            artifact = ColoringArtifact.load(path)
+            du, dv = sorted(artifact.colors)[0]
+            seen = []
+            for toggle in (artifact.delete, artifact.insert, artifact.delete):
+                toggle(du, dv)
+                artifact.save(path, journal=True, rotation=rotation)
+                jpath = journal_path(path)
+                size = os.path.getsize(jpath) if os.path.exists(jpath) else 0
+                seen.append((size, base_epoch(path)))
+            artifact.close()
+            return seen
+
+        uncapped = sizes_and_base_epochs(tmp_path / "uncapped", None)
+        assert [epoch for _size, epoch in uncapped] == [0, 0, 0]
+        # A cap strictly between the 2nd and 3rd sizes: the 3rd append
+        # reaches it and folds, as the stat-based check did.
+        cap = uncapped[1][0] + 1
+        assert cap < uncapped[2][0]
+        capped = sizes_and_base_epochs(tmp_path / "capped", RotationPolicy(max_bytes=cap))
+        assert capped == uncapped[:2] + [(0, 3)]
 
     def _churned_save(self, artifact, path, rotation, rounds):
         """Absorb ``rounds`` toggles, journal-saving (with rotation) each."""
