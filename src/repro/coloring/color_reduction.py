@@ -17,9 +17,10 @@ machinery, with the *minimum-conflict* point choice instead of a
 conflict-free one, yields the one-round defective color reduction used in
 :mod:`repro.coloring.defective_vertex`.
 
-This module owns both engines of the step, which every caller (vertex
-Linial, the line-graph schedule, the simulator's batched receive and the
-defective reduction) runs over CSR rows, bit-identically:
+This module owns both engines of the step, which vertex Linial, the
+simulator's batched receive and the defective reduction run over CSR
+rows, bit-identically (the line-graph schedule runs only the python
+twin: its numpy engine, in :mod:`repro.coloring.greedy`, has no rows):
 
 * the **python twin**: :func:`polynomial_step` or
   :func:`minimum_conflict_step` per row, and :func:`polynomial_steps`

@@ -14,9 +14,10 @@ Linial's O(Δ̄²)-edge coloring, it is also the classic
 O(Δ² + log* n)-round baseline for (2Δ−1)-edge coloring.
 
 Both halves ship as engine twins, chosen by :mod:`repro.core.engine`:
-:func:`proper_edge_schedule` runs a vectorized or a python setup into
-the color-reduction engines of :mod:`repro.coloring.color_reduction`,
-and :func:`greedy_edge_coloring_by_classes` runs each schedule class as
+:func:`proper_edge_schedule` counts ``(endpoint, value)`` pairs per
+evaluation point in numpy, or lays the line-graph rows out for the
+python twin of :mod:`repro.coloring.color_reduction`, and
+:func:`greedy_edge_coloring_by_classes` runs each schedule class as
 one numpy array pass over int64 color masks or as its per-edge python
 loop.
 The pairs are bit-identical: same colors, in the same dict order, same
@@ -28,8 +29,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.coloring.color_reduction import (
+    _base_q_digits,
+    _values_at,
     polynomial_steps,
-    polynomial_steps_numpy,
     reduction_schedule,
 )
 from repro.core import engine
@@ -41,6 +43,11 @@ from repro.graphs.core import Graph
 #: engages when no engine is forced: below it the per-class numpy
 #: dispatch costs more than the per-edge loop saves.
 LEAF_NUMPY_EDGES_PER_CLASS = 48
+
+#: Batch size (edges) from which :func:`proper_edge_schedule` runs its
+#: numpy engine when no engine is forced: below it the numpy dispatch of
+#: a reduction step costs more than the python twin's row scans.
+SCHEDULE_NUMPY_EDGES = 24
 
 #: Masks the numpy leaf handles: 62 bits, so ``avail & -avail`` and the
 #: float64 bit index stay exact in int64.
@@ -281,101 +288,71 @@ def _greedy_classes_numpy(
     return dict(zip(edges.tolist(), colors.tolist()))
 
 
-def _schedule_setup_numpy(
+def _schedule_counts_numpy(
     graph: Graph,
     edge_list: List[int],
     tracker: Optional[RoundTracker],
 ) -> Optional[Dict[int, int]]:
-    """Vectorized setup + engine run for :func:`proper_edge_schedule`.
+    """The numpy engine of :func:`proper_edge_schedule`: no line-graph rows.
 
-    Replaces the per-part python setup loops — endpoint gathering, the
-    per-node incident maps, the initial identifier colors and the merged
-    line-graph row building — with array passes over the part: incident
-    counts come from one ``bincount``, the grouped position lists from
-    one stable argsort, and the per-position rows (each position's
-    same-endpoint peers) from ramp-indexed gathers that drop the
-    position itself.  Row *order* differs from the python construction
-    (u-side peers are grouped by discovery side, not by insertion), but
-    the engines are order-insensitive — conflicts are existence checks
-    and :func:`repro.coloring.color_reduction.polynomial_step` reduces
-    rows to sets — so the schedule is bit-identical.  Returns ``None``
-    when the identifier colors leave no int64 headroom (huge identifier
-    spaces fall back to the python setup and its arbitrary-precision
-    engine).
+    Per step it takes the base-``q`` digits once.  Per point ``x`` it
+    evaluates ``f_c(x)`` for every batch edge and counts the ``(endpoint,
+    value)`` pairs in one ``bincount`` over the touched nodes × ``q``.
+    Edge ``{u, v}`` with value ``f`` has ``cnt[u, f] + cnt[v, f] − 2``
+    agreeing neighbors (distinct edges of a simple graph share at most
+    one endpoint) and takes the first ``x`` where that is 0, as
+    :func:`repro.coloring.color_reduction.polynomial_step` does.  The
+    twin ignores same-colored neighbors; there are none: the endpoint-id
+    colors are distinct and every step is conflict-free.
+
+    Returns ``None``, having charged nothing, when the identifier colors
+    or a step's ``(d + 1)·q²`` leave no int64 headroom, when a step's
+    count table exceeds ``max(2**16, 16·k)`` entries (a star's is ≈ n²),
+    or when a row finds no free point.  The python twin then runs the
+    batch: its steps agree up to the declined one, so it ends with the
+    same schedule and charges, or raises the same ``ValueError``.
     """
     np = _np
     k = len(edge_list)
-    ids_np = np.fromiter(edge_list, dtype=np.int64, count=k)
     all_u, all_v = graph.endpoint_arrays_np()
-    eu = all_u[ids_np]
-    ev = all_v[ids_np]
-    try:
-        node_ids_np = np.asarray(graph.node_ids, dtype=np.int64)
-    except OverflowError:
-        return None
-    a = node_ids_np[eu]
-    b = node_ids_np[ev]
-    low = np.minimum(a, b)
-    high = np.maximum(a, b)
-    id_base = int(high.max()) + 1
+    edges = np.fromiter(edge_list, dtype=np.int64, count=k)
+    ends = np.stack((all_u[edges], all_v[edges]))
+    touched = np.zeros(graph.num_nodes, dtype=bool)
+    touched[ends] = True
+    ids = list(map(graph.node_id, np.flatnonzero(touched).tolist()))
+    id_base = max(ids) + 1
     # Headroom: the initial colors are < id_base²; overflow would corrupt
     # them silently, so bail out to the python setup first.
     if id_base >= 2**31:
         return None
-    colors_np = low * id_base + high
-    space = int(colors_np.max()) + 1
-    cnt = np.bincount(np.concatenate((eu, ev)), minlength=graph.num_nodes)
-    degree_bound = int((cnt[eu] + cnt[ev] - 2).max())
-    schedule = reduction_schedule(space, max(1, degree_bound))
-    if not schedule:
-        return dict(zip(edge_list, colors_np.tolist()))
-    # Incident CSR over the part: positions grouped by endpoint node.
-    pos = np.arange(k, dtype=np.int64)
-    pos_cat = np.concatenate((pos, pos))
-    order = np.argsort(np.concatenate((eu, ev)), kind="stable")
-    inc_pos = pos_cat[order]
-    inc_xadj = np.zeros(cnt.shape[0] + 1, dtype=np.int64)
-    np.cumsum(cnt, out=inc_xadj[1:])
-
-    def side_peers(side_nodes):
-        """Per position: its endpoint's full group minus the position itself."""
-        group_sizes = cnt[side_nodes]
-        total = int(group_sizes.sum())
-        cum = np.cumsum(group_sizes)
-        ramp = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(cum - group_sizes, group_sizes)
-            + np.repeat(inc_xadj[side_nodes], group_sizes)
-        )
-        values = inc_pos[ramp]
-        return values[values != np.repeat(pos, group_sizes)]
-
-    flat_u = side_peers(eu)
-    flat_v = side_peers(ev)
-    counts_u = cnt[eu] - 1
-    counts_v = cnt[ev] - 1
-    counts = counts_u + counts_v
-    offsets = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    flat = np.empty(int(offsets[-1]), dtype=np.int64)
-    starts = offsets[:-1]
-
-    def scatter(side_flat, side_counts, side_starts):
-        total = int(side_counts.sum())
-        if not total:
-            return
-        cum = np.cumsum(side_counts)
-        ramp = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(cum - side_counts, side_counts)
-            + np.repeat(side_starts, side_counts)
-        )
-        flat[ramp] = side_flat
-
-    scatter(flat_u, counts_u, starts)
-    scatter(flat_v, counts_v, starts + counts_u)
-    colors = polynomial_steps_numpy(colors_np, offsets, flat, schedule, tracker)
-    return dict(zip(edge_list, colors))
+    # Endpoint slots: the touched-node index of each edge's u and v.
+    ends = (np.cumsum(touched) - 1)[ends]
+    node_ids = np.array(ids, dtype=np.int64)[ends]
+    colors = node_ids.min(axis=0) * id_base + node_ids.max(axis=0)
+    cnt = np.bincount(ends.ravel())
+    degree_bound = int(cnt[ends].sum(axis=0).max()) - 2
+    schedule = reduction_schedule(int(colors.max()) + 1, max(1, degree_bound))
+    for q, d in schedule:
+        if len(ids) * q > max(1 << 16, 16 * k) or (d + 1) * q * q >= 2**62:
+            return None
+        digits = _base_q_digits(colors, q, d)
+        slots = ends * q
+        pending = np.ones(k, dtype=bool)
+        reduced = np.empty_like(colors)
+        for x in range(q):
+            value = _values_at(digits, x, q)
+            keys = value + slots
+            free = (np.bincount(keys.ravel())[keys].sum(axis=0) == 2) & pending
+            reduced[free] = x * q + value[free]
+            pending &= ~free
+            if not pending.any():
+                break
+        else:
+            return None  # a row found no free point
+        colors = reduced
+    if tracker is not None and schedule:
+        tracker.charge(len(schedule), "linial")
+    return dict(zip(edge_list, colors.tolist()))
 
 
 def proper_edge_schedule(
@@ -388,26 +365,23 @@ def proper_edge_schedule(
     ``d̄`` is the maximum edge degree *within* ``edge_set``.  The schedule
     is computed by running Linial's algorithm on the line graph of the
     subgraph induced by ``edge_set`` (O(log* n) charged rounds), without
-    building it: a vectorized or a python setup lays its rows out as
-    CSR, and the color-reduction engines of
-    :mod:`repro.coloring.color_reduction` run the steps over them.
-    :mod:`repro.core.engine` chooses the setup and engine; both produce
-    bit-identical schedules.
+    building it.  The numpy engine (:func:`_schedule_counts_numpy`) needs
+    no rows: it counts ``(endpoint, value)`` pairs per evaluation point.
+    The python twin lays the rows out as CSR and runs
+    :func:`repro.coloring.color_reduction.polynomial_steps` over them.
+    When no engine is forced, the numpy engine serves batches from
+    :data:`SCHEDULE_NUMPY_EDGES` edges on.  Both produce bit-identical
+    schedules and charges.
     """
     edge_list = sorted(set(edge_set))
     if not edge_list:
         return {}
-    # A reduction step sweeps both endpoint rows of every position, so
-    # the per-step element count is ~2m, not m — the measured numpy
-    # crossover sits near 64 edges, half the shared threshold.
-    if engine.use_numpy(2 * len(edge_list)) and hasattr(graph, "endpoint_arrays_np"):
-        # Vectorized setup + engine: the per-part incident maps and row
-        # building collapse to array passes (see _schedule_setup_numpy);
-        # ``None`` means the identifier guard tripped — fall through to
-        # the python setup and engine below.
-        vectorized = _schedule_setup_numpy(graph, edge_list, tracker)
-        if vectorized is not None:
-            return vectorized
+    # Scale the batch so the shared threshold sits at the measured crossover.
+    if engine.use_numpy(len(edge_list) * NUMPY_SCAN_THRESHOLD // SCHEDULE_NUMPY_EDGES):
+        # ``None``: the engine declined the batch; the python twin runs it.
+        counted = _schedule_counts_numpy(graph, edge_list, tracker)
+        if counted is not None:
+            return counted
     # Run Linial on the line graph of the edge subset without
     # materializing it: line node ``i`` is ``edge_list[i]``; its
     # identifier is the edge identifier the induced subgraph would
@@ -449,4 +423,3 @@ def proper_edge_schedule(
         offsets.append(len(flat))
     colors = polynomial_steps(colors, offsets, flat, schedule, tracker)
     return {edge_list[position]: colors[position] for position in range(len(edge_list))}
-

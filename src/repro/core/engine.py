@@ -7,15 +7,15 @@ numpy engine and a pure-python reference twin:
   (:mod:`repro.core.balanced_orientation`, run per split level by
   :mod:`repro.core.defective_edge_coloring`);
 * Linial's reduction steps (:func:`repro.coloring.linial.
-  linial_vertex_coloring`, which the line-graph schedule runs too) and
-  the vectorized ``receive_batch`` sweep of ``LinialNodeAlgorithm`` on
-  the simulator, both over the one engine pair of
-  :mod:`repro.coloring.color_reduction`;
+  linial_vertex_coloring`) and the vectorized ``receive_batch`` sweep
+  of ``LinialNodeAlgorithm`` on the simulator, both over the one engine
+  pair of :mod:`repro.coloring.color_reduction`;
 * the defective reduction, local search and monochromatic-degree count
   of :mod:`repro.coloring.defective_vertex`;
 * the Definition 5.1 defect recount
   (:func:`repro.core.defective_edge_coloring.measure_defects`);
-* the edge-schedule setup and the greedy leaf of
+* the edge schedule (endpoint counts per evaluation point, against a
+  twin over line-graph rows) and the greedy leaf of
   :mod:`repro.coloring.greedy`;
 * the row filter of :meth:`repro.graphs.core.Graph.edge_subset_view`;
 * the CSR build of :class:`repro.graphs.core.Graph`, sized by its edge

@@ -132,8 +132,11 @@ class Appender:
     heal, header line when the file is new, directory fsync under
     ``fsync``) and stays open until :meth:`close`.  A write that raises
     drops the handle, so the next write reopens and heals the fragment
-    it may have left.  An appender collected without :meth:`close`
-    closes its handle then, so dropping one leaks no file.  Writes are
+    it may have left.  A held handle whose file another process has
+    deleted (``st_nlink == 0``) is dropped before the write, so the
+    record lands in a reopened file (healed, header line) and not in the
+    unlinked one.  An appender collected without :meth:`close` closes
+    its handle then, so dropping one leaks no file.  Writes are
     serialized by a lock: threads may share one appender.
     """
 
@@ -155,6 +158,8 @@ class Appender:
     def write(self, text: str) -> None:
         """Append ``text`` (whole lines) in one flushed write."""
         with self._lock:
+            if self._handle is not None and os.fstat(self._handle.fileno()).st_nlink == 0:
+                self._drop()
             if self._handle is None:
                 self._handle = open_append(
                     self.path, self.header, self.fsync, self.heal_counter

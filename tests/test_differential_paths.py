@@ -2,19 +2,20 @@
 
 Each vectorized engine ships with a pure-python (or per-node) reference
 twin: the orientation proposal/accept loop, the local-search round loop,
-the simulator's broadcast against per-port writes, and the one
-color-reduction engine pair of :mod:`repro.coloring.color_reduction`,
-whose callers are vertex Linial, the line-graph schedule, Linial's
-vectorized receive on the simulator and the defective min-conflict
-reduction.  This matrix runs a seeded randomized sweep (varying n, Δ,
-bipartite/general topology, both sides of the engine-size threshold and
-of the legacy 384-edge mark) and asserts the twins are
-**bit-identical**: same colorings, orientations, round counts and
-CONGEST metrics, down to dict contents and violation lists.  Each twin
-is forced by an engine scope (:func:`repro.core.engine.scan_path`).  CI
-runs the matrix twice more with ``REPRO_SCAN_PATH`` forcing each engine
-across the whole suite, and the scenario-runtime job diffs result stores
-across the ``scan_path`` and ``repair_path`` knobs.
+the simulator's broadcast against per-port writes, the line-graph
+schedule's endpoint-count engine against its row-built python twin,
+and the one color-reduction engine pair of
+:mod:`repro.coloring.color_reduction`, whose callers are vertex Linial,
+Linial's vectorized receive on the simulator and the defective
+min-conflict reduction.  This matrix runs a seeded randomized sweep
+(varying n, Δ, bipartite/general topology, both sides of the
+engine-size threshold and of the legacy 384-edge mark) and asserts the
+twins are **bit-identical**: same colorings, orientations, round counts
+and CONGEST metrics, down to dict contents and violation lists.  Each
+twin is forced by an engine scope (:func:`repro.core.engine.scan_path`).
+CI runs the matrix twice more with ``REPRO_SCAN_PATH`` forcing each
+engine across the whole suite, and the scenario-runtime job diffs result
+stores across the ``scan_path`` and ``repair_path`` knobs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import random
 import pytest
 
 from repro import api
+from repro.coloring import greedy
 from repro.coloring.greedy import (
     UsedColorMasks,
     greedy_edge_coloring_by_classes,
@@ -298,20 +300,114 @@ class TestScheduleEngineMatrix:
                 assert _on(path, proper_edge_schedule, graph, [e], tracker) == {e: expected}
                 assert tracker.breakdown == ({"linial": len(schedule)} if schedule else {})
 
-    def test_huge_identifier_star_schedules_bit_identical(self):
-        # A center id >= 2**31 trips the vectorized setup's int64 guard,
-        # so the numpy request runs the python setup and engine.
-        leaves = 40
-        graph = Graph(
-            leaves + 1,
-            [(0, leaf) for leaf in range(1, leaves + 1)],
-            node_ids=[2**40, *range(1, leaves + 1)],
+
+def _schedule_inputs():
+    """(name, graph, batch) inputs of the count-engine pin."""
+    sparse = generators.random_regular_graph(512, 8, seed=41)
+    dense = generators.random_regular_graph(512, 64, seed=43)
+    rng = random.Random(43)
+    dense_edges = list(dense.edges())
+    # Lemma D.2's batches at Δ=64 hold one to a few hundred edges.
+    subsets = [
+        (f"delta64-subset-{size}", dense, rng.sample(dense_edges, size))
+        for size in (16, 40, 150, 250)
+    ]
+    # A matching: pairwise non-adjacent edges, degree bound 0.
+    used, matching = set(), []
+    for e in dense_edges:
+        u, v = dense.edge_endpoints(e)
+        if u not in used and v not in used:
+            used.update((u, v))
+            matching.append(e)
+    scrambled = generators.graph_with_scrambled_ids(
+        generators.random_regular_graph(200, 12, seed=47), seed=47, id_space_factor=1000
+    )
+    return [
+        ("regular-512-8", sparse, list(sparse.edges())),
+        *subsets,
+        ("matching", dense, matching),
+        ("single-edge", dense, dense_edges[7:8]),
+        ("scrambled-ids", scrambled, list(scrambled.edges())),
+    ]
+
+
+@requires_numpy
+class TestScheduleCountEngine:
+    """The schedule's endpoint-count engine against the row-built python twin.
+
+    Each input runs every step on the count engine and matches the
+    twin's schedule and charges.  The batches the engine declines (a
+    huge identifier, an oversized count table, a step with no free
+    point) charge nothing there and run on the twin.
+    """
+
+    @staticmethod
+    def _engines(graph, batch):
+        """Each forced engine's schedule (or error text) and charges."""
+        runs = {}
+        for path in ("python", "numpy"):
+            tracker = RoundTracker()
+            try:
+                outcome = _on(path, proper_edge_schedule, graph, batch, tracker)
+            except ValueError as exc:
+                outcome = str(exc)
+            runs[path] = (outcome, tracker.breakdown)
+        assert runs["numpy"] == runs["python"]
+        return runs["python"]
+
+    @pytest.mark.parametrize(
+        "graph,batch", [pytest.param(g, b, id=name) for name, g, b in _schedule_inputs()]
+    )
+    def test_count_engine_runs_every_step_bit_identically(self, graph, batch):
+        schedule, charges = self._engines(graph, batch)
+        assert is_proper_edge_coloring(graph, schedule, edge_set=batch)
+        assert charges["linial"] >= 1
+        tracker = RoundTracker()
+        assert greedy._schedule_counts_numpy(graph, sorted(batch), tracker) == schedule
+        assert tracker.breakdown == charges
+
+    def test_huge_identifier_star_takes_the_python_setup(self):
+        # A center id >= 2**31 trips the int64 guard of the identifier colors.
+        graph = Graph(41, [(0, leaf) for leaf in range(1, 41)], node_ids=[2**40, *range(1, 41)])
+        assert greedy._schedule_counts_numpy(graph, list(graph.edges()), None) is None
+        schedule = self._engines(graph, list(graph.edges()))[0]
+        assert is_proper_edge_coloring(graph, schedule)
+
+    def test_batch_over_the_count_table_cap_takes_the_python_twin(self):
+        # A 300-leaf star over identifiers from a 10**6 space: its first
+        # step would count ≈301 nodes × q ≈ 900 pairs, past the cap.
+        leaves = 300
+        ids = random.Random(5).sample(range(10**6), leaves + 1)
+        graph = Graph(leaves + 1, [(0, leaf) for leaf in range(1, leaves + 1)], node_ids=ids)
+        edges = list(graph.edges())
+        space = 1 + max(min(ids[0], i) * (max(ids) + 1) + max(ids[0], i) for i in ids[1:])
+        q = greedy.reduction_schedule(space, leaves - 1)[0][0]
+        assert (leaves + 1) * q > max(1 << 16, 16 * leaves)
+        tracker = RoundTracker()
+        assert greedy._schedule_counts_numpy(graph, edges, tracker) is None
+        assert tracker.breakdown == {}
+        schedule, charges = self._engines(graph, edges)
+        assert is_proper_edge_coloring(graph, schedule) and charges["linial"] >= 1
+
+    def test_a_step_with_no_free_point_raises_as_the_twin_does(self, monkeypatch):
+        graph = generators.graph_with_scrambled_ids(
+            generators.random_regular_graph(96, 6, seed=9), seed=9, id_space_factor=1000
         )
         edges = list(graph.edges())
-        a = _on("python", proper_edge_schedule, graph, edges)
-        b = _on("numpy", proper_edge_schedule, graph, edges)
-        assert a == b
-        assert is_proper_edge_coloring(graph, a)
+        assert self._engines(graph, edges)[1]["linial"] >= 2
+        # One real step, then q = 2 < d̄·d + 1: some row has no free point.
+        real_schedule = greedy.reduction_schedule
+
+        def truncated(space, degree_bound):
+            return real_schedule(space, degree_bound)[:1] + ((2, 1),)
+
+        monkeypatch.setattr(greedy, "reduction_schedule", truncated)
+        tracker = RoundTracker()
+        assert greedy._schedule_counts_numpy(graph, edges, tracker) is None
+        assert tracker.breakdown == {}
+        outcome, charges = self._engines(graph, edges)
+        assert outcome.startswith("no conflict-free point found")
+        assert charges == {"linial": 1}
 
 
 def _leaf_run(graph, schedule, path, masks=(), **kwargs):
@@ -1110,7 +1206,7 @@ class TestScanPathReachesEngines:
         monkeypatch.setattr(linial, "polynomial_steps_numpy", forbidden)
         monkeypatch.setattr(linial, "conflict_free_step_numpy", forbidden)
         monkeypatch.setattr(defective_vertex, "_local_search_rounds_numpy", forbidden)
-        monkeypatch.setattr(greedy, "_schedule_setup_numpy", forbidden)
+        monkeypatch.setattr(greedy, "_schedule_counts_numpy", forbidden)
         monkeypatch.setattr(greedy, "_greedy_classes_numpy", forbidden)
         # Inline numpy branches (the defect recount's among them) have no
         # engine function to patch: record every choice use_numpy makes,

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from graph_helpers import materialized_line_graph
 from repro.baselines.sequential import sequential_greedy_edge_coloring
+from repro.coloring.color_reduction import reduction_schedule
 from repro.coloring.greedy import (
+    SCHEDULE_NUMPY_EDGES,
     UsedColorMasks,
     greedy_edge_coloring_by_classes,
     proper_edge_schedule,
@@ -24,7 +26,7 @@ from repro.core.slack import uniform_instance
 from repro.core.token_dropping import TokenDroppingGame, run_token_dropping, uniform_alpha
 from repro.distributed.rounds import RoundTracker
 from repro.graphs.bipartite import find_bipartition
-from repro.graphs.core import DirectedGraph, Graph
+from repro.graphs.core import DirectedGraph, Graph, degrees_within
 from repro.verification.checkers import is_proper_edge_coloring, is_proper_vertex_coloring
 from repro.verification.invariants import check_token_game_validity, slack_invariant_violations
 
@@ -169,6 +171,47 @@ class TestColoringProperties:
             masks = [used.mask(v) for v in graph.nodes()]
             runs[path] = (schedule, list(new.items()), tracker.breakdown, masks)
         assert runs["python"] == runs["numpy"]
+
+    @_SETTINGS
+    @given(random_graphs(max_nodes=28, edge_probability=0.3), st.data())
+    def test_schedule_engines_agree_around_the_cutoff(self, graph, data):
+        if _np is None or graph.num_edges == 0:
+            return
+        ids = data.draw(
+            st.one_of(
+                st.just(list(graph.nodes())),
+                st.lists(
+                    st.integers(0, 1000 * graph.num_nodes),
+                    min_size=graph.num_nodes, max_size=graph.num_nodes, unique=True,
+                ),
+            )
+        )
+        graph = Graph(graph.num_nodes, [graph.edge_endpoints(e) for e in graph.edges()], ids)
+        size = data.draw(
+            st.integers(
+                min(graph.num_edges, SCHEDULE_NUMPY_EDGES // 2),
+                min(graph.num_edges, 2 * SCHEDULE_NUMPY_EDGES),
+            )
+        )
+        batch = data.draw(st.permutations(list(graph.edges())))[:size]
+        # The charge Linial's reduction owes: identifier space and d̄ of the batch.
+        node_deg, edge_deg = degrees_within(graph, batch)
+        id_base = max(graph.node_id(v) for v in graph.nodes() if node_deg[v]) + 1
+        space = 1 + max(
+            min(graph.node_id(u), graph.node_id(v)) * id_base
+            + max(graph.node_id(u), graph.node_id(v))
+            for u, v in map(graph.edge_endpoints, batch)
+        )
+        steps = len(reduction_schedule(space, max(1, max(edge_deg))))
+        runs = {}
+        for path in ("python", "numpy", "auto"):
+            tracker = RoundTracker()
+            with engine.scan_path(path):
+                schedule = proper_edge_schedule(graph, batch, tracker=tracker)
+            assert is_proper_edge_coloring(graph, schedule, edge_set=batch)
+            assert tracker.breakdown == ({"linial": steps} if steps else {})
+            runs[path] = list(schedule.items())
+        assert runs["python"] == runs["numpy"] == runs["auto"]
 
     @_SETTINGS
     @given(random_bipartite_graphs())

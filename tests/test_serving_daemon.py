@@ -163,6 +163,23 @@ class TestDeltaJournal:
         assert compact_artifact(path) == artifact.epoch > 0
         assert reads == [journal_path(path)]
 
+    def test_append_after_external_compact_lands_in_a_fresh_journal(self, tmp_path):
+        # Compacting (as `serve --compact` does from another process)
+        # deletes the journal under the artifact's held append handle; the
+        # next acknowledged delta must survive a reload.
+        path = saved_artifact(tmp_path)
+        artifact = ColoringArtifact.load(path)
+        iu, iv = absent_pair(artifact.graph)
+        artifact.insert(iu, iv)
+        artifact.save(path, journal=True)
+        assert compact_artifact(path) == artifact.epoch == 1
+        artifact.delete(iu, iv)
+        artifact.save(path, journal=True)
+        artifact.close()
+        reloaded = ColoringArtifact.load(path)
+        assert reloaded.epoch == 2 and reloaded.colors == artifact.colors
+        assert [r["op"] for r in DeltaJournal(journal_path(path)).records()] == ["delete"]
+
     def test_torn_tail_heals_to_last_complete_epoch(self, tmp_path):
         # Satellite: truncate mid-record; load() must heal to the last
         # complete epoch and a subsequent delta must resume cleanly.
