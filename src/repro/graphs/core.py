@@ -42,6 +42,57 @@ from itertools import chain, islice
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
+def _normalized_python(num_nodes: int, edges: List) -> List[Tuple[int, int]]:
+    """Check ``edges`` one by one and normalize each to ``u < v``, in
+    input order; the reference twin of :func:`_checked_endpoints_numpy`.
+
+    Raises ``ValueError`` at the first offending edge: a self-loop, then
+    an endpoint out of range, then a duplicate of an earlier edge.
+    """
+    normalized: List[Tuple[int, int]] = []
+    seen: Set[Tuple[int, int]] = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at node {u} is not allowed")
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        seen.add(key)
+        normalized.append(key)
+    return normalized
+
+
+def _checked_endpoints_numpy(np, num_nodes: int, edges: List):
+    """The array pass of :func:`_normalized_python`: the normalized
+    endpoint arrays ``(lo, hi)`` (int64, input order), or ``None``.
+
+    It answers only for pairs of integers (whatever ``operator.index``
+    takes) in int64 range that pass every check.  Anything else returns
+    ``None``, so the python twin runs and raises the same first error,
+    or keeps its own handling of non-integer input.  One pass over the
+    python objects: the conversion is the type check.
+    """
+    # Below 2**31 nodes the duplicate key ``lo * n + hi`` fits in int64.
+    if num_nodes >= 2**31 or set(map(len, edges)) != {2}:
+        return None
+    try:
+        pairs = np.fromiter(
+            map(operator.index, chain.from_iterable(edges)), dtype=np.int64, count=2 * len(edges)
+        )
+    except (TypeError, OverflowError):
+        return None
+    lo = np.minimum(pairs[0::2], pairs[1::2])
+    hi = np.maximum(pairs[0::2], pairs[1::2])
+    if (lo == hi).any() or lo.min() < 0 or hi.max() >= num_nodes:
+        return None
+    keys = np.sort(lo * num_nodes + hi)
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    return lo, hi
+
+
 class Graph:
     """An undirected simple graph with indexed nodes and edges.
 
@@ -61,7 +112,10 @@ class Graph:
     The arrays above are built by a numpy array pass or by its python
     twin (:meth:`_build_csr_numpy` / :meth:`_build_csr_python`, chosen
     by :func:`repro.core.engine.use_numpy` on ``m``); both give the same
-    lists of python ints.  There is no pair-to-edge dict:
+    lists of python ints.  The input edges are checked and normalized
+    the same way, by :func:`_checked_endpoints_numpy` or its twin
+    :func:`_normalized_python`: the same ``_edges`` in input order, and
+    the same first ``ValueError``.  There is no pair-to-edge dict:
     :meth:`has_edge` and :meth:`edge_index` binary-search the sorted row
     of ``u``, in O(log deg).
     """
@@ -81,20 +135,16 @@ class Graph:
             node_ids: optional unique identifiers (the ``poly(n)`` IDs of
                 the LOCAL model).  Defaults to ``0 .. num_nodes - 1``.
         """
+        # Imported here: importing ``repro.core`` imports this module.
+        from repro.core import engine
+
         if num_nodes < 0:
             raise ValueError("num_nodes must be non-negative")
-        normalized: List[Tuple[int, int]] = []
-        seen: Set[Tuple[int, int]] = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at node {u} is not allowed")
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            normalized.append(key)
+        edges = list(edges)
+        endpoints = None
+        if engine.use_numpy(len(edges)):
+            endpoints = _checked_endpoints_numpy(engine._np, num_nodes, edges)
+        normalized = None if endpoints is not None else _normalized_python(num_nodes, edges)
         if node_ids is not None:
             ids = list(node_ids)
             if len(ids) != num_nodes:
@@ -103,7 +153,7 @@ class Graph:
                 raise ValueError("node_ids must be unique")
         else:
             ids = None
-        self._finalize(num_nodes, normalized, ids)
+        self._finalize(num_nodes, normalized, ids, endpoints)
 
     @classmethod
     def _from_normalized(
@@ -122,18 +172,30 @@ class Graph:
     def _finalize(
         self,
         num_nodes: int,
-        normalized: List[Tuple[int, int]],
+        normalized: Optional[List[Tuple[int, int]]],
         node_ids: Optional[List[int]],
+        endpoints=None,
     ) -> None:
-        # Imported here: importing ``repro.core`` imports this module.
+        """Build the CSR arrays from ``normalized``, or from the int64
+        ``endpoints = (edge_u, edge_v)`` the array validation checked
+        (``normalized`` is then ``None`` and is rebuilt from them)."""
         from repro.core import engine
 
         self._num_nodes = num_nodes
-        self._edges: List[Tuple[int, int]] = normalized
-        if engine.use_numpy(len(normalized)):
-            self._build_csr_numpy(engine._np)
-        else:
+        if endpoints is None and engine.use_numpy(len(normalized)):
+            np = engine._np
+            pairs = np.fromiter(
+                chain.from_iterable(normalized), dtype=np.int64, count=2 * len(normalized)
+            )
+            endpoints = (pairs[0::2], pairs[1::2])
+        if endpoints is None:
+            self._edges: List[Tuple[int, int]] = normalized
             self._build_csr_python()
+        else:
+            self._build_csr_numpy(engine._np, *endpoints)
+            if normalized is None:
+                normalized = list(zip(self._edge_u, self._edge_v))
+            self._edges = normalized
 
         if node_ids is None:
             self._node_ids = list(range(num_nodes))
@@ -147,9 +209,10 @@ class Graph:
         self._rev_slot: Optional[List[int]] = None
         self._endpoints_np = None
 
-    def _build_csr_numpy(self, np) -> None:
-        """The CSR arrays in a few array passes; the same lists of python
-        ints as :meth:`_build_csr_python`.
+    def _build_csr_numpy(self, np, edge_u, edge_v) -> None:
+        """The CSR arrays in a few array passes from the int64 endpoint
+        arrays ``edge_u < edge_v``; the same lists of python ints as
+        :meth:`_build_csr_python`.
 
         Every edge enters twice, once per direction, as a slot
         ``(src, dst, edge)``.  One sort on the key ``src * n + dst`` (unique,
@@ -158,11 +221,7 @@ class Graph:
         neighbor, which is the python twin's order.
         """
         n = self._num_nodes
-        normalized = self._edges
-        m = len(normalized)
-        pairs = np.fromiter(chain.from_iterable(normalized), dtype=np.int64, count=2 * m)
-        edge_u = pairs[0::2]
-        edge_v = pairs[1::2]
+        m = len(edge_u)
         src = np.concatenate((edge_u, edge_v))
         dst = np.concatenate((edge_v, edge_u))
         order = np.argsort(src * n + dst)

@@ -1,4 +1,4 @@
-"""Delta application over CSR graphs: the epoch-versioned dynamic overlay.
+"""Delta application over CSR graphs: the epoch-versioned dynamic graph.
 
 The serving plane (:mod:`repro.serving`) answers queries against a graph
 that *changes* — edges are inserted and deleted between query batches —
@@ -6,31 +6,32 @@ while every static algorithm in the tree consumes the immutable
 CSR :class:`repro.graphs.core.Graph`.  :class:`DeltaGraph` bridges the
 two worlds:
 
-* the **base** is a frozen :class:`Graph` whose CSR arrays are never
-  touched;
-* deltas are applied to a small **overlay** (per-node sorted insert rows
-  plus a deleted-edge set), so a mutation costs O(degree), not a CSR
-  rebuild;
+* the **live rows** are one sorted neighbor list per node, copied once
+  from a CSR :class:`Graph`; they are the adjacency every read sees, so
+  a neighbor read is one list lookup and a mutation edits two rows in
+  O(degree);
 * every mutation bumps an **epoch** counter.  The epoch is the version
   tag the serving cache folds into its keys: a cached answer is only
   ever replayed for the epoch it was computed under;
+* the **overlay** is accounting only: the edges added and the base
+  edges deleted since the last :meth:`rebase`.  Its size is what the
+  serving plane's rebase policy and ``stats`` report;
 * :meth:`snapshot` materializes the current edge set as an immutable
   :class:`Graph` (cached per epoch) — the bridge back to the static
-  pipelines, used by the serving plane's from-scratch ``recompute``
-  repair path and by verification;
-* :meth:`rebase` folds the overlay into a fresh base when it has grown
-  past the point where overlay merging is worth it (the dynamic
+  pipelines;
+* :meth:`rebase` makes the current edge set the new base: it clears the
+  overlay accounting in O(overlay) and builds no graph (the dynamic
   analogue of the result store's ``compact``).
 
-The node set is fixed for the lifetime of the overlay: serving deltas
+The node set is fixed for the lifetime of the graph: serving deltas
 are edge- and demand-level events, and keeping node identity frozen is
 what lets colors be keyed by endpoint pairs across epochs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from bisect import bisect_left, bisect_right, insort
+from typing import Iterator, List, Set, Tuple
 
 from repro.graphs.core import Graph
 
@@ -41,37 +42,35 @@ def _pair(u: int, v: int) -> Tuple[int, int]:
 
 
 class DeltaGraph:
-    """A mutable edge-set overlay over an immutable CSR base graph.
+    """A mutable edge set kept as live sorted neighbor rows.
 
     Read API mirrors the subset of :class:`Graph` the serving plane
     needs (``num_nodes`` / ``num_edges`` / ``degree`` / ``neighbors`` /
     ``has_edge`` / ``edge_pairs`` / ``node_ids``); mutations go through
     :meth:`insert_edge` / :meth:`delete_edge` and each bumps
-    :attr:`epoch`.
+    :attr:`epoch`.  Reads of a node take an in-range node index, as the
+    CSR :class:`Graph` reads do; only :meth:`has_edge` answers ``False``
+    for an out-of-range endpoint.
     """
 
     def __init__(self, base: Graph) -> None:
-        self._base = base
+        xadj, adj = base.adjacency_csr()
+        self._rows: List[List[int]] = [
+            adj[xadj[v] : xadj[v + 1]] for v in range(base.num_nodes)
+        ]
+        self._node_ids = base.node_ids
         self._epoch = 0
-        # Overlay state: edges added on top of the base (sorted per-node
-        # rows for deterministic neighbor iteration) and base edges
-        # deleted.  An edge is "present" iff (in base and not deleted)
-        # or in the added rows.
-        self._added_rows: Dict[int, List[int]] = {}
-        self._deleted_rows: Dict[int, Set[int]] = {}
+        # Overlay accounting against the last rebase: an edge is in
+        # ``_added`` iff it is present and was not a base edge, and in
+        # ``_deleted`` iff it is a base edge that is absent.
         self._added: Set[Tuple[int, int]] = set()
         self._deleted: Set[Tuple[int, int]] = set()
-        self._degrees: List[int] = list(base.degree_array())
+        self._base_edges = base.num_edges
         self._num_edges = base.num_edges
-        self._snapshot: Optional[Graph] = base
+        self._snapshot = base
         self._snapshot_epoch = 0
 
     # ------------------------------------------------------------------ meta
-    @property
-    def base(self) -> Graph:
-        """The frozen base graph under the overlay."""
-        return self._base
-
     @property
     def epoch(self) -> int:
         """Version counter: incremented by every applied delta."""
@@ -83,14 +82,19 @@ class DeltaGraph:
         return len(self._added) + len(self._deleted)
 
     @property
+    def base_edges(self) -> int:
+        """Number of edges at the last :meth:`rebase` (or construction)."""
+        return self._base_edges
+
+    @property
     def num_nodes(self) -> int:
-        """Number of nodes (fixed for the overlay's lifetime)."""
-        return self._base.num_nodes
+        """Number of nodes (fixed for the graph's lifetime)."""
+        return len(self._rows)
 
     @property
     def node_ids(self) -> List[int]:
-        """Node identifiers, shared with the base graph."""
-        return self._base.node_ids
+        """Node identifiers, indexed by node (a copy)."""
+        return list(self._node_ids)
 
     @property
     def num_edges(self) -> int:
@@ -99,63 +103,44 @@ class DeltaGraph:
 
     def nodes(self) -> range:
         """Iterate node indices."""
-        return self._base.nodes()
+        return range(len(self._rows))
 
     # ----------------------------------------------------------------- reads
     def _check_node(self, v: int) -> None:
-        if not 0 <= v < self._base.num_nodes:
-            raise ValueError(f"node {v} out of range for {self._base.num_nodes} nodes")
+        if not 0 <= v < len(self._rows):
+            raise ValueError(f"node {v} out of range for {len(self._rows)} nodes")
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether the edge ``{u, v}`` is currently present."""
-        key = _pair(u, v)
-        if key in self._added:
-            return True
-        if key in self._deleted:
+        """Whether the edge ``{u, v}`` is currently present (``False``
+        when an endpoint is out of range)."""
+        if not 0 <= u < len(self._rows):
             return False
-        return self._base.has_edge(u, v)
+        row = self._rows[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def degree(self, v: int) -> int:
         """Current degree of node ``v``."""
-        return self._degrees[v]
+        return len(self._rows[v])
 
     def max_degree(self) -> int:
         """Current maximum degree over all nodes."""
-        return max(self._degrees) if self._degrees else 0
+        return max(map(len, self._rows), default=0)
 
     def neighbors(self, v: int) -> List[int]:
-        """Sorted current neighbors of ``v`` (base row merged with overlay).
+        """Sorted current neighbors of ``v``: the live row itself.
 
-        Nodes untouched by the overlay get the base CSR row straight
-        through (no per-neighbor probing) — the repair worklist calls
-        this on every pop, so the untouched-node path stays O(degree)
-        with a single slice.
+        Shared, not copied — callers must not mutate it, and a row read
+        before a mutation of ``v`` sees that mutation.
         """
-        base_row = self._base.neighbors(v)
-        added_row = self._added_rows.get(v)
-        deleted_row = self._deleted_rows.get(v)
-        if deleted_row:
-            kept = [w for w in base_row if w not in deleted_row]
-        elif added_row:
-            kept = list(base_row)
-        else:
-            return base_row
-        for w in added_row or ():
-            insort(kept, w)
-        return kept
+        return self._rows[v]
 
     def edge_pairs(self) -> Iterator[Tuple[int, int]]:
-        """Yield every present edge as a normalized ``(u, v)`` pair.
-
-        Order is deterministic (base edge order, then sorted overlay
-        inserts) but **not** sorted — canonical consumers sort by pair.
-        """
-        deleted = self._deleted
-        for u, v in self._base._edges:  # noqa: SLF001 - sibling module access
-            if (u, v) not in deleted:
+        """Yield every present edge as a normalized ``(u, v)`` pair, in
+        sorted pair order."""
+        for u, row in enumerate(self._rows):
+            for v in row[bisect_right(row, u) :]:
                 yield (u, v)
-        for key in sorted(self._added):
-            yield key
 
     # ------------------------------------------------------------- mutations
     def insert_edge(self, u: int, v: int) -> int:
@@ -169,21 +154,16 @@ class DeltaGraph:
         if u == v:
             raise ValueError(f"self-loop at node {u} is not allowed")
         key = _pair(u, v)
-        if self.has_edge(u, v):
+        row = self._rows[u]
+        i = bisect_left(row, v)
+        if i < len(row) and row[i] == v:
             raise ValueError(f"edge {key} is already present")
+        row.insert(i, v)
+        insort(self._rows[v], u)
         if key in self._deleted:
             self._deleted.discard(key)
-            for a, b in (key, (key[1], key[0])):
-                row = self._deleted_rows[a]
-                row.discard(b)
-                if not row:
-                    del self._deleted_rows[a]
         else:
             self._added.add(key)
-            insort(self._added_rows.setdefault(key[0], []), key[1])
-            insort(self._added_rows.setdefault(key[1], []), key[0])
-        self._degrees[u] += 1
-        self._degrees[v] += 1
         self._num_edges += 1
         self._epoch += 1
         return self._epoch
@@ -196,18 +176,14 @@ class DeltaGraph:
         key = _pair(u, v)
         if not self.has_edge(u, v):
             raise ValueError(f"edge {key} is not present")
+        row = self._rows[u]
+        row.pop(bisect_left(row, v))
+        row = self._rows[v]
+        row.pop(bisect_left(row, u))
         if key in self._added:
             self._added.discard(key)
-            row = self._added_rows[key[0]]
-            row.pop(bisect_left(row, key[1]))
-            row = self._added_rows[key[1]]
-            row.pop(bisect_left(row, key[0]))
         else:
             self._deleted.add(key)
-            self._deleted_rows.setdefault(key[0], set()).add(key[1])
-            self._deleted_rows.setdefault(key[1], set()).add(key[0])
-        self._degrees[u] -= 1
-        self._degrees[v] -= 1
         self._num_edges -= 1
         self._epoch += 1
         return self._epoch
@@ -217,59 +193,37 @@ class DeltaGraph:
         """The current edge set as an immutable :class:`Graph`.
 
         Cached per epoch: repeated calls between mutations return the
-        same object, so the ``recompute`` repair path and verification
-        share one materialization.  Edge *indices* of a snapshot are not
-        stable across epochs — only endpoint pairs are; everything the
-        serving plane persists is keyed by pair for exactly this reason.
+        same object.  Edge *indices* of a snapshot are not stable across
+        epochs — only endpoint pairs are; everything the serving plane
+        persists is keyed by pair for exactly this reason.
 
-        Cost: O(m log m) — one list comprehension over the base edges,
-        one sort, and the CSR build of :class:`Graph` (the numpy array
-        pass from ``m >= NUMPY_SCAN_THRESHOLD`` on).  At ``n = 20000``,
-        ``m = 80000`` that is about 55 ms with numpy, against about 350 ms
-        for the per-edge python loops (one Xeon core, numpy 2.4).
+        Cost: O(m) — one walk of the rows, which yields the pairs
+        already sorted, and the CSR build of :class:`Graph` (the numpy
+        array pass from ``m >= NUMPY_SCAN_THRESHOLD`` on).
         """
-        if self._snapshot is not None and self._snapshot_epoch == self._epoch:
+        if self._snapshot_epoch == self._epoch:
             return self._snapshot
-        deleted = self._deleted
-        edges = [key for key in self._base._edges if key not in deleted]  # noqa: SLF001
-        edges.extend(self._added)
-        edges.sort()
         self._snapshot = Graph._from_normalized(  # noqa: SLF001 - fast path
-            self._base.num_nodes, edges, self._base.node_ids
+            len(self._rows), list(self.edge_pairs()), self._node_ids
         )
         self._snapshot_epoch = self._epoch
         return self._snapshot
 
-    def rebase(self) -> Graph:
-        """Fold the overlay into a fresh base graph and clear it.
+    def rebase(self) -> int:
+        """Make the current edge set the new base; return entries folded.
 
-        The epoch is preserved (a rebase is not a delta: the edge set is
-        unchanged, so cached answers stay valid).  Returns the new base.
-
-        **Holder contract**: :attr:`base` is *replaced* by this call, so
-        holders must never cache the base graph object across mutations —
-        always re-read ``graph.base`` (or better, stay on the
-        :class:`DeltaGraph` read API, which is rebase-transparent).
-        State keyed by endpoint *pairs* (colorings, demand lists,
-        palette tables built from pair-keyed colors) survives a rebase
-        untouched; state keyed by base-graph edge *indices* does
-        not, which is why the serving plane persists nothing by index.
-        ``ColoringArtifact`` is audited to this contract and the
-        rebase-under-churn twin tests pin it.
-
-        Cost: one :meth:`snapshot` (nothing when the epoch's snapshot is
-        cached), so still O(m) work per rebase however small the
-        overlay; a rebase with an empty overlay folds nothing.
+        Clears the overlay accounting and sets :attr:`base_edges` to the
+        current edge count.  The rows already hold the current edge set,
+        so this is O(overlay) and builds no graph.  The epoch is
+        preserved (a rebase is not a delta: the edge set is unchanged,
+        so cached answers stay valid); a rebase with an empty overlay
+        folds nothing.
         """
-        base = self.snapshot()
-        self._base = base
-        self._added_rows = {}
-        self._deleted_rows = {}
+        folded = self.overlay_size
         self._added = set()
         self._deleted = set()
-        self._snapshot = base
-        self._snapshot_epoch = self._epoch
-        return base
+        self._base_edges = self._num_edges
+        return folded
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -45,13 +45,15 @@ two:
     Long-lived sessions stay bounded and survive restarts:
 
     * *Auto-rebase*: a :class:`RebasePolicy` (default threshold 0.25 on
-      ``overlay_size / base_edges``, ``min_overlay`` 8) folds the
-      :class:`~repro.graphs.DeltaGraph` overlay into a fresh CSR base
-      when it outgrows the base — **epoch-preserving**, so the result
-      cache stays valid, and rebasing /
-      never-rebasing sessions are bit-identical twins (an explicit
-      ``rebase`` op exists alongside the policy; ``rebase_policy="off"``
-      disables it).
+      ``overlay_size / base_edges``, ``min_overlay`` 8) makes the
+      current edge set of the :class:`~repro.graphs.DeltaGraph` its new
+      base when the overlay accounting outgrows the base.  Reads go to
+      the graph's live neighbor rows, so a rebase only clears that
+      accounting, in O(overlay), and builds no graph.  It is
+      **epoch-preserving**, so the result cache stays valid, and
+      rebasing / never-rebasing sessions are bit-identical twins (an
+      explicit ``rebase`` op exists alongside the policy;
+      ``rebase_policy="off"`` disables it).
     * *Delta journal*: ``save(journal=True)`` appends each absorbed
       delta ``{epoch, op, u, v, colors}`` to ``<artifact>.journal``
       (format tag ``repro-coloring-journal/v1``) instead of rewriting

@@ -4,7 +4,7 @@ An artifact bundles everything the online plane needs to answer queries
 without re-solving:
 
 * the **graph** as an epoch-versioned :class:`repro.graphs.DeltaGraph`
-  (CSR base + mutation overlay);
+  (live sorted neighbor rows + overlay accounting);
 * the **coloring**, keyed by normalized endpoint pair — the one key
   that survives epochs, since snapshot edge indices shift as edges come
   and go;
@@ -56,15 +56,15 @@ ARTIFACT_FORMAT = "repro-coloring-artifact/v1"
 
 @dataclass(frozen=True)
 class RebasePolicy:
-    """When to fold the :class:`DeltaGraph` overlay into a fresh CSR base.
+    """When to fold the :class:`DeltaGraph` overlay into its base.
 
-    Every overlay entry taxes every ``neighbors()`` call on its nodes,
-    so a long-lived session must rebase once the overlay outgrows the
-    base — but a rebase is an O(n + m) snapshot, so not after every
-    delta.  The policy triggers when the overlay holds at least
-    ``min_overlay`` entries **and** ``overlay_size / base_edges``
-    reaches ``threshold``, which amortizes the O(m) fold against the
-    Θ(threshold · m) deltas that grew the overlay.
+    The overlay is accounting only (reads go to the live rows): two
+    pair sets that a long-lived session must not let grow without
+    bound.  A rebase clears them in O(overlay) and builds no graph.
+    The policy triggers when the overlay holds at least ``min_overlay``
+    entries **and** ``overlay_size / base_edges`` reaches
+    ``threshold``, so the accounting stays within a fraction of the
+    base.
 
     A rebase is epoch-preserving (the edge set is unchanged), so it is
     invisible to the serving plane's deterministic core: cached answers
@@ -85,7 +85,7 @@ class RebasePolicy:
         overlay = graph.overlay_size
         if overlay < self.min_overlay:
             return False
-        return overlay >= self.threshold * max(1, graph.base.num_edges)
+        return overlay >= self.threshold * max(1, graph.base_edges)
 
 
 def resolve_rebase_policy(value) -> Optional[RebasePolicy]:
@@ -188,7 +188,7 @@ class ColoringArtifact:
             "max_color": self.max_color,
             "num_lists": len(self.lists),
             "overlay_size": self.graph.overlay_size,
-            "base_edges": self.graph.base.num_edges,
+            "base_edges": self.graph.base_edges,
             "canonical": self.canonical,
             "builder": self.builder,
         }
@@ -262,7 +262,7 @@ class ColoringArtifact:
 
     # ---------------------------------------------------------------- rebase
     def rebase(self) -> int:
-        """Fold the graph overlay into a fresh CSR base; return entries folded.
+        """Fold the graph overlay into its base; return entries folded.
 
         Epoch-preserving: the edge set, the coloring and every result
         cache entry stay valid — a rebase is maintenance, not a delta,
@@ -270,10 +270,7 @@ class ColoringArtifact:
         overlay and may rebase on its own schedule without affecting the
         replayed state).
         """
-        folded = self.graph.overlay_size
-        if folded:
-            self.graph.rebase()
-        return folded
+        return self.graph.rebase()
 
     def maybe_rebase(self, policy: Optional[RebasePolicy]) -> int:
         """Rebase iff ``policy`` says the overlay has outgrown the base.
@@ -388,8 +385,8 @@ class ColoringArtifact:
     def from_json(cls, payload: Mapping) -> "ColoringArtifact":
         """Rebuild an artifact persisted by :meth:`to_json`.
 
-        The overlay is folded on save, so the loaded graph starts with a
-        fresh CSR base; the epoch is restored as the artifact offset.
+        The overlay is folded on save, so the loaded graph starts with
+        an empty overlay; the epoch is restored as the artifact offset.
         """
         fmt = payload.get("format")
         if fmt != ARTIFACT_FORMAT:

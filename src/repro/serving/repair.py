@@ -63,6 +63,7 @@ digests.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -255,19 +256,19 @@ def _run_worklist(
             _fallback_recompute(artifact)
             touched = own + pops + graph.num_edges
             return RepairReport(op, path, epoch, touched, recolored, True)
-        # One adjacency pass per pop: higher-priority neighbors feed the
-        # blocked mask, lower-priority ones are kept as push candidates.
+        # The higher-priority neighbors of (u, v), u < v, are two row
+        # prefixes: u's neighbors below v and v's neighbors below u.  The
+        # rows' suffixes past v and u are the lower-priority ones.
+        u, v = key
+        row_u = graph.neighbors(u)
+        row_v = graph.neighbors(v)
+        iu = bisect_left(row_u, v)
+        iv = bisect_left(row_v, u)
         blocked = 0
-        lower: List[Pair] = []
-        for a, b in (key, (key[1], key[0])):
-            for w in graph.neighbors(a):
-                if w == b:
-                    continue
-                q = (a, w) if a < w else (w, a)
-                if q < key:
-                    blocked |= 1 << colors[q]
-                else:
-                    lower.append(q)
+        for w in row_u[:iu]:
+            blocked |= 1 << colors[(w, u) if w < u else (u, w)]
+        for w in row_v[:iv]:
+            blocked |= 1 << colors[(w, v)]
         c_old = colors[key]
         c_new = choose_color(blocked, lists.get(key))
         if c_new == c_old:
@@ -276,6 +277,8 @@ def _run_worklist(
         artifact._recolor(key, c_old, c_new)  # noqa: SLF001 - engine is the friend
         # Exact affectedness test (module docstring): only lower-priority
         # neighbors that now conflict with c_new or might reclaim c_old.
+        lower = [(u, w) for w in row_u[iu + 1 :]]
+        lower += [(w, v) if w < v else (v, w) for w in row_v[iv + 1 :]]
         for q in lower:
             if q not in queued:
                 cf = colors[q]

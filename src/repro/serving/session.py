@@ -59,7 +59,7 @@ histogram and, under a daemon, its request and connection counts.
 
 The ``rebase`` op (and the automatic
 :class:`~repro.serving.artifact.RebasePolicy`) folds the delta overlay
-into a fresh CSR base; it is epoch-preserving, so its response carries
+into the base, in O(overlay); it is epoch-preserving, so its response carries
 nothing policy-dependent and rebasing/never-rebasing twins answer
 identical streams (``stats`` is the one deliberately policy-dependent
 op: ``overlay_size`` / ``base_edges`` are observability fields).

@@ -13,7 +13,7 @@ from graph_helpers import (
     subgraph_from_edges,
 )
 from repro.core import engine
-from repro.graphs.core import DirectedGraph, Graph, degrees_within
+from repro.graphs.core import DirectedGraph, Graph, _checked_endpoints_numpy, degrees_within
 
 
 def _random_edges(n, m, seed):
@@ -118,6 +118,52 @@ class TestCsrBuildTwins:
             assert not graph.has_edge(u, v)
             with pytest.raises(KeyError):
                 graph.edge_index(u, v)
+
+
+#: ``(edges, message)``: a bad edge list on 5 nodes and the error both
+#: validation engines raise, at its first offending edge.
+_BAD_EDGES = {
+    "self-loop-before-range": ([(0, 1), (2, 2), (0, 9)], "self-loop at node 2 is not allowed"),
+    "range-before-self-loop": ([(0, 1), (0, 9), (2, 2)], "edge (0, 9) out of range for 5 nodes"),
+    "self-loop-out-of-range": ([(9, 9)], "self-loop at node 9 is not allowed"),
+    "negative": ([(0, 1), (-1, 2)], "edge (-1, 2) out of range for 5 nodes"),
+    "beyond-int64": ([(0, 1), (0, 2**70)], f"edge (0, {2**70}) out of range for 5 nodes"),
+    "duplicate-reversed": ([(0, 1), (2, 3), (1, 0)], "duplicate edge (0, 1)"),
+    "duplicate-before-range": ([(3, 4), (4, 3), (0, 9)], "duplicate edge (3, 4)"),
+    "range-before-duplicate": ([(3, 4), (0, 9), (4, 3)], "edge (0, 9) out of range for 5 nodes"),
+    "not-a-pair": ([(0, 1), (1, 2, 3)], "too many values to unpack (expected 2)"),
+}
+
+
+class TestValidationTwins:
+    """The array validation pass and its per-edge python twin."""
+
+    @pytest.mark.parametrize("case", sorted(_CSR_CASES))
+    def test_engines_normalize_identically(self, case):
+        num_nodes, edges, node_ids = _CSR_CASES[case]
+        expected = [(min(u, v), max(u, v)) for u, v in edges]
+        for path in ("numpy", "python"):
+            with engine.scan_path(path):
+                graph = Graph(num_nodes, iter(edges), node_ids=node_ids)
+            assert graph._edges == expected
+            assert all(type(x) is int for pair in graph._edges for x in pair)
+        if edges:  # the array pass answered, not its fallback
+            lo, hi = _checked_endpoints_numpy(engine._np, num_nodes, edges)
+            assert list(zip(lo.tolist(), hi.tolist())) == expected
+
+    @pytest.mark.parametrize("case", sorted(_BAD_EDGES))
+    def test_engines_raise_the_same_first_error(self, case):
+        edges, message = _BAD_EDGES[case]
+        for path in ("numpy", "python"):
+            with engine.scan_path(path):
+                with pytest.raises(ValueError) as err:
+                    Graph(5, edges)
+            assert str(err.value) == message
+
+    def test_non_integer_input_takes_the_python_path(self):
+        np = engine._np
+        for edges in ([(0, 1.5)], [(0, "1")], [(0, 1), (2, None)], [(0, 1, 2)], [(0,)]):
+            assert _checked_endpoints_numpy(np, 5, edges) is None
 
 
 class TestEdgeAccessors:

@@ -75,6 +75,17 @@ class TestMutations:
         # failed mutations must not bump the epoch
         assert dg.epoch == 0
 
+    def test_has_edge_is_false_for_out_of_range_endpoints(self):
+        # The live rows are a python list, so a bare ``rows[-1]`` would
+        # read the last node's row; ``has_edge`` must not.
+        dg = DeltaGraph(generators.cycle_graph(5))
+        dg.insert_edge(4, 1)
+        for u, v in ((-1, 4), (4, -1), (-1, 0), (0, -1), (5, 0), (0, 5), (5, 4), (-1, -1)):
+            assert not dg.has_edge(u, v)
+        with pytest.raises(ValueError, match="not present"):
+            dg.delete_edge(-1, 4)
+        assert dg.epoch == 1
+
     def test_neighbors_stay_sorted(self):
         dg = DeltaGraph(generators.cycle_graph(10))
         dg.insert_edge(0, 5)
@@ -113,36 +124,35 @@ class TestSnapshots:
         dg.delete_edge(1, 2)
         pairs_before = _pairs(dg)
         epoch_before = dg.epoch
-        new_base = dg.rebase()
-        assert dg.base is new_base
+        assert dg.rebase() == 2  # entries folded
         assert dg.overlay_size == 0
+        assert dg.base_edges == dg.num_edges == 8
         assert dg.epoch == epoch_before  # a rebase is not a delta
         assert _pairs(dg) == pairs_before
         # further mutations work on the fresh base
         dg.insert_edge(1, 2)
         assert dg.has_edge(1, 2)
 
-    def test_rebase_replaces_base_and_reads_are_transparent(self):
-        # The holder contract: ``base`` is a *new* object after a rebase
-        # (anyone who cached the old one is stale), while every read on
-        # the DeltaGraph itself is rebase-transparent.
+    def test_rebase_keeps_reads_and_resets_base_edges(self):
+        # Every read on the DeltaGraph is rebase-transparent; only the
+        # overlay accounting moves.
         dg = DeltaGraph(generators.random_regular_graph(20, 4, seed=3))
-        old_base = dg.base
         if dg.has_edge(0, 11):
             dg.delete_edge(0, 11)
         else:
             dg.insert_edge(0, 11)
+        assert dg.base_edges == 40 != dg.num_edges
         reads_before = (
-            [dg.neighbors(v) for v in dg.nodes()],
+            [list(dg.neighbors(v)) for v in dg.nodes()],
             [dg.degree(v) for v in dg.nodes()],
             sorted(dg.edge_pairs()),
             dg.num_edges,
             dg.max_degree(),
         )
-        dg.rebase()
-        assert dg.base is not old_base
+        assert dg.rebase() == 1
+        assert dg.base_edges == dg.num_edges
         reads_after = (
-            [dg.neighbors(v) for v in dg.nodes()],
+            [list(dg.neighbors(v)) for v in dg.nodes()],
             [dg.degree(v) for v in dg.nodes()],
             sorted(dg.edge_pairs()),
             dg.num_edges,
@@ -170,7 +180,8 @@ class TestSnapshots:
             if step % 10 == 9:
                 dg.rebase()
                 assert dg.overlay_size == 0
-            assert sorted(dg.edge_pairs()) == sorted(model)
+                assert dg.base_edges == dg.num_edges == len(model)
+            assert list(dg.edge_pairs()) == sorted(model)
 
 
 def _churned(seed):
@@ -226,14 +237,15 @@ class TestSnapshotTwins:
     def test_second_rebase_folds_nothing(self, path):
         with engine.scan_path(path):
             dg, model, isolated = _churned(seed=10)
-            first = dg.rebase()
+            assert dg.rebase() > 0
             assert dg.overlay_size == 0
-            rows = [dg.neighbors(v) for v in dg.nodes()]
-            assert dg.rebase() is first
+            rows = [list(dg.neighbors(v)) for v in dg.nodes()]
+            assert dg.rebase() == 0
             assert dg.overlay_size == 0
+            snap = dg.snapshot()
         assert [dg.neighbors(v) for v in dg.nodes()] == rows
         n = dg.num_nodes
-        for graph in (dg, dg.base):
+        for graph in (dg, snap):
             for u in sorted({0, n - 1} | isolated):
                 for v in range(n):
                     expected = u != v and (min(u, v), max(u, v)) in model

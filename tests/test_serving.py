@@ -16,6 +16,7 @@ import pytest
 
 from repro import api, cli
 from repro.graphs import generators
+from repro.graphs.core import Graph
 from repro.graphs.delta import DeltaGraph
 from repro.runtime.spec import Knobs
 from repro.runtime.workloads import RUNNERS, CellContext
@@ -615,7 +616,7 @@ class TestRebasePolicy:
         policy = auto.rebase_policy
         bound = max(
             policy.min_overlay,
-            policy.threshold * auto.artifact.graph.base.num_edges,
+            policy.threshold * auto.artifact.graph.base_edges,
         )
         assert auto.artifact.graph.overlay_size <= bound
         # The never-rebasing twin is the leak the policy exists to stop.
@@ -633,6 +634,49 @@ class TestRebasePolicy:
         dg.delete_edge(8, 9)
         dg.delete_edge(9, 10)
         assert policy.should_rebase(dg)  # 10 >= 10
+
+    def test_rebase_builds_no_graph(self, monkeypatch):
+        # A rebase only clears the overlay accounting: the live rows are
+        # already the current edge set, so no CSR Graph is built, neither
+        # by the explicit rebase nor by a policy-triggered one.
+        graph = generators.random_regular_graph(40, 4, seed=3)
+        explicit = build_artifact(graph)
+        auto = ServingSession(
+            build_artifact(graph),
+            rebase_policy=RebasePolicy(threshold=0.05, min_overlay=4),
+        )
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a rebase built a Graph")
+
+        monkeypatch.setattr(Graph, "__init__", no_graph)
+        monkeypatch.setattr(Graph, "_from_normalized", no_graph)
+        rng = random.Random(5)
+        auto_rebases = 0
+        for _ in range(60):
+            u, v = rng.sample(range(40), 2)
+            op = "delete" if explicit.graph.has_edge(u, v) else "insert"
+            getattr(explicit, op)(u, v)
+            assert auto.query({"op": op, "u": u, "v": v})["ok"]
+            if auto.cache_stats()["rebases"] > auto_rebases:
+                auto_rebases = auto.cache_stats()["rebases"]
+                assert auto.artifact.graph.overlay_size == 0
+                assert auto.artifact.graph.base_edges == auto.artifact.num_edges
+        assert auto_rebases >= 2
+        dg = explicit.graph
+        folded = dg.overlay_size
+        assert folded > 0
+        assert explicit.rebase() == folded
+        assert dg.overlay_size == 0
+        assert dg.base_edges == dg.num_edges
+        # A base edge deleted and re-inserted cancels out of the overlay.
+        u, v = next(dg.edge_pairs())
+        explicit.delete(u, v)
+        assert dg.overlay_size == 1
+        explicit.insert(u, v)
+        assert dg.overlay_size == 0
+        assert explicit.verify() and auto.artifact.verify()
+        assert explicit.colors == auto.artifact.colors
 
 
 # -------------------------------------------------------------------- persist

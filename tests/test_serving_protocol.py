@@ -188,6 +188,26 @@ class TestErrorCodeStability:
         assert code_of({"op": "set_list", "u": u, "v": v, "colors": []}) == "bad-list"
         assert code_of({"op": "shutdown"}) == "wire-only"
 
+    def test_out_of_range_endpoints_answer_stable_codes(self):
+        # -1 and n are outside the node range: no edge reaches them, and
+        # no node lookup answers for them.
+        session = fresh_session()
+        n = session.artifact.num_nodes
+        for x in (-1, n):
+            for u, v in ((x, 0), (0, x), (x, n - 1), (n - 1, x)):
+                for request in (
+                    {"op": "delete", "u": u, "v": v},
+                    {"op": "set_list", "u": u, "v": v, "colors": [0]},
+                    {"op": "color", "u": u, "v": v},
+                ):
+                    response = session.query(request)
+                    assert (response["ok"], response["code"]) == (False, "absent-edge")
+            for op in ("node_palette", "schedule"):
+                response = session.query({"op": op, "v": x})
+                assert (response["ok"], response["code"]) == (False, "node-out-of-range")
+        assert session.artifact.epoch == 0
+        assert session.artifact.verify()
+
     def test_lookup_only_artifact_rejects_deltas_with_code(self):
         graph = small_graph()
         canonical = build_artifact(graph)
