@@ -39,8 +39,9 @@ scope or environment, else the level's total edge count decides):
   lock-step: one iteration runs one phase of every part still going,
   and a part that finishes or exhausts its budget is masked out (a
   participation cut no edge reaches) while the others continue.  Per-part
-  scalars are computed in python, so every float equals the
-  reference's.  Proposal, the per-node ``k_φ`` accept cap (a stable
+  scalars come from one phase schedule per Δ̄ that both engines share
+  (:func:`_phase_schedule`), so every float equals the reference's.
+  Proposal, the per-node ``k_φ`` accept cap (a stable
   argsort by key plus a group-rank cut, which keeps the reference's
   "smallest edge first" order) and accept run as array ops over all
   parts.  The token dropping repair games of one iteration touch
@@ -59,9 +60,11 @@ cross-checks them end to end.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core import parameters
 from repro.core import engine
@@ -179,40 +182,84 @@ def _phase_budget(max_phases: Optional[int], nu: float, bar_delta: int) -> int:
     return parameters.orientation_phase_count(nu, bar_delta) + 1
 
 
+class _PhaseSchedule(NamedTuple):
+    """The per-phase scalars of one Δ̄, for phases ``0 .. width − 1``.
+
+    Every value is the python expression the reference twin evaluates,
+    so both engines read bit-identical floats and integers.  Phase 0
+    never runs: its ``k``, ``delta`` and ``charge`` are 0.
+
+    Attributes:
+        falling: ``−(1 − ν)^φ · Δ̄``, the negated participation threshold
+            (ascending in φ, so it bisects).
+        floor: ``⌊(1 − ν)^φ · Δ̄⌋``: an integer degree participates iff it
+            exceeds this.
+        k: ``k_φ``.
+        delta: the repair game's ``δ = min(δ_φ, k_φ)``.
+        charge: the ``orientation-token-dropping`` charge of a phase
+            whose repair game cannot move a token,
+            ``max(1, ROUNDS_PER_PHASE · (⌊k_φ/δ⌋ − 1))``.
+        before: the sum of ``charge`` over the phases ``1 .. φ − 1``.
+    """
+
+    falling: Tuple[float, ...]
+    floor: Tuple[int, ...]
+    k: Tuple[int, ...]
+    delta: Tuple[int, ...]
+    charge: Tuple[int, ...]
+    before: Tuple[int, ...]
+
+
+@lru_cache(maxsize=4096)
+def _phase_schedule(nu: float, bar_delta: int, width: int) -> _PhaseSchedule:
+    """The :class:`_PhaseSchedule` of ν and Δ̄ = ``bar_delta`` (memoized)."""
+    threshold = [(1.0 - nu) ** p * bar_delta for p in range(width)]
+    k = [0]
+    delta = [0]
+    charge = [0]
+    before = [0, 0]
+    for p in range(1, width):
+        k_p = parameters.k_phase(nu, bar_delta, p)
+        delta_p = min(parameters.delta_phase(nu, bar_delta, p), k_p)
+        k.append(k_p)
+        delta.append(delta_p)
+        charge.append(max(1, ROUNDS_PER_PHASE * max(0, k_p // delta_p - 1)))
+        before.append(before[-1] + charge[-1])
+    return _PhaseSchedule(
+        falling=tuple(-t for t in threshold),
+        floor=tuple(map(int, threshold)),
+        k=tuple(k),
+        delta=tuple(delta),
+        charge=tuple(charge),
+        before=tuple(before[:width]),
+    )
+
+
 def _fast_forward_phases(
     phase: int,
     phase_budget: int,
     max_unor: int,
     has_violated: bool,
-    resolved_nu: float,
-    bar_delta: int,
-    local_tracker: RoundTracker,
-) -> Tuple[int, int, int]:
-    """Replay the charges of proposal-free phases arithmetically.
+    schedule: _PhaseSchedule,
+) -> Tuple[int, int, int, int]:
+    """Replay proposal-free phases arithmetically.
 
     A phase without participating edges orients nothing, moves no token
     and leaves every violation flag unchanged — it only affects the round
     account, and so does every following phase until the decaying
     threshold drops below the current maximum unoriented edge degree.
-    Returns ``(next_phase, phases_run, extra_proposal_rounds)``; shared
-    verbatim by both engines.
+    ``schedule`` covers phases up to ``phase_budget + 1``.  Returns
+    ``(next_phase, phases_run, extra_proposal_rounds, dropping_rounds)``:
+    the last is the skipped phases' repair-game charges, summed (0
+    without violated edges).  Shared verbatim by both engines.
     """
-    target = phase_budget + 1
-    if max_unor > 0:
-        for p in range(phase + 1, phase_budget + 1):
-            if (1.0 - resolved_nu) ** p * bar_delta < max_unor:
-                target = p
-                break
-    stop = min(target, phase_budget + 1)
-    if has_violated:
-        for p in range(phase, stop):
-            k_p = parameters.k_phase(resolved_nu, bar_delta, p)
-            delta_p = min(parameters.delta_phase(resolved_nu, bar_delta, p), k_p)
-            game_p = max(0, k_p // delta_p - 1)
-            local_tracker.charge(
-                max(1, ROUNDS_PER_PHASE * game_p), "orientation-token-dropping"
-            )
-    return target, min(target - 1, phase_budget), 2 * (stop - phase)
+    # The first phase after this one, within budget, whose threshold
+    # drops below ``max_unor`` (none for ``max_unor`` ≤ 0: thresholds
+    # are positive); else the budget runs out.
+    target = bisect_right(schedule.falling, -max_unor, phase + 1, phase_budget + 1)
+    before = schedule.before
+    dropping = before[target] - before[phase] if has_violated else 0
+    return target, min(target - 1, phase_budget), 2 * (target - phase), dropping
 
 
 def _phase_loop_python(
@@ -347,16 +394,16 @@ def _phase_loop_python(
                 d = unor_deg[edge_u[e]] + unor_deg[edge_v[e]] - 2
                 if d > max_unor:
                     max_unor = d
-            phase, phases_run, extra = _fast_forward_phases(
+            phase, phases_run, extra, dropping = _fast_forward_phases(
                 phase,
                 phase_budget,
                 max_unor,
                 bool(violated_set),
-                resolved_nu,
-                bar_delta,
-                local_tracker,
+                _phase_schedule(resolved_nu, bar_delta, phase_budget + 2),
             )
             proposal_rounds += extra
+            if dropping:
+                local_tracker.charge(dropping, "orientation-token-dropping")
             continue
 
         # The repair game of step 6 needs the phase-start α values; step 4
@@ -562,6 +609,16 @@ def orient_python(
     )
 
 
+#: :func:`orient_segments` sorts its proposal targets with a stable uint16
+#: (radix) sort while a level has at most this many keys, else as int64.
+RADIX_SORT_KEYS = 1 << 16
+
+#: :func:`segment_parts` compacts its (part, node) keys with a flag table
+#: while ``parts · n`` is at most this many times the level's endpoint
+#: count, else with ``np.unique``.
+DENSE_KEY_FACTOR = 8
+
+
 @dataclass
 class LevelSegments:
     """The parts of one level as concatenated arrays (the segmented layout).
@@ -601,8 +658,11 @@ def segment_parts(
     """Lay the (edge-disjoint, ascending) parts of one level out (numpy only).
 
     ``bipartitions[p]`` gives part ``p``'s node sides, so a key's side
-    comes from its own part's bipartition.  One ``np.unique`` compacts the
-    (part, node) keys and one bincount over them gives every part's node
+    comes from its own part's bipartition.  The (part, node) keys are
+    compacted by a flag table over ``parts · n`` (its set flags, ranked), or
+    by one ``np.unique`` when that table would exceed
+    :data:`DENSE_KEY_FACTOR` times the endpoint count (both give the same
+    ascending keys); one bincount over them gives every part's node
     degrees.  Raises ``ValueError`` for a part that is not strictly
     ascending, and the reference twin's ``ValueError`` for the first
     position whose edge does not cross its part's bipartition.
@@ -623,9 +683,19 @@ def segment_parts(
     eu_all, ev_all = graph.endpoint_arrays_np()
     n = graph.num_nodes
     base = pid * n
-    uniq, inv = np.unique(
-        np.concatenate((base + eu_all[ids], base + ev_all[ids])), return_inverse=True
-    )
+    raw = np.concatenate((base + eu_all[ids], base + ev_all[ids]))
+    table = len(parts) * n
+    if table <= DENSE_KEY_FACTOR * raw.size:
+        # A flag per (part, node) pair: the set flags, in table order, are
+        # the ascending keys; a rank written at each one numbers them.
+        present = np.zeros(table, dtype=bool)
+        present[raw] = True
+        uniq = np.flatnonzero(present)
+        rank = np.empty(table, dtype=np.int64)
+        rank[uniq] = np.arange(uniq.size, dtype=np.int64)
+        inv = rank[raw]
+    else:
+        uniq, inv = np.unique(raw, return_inverse=True)
     key_part = uniq // n
     key_node = uniq - key_part * n
     ku = inv[:total]
@@ -758,15 +828,23 @@ def orient_segments(
     part (phase within its budget, edges left to orient): participation,
     proposal directions, the per-node ``k_φ`` accept cap and the accept
     step are array ops over all positions, and a part that is not live
-    gets a participation cut no edge reaches.  A part without
-    participants fast-forwards and, still within budget, proposes in the
-    same iteration.  Step 5's violation flags are recomputed per
-    iteration from the phase-start in-degrees in one masked comparison
-    (the python twin maintains the same set incrementally).
-    Fast-forwards and every round charge are per part and mirror the
-    reference branch for branch; the iteration's repair games, one per
-    part, are played as one segmented game (arcs in part order, then
-    orientation order) and their flips applied once.
+    gets a participation cut no edge reaches.  The accept cap's stable
+    sort by target key is a uint16 radix sort while the level has at
+    most :data:`RADIX_SORT_KEYS` keys.  A part without participants
+    fast-forwards (:func:`_fast_forward_phases`; one reduceat over the
+    parts' segments gives every idle part's largest unoriented degree)
+    and, still within budget, proposes in the same iteration.  Step 5's
+    violation flags are recomputed per iteration from the phase-start
+    in-degrees in one masked comparison (the python twin maintains the
+    same set incrementally).  Per-part scalars (cut, k_φ, δ_φ, the
+    repair game's charge) are read from the part's
+    :func:`_phase_schedule`, the twin's own expressions.  Fast-forwards
+    and every round charge are per part and mirror the reference branch
+    for branch; the repair-game charges are summed per part and charged
+    after the loop, before the proposal and final charges, which keeps
+    each tracker's first-charge order.  The iteration's repair games,
+    one per part, are played as one segmented game (arcs in part order,
+    then orientation order) and their flips applied once.
     """
     np = _np
     num_parts = seg.num_parts
@@ -779,13 +857,17 @@ def orient_segments(
     key_start_np = seg.key_start
     num_keys = int(seg.deg.size)
     key_part = np.repeat(np.arange(num_parts, dtype=np.int64), np.diff(key_start_np))
+    # Proposal targets are keys: a stable uint16 sort is a radix sort.
+    key_dtype = np.uint16 if num_keys <= RADIX_SORT_KEYS else np.int64
 
     bar_np = np.zeros(num_parts, dtype=np.int64)
     np.maximum.at(bar_np, pid, dege)
     bar = bar_np.tolist()
     resolved_nu = resolve_nu(nu, epsilon) if any(b > 0 for b in bar) else 0.0
     budget = [_phase_budget(max_phases, resolved_nu, b) if b > 0 else 0 for b in bar]
-    decay = 1.0 - resolved_nu
+    schedule = [
+        _phase_schedule(resolved_nu, b, c + 2) if b > 0 else None for b, c in zip(bar, budget)
+    ]
 
     num = int(pid.size)
     x = np.zeros(num_keys, dtype=np.int64)  # in-degrees
@@ -811,6 +893,10 @@ def orient_segments(
     phase = [1] * num_parts
     phases_run = [0] * num_parts
     proposal_rounds = [0] * num_parts
+    # Repair-game charges, summed per part and charged after the loop:
+    # the only label charged inside it, so each tracker's first-charge
+    # order is unchanged.
+    dropping_rounds = [0] * num_parts
     seq_counter = 0
     # Participation (step 1) compares s = unor[u] + unor[v], the edge
     # degree + 2, against a per-part integer cut: degrees are integers
@@ -821,8 +907,11 @@ def orient_segments(
 
     def enter_phase(p: int) -> None:
         phases_run[p] = phase[p]
-        cut[p] = int(decay ** phase[p] * bar[p]) + 2
+        cut[p] = schedule[p].floor[phase[p]] + 2
 
+    # The non-empty parts' position segments, and each part's segment.
+    segment_starts = edge_start_np[:-1][edge_start_np[:-1] < edge_start_np[1:]]
+    segment_of = np.searchsorted(segment_starts, edge_start_np[:-1]).tolist()
     live = [p for p in range(num_parts) if bar[p] > 0]
     while True:
         # A part leaves for good once its budget or its edges run out.
@@ -853,19 +942,21 @@ def orient_segments(
         proposing = np.searchsorted(part, edge_start_np).tolist()
         idle = [p for p in live if proposing[p] == proposing[p + 1]]
         if idle:
-            alive = np.where(unoriented, s_now, 2)
+            # Every part's largest s over its unoriented edges: one
+            # reduceat over the non-empty segments, oriented edges masked
+            # to 0 (an idle part is live, so some edge of it has s ≥ 2).
+            s_max = np.maximum.reduceat(s_now * unoriented, segment_starts).tolist()
             for p in idle:
                 cut[p] = never
-                phase[p], phases_run[p], extra = _fast_forward_phases(
+                phase[p], phases_run[p], extra, dropping = _fast_forward_phases(
                     phase[p],
                     budget[p],
-                    int(alive[edge_start[p] : edge_start[p + 1]].max()) - 2,
+                    s_max[segment_of[p]] - 2,
                     violated[p] < violated[p + 1],
-                    resolved_nu,
-                    bar[p],
-                    trackers[p],
+                    schedule[p],
                 )
                 proposal_rounds[p] += extra
+                dropping_rounds[p] += dropping
             # A fast-forward changes no state, so a part it leaves within
             # budget proposes in this same iteration, at its new phase.
             rejoin = [p for p in idle if phase[p] <= budget[p]]
@@ -890,11 +981,12 @@ def orient_segments(
         k_phi = np.zeros(num_parts, dtype=np.int64)
         game_phases = {}
         for p in busy:
-            k_p = parameters.k_phase(resolved_nu, bar[p], phase[p])
-            delta_use = min(parameters.delta_phase(resolved_nu, bar[p], phase[p]), k_p)
+            row = schedule[p]
+            k_p = row.k[phase[p]]
+            delta_use = row.delta[phase[p]]
             k_phi[p] = k_p
-            game_phases[p] = (delta_use, max(0, k_p // delta_use - 1))
-        order = np.argsort(ptarget, kind="stable")
+            game_phases[p] = (delta_use, k_p // delta_use - 1, row.charge[phase[p]])
+        order = np.argsort(ptarget.astype(key_dtype), kind="stable")
         tsort = ptarget[order]
         # Rank within a group = position − the group's first position.
         rank = np.arange(tsort.size, dtype=np.int64) - np.searchsorted(tsort, tsort)
@@ -941,9 +1033,7 @@ def orient_segments(
             # (see the reference engine's two cheap no-op checks) is only
             # charged.
             if violated[p] < violated[p + 1] and p not in games:
-                trackers[p].charge(
-                    max(1, ROUNDS_PER_PHASE * game_phases[p][1]), "orientation-token-dropping"
-                )
+                dropping_rounds[p] += game_phases[p][2]
         if not games:
             continue
 
@@ -968,7 +1058,8 @@ def orient_segments(
         in_arcs[vhead] = True
         in_arcs[vtail] = True
         nodes = np.flatnonzero(in_arcs)
-        local = np.cumsum(in_arcs) - 1
+        local = np.empty(num_keys, dtype=np.int64)
+        local[nodes] = np.arange(nodes.size, dtype=np.int64)
         node_part = key_part[nodes]
         # Initial tokens: the capped accept tallies.
         tokens = np.zeros(num_keys, dtype=np.int64)
@@ -989,9 +1080,7 @@ def orient_segments(
             alpha_table[cells],
         )
         for p, game_played in zip(games, played):
-            trackers[p].charge(
-                max(1, ROUNDS_PER_PHASE * game_played), "orientation-token-dropping"
-            )
+            dropping_rounds[p] += max(1, ROUNDS_PER_PHASE * game_played)
 
         # Step 7: flip every edge over which a token moved.
         if moved.any():
@@ -1001,8 +1090,11 @@ def orient_segments(
             sdir[flip_pos] = -sdir[flip_pos]
             seta[flip_pos] = -seta[flip_pos]
 
-    # Remaining unoriented edges (constant per node): orient from U to V.
+    # Each part's charges, in the twin's label order; then the remaining
+    # unoriented edges (constant per node) are oriented from U to V.
     for p in range(num_parts):
+        if dropping_rounds[p]:
+            trackers[p].charge(dropping_rounds[p], "orientation-token-dropping")
         if proposal_rounds[p]:
             trackers[p].charge(proposal_rounds[p], "orientation-proposals")
         if bar[p] > 0 and unoriented_count[p]:

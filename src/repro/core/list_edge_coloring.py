@@ -35,9 +35,10 @@ Three layers, mirroring the paper:
   uncolored degree is already small — which is exactly the
   degree-reduction guarantee Lemma D.3 provides.  Rounds are charged as
   if the pieces ran one after another: per piece, its split depths (the
-  max over its own parts), then its Lemma D.2 solves.  Availability is
-  one mask-and against the per-node used-color masks, participation one
-  popcount.
+  max over its own parts), then its Lemma D.2 solves.  Each part's
+  participation is one pass over its edges and their aligned list masks:
+  availability is one mask-and against the per-node used-color masks,
+  participation one popcount.
 
 * :func:`list_edge_coloring` — Theorem D.4.  A defective 4-coloring of
   the nodes splits the uncolored graph into its six bipartite class-pair
@@ -46,7 +47,7 @@ Three layers, mirroring the paper:
   partially colors all six; the uncolored degree shrinks by a
   constant factor per outer iteration, and the constant-degree leftover
   is colored greedily.  The solver reads the instance lists only as
-  bitmasks (:meth:`~repro.core.slack.ListEdgeColoringInstance.list_masks`),
+  bitmasks (:meth:`~repro.core.slack.ListEdgeColoringInstance.mask_list`),
   so every pick, Lemma D.2's and the final greedy's alike, is the lowest
   free bit: the smallest available color.  The (degree+1)
   invariant — every uncolored edge always has more available colors than
@@ -158,6 +159,15 @@ def solve_relaxed_instance(
     A passive edge takes the lowest bit of its window that is free at
     both endpoints: the smallest available color.
 
+    One pass over the edges checks the (degree+1) condition, ORs the
+    color union and looks for an edge that is active at the first level
+    (degree above ``params.leaf_degree`` and at least
+    ``params.passive_slack_threshold`` times as many colors).  Without
+    one, nothing splits: the first level is charged 0 under
+    ``list-solver-split-level`` (first, as its split call would) and the
+    edges, ascending, are the one greedy batch — ``list_masks`` itself
+    when its keys are already ascending.
+
     Args:
         graph: the host graph.
         bipartition: node sides.
@@ -177,25 +187,44 @@ def solve_relaxed_instance(
     """
     params = params or parameters.DEFAULT_PARAMETERS
     own = RoundTracker()
-    edges: List[int] = sorted(set(edge_set) if edge_set is not None else list_masks)
+    keys = list(list_masks) if edge_set is None else list(set(edge_set))
+    edges: List[int] = sorted(keys)
     if not edges:
         return {}
 
+    # One pass: the (degree+1) check, the color union and whether any
+    # edge is active (not passive) at the first level.
     degrees = degrees_within(graph, edges)[1]
+    leaf_degree = params.leaf_degree
+    slack_threshold = params.passive_slack_threshold
     color_union = 0
+    any_active = False
     for e, degree in zip(edges, degrees):
-        size = list_masks[e].bit_count()
+        window = list_masks[e]
+        size = window.bit_count()
         if size < degree + 1:
             raise ValueError(
                 f"edge {e} has {size} available colors but degree {degree}; "
                 "the (degree+1) condition is violated"
             )
-        color_union |= list_masks[e]
-    max_levels = max(1, math.ceil(math.log2(max(2, color_union.bit_count()))) + 1)
+        color_union |= window
+        if degree > leaf_degree and size >= slack_threshold * max(1, degree):
+            any_active = True
 
-    parts: List[_Part] = [_Part(edges=edges, windows=list_masks, degrees=degrees)]
     #: Per level, the windows of the edges that turned passive there.
     passive_levels: List[Dict[int, int]] = []
+    if not any_active:
+        # Every edge is passive at the first level: nothing splits, and
+        # the level is charged 0 (first, as the split call would).  The
+        # one greedy batch is the edges in ascending order.
+        own.charge(0, "list-solver-split-level")
+        ascending = edge_set is None and edges == keys
+        passive_levels.append(list_masks if ascending else {e: list_masks[e] for e in edges})
+        parts: List[_Part] = []
+        max_levels = 0
+    else:
+        parts = [_Part(edges=edges, windows=list_masks, degrees=degrees)]
+        max_levels = max(1, math.ceil(math.log2(max(2, color_union.bit_count()))) + 1)
 
     epsilon = max(params.epsilon, 0.5)
     for _level in range(max_levels):
@@ -347,8 +376,10 @@ def partially_color_bipartite(
 
     An edge's available list is the bitmask ``list & ~(used[u] | used[v])``
     of its instance list (from
-    :meth:`~repro.core.slack.ListEdgeColoringInstance.list_masks`, one
-    call per part) minus the colors used at its endpoints.
+    :meth:`~repro.core.slack.ListEdgeColoringInstance.mask_list`, one
+    call per part, aligned with the part's edges) minus the colors used
+    at its endpoints, read straight from the used-color masks: one pass
+    per part, with no per-edge dict.
     ``used_colors`` is the caller's :class:`UsedColorMasks` for
     ``coloring``; the new colors land in it in place.  Without it, masks
     are built from ``coloring``.
@@ -386,25 +417,25 @@ def partially_color_bipartite(
         if used_colors is not None
         else UsedColorMasks.from_edge_coloring(graph, coloring)
     )
-    node_mask = used.mask
+    node_masks = used._masks
     edge_u, edge_v = graph.endpoint_arrays()
-    # Participation threshold per uncolored degree, memoized (the same
-    # few degree values recur across all parts).
+    # Participation threshold per uncolored within-part degree (a part's
+    # degrees never exceed its root's).
     list_slack = params.list_slack
-    threshold_memo: Dict[int, int] = {}
+    thresholds = [
+        max(degree + 1, math.ceil(list_slack * degree))
+        for degree in range(max(max(degrees) for _, _, degrees in roots) + 1)
+    ]
     # The parts are edge-disjoint and only a part's own solve colors its
     # edges, so every part is still entirely uncolored when its turn comes.
     for (bipartition, _edges, _degrees), (parts, _defects), own in zip(roots, leaves, trackers):
         for part, part_degrees in parts:
+            # One pass over the part: its list masks (aligned, one build
+            # per run of one list), minus the colors used at either end.
             participants: Dict[int, int] = {}
-            list_masks = instance.list_masks(part)
-            for e, degree in zip(part, part_degrees):
-                available = list_masks[e] & ~(node_mask(edge_u[e]) | node_mask(edge_v[e]))
-                threshold = threshold_memo.get(degree)
-                if threshold is None:
-                    threshold = max(degree + 1, math.ceil(list_slack * degree))
-                    threshold_memo[degree] = threshold
-                if available.bit_count() >= threshold:
+            for e, degree, mask in zip(part, part_degrees, instance.mask_list(part)):
+                available = mask & ~(node_masks[edge_u[e]] | node_masks[edge_v[e]])
+                if available.bit_count() >= thresholds[degree]:
                     participants[e] = available
             if not participants:
                 continue

@@ -12,15 +12,17 @@ This module is the only one that knows the list format.  An instance
 keeps every list in ascending order and treats it as read-only; equal
 lists may be one shared object (:func:`uniform_instance` maps every edge
 to one palette list).  The solver reads lists only as color bitmasks,
-and :meth:`ListEdgeColoringInstance.list_masks` is the one list-to-mask
-conversion.
+and :meth:`ListEdgeColoringInstance.mask_list` is the one list-to-mask
+conversion: the masks aligned with an edge sequence, one mask built per
+run of one list (a shared palette is converted once per call).
+:meth:`ListEdgeColoringInstance.list_masks` keys the same masks by edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from itertools import islice
-from operator import lt
+from itertools import compress, count, islice, repeat
+from operator import is_not, lt
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.graphs.core import Graph
@@ -94,28 +96,47 @@ class ListEdgeColoringInstance:
                 c = next(a for a, b in zip(lst, islice(lst, 1, None)) if a == b)
                 raise ValueError(f"the list of edge {e} repeats color {c}")
 
-    def list_masks(self, edges: Iterable[int]) -> Dict[int, int]:
-        """The color bitmasks of ``edges``' lists: bit ``c`` set iff ``c`` is in the list.
+    def mask_list(self, edges: Sequence[int]) -> List[int]:
+        """The color bitmasks of ``edges``' lists, aligned with ``edges``.
 
-        This is the one list-to-mask conversion; the solver reads lists
-        only through it.  Masks are built per call, never cached: with
-        sparse huge color ids one mask is megabytes.  Equal neighbouring
-        lists share one mask build: identity is checked first, then
-        equality (at C speed).
+        Bit ``c`` of a mask is set iff ``c`` is in the list.  This is the
+        one list-to-mask conversion; the solver reads lists only through
+        it.  Masks are built per call, never cached: with sparse huge
+        color ids one mask is megabytes.  One mask is built per run of
+        one list object (found by identity at C speed), and a run whose
+        list equals the previous run's reuses its mask.  Lists are
+        ascending and repeat-free, so a list spanning ``len`` colors is
+        an interval: its mask is one shift.
         """
         lists = self.lists
-        masks: Dict[int, int] = {}
+        objects = list(map(lists.__getitem__, edges))
+        if not objects:
+            return []
+        # The run boundaries: every position whose list object differs
+        # from its predecessor's, between 0 and the end.
+        changes = compress(count(1), map(is_not, islice(objects, 1, None), objects))
+        starts = [0, *changes, len(objects)]
+        masks: List[int] = []
         last: Optional[Sequence[int]] = None
         mask = 0
-        for e in edges:
-            lst = lists[e]
-            if lst is not last and lst != last:
-                mask = 0
-                for c in lst:
-                    mask |= 1 << c
-            last = lst
-            masks[e] = mask
+        for lo, hi in zip(starts, islice(starts, 1, None)):
+            lst = objects[lo]
+            if lst != last:
+                last = lst
+                if lst and lst[-1] - lst[0] == len(lst) - 1:
+                    # Ascending and repeat-free, so an interval of colors.
+                    mask = ((1 << len(lst)) - 1) << lst[0]
+                else:
+                    mask = 0
+                    for c in lst:
+                        mask |= 1 << c
+            masks.extend(repeat(mask, hi - lo))
         return masks
+
+    def list_masks(self, edges: Iterable[int]) -> Dict[int, int]:
+        """The masks of :meth:`mask_list`, keyed by edge."""
+        edges = list(edges)
+        return dict(zip(edges, self.mask_list(edges)))
 
     # ------------------------------------------------------------------ degrees
     def node_degrees(self) -> List[int]:

@@ -256,6 +256,19 @@ class TestLemmaD2Pinned:
         "linial": 3,
         "greedy-edge-classes": 119,
     }
+    #: The breakdown's label order (first-charge order).
+    LABELS = ["list-solver-split-level", "linial", "greedy-edge-classes"]
+    #: A solve in which no edge is active at the first level (every list
+    #: is below ``passive_slack_threshold`` times its degree): the split
+    #: level is charged 0, first, and one greedy batch colors every edge.
+    #: Recorded with the full level loop, before the solver exited early
+    #: on such an instance.
+    PASSIVE_DIGEST = "28dd01ab461d92d532e68ccd5b5dde00e1c19fa8862fef9e3c73c7dc3f3024c6"
+    PASSIVE_BREAKDOWN = {
+        "list-solver-split-level": 0,
+        "linial": 2,
+        "greedy-edge-classes": 183,
+    }
 
     @pytest.mark.parametrize("scan_path", ["numpy", "python"])
     def test_pinned(self, scan_path):
@@ -269,6 +282,24 @@ class TestLemmaD2Pinned:
         assert coloring_digest(colors) == self.DIGEST
         assert tracker.total == 410
         assert dict(tracker.breakdown) == self.BREAKDOWN
+        assert list(tracker.breakdown) == self.LABELS
+
+    @pytest.mark.parametrize("scan_path", ["numpy", "python"])
+    def test_all_passive_pinned(self, scan_path):
+        graph, bipartition = generators.regular_bipartite_graph(256, 12, seed=5)
+        # Windows of 23..42 colors at offsets 0..6: every list has at
+        # least deg + 1 = 23 colors and fewer than 2 · 22.
+        masks = {e: ((1 << (23 + e % 20)) - 1) << (e % 7) for e in graph.edges()}
+        lists = {e: [c for c in range(50) if masks[e] >> c & 1] for e in graph.edges()}
+        tracker = RoundTracker()
+        with engine.scan_path(scan_path):
+            colors = solve_relaxed_instance(graph, bipartition, masks, tracker=tracker)
+        assert list_coloring_violations(graph, colors, lists) == []
+        assert set(colors) == set(graph.edges())
+        assert coloring_digest(colors) == self.PASSIVE_DIGEST
+        assert tracker.total == 185
+        assert dict(tracker.breakdown) == self.PASSIVE_BREAKDOWN
+        assert list(tracker.breakdown) == self.LABELS
 
 
 class TestDegreeReduction:

@@ -128,6 +128,27 @@ class TestAscendingLists:
             assert masks[e] == sum(1 << c for c in lists[e])
         assert instance.list_masks([3, 1]) == {3: masks[3], 1: masks[1]}
 
+    def test_mask_list_runs_and_intervals(self):
+        # Runs of one shared list, equal lists that are distinct objects,
+        # interval lists (one shift) and lists with gaps, in one sequence.
+        graph = Graph(8, [(i, i + 1) for i in range(7)])
+        shared = [1, 2, 3]
+        lists = {
+            0: shared,
+            1: shared,
+            2: [1, 2, 3],
+            3: [0, 2, 5],
+            4: [4],
+            5: [],
+            6: shared,
+        }
+        instance = ListEdgeColoringInstance(graph, lists, color_space=6)
+        order = [6, 0, 1, 2, 3, 4, 5, 3, 0]
+        expected = [sum(1 << c for c in lists[e]) for e in order]
+        assert instance.mask_list(order) == expected
+        assert instance.mask_list([]) == []
+        assert instance.list_masks(order) == dict(zip(order, expected))
+
     def test_uniform_instance_shares_one_palette_and_mask(self):
         graph = generators.random_regular_graph(20, 4, seed=3)
         instance = uniform_instance(graph)

@@ -20,6 +20,7 @@ stores across the ``scan_path`` and ``repair_path`` knobs.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -34,7 +35,12 @@ from repro.coloring.greedy import (
 )
 from repro.coloring.linial import LinialNodeAlgorithm
 from repro.core import engine, parameters
-from repro.core.balanced_orientation import compute_balanced_orientation
+from repro.core.balanced_orientation import (
+    DENSE_KEY_FACTOR,
+    RADIX_SORT_KEYS,
+    compute_balanced_orientation,
+    segment_parts,
+)
 from repro.core.engine import NUMPY_SCAN_THRESHOLD, _np
 from repro.core.defective_edge_coloring import defective_split_level
 from repro.core.list_edge_coloring import list_edge_coloring, partially_color_bipartite
@@ -46,6 +52,7 @@ from repro.distributed.model import Model
 from repro.distributed.network import SynchronousNetwork
 from repro.distributed.rounds import RoundTracker
 from repro.graphs import generators
+from repro.graphs.bipartite import Bipartition
 from repro.graphs.core import Graph, degrees_within
 from repro.graphs.identifiers import id_space_size
 from repro.verification.checkers import is_proper_edge_coloring
@@ -991,6 +998,59 @@ class TestSplitLevelMatrix:
         else:
             assert proposals[0] == 2 * max_phases
             assert level[0].breakdown["orientation-final"] == 1
+
+    @staticmethod
+    @functools.lru_cache(maxsize=1)
+    def circulant_level():
+        """17 parts on 4096 nodes, part ``p`` the cycles of the matchings
+        ``i → i + 2p`` and ``i → i + 2p + 1`` between the two 2048-node
+        sides: every node is in every part (edge degree 2)."""
+        side = 2048
+        graph = Graph(
+            2 * side, [(i, side + (i + j) % side) for i in range(side) for j in range(34)]
+        )
+        edge_u, edge_v = graph.endpoint_arrays()
+        parts: list = [[] for _ in range(17)]
+        for e in graph.edges():
+            u, v = sorted((edge_u[e], edge_v[e]))
+            parts[(v - side - u) % side // 2].append(e)
+        return graph, Bipartition([0] * side + [1] * side), parts
+
+    @staticmethod
+    def assert_level_matches_python_twin(graph, bipartition, parts):
+        lambdas = {e: ((e * 7) % 11) / 10.0 for part in parts for e in part}
+        common = dict(epsilon=0.5, nu=parameters.DEFAULT_PARAMETERS.resolved_nu())
+        betas = [1.0] * len(parts)
+        level = _on(
+            "numpy", defective_split_level,
+            graph, [bipartition] * len(parts), parts, lambdas, betas=betas, **common,
+        )
+        alone = [
+            _on(
+                "python", defective_split_level,
+                graph, [bipartition], [part], lambdas, betas=[1.0], **common,
+            )[0]
+            for part in parts
+        ]
+        assert level == alone
+        assert all(split.rounds > 0 for split in level)
+
+    def test_level_past_the_radix_sort_keys(self):
+        # 17 · 4096 (part, node) keys: past uint16, the accept cap's
+        # stable sort runs on int64 keys.
+        graph, bipartition, parts = self.circulant_level()
+        seg = segment_parts(graph, [bipartition] * len(parts), parts)
+        assert seg.deg.size == 17 * graph.num_nodes > RADIX_SORT_KEYS
+        self.assert_level_matches_python_twin(graph, bipartition, parts)
+
+    def test_level_past_the_dense_key_table(self):
+        # 12 parts of 24 edges on 4096 nodes: the parts · n flag table
+        # exceeds DENSE_KEY_FACTOR times the endpoints, so np.unique
+        # compacts the keys.
+        graph, bipartition, parts = self.circulant_level()
+        small = [part[:24] for part in parts[:12]]
+        assert len(small) * graph.num_nodes > DENSE_KEY_FACTOR * 2 * 24 * len(small)
+        self.assert_level_matches_python_twin(graph, bipartition, small)
 
     def test_partial_coloring_calls_engine_once_per_split_level(self, monkeypatch):
         from repro.core import defective_edge_coloring
