@@ -107,9 +107,6 @@ class MessagePassingOutcome:
         congest_budget_bits: the CONGEST bit budget of the run.
         congest_violations: number of payloads over budget (0 for a
             compliant algorithm).
-        fault_summary: realized fault statistics when the run executed
-            under a :class:`repro.distributed.faults.FaultPlan`;
-            ``None`` for fault-free runs.
     """
 
     algorithm: str
@@ -119,7 +116,6 @@ class MessagePassingOutcome:
     max_message_bits: int
     congest_budget_bits: Optional[int]
     congest_violations: int
-    fault_summary: Optional[Dict[str, object]] = None
 
 
 def build_linial_network(graph: Graph):
@@ -140,16 +136,14 @@ def build_linial_network(graph: Graph):
 def run_linial_network(
     graph: Graph,
     network=None,
-    fault_plan=None,
     max_rounds: int = 10_000,
 ) -> MessagePassingOutcome:
     """Run message-passing Linial coloring under the CONGEST audit (E8).
 
     ``network`` optionally reuses a prebuilt :func:`build_linial_network`
-    simulator (perf callers keep the construction untimed).
-    ``fault_plan`` opts the run into the deterministic fault-injection
-    plane (:mod:`repro.distributed.faults`); the realized faults are
-    reported in ``fault_summary`` and are a pure function of the plan.
+    simulator (perf callers keep the construction untimed).  The
+    simulator is the paper's reliable synchronous network: no message is
+    lost and no node crashes.
     """
     from repro.coloring.linial import LinialNodeAlgorithm
 
@@ -162,9 +156,7 @@ def run_linial_network(
             f"({graph.num_nodes} nodes); pass the graph it was built from "
             "(build_linial_network(graph))"
         )
-    outputs, metrics = network.run(
-        LinialNodeAlgorithm(), fault_plan=fault_plan, max_rounds=max_rounds
-    )
+    outputs, metrics = network.run(LinialNodeAlgorithm(), max_rounds=max_rounds)
     return MessagePassingOutcome(
         algorithm="linial-message-passing",
         outputs=outputs,
@@ -173,7 +165,6 @@ def run_linial_network(
         max_message_bits=metrics.max_message_bits,
         congest_budget_bits=metrics.congest_budget_bits,
         congest_violations=metrics.congest_violations,
-        fault_summary=metrics.fault_summary,
     )
 
 

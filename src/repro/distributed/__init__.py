@@ -26,30 +26,15 @@ class's bridges, which hand ``receive()`` a pooled :class:`PortInbox`
 view per node (``tests/test_distributed_network.py`` pins the edge
 semantics).
 
-**Fault model.**  The simulator is perfectly reliable by default; a run
-opts into adversity by passing a :class:`FaultPlan`
-(:mod:`repro.distributed.faults`) to :meth:`SynchronousNetwork.run`.
-The plan describes message **drops**, **delays** (re-delivery 1..k
-rounds later), **duplicates** (a deferred extra copy) and node
-**crash-stops** (a node halts at its crash round and never sends or
-receives again).  *Where in the round they apply*: crash-stops at round
-start, before the send phase; message faults to the flat slot buffer
-after the send phase **and its CONGEST audit** but before the receive
-phase — so ``metrics.messages`` / the audit count *sent* payloads and
-stay equal to the fault-free totals of the same rounds, while the
-realized faults are reported in ``metrics.fault_summary``.
-*Determinism contract*: every decision is a pure splitmix64 hash of
-``(plan.seed, fault channel, round, slot-or-node)`` — independent of
-iteration order, worker count and process identity — so a fixed plan
-produces bit-identical outputs, metrics and fault statistics under any
-executor sharding (pinned by ``tests/test_faults.py``).
+The simulated network is the paper's reliable synchronous model:
+every message is delivered in the round it is sent, and no node
+crashes.
 """
 
 from repro.distributed.model import Model, congest_bit_budget
 from repro.distributed.rounds import RoundTracker
 from repro.distributed.messages import CongestAuditor, message_size_bits
 from repro.distributed.metrics import ExecutionMetrics
-from repro.distributed.faults import FaultInjector, FaultPlan, FaultStats
 from repro.distributed.network import (
     OutboxWriter,
     PortInbox,
@@ -65,9 +50,6 @@ __all__ = [
     "CongestAuditor",
     "message_size_bits",
     "ExecutionMetrics",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultStats",
     "OutboxWriter",
     "PortInbox",
     "RoundInbox",

@@ -12,19 +12,15 @@ is the largest size observed across the whole run and
 perform no audit: ``congest_budget_bits`` is ``None`` and
 ``max_message_bits`` stays 0.
 
-Fault accounting: runs executed under a
-:class:`repro.distributed.faults.FaultPlan` record the realized fault
-statistics (drops, delays, duplicates, crash-stops — see
-:mod:`repro.distributed.faults` for the fault model) in
-``fault_summary``; ``messages`` and the CONGEST audit keep counting
-*sent* payloads, so they match the fault-free run of the same rounds.
-Fault-free runs leave ``fault_summary`` as ``None``.
+The simulator's network is reliable (see
+:mod:`repro.distributed.network`): every counted payload is also a
+received one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 
 @dataclass
@@ -39,9 +35,6 @@ class ExecutionMetrics:
         congest_budget_bits: the CONGEST budget the run was audited against
             (``None`` for LOCAL runs).
         congest_violations: number of messages that exceeded the budget.
-        fault_summary: realized fault statistics when the run executed
-            under a :class:`repro.distributed.faults.FaultPlan`
-            (deterministic for a fixed plan); ``None`` for fault-free runs.
     """
 
     rounds: int = 0
@@ -49,4 +42,3 @@ class ExecutionMetrics:
     max_message_bits: int = 0
     congest_budget_bits: Optional[int] = None
     congest_violations: int = 0
-    fault_summary: Optional[Dict[str, object]] = None

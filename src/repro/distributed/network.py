@@ -57,14 +57,9 @@ The contract (*slot ownership*, ``None`` semantics, late delivery):
   ``receive()`` hook, after the phase-level call — the unfinished set
   handed to ``receive_batch`` never contains a finished node.
 
-Fault model: :meth:`SynchronousNetwork.run` optionally applies a
-deterministic, seed-derived :class:`repro.distributed.faults.FaultPlan`
-to the flat slot buffer between the send phase (and its audit) and the
-receive phase — message drops, delays, duplicates and node crash-stops
-that are a pure function of the plan.  See
-:mod:`repro.distributed.faults` for the full fault model and
-determinism contract; without a plan the simulator stays perfectly
-reliable and pays nothing.
+The simulator runs one model: the paper's reliable synchronous
+network.  Every message written in a round is delivered in that round,
+and no node crashes; only the algorithm decides when a node stops.
 
 Message-size accounting semantics (CONGEST mode): every non-``None``
 payload delivered in a round is sized by
@@ -83,7 +78,6 @@ import operator
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.distributed.algorithms import NodeAlgorithm, NodeContext
-from repro.distributed.faults import FaultInjector, FaultPlan
 from repro.distributed.messages import CongestAuditor
 from repro.distributed.metrics import ExecutionMetrics
 from repro.distributed.model import Model
@@ -422,7 +416,6 @@ class SynchronousNetwork:
         self,
         algorithm: NodeAlgorithm,
         max_rounds: int = 10_000,
-        fault_plan: Optional[FaultPlan] = None,
     ) -> Tuple[List[Any], ExecutionMetrics]:
         """Run ``algorithm`` on every node until all nodes are finished.
 
@@ -436,17 +429,6 @@ class SynchronousNetwork:
         ``algorithm.receive_batch()`` once with a phase-level
         :class:`RoundInbox` over the whole buffer (see the module
         docstring for the contract and the per-node bridges).
-
-        ``fault_plan`` opts the run into the deterministic
-        fault-injection plane (:mod:`repro.distributed.faults`): the
-        plan's drops/delays/duplicates are applied to the flat slot
-        buffer *after* the send phase and its CONGEST audit and *before*
-        the receive phase, and crash-stopped nodes are halted at the
-        start of their crash round — so a fixed plan produces
-        bit-identical outputs, metrics and fault statistics.
-        ``metrics.messages`` and the audit keep counting *sent*
-        payloads; the realized faults land in ``metrics.fault_summary``.
-        ``None`` (the default) bypasses the plane entirely.
 
         The simulator tracks the set of unfinished nodes instead of
         re-querying every node each round: a node reporting finished is
@@ -469,13 +451,6 @@ class SynchronousNetwork:
         xadj = self._xadj
         adj = self._adj
         rev_slot = self._rev_slot
-        # The fault plane is strictly opt-in: an inactive plan costs one
-        # predicate here and nothing per round.
-        injector = (
-            FaultInjector(fault_plan, self._graph.num_nodes, xadj)
-            if fault_plan is not None and fault_plan.active
-            else None
-        )
 
         # The message plane: one payload slot per (node, port) direction,
         # plus the bookkeeping to clear and deliver in O(messages).
@@ -497,19 +472,10 @@ class SynchronousNetwork:
         while unfinished:
             if rounds >= max_rounds:
                 raise RuntimeError(f"algorithm did not terminate within {max_rounds} rounds")
-            if injector is not None and injector.crashed_at(rounds):
-                # Crash-stop: the node halts before this round's send
-                # phase and never sends, receives or terminates again.
-                crashed = injector.crashed
-                unfinished = [v for v in unfinished if v not in crashed]
-                if not unfinished:
-                    break
             # Receiver tracking only matters for late delivery to nodes
             # that are already finished at round start; while every node
-            # is still running, skip the per-message set updates.  The
-            # fault plane always tracks: deferred re-deliveries may land
-            # after the receiver finished.
-            track_receivers = len(unfinished) < n or injector is not None
+            # is still running, skip the per-message set updates.
+            track_receivers = len(unfinished) < n
             writer._receivers = receivers if track_receivers else None
             writer.sent = 0
             for v in unfinished:
@@ -525,10 +491,6 @@ class SynchronousNetwork:
                 if batch_max > metrics.max_message_bits:
                     metrics.max_message_bits = batch_max
                 groups.clear()
-            if injector is not None:
-                # Post-send, pre-receive: the buffer and the audit totals
-                # are final for this round, so faults never touch them.
-                injector.apply(rounds, inbox_buf, touched, receivers)
             algorithm.receive_batch(contexts, states, unfinished, round_inbox, rounds)
             if receivers:
                 # Finished nodes still observe late messages addressed to them.
@@ -554,9 +516,6 @@ class SynchronousNetwork:
         metrics.rounds = rounds
         if auditor is not None:
             metrics.congest_violations = len(auditor.violations)
-        if injector is not None:
-            injector.finish()
-            metrics.fault_summary = injector.summary()
         outputs = [
             algorithm.output(ctx, state) for ctx, state in zip(contexts, states)
         ]

@@ -155,20 +155,6 @@ class Graph:
             ids = None
         self._finalize(num_nodes, normalized, ids, endpoints)
 
-    @classmethod
-    def _from_normalized(
-        cls,
-        num_nodes: int,
-        normalized: List[Tuple[int, int]],
-        node_ids: Optional[List[int]],
-    ) -> "Graph":
-        """Fast internal constructor for edges already normalized, in-range
-        and duplicate-free.  Only the :class:`repro.graphs.delta.DeltaGraph`
-        snapshot uses it."""
-        graph = cls.__new__(cls)
-        graph._finalize(num_nodes, normalized, node_ids)
-        return graph
-
     def _finalize(
         self,
         num_nodes: int,

@@ -9,16 +9,16 @@ two worlds:
 * the **live rows** are one sorted neighbor list per node, copied once
   from a CSR :class:`Graph`; they are the adjacency every read sees, so
   a neighbor read is one list lookup and a mutation edits two rows in
-  O(degree);
+  O(degree).  They are the only copy of the edge set: the
+  :class:`Graph` they were copied from is not kept, and a static
+  pipeline that needs the current edge set as a :class:`Graph` builds
+  it from :meth:`edge_pairs`;
 * every mutation bumps an **epoch** counter.  The epoch is the version
   tag the serving cache folds into its keys: a cached answer is only
   ever replayed for the epoch it was computed under;
 * the **overlay** is accounting only: the edges added and the base
   edges deleted since the last :meth:`rebase`.  Its size is what the
   serving plane's rebase policy and ``stats`` report;
-* :meth:`snapshot` materializes the current edge set as an immutable
-  :class:`Graph` (cached per epoch) — the bridge back to the static
-  pipelines;
 * :meth:`rebase` makes the current edge set the new base: it clears the
   overlay accounting in O(overlay) and builds no graph (the dynamic
   analogue of the result store's ``compact``).
@@ -67,8 +67,6 @@ class DeltaGraph:
         self._deleted: Set[Tuple[int, int]] = set()
         self._base_edges = base.num_edges
         self._num_edges = base.num_edges
-        self._snapshot = base
-        self._snapshot_epoch = 0
 
     # ------------------------------------------------------------------ meta
     @property
@@ -187,27 +185,6 @@ class DeltaGraph:
         self._num_edges -= 1
         self._epoch += 1
         return self._epoch
-
-    # ------------------------------------------------------------- snapshots
-    def snapshot(self) -> Graph:
-        """The current edge set as an immutable :class:`Graph`.
-
-        Cached per epoch: repeated calls between mutations return the
-        same object.  Edge *indices* of a snapshot are not stable across
-        epochs — only endpoint pairs are; everything the serving plane
-        persists is keyed by pair for exactly this reason.
-
-        Cost: O(m) — one walk of the rows, which yields the pairs
-        already sorted, and the CSR build of :class:`Graph` (the numpy
-        array pass from ``m >= NUMPY_SCAN_THRESHOLD`` on).
-        """
-        if self._snapshot_epoch == self._epoch:
-            return self._snapshot
-        self._snapshot = Graph._from_normalized(  # noqa: SLF001 - fast path
-            len(self._rows), list(self.edge_pairs()), self._node_ids
-        )
-        self._snapshot_epoch = self._epoch
-        return self._snapshot
 
     def rebase(self) -> int:
         """Make the current edge set the new base; return entries folded.

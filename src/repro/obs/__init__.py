@@ -6,8 +6,7 @@ their one window: span tracing answers "where did the time go", the
 metrics registry answers "how many, how big", and the introspection
 surfaces (``python -m repro obs report``, the daemon's
 ``{"op": "stats", "scope": "daemon"}``) render both without attaching a
-debugger.  It follows the split the fault plane established: rich
-internal accounting, deterministically quarantined from outputs.
+debugger.  Its accounting is rich but quarantined from outputs.
 
 **Observability model.**  Everything this package records is
 *timing-like* under the twin discipline:

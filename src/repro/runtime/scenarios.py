@@ -273,40 +273,6 @@ register(
     )
 )
 
-# ---------------------------------------------------------------- fault plane
-register(
-    spec(
-        "fault_sweep",
-        "fault plane: Linial rounds/validity degradation vs message loss",
-        "fault_sweep",
-        [
-            # Loss-rate curve (0.0 is the fault-free control row).
-            {"n": 96, "degree": 4, "faults": {"seed": 11, "drop_rate": rate}}
-            for rate in (0.0, 0.02, 0.05, 0.1)
-        ]
-        + [
-            # Reordering adversary: delays + duplicates, no outright loss.
-            {
-                "n": 96,
-                "degree": 4,
-                "faults": {
-                    "seed": 13,
-                    "delay_rate": 0.05,
-                    "duplicate_rate": 0.05,
-                    "max_delay": 3,
-                },
-            },
-            # Crash-stop adversary: seeded node crashes plus one pinned crash.
-            {
-                "n": 96,
-                "degree": 4,
-                "faults": {"seed": 17, "crash_rate": 0.05, "crashes": [[0, 1]]},
-            },
-        ],
-        tags=("faults", "robustness"),
-    )
-)
-
 # ---------------------------------------------------------------- serving plane
 register(
     spec(

@@ -457,11 +457,17 @@ def run_logstar_growth(ctx: CellContext) -> Dict[str, object]:
 
 
 # ------------------------------------------------------------------ E8: CONGEST audit
-def _linial_cell(ctx: CellContext, name: str, verify, fault_plan=None) -> Dict[str, object]:
-    """Message-passing Linial on the cell's identifier-scrambled regular graph.
+@runner("linial_audit")
+def run_linial_audit(ctx: CellContext) -> Dict[str, object]:
+    """E8 — message-passing Linial audited end to end on the simulator.
 
-    The simulator is built in setup, so the measured region is the run.
+    Runs on the cell's identifier-scrambled regular graph; the simulator
+    is built in setup, so the measured region is the run.  Every run must
+    color every node and leave no edge monochromatic, and every message
+    must fit the CONGEST budget.
     """
+    from repro.verification.checkers import is_proper_vertex_coloring
+
     n = int(ctx.params["n"])
     degree = int(ctx.params.get("degree", 4))
     factor = int(ctx.params.get("id_space_factor", 8))
@@ -473,21 +479,13 @@ def _linial_cell(ctx: CellContext, name: str, verify, fault_plan=None) -> Dict[s
         return graph, api.build_linial_network(graph)
 
     def solve(instance):
-        return api.run_linial_network(
-            instance[0],
-            network=instance[1],
-            fault_plan=fault_plan,
+        return api.run_linial_network(instance[0], network=instance[1])
+
+    def verify(instance, outcome, _wall):
+        assert None not in outcome.outputs, f"uncolored node in Linial audit at n={n}"
+        assert is_proper_vertex_coloring(instance[0], outcome.outputs), (
+            f"improper Linial coloring in Linial audit at n={n}"
         )
-
-    return _cell(ctx, name, setup, solve, verify)
-
-
-@runner("linial_audit")
-def run_linial_audit(ctx: CellContext) -> Dict[str, object]:
-    """E8 — message-passing Linial audited end to end on the simulator."""
-    n = int(ctx.params["n"])
-
-    def verify(_instance, outcome, _wall):
         assert outcome.congest_violations == 0, f"congest violations in Linial audit at n={n}"
         assert outcome.max_message_bits <= outcome.congest_budget_bits, (
             f"message over budget at n={n}"
@@ -501,7 +499,7 @@ def run_linial_audit(ctx: CellContext) -> Dict[str, object]:
             "violations": 0,
         }
 
-    return _linial_cell(ctx, "linial_audit", verify)
+    return _cell(ctx, "linial_audit", setup, solve, verify)
 
 
 @runner("congest_value_audit")
@@ -797,51 +795,6 @@ def run_classic_reduction(ctx: CellContext) -> Dict[str, object]:
     else:
         raise ValueError(f"unknown classic pipeline {pipeline!r}")
     return _cell(ctx, "classic_reduction", lambda: _regular_graph(ctx), solve, verify)
-
-
-# ------------------------------------------------------------------ fault plane
-@runner("fault_sweep")
-def run_fault_sweep(ctx: CellContext) -> Dict[str, object]:
-    """Degradation of simulator Linial under the deterministic fault plane.
-
-    Runs message-passing Linial coloring with a
-    :class:`repro.distributed.faults.FaultPlan` built from the cell's
-    ``faults`` sub-dict (seed defaulting to the derived cell seed) and
-    measures how rounds and coloring validity degrade: the result
-    reports the realized fault statistics and the fraction of
-    monochromatic edges the faulted run left behind.  A cell with no
-    faults must still produce a proper coloring — the sweep's own
-    control row.
-    """
-    from repro.distributed.faults import FaultPlan
-
-    n = int(ctx.params["n"])
-    fault_params = dict(ctx.params.get("faults", {}))
-    fault_params.setdefault("seed", ctx.seed % 2**31)
-    plan = FaultPlan.from_params(fault_params)
-
-    def verify(instance, outcome, _wall):
-        graph, outputs = instance[0], outcome.outputs
-        conflicts = sum(
-            1
-            for u, v in zip(*graph.endpoint_arrays())
-            if outputs[u] is not None and outputs[u] == outputs[v]
-        )
-        if not plan.active:
-            assert conflicts == 0, f"improper fault-free Linial coloring at n={n}"
-        return {
-            "n": n,
-            "degree": int(ctx.params.get("degree", 4)),
-            "faults": plan.as_dict(),
-            "fault_summary": outcome.fault_summary,
-            "rounds": outcome.rounds,
-            "messages": outcome.messages,
-            "conflict_edges": conflicts,
-            "conflict_fraction": round(conflicts / max(1, graph.num_edges), 6),
-            "proper": conflicts == 0,
-        }
-
-    return _linial_cell(ctx, "fault_sweep", verify, fault_plan=plan)
 
 
 # ------------------------------------------------------------------ chaos probe

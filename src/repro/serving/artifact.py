@@ -6,8 +6,8 @@ without re-solving:
 * the **graph** as an epoch-versioned :class:`repro.graphs.DeltaGraph`
   (live sorted neighbor rows + overlay accounting);
 * the **coloring**, keyed by normalized endpoint pair — the one key
-  that survives epochs, since snapshot edge indices shift as edges come
-  and go;
+  that survives epochs, since the edge indices of a :class:`Graph`
+  built from the current edge set shift as edges come and go;
 * sparse **demand lists** (pair → sorted color tuple) for edges whose
   palette is constrained;
 * the **palette table** (color → multiplicity), maintained incrementally

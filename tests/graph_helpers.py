@@ -3,7 +3,8 @@
 The library answers line-graph and edge-subset queries through a
 ``CsrView`` over flat rows, without building a new graph; these helpers
 build the full :class:`Graph` the slow, obvious way, so the view tests
-have an independent reference.
+have an independent reference.  :func:`current_graph` does the same for
+the serving plane's mutable :class:`repro.graphs.delta.DeltaGraph`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ def subgraph_from_edges(graph: Graph, edge_set: Iterable[int]) -> Graph:
     """A new graph over the same nodes and identifiers with only the given edges."""
     edges = [graph.edge_endpoints(e) for e in sorted(set(edge_set))]
     return Graph(graph.num_nodes, edges, node_ids=graph.node_ids)
+
+
+def current_graph(delta_graph) -> Graph:
+    """A :class:`repro.graphs.delta.DeltaGraph`'s current edge set as a
+    fresh :class:`Graph` over the same nodes and identifiers."""
+    return Graph(delta_graph.num_nodes, list(delta_graph.edge_pairs()), delta_graph.node_ids)
 
 
 #: The arrays the CSR build fills, compared entry by entry by the twin tests.

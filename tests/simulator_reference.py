@@ -6,7 +6,8 @@ per-node inbox dicts, every payload audited by one
 :meth:`CongestAuditor.record` call — so the simulator's slot buffer,
 pooled views, grouped audit and late-delivery tracking have an
 independent oracle.  :class:`RaggedSender` is the algorithm that
-stresses all of them at once.
+stresses all of them at once, and :data:`DELIVERY_GRAPHS` the graph
+shapes the simulator tests share.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Any, Dict, List, Tuple
 from repro.distributed.algorithms import NodeAlgorithm, NodeContext
 from repro.distributed.messages import CongestAuditor
 from repro.distributed.model import Model
+from repro.graphs import generators
 from repro.graphs.core import Graph
 
 
@@ -142,3 +144,17 @@ class RaggedSender(NodeAlgorithm):
 
     def output(self, ctx, state):
         return state["log"]
+
+
+#: Graph shapes for the simulator checks: regular and irregular
+#: degrees, a hub, isolated nodes and scrambled identifiers.
+DELIVERY_GRAPHS = {
+    "cycle": lambda: generators.cycle_graph(9),
+    "star": lambda: generators.star_graph(12),
+    "isolated-nodes": lambda: Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4)]),
+    "bipartite": lambda: generators.regular_bipartite_graph(12, 3, seed=4)[0],
+    "regular": lambda: generators.random_regular_graph(20, 5, seed=2),
+    "scrambled-power-law": lambda: generators.graph_with_scrambled_ids(
+        generators.power_law_graph(30, 2, seed=3), seed=3
+    ),
+}

@@ -47,7 +47,6 @@ from repro.core.list_edge_coloring import list_edge_coloring, partially_color_bi
 from repro.core.slack import ListEdgeColoringInstance, uniform_instance
 from repro.core.token_dropping import _token_dropping_core, segmented_token_dropping
 from repro.distributed.algorithms import NodeAlgorithm
-from repro.distributed.faults import FaultPlan
 from repro.distributed.model import Model
 from repro.distributed.network import SynchronousNetwork
 from repro.distributed.rounds import RoundTracker
@@ -57,7 +56,7 @@ from repro.graphs.core import Graph, degrees_within
 from repro.graphs.identifiers import id_space_size
 from repro.verification.checkers import is_proper_edge_coloring
 from runtime_helpers import scenario_results
-from simulator_reference import RaggedSender
+from simulator_reference import DELIVERY_GRAPHS
 
 requires_numpy = pytest.mark.skipif(_np is None, reason="numpy not installed")
 
@@ -1231,6 +1230,50 @@ class TestSimulatorTwinMatrix:
         assert broadcast == run(_PerPortAlgorithm())
         assert broadcast[1][3] > 0  # the violation lists are not vacuous
 
+    @pytest.mark.parametrize("shape", sorted(DELIVERY_GRAPHS))
+    def test_linial_receive_engines_bit_identical_on_every_shape(self, monkeypatch, shape):
+        # Hubs, isolated nodes and ragged degrees through both receive
+        # engines; wide identifiers give every shape a non-empty schedule.
+        graph = generators.graph_with_scrambled_ids(
+            DELIVERY_GRAPHS[shape](), seed=5, id_space_factor=1000
+        )
+        network = SynchronousNetwork(
+            graph, model=Model.CONGEST, global_knowledge={"id_space": id_space_size(graph)}
+        )
+        calls = _count_sweeps(monkeypatch)
+        results = {}
+        for path in ("numpy", "python"):
+            calls.clear()
+            out, metrics = _on(path, network.run, LinialNodeAlgorithm())
+            results[path] = (out, _metrics_fingerprint(metrics), len(calls))
+        assert results["numpy"][:2] == results["python"][:2]
+        assert results["numpy"][2] == results["numpy"][1][0] > 0
+        assert results["python"][2] == 0
+
+    @pytest.mark.parametrize("shape", sorted(DELIVERY_GRAPHS))
+    def test_broadcast_matches_per_port_writes_on_every_shape(self, shape):
+        # Degree-0 nodes broadcast nothing and a hub's broadcast is one
+        # audit group of its full degree: still the same run as per-port
+        # writes.
+        graph = DELIVERY_GRAPHS[shape]()
+
+        def run(algorithm):
+            network = SynchronousNetwork(graph, model=Model.CONGEST, congest_factor=2)
+            out, metrics = network.run(algorithm)
+            auditor = network._auditor
+            audit = (
+                auditor.messages_recorded,
+                auditor.total_bits,
+                auditor.max_bits,
+                auditor.violations,
+            )
+            return out, _metrics_fingerprint(metrics), audit
+
+        broadcast = run(_BroadcastAlgorithm())
+        assert broadcast == run(_PerPortAlgorithm())
+        assert broadcast[1][1] == _BroadcastAlgorithm.ROUNDS * 2 * graph.num_edges
+        assert broadcast[1][3] > 0
+
     def test_api_linial_network_engines_bit_identical(self):
         # The public E8 entry point on a reused network.
         graph = generators.graph_with_scrambled_ids(
@@ -1336,7 +1379,7 @@ class TestScanPathReachesEngines:
         assert tracker.breakdown["linial"] > 0
         assert numpy_engines_raise and not any(choice for _, choice in numpy_engines_raise)
 
-    @pytest.mark.parametrize("name", ["e7_logstar", "e8_linial", "fault_sweep", "e6_round_scaling"])
+    @pytest.mark.parametrize("name", ["e7_logstar", "e8_linial", "e6_round_scaling"])
     def test_scenario_runners(self, numpy_engines_raise, name):
         # The executor scopes every cell to its ctx.knobs: a row that
         # records scan_path "python" ran no numpy engine.
@@ -1356,97 +1399,3 @@ class TestScanPathReachesEngines:
         assert ("measure_defects", False) in numpy_engines_raise
         assert not any(choice for _, choice in numpy_engines_raise)
 
-
-#: Fault plans covering every fault channel, alone and combined.
-FAULT_PLANS = [
-    FaultPlan(seed=7, drop_rate=0.05),
-    FaultPlan(seed=7, drop_rate=0.05, delay_rate=0.05, duplicate_rate=0.03, max_delay=3),
-    FaultPlan(seed=11, crash_rate=0.08, crash_round_range=4),
-    FaultPlan(seed=3, drop_rate=0.1, crashes=((0, 1), (5, 2))),
-]
-
-
-class TestFaultPlaneMatrix:
-    """Fault injection against the twins: same plan, same faults.
-
-    The determinism contract of :mod:`repro.distributed.faults` — every
-    decision a pure hash of (seed, channel, round, slot) — means a fixed
-    plan must yield bit-identical outputs, metrics *and* fault summaries
-    under both Linial receive engines, and on every rerun.
-    """
-
-    @requires_numpy
-    @pytest.mark.parametrize("plan", FAULT_PLANS, ids=lambda p: f"seed{p.seed}")
-    def test_faulted_linial_engines_bit_identical(self, plan):
-        network = _linial_network(96, seed=96)
-        results = [
-            _on(path, network.run, LinialNodeAlgorithm(), fault_plan=plan)
-            for path in ("numpy", "python")
-        ]
-        (numpy_out, numpy_metrics), (python_out, python_metrics) = results
-        assert numpy_metrics.fault_summary is not None
-        assert numpy_out == python_out
-        assert _metrics_fingerprint(numpy_metrics) == _metrics_fingerprint(python_metrics)
-        assert numpy_metrics.fault_summary == python_metrics.fault_summary
-
-    @pytest.mark.parametrize("plan", FAULT_PLANS, ids=lambda p: f"seed{p.seed}")
-    def test_faulted_ragged_sender_is_deterministic(self, plan):
-        # Ragged sends, None payloads, staggered termination and late
-        # delivery under faults — the hardest case for receiver tracking,
-        # since drops must not trigger spurious late deliveries.  A fresh
-        # network and a reused one must agree on everything.
-        graph = _make_graph("general", 32, 10, seed=42)
-        reused = SynchronousNetwork(graph, model=Model.CONGEST, congest_factor=2)
-
-        def run(network):
-            out, metrics = network.run(RaggedSender(), fault_plan=plan)
-            return out, _metrics_fingerprint(metrics), metrics.fault_summary
-
-        first = run(reused)
-        assert first[2] is not None
-        assert run(reused) == first
-        assert run(SynchronousNetwork(graph, model=Model.CONGEST, congest_factor=2)) == first
-
-    @pytest.mark.parametrize("plan", FAULT_PLANS, ids=lambda p: f"seed{p.seed}")
-    def test_faulted_broadcast_matches_per_port_writes(self, plan):
-        # Fault decisions hash (round, slot), never the write path: a
-        # broadcast and the same messages written port by port must
-        # see the same drops, delays, duplicates and crashes.
-        graph = generators.random_regular_graph(48, 6, seed=2)
-
-        def run(algorithm):
-            network = SynchronousNetwork(graph, model=Model.CONGEST, congest_factor=2)
-            out, metrics = network.run(algorithm, fault_plan=plan)
-            return out, _metrics_fingerprint(metrics), metrics.fault_summary
-
-        broadcast = run(_BroadcastAlgorithm())
-        assert broadcast[2] is not None
-        assert broadcast == run(_PerPortAlgorithm())
-
-    def test_fault_summary_repeatable_and_seed_sensitive(self):
-        graph = generators.graph_with_scrambled_ids(
-            generators.random_regular_graph(64, 4, seed=64), seed=64, id_space_factor=8
-        )
-        plan = FaultPlan(seed=5, drop_rate=0.1, delay_rate=0.05)
-
-        def run(p):
-            return api.run_linial_network(graph, fault_plan=p)
-
-        first, second = run(plan), run(plan)
-        assert first == second  # whole outcome, fault_summary included
-        other = run(FaultPlan(seed=6, drop_rate=0.1, delay_rate=0.05))
-        assert other.fault_summary != first.fault_summary
-
-    def test_audit_totals_match_fault_free_run(self):
-        # Message accounting counts *sent* payloads: a drops-only plan
-        # must leave messages/audit identical to the fault-free run
-        # (drops never shorten Linial's fixed schedule).
-        graph = generators.graph_with_scrambled_ids(
-            generators.random_regular_graph(64, 4, seed=64), seed=64, id_space_factor=8
-        )
-        clean = api.run_linial_network(graph)
-        faulted = api.run_linial_network(graph, fault_plan=FaultPlan(seed=9, drop_rate=0.2))
-        assert faulted.rounds == clean.rounds
-        assert faulted.messages == clean.messages
-        assert faulted.max_message_bits == clean.max_message_bits
-        assert faulted.fault_summary["dropped"] > 0

@@ -13,6 +13,7 @@ from typing import Any, Dict
 
 import pytest
 
+from repro import api
 from repro.coloring.linial import LinialNodeAlgorithm
 from repro.distributed.algorithms import NodeAlgorithm, NodeContext
 from repro.distributed.model import Model
@@ -21,7 +22,7 @@ from repro.graphs import generators
 from repro.graphs.core import Graph
 from repro.graphs.identifiers import id_space_size
 from repro.verification.checkers import is_proper_vertex_coloring
-from simulator_reference import RaggedSender, reference_run
+from simulator_reference import DELIVERY_GRAPHS, RaggedSender, reference_run
 
 
 class MaxIdFlooding(NodeAlgorithm):
@@ -495,6 +496,132 @@ class TestOutboxWriter:
         assert network._auditor.messages_recorded == 4
 
 
+class DeliveryLedger(NodeAlgorithm):
+    """Every payload names its origin: ``(sender id, port, round)``.
+
+    Node ``v`` runs ``v % 4 + 1`` rounds and leaves port ``p`` silent in
+    round ``r`` when ``(v + p + r) % 3 == 0``.  It logs the rounds it was
+    asked to send in, the ports it wrote, the rounds its ``receive`` hook
+    ran and every ``(round, port, payload)`` it was handed, so a test can
+    match each send to exactly one delivery.
+    """
+
+    @staticmethod
+    def stop(ctx):
+        return ctx.node % 4 + 1
+
+    def initialize(self, ctx):
+        return {"round": 0, "active": [], "sent": [], "heard": [], "received": []}
+
+    def outgoing(self, ctx, state, round_index):
+        state["active"].append(round_index)
+        messages = {
+            port: (ctx.node_id, port, round_index)
+            for port in range(ctx.degree)
+            if (ctx.node + port + round_index) % 3
+        }
+        state["sent"].extend((round_index, port) for port in messages)
+        return messages
+
+    def send(self, ctx, state, round_index):
+        return self.outgoing(ctx, state, round_index)
+
+    def receive(self, ctx, state, inbox, round_index):
+        state["heard"].append(round_index)
+        state["received"].extend((round_index, port, payload) for port, payload in inbox.items())
+        state["round"] = round_index + 1
+
+    def finished(self, ctx, state):
+        return state["round"] >= self.stop(ctx)
+
+    def output(self, ctx, state):
+        return state
+
+
+class NativeDeliveryLedger(DeliveryLedger):
+    """The same messages written straight into the outbox writer."""
+
+    def send_batch(self, ctx, state, round_index, outbox):
+        for port, payload in self.outgoing(ctx, state, round_index).items():
+            outbox.send(port, payload)
+
+
+def _expected_deliveries(graph, outputs):
+    """Per node, the sorted ``(round, port, payload)`` triples that the
+    logged sends address to it."""
+    expected = [[] for _ in graph.nodes()]
+    for v, log in enumerate(outputs):
+        neighbors = list(graph.neighbors(v))
+        for round_index, port in log["sent"]:
+            w = neighbors[port]
+            back = list(graph.neighbors(w)).index(v)
+            expected[w].append((round_index, back, (graph.node_id(v), port, round_index)))
+    return [sorted(triples) for triples in expected]
+
+
+class TestReliableDelivery:
+    """The simulator is the paper's reliable synchronous network: every
+    message is delivered once, in the round it was sent, on the port
+    facing its sender, and only the algorithm stops a node."""
+
+    @pytest.mark.parametrize(
+        "algorithm", [DeliveryLedger, NativeDeliveryLedger], ids=["send-bridge", "outbox-writer"]
+    )
+    @pytest.mark.parametrize("shape", sorted(DELIVERY_GRAPHS))
+    def test_every_message_is_delivered_exactly_once(self, shape, algorithm):
+        graph = DELIVERY_GRAPHS[shape]()
+        outputs, metrics = SynchronousNetwork(graph, model=Model.CONGEST).run(algorithm())
+        received = [sorted(log["received"]) for log in outputs]
+        assert received == _expected_deliveries(graph, outputs)
+        assert metrics.messages == sum(len(log["sent"]) for log in outputs)
+        # Non-vacuous: some ports stayed silent, and some payload reached
+        # a node that had already finished.
+        assert metrics.messages < sum(
+            graph.degree(v) * len(log["active"]) for v, log in enumerate(outputs)
+        )
+        assert any(
+            entry[0] >= v % 4 + 1 for v, log in enumerate(outputs) for entry in log["received"]
+        )
+
+    @pytest.mark.parametrize("shape", sorted(DELIVERY_GRAPHS))
+    def test_only_the_algorithm_stops_a_node(self, shape):
+        # A node sends and receives in every round until it reports
+        # finished, and afterwards its receive hook runs only in rounds
+        # that deliver something to it.
+        graph = DELIVERY_GRAPHS[shape]()
+        outputs, metrics = SynchronousNetwork(graph).run(DeliveryLedger())
+        stops = [v % 4 + 1 for v in graph.nodes()]
+        assert metrics.rounds == max(stops)
+        for v, log in enumerate(outputs):
+            assert log["active"] == list(range(stops[v]))
+            late = sorted({entry[0] for entry in log["received"] if entry[0] >= stops[v]})
+            assert log["heard"] == list(range(stops[v])) + late
+
+    @pytest.mark.parametrize("shape", sorted(DELIVERY_GRAPHS))
+    def test_reused_network_reruns_identically(self, shape):
+        # Per-run state (round buffer, receiver tracking, the CONGEST
+        # audit) is rebuilt or reset on every run: a reused network and a
+        # fresh one agree on outputs, metrics and audit.
+        graph = DELIVERY_GRAPHS[shape]()
+
+        def run(network):
+            outputs, metrics = network.run(RaggedSender())
+            auditor = network._auditor
+            audit = (
+                auditor.messages_recorded,
+                auditor.total_bits,
+                auditor.max_bits,
+                auditor.violations,
+            )
+            return outputs, _fingerprint(metrics), audit
+
+        reused = SynchronousNetwork(graph, model=Model.CONGEST, congest_factor=2)
+        first = run(reused)
+        assert first[1][1] > 0
+        assert run(reused) == first
+        assert run(SynchronousNetwork(graph, model=Model.CONGEST, congest_factor=2)) == first
+
+
 class TestLinialOnSimulator:
     def test_message_passing_linial_is_proper_and_fast(self):
         graph = generators.graph_with_scrambled_ids(generators.cycle_graph(32), seed=5)
@@ -510,6 +637,23 @@ class TestLinialOnSimulator:
         # O(log* n) rounds.
         assert metrics.rounds <= 8
         assert metrics.congest_violations == 0
+
+    @pytest.mark.parametrize("shape", sorted(DELIVERY_GRAPHS))
+    def test_audited_linial_colors_every_node_properly(self, shape):
+        # The E8 entry point on the delivery shapes: every node outputs
+        # a color, no edge is monochromatic, the CONGEST budget holds and
+        # a rerun on the same network repeats the outcome.  Identifiers
+        # from a wide space give every shape a non-empty schedule.
+        graph = generators.graph_with_scrambled_ids(
+            DELIVERY_GRAPHS[shape](), seed=5, id_space_factor=1000
+        )
+        network = api.build_linial_network(graph)
+        outcome = api.run_linial_network(graph, network=network)
+        assert None not in outcome.outputs
+        assert is_proper_vertex_coloring(graph, outcome.outputs)
+        assert outcome.congest_violations == 0
+        assert outcome.rounds > 0
+        assert api.run_linial_network(graph, network=network) == outcome
 
     def test_missing_id_space_global_raises(self):
         graph = generators.cycle_graph(8)

@@ -274,25 +274,19 @@ class TestErrorRowsExcludedFromDiffs:
         assert diff_rows([err, err_late], [err_late], include_errors=True) == []
 
 
-class TestDeterminismUnderFaultPlane:
-    def test_fault_sweep_rows_identical_across_worker_counts(self, tmp_path):
-        sweep = get("fault_sweep")
+class TestSimulatorSweepDeterminism:
+    def test_e8_rows_identical_across_worker_counts(self):
+        sweep = get("e8_linial")
         serial = run_scenario(sweep, workers=1).rows
         parallel = run_scenario(sweep, workers=4).rows
         assert _strip_all(parallel) == _strip_all(serial)
         assert not diff_rows(parallel, serial)
 
-    def test_fault_sweep_rows_identical_across_engines(self):
-        sweep = get("fault_sweep")
+    def test_e8_rows_identical_across_engines(self):
+        sweep = get("e8_linial")
         left = run_scenario(sweep, workers=1, knobs=Knobs(scan_path="python")).rows
         right = run_scenario(sweep, workers=1, knobs=Knobs(scan_path="numpy")).rows
         assert not diff_rows(left, right, ignore_knobs=True)
-
-    def test_fault_sweep_control_row_is_proper(self):
-        report = run_scenario(get("fault_sweep"), workers=1)
-        control = report.rows[0]["result"]
-        assert control["faults"]["drop_rate"] == 0.0
-        assert control["proper"] and control["conflict_fraction"] == 0.0
 
 
 class TestStoreHardening:

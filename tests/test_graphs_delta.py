@@ -1,10 +1,12 @@
 """DeltaGraph: the epoch-versioned mutable overlay over a CSR base."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
-from graph_helpers import assert_python_ints, csr_arrays
+from graph_helpers import assert_python_ints, csr_arrays, current_graph
 from repro.core import engine
 from repro.graphs import generators
 from repro.graphs.core import Graph
@@ -31,10 +33,28 @@ class TestConstruction:
             base.edge_endpoints(e) for e in base.edges()
         )
 
-    def test_initial_snapshot_is_base(self):
-        base = generators.cycle_graph(8)
+    def test_initial_edge_set_rebuilds_the_base(self):
+        base = generators.graph_with_scrambled_ids(generators.cycle_graph(8), seed=2)
         dg = DeltaGraph(base)
-        assert dg.snapshot() is base
+        rebuilt = current_graph(dg)
+        assert rebuilt.node_ids == base.node_ids
+        assert sorted(rebuilt.edge_endpoints(e) for e in rebuilt.edges()) == sorted(
+            base.edge_endpoints(e) for e in base.edges()
+        )
+        for name in ("_degrees", "_max_degree", "_xadj", "_adj"):
+            assert csr_arrays(rebuilt)[name] == csr_arrays(base)[name]
+
+    def test_does_not_keep_the_base_graph_alive(self):
+        # The live rows and the identifier list are all a DeltaGraph
+        # keeps of its construction graph.
+        base = generators.random_regular_graph(24, 4, seed=1)
+        source = weakref.ref(base)
+        pairs = sorted(base.edge_endpoints(e) for e in base.edges())
+        dg = DeltaGraph(base)
+        del base
+        gc.collect()
+        assert source() is None
+        assert _pairs(dg) == pairs
 
 
 class TestMutations:
@@ -94,30 +114,24 @@ class TestMutations:
         row = dg.neighbors(0)
         assert row == sorted(row) == [1, 3, 5, 7, 9]
 
-
-class TestSnapshots:
-    def test_snapshot_cached_per_epoch(self):
-        dg = DeltaGraph(generators.cycle_graph(8))
-        dg.insert_edge(0, 4)
-        snap1 = dg.snapshot()
-        assert dg.snapshot() is snap1  # cached within the epoch
-        dg.delete_edge(0, 4)
-        snap2 = dg.snapshot()
-        assert snap2 is not snap1
-
-    def test_snapshot_matches_rebuilt_graph(self):
+    def test_current_graph_matches_rebuilt_graph(self):
         base = generators.random_regular_graph(20, 4, seed=3)
         dg = DeltaGraph(base)
+        model = {base.edge_endpoints(e) for e in base.edges()}
         dg.delete_edge(*base.edge_endpoints(0))
+        model.discard(base.edge_endpoints(0))
         if not dg.has_edge(0, base.num_nodes - 1):
             dg.insert_edge(0, base.num_nodes - 1)
-        snap = dg.snapshot()
-        rebuilt = Graph(base.num_nodes, _pairs(dg), node_ids=list(base.node_ids))
-        assert sorted(snap.edge_endpoints(e) for e in snap.edges()) == sorted(
+            model.add((0, base.num_nodes - 1))
+        current = current_graph(dg)
+        rebuilt = Graph(base.num_nodes, sorted(model), node_ids=list(base.node_ids))
+        assert sorted(current.edge_endpoints(e) for e in current.edges()) == sorted(
             rebuilt.edge_endpoints(e) for e in rebuilt.edges()
         )
-        assert list(snap.node_ids) == list(base.node_ids)
+        assert list(current.node_ids) == list(base.node_ids)
 
+
+class TestRebase:
     def test_rebase_folds_overlay_and_preserves_epoch(self):
         dg = DeltaGraph(generators.cycle_graph(8))
         dg.insert_edge(0, 4)
@@ -215,22 +229,23 @@ def _churned(seed):
     return dg, model, isolated
 
 
-class TestSnapshotTwins:
-    """A snapshot is the graph rebuilt from its edge set, on both engines."""
+class TestCurrentGraphTwins:
+    """The current edge set builds the graph rebuilt from the model, on
+    both engines."""
 
-    def test_snapshot_equals_rebuilt_graph(self):
+    def test_current_graph_equals_rebuilt_graph(self):
         arrays = {}
         for path in ("numpy", "python"):
             with engine.scan_path(path):
                 dg, model, _ = _churned(seed=8)
                 assert dg.overlay_size > 0
-                snap = dg.snapshot()
+                current = current_graph(dg)
                 rebuilt = Graph(dg.num_nodes, sorted(model), node_ids=dg.node_ids)
-            arrays[path] = csr_arrays(snap)
+            arrays[path] = csr_arrays(current)
             assert arrays[path] == csr_arrays(rebuilt)
             assert_python_ints(arrays[path])
-            assert snap._edges == sorted(model)
-            assert snap.node_ids == rebuilt.node_ids
+            assert current._edges == sorted(model)
+            assert current.node_ids == rebuilt.node_ids
         assert arrays["numpy"] == arrays["python"]
 
     @pytest.mark.parametrize("path", ["numpy", "python"])
@@ -242,10 +257,10 @@ class TestSnapshotTwins:
             rows = [list(dg.neighbors(v)) for v in dg.nodes()]
             assert dg.rebase() == 0
             assert dg.overlay_size == 0
-            snap = dg.snapshot()
+            current = current_graph(dg)
         assert [dg.neighbors(v) for v in dg.nodes()] == rows
         n = dg.num_nodes
-        for graph in (dg, snap):
+        for graph in (dg, current):
             for u in sorted({0, n - 1} | isolated):
                 for v in range(n):
                     expected = u != v and (min(u, v), max(u, v)) in model
@@ -281,5 +296,5 @@ class TestRandomizedEquivalence:
             )
             assert list(dg.neighbors(v)) == expect
             assert dg.degree(v) == len(expect)
-        snap = dg.snapshot()
-        assert sorted(snap.edge_endpoints(e) for e in snap.edges()) == sorted(model)
+        current = current_graph(dg)
+        assert sorted(current.edge_endpoints(e) for e in current.edges()) == sorted(model)

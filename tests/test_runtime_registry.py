@@ -126,6 +126,30 @@ class TestRunnerEnvelope:
         with pytest.raises(AssertionError, match=message):
             RUNNERS["round_scaling_suite"](CellContext(params=params, seed=0, repeats=1))
 
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda outputs: [None] + outputs[1:], "uncolored node"),
+            (lambda outputs: [0] * len(outputs), "improper"),
+        ],
+        ids=["uncolored", "monochromatic"],
+    )
+    def test_e8_rejects_an_improper_linial_outcome(self, monkeypatch, spoil, message):
+        # E8 checks the coloring, not only the CONGEST budget.
+        from repro import api
+
+        real = api.run_linial_network
+
+        def spoiled_run(graph, network=None):
+            outcome = real(graph, network=network)
+            outcome.outputs = spoil(outcome.outputs)
+            return outcome
+
+        monkeypatch.setattr(api, "run_linial_network", spoiled_run)
+        params = {"n": 64, "degree": 4, "id_space_factor": 8}
+        with pytest.raises(AssertionError, match=message):
+            RUNNERS["linial_audit"](CellContext(params=params, seed=0, repeats=1))
+
 
 class TestPerfGridDrift:
     """The perf harness's regression gate (``check_regressions``)."""

@@ -8,12 +8,15 @@ under forced radius-limit fallback.
 """
 
 import copy
+import gc
 import json
 import random
 import sys
+import weakref
 
 import pytest
 
+from graph_helpers import current_graph
 from repro import api, cli
 from repro.graphs import generators
 from repro.graphs.core import Graph
@@ -55,7 +58,7 @@ def absent_pair(graph):
 
 def rebuilt_twin(artifact):
     """A fresh canonical artifact for the artifact's *current* edge set."""
-    return build_artifact(artifact.graph.snapshot(), dict(artifact.lists))
+    return build_artifact(current_graph(artifact.graph), dict(artifact.lists))
 
 
 def unbounded_pops(graph, u, v):
@@ -103,6 +106,16 @@ class TestOfflineBuild:
         assert len(artifact.colors) == graph.num_edges
         assert artifact.verify()
         assert artifact.colors == full_recompute(DeltaGraph(graph), {})
+
+    def test_artifact_does_not_keep_the_source_graph(self):
+        # The live rows are the artifact's only copy of the edge set.
+        graph = small_graph()
+        source = weakref.ref(graph)
+        artifact = build_artifact(graph)
+        del graph
+        gc.collect()
+        assert source() is None
+        assert artifact.verify()
 
     def test_build_respects_demand_lists(self):
         graph = generators.cycle_graph(8)
@@ -650,7 +663,6 @@ class TestRebasePolicy:
             raise AssertionError("a rebase built a Graph")
 
         monkeypatch.setattr(Graph, "__init__", no_graph)
-        monkeypatch.setattr(Graph, "_from_normalized", no_graph)
         rng = random.Random(5)
         auto_rebases = 0
         for _ in range(60):
