@@ -16,6 +16,14 @@ two worlds:
 * every mutation bumps an **epoch** counter.  The epoch is the version
   tag the serving cache folds into its keys: a cached answer is only
   ever replayed for the epoch it was computed under;
+* the **color rows** are one list per node aligned with its live row:
+  slot ``i`` of ``color_row(u)`` is the color of the edge
+  ``(u, neighbors(u)[i])``, so every edge sits in two mirrored slots.
+  They hold the serving plane's edge coloring where its repair engine
+  reads it, node by node: a mutation inserts or pops both slots at the
+  positions it already finds, and :meth:`set_color` writes both.  The
+  rows fill from pair-ordered colors at construction or by
+  :meth:`fill_colors`; until then every slot is :data:`UNCOLORED`;
 * the **overlay** is accounting only: the edges added and the base
   edges deleted since the last :meth:`rebase`.  Its size is what the
   serving plane's rebase policy and ``stats`` report;
@@ -25,15 +33,18 @@ two worlds:
 
 The node set is fixed for the lifetime of the graph: serving deltas
 are edge- and demand-level events, and keeping node identity frozen is
-what lets colors be keyed by endpoint pairs across epochs.
+what lets an endpoint pair name the same edge across epochs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import Iterator, List, Set, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.graphs.core import Graph
+
+#: The color slot of an edge that has not been colored yet.
+UNCOLORED = -1
 
 
 def _pair(u: int, v: int) -> Tuple[int, int]:
@@ -46,18 +57,29 @@ class DeltaGraph:
 
     Read API mirrors the subset of :class:`Graph` the serving plane
     needs (``num_nodes`` / ``num_edges`` / ``degree`` / ``neighbors`` /
-    ``has_edge`` / ``edge_pairs`` / ``node_ids``); mutations go through
+    ``has_edge`` / ``edge_pairs`` / ``node_ids``), plus the color rows
+    (``color_row`` / ``colored_edges``); mutations go through
     :meth:`insert_edge` / :meth:`delete_edge` and each bumps
     :attr:`epoch`.  Reads of a node take an in-range node index, as the
     CSR :class:`Graph` reads do; only :meth:`has_edge` answers ``False``
     for an out-of-range endpoint.
     """
 
-    def __init__(self, base: Graph) -> None:
+    def __init__(
+        self, base: Graph, colored: Optional[Iterable[Tuple[Tuple[int, int], int]]] = None
+    ) -> None:
+        """Copy ``base``'s rows; ``colored`` fills the color rows as
+        :meth:`fill_colors` does (every slot is :data:`UNCOLORED`
+        without it)."""
         xadj, adj = base.adjacency_csr()
         self._rows: List[List[int]] = [
             adj[xadj[v] : xadj[v + 1]] for v in range(base.num_nodes)
         ]
+        if colored is None:
+            self._colors = [[UNCOLORED] * len(row) for row in self._rows]
+        else:
+            self._colors = [[] for _ in self._rows]
+            self.fill_colors(colored)
         self._node_ids = base.node_ids
         self._epoch = 0
         # Overlay accounting against the last rebase: an edge is in
@@ -140,9 +162,55 @@ class DeltaGraph:
             for v in row[bisect_right(row, u) :]:
                 yield (u, v)
 
+    def color_row(self, v: int) -> List[int]:
+        """The colors of ``v``'s edges, aligned with :meth:`neighbors`.
+
+        The live row itself, shared like :meth:`neighbors`: only the
+        color-row writers (:meth:`set_color`, :meth:`fill_colors`, the
+        serving repair engine) may store into it, and both slots of an
+        edge must always agree.
+        """
+        return self._colors[v]
+
+    def colored_edges(self) -> Iterator[Tuple[int, int, int]]:
+        """Yield ``(u, v, color)`` for every present edge, in sorted pair
+        order (the order of :meth:`edge_pairs`)."""
+        for u, row in enumerate(self._rows):
+            i = bisect_right(row, u)
+            for v, c in zip(row[i:], self._colors[u][i:]):
+                yield (u, v, c)
+
+    def set_color(self, u: int, v: int, color: int) -> None:
+        """Write ``color`` into both slots of the present edge ``{u, v}``."""
+        row = self._rows[u]
+        self._colors[u][bisect_left(row, v)] = color
+        row = self._rows[v]
+        self._colors[v][bisect_left(row, u)] = color
+
+    def fill_colors(self, colored: Iterable[Tuple[Tuple[int, int], int]]) -> None:
+        """Replace every color slot from ``((u, v), color)`` items.
+
+        The items must name every present edge once, as a normalized
+        pair, in sorted pair order.  In that order each node's slots come
+        up in row order (first its edges to smaller neighbors, then its
+        edges to larger ones), so each row fills by appends: one pass, no
+        lookups.  The rows are refilled in place (a caller holding a
+        :meth:`color_row` keeps the live row); ``ValueError`` when the
+        items miss or repeat an edge leaves them unusable.
+        """
+        rows = self._colors
+        for row in rows:
+            row.clear()
+        for (u, v), c in colored:
+            rows[u].append(c)
+            rows[v].append(c)
+        if list(map(len, rows)) != list(map(len, self._rows)):
+            raise ValueError("colors do not cover the edge set once each")
+
     # ------------------------------------------------------------- mutations
     def insert_edge(self, u: int, v: int) -> int:
-        """Insert the edge ``{u, v}``; returns the new epoch.
+        """Insert the edge ``{u, v}``, its two color slots
+        :data:`UNCOLORED`; returns the new epoch.
 
         Raises ``ValueError`` on self-loops, out-of-range endpoints or
         an edge that is already present.
@@ -157,7 +225,11 @@ class DeltaGraph:
         if i < len(row) and row[i] == v:
             raise ValueError(f"edge {key} is already present")
         row.insert(i, v)
-        insort(self._rows[v], u)
+        self._colors[u].insert(i, UNCOLORED)
+        row = self._rows[v]
+        j = bisect_left(row, u)
+        row.insert(j, u)
+        self._colors[v].insert(j, UNCOLORED)
         if key in self._deleted:
             self._deleted.discard(key)
         else:
@@ -174,10 +246,12 @@ class DeltaGraph:
         key = _pair(u, v)
         if not self.has_edge(u, v):
             raise ValueError(f"edge {key} is not present")
-        row = self._rows[u]
-        row.pop(bisect_left(row, v))
-        row = self._rows[v]
-        row.pop(bisect_left(row, u))
+        i = bisect_left(self._rows[u], v)
+        self._rows[u].pop(i)
+        self._colors[u].pop(i)
+        j = bisect_left(self._rows[v], u)
+        self._rows[v].pop(j)
+        self._colors[v].pop(j)
         if key in self._added:
             self._added.discard(key)
         else:

@@ -11,8 +11,9 @@ two:
     :func:`build_artifact` runs the canonical priority-greedy coloring
     once over a frozen CSR graph and captures everything a server needs
     in a persistent :class:`ColoringArtifact`: the epoch-versioned
-    :class:`repro.graphs.DeltaGraph`, the pair-keyed coloring, sparse
-    demand lists and the palette table.
+    :class:`repro.graphs.DeltaGraph` with the coloring in its color rows
+    (one color list aligned with each live neighbor row), sparse demand
+    lists and the palette table.
     Artifacts serialize to JSON (``save``/``load``) so a build survives
     the process that made it — the ``repro serve`` CLI writes one, any
     number of ``repro query`` invocations read it.

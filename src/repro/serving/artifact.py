@@ -5,9 +5,14 @@ without re-solving:
 
 * the **graph** as an epoch-versioned :class:`repro.graphs.DeltaGraph`
   (live sorted neighbor rows + overlay accounting);
-* the **coloring**, keyed by normalized endpoint pair — the one key
-  that survives epochs, since the edge indices of a :class:`Graph`
-  built from the current edge set shift as edges come and go;
+* the **coloring**, stored in the graph's color rows: one color list
+  aligned with each live neighbor row, so an edge's color sits in two
+  mirrored slots and a node's colors are one list read.  No pair-keyed
+  copy is kept; :attr:`ColoringArtifact.colors` derives one, keyed by
+  normalized endpoint pair (the one key that survives epochs, since
+  the edge indices of a :class:`Graph` built from the current edge set
+  shift as edges come and go), for digests, persistence checks and
+  tests;
 * sparse **demand lists** (pair → sorted color tuple) for edges whose
   palette is constrained;
 * the **palette table** (color → multiplicity), maintained incrementally
@@ -24,8 +29,12 @@ point for the repair engine to restore.
 from __future__ import annotations
 
 import json
+import operator
 import os
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import jsonlog
@@ -44,6 +53,7 @@ from repro.serving.repair import (
     apply_delete,
     apply_insert,
     apply_set_list,
+    canonical_coloring,
     full_recompute,
     normalize_list,
 )
@@ -107,32 +117,42 @@ def resolve_rebase_policy(value) -> Optional[RebasePolicy]:
     )
 
 
+def _in_pair_order(pairs: List[Pair]) -> bool:
+    """Whether ``pairs`` are normalized and strictly increasing."""
+    return all(u < v for u, v in pairs) and all(map(operator.lt, pairs, pairs[1:]))
+
+
 class ColoringArtifact:
     """Graph + coloring + repair state, versioned by an epoch counter.
 
     The epoch advances on every absorbed delta (graph mutations bump the
     underlying :class:`DeltaGraph`; demand-list changes bump an artifact
     offset) and is the version tag serving caches fold into their keys.
+
+    ``colors`` maps every edge's normalized ``u < v`` pair to its
+    color, in any order, and is written into the graph's color rows;
+    ``None`` adopts the colors the rows already hold.
     """
 
     def __init__(
         self,
         graph: DeltaGraph,
-        colors: Dict[Pair, int],
+        colors: Optional[Mapping[Pair, int]] = None,
         lists: Optional[Dict[Pair, Tuple[int, ...]]] = None,
         *,
         canonical: bool = True,
         builder: str = "canonical",
     ) -> None:
         self.graph = graph
-        self.colors = colors
+        if colors is not None:
+            graph.fill_colors(sorted(colors.items()))
         self.lists: Dict[Pair, Tuple[int, ...]] = dict(lists or {})
         self.canonical = canonical
         self.builder = builder
         self._epoch_base = 0
-        self._palette: Dict[int, int] = {}
-        for c in colors.values():
-            self._palette[c] = self._palette.get(c, 0) + 1
+        # Color → multiplicity; every edge has two slots.
+        slots = Counter(chain.from_iterable(map(graph.color_row, graph.nodes())))
+        self._palette = {c: count // 2 for c, count in slots.items()}
         # Delta records pending a journal append: populated only when
         # journal tracking is on (loaded/saved artifacts), drained by
         # ``save``.  In-memory artifacts that are never persisted pay
@@ -174,10 +194,6 @@ class ColoringArtifact:
         """Largest color in use, or ``-1`` on an edgeless graph."""
         return max(self._palette) if self._palette else -1
 
-    def palette_table(self) -> Dict[int, int]:
-        """Color → multiplicity, sorted by color (a defensive copy)."""
-        return {c: self._palette[c] for c in sorted(self._palette)}
-
     def stats(self) -> Dict[str, object]:
         """Summary row for the ``stats`` query op and the CLI."""
         return {
@@ -193,26 +209,35 @@ class ColoringArtifact:
             "builder": self.builder,
         }
 
+    @property
+    def colors(self) -> Dict[Pair, int]:
+        """The coloring as a fresh pair-keyed dict, in pair order (O(m)).
+
+        A snapshot derived from the color rows: writing to it changes
+        nothing.  Serving reads go to the rows (:meth:`color`,
+        :meth:`node_colors`, :meth:`schedule`).
+        """
+        return {(u, v): c for u, v, c in self.graph.colored_edges()}
+
     # ----------------------------------------------------------------- reads
     def color(self, u: int, v: int) -> int:
         """Current color of edge ``{u, v}``."""
-        key = _pair(u, v)
-        try:
-            return self.colors[key]
-        except KeyError:
-            raise RepairError(
-                f"edge {key} is not present", code="absent-edge"
-            ) from None
+        graph = self.graph
+        if 0 <= u < graph.num_nodes:
+            row = graph.neighbors(u)
+            i = bisect_left(row, v)
+            if i < len(row) and row[i] == v:
+                return graph.color_row(u)[i]
+        raise RepairError(f"edge {_pair(u, v)} is not present", code="absent-edge")
 
     def node_colors(self, v: int) -> List[int]:
-        """Sorted colors on the edges incident to node ``v`` (O(degree) scan)."""
+        """Sorted colors on the edges incident to node ``v`` (one row read)."""
         if not 0 <= v < self.graph.num_nodes:
             raise RepairError(
                 f"node {v} out of range for {self.graph.num_nodes} nodes",
                 code="node-out-of-range",
             )
-        colors = self.colors
-        return sorted(colors[_pair(v, w)] for w in self.graph.neighbors(v))
+        return sorted(self.graph.color_row(v))
 
     def schedule(self, v: int) -> List[Tuple[int, int]]:
         """Node ``v``'s transmission schedule: ``(color, neighbor)`` by color.
@@ -226,10 +251,7 @@ class ColoringArtifact:
                 f"node {v} out of range for {self.graph.num_nodes} nodes",
                 code="node-out-of-range",
             )
-        colors = self.colors
-        return sorted(
-            ((colors[_pair(v, w)], w) for w in self.graph.neighbors(v)),
-        )
+        return sorted(zip(self.graph.color_row(v), self.graph.neighbors(v)))
 
     # ---------------------------------------------------------------- deltas
     def insert(self, u: int, v: int, **kwargs) -> RepairReport:
@@ -291,33 +313,33 @@ class ColoringArtifact:
             )
 
     # ------------------------------------------------- repair-engine hooks
-    # The state is (colors, palette); the epoch versions it.
-    def _assign(self, key: Pair, c: int) -> None:
-        self.colors[key] = c
+    # The state is (color rows, palette); the epoch versions it.  The
+    # engine writes the color rows itself and reports each color it
+    # adds or drops here.
+    def _assign(self, c: int) -> None:
         self._palette[c] = self._palette.get(c, 0) + 1
 
-    def _unassign(self, key: Pair, c: int) -> None:
-        del self.colors[key]
+    def _unassign(self, c: int) -> None:
         remaining = self._palette[c] - 1
         if remaining:
             self._palette[c] = remaining
         else:
             del self._palette[c]
 
-    def _recolor(self, key: Pair, c_old: int, c_new: int) -> None:
-        self.colors[key] = c_new
-        remaining = self._palette[c_old] - 1
+    def _recolor(self, c_old: int, c_new: int) -> None:
+        palette = self._palette
+        remaining = palette[c_old] - 1
         if remaining:
-            self._palette[c_old] = remaining
+            palette[c_old] = remaining
         else:
-            del self._palette[c_old]
-        self._palette[c_new] = self._palette.get(c_new, 0) + 1
+            del palette[c_old]
+        palette[c_new] = palette.get(c_new, 0) + 1
 
     def _replace_coloring(self, colors: Dict[Pair, int]) -> None:
-        self.colors = colors
-        self._palette = {}
-        for c in colors.values():
-            self._palette[c] = self._palette.get(c, 0) + 1
+        """Adopt a :func:`~repro.serving.repair.full_recompute` coloring
+        (pair-keyed, in pair order) as the color rows."""
+        self.graph.fill_colors(colors.items())
+        self._palette = dict(Counter(colors.values()))
 
     def _bump_epoch(self) -> int:
         self._epoch_base += 1
@@ -327,37 +349,42 @@ class ColoringArtifact:
     def verify(self) -> bool:
         """Check every artifact invariant; raises ``RepairError`` on drift.
 
-        Properness (adjacent edges never share a color), demand-list
+        Color-row shape (every color row as long as its neighbor row,
+        the two slots of every edge equal, no slot uncolored),
+        properness (adjacent edges never share a color), demand-list
         respect, palette-table consistency, and — for canonical
         artifacts — bit-identity with a from-scratch
         :func:`~repro.serving.repair.full_recompute` of the current
         graph.  This is the twin-discipline anchor the tests lean on.
         """
+        graph = self.graph
+        # ``colors`` reads every edge's slot in its smaller endpoint's
+        # row; ``mirror`` reads the slot in the larger endpoint's row.
+        mirror: Dict[Pair, int] = {}
+        for v in graph.nodes():
+            row, colors_v = graph.neighbors(v), graph.color_row(v)
+            if len(colors_v) != len(row):
+                raise RepairError(
+                    f"node {v} has {len(colors_v)} color slots for {len(row)} neighbors"
+                )
+            below = bisect_left(row, v)
+            mirror.update(zip([(w, v) for w in row[:below]], colors_v[:below]))
         colors = self.colors
-        present = set()
-        for key in self.graph.edge_pairs():
-            present.add(key)
-            if key not in colors:
-                raise RepairError(f"edge {key} has no color")
-        if len(colors) != len(present):
-            extra = sorted(set(colors) - present)[:3]
-            raise RepairError(f"colors for absent edges: {extra}")
-        for v in self.graph.nodes():
-            seen = 0
-            for w in self.graph.neighbors(v):
-                bit = 1 << colors[_pair(v, w)]
-                if seen & bit:
-                    raise RepairError(f"color collision at node {v}")
-                seen |= bit
+        if mirror != colors:
+            key = next(k for k, c in colors.items() if mirror.get(k) != c)
+            raise RepairError(f"edge {key} has two different colors")
+        if min(colors.values(), default=0) < 0:
+            raise RepairError("an edge is uncolored")
+        for v in graph.nodes():
+            colors_v = graph.color_row(v)
+            if len(set(colors_v)) != len(colors_v):
+                raise RepairError(f"color collision at node {v}")
         for key, demand in self.lists.items():
             if key in colors and colors[key] not in demand:
                 raise RepairError(
                     f"edge {key} wears color {colors[key]} outside its list {demand}"
                 )
-        palette: Dict[int, int] = {}
-        for c in colors.values():
-            palette[c] = palette.get(c, 0) + 1
-        if palette != self._palette:
+        if dict(Counter(colors.values())) != self._palette:
             raise RepairError("palette table out of sync with colors")
         if self.canonical and colors != full_recompute(self.graph, self.lists):
             raise RepairError("coloring is not the canonical fixed point")
@@ -373,9 +400,7 @@ class ColoringArtifact:
             "epoch": self.epoch,
             "num_nodes": self.graph.num_nodes,
             "node_ids": list(self.graph.node_ids),
-            "edges": [
-                [u, v, self.colors[(u, v)]] for u, v in sorted(self.colors)
-            ],
+            "edges": [[u, v, c] for u, v, c in self.graph.colored_edges()],
             "lists": [
                 [u, v, list(self.lists[(u, v)])] for u, v in sorted(self.lists)
             ],
@@ -391,22 +416,24 @@ class ColoringArtifact:
         fmt = payload.get("format")
         if fmt != ARTIFACT_FORMAT:
             raise RepairError(f"unsupported artifact format {fmt!r}")
-        edges = [(int(u), int(v)) for u, v, _c in payload["edges"]]
-        graph = Graph(
+        edges = payload["edges"]
+        pairs = [(int(u), int(v)) for u, v, _c in edges]
+        colored = zip(pairs, [int(c) for _u, _v, c in edges])
+        if not _in_pair_order(pairs):  # not the layout ``to_json`` writes
+            colored = sorted((_pair(*key), c) for key, c in colored)
+        base = Graph(
             int(payload["num_nodes"]),
-            edges,
+            pairs,
             node_ids=[int(i) for i in payload["node_ids"]],
         )
-        colors = {
-            _pair(int(u), int(v)): int(c) for u, v, c in payload["edges"]
-        }
+        graph = DeltaGraph(base, colored)
         lists = {
             _pair(int(u), int(v)): normalize_list(cs)
             for u, v, cs in payload.get("lists", [])
         }
         artifact = cls(
-            DeltaGraph(graph),
-            colors,
+            graph,
+            None,
             lists,
             canonical=bool(payload.get("canonical", True)),
             builder=str(payload.get("builder", "canonical")),
@@ -556,9 +583,8 @@ def build_artifact(
         if not graph.has_edge(*key):
             raise RepairError(f"demand list for absent edge {key}")
         normalized[key] = normalize_list(demand)
-    delta_graph = DeltaGraph(graph)
-    colors = full_recompute(delta_graph, normalized)
-    return ColoringArtifact(delta_graph, colors, normalized)
+    delta_graph = DeltaGraph(graph, canonical_coloring(graph, normalized))
+    return ColoringArtifact(delta_graph, None, normalized)
 
 
 def artifact_from_coloring(

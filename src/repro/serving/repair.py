@@ -24,6 +24,16 @@ bit-identical colors.  That is the twin discipline of this module:
   worklist of *possibly-affected* edges in pair order — the
   ``incremental`` path, O(repair radius) instead of O(m).
 
+The engine works node by node, as the paper's LOCAL algorithms do: it
+reads and writes the coloring in the artifact graph's color rows
+(:meth:`repro.graphs.DeltaGraph.color_row`), one color list aligned
+with each node's sorted neighbor row.  A popped edge ``(u, v)`` finds
+its slot in both rows with one bisection each; its higher-priority
+neighbors are the two row prefixes before those slots, its
+lower-priority neighbors the two suffixes after them, and a recolor
+writes the two slots.  No pair-keyed coloring is looked up; a pair is
+built only for an edge that is pushed on the worklist.
+
 Worklist correctness rests on one invariant: every edge pushed while
 popping edge ``p`` has a strictly larger pair than ``p``, and the heap
 pops in increasing pair order, so when an edge is popped all of its
@@ -66,7 +76,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.graphs.delta import _pair
 
@@ -83,10 +104,12 @@ REPAIR_PATHS = ("auto", "incremental", "recompute")
 DEFAULT_RADIUS_LIMIT = 256
 
 #: A fallback's drain budget is ``num_edges // EDGES_PER_POP`` pops (or
-#: ``radius_limit``, if larger).  One pop costs as much as ≈7-11
-#: recomputed edges (≈13 µs against ≈1.5 µs at n=20000, Δ=8, CPython
+#: ``radius_limit``, if larger).  One pop costs as much as ≈4-6
+#: recomputed edges (≈5 µs against ≈1.1 µs at n=20000, Δ=8, CPython
 #: 3.11 on a 2-vCPU Xeon), so a delta that spends the whole budget costs
-#: at most ≈1.6x a plain recompute.
+#: at most ≈1.3x a plain recompute.  The value stays 16 (set when a pop
+#: cost ≈13 µs): it decides which deltas recompute, so it is part of
+#: every ``RepairReport``'s ``touched`` count.
 EDGES_PER_POP = 16
 
 
@@ -185,32 +208,40 @@ class RepairReport:
 
 
 # --------------------------------------------------------------------- twins
-def full_recompute(
+def canonical_coloring(
     graph,
     lists: Optional[Dict[Pair, Tuple[int, ...]]] = None,
-) -> Dict[Pair, int]:
-    """The canonical coloring from scratch: every edge in pair order.
+) -> Iterator[Tuple[Pair, int]]:
+    """The canonical coloring from scratch: yield ``(pair, color)`` for
+    every edge, in pair order.
 
-    ``graph`` is anything with ``edge_pairs()`` (a
-    :class:`repro.graphs.DeltaGraph` or a CSR ``Graph``); ``lists`` maps
-    a sparse subset of pairs to normalized demand lists.
+    ``graph`` is a :class:`repro.graphs.DeltaGraph` (whose
+    ``edge_pairs()`` come in pair order) or a CSR ``Graph``; ``lists``
+    maps a sparse subset of pairs to normalized demand lists.
     """
     lists = lists or {}
     if hasattr(graph, "edge_pairs"):
         pairs = graph.edge_pairs()
     else:  # CSR Graph: endpoint pairs by edge index
-        pairs = (graph.edge_endpoints(e) for e in graph.edges())
-    colors: Dict[Pair, int] = {}
-    masks: Dict[int, int] = {}
-    for key in sorted(pairs):
+        pairs = sorted(graph.edge_endpoints(e) for e in graph.edges())
+    masks = [0] * graph.num_nodes
+    for key in pairs:
         u, v = key
-        blocked = masks.get(u, 0) | masks.get(v, 0)
-        c = choose_color(blocked, lists.get(key))
-        colors[key] = c
+        c = choose_color(masks[u] | masks[v], lists.get(key))
         bit = 1 << c
-        masks[u] = masks.get(u, 0) | bit
-        masks[v] = masks.get(v, 0) | bit
-    return colors
+        masks[u] |= bit
+        masks[v] |= bit
+        yield key, c
+
+
+def full_recompute(
+    graph,
+    lists: Optional[Dict[Pair, Tuple[int, ...]]] = None,
+) -> Dict[Pair, int]:
+    """The canonical coloring from scratch as a pair-keyed dict, in pair
+    order: the oracle :meth:`ColoringArtifact.verify` compares against,
+    and the ``recompute`` repair path."""
+    return dict(canonical_coloring(graph, lists))
 
 
 def _run_worklist(
@@ -246,8 +277,9 @@ def _run_worklist(
             heappush(heap, key)
     pops = 0
     recolored = own
-    colors = artifact.colors
     lists = artifact.lists
+    neighbors = graph.neighbors
+    color_row = graph.color_row
     while heap:
         key = heappop(heap)
         queued.discard(key)
@@ -258,31 +290,42 @@ def _run_worklist(
             return RepairReport(op, path, epoch, touched, recolored, True)
         # The higher-priority neighbors of (u, v), u < v, are two row
         # prefixes: u's neighbors below v and v's neighbors below u.  The
-        # rows' suffixes past v and u are the lower-priority ones.
+        # rows' suffixes past v and u are the lower-priority ones.  The
+        # color rows are aligned, so the same positions read the colors.
         u, v = key
-        row_u = graph.neighbors(u)
-        row_v = graph.neighbors(v)
+        row_u = neighbors(u)
+        row_v = neighbors(v)
+        colors_u = color_row(u)
+        colors_v = color_row(v)
         iu = bisect_left(row_u, v)
         iv = bisect_left(row_v, u)
         blocked = 0
-        for w in row_u[:iu]:
-            blocked |= 1 << colors[(w, u) if w < u else (u, w)]
-        for w in row_v[:iv]:
-            blocked |= 1 << colors[(w, v)]
-        c_old = colors[key]
-        c_new = choose_color(blocked, lists.get(key))
+        for c in colors_u[:iu]:
+            blocked |= 1 << c
+        for c in colors_v[:iv]:
+            blocked |= 1 << c
+        c_old = colors_u[iu]
+        c_new = choose_color(blocked, lists.get(key) if lists else None)
         if c_new == c_old:
             continue
         recolored += 1
-        artifact._recolor(key, c_old, c_new)  # noqa: SLF001 - engine is the friend
+        colors_u[iu] = colors_v[iv] = c_new
+        artifact._recolor(c_old, c_new)  # noqa: SLF001 - engine is the friend
         # Exact affectedness test (module docstring): only lower-priority
         # neighbors that now conflict with c_new or might reclaim c_old.
-        lower = [(u, w) for w in row_u[iu + 1 :]]
-        lower += [(w, v) if w < v else (v, w) for w in row_v[iv + 1 :]]
-        for q in lower:
-            if q not in queued:
-                cf = colors[q]
-                if cf == c_new or cf > c_old:
+        for j in range(iu + 1, len(row_u)):
+            cf = colors_u[j]
+            if cf == c_new or cf > c_old:
+                q = (u, row_u[j])
+                if q not in queued:
+                    queued.add(q)
+                    heappush(heap, q)
+        for j in range(iv + 1, len(row_v)):
+            cf = colors_v[j]
+            if cf == c_new or cf > c_old:
+                w = row_v[j]
+                q = (w, v) if w < v else (v, w)
+                if q not in queued:
                     queued.add(q)
                     heappush(heap, q)
     return RepairReport(op, path, epoch, own + pops, recolored, pops > limit)
@@ -291,6 +334,23 @@ def _run_worklist(
 def _fallback_recompute(artifact: "ColoringArtifact") -> None:
     colors = full_recompute(artifact.graph, artifact.lists)
     artifact._replace_coloring(colors)  # noqa: SLF001 - engine is the friend
+
+
+def _lower_neighbors(graph, key: Pair, keep: Callable[[int], bool]) -> List[Pair]:
+    """The lower-priority neighbors of edge ``key`` whose color passes
+    ``keep``: the slots past the edge's own in both endpoint rows."""
+    u, v = key
+    row_u, row_v = graph.neighbors(u), graph.neighbors(v)
+    colors_u, colors_v = graph.color_row(u), graph.color_row(v)
+    iu = bisect_left(row_u, v)
+    iv = bisect_left(row_v, u)
+    lower = [(u, w) for w, c in zip(row_u[iu + 1 :], colors_u[iu + 1 :]) if keep(c)]
+    lower += [
+        (w, v) if w < v else (v, w)
+        for w, c in zip(row_v[iv + 1 :], colors_v[iv + 1 :])
+        if keep(c)
+    ]
+    return lower
 
 
 # -------------------------------------------------------------------- deltas
@@ -305,27 +365,25 @@ def apply_insert(
     """Insert edge ``{u, v}`` and restore the canonical coloring."""
     path = resolve_repair_path(path)
     key = _pair(u, v)
-    artifact.graph.insert_edge(u, v)
+    graph = artifact.graph
+    graph.insert_edge(u, v)
     epoch = artifact.epoch
     # Color the new edge first (its canonical color depends only on
-    # higher-priority neighbors, all final).  An insertion only *adds*
-    # constraints, so the only directly affected edges are
-    # lower-priority neighbors already wearing the new edge's color.
-    colors = artifact.colors
+    # higher-priority neighbors, all final: the prefixes of both rows
+    # before its slot).  An insertion only *adds* constraints, so the
+    # only directly affected edges are lower-priority neighbors already
+    # wearing the new edge's color.
+    a, b = key
+    row_a, row_b = graph.neighbors(a), graph.neighbors(b)
     blocked = 0
-    lower: List[Pair] = []
-    for a, b in (key, (key[1], key[0])):
-        for w in artifact.graph.neighbors(a):
-            if w == b:
-                continue
-            q = (a, w) if a < w else (w, a)
-            if q < key:
-                blocked |= 1 << colors[q]
-            else:
-                lower.append(q)
+    for c in graph.color_row(a)[: bisect_left(row_a, b)]:
+        blocked |= 1 << c
+    for c in graph.color_row(b)[: bisect_left(row_b, a)]:
+        blocked |= 1 << c
     c_new = choose_color(blocked, artifact.lists.get(key))
-    artifact._assign(key, c_new)  # noqa: SLF001
-    seeds = [q for q in lower if colors[q] == c_new]
+    graph.set_color(a, b, c_new)
+    artifact._assign(c_new)  # noqa: SLF001
+    seeds = _lower_neighbors(graph, key, lambda c: c == c_new)
     return _run_worklist(artifact, "insert", path, epoch, seeds, radius_limit, own=1)
 
 
@@ -340,23 +398,18 @@ def apply_delete(
     """Delete edge ``{u, v}`` and restore the canonical coloring."""
     path = resolve_repair_path(path)
     key = _pair(u, v)
-    if not artifact.graph.has_edge(u, v):
+    graph = artifact.graph
+    if not graph.has_edge(u, v):
         raise RepairError(f"edge {key} is not present", code="absent-edge")
-    c_del = artifact.colors[key]
-    # Seeds must be collected *before* the edge disappears from
-    # neighbor rows: lower-priority neighbors that might now reclaim
-    # the freed color ``c_del``.
-    seeds: List[Pair] = []
-    for a, b in (key, (key[1], key[0])):
-        for w in artifact.graph.neighbors(a):
-            if w == b:
-                continue
-            q = (a, w) if a < w else (w, a)
-            if q > key and artifact.colors[q] > c_del:
-                seeds.append(q)
-    artifact.graph.delete_edge(u, v)
+    # Seeds must be collected *before* the edge disappears from the
+    # rows: lower-priority neighbors that might now reclaim the freed
+    # color ``c_del``.
+    a, b = key
+    c_del = graph.color_row(a)[bisect_left(graph.neighbors(a), b)]
+    seeds = _lower_neighbors(graph, key, lambda c: c > c_del)
+    graph.delete_edge(u, v)
     epoch = artifact.epoch
-    artifact._unassign(key, c_del)  # noqa: SLF001
+    artifact._unassign(c_del)  # noqa: SLF001
     return _run_worklist(artifact, "delete", path, epoch, seeds, radius_limit)
 
 

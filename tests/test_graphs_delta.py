@@ -10,7 +10,7 @@ from graph_helpers import assert_python_ints, csr_arrays, current_graph
 from repro.core import engine
 from repro.graphs import generators
 from repro.graphs.core import Graph
-from repro.graphs.delta import DeltaGraph
+from repro.graphs.delta import UNCOLORED, DeltaGraph
 
 
 def _pairs(graph):
@@ -129,6 +129,54 @@ class TestMutations:
             rebuilt.edge_endpoints(e) for e in rebuilt.edges()
         )
         assert list(current.node_ids) == list(base.node_ids)
+
+
+class TestColorRows:
+    """One color list per node, aligned with its live row, two slots per edge."""
+
+    @staticmethod
+    def _aligned(dg):
+        for v in dg.nodes():
+            assert len(dg.color_row(v)) == dg.degree(v)
+            for w, c in zip(dg.neighbors(v), dg.color_row(v)):
+                assert dg.color_row(w)[dg.neighbors(w).index(v)] == c
+
+    def test_slots_start_uncolored_and_fill_in_pair_order(self):
+        dg = DeltaGraph(generators.random_regular_graph(12, 4, seed=5))
+        assert all(c == UNCOLORED for v in dg.nodes() for c in dg.color_row(v))
+        pairs = _pairs(dg)
+        dg.fill_colors((key, index) for index, key in enumerate(pairs))
+        self._aligned(dg)
+        assert list(dg.colored_edges()) == [
+            (u, v, index) for index, (u, v) in enumerate(pairs)
+        ]
+        colored = DeltaGraph(
+            generators.random_regular_graph(12, 4, seed=5),
+            ((key, index) for index, key in enumerate(pairs)),
+        )
+        assert list(colored.colored_edges()) == list(dg.colored_edges())
+
+    def test_fill_rejects_a_partial_coloring(self):
+        dg = DeltaGraph(generators.cycle_graph(6))
+        with pytest.raises(ValueError, match="cover the edge set"):
+            dg.fill_colors([((0, 1), 0)])
+
+    def test_mutations_keep_both_slots_aligned(self):
+        dg = DeltaGraph(generators.cycle_graph(8))
+        dg.fill_colors(((u, v), u % 2) for u, v in _pairs(dg))
+        dg.insert_edge(5, 1)
+        assert dg.color_row(1) == [0, 1, UNCOLORED] and dg.color_row(5) == [UNCOLORED, 0, 1]
+        dg.set_color(5, 1, 7)
+        assert dg.color_row(1) == [0, 1, 7] and dg.color_row(5) == [7, 0, 1]
+        dg.insert_edge(0, 4)
+        self._aligned(dg)
+        dg.set_color(4, 0, 3)
+        self._aligned(dg)
+        assert (0, 4, 3) in dg.colored_edges()
+        dg.delete_edge(1, 5)
+        assert dg.color_row(1) == [0, 1] and dg.color_row(5) == [0, 1]
+        self._aligned(dg)
+        assert [c for _u, _v, c in dg.colored_edges()] == [0, 3, 0, 1, 0, 1, 0, 1, 0]
 
 
 class TestRebase:

@@ -3,7 +3,8 @@
 Fast assertions wired into the tier-1 run: the E1 Δ=16 sweep cell, one
 E1_large cell (n = 192, Δ = 32 — the vectorized orientation engine's
 territory), and the E8 Linial-on-simulator cell at n = 10⁴ must
-finish well inside generous caps.  Each cap is
+finish well inside generous caps, and so must a batch of serving
+deltas through the incremental repair engine.  Each solver cap is
 ~15–20× the current measured time (≈25 ms for E1, ≈110 ms for E1_large,
 ≈80 ms for E8 on the reference machine), so it only trips on a genuine
 complexity regression (e.g. reintroducing a per-level rescan, a
@@ -22,6 +23,7 @@ while the code's own cost still counts in full.
 
 from __future__ import annotations
 
+import random
 import time
 from typing import List
 
@@ -33,6 +35,7 @@ from repro.distributed.model import Model
 from repro.distributed.network import SynchronousNetwork
 from repro.graphs import generators
 from repro.graphs.identifiers import id_space_size
+from repro.serving import ColoringArtifact, build_artifact
 from repro.verification.checkers import is_proper_vertex_coloring
 
 #: Generous wall-clock cap for one E1 Δ=16 run (seconds).
@@ -45,6 +48,16 @@ E1_LARGE_BUDGET_SECONDS = 3.0
 #: simulator (seconds; graph generation stays outside the timer, like
 #: in the benchmarks).
 E8_N10K_BUDGET_SECONDS = 2.0
+
+#: Wall-clock cap for one batch of :data:`REPAIR_BATCH` deltas (the
+#: E12 delete/insert/set_list rotation, fallbacks included) absorbed by
+#: an n = 2000, Δ = 8 artifact in-process (seconds).  A batch measures
+#: ≈0.02–0.03 s with the color rows, ≈0.04 s with the pair-keyed dict
+#: they replaced; a per-delta O(m) recompute would cost ≈2 s.
+REPAIR_BATCH_BUDGET_SECONDS = 0.075
+
+#: Deltas per timed batch of the repair-path budget.
+REPAIR_BATCH = 300
 
 #: The host-speed probe, as ``perfbench/common.py`` defines it: a tick is
 #: one run of :func:`_tick_kernel` (``TICK_LOOPS`` loops), which takes
@@ -164,4 +177,54 @@ def test_e8_linial_n10k_batched_within_budget():
     assert wall < E8_N10K_BUDGET_SECONDS, (
         f"E8 n=10⁴ took {wall:.3f}s at reference speed, over the "
         f"{E8_N10K_BUDGET_SECONDS}s smoke budget"
+    )
+
+
+def _churn_stream(artifact, count: int, seed: int):
+    """``count`` deltas in delete/insert/set_list rotation, drawn against
+    (and absorbed by) ``artifact`` so each one is valid in order."""
+    rng = random.Random(seed)
+    n = artifact.num_nodes
+    present = sorted(artifact.colors)
+    stream = []
+    for i in range(count):
+        kind = ("delete", "insert", "set_list")[i % 3]
+        if kind == "delete":
+            args = present.pop(rng.randrange(len(present)))
+        elif kind == "insert":
+            while True:
+                u, v = sorted((rng.randrange(n), rng.randrange(n)))
+                if u != v and not artifact.graph.has_edge(u, v):
+                    break
+            args = (u, v)
+            present.append(args)
+        else:
+            args = present[rng.randrange(len(present))] + (sorted(rng.sample(range(32), 20)),)
+        getattr(artifact, kind)(*args)
+        stream.append((kind, args))
+    return stream
+
+
+@pytest.mark.perf_smoke
+def test_repair_churn_within_budget():
+    """The incremental repair path: the fastest of a few batches of the
+    same delta stream, each on a fresh copy of one artifact, with a tick
+    after every batch scaling it to reference speed."""
+    graph = generators.random_regular_graph(2000, 8, seed=2000)
+    payload = build_artifact(graph).to_json()
+    stream = _churn_stream(ColoringArtifact.from_json(payload), REPAIR_BATCH, seed=8)
+    walls = []
+    ticks = []
+    for _repeat in range(7):
+        artifact = ColoringArtifact.from_json(payload)
+        start = time.perf_counter()
+        for kind, args in stream:
+            getattr(artifact, kind)(*args)
+        walls.append(time.perf_counter() - start)
+        ticks.append(_tick())
+    assert artifact.verify()
+    wall = _at_reference_speed(min(walls), ticks)
+    assert wall < REPAIR_BATCH_BUDGET_SECONDS, (
+        f"{REPAIR_BATCH} repair deltas took {wall:.4f}s at reference speed, over the "
+        f"{REPAIR_BATCH_BUDGET_SECONDS}s smoke budget"
     )

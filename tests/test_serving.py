@@ -117,6 +117,19 @@ class TestOfflineBuild:
         assert source() is None
         assert artifact.verify()
 
+    @pytest.mark.parametrize("corruption", ["one slot", "short row"])
+    def test_verify_catches_corrupt_color_rows(self, corruption):
+        artifact = build_artifact(small_graph())
+        colors_0 = artifact.graph._colors[0]  # noqa: SLF001 - deliberate corruption
+        if corruption == "one slot":
+            colors_0[0] = max(colors_0) + 1  # still proper at node 0, not mirrored
+            match = "two different colors"
+        else:
+            colors_0.pop()
+            match = "color slots for"
+        with pytest.raises(RepairError, match=match):
+            artifact.verify()
+
     def test_build_respects_demand_lists(self):
         graph = generators.cycle_graph(8)
         lists = {(0, 1): (5, 7), (2, 3): (4,)}
@@ -130,12 +143,13 @@ class TestOfflineBuild:
             build_artifact(generators.cycle_graph(8), {(0, 4): (1, 2)})
 
     def test_palette_table_and_stats(self):
+        # verify() checks the palette table against the coloring.
         artifact = build_artifact(small_graph())
-        table = artifact.palette_table()
-        assert sum(table.values()) == artifact.num_edges
-        assert list(table) == sorted(table)
+        assert artifact.verify()
+        used = set(artifact.colors.values())
         stats = artifact.stats()
-        assert stats["num_colors"] == artifact.num_colors == len(table)
+        assert stats["num_colors"] == artifact.num_colors == len(used)
+        assert stats["max_color"] == artifact.max_color == max(used)
         assert stats["canonical"] is True
 
     def test_reads(self):
@@ -278,6 +292,42 @@ class TestTwinDiscipline:
         assert report.touched >= artifact.graph.num_edges
         assert artifact.colors == rebuilt_twin(artifact).colors
 
+    def test_both_fallback_routes_rebuild_the_color_rows(self):
+        """A tiny radius limit sends deltas past the drain budget into the
+        full recompute: the color rows must be rebuilt there and on the
+        ``recompute`` path, checked after every delta of a mixed stream."""
+        base = generators.random_regular_graph(40, 4, seed=5)
+        bounded, rec = build_artifact(base), build_artifact(base)
+        rng = random.Random(5)
+        n = base.num_nodes
+        present = sorted(bounded.colors)
+        routes = set()
+        for step in range(90):
+            kind = step % 3
+            if kind == 0:
+                args, op = present.pop(rng.randrange(len(present))), "delete"
+            elif kind == 1:
+                while True:
+                    u, v = sorted((rng.randrange(n), rng.randrange(n)))
+                    if u != v and not bounded.graph.has_edge(u, v):
+                        break
+                present.append((u, v))
+                args, op = (u, v), "insert"
+            else:
+                args = present[rng.randrange(len(present))]
+                args += (tuple(sorted(rng.sample(range(16), 10))),)
+                op = "set_list"
+            report = getattr(bounded, op)(*args, radius_limit=1)
+            getattr(rec, op)(*args, path="recompute")
+            cap = budget(bounded.graph.num_edges, 1)
+            if report.touched > int(op == "insert") + cap:
+                routes.add("recompute")
+            else:
+                routes.add("fallback" if report.fallback else "incremental")
+            assert bounded.verify() and rec.verify(), f"step {step}"
+            assert bounded.colors == rec.colors, f"diverged at step {step}"
+        assert routes == {"incremental", "fallback", "recompute"}
+
     def test_randomized_churn_twins_stay_identical(self):
         """80 mixed deltas: incremental twin == recompute twin after each."""
         base = generators.random_regular_graph(40, 4, seed=3)
@@ -362,7 +412,9 @@ class TestLookupArtifacts:
             graph, [result.colors[e] for e in graph.edges()], builder="list_edge_coloring"
         )
         assert artifact.builder == "list_edge_coloring"
-        assert artifact.palette_table() == Counter(result.colors.values())
+        used = Counter(result.colors.values())
+        assert artifact.num_colors == len(used) and artifact.max_color == max(used)
+        assert artifact.verify()
         for e in graph.edges():
             assert artifact.color(*graph.edge_endpoints(e)) == result.colors[e]
 
@@ -707,6 +759,15 @@ class TestPersistence:
         assert loaded.verify()
         # the loaded artifact keeps absorbing deltas
         loaded.delete(0, 9)
+        assert loaded.verify()
+
+    def test_from_json_accepts_edges_in_any_order(self):
+        artifact = build_artifact(small_graph())
+        payload = artifact.to_json()
+        assert [tuple(e[:2]) for e in payload["edges"]] == sorted(artifact.colors)
+        payload["edges"] = [[v, u, c] for u, v, c in reversed(payload["edges"])]
+        loaded = ColoringArtifact.from_json(payload)
+        assert loaded.colors == artifact.colors
         assert loaded.verify()
 
     def test_from_json_rejects_unknown_format(self):
