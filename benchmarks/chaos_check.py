@@ -43,8 +43,8 @@ Asserted afterwards:
 6. under four concurrent clients and a journal rotation cap, the
    daemon folded the journal into the base JSON online before the
    kill, the journal left behind holds at most the cap, every
-   acknowledged write epoch is distinct (the writer lock's total
-   order), replaying base + journal reaches at least the highest
+   acknowledged write epoch is distinct (the session's total order),
+   replaying base + journal reaches at least the highest
    acknowledged epoch, and a restart + graceful shutdown folds the
    journal away;
 7. the observability trace sink shares the store's torn-tail contract
@@ -132,8 +132,8 @@ def concurrent_clients_kill_probe(workdir: str) -> None:
     afterwards the base JSON must be past the built epoch (an online
     fold happened), the journal must hold at most 8 records, base +
     journal must replay every *acknowledged* write (journal-before-ack
-    inside the writer lock), the acknowledged write epochs must be
-    pairwise distinct (the writer lock's total order), and a restart +
+    inside the session mutex), the acknowledged write epochs must be
+    pairwise distinct (the session's total order), and a restart +
     graceful shutdown must fold the journal away.  The daemon runs at
     ``--radius-limit 0``, so every write whose repair pops an edge is a
     fallback; at m=160 the drain budget is 10 pops, so both fallback

@@ -173,14 +173,6 @@ class ListEdgeColoringInstance:
         degrees = self.node_degrees()
         return min((self.slack(e, degrees) for e in self.edge_set), default=float("inf"))
 
-    def has_slack(self, s: float) -> bool:
-        """Whether the instance belongs to P(Δ̄, s, C) (|L_e| > s · deg(e) for all edges)."""
-        degrees = self.node_degrees()
-        for e in self.edge_set:
-            if len(self.lists[e]) <= s * self.edge_degree(e, degrees):
-                return False
-        return True
-
     def is_degree_plus_one(self) -> bool:
         """Whether every list has at least deg(e) + 1 colors.
 

@@ -696,14 +696,6 @@ class DirectedGraph:
         """
         return self._in
 
-    def out_degree(self, v: int) -> int:
-        """Out-degree of ``v``."""
-        return len(self._out.get(v, ()))
-
-    def in_degree(self, v: int) -> int:
-        """In-degree of ``v``."""
-        return len(self._in.get(v, ()))
-
     def degree(self, v: int) -> int:
         """Total (undirected) degree of ``v``."""
         return len(self._out.get(v, ())) + len(self._in.get(v, ()))

@@ -969,8 +969,7 @@ def run_serving_churn(ctx: CellContext) -> Dict[str, object]:
                 f"(n={n}, churn={churn})"
             )
         final = session.artifact
-        # Lossless totals from cache_stats — ``session.reports`` is a capped
-        # ring buffer and would silently undercount long streams.
+        # Lossless totals from cache_stats.
         stats = session.cache_stats()
         return {
             "n": n,
@@ -1084,7 +1083,7 @@ def _run_daemon_concurrent(ctx: CellContext) -> Dict[str, object]:
     canonical coloring digest — does not depend on the interleaving;
     only ``timing`` carries the walls and the speedup.  Response
     *digests* are deliberately excluded from the core: read payloads
-    observe the interleaving (that is the point of snapshot reads), and
+    observe the interleaving (each answers at the epoch it reached), and
     the linearizability tests, not this runner, pin their validity
     (``TestLinearizability`` in ``tests/test_serving_protocol.py``
     replays four concurrent socket clients against a serial twin).

@@ -64,9 +64,8 @@ two:
     * *Daemon*: ``python -m repro serve --listen`` serves the
       versioned ``repro-serving/v1`` wire protocol
       (:mod:`repro.serving.protocol` is the normative spec) over a
-      threading socket server — reads from any number of connections
-      execute concurrently against the current epoch while writes
-      serialize on the session's writer lock, journaled **before**
+      threading socket server — every request runs inside the
+      session's one mutex, and writes are journaled **before**
       acknowledgment inside that critical section (acknowledged ⇒
       durable, even under SIGKILL).  A :class:`RotationPolicy`
       (``--journal-max-bytes`` / ``--journal-max-records``) caps the
@@ -77,11 +76,10 @@ two:
       socket responses bit-identical to an in-process session,
       journal-replay recovery after SIGKILL, and the concurrent-clients
       cell's speedup over a serialized schedule.
-    * *Bounded observability*: ``ServingSession.reports`` is a ring
-      buffer (``reports_cap``, default 256); lossless totals live in
-      the session's own metrics registry (``ServingSession.metrics``),
-      which ``cache_stats()`` reads — long-lived sessions never grow
-      without bound.
+    * *Bounded observability*: a session keeps no per-delta record;
+      lossless totals live in its own metrics registry
+      (``ServingSession.metrics``), which ``cache_stats()`` reads —
+      long-lived sessions never grow without bound.
 
 Entry points: :func:`build_artifact` with :class:`ServingSession`, the
 ``repro serve`` / ``repro query`` CLI commands (including ``serve --listen`` /
@@ -137,7 +135,6 @@ from repro.serving.repair import (
 )
 from repro.serving.session import (
     CONTROL_OPS,
-    DEFAULT_REPORTS_CAP,
     DELTA_OPS,
     READ_OPS,
     ServingSession,
@@ -148,7 +145,6 @@ __all__ = [
     "ARTIFACT_FORMAT",
     "CONTROL_OPS",
     "DEFAULT_RADIUS_LIMIT",
-    "DEFAULT_REPORTS_CAP",
     "DELTA_OPS",
     "ERROR_CODES",
     "JOURNAL_FORMAT",

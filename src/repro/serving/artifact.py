@@ -345,6 +345,10 @@ class ColoringArtifact:
         self._epoch_base += 1
         return self.epoch
 
+    def _rewind(self, epoch: int) -> None:
+        """Set the epoch back to ``epoch`` (an undone delta moved it)."""
+        self._epoch_base = epoch - self.graph.epoch
+
     # ----------------------------------------------------------- invariants
     def verify(self) -> bool:
         """Check every artifact invariant; raises ``RepairError`` on drift.

@@ -9,25 +9,24 @@ the ``repro-serving/v1`` protocol — :mod:`repro.serving.protocol` is
 the normative spec.
 
 **Concurrency** — each connection is handled by its own thread, and
-the session's readers/writer lock does the classification: read ops
-from any number of connections execute concurrently against the
-current epoch; write ops serialize on the writer lock, which
-establishes the total order (each write response carries the unique
-epoch it produced).  Responses are still lockstep *per connection*:
-one request line, one response line, in order.  Every request runs
-under a per-connection ``daemon.request`` span; the
-``serving.readers_active`` and ``serving.write_queue_depth`` gauges
-expose the lock's live levels, and the ``daemon.requests`` counter and
-``daemon.connections`` gauge the daemon's own — all in the session's
-metrics registry.
+every request runs inside the session's one mutex
+(:meth:`ServingSession.exclusive`), one at a time: reads answer at the
+current epoch, and writes form a total order (each write response
+carries the unique epoch it produced).  Socket reads and writes, the
+line codecs and the encode of a response happen outside the mutex, so
+connections overlap their I/O.  Responses are lockstep *per
+connection*: one request line, one response line, in order.  Every
+session request runs under a per-connection ``daemon.request`` span;
+the ``daemon.requests`` counter and ``daemon.connections`` gauge change
+under the same mutex, in the session's metrics registry.
 
 **Durability** — with journaling on (the default), every absorbed
-delta is appended to the artifact's on-disk journal *inside the writer
-critical section, before its response is written*: an acknowledged
-delta is a durable delta, and journal order equals epoch order equals
-ack order.  A SIGKILLed daemon therefore loses nothing it acknowledged
-— restarting replays the journal (:meth:`ColoringArtifact.load`) and
-resumes bit-identically.  The artifact holds the journal's append
+delta is appended to the artifact's on-disk journal *inside the
+session's critical section, before its response is written*: an
+acknowledged delta is a durable delta, and journal order equals epoch
+order equals ack order.  A SIGKILLed daemon therefore loses nothing it
+acknowledged — restarting replays the journal
+(:meth:`ColoringArtifact.load`) and resumes bit-identically.  The artifact holds the journal's append
 handle open, so an append is one write plus a flush (plus fsync under
 ``fsync``): the handle heals a torn tail when it opens, a failed write
 drops it for the next append to reopen and heal, and
@@ -97,7 +96,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
         daemon: "ColoringDaemon" = self.server.coloring_daemon  # type: ignore[attr-defined]
-        daemon._connections_gauge(+1)
+        daemon._count_connection(+1)
         try:
             for raw in self.rfile:
                 try:
@@ -113,7 +112,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 if daemon._shutdown.is_set():
                     break
         finally:
-            daemon._connections_gauge(-1)
+            daemon._count_connection(-1)
 
 
 class ColoringDaemon:
@@ -121,7 +120,7 @@ class ColoringDaemon:
 
     ``journal=True`` (default) write-throughs every absorbed delta to
     ``<artifact>.journal`` before acknowledging it (inside the
-    session's writer critical section, via
+    session's critical section, via
     :attr:`ServingSession.write_hook`); ``fsync=True`` additionally
     survives OS death, mirroring the result store's durability knob.
     ``journal_max_bytes`` / ``journal_max_records`` cap the journal
@@ -168,17 +167,13 @@ class ColoringDaemon:
         self._server: Optional[socketserver.TCPServer] = None
         self._thread: Optional[threading.Thread] = None
         self._shutdown = threading.Event()
-        self._served_lock = threading.Lock()
+        # Both change under the session mutex.
         self._requests = self.session.metrics.counter("daemon.requests")
         self._connections = self.session.metrics.gauge("daemon.connections")
 
     # ------------------------------------------------------------ accounting
-    def _count_request(self) -> None:
-        with self._served_lock:
-            self._requests.inc()
-
-    def _connections_gauge(self, delta: int) -> None:
-        with self._served_lock:
+    def _count_connection(self, delta: int) -> None:
+        with self.session.exclusive():
             self._connections.inc(delta)
 
     def _persist_write(self, _response: Mapping) -> None:
@@ -193,8 +188,8 @@ class ColoringDaemon:
 
         Shared by the socket handler (which writes the line as-is) and
         tests.  A result-cache hit is the session's cached line itself
-        (:meth:`ServingSession.query_line`); every other answer is
-        encoded exactly once.
+        (:meth:`ServingSession.dispatch_held`); every other answer is
+        encoded exactly once, after the session mutex is released.
 
         Wire-level concerns on top of the session protocol (see
         :mod:`repro.serving.protocol`): the optional ``"trace"``
@@ -203,8 +198,8 @@ class ColoringDaemon:
         acknowledged here; ``{"op": "stats", "scope": "daemon"}``
         answers the extended introspection snapshot (bare ``stats``
         stays a session op so daemon and in-process twins answer it
-        identically).  Journaling happens inside the session's writer
-        lock via :attr:`ServingSession.write_hook`, so an acknowledged
+        identically).  Journaling happens inside the session's critical
+        section via :attr:`ServingSession.write_hook`, so an acknowledged
         delta is durable no matter how many connections race.
         """
         try:
@@ -216,29 +211,36 @@ class ColoringDaemon:
             obs_trace.set_context(trace_ctx.get("trace_id"), trace_ctx.get("span_id"))
         request = protocol.strip_envelope(request)
         op = request.get("op")
+        session = self.session
         try:
             if op == "shutdown":
-                self._count_request()
-                self._shutdown.set()
+                with session.exclusive():
+                    self._requests.inc()
+                    self._shutdown.set()
                 return protocol.encode_response({"ok": True, "op": "shutdown"})
             if op == "stats" and request.get("scope") == "daemon":
-                self._count_request()
-                return protocol.encode_response(self.daemon_stats())
+                with session.exclusive():
+                    self._requests.inc()
+                    stats = self._stats_held()
+                return protocol.encode_response(stats)
             with tracer().span("daemon.request", op=op):
-                reply = self.session.query_line(request)
-            self._count_request()
-            return reply
+                with session.exclusive():
+                    response, reply = session.dispatch_held(request)
+                    self._requests.inc()
+                return protocol.encode_response(response) if reply is None else reply
         finally:
             if trace_ctx is not None:
                 obs_trace.set_context(None, None)
 
-    def daemon_stats(self) -> Dict[str, object]:
-        """The read-only introspection snapshot: registry + session + artifact.
+    def _stats_held(self) -> Dict[str, object]:
+        """The daemon-scope introspection snapshot: registry + session +
+        artifact, read by a caller that holds the session mutex.
 
         ``registry`` is built here, from the process-wide snapshot plus
         the session's own instruments, and ``requests_served`` /
         ``connections`` / ``cache_stats`` are views over those same
-        instruments — one answer cannot contradict itself.
+        instruments, all read inside one hold of the mutex — one answer
+        cannot contradict itself, and no delta is half-applied under it.
 
         Deliberately a *daemon-scope* answer (never routed through the
         session or its result cache): the payload is observability, not
@@ -253,7 +255,7 @@ class ColoringDaemon:
             "requests_served": self._requests.value,
             "connections": int(self._connections.value),
             "registry": {**snapshot(), **self.session.metrics.snapshot()},
-            "cache_stats": self.session.cache_stats(),
+            "cache_stats": self.session.cache_stats_held(),
             "artifact": self.session.artifact.stats(),
         }
 
@@ -287,10 +289,9 @@ class ColoringDaemon:
 
         ``compact=True`` is the graceful path: the in-memory artifact
         (which already contains every journaled delta) is full-saved
-        under the session's writer lock — no in-flight write can be
-        torn by the fold — deleting the journal.  ``compact=False``
-        leaves the on-disk base + journal pair untouched for the next
-        load.  Either way the journal's held append handle is released.
+        under the session mutex — no in-flight write can be torn by the
+        fold — deleting the journal.  ``compact=False`` leaves the
+        on-disk base + journal pair untouched for the next load.  Either way the journal's held append handle is released.
         """
         if self._server is not None:
             self._server.shutdown()

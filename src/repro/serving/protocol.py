@@ -59,15 +59,16 @@ Unknown additional fields are ignored (forward compatibility).
 Concurrency contract
 ====================
 
-``read`` ops may execute concurrently against a snapshot of the
-current epoch; ``write`` ops serialize on a single writer lock which
-establishes a **total order**: every write response carries the unique
-``epoch`` the write produced, and the concatenation of writes in epoch
-order is a serial schedule every response is consistent with
-(linearizability — pinned by the protocol tests).  A daemon journals a
-write *before* acknowledging it, inside the writer critical section,
-so journal order equals epoch order equals ack order and an
-acknowledged write survives SIGKILL.
+Requests from any number of connections run one at a time, each
+inside the session's one critical section, so they form a **total
+order**: a read answers at the current epoch, every write response
+carries the unique ``epoch`` the write produced, and the concatenation
+of writes in epoch order is a serial schedule every response is
+consistent with (linearizability — pinned by the protocol tests).
+Connections overlap only their socket I/O.  A daemon journals a write
+*before* acknowledging it, inside that critical section, so journal
+order equals epoch order equals ack order and an acknowledged write
+survives SIGKILL.
 
 Responses
 =========

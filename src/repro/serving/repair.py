@@ -69,6 +69,13 @@ mutated graph.  Both routes reach the same fixed point, because every
 pop is final in pair order, so the result stays bit-identical; only the
 :class:`RepairReport` cost fields differ, and those never enter result
 digests.
+
+A delta the repair cannot absorb (a demand list exhausted mid-worklist)
+raises :class:`RepairError` and leaves no trace: the edge set, the
+demand lists and the epoch are put back, and a recompute restores the
+old coloring (the unique fixed point of the old state), so nothing is
+journaled and no epoch is consumed.  A deleted edge's demand list goes
+with it; a re-inserted edge starts with an open palette.
 """
 
 from __future__ import annotations
@@ -195,16 +202,6 @@ class RepairReport:
     touched: int
     recolored: int
     fallback: bool
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "op": self.op,
-            "path": self.path,
-            "epoch": self.epoch,
-            "touched": self.touched,
-            "recolored": self.recolored,
-            "fallback": self.fallback,
-        }
 
 
 # --------------------------------------------------------------------- twins
@@ -336,6 +333,18 @@ def _fallback_recompute(artifact: "ColoringArtifact") -> None:
     artifact._replace_coloring(colors)  # noqa: SLF001 - engine is the friend
 
 
+def _restore(artifact: "ColoringArtifact", epoch: int) -> None:
+    """Finish undoing a delta that raised :class:`RepairError` mid-repair.
+
+    The caller has already put the edge set and the demand lists back;
+    this rewinds the epoch to ``epoch`` and restores the coloring.  The
+    old state's coloring is its unique fixed point, so a recompute
+    restores it exactly — O(m), on the error path only.
+    """
+    artifact._rewind(epoch)  # noqa: SLF001 - engine is the friend
+    _fallback_recompute(artifact)
+
+
 def _lower_neighbors(graph, key: Pair, keep: Callable[[int], bool]) -> List[Pair]:
     """The lower-priority neighbors of edge ``key`` whose color passes
     ``keep``: the slots past the edge's own in both endpoint rows."""
@@ -366,25 +375,31 @@ def apply_insert(
     path = resolve_repair_path(path)
     key = _pair(u, v)
     graph = artifact.graph
+    old_epoch = artifact.epoch
     graph.insert_edge(u, v)
     epoch = artifact.epoch
-    # Color the new edge first (its canonical color depends only on
-    # higher-priority neighbors, all final: the prefixes of both rows
-    # before its slot).  An insertion only *adds* constraints, so the
-    # only directly affected edges are lower-priority neighbors already
-    # wearing the new edge's color.
-    a, b = key
-    row_a, row_b = graph.neighbors(a), graph.neighbors(b)
-    blocked = 0
-    for c in graph.color_row(a)[: bisect_left(row_a, b)]:
-        blocked |= 1 << c
-    for c in graph.color_row(b)[: bisect_left(row_b, a)]:
-        blocked |= 1 << c
-    c_new = choose_color(blocked, artifact.lists.get(key))
-    graph.set_color(a, b, c_new)
-    artifact._assign(c_new)  # noqa: SLF001
-    seeds = _lower_neighbors(graph, key, lambda c: c == c_new)
-    return _run_worklist(artifact, "insert", path, epoch, seeds, radius_limit, own=1)
+    try:
+        # Color the new edge first (its canonical color depends only on
+        # higher-priority neighbors, all final: the prefixes of both rows
+        # before its slot).  An insertion only *adds* constraints, so the
+        # only directly affected edges are lower-priority neighbors
+        # already wearing the new edge's color.
+        a, b = key
+        row_a, row_b = graph.neighbors(a), graph.neighbors(b)
+        blocked = 0
+        for c in graph.color_row(a)[: bisect_left(row_a, b)]:
+            blocked |= 1 << c
+        for c in graph.color_row(b)[: bisect_left(row_b, a)]:
+            blocked |= 1 << c
+        c_new = choose_color(blocked, artifact.lists.get(key))
+        graph.set_color(a, b, c_new)
+        artifact._assign(c_new)  # noqa: SLF001
+        seeds = _lower_neighbors(graph, key, lambda c: c == c_new)
+        return _run_worklist(artifact, "insert", path, epoch, seeds, radius_limit, own=1)
+    except RepairError:
+        graph.delete_edge(u, v)
+        _restore(artifact, old_epoch)
+        raise
 
 
 def apply_delete(
@@ -395,7 +410,8 @@ def apply_delete(
     path: str = "auto",
     radius_limit: Optional[int] = None,
 ) -> RepairReport:
-    """Delete edge ``{u, v}`` and restore the canonical coloring."""
+    """Delete edge ``{u, v}`` (and its demand list) and restore the
+    canonical coloring."""
     path = resolve_repair_path(path)
     key = _pair(u, v)
     graph = artifact.graph
@@ -407,10 +423,21 @@ def apply_delete(
     a, b = key
     c_del = graph.color_row(a)[bisect_left(graph.neighbors(a), b)]
     seeds = _lower_neighbors(graph, key, lambda c: c > c_del)
+    old_epoch = artifact.epoch
     graph.delete_edge(u, v)
+    # The demand list belongs to the edge: a re-inserted edge starts
+    # with an open palette.
+    demand = artifact.lists.pop(key, None)
     epoch = artifact.epoch
     artifact._unassign(c_del)  # noqa: SLF001
-    return _run_worklist(artifact, "delete", path, epoch, seeds, radius_limit)
+    try:
+        return _run_worklist(artifact, "delete", path, epoch, seeds, radius_limit)
+    except RepairError:
+        graph.insert_edge(u, v)
+        if demand is not None:
+            artifact.lists[key] = demand
+        _restore(artifact, old_epoch)
+        raise
 
 
 def apply_set_list(
@@ -433,10 +460,20 @@ def apply_set_list(
     key = _pair(u, v)
     if not artifact.graph.has_edge(u, v):
         raise RepairError(f"edge {key} is not present", code="absent-edge")
+    old_epoch = artifact.epoch
+    demand = artifact.lists.get(key)
     if colors is None:
         artifact.lists.pop(key, None)
     else:
         artifact.lists[key] = normalize_list(colors)
     # Demand deltas version through the artifact, not the graph overlay.
     epoch = artifact._bump_epoch()  # noqa: SLF001
-    return _run_worklist(artifact, "set_list", path, epoch, [key], radius_limit)
+    try:
+        return _run_worklist(artifact, "set_list", path, epoch, [key], radius_limit)
+    except RepairError:
+        if demand is None:
+            artifact.lists.pop(key, None)
+        else:
+            artifact.lists[key] = demand
+        _restore(artifact, old_epoch)
+        raise

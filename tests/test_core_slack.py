@@ -56,14 +56,12 @@ class TestDegreesAndSlack:
         assert instance.max_edge_degree() == 0
         assert instance.slack(0) == float("inf")
 
-    def test_slack_and_has_slack(self):
+    def test_min_slack(self):
         graph = generators.star_graph(3)
         lists = {e: [0, 1, 2, 3, 4, 5] for e in graph.edges()}
         instance = ListEdgeColoringInstance(graph, lists, color_space=6)
         # Every edge has degree 2 and 6 colors: slack 3.
         assert instance.min_slack() == pytest.approx(3.0)
-        assert instance.has_slack(2.5)
-        assert not instance.has_slack(3.0)
 
     def test_availability_and_uncolored_degree(self):
         graph = generators.star_graph(3)

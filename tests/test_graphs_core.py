@@ -272,8 +272,6 @@ class TestDirectedGraph:
     def test_basic_accessors(self):
         digraph = DirectedGraph(3, [(0, 1), (1, 2), (2, 0), (0, 1)])
         assert digraph.num_arcs == 4
-        assert digraph.out_degree(0) == 2
-        assert digraph.in_degree(1) == 2
         assert digraph.degree(0) == 3
         arc = digraph.arc(0)
         assert (arc.tail, arc.head) == (0, 1)

@@ -38,6 +38,7 @@ from repro.serving import (
     result_cache_key,
 )
 from repro.serving import protocol
+from repro.serving.daemon import ColoringDaemon
 from repro.serving.protocol import PROTOCOL_FORMAT, parse_request
 from repro.serving import repair
 from repro.serving.repair import EDGES_PER_POP, choose_color
@@ -379,6 +380,38 @@ class TestTwinDiscipline:
         with pytest.raises(RepairError, match="exhausted"):
             artifact.set_list(1, 2, (5,))
 
+    @pytest.mark.parametrize("path", ["incremental", "recompute"])
+    @pytest.mark.parametrize(
+        "pinned,op,args",
+        [((0, 1, (5,)), "set_list", (1, 2, (5,))), ((2, 3, (0,)), "delete", (0, 1))],
+        ids=["set_list", "delete"],
+    )
+    def test_failed_delta_is_undone(self, path, pinned, op, args):
+        # On cycle_graph(8), (0,1) wears 0, (1,2) 1 and (2,3) 0.  Pinning
+        # (0,1) to 5 exhausts (1,2)'s list (5,); pinning (2,3) to 0
+        # exhausts it once deleting (0,1) lets (1,2) drop to 0.
+        artifact = build_artifact(generators.cycle_graph(8))
+        artifact.set_list(*pinned)
+        before = (artifact.colors, dict(artifact.lists), artifact.stats())
+        with pytest.raises(RepairError, match="exhausted"):
+            getattr(artifact, op)(*args, path=path)
+        assert (artifact.colors, artifact.lists, artifact.stats()) == before
+        assert artifact.epoch == 1
+        assert artifact.verify()
+
+    def test_delete_drops_the_demand_list(self):
+        artifact = build_artifact(generators.cycle_graph(8))
+        artifact.set_list(2, 3, (4, 6))
+        assert artifact.color(2, 3) == 4
+        artifact.delete(2, 3)
+        assert artifact.lists == {}
+        assert artifact.stats()["num_lists"] == 0
+        assert artifact.to_json()["lists"] == []
+        artifact.insert(2, 3)  # back with an open palette
+        assert artifact.color(2, 3) == 0
+        assert artifact.colors == rebuilt_twin(artifact).colors
+        assert artifact.verify()
+
 
 # ---------------------------------------------------------------- lookup-only
 class TestLookupArtifacts:
@@ -473,10 +506,14 @@ class TestServingSession:
         stats = session.cache_stats()
         assert (stats["hits"], stats["misses"], stats["size"]) == (1, 1, 1)
 
-    def test_cache_hit_neither_encodes_nor_copies(self, monkeypatch):
-        session = ServingSession(build_artifact(small_graph()))
+    def test_cache_hit_neither_encodes_nor_copies(self, monkeypatch, tmp_path):
+        # The daemon's wire path: a hit is the cached line itself.
+        path = str(tmp_path / "artifact.json")
+        build_artifact(small_graph()).save(path)
+        daemon = ColoringDaemon(path, journal=False)
+        session = daemon.session
         req = {"op": "schedule", "v": 5}
-        line = session.query_line(req)  # miss: encoded once, cached
+        line = daemon.handle_line(json.dumps(req))  # miss: encoded once, cached
         assert line == protocol.encode_response(session.query(req))
         calls = {"encode": 0, "deepcopy": 0}
         real_encode = protocol.encode_response
@@ -491,12 +528,12 @@ class TestServingSession:
 
         monkeypatch.setattr(protocol, "encode_response", counting_encode)
         monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
-        assert session.query_line(req) is line  # the cached line itself
+        assert daemon.handle_line(json.dumps(req)) is line  # the cached line itself
         assert session.query(req) == json.loads(line)
         assert calls == {"encode": 0, "deepcopy": 0}
         assert session.cache_stats()["hits"] == 3
         # a miss encodes exactly once
-        session.query_line({"op": "schedule", "v": 6})
+        daemon.handle_line(json.dumps({"op": "schedule", "v": 6}))
         assert calls == {"encode": 1, "deepcopy": 0}
 
     def test_stats_after_rebase_is_fresh(self):
@@ -545,8 +582,13 @@ class TestServingSession:
             session = ServingSession(build_artifact(graph), repair_path=path)
             twins[path] = session.serve_batch(batch)
             assert all(r["ok"] for r in twins[path])
-            assert len(session.reports) == 3
-            assert {r["path"] for r in session.reports} == {path}
+            stats = session.cache_stats()
+            assert stats["deltas_applied"] == 3
+            if path == "recompute":  # every delta recomputes all its edges
+                edges = graph.num_edges
+                assert stats["touched"] == (edges + 1) + edges + edges
+            else:
+                assert stats["touched"] < 3 * graph.num_edges
             assert session.artifact.verify()
         assert twins["incremental"] == twins["recompute"]
 
@@ -569,27 +611,17 @@ class TestServingSession:
         assert session.query(other)["slots"]  # cached copy kept its slots
 
     def test_reports_ring_buffer_stays_bounded(self):
-        # Regression: session.reports grew one dict per delta forever.
+        # The session keeps no per-delta record; its totals are lossless.
         graph = generators.cycle_graph(12)
-        session = ServingSession(
-            build_artifact(graph), reports_cap=16, rebase_policy=None
-        )
+        session = ServingSession(build_artifact(graph), rebase_policy=None)
         u, v = 0, 1
         for _ in range(5000):  # 10^4 deltas: alternate delete/insert
             assert session.query({"op": "delete", "u": u, "v": v})["ok"]
             assert session.query({"op": "insert", "u": u, "v": v})["ok"]
         stats = session.cache_stats()
-        assert len(session.reports) == 16  # bounded
-        assert stats["reports_retained"] == 16 and stats["reports_cap"] == 16
         assert stats["deltas_applied"] == 10_000  # totals are lossless
         assert stats["touched"] >= 10_000
         assert session.artifact.epoch == 10_000
-        zero = ServingSession(build_artifact(graph), reports_cap=0)
-        zero.query({"op": "delete", "u": 0, "v": 1})
-        assert len(zero.reports) == 0
-        assert zero.cache_stats()["deltas_applied"] == 1
-        with pytest.raises(ValueError, match="reports_cap"):
-            ServingSession(build_artifact(graph), reports_cap=-1)
 
 
 # --------------------------------------------------------------------- rebase

@@ -11,6 +11,8 @@ import json
 import os
 import signal
 import socket
+import threading
+import time
 
 import pytest
 
@@ -95,6 +97,30 @@ class TestDeltaJournal:
         assert replayed.colors == artifact.colors
         assert replayed.lists == artifact.lists
         assert replayed.verify()
+
+    def test_failed_delta_leaves_no_trace_in_the_journal(self, tmp_path):
+        path = str(tmp_path / "artifact.json")
+        build_artifact(generators.cycle_graph(8)).save(path)
+        daemon = ColoringDaemon(path, journal=True)
+        answers = [
+            json.loads(daemon.handle_line(json.dumps(request)))
+            for request in (
+                {"op": "set_list", "u": 0, "v": 1, "colors": [5]},
+                {"op": "set_list", "u": 1, "v": 2, "colors": [5]},
+                {"op": "delete", "u": 3, "v": 4},
+            )
+        ]
+        assert [a.get("epoch", a.get("code")) for a in answers] == [
+            1, "list-exhausted", 2,
+        ]
+        live = daemon.session.artifact
+        assert live.verify()
+        daemon.stop(compact=False)
+        reloaded = ColoringArtifact.load(path)
+        assert (reloaded.colors, reloaded.lists, reloaded.epoch) == (
+            live.colors, live.lists, live.epoch,
+        )
+        assert reloaded.verify()
 
     def test_journal_save_is_incremental(self, tmp_path):
         path = saved_artifact(tmp_path)
@@ -269,6 +295,67 @@ class TestColoringDaemon:
         final = ColoringArtifact.load(path)
         assert final.epoch == twin_artifact.epoch
         assert final.colors == twin_artifact.colors
+
+    def test_concurrent_clients_totals_are_exact(self, tmp_path):
+        # Four clients race a fixed mix; every total the session mutex
+        # guards must come out exact, whatever the interleaving.
+        path = saved_artifact(tmp_path)
+        edges = sorted(ColoringArtifact.load(path).colors)
+        clients, rounds = 4, 25
+        streams = []
+        for k in range(clients):
+            u, v = edges[k]  # each client toggles its own edge
+            su, sv = edges[-1 - k]
+            streams.append(
+                [
+                    request
+                    for i in range(rounds)
+                    for request in (
+                        {"op": "delete", "u": u, "v": v},
+                        {"op": "color", "u": su, "v": sv},
+                        {"op": "insert", "u": u, "v": v},
+                        {"op": "node_palette", "v": (k + i) % 24},
+                        {"op": "schedule", "v": (k * i) % 24},
+                        {"op": "stats"},
+                    )
+                ]
+            )
+        daemon = ColoringDaemon(path)
+        host, port = daemon.start()
+        answers = [None] * clients
+
+        def work(index):
+            with connect((host, port)) as client:
+                answers[index] = client.request_many(streams[index])
+
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            # A handler decrements the gauge after its client hangs up.
+            polls, deadline = 0, time.monotonic() + 10
+            while True:
+                polls += 1
+                stats = json.loads(daemon.handle_line('{"op": "stats", "scope": "daemon"}'))
+                if stats["connections"] == 0 or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+        finally:
+            daemon.stop(compact=True)
+        assert all(r["ok"] for part in answers for r in part)
+        sent = clients * rounds * 6
+        cache = stats["cache_stats"]
+        assert stats["connections"] == 0
+        assert stats["requests_served"] == sent + polls
+        assert cache["hits"] + cache["misses"] == clients * rounds * 3
+        assert cache["deltas_applied"] == clients * rounds * 2
+        assert stats["artifact"]["epoch"] == clients * rounds * 2
+        write_epochs = sorted(
+            r["epoch"] for part in answers for r in part if r["op"] in DELTA_OPS
+        )
+        assert write_epochs == list(range(1, clients * rounds * 2 + 1))
 
     def test_crash_without_compact_replays_from_journal(self, tmp_path):
         path = saved_artifact(tmp_path)
