@@ -21,7 +21,11 @@ One small sweep, several adversaries at once:
 * **concurrent clients + kill** — four client threads hammer a daemon
   running with a journal rotation cap, which folds the journal into
   the base JSON online; the daemon is SIGKILLed mid-traffic and the
-  base + journal must replay every acknowledged write.
+  base + journal must replay every acknowledged write;
+* **kill inside the shutdown fold** — a journaling daemon holding a
+  few hundred deltas is told to shut down and SIGKILLed a random
+  0–100 ms after the acknowledgement, so the kill lands before, inside
+  or after the full save that folds its journal.
 
 Asserted afterwards:
 
@@ -51,7 +55,9 @@ Asserted afterwards:
    (:mod:`repro.jsonlog`):
    a torn trailing span (a tracer killed mid-write) is skipped on read,
    healed before the next append, and ``repro obs report`` still
-   renders over the healed file.
+   renders over the healed file;
+8. wherever the kill lands in the shutdown fold, the artifact loads
+   and equals the daemon's live state before the shutdown.
 
 Exit status 0 when all assertions hold.
 """
@@ -262,6 +268,75 @@ def concurrent_clients_kill_probe(workdir: str) -> None:
     )
 
 
+def shutdown_fold_kill_probe(workdir: str, repeats: int = 6) -> None:
+    """Phase 8: SIGKILL a random 0–100 ms into a graceful shutdown.
+
+    The daemon acknowledges ``shutdown`` before it folds its journal
+    into the base JSON with a full save (an atomic rewrite, then the
+    journal's deletion), so a kill after the acknowledgement lands
+    before, inside or after that fold.  Each repeat starts from the same
+    base (n=20000, Δ=8, where a full save takes ≈0.1 s), sends the same
+    300 acknowledged deltas, and must load back to the state an
+    in-process artifact reaches on those deltas: the same epoch,
+    coloring and demand lists.
+    """
+    import random
+    import time
+
+    from repro.graphs import generators
+    from repro.serving import ColoringArtifact, build_artifact, journal_path
+    from repro.serving.daemon import connect, spawned_daemon
+
+    base = os.path.join(workdir, "chaos-fold-base.json")
+    path = os.path.join(workdir, "chaos-fold.json")
+    build_artifact(generators.random_regular_graph(20000, 8, seed=8)).save(base)
+    expected = ColoringArtifact.load(base)
+    rng = random.Random(8)
+    present = sorted(expected.colors)
+    requests = []
+    for i in range(300):
+        if i % 3 == 1:
+            while True:
+                u, v = sorted(rng.sample(range(expected.num_nodes), 2))
+                if not expected.graph.has_edge(u, v):
+                    break
+            expected.insert(u, v)
+            present.append((u, v))
+            requests.append({"op": "insert", "u": u, "v": v})
+        elif i % 3 == 0:
+            u, v = present.pop(rng.randrange(len(present)))
+            expected.delete(u, v)
+            requests.append({"op": "delete", "u": u, "v": v})
+        else:
+            u, v = present[rng.randrange(len(present))]
+            colors = sorted(rng.sample(range(40), 20))
+            expected.set_list(u, v, colors)
+            requests.append({"op": "set_list", "u": u, "v": v, "colors": colors})
+
+    folded = 0
+    for _ in range(repeats):
+        shutil.copyfile(base, path)
+        with spawned_daemon(path) as (process, host, port):
+            with connect((host, port)) as client:
+                acks = [client.request(request) for request in requests]
+                check(all(ack.get("ok") for ack in acks), "every delta acknowledged")
+                check(client.shutdown().get("ok"), "daemon acks shutdown")
+            time.sleep(rng.uniform(0.0, 0.1))
+            process.kill()
+            process.wait(timeout=30)
+        folded += not os.path.exists(journal_path(path))  # the fold finished
+        loaded = ColoringArtifact.load(path)
+        check(
+            loaded.epoch == expected.epoch
+            and loaded.colors == expected.colors
+            and loaded.lists == expected.lists,
+            f"artifact loads at the pre-shutdown state (epoch {loaded.epoch})",
+        )
+        if os.path.exists(journal_path(path)):
+            os.remove(journal_path(path))
+    print(f"  {folded} of {repeats} kills came after the fold had finished")
+
+
 def trace_sink_probe(workdir: str) -> None:
     """Phase 7: a torn trailing span heals and the report still renders."""
     from repro.obs import trace as obs_trace
@@ -357,6 +432,9 @@ def main() -> int:
 
         # --- phase 7: torn trace sink heals ----------------------------
         trace_sink_probe(workdir)
+
+        # --- phase 8: SIGKILL inside the shutdown fold -----------------
+        shutdown_fold_kill_probe(workdir)
 
         print("chaos check passed")
         return 0

@@ -22,8 +22,10 @@ two worlds:
   They hold the serving plane's edge coloring where its repair engine
   reads it, node by node: a mutation inserts or pops both slots at the
   positions it already finds, and :meth:`set_color` writes both.  The
-  rows fill from pair-ordered colors at construction or by
-  :meth:`fill_colors`; until then every slot is :data:`UNCOLORED`;
+  rows are adopted whole at construction (the canonical build hands
+  over the rows it filled by appends, so no placeholder row is built)
+  or refilled from pair-ordered colors by :meth:`fill_colors`; without
+  either, every slot is :data:`UNCOLORED`;
 * the **overlay** is accounting only: the edges added and the base
   edges deleted since the last :meth:`rebase`.  Its size is what the
   serving plane's rebase policy and ``stats`` report;
@@ -65,21 +67,21 @@ class DeltaGraph:
     for an out-of-range endpoint.
     """
 
-    def __init__(
-        self, base: Graph, colored: Optional[Iterable[Tuple[Tuple[int, int], int]]] = None
-    ) -> None:
-        """Copy ``base``'s rows; ``colored`` fills the color rows as
-        :meth:`fill_colors` does (every slot is :data:`UNCOLORED`
-        without it)."""
+    def __init__(self, base: Graph, color_rows: Optional[List[List[int]]] = None) -> None:
+        """Copy ``base``'s rows.  ``color_rows`` become the color rows as
+        they are (not copied): one list per node, aligned with ``base``'s
+        sorted rows, both slots of every edge equal, as
+        :func:`repro.serving.repair.canonical_rows` builds them.  Without
+        them every slot is :data:`UNCOLORED`."""
         xadj, adj = base.adjacency_csr()
         self._rows: List[List[int]] = [
             adj[xadj[v] : xadj[v + 1]] for v in range(base.num_nodes)
         ]
-        if colored is None:
-            self._colors = [[UNCOLORED] * len(row) for row in self._rows]
-        else:
-            self._colors = [[] for _ in self._rows]
-            self.fill_colors(colored)
+        if color_rows is None:
+            color_rows = [[UNCOLORED] * len(row) for row in self._rows]
+        elif list(map(len, color_rows)) != list(map(len, self._rows)):
+            raise ValueError("color rows do not align with the neighbor rows")
+        self._colors = color_rows
         self._node_ids = base.node_ids
         self._epoch = 0
         # Overlay accounting against the last rebase: an edge is in

@@ -20,6 +20,10 @@ without re-solving:
 
 Canonical artifacts (built by :func:`build_artifact`, or loaded from
 JSON) carry the canonical priority-greedy coloring and accept deltas.
+The build writes that coloring straight into the color rows, and a full
+:meth:`ColoringArtifact.save` writes the JSON straight from them: the
+offline phase builds no per-edge tuple or list, so the cyclic collector
+has no O(m) container heap to scan.
 Lookup artifacts (wrapped around an arbitrary pipeline coloring via
 :func:`artifact_from_coloring`) serve reads only — their coloring is
 whatever the offline pipeline produced, so there is no canonical fixed
@@ -53,7 +57,7 @@ from repro.serving.repair import (
     apply_delete,
     apply_insert,
     apply_set_list,
-    canonical_coloring,
+    canonical_rows,
     full_recompute,
     normalize_list,
 )
@@ -62,6 +66,9 @@ Pair = Tuple[int, int]
 
 #: On-disk format tag; bump on breaking layout changes.
 ARTIFACT_FORMAT = "repro-coloring-artifact/v1"
+
+#: The artifact JSON's separators: no whitespace.
+_COMPACT = (",", ":")
 
 
 @dataclass(frozen=True)
@@ -395,24 +402,9 @@ class ColoringArtifact:
         return True
 
     # -------------------------------------------------------------- persist
-    def to_json(self) -> Dict[str, object]:
-        """A JSON-safe dict capturing the artifact at the current epoch."""
-        return {
-            "format": ARTIFACT_FORMAT,
-            "builder": self.builder,
-            "canonical": self.canonical,
-            "epoch": self.epoch,
-            "num_nodes": self.graph.num_nodes,
-            "node_ids": list(self.graph.node_ids),
-            "edges": [[u, v, c] for u, v, c in self.graph.colored_edges()],
-            "lists": [
-                [u, v, list(self.lists[(u, v)])] for u, v in sorted(self.lists)
-            ],
-        }
-
     @classmethod
     def from_json(cls, payload: Mapping) -> "ColoringArtifact":
-        """Rebuild an artifact persisted by :meth:`to_json`.
+        """Rebuild an artifact from the JSON a full :meth:`save` writes.
 
         The overlay is folded on save, so the loaded graph starts with
         an empty overlay; the epoch is restored as the artifact offset.
@@ -423,14 +415,15 @@ class ColoringArtifact:
         edges = payload["edges"]
         pairs = [(int(u), int(v)) for u, v, _c in edges]
         colored = zip(pairs, [int(c) for _u, _v, c in edges])
-        if not _in_pair_order(pairs):  # not the layout ``to_json`` writes
+        if not _in_pair_order(pairs):  # not the layout ``save`` writes
             colored = sorted((_pair(*key), c) for key, c in colored)
         base = Graph(
             int(payload["num_nodes"]),
             pairs,
             node_ids=[int(i) for i in payload["node_ids"]],
         )
-        graph = DeltaGraph(base, colored)
+        graph = DeltaGraph(base)
+        graph.fill_colors(colored)
         lists = {
             _pair(int(u), int(v)): normalize_list(cs)
             for u, v, cs in payload.get("lists", [])
@@ -446,8 +439,35 @@ class ColoringArtifact:
         return artifact
 
     def _write_full(self, path: str, fsync: bool = False) -> None:
-        """Atomically rewrite the full artifact JSON (journal untouched)."""
-        jsonlog.rewrite(path, [json.dumps(self.to_json(), separators=(",", ":"))], fsync)
+        """Atomically rewrite the full artifact JSON (journal untouched).
+
+        One ``repro-coloring-artifact/v1`` line: the header fields and
+        ``node_ids``, then every edge as ``[u,v,color]`` and every demand
+        list as ``[u,v,[colors]]``, both in pair order.  These are the
+        bytes ``json.dumps(..., separators=(",", ":"))`` writes for that
+        object; the edges are formatted as text straight from the color
+        rows, so a save builds no per-edge list for the collector to scan.
+        """
+        graph = self.graph
+        head = json.dumps(
+            {
+                "format": ARTIFACT_FORMAT,
+                "builder": self.builder,
+                "canonical": self.canonical,
+                "epoch": self.epoch,
+                "num_nodes": graph.num_nodes,
+                "node_ids": graph.node_ids,
+            },
+            separators=_COMPACT,
+        )
+        edges = ",".join([f"[{u},{v},{c}]" for u, v, c in graph.colored_edges()])
+        lists = json.dumps(
+            [[u, v, list(self.lists[(u, v)])] for u, v in sorted(self.lists)],
+            separators=_COMPACT,
+        )
+        # ``head`` without its closing brace, then the two row fields.
+        line = f'{head[:-1]},"edges":[{edges}],"lists":{lists}}}'
+        jsonlog.rewrite(path, [line], fsync)
 
     def save(
         self,
@@ -460,10 +480,10 @@ class ColoringArtifact:
         """Persist the artifact at ``path``.
 
         ``journal=False`` (the default) writes the full snapshot: the
-        artifact JSON is rewritten atomically
-        (:func:`repro.jsonlog.rewrite`), then the now-superseded
-        ``<path>.journal`` is deleted — everything it recorded is baked
-        into the new base.
+        artifact JSON, formatted from the color rows (:meth:`_write_full`),
+        is rewritten atomically (:func:`repro.jsonlog.rewrite`), then the
+        now-superseded ``<path>.journal`` is deleted — everything it
+        recorded is baked into the new base.
 
         ``journal=True`` appends the deltas absorbed since the last save
         to ``<path>.journal`` instead — O(deltas) disk work instead of
@@ -578,8 +598,11 @@ def build_artifact(
     """Offline build: the canonical artifact for ``graph``.
 
     ``lists`` optionally constrains a sparse subset of edges to demand
-    lists (normalized on ingest).  The product accepts deltas and is
-    the input to :class:`repro.serving.session.ServingSession`.
+    lists (normalized on ingest).  The canonical coloring is computed as
+    color rows (:func:`~repro.serving.repair.canonical_rows`, walking
+    ``graph``'s sorted rows in pair order) that the
+    :class:`DeltaGraph` adopts as they are.  The product accepts deltas
+    and is the input to :class:`repro.serving.session.ServingSession`.
     """
     normalized: Dict[Pair, Tuple[int, ...]] = {}
     for (u, v), demand in (lists or {}).items():
@@ -587,7 +610,7 @@ def build_artifact(
         if not graph.has_edge(*key):
             raise RepairError(f"demand list for absent edge {key}")
         normalized[key] = normalize_list(demand)
-    delta_graph = DeltaGraph(graph, canonical_coloring(graph, normalized))
+    delta_graph = DeltaGraph(graph, canonical_rows(graph, normalized))
     return ColoringArtifact(delta_graph, None, normalized)
 
 

@@ -69,6 +69,10 @@ JOURNAL_FORMAT = "repro-coloring-journal/v1"
 #: Fields of one delta record, in canonical order.
 RECORD_FIELDS = ("epoch", "op", "u", "v", "colors")
 
+#: The record encoder, built once (``json.dumps`` with these options
+#: builds a new encoder on every call).
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def journal_path(artifact_path: str) -> str:
     """The journal's location next to an artifact JSON file."""
@@ -155,10 +159,8 @@ class DeltaJournal:
         with tracer().span("journal.append", records=len(records)):
             self._log.write(
                 "".join(
-                    json.dumps(
-                        {field: record.get(field) for field in RECORD_FIELDS},
-                        sort_keys=True,
-                        separators=(",", ":"),
+                    _RECORD_ENCODER.encode(
+                        {field: record.get(field) for field in RECORD_FIELDS}
                     )
                     + "\n"
                     for record in records

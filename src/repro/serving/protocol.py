@@ -329,16 +329,21 @@ def strip_envelope(payload: Mapping) -> Dict[str, object]:
     return {k: v for k, v in payload.items() if k not in ENVELOPE_FIELDS}
 
 
+#: The wire encoder, built once: ``json.dumps(payload, sort_keys=True)``
+#: builds a new encoder on every call; this writes the same bytes.
+_WIRE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def encode_request(request: Union[Request, Mapping]) -> str:
     """A request (typed or raw mapping) → its canonical wire line."""
     payload = request.to_wire() if hasattr(request, "to_wire") else dict(request)
-    return json.dumps(payload, sort_keys=True)
+    return _WIRE_ENCODER.encode(payload)
 
 
 def encode_response(response: Union[ErrorResponse, Mapping]) -> str:
     """A response → its canonical wire line (sorted keys, no newline)."""
     payload = response.to_wire() if isinstance(response, ErrorResponse) else response
-    return json.dumps(payload, sort_keys=True)
+    return _WIRE_ENCODER.encode(payload)
 
 
 def error_response(

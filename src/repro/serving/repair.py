@@ -17,8 +17,12 @@ colors only, the coloring is a unique deterministic fixed point of the
 edge set: *any* procedure that reaches the fixed point produces
 bit-identical colors.  That is the twin discipline of this module:
 
-* :func:`full_recompute` walks every edge in pair order — the obvious
-  O(m) construction, and the ``recompute`` repair path;
+* :func:`canonical_rows` walks every edge in pair order — the obvious
+  O(m) construction, and the one implementation of the rule.  It writes
+  color rows: :func:`~repro.serving.artifact.build_artifact` adopts
+  them as the artifact's, and :func:`full_recompute` reads them off as
+  a pair-keyed dict (the ``verify`` oracle, the ``recompute`` repair
+  path and the past-budget fallback);
 * :func:`apply_insert` / :func:`apply_delete` / :func:`apply_set_list`
   repair the coloring after a single delta by processing a min-heap
   worklist of *possibly-affected* edges in pair order — the
@@ -80,7 +84,7 @@ with it; a re-inserted edge starts with an open palette.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import (
@@ -88,7 +92,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -205,30 +208,39 @@ class RepairReport:
 
 
 # --------------------------------------------------------------------- twins
-def canonical_coloring(
+def canonical_rows(
     graph,
     lists: Optional[Dict[Pair, Tuple[int, ...]]] = None,
-) -> Iterator[Tuple[Pair, int]]:
-    """The canonical coloring from scratch: yield ``(pair, color)`` for
-    every edge, in pair order.
+) -> List[List[int]]:
+    """The canonical coloring from scratch, as color rows: row ``u`` is
+    aligned with ``graph.neighbors(u)``, as :meth:`DeltaGraph.color_row
+    <repro.graphs.DeltaGraph.color_row>` is.
 
-    ``graph`` is a :class:`repro.graphs.DeltaGraph` (whose
-    ``edge_pairs()`` come in pair order) or a CSR ``Graph``; ``lists``
-    maps a sparse subset of pairs to normalized demand lists.
+    ``graph`` is a :class:`repro.graphs.DeltaGraph` or a CSR ``Graph``
+    (both read sorted neighbor rows); ``lists`` maps a sparse subset of
+    pairs to normalized demand lists.  The walk is node ``u``, then the
+    part of ``u``'s row above ``u``: the edges in pair order.  Each edge
+    takes the canonical color over its endpoints' used-color masks.
+    Node ``u``'s slots below ``u`` were appended while their smaller
+    endpoints were walked, so every row fills by appends, and no pair
+    or ``(pair, color)`` container is built for an edge without a list.
     """
-    lists = lists or {}
-    if hasattr(graph, "edge_pairs"):
-        pairs = graph.edge_pairs()
-    else:  # CSR Graph: endpoint pairs by edge index
-        pairs = sorted(graph.edge_endpoints(e) for e in graph.edges())
-    masks = [0] * graph.num_nodes
-    for key in pairs:
-        u, v = key
-        c = choose_color(masks[u] | masks[v], lists.get(key))
-        bit = 1 << c
-        masks[u] |= bit
-        masks[v] |= bit
-        yield key, c
+    n = graph.num_nodes
+    neighbors = graph.neighbors
+    rows: List[List[int]] = [[] for _ in range(n)]
+    masks = [0] * n
+    for u in range(n):
+        row = neighbors(u)
+        colors_u = rows[u]
+        used = masks[u]
+        for v in row[bisect_right(row, u) :]:
+            c = choose_color(used | masks[v], lists.get((u, v)) if lists else None)
+            bit = 1 << c
+            used |= bit
+            masks[v] |= bit
+            colors_u.append(c)
+            rows[v].append(c)
+    return rows
 
 
 def full_recompute(
@@ -237,8 +249,14 @@ def full_recompute(
 ) -> Dict[Pair, int]:
     """The canonical coloring from scratch as a pair-keyed dict, in pair
     order: the oracle :meth:`ColoringArtifact.verify` compares against,
-    and the ``recompute`` repair path."""
-    return dict(canonical_coloring(graph, lists))
+    and the ``recompute`` repair path.  Read off :func:`canonical_rows`."""
+    colors: Dict[Pair, int] = {}
+    for u, colors_u in enumerate(canonical_rows(graph, lists)):
+        row = graph.neighbors(u)
+        i = bisect_right(row, u)
+        for v, c in zip(row[i:], colors_u[i:]):
+            colors[u, v] = c
+    return colors
 
 
 def _run_worklist(

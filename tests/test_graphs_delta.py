@@ -152,9 +152,11 @@ class TestColorRows:
         ]
         colored = DeltaGraph(
             generators.random_regular_graph(12, 4, seed=5),
-            ((key, index) for index, key in enumerate(pairs)),
+            [list(dg.color_row(v)) for v in dg.nodes()],
         )
         assert list(colored.colored_edges()) == list(dg.colored_edges())
+        with pytest.raises(ValueError, match="do not align"):
+            DeltaGraph(generators.cycle_graph(6), [[0, 1]] * 5)
 
     def test_fill_rejects_a_partial_coloring(self):
         dg = DeltaGraph(generators.cycle_graph(6))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
+
 import networkx as nx
 import pytest
 
@@ -77,6 +80,29 @@ class TestRandomFamilies:
     def test_random_regular_graph(self):
         graph = generators.random_regular_graph(30, 6, seed=5)
         assert all(graph.degree(v) == 6 for v in graph.nodes())
+
+    def test_random_regular_graph_leaves_no_cyclic_garbage(self):
+        """The networkx graph is freed by refcount, not left to a collection.
+
+        ``nx_graph.edges()`` caches a view that refers back to the graph,
+        so a dropped graph that is not cleared is a cycle of about n
+        objects (2006 here) that only the cyclic collector frees.  The
+        edge order is pinned by a digest recorded before the clear.
+        """
+        generators.random_regular_graph(200, 8, seed=1)  # warm-up: imports
+        gc.collect()
+        gc.disable()
+        try:
+            graph = generators.random_regular_graph(2000, 8, seed=2)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage < 50
+        edges = [graph.edge_endpoints(e) for e in graph.edges()]
+        assert len(edges) == 8000
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == (
+            "f389d576097e6568c5e0143bf9fc853a385668b2bf5173409495627ceae6142a"
+        )
 
     def test_random_regular_graph_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ under forced radius-limit fallback.
 
 import copy
 import gc
+import hashlib
 import json
 import random
 import sys
@@ -399,14 +400,15 @@ class TestTwinDiscipline:
         assert artifact.epoch == 1
         assert artifact.verify()
 
-    def test_delete_drops_the_demand_list(self):
+    def test_delete_drops_the_demand_list(self, tmp_path):
         artifact = build_artifact(generators.cycle_graph(8))
         artifact.set_list(2, 3, (4, 6))
         assert artifact.color(2, 3) == 4
         artifact.delete(2, 3)
         assert artifact.lists == {}
         assert artifact.stats()["num_lists"] == 0
-        assert artifact.to_json()["lists"] == []
+        artifact.save(str(tmp_path / "artifact.json"))
+        assert json.loads((tmp_path / "artifact.json").read_text())["lists"] == []
         artifact.insert(2, 3)  # back with an open palette
         assert artifact.color(2, 3) == 0
         assert artifact.colors == rebuilt_twin(artifact).colors
@@ -776,6 +778,55 @@ class TestRebasePolicy:
 
 
 # -------------------------------------------------------------------- persist
+class TestArtifactBytesPinned:
+    """The bytes of a full save, recorded before the save was streamed.
+
+    A full save writes ``repro-coloring-artifact/v1`` JSON straight from
+    the color rows; these digests were taken from the one-shot
+    ``json.dumps`` writer it replaced, so the two write the same file.
+    """
+
+    PLAIN = "86bd73f4811b616464d275c97f8a1cde85d87bf9aad1e6963a10b4e595ef2e38"
+    WITH_LISTS = "c7a32fcd67e208bde50eae5d5c8acc01f25c10cb6a4cae314308bba4ec917f53"
+    MUTATED = "325c9398d792dedd4e8f8cc81fcd07db512eee860f7f0329176e8efe72c9c54e"
+
+    @staticmethod
+    def _digest(artifact, tmp_path):
+        path = tmp_path / "artifact.json"
+        artifact.save(str(path))
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_plain_build(self, tmp_path):
+        artifact = build_artifact(generators.random_regular_graph(300, 4, seed=5))
+        assert self._digest(artifact, tmp_path) == self.PLAIN
+
+    def test_demand_lists_on_every_seventh_edge(self, tmp_path):
+        graph = generators.random_regular_graph(300, 4, seed=5)
+        pairs = sorted(graph.edge_endpoints(e) for e in graph.edges())
+        # Seven colors each: more than the 2Δ-2 = 6 an edge can see blocked.
+        lists = {
+            key: range(e % 3, e % 3 + 14, 2) for e, key in enumerate(pairs) if e % 7 == 0
+        }
+        assert self._digest(build_artifact(graph, lists), tmp_path) == self.WITH_LISTS
+
+    def test_isolated_nodes_ids_deltas_and_rebase(self, tmp_path):
+        core = generators.random_regular_graph(30, 4, seed=9)
+        edges = [core.edge_endpoints(e) for e in core.edges()]
+        # Nodes 30..39 start isolated; identifiers are not the indices.
+        graph = Graph(40, edges, node_ids=[3 * v + 7 for v in range(40)])
+        artifact = build_artifact(graph)
+        u, v = edges[0]
+        artifact.delete(u, v)
+        artifact.insert(5, 33)
+        artifact.insert(33, 38)
+        artifact.set_list(*edges[3], (2, 5, 6))
+        artifact.rebase()
+        artifact.delete(*edges[4])
+        artifact.insert(u, v)
+        assert artifact.epoch == 6 and artifact.verify()
+        assert self._digest(artifact, tmp_path) == self.MUTATED
+
+
 class TestPersistence:
     def test_json_roundtrip_preserves_everything(self, tmp_path):
         graph = small_graph()
@@ -793,9 +844,10 @@ class TestPersistence:
         loaded.delete(0, 9)
         assert loaded.verify()
 
-    def test_from_json_accepts_edges_in_any_order(self):
+    def test_from_json_accepts_edges_in_any_order(self, tmp_path):
         artifact = build_artifact(small_graph())
-        payload = artifact.to_json()
+        artifact.save(str(tmp_path / "artifact.json"))
+        payload = json.loads((tmp_path / "artifact.json").read_text())
         assert [tuple(e[:2]) for e in payload["edges"]] == sorted(artifact.colors)
         payload["edges"] = [[v, u, c] for u, v, c in reversed(payload["edges"])]
         loaded = ColoringArtifact.from_json(payload)

@@ -94,6 +94,27 @@ class TestWireGoldens:
             '{"ok": true, "op": "x"}'
         )
 
+    def test_shared_encoders_write_the_json_dumps_bytes(self, tmp_path):
+        payloads = [
+            {"op": "schedule", "ok": True, "slots": [[0, 5], [3, 1]], "epoch": 7},
+            {"error": "naïve \u2028 \"quoted\"", "code": "bad-field", "ok": False, "op": None},
+            {"z": {"b": 1.5, "a": [None, True]}, "colors": []},
+        ]
+        for payload in payloads:
+            assert protocol.encode_response(payload) == json.dumps(payload, sort_keys=True)
+            assert protocol.encode_request(payload) == json.dumps(payload, sort_keys=True)
+        journal = DeltaJournal(str(tmp_path / "artifact.json.journal"))
+        records = [
+            {"epoch": 3, "op": "set_list", "u": 1, "v": 7, "colors": [2, 4]},
+            {"epoch": 4, "op": "delete", "u": 0, "v": 9, "colors": None},
+        ]
+        journal.append(records)
+        journal.close()
+        lines = (tmp_path / "artifact.json.journal").read_text().splitlines()[1:]
+        assert lines == [
+            json.dumps(record, sort_keys=True, separators=(",", ":")) for record in records
+        ]
+
     def test_int_coercion_accepts_numeric_rejects_bool(self):
         parsed = protocol.parse_request({"op": "color", "u": "3", "v": 4.0})
         assert (parsed.u, parsed.v) == (3, 4)
