@@ -81,7 +81,7 @@ from repro.runtime.store import ResultStore, diff_rows, is_error_row  # noqa: E4
 
 logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
 
-RETRY = RetryPolicy(timeout_seconds=2.0, max_retries=1, backoff_seconds=0.05)
+RETRY = RetryPolicy(timeout_seconds=2.0, max_retries=1)
 
 
 def probe_spec(marker_dir: str):
@@ -98,7 +98,6 @@ def probe_spec(marker_dir: str):
             {"mode": "sleep", "sleep_seconds": 30.0},
             {"mode": "ok", "payload": 2},
         ],
-        retry=RETRY,
     )
 
 

@@ -16,6 +16,7 @@ report can afford to hold the durations.
 
 from __future__ import annotations
 
+import csv
 import sys
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -123,6 +124,22 @@ def phase_breakdown(events: Iterable[dict]) -> Dict[str, Dict[str, object]]:
 
 
 # ---------------------------------------------------------------- rendering
+def write_table(fmt: str, columns: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """Print ``rows`` under ``columns`` as ``csv`` or a ``markdown`` pipe
+    table: ``None`` is an empty cell, every other value goes through
+    ``str``.  The one writer of both ``report`` commands' machine formats."""
+    cells = [["" if value is None else str(value) for value in row] for row in rows]
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(columns)
+        writer.writerows(cells)
+        return
+    print("| " + " | ".join(columns) + " |")
+    print("|" + "|".join(" --- " for _ in columns) + "|")
+    for row in cells:
+        print("| " + " | ".join(row) + " |")
+
+
 def render_table(events: List[dict], top: int = 20) -> None:
     rows = aggregate_by_name(events)
     print(f"{len(events)} spans, {len(rows)} span names")
@@ -161,29 +178,19 @@ def render_table(events: List[dict], top: int = 20) -> None:
 
 
 def render_csv(events: List[dict], top: int = 0) -> None:
-    import csv
-
     rows = aggregate_by_name(events)
     if top:
         rows = rows[:top]
-    writer = csv.writer(sys.stdout)
-    writer.writerow(REPORT_COLUMNS)
-    for row in rows:
-        writer.writerow([row[col] for col in REPORT_COLUMNS])
+    write_table("csv", REPORT_COLUMNS, ([row[col] for col in REPORT_COLUMNS] for row in rows))
 
 
 def render_markdown(events: List[dict], top: int = 20) -> None:
     rows = aggregate_by_name(events)[:top]
-    print("| " + " | ".join(REPORT_COLUMNS) + " |")
-    print("|" + "|".join(" --- " for _ in REPORT_COLUMNS) + "|")
-    for row in rows:
-        print("| " + " | ".join(str(row[col]) for col in REPORT_COLUMNS) + " |")
+    write_table("markdown", REPORT_COLUMNS, ([row[col] for col in REPORT_COLUMNS] for row in rows))
     radius = repair_radius_histogram(events)
     if radius:
-        print("\n| touched | count |")
-        print("| --- | --- |")
-        for touched, count in radius.items():
-            print(f"| {touched} | {count} |")
+        print()
+        write_table("markdown", ("touched", "count"), radius.items())
 
 
 def render(path: str, fmt: str = "table", top: int = 20) -> int:

@@ -9,8 +9,8 @@ The orchestration layer every repository workload runs through:
 * :mod:`repro.runtime.workloads` — the named cell runners (picklable
   across worker processes).
 * :mod:`repro.runtime.executor` — the hardened executor:
-  process-per-cell fan-out with timeouts, crash requeue, retry with
-  backoff and quarantine error rows; serial fallback; resume-from-store.
+  process-per-cell fan-out with timeouts, crash requeue, immediate
+  retry and quarantine error rows; serial fallback; resume-from-store.
 * :mod:`repro.runtime.store` — the one-file append-only JSONL store:
   the content-keyed cache, the outcome rule that picks each cell's row
   (shared by resume, compaction and the timing-excluded diff), and

@@ -17,7 +17,7 @@ Wired into the main entry point (``python -m repro scenarios ...`` or the
 directory, overridable with ``--out`` / ``REPRO_RESULTS_DIR``) and exits
 non-zero when any cell was quarantined as an error row — a sweep only
 exits 0 when every selected cell has a successful result.  ``--timeout``
-and ``--retries`` override the spec's
+and ``--retries`` make the run's
 :class:`~repro.runtime.spec.RetryPolicy`; ``--resume`` skips stored
 rows, error rows included, and ``--resume --retry-errors`` re-executes
 exactly the quarantined cells.  ``diff`` compares two stores modulo the
@@ -28,14 +28,14 @@ vs workers=2 determinism contract.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import List, Optional
 
 from repro.knobs import KNOBS, add_flag
+from repro.obs.report import write_table
 from repro.runtime import registry
 from repro.runtime.executor import run_scenario
-from repro.runtime.spec import resolve_knobs
+from repro.runtime.spec import RetryPolicy, resolve_knobs
 from repro.runtime.store import ResultStore, default_store_path, diff_rows, is_error_row
 
 
@@ -56,11 +56,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = registry.get(args.scenario)
     store = ResultStore(args.out or default_store_path(spec.name), fsync=args.fsync)
     knobs = resolve_knobs(**{name: getattr(args, name) for name in KNOBS})
-    retry = spec.retry
-    if args.timeout is not None:
-        retry = dataclasses.replace(retry, timeout_seconds=args.timeout)
-    if args.retries is not None:
-        retry = dataclasses.replace(retry, max_retries=args.retries)
     report = run_scenario(
         spec,
         workers=args.workers,
@@ -69,7 +64,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         store=store,
         knobs=knobs,
         log=print if not args.no_progress else None,
-        retry=retry,
+        retry=RetryPolicy(timeout_seconds=args.timeout, max_retries=args.retries),
         retry_errors=args.retry_errors,
     )
     print(
@@ -109,7 +104,7 @@ _REPORT_COLUMNS = (
 
 
 def _report_records(rows):
-    """Flatten store rows into the column set shared by csv/markdown."""
+    """Flatten store rows into csv/markdown table rows, in column order."""
     records = []
     for row in sorted(
         rows,
@@ -132,29 +127,8 @@ def _report_records(rows):
             record[field] = result.get(field)
         if is_error_row(row):
             record["messages"] = error.get("message")
-        records.append(record)
+        records.append([record[column] for column in _REPORT_COLUMNS])
     return records
-
-
-def _render_report_csv(records) -> None:
-    import csv
-
-    writer = csv.writer(sys.stdout)
-    writer.writerow(_REPORT_COLUMNS)
-    for record in records:
-        writer.writerow(
-            ["" if record[col] is None else record[col] for col in _REPORT_COLUMNS]
-        )
-
-
-def _render_report_markdown(records) -> None:
-    print("| " + " | ".join(_REPORT_COLUMNS) + " |")
-    print("|" + "|".join(" --- " for _ in _REPORT_COLUMNS) + "|")
-    for record in records:
-        cells = [
-            "" if record[col] is None else str(record[col]) for col in _REPORT_COLUMNS
-        ]
-        print("| " + " | ".join(cells) + " |")
 
 
 def _render_report_table(rows) -> None:
@@ -217,12 +191,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not rows:
         print(f"no rows in {path}")
         return 1
-    if args.format == "csv":
-        _render_report_csv(_report_records(rows))
-    elif args.format == "markdown":
-        _render_report_markdown(_report_records(rows))
-    else:
+    if args.format == "table":
         _render_report_table(rows)
+    else:
+        write_table(args.format, _REPORT_COLUMNS, _report_records(rows))
     return 0
 
 
@@ -278,12 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--timeout",
         type=float,
-        help="per-attempt wall-clock limit in seconds (workers > 1 only; overrides the spec)",
+        help="per-attempt wall-clock limit in seconds (workers > 1 only; default: none)",
     )
     p_run.add_argument(
         "--retries",
         type=int,
-        help="extra attempts before quarantining a failing cell (overrides the spec)",
+        default=RetryPolicy.max_retries,
+        help="extra attempts before quarantining a failing cell (default: %(default)s)",
     )
     p_run.add_argument(
         "--fsync", action="store_true", help="fsync the store after every appended row"

@@ -9,7 +9,7 @@ finished row to the :class:`~repro.runtime.store.ResultStore` in
 deterministic cell order.
 
 **Fault tolerance.**  A cell that misbehaves cannot take the sweep down
-with it.  Per attempt the executor enforces the spec's
+with it.  Per attempt the executor enforces the run's
 :class:`~repro.runtime.spec.RetryPolicy`:
 
 * **timeout** — a worker past ``timeout_seconds`` wall-clock is
@@ -23,9 +23,10 @@ with it.  Per attempt the executor enforces the spec's
   memory-pressure induced.
 * **exception** — a runner that raises is retried like any other
   failure.
-* **backoff** — retries wait ``backoff_seconds * 2**(attempt-1)`` with
-  deterministic per-(key, attempt) jitter; other cells keep executing
-  during the wait.
+* **retry** — a failed attempt goes back on the queue at once, on both
+  paths, through one rule (:func:`_settle_failure`): the cells are
+  deterministic and the workers local processes, so a delay would
+  relieve no shared resource.
 * **quarantine** — a cell that exhausts ``1 + max_retries`` attempts is
   recorded as a structured *error row* (``status: "error"`` with the
   exception type, a traceback digest and the attempt count — see
@@ -58,7 +59,7 @@ import multiprocessing.connection
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core import engine
 from repro.obs import get_registry, tracer
@@ -224,7 +225,6 @@ class _QueueItem:
     payload: Dict[str, object]
     position: int  # index into the pending order, for ordered flushing
     attempt: int = 1
-    not_before: float = 0.0  # monotonic time the next attempt may start
     solo: bool = False  # crash retry: run with no concurrent workers
     first_start: Optional[float] = None
     enqueued: float = 0.0  # monotonic enqueue time (queued-span duration)
@@ -257,18 +257,56 @@ def _reap(active: _Active) -> None:
         process.join()
 
 
+def _lifecycle(name: str, item: _QueueItem, dur: float, **attrs) -> None:
+    """Scheduler-side span for one cell lifecycle transition."""
+    tracer().emit(
+        name,
+        time.time() - dur,
+        dur,
+        spec=item.payload["spec"],
+        cell_index=item.payload["cell_index"],
+        attempt=item.attempt,
+        **attrs,
+    )
+
+
+def _settle_failure(
+    item: _QueueItem, failure: Dict[str, object], retry: RetryPolicy, now: float
+) -> Optional[Dict[str, object]]:
+    """The one retry rule of both execution paths, for a failed attempt.
+
+    With attempts left, ``item`` is set up for its next attempt (a crash
+    retry runs solo) and ``None`` is returned: the caller requeues it at
+    once.  Otherwise the cell's quarantine row is returned.
+    """
+    registry = get_registry()
+    kind = failure.get("kind", "unknown")
+    registry.counter(f"runtime.failures.{kind}").inc()
+    if item.attempt < 1 + retry.max_retries:
+        _lifecycle("runtime.cell.retry", item, 0.0, kind=kind)
+        registry.counter("runtime.retries").inc()
+        item.attempt += 1
+        item.solo = kind == "crash"
+        item.enqueued = now
+        return None
+    wall = now - (item.first_start if item.first_start is not None else now)
+    _lifecycle("runtime.cell.quarantined", item, wall, kind=kind)
+    registry.counter("runtime.quarantined").inc()
+    return error_row(item.payload, failure, item.attempt, wall)
+
+
 def _run_process_per_cell(
     pending: List[Dict[str, object]],
     workers: int,
     retry: RetryPolicy,
     finalize: Callable[[int, Dict[str, object]], None],
-) -> List[Tuple[int, Dict[str, object], int]]:
+) -> List[_QueueItem]:
     """Schedule ``pending`` over at most ``workers`` single-cell processes.
 
     Calls ``finalize(position, row)`` for every finished cell (ok or
-    quarantined error row).  Returns the ``(position, payload, attempt)``
-    triples still unexecuted if process spawning broke (the caller
-    degrades them to serial execution); an empty list on a normal run.
+    quarantined error row).  Returns the items still unexecuted if
+    process spawning broke (the caller degrades them to serial
+    execution); an empty list on a normal run.
     """
     context = _pool_context()
     trc = tracer()
@@ -280,35 +318,13 @@ def _run_process_per_cell(
     active: List[_Active] = []
     degraded = False
 
-    def lifecycle(name: str, item: _QueueItem, dur: float, **attrs) -> None:
-        """Scheduler-side span for one cell lifecycle transition."""
-        trc.emit(
-            name,
-            time.time() - dur,
-            dur,
-            spec=item.payload["spec"],
-            cell_index=item.payload["cell_index"],
-            attempt=item.attempt,
-            **attrs,
-        )
-
     def fail(item: _QueueItem, failure: Dict[str, object], now: float) -> None:
-        """Retry the attempt or quarantine the cell."""
-        registry.counter(f"runtime.failures.{failure.get('kind', 'unknown')}").inc()
-        if item.attempt < 1 + retry.max_retries:
-            delay = retry.backoff_for(item.payload["key"], item.attempt)
-            lifecycle("runtime.cell.retry", item, 0.0, kind=failure.get("kind"))
-            registry.counter("runtime.retries").inc()
-            item.attempt += 1
-            item.not_before = now + delay
-            item.solo = failure.get("kind") == "crash"
-            item.enqueued = now
+        """Requeue the attempt or finalize the cell's quarantine row."""
+        row = _settle_failure(item, failure, retry, now)
+        if row is None:
             queue.append(item)
         else:
-            wall = now - (item.first_start if item.first_start is not None else now)
-            lifecycle("runtime.cell.quarantined", item, wall, kind=failure.get("kind"))
-            registry.counter("runtime.quarantined").inc()
-            finalize(item.position, error_row(item.payload, failure, item.attempt, wall))
+            finalize(item.position, row)
 
     while queue or active:
         now = time.monotonic()
@@ -319,14 +335,9 @@ def _run_process_per_cell(
         if not degraded:
             solo_running = any(a.item.solo for a in active)
             while len(active) < workers and not solo_running:
-                eligible = None
-                for index, item in enumerate(queue):
-                    if item.not_before > now:
-                        continue
-                    if item.solo and active:
-                        continue
-                    eligible = index
-                    break
+                eligible = next(
+                    (i for i, item in enumerate(queue) if not (item.solo and active)), None
+                )
                 if eligible is None:
                     break
                 item = queue.pop(eligible)
@@ -346,7 +357,7 @@ def _run_process_per_cell(
                     break
                 child_conn.close()  # parent keeps only the read end -> EOF on death
                 if trc.enabled:
-                    lifecycle("runtime.cell.queued", item, now - item.enqueued)
+                    _lifecycle("runtime.cell.queued", item, now - item.enqueued)
                 if item.first_start is None:
                     item.first_start = now
                 deadline = (
@@ -357,12 +368,7 @@ def _run_process_per_cell(
                     solo_running = True
 
         if not active:
-            if degraded:
-                break
-            if queue:  # everything is backing off; sleep to the earliest retry
-                wake = min(item.not_before for item in queue)
-                time.sleep(max(0.0, min(wake - time.monotonic(), 1.0)))
-            continue
+            break  # only a degraded run leaves queued items with no worker
 
         # Wait for the first result, crash (EOF) or deadline.
         timeout = 0.5
@@ -382,7 +388,7 @@ def _run_process_per_cell(
             now = time.monotonic()
             if kind == "ok":
                 if trc.enabled:
-                    lifecycle(
+                    _lifecycle(
                         "runtime.cell.done",
                         entry.item,
                         now - (entry.item.first_start or now),
@@ -421,37 +427,29 @@ def _run_process_per_cell(
                 now,
             )
 
-    return [(item.position, item.payload, item.attempt) for item in queue]
+    return queue
 
 
 def _run_serial(
-    items: List[Tuple[int, Dict[str, object], int]],
+    items: List[_QueueItem],
     retry: RetryPolicy,
     finalize: Callable[[int, Dict[str, object]], None],
 ) -> None:
     """In-process execution with retry/quarantine but no timeout enforcement.
 
-    ``items`` are ``(position, payload, first_attempt)`` triples — the
-    serial path is also the degradation target when worker spawning
+    The serial path is also the degradation target when worker spawning
     breaks mid-run, in which case an item may arrive mid-retry.
     """
-    for position, payload, first_attempt in sorted(items):
-        attempt = max(1, first_attempt)
-        start = time.monotonic()
-        while True:
+    for item in sorted(items, key=lambda item: item.position):
+        if item.first_start is None:
+            item.first_start = time.monotonic()
+        row = None
+        while row is None:
             try:
-                finalize(position, execute_payload(payload))
-                break
+                row = execute_payload(item.payload)
             except Exception as exc:  # noqa: BLE001 - quarantine, don't kill the sweep
-                failure = _describe_exception(exc)
-                if attempt < 1 + retry.max_retries:
-                    time.sleep(retry.backoff_for(payload["key"], attempt))
-                    attempt += 1
-                    continue
-                finalize(
-                    position, error_row(payload, failure, attempt, time.monotonic() - start)
-                )
-                break
+                row = _settle_failure(item, _describe_exception(exc), retry, time.monotonic())
+        finalize(item.position, row)
 
 
 def run_scenario(
@@ -480,7 +478,8 @@ def run_scenario(
         knobs: resolved execution knobs; defaults to the environment
             (:func:`repro.runtime.spec.resolve_knobs`).
         log: optional progress sink (one line per cell).
-        retry: timeout/retry policy; defaults to ``spec.retry``.
+        retry: timeout/retry policy for this run; defaults to
+            ``RetryPolicy()``.
         retry_errors: under ``resume``, re-execute quarantined cells
             instead of skipping their error rows.
 
@@ -493,7 +492,7 @@ def run_scenario(
     from repro.runtime.spec import resolve_knobs
 
     knobs = knobs or resolve_knobs()
-    retry = retry if retry is not None else spec.retry
+    retry = retry if retry is not None else RetryPolicy()
     start = time.perf_counter()
     payloads = [
         _build_payload(spec, index, cell, knobs) for index, cell in spec.iter_cells(quick=quick)
@@ -560,7 +559,8 @@ def run_scenario(
             if leftover:
                 _run_serial(leftover, retry, finalize)
         else:
-            _run_serial([(i, p, 1) for i, p in enumerate(pending)], retry, finalize)
+            items = [_QueueItem(payload=p, position=i) for i, p in enumerate(pending)]
+            _run_serial(items, retry, finalize)
     finally:
         scenario_span.set(executed=len(pending), cached=len(cached))
         scenario_span.__exit__(None, None, None)

@@ -63,9 +63,11 @@ class Cell:
 class RetryPolicy:
     """How the executor treats a cell that times out, raises or crashes.
 
-    Purely an *execution* concern: the policy never enters
-    :func:`cell_seed` or :func:`cache_key`, so changing timeouts or
-    retry counts never invalidates cached rows.
+    A property of one run (:func:`repro.runtime.executor.run_scenario`'s
+    ``retry``, the CLI's ``--timeout`` / ``--retries``), never of a
+    spec, so it enters no :func:`cell_seed` or :func:`cache_key`.  A
+    failed attempt is requeued at once: the cells are deterministic and
+    run in local processes, so waiting would change nothing.
 
     Attributes:
         timeout_seconds: per-attempt wall-clock limit; ``None`` means no
@@ -74,41 +76,16 @@ class RetryPolicy:
             cannot kill a hung cell and documents it.
         max_retries: extra attempts after the first (so a cell is tried
             at most ``1 + max_retries`` times before quarantine).
-        backoff_seconds: base sleep before retry attempt *k*:
-            ``backoff_seconds * 2**(k-1)``, capped at ``max_backoff``.
-        backoff_jitter: deterministic jitter fraction in ``[0, 1]``; the
-            actual sleep is scaled by ``1 + jitter * u`` where ``u`` is
-            a pure hash of (cell key, attempt) — no shared RNG, so
-            retries stay reproducible.
-        max_backoff: upper bound on any single backoff sleep.
     """
 
     timeout_seconds: Optional[float] = None
     max_retries: int = 2
-    backoff_seconds: float = 0.05
-    backoff_jitter: float = 0.25
-    max_backoff: float = 2.0
 
     def __post_init__(self) -> None:
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ValueError(f"timeout_seconds must be > 0, got {self.timeout_seconds!r}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
-        if self.backoff_seconds < 0:
-            raise ValueError(f"backoff_seconds must be >= 0, got {self.backoff_seconds!r}")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError(f"backoff_jitter must be in [0, 1], got {self.backoff_jitter!r}")
-
-    def backoff_for(self, key: str, attempt: int) -> float:
-        """Deterministic backoff sleep before retry ``attempt`` (1-based)."""
-        if attempt < 1 or self.backoff_seconds == 0:
-            return 0.0
-        base = min(self.backoff_seconds * 2 ** (attempt - 1), self.max_backoff)
-        if not self.backoff_jitter:
-            return base
-        material = f"{key}:{attempt}".encode("utf-8")
-        unit = int.from_bytes(hashlib.sha256(material).digest()[:8], "big") / 2.0**64
-        return min(base * (1.0 + self.backoff_jitter * unit), self.max_backoff)
 
 
 @dataclass(frozen=True)
@@ -124,9 +101,9 @@ class ScenarioSpec:
             of every cell's seed and cache key, so a version bump
             invalidates cached rows.
         tags: free-form labels (``"perf"``, ``"bench"``, ...).
-        retry: default :class:`RetryPolicy` for this scenario's cells;
-            CLI ``--timeout`` / ``--retries`` flags override it.  Not
-            part of any seed or cache key.
+
+    How failing cells are retried is not part of a spec: the
+    :class:`RetryPolicy` belongs to the run.
     """
 
     name: str
@@ -135,7 +112,6 @@ class ScenarioSpec:
     cells: Tuple[Cell, ...]
     version: str = "1"
     tags: Tuple[str, ...] = ()
-    retry: RetryPolicy = RetryPolicy()
 
     def cell_count(self, quick: bool = False) -> int:
         """Number of cells (restricted to the quick subset if asked)."""
@@ -155,7 +131,7 @@ class ScenarioSpec:
             yield index, cell
 
 
-def spec(name, title, runner, cells, version="1", tags=(), retry=None) -> ScenarioSpec:
+def spec(name, title, runner, cells, version="1", tags=()) -> ScenarioSpec:
     """Convenience constructor turning plain dicts into :class:`Cell`\\ s."""
     built = tuple(
         cell if isinstance(cell, Cell) else Cell(params=dict(cell)) for cell in cells
@@ -167,7 +143,6 @@ def spec(name, title, runner, cells, version="1", tags=(), retry=None) -> Scenar
         cells=built,
         version=version,
         tags=tuple(tags),
-        retry=retry if retry is not None else RetryPolicy(),
     )
 
 

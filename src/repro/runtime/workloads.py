@@ -284,6 +284,7 @@ def run_token_dropping_cell(ctx: CellContext) -> Dict[str, object]:
         uniform_alpha,
     )
     from repro.graphs.core import DirectedGraph
+    from repro.verification.invariants import check_token_game_validity
 
     variant = str(ctx.params.get("variant", "layered"))
     k = int(ctx.params["k"])
@@ -313,6 +314,8 @@ def run_token_dropping_cell(ctx: CellContext) -> Dict[str, object]:
         phase_bound = k // delta - 1
         assert result.max_tokens() <= k, f"token cap violated ({variant})"
         assert not result.slack_violations(), f"slack violations ({variant})"
+        failures = check_token_game_validity(game, result)
+        assert failures == [], f"invalid token game ({variant}): {failures[:3]}"
         if variant == "layered":
             assert result.phases == phase_bound, "phase bound missed (layered)"
         return {
@@ -339,6 +342,7 @@ def run_defective_two_coloring(ctx: CellContext) -> Dict[str, object]:
         generalized_defective_two_edge_coloring,
         half_split_lambdas,
     )
+    from repro.verification.checkers import defective_edge_coloring_violations
 
     epsilon = float(ctx.params.get("epsilon", 0.5))
     variant = str(ctx.params.get("variant", "half"))
@@ -361,6 +365,10 @@ def run_defective_two_coloring(ctx: CellContext) -> Dict[str, object]:
         beta = parameters.beta_theoretical(epsilon, bar_delta)
         violations = result.violations(beta=2 * beta)
         assert not violations, f"Definition 5.1 violations ({variant}, epsilon={epsilon})"
+        # An independent recount of the defects against the same bounds.
+        bounds = {e: result.defect_bound(e, beta=2 * beta) for e in result.colors}
+        recount = defective_edge_coloring_violations(instance[0], result.colors, bounds)
+        assert recount == [], f"Definition 5.1 recount violations ({variant}): {recount[:3]}"
         if variant == "half":
             assert result.max_defect() <= 0.85 * bar_delta, "defective split not useful"
         return {
@@ -586,6 +594,7 @@ def run_degree_reduction(ctx: CellContext) -> Dict[str, object]:
     from repro.core.slack import uniform_instance
     from repro.graphs.core import degrees_within
     from repro.verification.checkers import is_proper_edge_coloring
+    from repro.verification.invariants import slack_invariant_violations
 
     def setup():
         graph, bipartition = _bipartite_graph(ctx)
@@ -601,11 +610,13 @@ def run_degree_reduction(ctx: CellContext) -> Dict[str, object]:
         )
 
     def verify(inputs, newly, _wall):
-        graph = inputs[0]
+        graph, _bipartition, instance = inputs
         bar_delta = graph.max_edge_degree
         uncolored = [e for e in graph.edges() if e not in newly]
         worst = max(degrees_within(graph, uncolored)[1], default=0)
         assert is_proper_edge_coloring(graph, newly, edge_set=list(newly.keys()))
+        slack = slack_invariant_violations(instance, newly)
+        assert slack == [], f"(degree+1) slack invariant broken: {slack[:3]}"
         assert worst <= 0.75 * bar_delta, "degree reduction too weak"
         return {
             "edges": graph.num_edges,

@@ -58,7 +58,6 @@ from repro.serving.repair import (
     apply_insert,
     apply_set_list,
     canonical_rows,
-    full_recompute,
     normalize_list,
 )
 
@@ -157,9 +156,7 @@ class ColoringArtifact:
         self.canonical = canonical
         self.builder = builder
         self._epoch_base = 0
-        # Color → multiplicity; every edge has two slots.
-        slots = Counter(chain.from_iterable(map(graph.color_row, graph.nodes())))
-        self._palette = {c: count // 2 for c, count in slots.items()}
+        self._palette = self._count_palette()
         # Delta records pending a journal append: populated only when
         # journal tracking is on (loaded/saved artifacts), drained by
         # ``save``.  In-memory artifacts that are never persisted pay
@@ -342,11 +339,20 @@ class ColoringArtifact:
             del palette[c_old]
         palette[c_new] = palette.get(c_new, 0) + 1
 
-    def _replace_coloring(self, colors: Dict[Pair, int]) -> None:
-        """Adopt a :func:`~repro.serving.repair.full_recompute` coloring
-        (pair-keyed, in pair order) as the color rows."""
-        self.graph.fill_colors(colors.items())
-        self._palette = dict(Counter(colors.values()))
+    def _count_palette(self) -> Dict[int, int]:
+        """Color → multiplicity, counted off the color rows (every edge
+        has two slots)."""
+        graph = self.graph
+        slots = Counter(chain.from_iterable(map(graph.color_row, graph.nodes())))
+        return {c: count // 2 for c, count in slots.items()}
+
+    def _adopt_rows(self, color_rows: List[List[int]]) -> None:
+        """Refill the color rows in place from
+        :func:`~repro.serving.repair.canonical_rows` output (aligned with
+        the current neighbor rows) and recount the palette."""
+        for v, colors_v in enumerate(color_rows):
+            self.graph.color_row(v)[:] = colors_v
+        self._palette = self._count_palette()
 
     def _bump_epoch(self) -> int:
         self._epoch_base += 1
@@ -364,8 +370,8 @@ class ColoringArtifact:
         the two slots of every edge equal, no slot uncolored),
         properness (adjacent edges never share a color), demand-list
         respect, palette-table consistency, and — for canonical
-        artifacts — bit-identity with a from-scratch
-        :func:`~repro.serving.repair.full_recompute` of the current
+        artifacts — bit-identity of the color rows with a from-scratch
+        :func:`~repro.serving.repair.canonical_rows` of the current
         graph.  This is the twin-discipline anchor the tests lean on.
         """
         graph = self.graph
@@ -397,7 +403,9 @@ class ColoringArtifact:
                 )
         if dict(Counter(colors.values())) != self._palette:
             raise RepairError("palette table out of sync with colors")
-        if self.canonical and colors != full_recompute(self.graph, self.lists):
+        if self.canonical and list(map(graph.color_row, graph.nodes())) != canonical_rows(
+            graph, self.lists
+        ):
             raise RepairError("coloring is not the canonical fixed point")
         return True
 

@@ -20,9 +20,10 @@ bit-identical colors.  That is the twin discipline of this module:
 * :func:`canonical_rows` walks every edge in pair order — the obvious
   O(m) construction, and the one implementation of the rule.  It writes
   color rows: :func:`~repro.serving.artifact.build_artifact` adopts
-  them as the artifact's, and :func:`full_recompute` reads them off as
-  a pair-keyed dict (the ``verify`` oracle, the ``recompute`` repair
-  path and the past-budget fallback);
+  them as the artifact's, the ``recompute`` repair path and the
+  past-budget fallback refill the artifact's rows from them, and
+  ``verify`` compares the artifact's rows with them;
+  :func:`full_recompute` reads them off as a pair-keyed dict;
 * :func:`apply_insert` / :func:`apply_delete` / :func:`apply_set_list`
   repair the coloring after a single delta by processing a min-heap
   worklist of *possibly-affected* edges in pair order — the
@@ -68,7 +69,7 @@ they would include lower-priority colors too.
 A delta that pops more than ``radius_limit`` edges is a *fallback*.  It
 keeps draining the same heap, up to a recompute-sized budget of
 ``max(radius_limit, num_edges // EDGES_PER_POP)`` pops; only past that
-budget does it abandon the worklist for :func:`full_recompute` on the
+budget does it abandon the worklist for :func:`canonical_rows` on the
 mutated graph.  Both routes reach the same fixed point, because every
 pop is final in pair order, so the result stays bit-identical; only the
 :class:`RepairReport` cost fields differ, and those never enter result
@@ -248,8 +249,8 @@ def full_recompute(
     lists: Optional[Dict[Pair, Tuple[int, ...]]] = None,
 ) -> Dict[Pair, int]:
     """The canonical coloring from scratch as a pair-keyed dict, in pair
-    order: the oracle :meth:`ColoringArtifact.verify` compares against,
-    and the ``recompute`` repair path.  Read off :func:`canonical_rows`."""
+    order, read off :func:`canonical_rows`: the pair-keyed oracle for
+    callers that compare against :attr:`ColoringArtifact.colors`."""
     colors: Dict[Pair, int] = {}
     for u, colors_u in enumerate(canonical_rows(graph, lists)):
         row = graph.neighbors(u)
@@ -347,8 +348,8 @@ def _run_worklist(
 
 
 def _fallback_recompute(artifact: "ColoringArtifact") -> None:
-    colors = full_recompute(artifact.graph, artifact.lists)
-    artifact._replace_coloring(colors)  # noqa: SLF001 - engine is the friend
+    rows = canonical_rows(artifact.graph, artifact.lists)
+    artifact._adopt_rows(rows)  # noqa: SLF001 - engine is the friend
 
 
 def _restore(artifact: "ColoringArtifact", epoch: int) -> None:

@@ -2,10 +2,11 @@
 
 The robustness contract under test: one misbehaving cell — raising,
 hanging, or SIGKILLing its worker — must not take the sweep down.  The
-executor retries with backoff, requeues cells lost to worker death,
-quarantines deterministic failures as structured error rows, and the
-rest of the sweep completes; ``--resume`` skips error rows by default
-and ``--retry-errors`` re-executes exactly the quarantined cells.  The
+executor requeues a failed attempt at once (no sleep on either path),
+runs a retry after worker death solo, quarantines deterministic
+failures as structured error rows, and the rest of the sweep
+completes; ``--resume`` skips error rows by default and
+``--retry-errors`` re-executes exactly the quarantined cells.  The
 store side: one JSONL file and no sidecar, one outcome rule shared by
 resume, compaction and diffs (an ok row beats a later error row), atomic
 compaction, fsync appends and torn-write healing with a logged byte
@@ -24,13 +25,13 @@ from repro.runtime.executor import error_row
 from repro.runtime.spec import Knobs, RetryPolicy, spec
 from repro.runtime.store import ResultStore, diff_rows, is_error_row, strip_timing
 
-#: The policy hardening tests run under: tight timeout, one retry,
-#: near-zero backoff so the suite stays fast.
-FAST_RETRY = RetryPolicy(timeout_seconds=5.0, max_retries=1, backoff_seconds=0.01)
+#: The policy most hardening runs pass to ``run_scenario``: a tight
+#: timeout and one retry, so the suite stays fast.
+FAST_RETRY = RetryPolicy(timeout_seconds=5.0, max_retries=1)
 
 
-def _chaos_spec(cells, retry=FAST_RETRY, name="chaos_unit"):
-    return spec(name, "chaos probes", "chaos_probe", cells, retry=retry)
+def _chaos_spec(cells, name="chaos_unit"):
+    return spec(name, "chaos probes", "chaos_probe", cells)
 
 
 def _strip_all(rows):
@@ -43,28 +44,22 @@ class TestRetryPolicy:
             RetryPolicy(timeout_seconds=0)
         with pytest.raises(ValueError, match="max_retries"):
             RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError, match="backoff_jitter"):
-            RetryPolicy(backoff_jitter=2.0)
 
-    def test_backoff_is_deterministic_exponential_capped(self):
-        policy = RetryPolicy(backoff_seconds=0.1, backoff_jitter=0.5, max_backoff=0.35)
-        first = policy.backoff_for("cellkey", 1)
-        assert first == policy.backoff_for("cellkey", 1)  # pure function
-        assert 0.1 <= first <= 0.15
-        assert 0.2 <= policy.backoff_for("cellkey", 2) <= 0.3
-        assert policy.backoff_for("cellkey", 5) == 0.35  # capped
-        assert policy.backoff_for("other", 1) != first  # per-key jitter
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_attempt_is_requeued_without_sleeping(self, tmp_path, monkeypatch, workers):
+        def no_sleep(seconds):
+            raise AssertionError(f"the executor slept {seconds}s before a retry")
 
-    def test_policy_never_enters_cache_keys(self):
-        from repro.runtime.spec import cache_key, cell_seed
-
-        loose = _chaos_spec([{"mode": "ok"}], retry=RetryPolicy())
-        tight = _chaos_spec([{"mode": "ok"}], retry=FAST_RETRY)
-        knobs = Knobs()
-        assert cell_seed(loose, loose.cells[0]) == cell_seed(tight, tight.cells[0])
-        assert cache_key(loose, loose.cells[0], knobs) == cache_key(
-            tight, tight.cells[0], knobs
+        monkeypatch.setattr("repro.runtime.executor.time.sleep", no_sleep)
+        chaos = _chaos_spec(
+            [
+                {"mode": "raise_once", "marker_dir": str(tmp_path / "markers"), "cell": "r0"},
+                {"mode": "ok", "payload": 1},
+            ]
         )
+        report = run_scenario(chaos, workers=workers, retry=FAST_RETRY)
+        assert report.errored == 0
+        assert all(row["result"]["verified"] for row in report.rows)
 
 
 class TestQuarantine:
@@ -73,7 +68,7 @@ class TestQuarantine:
             [{"mode": "ok", "payload": 1}, {"mode": "raise"}, {"mode": "ok", "payload": 2}]
         )
         store = ResultStore(str(tmp_path / "q.jsonl"))
-        report = run_scenario(chaos, workers=2, store=store)
+        report = run_scenario(chaos, workers=2, store=store, retry=FAST_RETRY)
         assert report.executed == 3
         assert report.errored == 1
         assert not report.ok
@@ -89,7 +84,7 @@ class TestQuarantine:
     def test_serial_path_quarantines_too(self, tmp_path):
         chaos = _chaos_spec([{"mode": "raise"}, {"mode": "ok"}])
         store = ResultStore(str(tmp_path / "serial.jsonl"))
-        report = run_scenario(chaos, workers=1, store=store)
+        report = run_scenario(chaos, workers=1, store=store, retry=FAST_RETRY)
         assert report.errored == 1
         assert report.quarantined == [report.rows[0]["key"]]
         assert report.rows[1]["result"]["verified"]
@@ -97,10 +92,10 @@ class TestQuarantine:
     def test_timeout_enforced_and_reported(self, tmp_path):
         chaos = _chaos_spec(
             [{"mode": "sleep", "sleep_seconds": 30.0}, {"mode": "ok"}],
-            retry=RetryPolicy(timeout_seconds=0.5, max_retries=1, backoff_seconds=0.01),
         )
         store = ResultStore(str(tmp_path / "t.jsonl"))
-        report = run_scenario(chaos, workers=2, store=store)
+        retry = RetryPolicy(timeout_seconds=0.5, max_retries=1)
+        report = run_scenario(chaos, workers=2, store=store, retry=retry)
         assert report.errored == 1
         row = next(r for r in report.rows if is_error_row(r))
         assert row["error"]["kind"] == "timeout"
@@ -110,7 +105,7 @@ class TestQuarantine:
     def test_worker_sigkill_detected_and_quarantined(self, tmp_path):
         chaos = _chaos_spec([{"mode": "kill"}, {"mode": "ok"}])
         store = ResultStore(str(tmp_path / "k.jsonl"))
-        report = run_scenario(chaos, workers=2, store=store)
+        report = run_scenario(chaos, workers=2, store=store, retry=FAST_RETRY)
         assert report.errored == 1
         row = next(r for r in report.rows if is_error_row(r))
         assert row["error"]["kind"] == "crash"
@@ -127,7 +122,9 @@ class TestQuarantine:
                 {"mode": "ok", "payload": 7},
             ]
         )
-        report = run_scenario(chaos, workers=2, store=ResultStore(str(tmp_path / "r.jsonl")))
+        report = run_scenario(
+            chaos, workers=2, store=ResultStore(str(tmp_path / "r.jsonl")), retry=FAST_RETRY
+        )
         assert report.errored == 0
         assert all(row["result"]["verified"] for row in report.rows)
 
@@ -136,7 +133,7 @@ class TestQuarantine:
         chaos = _chaos_spec(
             [{"mode": "raise_once", "marker_dir": str(markers), "cell": "r0"}]
         )
-        report = run_scenario(chaos, workers=1)
+        report = run_scenario(chaos, workers=1, retry=FAST_RETRY)
         assert report.errored == 0
 
 
@@ -147,19 +144,21 @@ class TestResumeSemantics:
             [{"mode": "ok", "payload": 1}, {"mode": "raise"}, {"mode": "ok", "payload": 2}]
         )
         store = ResultStore(str(tmp_path / "resume.jsonl"))
-        run_scenario(chaos, workers=1, store=store)
+        run_scenario(chaos, workers=1, store=store, retry=FAST_RETRY)
         return chaos, store
 
     def test_resume_skips_error_rows_by_default(self, errored_store):
         chaos, store = errored_store
-        resumed = run_scenario(chaos, workers=1, resume=True, store=store)
+        resumed = run_scenario(chaos, workers=1, resume=True, store=store, retry=FAST_RETRY)
         assert resumed.executed == 0
         assert resumed.skipped == 3
         assert resumed.errored == 1  # the stored error row still surfaces
 
     def test_retry_errors_reexecutes_only_quarantined_cells(self, errored_store):
         chaos, store = errored_store
-        resumed = run_scenario(chaos, workers=1, resume=True, store=store, retry_errors=True)
+        resumed = run_scenario(
+            chaos, workers=1, resume=True, store=store, retry=FAST_RETRY, retry_errors=True
+        )
         assert resumed.executed == 1  # exactly the quarantined cell
         assert resumed.skipped == 2
         assert resumed.errored == 1  # still deterministic: it fails again
@@ -168,12 +167,14 @@ class TestResumeSemantics:
         markers = tmp_path / "markers"
         chaos = _chaos_spec(
             [{"mode": "raise_once", "marker_dir": str(markers), "cell": "r1"}],
-            retry=RetryPolicy(max_retries=0),  # first run quarantines immediately
         )
         store = ResultStore(str(tmp_path / "heal.jsonl"))
-        first = run_scenario(chaos, workers=1, store=store)
+        # No retries: the first run quarantines the cell at once.
+        first = run_scenario(chaos, workers=1, store=store, retry=RetryPolicy(max_retries=0))
         assert first.errored == 1
-        second = run_scenario(chaos, workers=1, resume=True, store=store, retry_errors=True)
+        second = run_scenario(
+            chaos, workers=1, resume=True, store=store, retry=FAST_RETRY, retry_errors=True
+        )
         assert second.errored == 0
         # rows_by_key: the fresh ok row wins over the stored error row.
         assert not is_error_row(store.rows_by_key()[second.rows[0]["key"]])
@@ -187,13 +188,13 @@ class TestResumeSemantics:
         """
         chaos = _chaos_spec([{"mode": "ok", "payload": i} for i in range(3)])
         store = ResultStore(str(tmp_path / "mid.jsonl"))
-        run_scenario(chaos, workers=1, store=store)
+        run_scenario(chaos, workers=1, store=store, retry=FAST_RETRY)
         # A second non-resume run appends superseding duplicates, the
         # situation compaction exists for.
-        run_scenario(chaos, workers=1, store=store)
+        run_scenario(chaos, workers=1, store=store, retry=FAST_RETRY)
         assert len(store.rows()) == 6
         assert store.compact() == 3
-        resumed = run_scenario(chaos, workers=1, resume=True, store=store)
+        resumed = run_scenario(chaos, workers=1, resume=True, store=store, retry=FAST_RETRY)
         assert resumed.executed == 0
         assert resumed.skipped == 3
         assert resumed.errored == 0
@@ -206,18 +207,18 @@ class TestResumeSemantics:
         # cell's ok row; the ok row is still the cell's outcome.
         chaos = _chaos_spec([{"mode": "ok", "payload": 1}])
         store = ResultStore(str(tmp_path / "flaky.jsonl"))
-        (ok,) = run_scenario(chaos, workers=1, store=store).rows
+        (ok,) = run_scenario(chaos, workers=1, store=store, retry=FAST_RETRY).rows
         store.append(error_row(ok, {"kind": "exception", "type": "A"}, attempts=2, wall=0.1))
-        resumed = run_scenario(chaos, workers=1, resume=True, store=store)
+        resumed = run_scenario(chaos, workers=1, resume=True, store=store, retry=FAST_RETRY)
         assert (resumed.executed, resumed.skipped, resumed.errored) == (0, 1, 0)
         assert strip_timing(resumed.rows[0]) == strip_timing(ok)
 
     def test_store_is_one_jsonl_file(self, tmp_path):
         chaos = _chaos_spec([{"mode": "ok", "payload": i} for i in range(2)])
         store = ResultStore(str(tmp_path / "one.jsonl"))
-        run_scenario(chaos, workers=1, store=store)
-        run_scenario(chaos, workers=1, store=store)
-        run_scenario(chaos, workers=1, resume=True, store=store)
+        run_scenario(chaos, workers=1, store=store, retry=FAST_RETRY)
+        run_scenario(chaos, workers=1, store=store, retry=FAST_RETRY)
+        run_scenario(chaos, workers=1, resume=True, store=store, retry=FAST_RETRY)
         assert store.compact() == 2
         assert os.listdir(tmp_path) == ["one.jsonl"]
 
@@ -349,7 +350,7 @@ class TestDegradation:
             [{"mode": "ok", "payload": i} for i in range(3)] + [{"mode": "raise"}]
         )
         store = ResultStore(str(tmp_path / "d.jsonl"))
-        report = run_scenario(chaos, workers=4, store=store)
+        report = run_scenario(chaos, workers=4, store=store, retry=FAST_RETRY)
         assert report.executed == 4
         assert report.errored == 1  # quarantine still works in-process
         ok_rows = [r for r in report.rows if not is_error_row(r)]

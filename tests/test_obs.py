@@ -368,7 +368,7 @@ class TestQuarantine:
         def refuse(*args, **kwargs):
             raise AssertionError("a drained fallback must not recompute")
 
-        monkeypatch.setattr(repair, "full_recompute", refuse)
+        monkeypatch.setattr(repair, "canonical_rows", refuse)
         path = str(tmp_path / "trace.jsonl")
         obs_trace.configure(path)
         session = ServingSession(build_artifact(graph), rebase_policy=None)

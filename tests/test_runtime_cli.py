@@ -110,7 +110,7 @@ class TestScenariosRunHardening:
     @pytest.fixture()
     def chaos_scenario(self):
         from repro.runtime import registry
-        from repro.runtime.spec import RetryPolicy, spec
+        from repro.runtime.spec import spec
 
         name = "cli_chaos_unit"
         registry.register(
@@ -119,7 +119,6 @@ class TestScenariosRunHardening:
                 "CLI chaos probes",
                 "chaos_probe",
                 [{"mode": "ok", "payload": 1}, {"mode": "raise"}, {"mode": "ok", "payload": 2}],
-                retry=RetryPolicy(max_retries=0, backoff_seconds=0.0),
             ),
             replace=True,
         )
@@ -128,7 +127,9 @@ class TestScenariosRunHardening:
 
     def test_run_exits_nonzero_when_a_cell_errors(self, chaos_scenario, tmp_path, capsys):
         out_path = str(tmp_path / "chaos.jsonl")
-        assert main(["scenarios", "run", chaos_scenario, "--out", out_path]) == 1
+        assert main(
+            ["scenarios", "run", chaos_scenario, "--retries", "0", "--out", out_path]
+        ) == 1
         captured = capsys.readouterr()
         assert "1 errored" in captured.out
         assert "quarantined" in captured.err
@@ -140,38 +141,46 @@ class TestScenariosRunHardening:
         self, chaos_scenario, tmp_path, capsys
     ):
         out_path = str(tmp_path / "chaos.jsonl")
-        main(["scenarios", "run", chaos_scenario, "--out", out_path])
+        main(["scenarios", "run", chaos_scenario, "--retries", "0", "--out", out_path])
         capsys.readouterr()
         # Default resume skips the error row but still reports the sweep dirty.
         assert main(
-            ["scenarios", "run", chaos_scenario, "--resume", "--out", out_path]
+            ["scenarios", "run", chaos_scenario, "--resume", "--retries", "0", "--out", out_path]
         ) == 1
         assert "0 executed, 3 cached, 1 errored" in capsys.readouterr().out
         # --retry-errors re-executes exactly the quarantined cell.
         assert main(
             [
                 "scenarios", "run", chaos_scenario,
-                "--resume", "--retry-errors", "--out", out_path,
+                "--resume", "--retry-errors", "--retries", "0", "--out", out_path,
             ]
         ) == 1
         assert "1 executed, 2 cached, 1 errored" in capsys.readouterr().out
 
-    def test_retry_flag_overrides_spec_policy(self, chaos_scenario, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "retries, attempts", [([], 3), (["--retries", "1"], 2)], ids=["default", "flag"]
+    )
+    def test_retries_flag_sets_the_attempt_count(
+        self, chaos_scenario, tmp_path, capsys, retries, attempts
+    ):
+        # Without the flag the run takes RetryPolicy's default of 2 retries.
         out_path = str(tmp_path / "chaos.jsonl")
         main(
-            [
-                "scenarios", "run", chaos_scenario,
-                "--retries", "2", "--no-progress", "--out", out_path,
-            ]
+            ["scenarios", "run", chaos_scenario, *retries, "--no-progress", "--out", out_path]
         )
         capsys.readouterr()
         rows = [json.loads(line) for line in open(out_path, encoding="utf-8")]
         error = next(row for row in rows if row.get("status") == "error")
-        assert error["error"]["attempts"] == 3
+        assert error["error"]["attempts"] == attempts
 
     def test_report_shows_error_rows_column(self, chaos_scenario, tmp_path, capsys):
         out_path = str(tmp_path / "chaos.jsonl")
-        main(["scenarios", "run", chaos_scenario, "--no-progress", "--out", out_path])
+        main(
+            [
+                "scenarios", "run", chaos_scenario,
+                "--retries", "0", "--no-progress", "--out", out_path,
+            ]
+        )
         capsys.readouterr()
         assert main(["scenarios", "report", out_path]) == 0
         out = capsys.readouterr().out

@@ -150,6 +150,63 @@ class TestRunnerEnvelope:
         with pytest.raises(AssertionError, match=message):
             RUNNERS["linial_audit"](CellContext(params=params, seed=0, repeats=1))
 
+    def test_e4_rejects_a_move_without_a_phase(self, monkeypatch):
+        # E4 runs the structural token-game check, not only the token cap.
+        from repro.core import token_dropping
+
+        real = token_dropping.run_token_dropping
+
+        def tampered(game):
+            result = real(game)
+            result.arc_moves.pop(min(result.moved_arcs))
+            return result
+
+        monkeypatch.setattr(token_dropping, "run_token_dropping", tampered)
+        params = {"variant": "layered", "layers": 6, "width": 16, "k": 8, "delta": 1}
+        with pytest.raises(AssertionError, match="invalid token game"):
+            RUNNERS["token_dropping"](CellContext(params=params, seed=0, repeats=1))
+
+    def test_e5_recounts_the_defects_it_is_handed(self, monkeypatch):
+        # The result reports every defect as 0 under λ's that make every
+        # Definition 5.1 bound 0; only a recount off the colors sees the
+        # same-colored neighbors.
+        from repro.core import defective_edge_coloring as dec
+
+        real = dec.generalized_defective_two_edge_coloring
+
+        def tampered(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.lambdas = {e: 0.0 if c == dec.RED else 1.0 for e, c in result.colors.items()}
+            result._defects = dict.fromkeys(result.colors, 0)
+            return result
+
+        monkeypatch.setattr(dec, "generalized_defective_two_edge_coloring", tampered)
+        params = {"variant": "half", "side": 48, "delta": 12, "graph_seed": 17, "epsilon": 1.0}
+        with pytest.raises(AssertionError, match="recount violations"):
+            RUNNERS["defective_two_coloring"](CellContext(params=params, seed=0, repeats=1))
+
+    def test_e9_checks_the_slack_invariant_on_its_instance(self, monkeypatch):
+        # A proper partial coloring keeps the (degree+1) invariant on
+        # (degree+1) lists, and this cell's pass colors every edge.  So
+        # the tamper uncolors every even edge and cuts the instance's
+        # shared palette to one color.
+        import importlib
+
+        # ``repro.core.list_edge_coloring`` is also a function re-exported
+        # by ``repro.core``; the module itself holds the runner's import.
+        list_edge_coloring = importlib.import_module("repro.core.list_edge_coloring")
+        real = list_edge_coloring.partially_color_bipartite
+
+        def tampered(graph, instance, parts, coloring):
+            newly = real(graph, instance, parts, coloring=coloring)
+            del instance.lists[next(iter(instance.edge_set))][1:]
+            return {e: c for e, c in newly.items() if e % 2}
+
+        monkeypatch.setattr(list_edge_coloring, "partially_color_bipartite", tampered)
+        params = {"side": 48, "delta": 10, "graph_seed": 31}
+        with pytest.raises(AssertionError, match="slack invariant broken"):
+            RUNNERS["degree_reduction"](CellContext(params=params, seed=0, repeats=1))
+
 
 class TestPerfGridDrift:
     """The perf harness's regression gate (``check_regressions``)."""

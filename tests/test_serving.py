@@ -267,7 +267,7 @@ class TestTwinDiscipline:
         def refuse(*args, **kwargs):
             raise AssertionError("a drained fallback must not recompute")
 
-        monkeypatch.setattr(repair, "full_recompute", refuse)
+        monkeypatch.setattr(repair, "canonical_rows", refuse)
         report = artifact.delete(u, v, radius_limit=limit)
         assert report.fallback
         assert report.touched == pops
@@ -281,13 +281,13 @@ class TestTwinDiscipline:
             if unbounded_pops(graph, *key) > budget(graph.num_edges - 1, 0)
         )
         calls = []
-        recompute = repair.full_recompute
+        recompute = repair.canonical_rows
 
         def counting(*args, **kwargs):
             calls.append(1)
             return recompute(*args, **kwargs)
 
-        monkeypatch.setattr(repair, "full_recompute", counting)
+        monkeypatch.setattr(repair, "canonical_rows", counting)
         report = artifact.delete(u, v, radius_limit=0)
         assert len(calls) == 1
         assert report.fallback
