@@ -7,7 +7,8 @@ used by distributed-coloring evaluations:
 
 * ``regular_bipartite_graph`` — Δ-regular 2-colored bipartite graphs,
   the setting of Sections 5–7.
-* ``random_regular_graph`` — Δ-regular general graphs.
+* ``random_regular_graph`` — Δ-regular general graphs, by networkx's
+  pairing loop run on plain sets (bit-identical to networkx's output).
 * ``erdos_renyi_graph`` — G(n, p).
 * ``random_bipartite_graph`` — bipartite G(n_u, n_v, p).
 * ``cycle_graph`` / ``path_graph`` — the Δ = 2 lower-bound family of
@@ -23,6 +24,8 @@ All generators are deterministic given ``seed``.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from repro.graphs.bipartite import Bipartition
@@ -154,26 +157,72 @@ def random_bipartite_graph(
 
 
 def random_regular_graph(n: int, degree: int, seed: Optional[int] = None) -> Graph:
-    """A random Δ-regular simple graph (pairing model, via :mod:`networkx`).
+    """A random Δ-regular simple graph (the pairing model).
 
-    The edges come in networkx's order.  The networkx graph is cleared
-    once they are copied: ``edges()`` caches a view that refers back to
-    the graph, so a graph dropped uncleared is a cycle of about n objects
-    that only a full cyclic collection frees (≈30 ms at n = 20000, Δ = 8),
-    where the clear frees it by refcount (≈9 ms).
+    The pairing loop is networkx 3.6.1's ``random_regular_graph``
+    (3-clause BSD license, Copyright (c) 2004-2025, NetworkX Developers),
+    run without building a networkx graph, and its output is
+    bit-identical to networkx's for the same seed:
+
+    * the generator is ``_rng(seed)``, the ``random.Random`` networkx makes
+      from an int seed;
+    * each attempt shuffles ``list(range(n)) * degree`` stubs, pairs them
+      into a set of ``(lo, hi)`` edges and retries the unpaired stubs in
+      further rounds; an attempt with no suitable pair left restarts;
+    * the edges come in networkx's ``G.edges()`` order after
+      ``G.add_edges_from(edges)``: the set's iteration order, stably
+      sorted by the lower endpoint.
     """
     if n * degree % 2 != 0:
         raise ValueError("n * degree must be even")
-    if degree >= n:
-        raise ValueError("degree must be smaller than n")
+    if not 0 <= degree < n:
+        raise ValueError("degree must be in [0, n)")
     if degree == 0:
         return Graph(n, [])
-    import networkx as nx
+    rng = _rng(seed)
 
-    nx_graph = nx.random_regular_graph(degree, n, seed=seed if seed is not None else 0)
-    edges = [(u, v) for u, v in nx_graph.edges()]
-    nx_graph.clear()
-    return Graph(n, edges)
+    def suitable(edges, potential_edges) -> bool:
+        # False when every pair of the leftover stubs is already an edge.
+        # The swap rebinds the outer s1 too, as in networkx; the restarts,
+        # and so the edges, can depend on it.
+        if not potential_edges:
+            return True
+        for s1 in potential_edges:
+            for s2 in potential_edges:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def try_creation():
+        edges = set()
+        stubs = list(range(n)) * degree
+        while stubs:
+            potential_edges = defaultdict(int)
+            rng.shuffle(stubs)
+            stubiter = iter(stubs)
+            for s1, s2 in zip(stubiter, stubiter):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    potential_edges[s1] += 1
+                    potential_edges[s2] += 1
+            if not suitable(edges, potential_edges):
+                return None
+            stubs = [
+                node for node, potential in potential_edges.items() for _ in range(potential)
+            ]
+        return edges
+
+    edges = try_creation()
+    while edges is None:
+        edges = try_creation()
+    return Graph(n, sorted(edges, key=itemgetter(0)))
 
 
 def erdos_renyi_graph(n: int, p: float, seed: Optional[int] = None) -> Graph:

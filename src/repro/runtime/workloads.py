@@ -678,6 +678,7 @@ def run_ablation(ctx: CellContext) -> Dict[str, object]:
     if ablation == "orientation_nu":
         from repro.core import parameters
         from repro.core.balanced_orientation import compute_balanced_orientation
+        from repro.verification.checkers import orientation_in_degrees
 
         nu = float(ctx.params["nu"])
         epsilon = 8 * nu
@@ -697,10 +698,14 @@ def run_ablation(ctx: CellContext) -> Dict[str, object]:
                 tail, head = result.orientation[e]
                 gap = result.in_degrees[v] - result.in_degrees[u]
                 worst = max(worst, gap if (tail, head) == (u, v) else -gap)
-            # Invariants: every edge is oriented exactly once and the
-            # in-degree tally accounts for every edge.
+            # Invariants: every edge is oriented exactly once, the
+            # in-degree tally accounts for every edge, and it is the
+            # tally of this orientation, node by node.
             assert len(result.orientation) == graph.num_edges, "incomplete orientation"
             assert sum(result.in_degrees) == graph.num_edges, "in-degree tally broken"
+            assert orientation_in_degrees(graph, result.orientation) == result.in_degrees, (
+                "in-degree recount differs from the reported in-degrees"
+            )
             # Theorem 5.6 at ε = 8ν: (ε, β)-balanced for its analytic β.
             beta = parameters.beta_theoretical(epsilon, max(2, result.bar_delta))
             violations = result.definition_52_violations(graph, bipartition, eta, epsilon, beta)

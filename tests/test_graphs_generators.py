@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import random
 
 import networkx as nx
 import pytest
@@ -82,14 +83,13 @@ class TestRandomFamilies:
         assert all(graph.degree(v) == 6 for v in graph.nodes())
 
     def test_random_regular_graph_leaves_no_cyclic_garbage(self):
-        """The networkx graph is freed by refcount, not left to a collection.
+        """The pairing leaves nothing for the cyclic collector.
 
-        ``nx_graph.edges()`` caches a view that refers back to the graph,
-        so a dropped graph that is not cleared is a cycle of about n
-        objects (2006 here) that only the cyclic collector frees.  The
-        edge order is pinned by a digest recorded before the clear.
+        The stub lists, the pairing set and the retry counts are freed by
+        refcount when the generator returns, so a collection right after
+        it finds (next to) nothing.  The digest pins the edge order.
         """
-        generators.random_regular_graph(200, 8, seed=1)  # warm-up: imports
+        generators.random_regular_graph(200, 8, seed=1)  # warm-up
         gc.collect()
         gc.disable()
         try:
@@ -109,6 +109,8 @@ class TestRandomFamilies:
             generators.random_regular_graph(5, 3)  # odd product
         with pytest.raises(ValueError):
             generators.random_regular_graph(4, 4)  # degree >= n
+        with pytest.raises(ValueError):
+            generators.random_regular_graph(10, -2)  # negative degree
 
     def test_random_regular_zero_degree(self):
         graph = generators.random_regular_graph(6, 0, seed=0)
@@ -134,6 +136,51 @@ class TestRandomFamilies:
         assert scrambled.num_edges == base.num_edges
         assert len(set(scrambled.node_ids)) == 16
         assert max(scrambled.node_ids) < 16 * 8
+
+
+class TestRandomRegularAgainstNetworkx:
+    """``random_regular_graph`` runs networkx's pairing loop without its
+    graph; networkx itself is the oracle for the edges and their order."""
+
+    # (n, Δ, seed): n=512, Δ=64 restarts the pairing on seeds 100002,
+    # 100003 and 1005 (2, 4 and 8 attempts); n=300, Δ=3 and n=30, Δ=4
+    # pair the leftover stubs in second rounds, and n=30, Δ=4, seed 8
+    # restarts 5 times; (2, 1) and (100, 1) are Δ = 1, (10, 9) and
+    # (50, 49) are Δ = n − 1, and a seed of None means seed 0.
+    GRID = (
+        [(512, 64, seed) for seed in (100000, 100002, 100003, 1005)]
+        + [(300, 3, seed) for seed in range(8)]
+        + [(30, 4, seed) for seed in (0, 2, 8)]
+        + [(2, 1, 0), (100, 1, 4), (10, 9, 3), (50, 49, 7), (2000, 8, 2), (40, 6, None)]
+    )
+
+    @pytest.mark.parametrize("n, degree, seed", GRID)
+    def test_edges_match_networkx(self, n, degree, seed):
+        graph = generators.random_regular_graph(n, degree, seed=seed)
+        oracle = nx.random_regular_graph(degree, n, seed=0 if seed is None else seed)
+        assert [graph.edge_endpoints(e) for e in graph.edges()] == list(oracle.edges())
+
+    def test_grid_reaches_restarts_and_second_rounds(self, monkeypatch):
+        # Every attempt shuffles all n·Δ stubs once; a shorter shuffle is a
+        # second pairing round.
+        shuffled = []
+        shuffle = random.Random.shuffle
+
+        def counted_shuffle(rng, stubs):
+            shuffled.append(len(stubs))
+            shuffle(rng, stubs)
+
+        monkeypatch.setattr(random.Random, "shuffle", counted_shuffle)
+        attempts = {}
+        rounds = {}
+        for n, degree, seed in self.GRID:
+            shuffled.clear()
+            generators.random_regular_graph(n, degree, seed=seed)
+            attempts[n, degree, seed] = shuffled.count(n * degree)
+            rounds[n, degree, seed] = len(shuffled)
+        assert [attempts[512, 64, seed] for seed in (100002, 100003, 1005)] == [2, 4, 8]
+        assert attempts[30, 4, 8] == 5
+        assert sum(rounds[300, 3, seed] > attempts[300, 3, seed] for seed in range(8)) >= 4
 
 
 class TestListInstances:

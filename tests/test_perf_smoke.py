@@ -4,8 +4,8 @@ Fast assertions wired into the tier-1 run: the E1 Δ=16 sweep cell, one
 E1_large cell (n = 192, Δ = 32 — the vectorized orientation engine's
 territory), and the E8 Linial-on-simulator cell at n = 10⁴ must
 finish well inside generous caps, and so must a batch of serving
-deltas through the incremental repair engine and the serving plane's
-offline build and save.  Each solver cap is
+deltas through the incremental repair engine, the serving plane's
+offline build and save, and the generation of its graph.  Each solver cap is
 ~15–20× the current measured time (≈25 ms for E1, ≈110 ms for E1_large,
 ≈80 ms for E8 on the reference machine), so it only trips on a genuine
 complexity regression (e.g. reintroducing a per-level rescan, a
@@ -70,6 +70,16 @@ REPAIR_BATCH = 300
 #: place and the save written from them as text; the per-edge tuples and
 #: lists they replaced (and an uncleared networkx graph) read 0.23–0.27 s.
 OFFLINE_BUDGET_SECONDS = 0.22
+
+#: Wall-clock cap for ``random_regular_graph(20000, 8)``, serve-churn's
+#: graph, on a seed whose pairing succeeds at the first attempt (seconds).
+#: Measured 0.14–0.16 s with the pairing loop run on plain sets and lists;
+#: building and copying a networkx graph read 0.32–0.36 s.
+GENERATE_BUDGET_SECONDS = 0.25
+
+#: Seeds of ``random_regular_graph(20000, 8)`` that pair in one attempt
+#: (seed 2 restarts once, so its wall would be about double).
+GENERATE_SEEDS = (0, 1, 3)
 
 #: The host-speed probe, as ``perfbench/common.py`` defines it: a tick is
 #: one run of :func:`_tick_kernel` (``TICK_LOOPS`` loops), which takes
@@ -264,4 +274,26 @@ def test_offline_build_and_save_within_budget(tmp_path):
     assert wall < OFFLINE_BUDGET_SECONDS, (
         f"build_artifact + save at n=20000, Δ=8 took {wall:.3f}s at reference speed, "
         f"over the {OFFLINE_BUDGET_SECONDS}s smoke budget"
+    )
+
+
+@pytest.mark.perf_smoke
+def test_random_regular_graph_within_budget():
+    """Generation at serve-churn's size: the fastest of three one-attempt
+    seeds, each after a collection, with a tick after every run scaling
+    it to reference speed."""
+    walls = []
+    ticks = [_tick()]
+    for seed in GENERATE_SEEDS:
+        graph = None
+        gc.collect()
+        start = time.perf_counter()
+        graph = generators.random_regular_graph(20000, 8, seed=seed)
+        walls.append(time.perf_counter() - start)
+        ticks.append(_tick())
+    assert graph.num_edges == 80000
+    wall = _at_reference_speed(min(walls), ticks)
+    assert wall < GENERATE_BUDGET_SECONDS, (
+        f"random_regular_graph(20000, 8) took {wall:.3f}s at reference speed, over the "
+        f"{GENERATE_BUDGET_SECONDS}s smoke budget"
     )

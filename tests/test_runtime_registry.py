@@ -185,6 +185,25 @@ class TestRunnerEnvelope:
         with pytest.raises(AssertionError, match="recount violations"):
             RUNNERS["defective_two_coloring"](CellContext(params=params, seed=0, repeats=1))
 
+    def test_e10_recounts_the_orientation_in_degrees(self, monkeypatch):
+        # Swapping two unequal in-degrees keeps their sum, so only a
+        # recount off the orientation sees it.
+        from repro.core import balanced_orientation
+
+        real = balanced_orientation.compute_balanced_orientation
+
+        def tampered(*args, **kwargs):
+            result = real(*args, **kwargs)
+            x = result.in_degrees
+            i = next(v for v in range(len(x)) if x[v] != x[0])
+            x[0], x[i] = x[i], x[0]
+            return result
+
+        monkeypatch.setattr(balanced_orientation, "compute_balanced_orientation", tampered)
+        params = {"ablation": "orientation_nu", "nu": 0.05}
+        with pytest.raises(AssertionError, match="in-degree recount"):
+            RUNNERS["ablation"](CellContext(params=params, seed=0, repeats=1))
+
     def test_e9_checks_the_slack_invariant_on_its_instance(self, monkeypatch):
         # A proper partial coloring keeps the (degree+1) invariant on
         # (degree+1) lists, and this cell's pass colors every edge.  So
